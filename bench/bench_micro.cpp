@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): the real computational kernels of
 // the simulator — hash functions over kernel-sized buffers, event-queue
-// throughput, TOCTTOU scan bookkeeping.
+// throughput, TOCTTOU scan bookkeeping, metric emission.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include "bench/common.h"
 #include "hw/memory.h"
 #include "obs/flight/recorder.h"
+#include "obs/metrics.h"
 #include "secure/digest_cache.h"
 #include "secure/hash.h"
 #include "sim/engine.h"
@@ -387,6 +388,57 @@ void BM_DrawCanonical(benchmark::State& state) {
       });
 }
 BENCHMARK(BM_DrawCanonical)->Arg(0)->Arg(1);
+
+// --- Metric emission ----------------------------------------------------
+//
+// One enabled SATIN_METRIC_* emission into an installed registry, as a
+// campaign worker runs it for every probe round: the site's id
+// indexes the registry's slot table, then the add or observe runs. The
+// names are longer than the 15-byte small-string buffer, so an emission
+// that built a std::string would allocate; allocs_per_emit must be
+// exactly 0.
+
+template <typename Emit>
+void metric_emit_bench(benchmark::State& state, const Emit& emit) {
+  satin::obs::MetricsRegistry registry;
+  satin::obs::MetricsRegistry* const previous = satin::obs::metrics();
+  satin::obs::install_metrics(&registry);
+  emit(0.0);  // the first emission takes the site id and binds the slot
+  std::uint64_t emits = 0;
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    // Staleness-scale values spread over a few histogram buckets.
+    emit(1e-6 * static_cast<double>(emits & 1023));
+    ++emits;
+  }
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  satin::obs::install_metrics(previous);
+  state.SetItemsProcessed(static_cast<std::int64_t>(emits));
+  state.counters["allocs_per_emit"] =
+      emits > 0 ? static_cast<double>(allocs) / static_cast<double>(emits)
+                : 0.0;
+}
+
+void BM_MetricEmitCounter(benchmark::State& state) {
+  metric_emit_bench(state,
+                    [](double) { SATIN_METRIC_INC("bench.emit_probe_rounds"); });
+}
+BENCHMARK(BM_MetricEmitCounter);
+
+void BM_MetricEmitHistogram(benchmark::State& state) {
+  metric_emit_bench(state, [](double value) {
+    SATIN_METRIC_OBSERVE("bench.emit_staleness_s", value);
+  });
+}
+BENCHMARK(BM_MetricEmitHistogram);
+
+void BM_MetricEmitDigest(benchmark::State& state) {
+  metric_emit_bench(state, [](double value) {
+    SATIN_METRIC_DIGEST_OBSERVE("bench.emit_detection_lag_s", value);
+  });
+}
+BENCHMARK(BM_MetricEmitDigest);
 
 void BM_MemoryTimedWriteUnderScan(benchmark::State& state) {
   satin::hw::Memory memory(1 << 20);

@@ -22,7 +22,11 @@ bool attacker_escapes(const RaceParams& p, std::size_t s_bytes) {
   const double defender =
       p.ts_switch_s + static_cast<double>(s_bytes) * p.ts_1byte_s;
   const bool escapes = defender > p.tns_delay_s() + p.tns_recover_s;
-  SATIN_METRIC_INC(escapes ? "race.model_escapes" : "race.model_caught");
+  if (escapes) {
+    SATIN_METRIC_INC("race.model_escapes");
+  } else {
+    SATIN_METRIC_INC("race.model_caught");
+  }
   return escapes;
 }
 

@@ -55,7 +55,13 @@ void FaultInjector::note(FaultKind kind, int core) {
   SATIN_TRACE_INSTANT("fault", to_string(kind),
                       platform_.engine().now(), core, obs::kWorldNone);
   SATIN_METRIC_INC("fault.injected");
-  SATIN_METRIC_INC(std::string("fault.") + to_string(kind));
+#if SATIN_OBS_ENABLED
+  // The per-kind name is built at run time, so it cannot go through the
+  // literal-only macros; injections are rare enough for a by-name lookup.
+  if (obs::MetricsRegistry* metrics = obs::metrics()) {
+    metrics->counter(std::string("fault.") + to_string(kind)).inc();
+  }
+#endif
   SATIN_LOG(kDebug) << "fault: inject " << to_string(kind)
                     << (core >= 0 ? " on core " + std::to_string(core) : "");
 }

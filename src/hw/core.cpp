@@ -1,14 +1,30 @@
 #include "hw/core.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/log.h"
 
 namespace satin::hw {
+
+namespace {
+
+// Always-on world-state invariant: throws with the core, the simulated
+// time and the last secure entry instead of corrupting the world state in
+// an optimized build. Out of line and cold, off the world-switch path.
+[[noreturn, gnu::cold, gnu::noinline]] void broken_world_invariant(
+    const Core& core, const char* what, sim::Time when,
+    sim::Time last_entry) {
+  throw std::logic_error("Core invariant: " + core.name() + " " + what +
+                         " at t=" + when.to_string() +
+                         " (last secure entry at t=" + last_entry.to_string() +
+                         ")");
+}
+
+}  // namespace
 
 void Core::remove_world_listener(WorldListener* listener) {
   listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), listener),
@@ -20,7 +36,11 @@ void Core::set_online(bool online, sim::Time when) {
   online_ = online;
   SATIN_TRACE_INSTANT("hw", online ? "core_online" : "core_offline", when,
                       id_, obs::kWorldNone);
-  SATIN_METRIC_INC(online ? "hw.core_online" : "hw.core_offline");
+  if (online) {
+    SATIN_METRIC_INC("hw.core_online");
+  } else {
+    SATIN_METRIC_INC("hw.core_offline");
+  }
   SATIN_LOG(kInfo) << name() << (online ? " comes online" : " goes offline")
                    << " at " << when.to_string();
 }
@@ -32,7 +52,10 @@ std::string Core::name() const {
 }
 
 void Core::enter_secure(sim::Time when) {
-  assert(world_ == World::kNormal && "nested secure entry");
+  if (world_ != World::kNormal) {
+    broken_world_invariant(*this, "nested secure entry", when,
+                           secure_entry_time_);
+  }
   world_ = World::kSecure;
   secure_entry_time_ = when;
   ++secure_entries_;
@@ -44,7 +67,10 @@ void Core::enter_secure(sim::Time when) {
 }
 
 void Core::exit_secure(sim::Time when) {
-  assert(world_ == World::kSecure && "exit without entry");
+  if (world_ != World::kSecure) {
+    broken_world_invariant(*this, "secure exit without entry", when,
+                           secure_entry_time_);
+  }
   world_ = World::kNormal;
   secure_total_ += when - secure_entry_time_;
   SATIN_TRACE_END("hw", "secure_world", when, id_, obs::kWorldSecure);

@@ -56,6 +56,7 @@ class Core {
 
  private:
   friend class SecureMonitor;
+  friend struct CoreTestPeer;  // tests build broken world states directly
   // Only the secure monitor (EL3) flips worlds, mirroring the hardware.
   void enter_secure(sim::Time when);
   void exit_secure(sim::Time when);

@@ -46,9 +46,11 @@ void GenericTimer::program(std::vector<PerCoreTimer>& timers, CoreId core,
                                 ? obs::kWorldSecure
                                 : obs::kWorldNormal,
                             "irq", static_cast<int>(irq));
-    SATIN_METRIC_INC(irq == IrqId::kSecurePhysTimer
-                         ? "hw.secure_timer_fires"
-                         : "hw.nonsecure_timer_fires");
+    if (irq == IrqId::kSecurePhysTimer) {
+      SATIN_METRIC_INC("hw.secure_timer_fires");
+    } else {
+      SATIN_METRIC_INC("hw.nonsecure_timer_fires");
+    }
     if (raise_) raise_(core, irq);
   });
 }

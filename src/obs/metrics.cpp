@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -9,6 +10,17 @@
 #include "obs/trace.h"  // json_escape
 
 namespace satin::obs {
+
+MetricId next_metric_site() {
+  static std::atomic<std::uint32_t> next{0};
+  const std::uint32_t id = next.fetch_add(1, std::memory_order_relaxed);
+  if (id >= kMaxMetricSites) {
+    throw std::length_error("next_metric_site: more than " +
+                            std::to_string(kMaxMetricSites) +
+                            " SATIN_METRIC_* sites");
+  }
+  return static_cast<MetricId>(id);
+}
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1, 0) {
@@ -70,6 +82,22 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 
 QuantileDigest& MetricsRegistry::digest(const std::string& name) {
   return digests_[name];
+}
+
+Counter& MetricsRegistry::bind_counter(MetricId id, const char* name) {
+  return counter_slots_.bind(id, counter(name));
+}
+
+Gauge& MetricsRegistry::bind_gauge(MetricId id, const char* name) {
+  return gauge_slots_.bind(id, gauge(name));
+}
+
+Histogram& MetricsRegistry::bind_histogram(MetricId id, const char* name) {
+  return histogram_slots_.bind(id, histogram(name));
+}
+
+QuantileDigest& MetricsRegistry::bind_digest(MetricId id, const char* name) {
+  return digest_slots_.bind(id, digest(name));
 }
 
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {

@@ -9,11 +9,15 @@
 //
 // Components emit through SATIN_METRIC_* macros; with no registry
 // installed a macro is one pointer test, and -DSATIN_ENABLE_OBS=OFF
-// compiles the macros out entirely.
+// compiles the macros out entirely. An enabled emission costs a slot
+// lookup plus the add or observe itself: each macro site takes a site id
+// once per process (next_metric_site) and the registry caches, per id, a
+// pointer into its own name-keyed maps.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +25,20 @@
 #include "sim/stats.h"
 
 namespace satin::obs {
+
+// Dense, process-wide id of one SATIN_METRIC_* site. Ids are handed out
+// in first-emission order, so they are not stable across processes;
+// nothing persisted or exported ever carries one. Two sites that share a
+// literal get two ids, and both bind to the one metric of that name.
+enum class MetricId : std::uint32_t {};
+
+// Most sites one process may hold; also the length of a slot table.
+inline constexpr std::size_t kMaxMetricSites = 1024;
+
+// Hands out the next site id (one atomic add, so any thread may call it).
+// The SATIN_METRIC_* macros call it once per site and keep the id in a
+// function-local static. Throws std::length_error past kMaxMetricSites.
+MetricId next_metric_site();
 
 class Counter {
  public:
@@ -99,6 +117,28 @@ class MetricsRegistry {
   // no matter how shards arrive.
   QuantileDigest& digest(const std::string& name);
 
+  // Lookup-or-create through a site id: the same metric the by-name call
+  // returns for `name`, which must be the one name `id` is always used
+  // with. The first call per id and kind binds a slot through the by-name
+  // path, so a metric still appears at its first emission; later calls
+  // are one array index and never read `name`.
+  Counter& counter(MetricId id, const char* name) {
+    Counter* c = counter_slots_.find(id);
+    return c != nullptr ? *c : bind_counter(id, name);
+  }
+  Gauge& gauge(MetricId id, const char* name) {
+    Gauge* g = gauge_slots_.find(id);
+    return g != nullptr ? *g : bind_gauge(id, name);
+  }
+  Histogram& histogram(MetricId id, const char* name) {
+    Histogram* h = histogram_slots_.find(id);
+    return h != nullptr ? *h : bind_histogram(id, name);
+  }
+  QuantileDigest& digest(MetricId id, const char* name) {
+    QuantileDigest* d = digest_slots_.find(id);
+    return d != nullptr ? *d : bind_digest(id, name);
+  }
+
   // Read-only lookups; null when the name was never registered.
   const Counter* find_counter(const std::string& name) const;
   const Gauge* find_gauge(const std::string& name) const;
@@ -134,10 +174,57 @@ class MetricsRegistry {
   bool load_merge_binary(const std::string& path, std::string* error);
 
  private:
+  // Id-indexed pointers into one of this registry's maps. A copy starts
+  // empty, because the source's pointers would alias the source's maps; a
+  // move carries them along with the map nodes they point into.
+  template <typename T>
+  class SlotTable {
+   public:
+    SlotTable() = default;
+    SlotTable(const SlotTable&) {}
+    SlotTable& operator=(const SlotTable&) {
+      slots_.reset();
+      return *this;
+    }
+    SlotTable(SlotTable&&) noexcept = default;
+    SlotTable& operator=(SlotTable&&) noexcept = default;
+
+    T* find(MetricId id) const {
+      const auto i = static_cast<std::size_t>(id);
+      return slots_ != nullptr && i < kMaxMetricSites ? slots_[i] : nullptr;
+    }
+    // `id` must come from next_metric_site.
+    T& bind(MetricId id, T& metric) {
+      // One allocation per kind, sized for every id next_metric_site can
+      // hand out. Growing the table step by step while a trial runs
+      // interleaves small frees with the trial's large transient buffers,
+      // and glibc then trims and re-faults the heap under them.
+      if (slots_ == nullptr) {
+        slots_ = std::make_unique<T*[]>(kMaxMetricSites);
+      }
+      slots_[static_cast<std::size_t>(id)] = &metric;
+      return metric;
+    }
+
+   private:
+    std::unique_ptr<T*[]> slots_;
+  };
+
+  Counter& bind_counter(MetricId id, const char* name);
+  Gauge& bind_gauge(MetricId id, const char* name);
+  Histogram& bind_histogram(MetricId id, const char* name);
+  QuantileDigest& bind_digest(MetricId id, const char* name);
+
+  // The maps are the storage (snapshots, merges and SATNMET1 read only
+  // them); the slot tables only cache where a site's metric lives.
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, QuantileDigest> digests_;
+  SlotTable<Counter> counter_slots_;
+  SlotTable<Gauge> gauge_slots_;
+  SlotTable<Histogram> histogram_slots_;
+  SlotTable<QuantileDigest> digest_slots_;
 };
 
 // Per-thread registry the macros emit into; null disables metrics. The
@@ -161,35 +248,35 @@ inline void install_metrics(MetricsRegistry* registry) {
 
 #if SATIN_OBS_ENABLED
 
-#define SATIN_METRIC_INC(name)                                      \
-  do {                                                              \
-    if (auto* satin_obs_m_ = ::satin::obs::metrics())               \
-      satin_obs_m_->counter(name).inc();                            \
+// `name` must be a string literal (`"" name` rejects anything else), so
+// a site's id always comes with the same name. The site takes its id on
+// its first enabled emission and keeps it in a function-local static.
+// The registry is still read at every emission, so a metric lands in
+// whatever registry the calling thread has installed at that moment.
+#define SATIN_OBS_METRIC_EMIT_(kind, name, call)                  \
+  do {                                                            \
+    if (auto* satin_obs_m_ = ::satin::obs::metrics()) {           \
+      static const ::satin::obs::MetricId satin_obs_id_ =         \
+          ::satin::obs::next_metric_site();                       \
+      satin_obs_m_->kind(satin_obs_id_, "" name).call;            \
+    }                                                             \
   } while (0)
 
-#define SATIN_METRIC_ADD(name, delta)                                      \
-  do {                                                                     \
-    if (auto* satin_obs_m_ = ::satin::obs::metrics())                      \
-      satin_obs_m_->counter(name).inc(static_cast<std::uint64_t>(delta));  \
-  } while (0)
+#define SATIN_METRIC_INC(name) SATIN_OBS_METRIC_EMIT_(counter, name, inc())
 
-#define SATIN_METRIC_GAUGE_SET(name, value)                            \
-  do {                                                                 \
-    if (auto* satin_obs_m_ = ::satin::obs::metrics())                  \
-      satin_obs_m_->gauge(name).set(static_cast<double>(value));       \
-  } while (0)
+#define SATIN_METRIC_ADD(name, delta) \
+  SATIN_OBS_METRIC_EMIT_(counter, name, \
+                         inc(static_cast<std::uint64_t>(delta)))
 
-#define SATIN_METRIC_OBSERVE(name, value)                               \
-  do {                                                                  \
-    if (auto* satin_obs_m_ = ::satin::obs::metrics())                   \
-      satin_obs_m_->histogram(name).observe(static_cast<double>(value)); \
-  } while (0)
+#define SATIN_METRIC_GAUGE_SET(name, value) \
+  SATIN_OBS_METRIC_EMIT_(gauge, name, set(static_cast<double>(value)))
 
-#define SATIN_METRIC_DIGEST_OBSERVE(name, value)                       \
-  do {                                                                 \
-    if (auto* satin_obs_m_ = ::satin::obs::metrics())                  \
-      satin_obs_m_->digest(name).observe(static_cast<double>(value));  \
-  } while (0)
+#define SATIN_METRIC_OBSERVE(name, value) \
+  SATIN_OBS_METRIC_EMIT_(histogram, name, \
+                         observe(static_cast<double>(value)))
+
+#define SATIN_METRIC_DIGEST_OBSERVE(name, value) \
+  SATIN_OBS_METRIC_EMIT_(digest, name, observe(static_cast<double>(value)))
 
 #else  // !SATIN_OBS_ENABLED
 

@@ -1,15 +1,33 @@
 #include "os/rich_os.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/log.h"
 
 namespace satin::os {
+
+namespace {
+
+// Always-on scheduler invariants. A broken one throws with the core, the
+// thread involved and the simulated time instead of dereferencing a null
+// thread in an optimized build. Out of line and cold, so each check costs
+// its hot path one predicted branch.
+[[noreturn, gnu::cold, gnu::noinline]] void broken_invariant(
+    const char* what, hw::CoreId core, const char* thread_role,
+    const Thread* thread, sim::Time now) {
+  throw std::logic_error(
+      std::string("RichOs invariant: ") + what + " (core " +
+      std::to_string(core) + ", " + thread_role + " " +
+      (thread != nullptr ? "'" + thread->name() + "'" : std::string("none")) +
+      ", t=" + now.to_string() + ")");
+}
+
+}  // namespace
 
 RichOs::RichOs(hw::Platform& platform, KernelImage image, OsConfig config)
     : RichOs(platform, std::make_shared<const KernelImage>(std::move(image)),
@@ -195,8 +213,11 @@ void RichOs::dispatch(hw::CoreId core) {
 void RichOs::begin_next_action(hw::CoreId core) {
   CpuState& st = cpu(core);
   Thread* t = st.current;
-  assert(t != nullptr);
   sim::Engine& engine = platform_.engine();
+  if (t == nullptr) {
+    broken_invariant("begin_next_action with no running thread", core,
+                     "last thread", st.last_thread, engine.now());
+  }
 
   if (t->remaining_compute_ > sim::Duration::zero()) {
     // Resuming a preempted/frozen compute; the context-switch tax applies
@@ -276,7 +297,10 @@ void RichOs::start_compute(hw::CoreId core, sim::Duration total) {
 void RichOs::finish_compute(hw::CoreId core) {
   CpuState& st = cpu(core);
   Thread* t = st.current;
-  assert(t != nullptr);
+  if (t == nullptr) {
+    broken_invariant("compute completion fired with no running thread", core,
+                     "last thread", st.last_thread, platform_.engine().now());
+  }
   account_current(core);
   t->remaining_compute_ = sim::Duration::zero();
   auto cb = std::move(t->pending_on_complete_);
@@ -293,7 +317,10 @@ void RichOs::finish_compute(hw::CoreId core) {
 void RichOs::preempt_current(hw::CoreId core) {
   CpuState& st = cpu(core);
   Thread* t = st.current;
-  assert(t != nullptr);
+  if (t == nullptr) {
+    broken_invariant("preempt_current with no running thread", core,
+                     "last thread", st.last_thread, platform_.engine().now());
+  }
   account_current(core);
   if (st.completion.pending()) {
     st.completion.cancel();
@@ -384,7 +411,10 @@ void RichOs::on_secure_entry(hw::CoreId core, sim::Time) {
   st.frozen = true;
   if (st.current != nullptr) {
     account_current(core);
-    assert(st.completion.pending());
+    if (!st.completion.pending()) {
+      broken_invariant("secure entry froze a thread with no pending compute",
+                       core, "thread", st.current, platform_.engine().now());
+    }
     st.completion.cancel();
     const sim::Time now = platform_.engine().now();
     st.current->remaining_compute_ =

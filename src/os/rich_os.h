@@ -89,6 +89,8 @@ class RichOs final : public hw::WorldListener {
   void on_secure_exit(hw::CoreId core, sim::Time when) override;
 
  private:
+  friend struct RichOsTestPeer;  // tests build broken scheduler states
+
   struct CpuState {
     RunQueue queue;
     Thread* current = nullptr;

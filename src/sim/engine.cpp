@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <chrono>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/flight/recorder.h"
@@ -35,6 +35,17 @@ class WallTimer {
   double& sink_;
   std::chrono::steady_clock::time_point start_;
 };
+
+// Always-on wheel invariant: a nonzero wheel count with no bucket bit set
+// would otherwise return a bogus bucket in an optimized build. Out of line
+// and cold, off the dispatch path.
+[[noreturn, gnu::cold, gnu::noinline]] void broken_wheel_invariant(
+    std::size_t wheel_count, std::uint64_t cursor, Time now) {
+  throw std::logic_error(
+      "Engine invariant: timer wheel counts " + std::to_string(wheel_count) +
+      " queued events but no bucket is marked (cursor bucket " +
+      std::to_string(cursor) + ", t=" + now.to_string() + ")");
+}
 
 }  // namespace
 
@@ -161,7 +172,7 @@ std::uint64_t Engine::next_nonempty_bucket() const {
     }
     scanned += 64 - (slot & 63);
   }
-  assert(wheel_count_ == 0);
+  if (wheel_count_ != 0) broken_wheel_invariant(wheel_count_, cursor_, now_);
   return cursor_;
 }
 

@@ -169,6 +169,8 @@ class Engine {
   static constexpr std::size_t kWheelBuckets = 1024;
 
  private:
+  friend struct EngineTestPeer;  // tests build broken queue states
+
   struct QueueEntry {
     Time when;
     std::uint64_t seq;

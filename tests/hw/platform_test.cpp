@@ -4,8 +4,59 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace satin::hw {
+
+struct CoreTestPeer {
+  static void enter_secure(Core& core, sim::Time when) {
+    core.enter_secure(when);
+  }
+  static void exit_secure(Core& core, sim::Time when) {
+    core.exit_secure(when);
+  }
+};
+
 namespace {
+
+// Runs `op` and returns its std::logic_error message ("" if none).
+template <typename Op>
+std::string logic_error_of(Op op) {
+  try {
+    op();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CoreInvariant, NestedSecureEntryThrowsWithCoreAndTimes) {
+  Core core(2, CoreType::kLittleA53);
+  CoreTestPeer::enter_secure(core, sim::Time::from_ms(3));
+  const std::string what = logic_error_of(
+      [&] { CoreTestPeer::enter_secure(core, sim::Time::from_ms(4)); });
+  EXPECT_NE(what.find("core2"), std::string::npos) << what;
+  EXPECT_NE(what.find("nested secure entry"), std::string::npos) << what;
+  EXPECT_NE(what.find("t=" + sim::Time::from_ms(4).to_string()),
+            std::string::npos) << what;
+  EXPECT_NE(what.find("last secure entry at t=" +
+                      sim::Time::from_ms(3).to_string()),
+            std::string::npos) << what;
+  EXPECT_TRUE(core.in_secure_world());  // the failed entry changed nothing
+  EXPECT_EQ(core.secure_entries(), 1u);
+}
+
+TEST(CoreInvariant, SecureExitWithoutEntryThrows) {
+  Core core(5, CoreType::kBigA57);
+  const std::string what = logic_error_of(
+      [&] { CoreTestPeer::exit_secure(core, sim::Time::from_ms(1)); });
+  EXPECT_NE(what.find("core5"), std::string::npos) << what;
+  EXPECT_NE(what.find("secure exit without entry"), std::string::npos)
+      << what;
+  EXPECT_FALSE(core.in_secure_world());
+  EXPECT_EQ(core.secure_time_total(), sim::Duration::zero());
+}
 
 TEST(Platform, JunoTopologyByDefault) {
   Platform p;

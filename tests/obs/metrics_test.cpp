@@ -215,5 +215,131 @@ TEST(MetricsMacroTest, MacrosEmitIntoInstalledRegistry) {
 #endif
 }
 
+TEST(MetricsRegistryTest, IdAndNameLookupsReturnTheSameMetric) {
+  MetricsRegistry reg;
+  const MetricId id = next_metric_site();
+  Counter& by_id = reg.counter(id, "ids.events");
+  EXPECT_EQ(&by_id, &reg.counter("ids.events"));
+  EXPECT_EQ(&reg.counter(id, "ids.events"), &by_id);  // the bound slot
+  // A second site with the same name binds to the same metric.
+  EXPECT_EQ(&reg.counter(next_metric_site(), "ids.events"), &by_id);
+  EXPECT_EQ(&reg.gauge(next_metric_site(), "ids.g"), &reg.gauge("ids.g"));
+  EXPECT_EQ(&reg.histogram(next_metric_site(), "ids.h"),
+            &reg.histogram("ids.h"));
+  EXPECT_EQ(&reg.digest(next_metric_site(), "ids.d"), &reg.digest("ids.d"));
+  // A histogram pre-registered with its own buckets keeps them.
+  reg.histogram("ids.custom", {1.0, 2.0});
+  EXPECT_EQ(reg.histogram(next_metric_site(), "ids.custom").upper_bounds(),
+            (std::vector<double>{1.0, 2.0}));
+}
+
+#if SATIN_OBS_ENABLED
+
+void emit_shared_site_a() { SATIN_METRIC_INC("m.shared"); }
+void emit_shared_site_b() { SATIN_METRIC_ADD("m.shared", 4); }
+
+TEST(MetricsMacroTest, OneLiteralAtTwoSitesFeedsOneMetric) {
+  MetricsRegistry reg;
+  install_metrics(&reg);
+  emit_shared_site_a();
+  emit_shared_site_b();
+  emit_shared_site_a();
+  install_metrics(nullptr);
+  EXPECT_EQ(reg.find_counter("m.shared")->value(), 6u);
+}
+
+TEST(MetricsMacroTest, CopiedRegistryNeverAliasesItsSource) {
+  MetricsRegistry source;
+  install_metrics(&source);
+  emit_shared_site_a();  // binds source's slot
+  install_metrics(nullptr);
+
+  MetricsRegistry copy(source);
+  install_metrics(&copy);
+  emit_shared_site_a();
+  install_metrics(nullptr);
+  EXPECT_EQ(source.find_counter("m.shared")->value(), 1u);
+  EXPECT_EQ(copy.find_counter("m.shared")->value(), 2u);
+
+  MetricsRegistry assigned;
+  install_metrics(&assigned);
+  emit_shared_site_b();  // binds assigned's own slot, then drops it
+  install_metrics(nullptr);
+  assigned = source;
+  install_metrics(&assigned);
+  emit_shared_site_a();
+  install_metrics(nullptr);
+  EXPECT_EQ(source.find_counter("m.shared")->value(), 1u);
+  EXPECT_EQ(assigned.find_counter("m.shared")->value(), 2u);
+
+  // The source still emits into its own map after being copied from.
+  install_metrics(&source);
+  emit_shared_site_b();
+  install_metrics(nullptr);
+  EXPECT_EQ(source.find_counter("m.shared")->value(), 5u);
+  EXPECT_EQ(copy.find_counter("m.shared")->value(), 2u);
+  EXPECT_EQ(assigned.find_counter("m.shared")->value(), 2u);
+}
+
+TEST(MetricsMacroTest, MovedRegistryKeepsEmittingIntoItsMetrics) {
+  MetricsRegistry source;
+  install_metrics(&source);
+  emit_shared_site_a();
+  install_metrics(nullptr);
+  MetricsRegistry moved(std::move(source));
+  install_metrics(&moved);
+  emit_shared_site_a();
+  install_metrics(nullptr);
+  EXPECT_EQ(moved.find_counter("m.shared")->value(), 2u);
+
+  MetricsRegistry target;
+  target = std::move(moved);
+  install_metrics(&target);
+  emit_shared_site_b();
+  install_metrics(nullptr);
+  EXPECT_EQ(target.find_counter("m.shared")->value(), 6u);
+}
+
+// One emission of every kind, plus sites that never run.
+void emit_every_kind(bool take_branch) {
+  SATIN_METRIC_INC("snap.count");
+  SATIN_METRIC_ADD("snap.count", 2);
+  SATIN_METRIC_ADD("snap.zero_delta", 0);
+  SATIN_METRIC_GAUGE_SET("snap.gauge", 2.5);
+  SATIN_METRIC_OBSERVE("snap.hist_s", 3e-6);
+  SATIN_METRIC_DIGEST_OBSERVE("snap.digest_s", 4e-3);
+  if (take_branch) {
+    SATIN_METRIC_INC("snap.branch_never_taken");
+    SATIN_METRIC_OBSERVE("snap.hist_never_taken", 1.0);
+  }
+}
+
+TEST(MetricsMacroTest, MacroSnapshotEqualsByNameSnapshot) {
+  MetricsRegistry by_macro;
+  install_metrics(&by_macro);
+  emit_every_kind(false);
+  emit_every_kind(false);
+  install_metrics(nullptr);
+
+  MetricsRegistry by_name;
+  for (int i = 0; i < 2; ++i) {
+    by_name.counter("snap.count").inc();
+    by_name.counter("snap.count").inc(2);
+    by_name.counter("snap.zero_delta").inc(0);
+    by_name.gauge("snap.gauge").set(2.5);
+    by_name.histogram("snap.hist_s").observe(3e-6);
+    by_name.digest("snap.digest_s").observe(4e-3);
+  }
+
+  EXPECT_EQ(by_macro.to_json(), by_name.to_json());
+  // A zero-delta add still creates the counter at its first emission.
+  ASSERT_NE(by_macro.find_counter("snap.zero_delta"), nullptr);
+  EXPECT_EQ(by_macro.find_counter("snap.zero_delta")->value(), 0u);
+  EXPECT_EQ(by_macro.find_counter("snap.branch_never_taken"), nullptr);
+  EXPECT_EQ(by_macro.find_histogram("snap.hist_never_taken"), nullptr);
+}
+
+#endif  // SATIN_OBS_ENABLED
+
 }  // namespace
 }  // namespace satin::obs

@@ -2,9 +2,30 @@
 // the paper's side channel rests on — freeze/resume across secure stays.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "scenario/scenario.h"
 
 namespace satin::os {
+
+struct RichOsTestPeer {
+  static void begin_next_action(RichOs& os, hw::CoreId core) {
+    os.begin_next_action(core);
+  }
+  static void preempt_current(RichOs& os, hw::CoreId core) {
+    os.preempt_current(core);
+  }
+  // Forgets the core's running thread while its completion stays queued.
+  static void drop_running_thread(RichOs& os, hw::CoreId core) {
+    os.cpu(core).current = nullptr;
+  }
+  // Cancels the running thread's completion while it keeps the core.
+  static void cancel_completion(RichOs& os, hw::CoreId core) {
+    os.cpu(core).completion.cancel();
+  }
+};
+
 namespace {
 
 using hw::CoreId;
@@ -406,6 +427,83 @@ TEST(Scheduler, ThreadWokenDuringFreezeRunsAfterExit) {
   s.platform().timer().program_secure(4, s.now());
   s.run_for(Duration::from_ms(100));
   EXPECT_GT(ran_at.sec(), 0.021);
+}
+
+// --- Always-on invariants: each test builds the broken state directly ---
+
+// Runs `op` and returns its std::logic_error message ("" if none).
+template <typename Op>
+std::string logic_error_of(Op op) {
+  try {
+    op();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A booted OS with a CPU hog pinned to `core`, run until the hog is
+// mid-compute.
+struct HogOnCore {
+  explicit HogOnCore(CoreId core) : s(quiet_config()) {
+    hog = s.os().add_thread(std::make_unique<Hog>("hog"));
+    hog->pin_to_core(core);
+    s.os().boot();
+    s.run_for(Duration::from_us(500));
+  }
+  scenario::Scenario s;
+  Thread* hog = nullptr;
+};
+
+TEST(RichOsInvariant, BeginNextActionOnIdleCoreThrows) {
+  scenario::Scenario s(quiet_config());
+  s.os().boot();
+  s.run_for(Duration::from_ms(1));
+  const std::string what = logic_error_of(
+      [&] { RichOsTestPeer::begin_next_action(s.os(), 3); });
+  EXPECT_NE(what.find("begin_next_action with no running thread"),
+            std::string::npos) << what;
+  EXPECT_NE(what.find("core 3"), std::string::npos) << what;
+  EXPECT_NE(what.find("last thread none"), std::string::npos) << what;
+  EXPECT_NE(what.find("t=" + s.engine().now().to_string()),
+            std::string::npos) << what;
+}
+
+TEST(RichOsInvariant, CompletionWithNoRunningThreadThrows) {
+  // The shape of the defect the fault-identity campaign hits: a compute
+  // completion still queued for a core whose thread is gone.
+  HogOnCore run(1);
+  RichOsTestPeer::drop_running_thread(run.s.os(), 1);
+  const std::string what =
+      logic_error_of([&] { run.s.run_for(Duration::from_ms(2)); });
+  EXPECT_NE(what.find("compute completion fired with no running thread"),
+            std::string::npos) << what;
+  EXPECT_NE(what.find("core 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("last thread 'hog'"), std::string::npos) << what;
+}
+
+TEST(RichOsInvariant, PreemptOnIdleCoreThrows) {
+  HogOnCore run(0);
+  const std::string what = logic_error_of(
+      [&] { RichOsTestPeer::preempt_current(run.s.os(), 4); });
+  EXPECT_NE(what.find("preempt_current with no running thread"),
+            std::string::npos) << what;
+  EXPECT_NE(what.find("core 4"), std::string::npos) << what;
+  EXPECT_EQ(run.s.os().running_thread(0), run.hog);  // untouched
+}
+
+TEST(RichOsInvariant, SecureEntryFreezingThreadWithoutComputeThrows) {
+  HogOnCore run(2);
+  RichOsTestPeer::cancel_completion(run.s.os(), 2);
+  const std::string what = logic_error_of([&] {
+    run.s.os().on_secure_entry(2, run.s.engine().now());
+  });
+  EXPECT_NE(what.find("secure entry froze a thread with no pending compute"),
+            std::string::npos) << what;
+  EXPECT_NE(what.find("core 2"), std::string::npos) << what;
+  EXPECT_NE(what.find("thread 'hog'"), std::string::npos) << what;
+  EXPECT_NE(what.find("t=" + run.s.engine().now().to_string()),
+            std::string::npos) << what;
 }
 
 }  // namespace

@@ -2,10 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace satin::sim {
+
+struct EngineTestPeer {
+  // Clears every wheel bucket mark while the entries stay counted: the
+  // state a lost bitmap update would leave behind.
+  static void unmark_wheel_buckets(Engine& engine) {
+    std::fill(std::begin(engine.bitmap_), std::end(engine.bitmap_), 0);
+    engine.next_bucket_cache_ = Engine::kNoBucket;
+  }
+};
+
 namespace {
+
+TEST(EngineInvariant, CountedWheelEntriesWithoutABucketThrow) {
+  Engine engine;
+  engine.schedule_at(Time::from_us(10), [] {});  // lands in the wheel
+  EngineTestPeer::unmark_wheel_buckets(engine);
+  try {
+    engine.run_all();
+    FAIL() << "expected a broken-wheel diagnostic";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("timer wheel counts 1 queued events"),
+              std::string::npos) << what;
+    EXPECT_NE(what.find("t="), std::string::npos) << what;
+  }
+}
 
 TEST(Engine, StartsAtZero) {
   Engine engine;

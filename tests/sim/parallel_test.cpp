@@ -11,6 +11,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -283,6 +284,66 @@ TEST(TrialRunner, ZeroTrialsWithSinksInstalledIsStillANoOp) {
   EXPECT_EQ(runner.trials_run(), 0u);
   EXPECT_EQ(registry.find_counter("never"), nullptr);
 }
+
+#if SATIN_OBS_ENABLED
+
+void emit_scoped_probe() { SATIN_METRIC_INC("scope.probe"); }
+
+TEST(TrialObsScope, NextEmissionAfterASwapLandsInTheNewRegistry) {
+  // The site's slot binds in `outer` first; the site's id must not pin
+  // the site to that registry.
+  obs::MetricsRegistry outer;
+  obs::MetricsRegistry trial;
+  obs::install_metrics(&outer);
+  emit_scoped_probe();
+  {
+    TrialObsScope scope(&trial, nullptr, nullptr);
+    emit_scoped_probe();
+    emit_scoped_probe();
+    {
+      TrialObsScope silenced(nullptr, nullptr, nullptr);
+      emit_scoped_probe();  // no registry: dropped
+    }
+    emit_scoped_probe();
+  }
+  emit_scoped_probe();
+  obs::install_metrics(nullptr);
+  EXPECT_EQ(outer.find_counter("scope.probe")->value(), 2u);
+  EXPECT_EQ(trial.find_counter("scope.probe")->value(), 3u);
+}
+
+TEST(MetricSite, EightThreadsRacingAFreshLiteralShareOneMetric) {
+  // Every thread's first emission of a literal no other test uses races
+  // the site's one-time id initialization; each thread emits into its own
+  // registry, so the only shared state is the site's id and the site
+  // counter behind it (TSan covers both).
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kEmits = 1000;
+  std::vector<obs::MetricsRegistry> registries(kThreads);
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      obs::install_metrics(&registries[static_cast<std::size_t>(i)]);
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      for (std::uint64_t n = 0; n < kEmits; ++n) {
+        SATIN_METRIC_INC("race.fresh_literal_counter");
+        SATIN_METRIC_DIGEST_OBSERVE("race.fresh_literal_digest", 1e-3);
+      }
+      obs::install_metrics(nullptr);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const obs::MetricsRegistry& registry : registries) {
+    EXPECT_EQ(registry.find_counter("race.fresh_literal_counter")->value(),
+              kEmits);
+    EXPECT_EQ(registry.find_digest("race.fresh_literal_digest")->count(),
+              kEmits);
+  }
+}
+
+#endif  // SATIN_OBS_ENABLED
 
 TEST(TrialRunner, MoreJobsThanTrialsRunsEachTrialExactlyOnce) {
   TrialRunnerOptions options;

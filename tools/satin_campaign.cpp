@@ -114,16 +114,17 @@ int cmd_validate(const char* spec_path) {
   return 0;
 }
 
-// `branches_override` carries ObsSession's parsed --branches= value
-// (ObsSession consumes that flag before the subcommand sees argv);
-// -1 = flag absent, defer to the spec.
-int cmd_run(int argc, char** argv, bool resume, int branches_override) {
+// `jobs_override` and `branches_override` carry ObsSession's parsed
+// --jobs= and --branches= values (ObsSession consumes both flags before
+// the subcommand sees argv); 0 / -1 = flag absent, defer to the spec.
+int cmd_run(int argc, char** argv, bool resume, int jobs_override,
+            int branches_override) {
   CampaignOptions options;
   options.require_existing_journal = resume;
+  options.jobs = jobs_override;
   options.branches = branches_override;
   options.journal_path = take_flag(argc, argv, "journal");
   options.stats_path = take_flag(argc, argv, "out");
-  const std::string jobs = take_flag(argc, argv, "jobs");
   const std::string shard = take_flag(argc, argv, "shard");
   if (!shard.empty()) options.shard = std::atoi(shard.c_str());
   const std::string timeout = take_flag(argc, argv, "timeout");
@@ -131,7 +132,6 @@ int cmd_run(int argc, char** argv, bool resume, int branches_override) {
   const std::string kill_trial = take_flag(argc, argv, "chaos-kill-trial");
   const std::string hang_trial = take_flag(argc, argv, "chaos-hang-trial");
   const std::string kill_after = take_flag(argc, argv, "chaos-kill-after");
-  if (!jobs.empty()) options.jobs = std::atoi(jobs.c_str());
   if (!timeout.empty()) options.trial_timeout_s = std::atof(timeout.c_str());
   if (!retries.empty()) options.max_retries = std::atoi(retries.c_str());
   if (!kill_trial.empty()) {
@@ -198,6 +198,7 @@ int main(int argc, char** argv) {
     --argc;
     argv[argc] = nullptr;
     return cmd_run(argc, argv, cmd == "resume",
+                   session.jobs_requested() ? session.jobs() : 0,
                    session.branches_requested() ? session.branches() : -1);
   }
   if (cmd == "status") {
