@@ -43,9 +43,8 @@ class SpotDuelTrial final : public sim::LockstepTrial {
   // platform RNG (trace bytes are plain memory reads), so staged ctor +
   // immediate engage() is draw-for-draw identical to the old one-shot
   // constructor (the fork-identity CI gate diffs exactly this).
-  explicit SpotDuelTrial(sim::DrawMode mode)
-      : s_(spot_config(mode)),
-        baseline_(s_.platform(), s_.kernel(), s_.tsp(),
+  SpotDuelTrial()
+      : baseline_(s_.platform(), s_.kernel(), s_.tsp(),
                   core::make_pkm_baseline_config(1.0, true, true)),
         kit_(s_.os(), s_.platform().rng().fork("probe-kit")),
         prober_(s_.os(), attack::KProberConfig{}) {
@@ -72,9 +71,8 @@ class SpotDuelTrial final : public sim::LockstepTrial {
   // One-shot path (the pre-fork run of record): optional idle engagement
   // ramp (--ramp-s; the prober stays deployed, nothing armed), then
   // engage immediately.
-  SpotDuelTrial(std::size_t offset, sim::DrawMode mode, char* caught,
-                double ramp_s = 0.0)
-      : SpotDuelTrial(mode) {
+  SpotDuelTrial(std::size_t offset, char* caught, double ramp_s = 0.0)
+      : SpotDuelTrial() {
     if (ramp_s > 0.0) s_.run_for(sim::Duration::from_sec_f(ramp_s));
     engage(offset, caught);
   }
@@ -113,12 +111,6 @@ class SpotDuelTrial final : public sim::LockstepTrial {
   }
 
  private:
-  static scenario::ScenarioConfig spot_config(sim::DrawMode mode) {
-    scenario::ScenarioConfig config;
-    config.platform.draw_mode = mode;
-    return config;
-  }
-
   scenario::Scenario s_;
   core::Satin baseline_;
   attack::Rootkit kit_;
@@ -261,8 +253,7 @@ int main(int argc, char** argv) {
         sim::ForkServer server(fork_options);
         payloads = server.run_collect(count, [&](std::size_t branch) {
           char c = 0;
-          SpotDuelTrial trial(probes[base + branch].offset,
-                              sim::DrawMode::kScalar, &c, ramp_s);
+          SpotDuelTrial trial(probes[base + branch].offset, &c, ramp_s);
           while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
           trial.finish();
           return std::string(c ? "1" : "0");
@@ -285,7 +276,7 @@ int main(int argc, char** argv) {
         {
           sim::TrialObsScope scope(group_metrics.get(), nullptr,
                                    group_flight.get());
-          SpotDuelTrial trial(sim::DrawMode::kScalar);
+          SpotDuelTrial trial;
           if (ramp_s > 0.0) {
             trial.advance(sim::Duration::from_sec_f(ramp_s));
           }
@@ -320,8 +311,8 @@ int main(int argc, char** argv) {
                       std::chrono::steady_clock::now() - fork_t0)
                       .count();
   } else if (batch > 1) {
-    // Lockstep shards on the batched draw pipeline; output rows are
-    // byte-identical to the scalar path below for every K.
+    // Lockstep shards; output rows are byte-identical to the unsharded
+    // path below for every K.
     sim::BatchRunnerOptions batch_options;
     batch_options.batch = static_cast<std::size_t>(batch);
     batch_options.fused = obs.fused();
@@ -330,7 +321,6 @@ int main(int argc, char** argv) {
     duel_runner.run(kProbeCount, [&probes, &caught, ramp_s](
                                      const sim::TrialContext& ctx) {
       return std::make_unique<SpotDuelTrial>(probes[ctx.index].offset,
-                                             sim::DrawMode::kBatched,
                                              &caught[ctx.index], ramp_s);
     });
     duel_trials = duel_runner.trials_run();
@@ -339,8 +329,8 @@ int main(int argc, char** argv) {
     sim::TrialRunner duel_runner(duel_options);
     duel_runner.run(kProbeCount, [&probes, &caught, ramp_s](
                                      const sim::TrialContext& ctx) {
-      SpotDuelTrial trial(probes[ctx.index].offset, sim::DrawMode::kScalar,
-                          &caught[ctx.index], ramp_s);
+      SpotDuelTrial trial(probes[ctx.index].offset, &caught[ctx.index],
+                          ramp_s);
       while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
       trial.finish();
     });

@@ -144,7 +144,6 @@ int run_clean_rounds(std::uint64_t target, satin::bench::ObsGuard& obs) {
     runner.run(static_cast<std::size_t>(batch),
                [&](const sim::TrialContext& ctx) {
                  scenario::ScenarioConfig config;
-                 config.platform.draw_mode = sim::DrawMode::kBatched;
                  config.platform.seed = ctx.index == 0
                                             ? hw::PlatformConfig{}.seed
                                             : ctx.seed;
@@ -188,9 +187,8 @@ int main(int argc, char** argv) {
   sweep_config.duel.rounds_target = 190;  // defaults ARE the paper config
   sweep_config.trials = kReplicas;
   sweep_config.jobs = obs.jobs(/*fallback=*/1);
-  // --batch=K: lockstep shards of K trials on the batched draw pipeline.
-  // A pure speed knob — every stdout row below is byte-identical to
-  // --batch=1 (the scalar run of record), which CI diffs.
+  // --batch=K: lockstep shards of K trials. A pure speed knob — every
+  // stdout row below is byte-identical to --batch=1, which CI diffs.
   sweep_config.batch = obs.batch(/*fallback=*/1);
   // --fused=on|off picks the engine pass for batch >= 2: fused
   // event-frontier bursts (default) or the round-robin baseline. Output

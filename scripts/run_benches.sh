@@ -5,16 +5,14 @@
 # cache counters and engine memory-model gauges from each bench's metrics
 # snapshot, the bench_micro event-churn + draw-pipeline allocation audit
 # (steady state must be 0 allocs/event and 0 allocs/draw), a cache-on vs
-# cache-off comparison of the hash-dominated clean-rounds workload, and a
-# paired interleaved A/B of --batch=1 (scalar run of record) vs --batch=K
-# (lockstep batched draw pipeline) on bench_satin_detection. The A/B
-# interleaves the two modes and compares USER-time medians because this
-# host's wall clock drifts ±15-25% across a session — a pair measured
-# back-to-back and a median over n pairs are robust to that; two single
-# runs an hour apart are not. PR-9 adds a second paired A/B on
-# bench_race_analysis's offset ladder: unforked --ramp-s=$FORK_RAMP_S vs
-# the warm-prefix COW fork backend (--branches=$FORK_BRANCHES
-# --fork-prefix=1), gated at >= 1.5x user time. PR-10 adds the fused
+# cache-off comparison of the hash-dominated clean-rounds workload, and
+# paired interleaved A/Bs. Each A/B interleaves its two modes and compares
+# USER-time medians because this host's wall clock drifts ±15-25% across
+# a session — a pair measured back-to-back and a median over n pairs are
+# robust to that; two single runs an hour apart are not. PR-9 adds a
+# paired A/B on bench_race_analysis's offset ladder: unforked
+# --ramp-s=$FORK_RAMP_S vs the warm-prefix COW fork backend
+# (--branches=$FORK_BRANCHES --fork-prefix=1), gated at >= 1.5x user time. PR-10 adds the fused
 # lockstep engine pass A/Bs: the gated one runs the hash-dominated
 # clean-rounds workload batched (--clean-rounds=$FUSED_ROUNDS
 # --batch=$FUSED_K) with the fused pass on vs off (the PR-9 round-robin
@@ -30,7 +28,7 @@
 #   scripts/run_benches.sh --local         # write untracked BENCH_local.json
 #   OUT=/tmp/b.json scripts/run_benches.sh # custom output path
 #   scripts/run_benches.sh bench_race_analysis   # subset
-#   AB_PAIRS=4 BATCH_K=4 scripts/run_benches.sh bench_satin_detection
+#   FUSED_PAIRS=4 FUSED_K=4 scripts/run_benches.sh bench_satin_detection
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -235,56 +233,6 @@ if [ -x "$detect" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_satin_detection
   rm -f "$on_out" "$off_out"
 fi
 
-# Paired interleaved A/B: --batch=1 (scalar per-draw oracle, the run of
-# record) vs --batch=$batch_k (lockstep batched draw pipeline). Each pair
-# runs scalar then batched back-to-back and every pair re-checks that
-# stdout is byte-identical across modes (the stream contract); medians of
-# USER time over the pairs absorb the host's wall-clock drift, which two
-# single runs taken minutes apart cannot.
-batch_ab="null"
-ab_pairs="${AB_PAIRS:-8}"
-batch_k="${BATCH_K:-8}"
-if [ -x "$detect" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_satin_detection "* ]]; }; then
-  echo "== bench_satin_detection paired A/B: --batch=1 vs --batch=$batch_k (n=$ab_pairs pairs, user-time medians)" >&2
-  a_out="$(mktemp)" b_out="$(mktemp)"
-  a_times=() b_times=() ratios=()
-  for i in $(seq 1 "$ab_pairs"); do
-    ua="$( { TIMEFORMAT='%U'; time "$detect" --batch=1 >"$a_out" 2>"$tmp_err"; } 2>&1 )"
-    ub="$( { TIMEFORMAT='%U'; time "$detect" "--batch=$batch_k" >"$b_out" 2>"$tmp_err"; } 2>&1 )"
-    if ! diff -q "$a_out" "$b_out" >/dev/null; then
-      echo "ERROR: stdout differs between --batch=1 and --batch=$batch_k" >&2
-      diff "$a_out" "$b_out" >&2 || true
-      rm -f "$a_out" "$b_out"
-      exit 1
-    fi
-    a_times+=("$ua")
-    b_times+=("$ub")
-    pair_ratio="$(awk -v a="$ua" -v b="$ub" 'BEGIN{printf "%.3f", (b > 0) ? a / b : 0}')"
-    ratios+=("$pair_ratio")
-    echo "   pair $i/$ab_pairs: scalar ${ua}s  batched ${ub}s  (${pair_ratio}x)" >&2
-  done
-  rm -f "$a_out" "$b_out"
-  median() {
-    printf '%s\n' "$@" | sort -g |
-      awk '{v[NR]=$1} END{if (NR%2) print v[(NR+1)/2]; else printf "%.3f\n", (v[NR/2]+v[NR/2+1])/2}'
-  }
-  a_med="$(median "${a_times[@]}")"
-  b_med="$(median "${b_times[@]}")"
-  ab_speedup="$(awk -v a="$a_med" -v b="$b_med" 'BEGIN{printf "%.2f", (b > 0) ? a / b : 0}')"
-  # Two estimators: ratio-of-medians treats the 2n runs as two pools, which
-  # re-admits the drift the pairing was built to cancel (an early quiet
-  # scalar run gets compared against a late noisy batched one). The median
-  # of the per-pair ratios is the estimator the paired design motivates —
-  # each ratio is drift-free because its two runs were back-to-back.
-  ab_paired="$(median "${ratios[@]}")"
-  a_list="$(IFS=,; echo "${a_times[*]}")"
-  b_list="$(IFS=,; echo "${b_times[*]}")"
-  r_list="$(IFS=,; echo "${ratios[*]}")"
-  batch_ab="$(printf '{"batch":%s,"pairs":%s,"user_s_scalar":[%s],"user_s_batched":[%s],"pair_ratios":[%s],"user_s_scalar_median":%s,"user_s_batched_median":%s,"speedup":%s,"speedup_paired":%s,"stdout_identical":true}' \
-              "$batch_k" "$ab_pairs" "$a_list" "$b_list" "$r_list" "$a_med" "$b_med" "$ab_speedup" "$ab_paired")"
-  echo "   medians: scalar ${a_med}s  batched ${b_med}s  speedup ${ab_speedup}x (median of pair ratios: ${ab_paired}x)" >&2
-fi
-
 # Paired interleaved A/B: warm-prefix COW trial forking on the spot-duel
 # offset ladder. Both sides run the SAME workload — 16 spot duels, each
 # with an idle engagement ramp of $FORK_RAMP_S simulated seconds before
@@ -450,9 +398,8 @@ PY
 fi
 
 baseline_name="$( [ -n "$baseline" ] && basename "$baseline" || echo null)"
-printf '{"schema":"satin-bench-pr10/1","nproc":%s,"jobs":%s,"baseline":"%s","detection_speedup_vs_baseline":%s,"event_churn_allocs":%s,"clean_rounds_cache_comparison":%s,"batch_ab":%s,"fork_ab":%s,"fused_ab":%s,"fused_duel_ab":%s,"benches":[%s]}\n' \
-  "$(nproc)" "$jobs" "$baseline_name" "$detect_speedup" "$churn" "$cache_cmp" "$batch_ab" "$fork_ab" "$fused_ab" "$fused_duel_ab" "$rows" >"$out"
-[ "$batch_ab" = "null" ] || echo "batch A/B (--batch=1 vs --batch=$batch_k) user-time speedup: ${ab_speedup}x" >&2
+printf '{"schema":"satin-bench-pr10/1","nproc":%s,"jobs":%s,"baseline":"%s","detection_speedup_vs_baseline":%s,"event_churn_allocs":%s,"clean_rounds_cache_comparison":%s,"fork_ab":%s,"fused_ab":%s,"fused_duel_ab":%s,"benches":[%s]}\n' \
+  "$(nproc)" "$jobs" "$baseline_name" "$detect_speedup" "$churn" "$cache_cmp" "$fork_ab" "$fused_ab" "$fused_duel_ab" "$rows" >"$out"
 [ "$fork_ab" = "null" ] || echo "fork A/B (unforked vs --branches=$fork_branches --fork-prefix=1) user-time speedup: ${fork_speedup}x" >&2
 [ "$fused_ab" = "null" ] || echo "fused A/B (clean-rounds --batch=$fused_k, on vs off) user-time speedup: ${fused_speedup}x (gate: 1.3x)" >&2
 [ "$fused_duel_ab" = "null" ] || echo "fused duel A/B (bench_race_analysis --batch=$fused_k, on vs off) user-time speedup: ${fused_duel_speedup}x (info only)" >&2

@@ -11,9 +11,11 @@
 // per bench_satin_detection run), so the delay draws ride the batched
 // pipeline (sim/rng.h): the base truncated normal and the spike-gate
 // canonicals come from dedicated forked substreams, precomputed in blocks
-// when DrawMode::kBatched. The rare spike magnitude stays a per-draw
-// scalar on its own substream in both modes. Mode changes values on no
-// read — streams are bit-identical across modes by contract.
+// under DrawMode::kBatched, the default. DrawMode::kScalar draws them one
+// at a time and is the oracle the tests compare against. The rare spike
+// magnitude is drawn one at a time from its own substream in both modes.
+// Mode changes values on no read — streams are bit-identical across modes
+// by contract.
 #pragma once
 
 #include <vector>
@@ -31,7 +33,7 @@ class SharedTimeBuffer {
   // into a per-read probability). The model is captured by value.
   SharedTimeBuffer(int num_slots, hw::CrossCoreDelayModel model,
                    sim::Rng rng, double reads_per_second, int probed_cores,
-                   sim::DrawMode mode = sim::DrawMode::kScalar);
+                   sim::DrawMode mode = sim::DrawMode::kBatched);
 
   int num_slots() const { return static_cast<int>(last_report_.size()); }
 

@@ -19,7 +19,6 @@
 //     "root_seed": 99,
 //     "jobs": 4,
 //     "shard_size": 2,
-//     "batch": 8,
 //     "trial_timeout_s": 120.0,
 //     "max_retries": 2,
 //     "platform": {"num_little": 4, "num_big": 2, "seed": 5936453},
@@ -48,11 +47,10 @@ struct CampaignSpec {
   std::uint64_t shard_size = 1;   // trial indices per dispatch batch
   double trial_timeout_s = 120.0; // host wall time before a trial is killed
   int max_retries = 2;            // re-dispatches per trial before giving up
-  // Draw-pipeline batch knob (--batch=K semantics): > 1 runs every trial
-  // on sim::DrawMode::kBatched block-refilled streams. Like jobs /
-  // shard_size, a pure runtime knob — batched draws bit-match the scalar
-  // oracle, so results are byte-identical for any value and it is NOT
-  // folded into content_hash() (a resume may legally change it).
+  // Accepted and range-checked for old specs, but inert: every trial
+  // draws through the batched pipeline (hw::PlatformConfig::draw_mode)
+  // whatever its value. NOT folded into content_hash(), so a resume may
+  // change it.
   int batch = 1;
   // In-process lockstep shard backend (sim/batch.h): > 1 replaces the
   // worker-process pool with groups of this many trials advanced through

@@ -231,11 +231,11 @@ namespace {
 
 // One campaign trial decomposed for the in-process lockstep shard
 // backend: the same derivations run_campaign_trial() performs (per-trial
-// seed, platform-seed pinning, batched draw mode, fault-plan reseed),
-// split into construct / advance / finish so sim::run_lockstep_shard can
-// interleave shard-mates through the fused engine pass. The composed
-// result is written through `out` at finish() time because the shard loop
-// destroys the trial object as soon as it completes.
+// seed, platform-seed pinning, fault-plan reseed), split into construct /
+// advance / finish so sim::run_lockstep_shard can interleave shard-mates
+// through the fused engine pass. The composed result is written through
+// `out` at finish() time because the shard loop destroys the trial object
+// as soon as it completes.
 class CampaignLockstepTrial final : public sim::LockstepTrial {
  public:
   CampaignLockstepTrial(const CampaignSpec& spec, std::uint64_t index,
@@ -247,9 +247,6 @@ class CampaignLockstepTrial final : public sim::LockstepTrial {
     scenario::ScenarioConfig config = spec.scenario;
     if (!(spec.pin_first_platform_seed && index == 0)) {
       config.platform.seed = seed_;
-    }
-    if (spec.batch > 1) {
-      config.platform.draw_mode = sim::DrawMode::kBatched;
     }
     std::string faults = spec.faults;
     if (spec.faults_reseed && !faults.empty()) {

@@ -219,12 +219,6 @@ TrialResult run_campaign_trial(const CampaignSpec& spec, std::uint64_t index) {
   if (!(spec.pin_first_platform_seed && index == 0)) {
     scenario_config.platform.seed = seed;
   }
-  // Campaign trials are process-isolated, so the batch knob selects the
-  // batched draw pipeline *within* each trial; draws bit-match the scalar
-  // oracle, so records and artifacts stay identical for any value.
-  if (spec.batch > 1) {
-    scenario_config.platform.draw_mode = sim::DrawMode::kBatched;
-  }
 
   std::string faults = spec.faults;
   if (spec.faults_reseed && !faults.empty()) {

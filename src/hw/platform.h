@@ -29,11 +29,11 @@ struct PlatformConfig {
   // in the paper's build, §IV-C) with headroom.
   std::size_t memory_bytes = 16u * 1024u * 1024u;
   std::uint64_t seed = 0x5A71A57ull;
-  // How stochastic hot paths draw: kScalar per-draw (the --batch=1 run of
-  // record) or kBatched block kernels. Bit-identical by contract
-  // (tests/sim/rng_test.cpp); a runtime knob, never part of result
-  // identity.
-  sim::DrawMode draw_mode = sim::DrawMode::kScalar;
+  // How stochastic hot paths draw: kBatched block kernels, the default on
+  // every path, or kScalar per-draw, kept as the oracle that tests compare
+  // against. Bit-identical by contract (tests/sim/rng_test.cpp); never part
+  // of result identity.
+  sim::DrawMode draw_mode = sim::DrawMode::kBatched;
   TimingParams timing;
 };
 

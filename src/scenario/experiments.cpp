@@ -307,10 +307,8 @@ class DuelLockstepTrial final : public sim::LockstepTrial {
   DuelReport* slot_;
 };
 
-// Per-trial configs are derived identically on both sweep paths; only
-// draw_mode differs, and that is value-inert by the stream contract.
-ScenarioConfig duel_trial_scenario_config(const DuelSweepConfig& config,
-                                          const sim::TrialContext& ctx,
+// Per-trial configs are derived identically on every sweep path.
+ScenarioConfig duel_trial_scenario_config(const sim::TrialContext& ctx,
                                           DuelConfig& duel,
                                           const std::function<void(
                                               const sim::TrialContext&,
@@ -318,9 +316,6 @@ ScenarioConfig duel_trial_scenario_config(const DuelSweepConfig& config,
                                               customize) {
   ScenarioConfig scenario_config;
   scenario_config.platform.seed = ctx.seed;
-  if (config.batch > 1) {
-    scenario_config.platform.draw_mode = sim::DrawMode::kBatched;
-  }
   if (customize) customize(ctx, scenario_config, duel);
   return scenario_config;
 }
@@ -373,7 +368,7 @@ DuelSweep run_forked_duel_sweep(
         const sim::TrialContext ctx{index, seeds.seed_for(index)};
         DuelConfig duel = config.duel;
         const ScenarioConfig scenario_config =
-            duel_trial_scenario_config(config, ctx, duel, customize);
+            duel_trial_scenario_config(ctx, duel, customize);
         Scenario scenario(scenario_config);
         DuelReport report = run_duel(scenario, duel);
         if (auto* registry = obs::metrics()) {
@@ -405,7 +400,7 @@ DuelSweep run_forked_duel_sweep(
         const sim::TrialContext leader{base, seeds.seed_for(base)};
         DuelConfig leader_duel = config.duel;
         ScenarioConfig scenario_config =
-            duel_trial_scenario_config(config, leader, leader_duel, customize);
+            duel_trial_scenario_config(leader, leader_duel, customize);
         Scenario scenario(scenario_config);
         scenario.run_for(sim::Duration::from_sec_f(config.fork_prefix_s));
         outcomes = server.run(count, [&](std::size_t branch) {
@@ -491,7 +486,7 @@ DuelSweep run_duel_sweep(
                                   const sim::TrialContext& ctx) {
       DuelConfig duel = config.duel;
       const ScenarioConfig scenario_config =
-          duel_trial_scenario_config(config, ctx, duel, customize);
+          duel_trial_scenario_config(ctx, duel, customize);
       return std::make_unique<DuelLockstepTrial>(scenario_config, duel,
                                                  &sweep.reports[ctx.index]);
     });
@@ -505,7 +500,7 @@ DuelSweep run_duel_sweep(
       config.trials, [&config, &customize](const sim::TrialContext& ctx) {
         DuelConfig duel = config.duel;
         const ScenarioConfig scenario_config =
-            duel_trial_scenario_config(config, ctx, duel, customize);
+            duel_trial_scenario_config(ctx, duel, customize);
         Scenario scenario(scenario_config);
         DuelReport report = run_duel(scenario, duel);
         // Engine self-metrics, minus host wall time: trial metrics must

@@ -186,11 +186,11 @@ struct DuelSweepConfig {
   // Per-trial flight-recorder ring capacity (0 = full per-trial stream);
   // pass ObsSession::flight_ring() so --flight=...,ring=N bounds trials too.
   std::size_t flight_ring = 0;
-  // Lockstep shard size (--batch=K). 1 = the scalar per-draw run of
-  // record via TrialRunner::run(); K >= 2 groups trials into shards of K
-  // advanced in lockstep by sim::BatchRunner with the platforms switched
-  // to DrawMode::kBatched. A runtime performance knob: the sweep output
-  // is byte-identical for every K (CI-gated).
+  // Lockstep shard size (--batch=K). 1 = every trial on its own via
+  // TrialRunner::run(); K >= 2 groups trials into shards of K advanced in
+  // lockstep by sim::BatchRunner. Draws take the platform's draw mode
+  // either way. A runtime performance knob: the sweep output is
+  // byte-identical for every K (CI-gated).
   int batch = 1;
   // Fused engine pass for batch >= 2 (--fused=on|off, default on): shard
   // trials share one kernel image + pristine digest base and advance via

@@ -80,7 +80,7 @@ DigestCache::RoundOutcome DigestCache::round_digest(
   // eligibility check below makes served chunks bit-identical to hashing
   // (gen unchanged since baseline + trusted zero-copy view + matching
   // incoming state), and the round accounts them as misses either way, so
-  // scalar and fused runs print the same counters.
+  // unsharded and fused runs print the same counters.
   const PristineBase::AreaChain* base_chain = nullptr;
   std::uint64_t baseline_gen = 0;
   if (base_ != nullptr) {

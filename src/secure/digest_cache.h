@@ -126,8 +126,8 @@ class DigestCache {
   const std::shared_ptr<PristineBase>& pristine_base() const { return base_; }
 
   // Chunks whose resume states were served from the pristine base
-  // (diagnostic only — deliberately outside Stats so the fused and scalar
-  // runs stay identical on every printed counter).
+  // (diagnostic only — deliberately outside Stats so the fused and
+  // unsharded runs stay identical on every printed counter).
   std::uint64_t base_served_chunks() const { return base_served_; }
 
  private:

@@ -86,7 +86,7 @@ void run_lockstep_shard(
     // the globally earliest pending event, so the shard's K timer wheels
     // drain as one interleaved frontier. Identity-inert versus one
     // advance(quantum) per lane: run_until slicing and deadline-bounded
-    // peeks do exactly the settles a scalar run performs (sim/engine.h).
+    // peeks do exactly the settles an unsharded run performs (sim/engine.h).
     std::size_t active = 0;
     for (std::size_t j = 0; j < count; ++j) {
       advancing[j] = 0;
@@ -134,7 +134,7 @@ void run_lockstep_shard(
     }
     // Phase 2 — slot-order sweep: stragglers (no fused engine) take the
     // classic per-trial advance, and every lane that has turned done
-    // finishes — the same done/advance/done shape as the scalar loop.
+    // finishes — the same done/advance/done shape as the unsharded loop.
     for (std::size_t j = 0; j < count; ++j) {
       if (live[j] == nullptr) continue;
       with_sinks(j, [&] {

@@ -1,10 +1,9 @@
 // Batched lockstep trial execution.
 //
-// A duel trial spends most of its cycles drawing calibrated jitter; the
-// batched draw pipeline (sim/rng.h) makes those draws cheap by
-// precomputing them in vectorized blocks. BatchRunner is the harness that
-// carries a whole sweep on that pipeline: trials are grouped into shards
-// of K, a worker owns a shard, and the shard's trials advance in lockstep
+// A duel trial spends most of its cycles drawing calibrated jitter, which
+// every platform draws through the batched pipeline (sim/rng.h) by
+// default. BatchRunner groups a sweep's trials into shards of K: a worker
+// owns a shard, and the shard's trials advance in lockstep
 // — round-robin, one time quantum each — so K trials' worth of per-trial
 // stream state stays resident and every refill amortizes across a long
 // run of consumption (structure-of-arrays at the shard level: the state
@@ -14,8 +13,8 @@
 // Identity is the design constraint, not an afterthought: each trial owns
 // its engine and obs sinks, run_for slicing is inert in the event engine,
 // and the submission-order merge is shared with TrialRunner::run() — so
-// --batch=K output is byte-identical to --batch=1 for every K, which CI
-// enforces. The scalar unsharded path stays the run of record.
+// --batch=K output is byte-identical to the unsharded --batch=1 run for
+// every K, which CI enforces.
 #pragma once
 
 #include <cstdint>

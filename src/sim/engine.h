@@ -105,7 +105,7 @@ class Engine {
   // fused lockstep pass (sim/parallel.cpp) uses this to order K trials'
   // engines by their merged event frontier. Do not pass Time::max() while
   // running to a nearer deadline: that would load far buckets early and
-  // perturb the wheel-vs-heap admission counters against the scalar run.
+  // perturb the wheel-vs-heap admission counters against the unsharded run.
   Time next_event_time(Time limit);
 
   // Callable from inside a callback: makes the enclosing run_* return once

@@ -1,6 +1,9 @@
 #include "sim/rng.h"
 
 #include <atomic>
+#include <new>
+
+#include <sys/mman.h>
 
 namespace satin::sim {
 
@@ -123,6 +126,15 @@ void force_base_draw_kernels(bool on) {
   g_kernels.store(on ? &base::kKernels : pick_kernels(),
                   std::memory_order_release);
 }
+
+void* map_pages(std::size_t bytes) {
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void unmap_pages(void* p, std::size_t bytes) noexcept { ::munmap(p, bytes); }
 
 }  // namespace detail
 

@@ -212,14 +212,15 @@ class Rng {
 // vector width. tests/sim/rng_test.cpp differentials every distribution
 // at block sizes {1,2,4,8,33}, including rejection-heavy tails.
 //
-// DrawMode selects per consumer: kScalar is the per-draw oracle (the
-// --batch=1 run of record), kBatched the block pipeline. Both modes read
-// the same substreams, so their outputs are byte-identical by contract,
-// not by luck.
+// DrawMode selects per consumer: kBatched is the block pipeline every
+// platform uses by default (hw::PlatformConfig::draw_mode), kScalar the
+// per-draw oracle the tests compare it against. Both modes read the same
+// substreams, so their outputs are byte-identical by contract, not by
+// luck.
 // ---------------------------------------------------------------------------
 
 enum class DrawMode {
-  kScalar = 0,   // per-draw loop; differential oracle and --batch=1 path
+  kScalar = 0,   // per-draw loop; the differential oracle of the tests
   kBatched = 1,  // block-kernel pipeline, bit-identical to kScalar
 };
 
@@ -288,6 +289,38 @@ void force_base_draw_kernels(bool on);
 // kernel-chunk overshoot of buffer head-room for the pair-fed kernels).
 inline constexpr std::size_t kDefaultDrawBlock = 4096;
 
+namespace detail {
+
+// Anonymous page mappings; throw std::bad_alloc when the kernel refuses.
+void* map_pages(std::size_t bytes);
+void unmap_pages(void* p, std::size_t bytes) noexcept;
+
+// Stream buffers are whole pages mapped for the stream, not malloc heap
+// blocks. From the heap, the 32-37 KiB buffers of a campaign worker's
+// second trial filled holes that small allocations then took from a freed
+// ~600 KB scan snapshot instead, so the next snapshot went to a fresh
+// heap top and the worker's peak RSS rose by up to 600 KiB (EXPERIMENTS.md,
+// "Batched draws by default"). Mapped buffers leave the heap as the
+// scalar path leaves it.
+template <typename T>
+struct PageAllocator {
+  using value_type = T;
+  PageAllocator() = default;
+  template <typename U>
+  PageAllocator(const PageAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(map_pages(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    unmap_pages(p, n * sizeof(T));
+  }
+  friend bool operator==(PageAllocator, PageAllocator) { return true; }
+};
+
+using DrawBuffer = std::vector<double, PageAllocator<double>>;
+
+}  // namespace detail
+
 // Buffered single-distribution draw streams. Each owns a dedicated
 // engine (fork one per consumer per distribution): bulk precomputation is
 // only order-identical to per-draw consumption when nothing else reads
@@ -309,7 +342,7 @@ class CanonicalStream {
   DrawMode mode_;
   std::size_t block_;
   std::size_t pos_ = 0, size_ = 0;
-  std::vector<double> buf_;
+  detail::DrawBuffer buf_;
 };
 
 class NormalStream {
@@ -329,7 +362,7 @@ class NormalStream {
   DrawMode mode_;
   std::size_t block_;
   std::size_t pos_ = 0, size_ = 0;
-  std::vector<double> buf_;
+  detail::DrawBuffer buf_;
 };
 
 class TruncatedNormalStream {
@@ -353,7 +386,7 @@ class TruncatedNormalStream {
   std::size_t block_;
   int misses_ = 0;
   std::size_t pos_ = 0, size_ = 0;
-  std::vector<double> buf_;
+  detail::DrawBuffer buf_;
 };
 
 class ExponentialStream {
@@ -373,7 +406,7 @@ class ExponentialStream {
   DrawMode mode_;
   std::size_t block_;
   std::size_t pos_ = 0, size_ = 0;
-  std::vector<double> buf_;
+  detail::DrawBuffer buf_;
 };
 
 // Precondition (batched kernel): |mu| + 12.2 * |sigma| <= 692, so that
@@ -397,7 +430,7 @@ class LognormalStream {
   DrawMode mode_;
   std::size_t block_;
   std::size_t pos_ = 0, size_ = 0;
-  std::vector<double> buf_;
+  detail::DrawBuffer buf_;
 };
 
 }  // namespace satin::sim

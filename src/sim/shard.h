@@ -10,8 +10,8 @@
 // before building their own.
 //
 // Identity discipline: the context is installed ONLY by the fused shard
-// path (`--fused=on`, the default). The scalar `--batch=1` run of record
-// and `--fused=off` never see one, so every shared object must be
+// path (`--fused=on`, the default). The unsharded `--batch=1` run and
+// `--fused=off` never see one, so every shared object must be
 // observationally equivalent to the per-trial object it replaces — same
 // bytes, same digests, same counter increments. Tests in
 // tests/sim/batch_test.cpp and tests/os/kernel_image_test.cpp gate this.

@@ -1,9 +1,9 @@
 // BatchRunner / run_sharded: the lockstep engine must be an identity
 // transform over TrialRunner::run() — same submission-order result slots,
 // same merged obs, same first-error rethrow — for every shard size. The
-// duel-level test at the bottom closes the loop end-to-end: a real
-// run_duel_sweep at --batch=K (batched draw pipeline and all) must
-// reproduce the --batch=1 scalar run of record field for field.
+// duel-level tests at the bottom close the loop end-to-end: a real
+// run_duel_sweep at --batch=K on the default batched draws must reproduce
+// a --batch=1 reference drawn through the scalar oracle field for field.
 #include "sim/batch.h"
 
 #include <gtest/gtest.h>
@@ -331,7 +331,15 @@ TEST(BatchRunner, ThrowingFactoryIsCapturedAndShardMatesStillRun) {
 // the scenario-level closure of the draw-pipeline identity chain: batched
 // streams bit-match the scalar oracle (rng_test), the shared time buffer
 // bit-matches across modes (time_buffer_test), so whole DuelReports must
-// too — and the merged engine metrics with them.
+// too — and the merged engine metrics with them. The batch=1 references
+// below draw through DrawMode::kScalar; every other run takes the batched
+// default, so each comparison also checks the oracle.
+
+// The sweep `customize` hook that pins a trial to the scalar oracle.
+void scalar_draws(const TrialContext&, scenario::ScenarioConfig& config,
+                  scenario::DuelConfig&) {
+  config.platform.draw_mode = DrawMode::kScalar;
+}
 
 void expect_reports_equal(const scenario::DuelReport& a,
                           const scenario::DuelReport& b, std::size_t trial,
@@ -359,7 +367,8 @@ void expect_reports_equal(const scenario::DuelReport& a,
   EXPECT_EQ(a.scan_retries, b.scan_retries) << where;
 }
 
-scenario::DuelSweep run_sweep_with_batch(int batch, std::size_t trials,
+scenario::DuelSweep run_sweep_with_batch(int batch, DrawMode draws,
+                                         std::size_t trials,
                                          std::string* metrics_json) {
   obs::MetricsRegistry registry;
   obs::install_metrics(&registry);
@@ -370,7 +379,8 @@ scenario::DuelSweep run_sweep_with_batch(int batch, std::size_t trials,
   config.jobs = 1;
   config.root_seed = 0xBA7C4ull;
   config.batch = batch;
-  scenario::DuelSweep sweep = scenario::run_duel_sweep(config);
+  scenario::DuelSweep sweep = scenario::run_duel_sweep(
+      config, draws == DrawMode::kScalar ? scalar_draws : nullptr);
   obs::install_metrics(nullptr);
   if (metrics_json != nullptr) *metrics_json = registry.to_json();
   return sweep;
@@ -379,16 +389,17 @@ scenario::DuelSweep run_sweep_with_batch(int batch, std::size_t trials,
 TEST(BatchRunner, DuelSweepIsInvariantUnderBatchSize) {
   const std::size_t kTrials = 4;
   std::string reference_metrics;
-  const scenario::DuelSweep reference =
-      run_sweep_with_batch(1, kTrials, &reference_metrics);
+  const scenario::DuelSweep reference = run_sweep_with_batch(
+      1, DrawMode::kScalar, kTrials, &reference_metrics);
   ASSERT_EQ(reference.reports.size(), kTrials);
 
-  // batch=3 splits the 4 trials into shards {3,1}; batch=8 puts all four
-  // in one shard. Both flip the platforms to the batched draw pipeline.
-  for (int batch : {3, 8}) {
+  // batch=1 again on the default draws isolates the draw mode; batch=3
+  // splits the 4 trials into shards {3,1}; batch=8 puts all four in one
+  // shard.
+  for (int batch : {1, 3, 8}) {
     std::string metrics;
     const scenario::DuelSweep sweep =
-        run_sweep_with_batch(batch, kTrials, &metrics);
+        run_sweep_with_batch(batch, DrawMode::kBatched, kTrials, &metrics);
     ASSERT_EQ(sweep.reports.size(), kTrials) << "batch=" << batch;
     EXPECT_EQ(sweep.jobs, reference.jobs) << "batch=" << batch;
     for (std::size_t i = 0; i < kTrials; ++i) {
@@ -406,12 +417,14 @@ TEST(BatchRunner, DuelSweepIsInvariantUnderBatchSize) {
 // flight chain hash. --fused=off (the PR-9 round-robin loop) is held to
 // the same reference, which is what makes the recorded A/B honest.
 
-scenario::DuelSweep run_fused_sweep(int batch, bool fused, std::size_t trials,
+scenario::DuelSweep run_fused_sweep(int batch, bool fused, DrawMode draws,
+                                    std::size_t trials,
                                     std::string* stable_metrics,
                                     std::uint64_t* flight_chain) {
-  const std::string flight_path = ::testing::TempDir() + "/fused_sweep_b" +
-                                  std::to_string(batch) +
-                                  (fused ? "_on" : "_off") + ".flt";
+  const std::string flight_path =
+      ::testing::TempDir() + "/fused_sweep_b" + std::to_string(batch) +
+      (fused ? "_on" : "_off") +
+      (draws == DrawMode::kScalar ? "_scalar" : "") + ".flt";
   obs::MetricsRegistry registry;
   obs::install_metrics(&registry);
   scenario::DuelSweep sweep;
@@ -428,7 +441,8 @@ scenario::DuelSweep run_fused_sweep(int batch, bool fused, std::size_t trials,
     config.root_seed = 0xBA7C4ull;
     config.batch = batch;
     config.fused = fused;
-    sweep = scenario::run_duel_sweep(config);
+    sweep = scenario::run_duel_sweep(
+        config, draws == DrawMode::kScalar ? scalar_draws : nullptr);
     obs::install_flight(nullptr);
     EXPECT_TRUE(recorder.close());
   }
@@ -448,8 +462,9 @@ TEST(BatchRunner, FusedPassIsInvariantAcrossBatchSizes) {
   const std::size_t kTrials = 33;
   std::string reference_metrics;
   std::uint64_t reference_chain = 0;
-  const scenario::DuelSweep reference = run_fused_sweep(
-      1, /*fused=*/true, kTrials, &reference_metrics, &reference_chain);
+  const scenario::DuelSweep reference =
+      run_fused_sweep(1, /*fused=*/true, DrawMode::kScalar, kTrials,
+                      &reference_metrics, &reference_chain);
   ASSERT_EQ(reference.reports.size(), kTrials);
 
   struct Mode {
@@ -461,7 +476,8 @@ TEST(BatchRunner, FusedPassIsInvariantAcrossBatchSizes) {
     std::string metrics;
     std::uint64_t chain = 0;
     const scenario::DuelSweep sweep =
-        run_fused_sweep(mode.batch, mode.fused, kTrials, &metrics, &chain);
+        run_fused_sweep(mode.batch, mode.fused, DrawMode::kBatched, kTrials,
+                        &metrics, &chain);
     const std::string where = "batch=" + std::to_string(mode.batch) +
                               " fused=" + (mode.fused ? "on" : "off");
     ASSERT_EQ(sweep.reports.size(), kTrials) << where;
@@ -486,11 +502,13 @@ TEST(BatchRunner, FusedPassIsInvariantAcrossBatchSizes) {
 class FaultedDuelLockstepTrial final : public LockstepTrial {
  public:
   FaultedDuelLockstepTrial(std::uint64_t seed, const std::string& fault_spec,
-                           bool offer_engine, scenario::DuelReport* out,
+                           bool offer_engine, DrawMode draws,
+                           scenario::DuelReport* out,
                            std::uint64_t* faults_out = nullptr)
       : offer_engine_(offer_engine), out_(out), faults_out_(faults_out) {
     scenario::ScenarioConfig config;
     config.platform.seed = seed;
+    config.platform.draw_mode = draws;
     system_ = std::make_unique<scenario::Scenario>(config);
     injector_ = fault::install_from_spec(system_->platform(), fault_spec);
     scenario::DuelConfig duel;
@@ -532,11 +550,13 @@ TEST(BatchRunner, StragglersWithFaultPlansFallBackPerTrialInsideAFusedShard) {
     return i % 2 == 1 ? kStorm : std::string();
   };
 
-  // Scalar reference: each trial alone, the plain done/advance/finish loop.
+  // Scalar reference: each trial alone on the scalar draw oracle, the
+  // plain done/advance/finish loop.
   std::vector<scenario::DuelReport> reference(kTrials);
   for (std::size_t i = 0; i < kTrials; ++i) {
     FaultedDuelLockstepTrial trial(seed_for(i), spec_for(i),
-                                   /*offer_engine=*/false, &reference[i]);
+                                   /*offer_engine=*/false, DrawMode::kScalar,
+                                   &reference[i]);
     while (!trial.done()) trial.advance(Duration::from_sec(1));
     trial.finish();
   }
@@ -547,8 +567,8 @@ TEST(BatchRunner, StragglersWithFaultPlansFallBackPerTrialInsideAFusedShard) {
       kTrials, Duration::from_sec(1), /*fused=*/true,
       [&](std::size_t i) {
         return std::make_unique<FaultedDuelLockstepTrial>(
-            seed_for(i), spec_for(i), /*offer_engine=*/i % 2 == 0, &fused[i],
-            &faults[i]);
+            seed_for(i), spec_for(i), /*offer_engine=*/i % 2 == 0,
+            DrawMode::kBatched, &fused[i], &faults[i]);
       },
       [](std::size_t, const std::function<void()>& fn) { fn(); },
       [](std::size_t slot, std::exception_ptr) {
