@@ -10,9 +10,6 @@
 // Monte-Carlo batches and duels fan out over --jobs=J workers through
 // sim::TrialRunner; the printed rows are bit-identical for any J (and,
 // for the spot duels, for any --batch=K lockstep shard size).
-#include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -22,7 +19,6 @@
 #include "core/satin.h"
 #include "scenario/experiments.h"
 #include "sim/batch.h"
-#include "sim/fork.h"
 #include "sim/parallel.h"
 #include "sim/stats.h"
 
@@ -36,18 +32,12 @@ namespace {
 // drives the very same class to completion inline.
 class SpotDuelTrial final : public sim::LockstepTrial {
  public:
-  // Staged construction for COW fork branching (sim/fork.h): the
-  // constructor runs everything a branch can share — trusted boot, prober
-  // deployment and warm-up — and engage() arms the branch-specific trace
-  // and starts both sides. None of the moved steps draws from the
-  // platform RNG (trace bytes are plain memory reads), so staged ctor +
-  // immediate engage() is draw-for-draw identical to the old one-shot
-  // constructor (the fork-identity CI gate diffs exactly this).
-  SpotDuelTrial()
+  SpotDuelTrial(std::size_t offset, char* caught)
       : baseline_(s_.platform(), s_.kernel(), s_.tsp(),
                   core::make_pkm_baseline_config(1.0, true, true)),
         kit_(s_.os(), s_.platform().rng().fork("probe-kit")),
-        prober_(s_.os(), attack::KProberConfig{}) {
+        prober_(s_.os(), attack::KProberConfig{}),
+        caught_(caught) {
     baseline_.checker().authorize_boot_state();
     prober_.set_on_detect([this](hw::CoreId, sim::Time, sim::Duration) {
       if (kit_.installed() && !kit_.recovering()) {
@@ -66,20 +56,7 @@ class SpotDuelTrial final : public sim::LockstepTrial {
     });
     prober_.deploy();
     s_.run_for(sim::Duration::from_ms(10));  // prober warm-up
-  }
 
-  // One-shot path (the pre-fork run of record): optional idle engagement
-  // ramp (--ramp-s; the prober stays deployed, nothing armed), then
-  // engage immediately.
-  SpotDuelTrial(std::size_t offset, char* caught, double ramp_s = 0.0)
-      : SpotDuelTrial() {
-    if (ramp_s > 0.0) s_.run_for(sim::Duration::from_sec_f(ramp_s));
-    engage(offset, caught);
-  }
-
-  // Arms the rootkit trace at `offset` and starts the duel; call once.
-  void engage(std::size_t offset, char* caught) {
-    caught_ = caught;
     attack::TraceSpec trace;
     trace.name = "probe";
     trace.offset = offset;
@@ -105,9 +82,7 @@ class SpotDuelTrial final : public sim::LockstepTrial {
       obs::snapshot_engine_metrics(s_.engine(), *registry,
                                    /*include_wall=*/false);
     }
-    if (caught_ != nullptr) {
-      *caught_ = static_cast<char>(baseline_.alarm_count() > 0);
-    }
+    *caught_ = static_cast<char>(baseline_.alarm_count() > 0);
   }
 
  private:
@@ -115,7 +90,7 @@ class SpotDuelTrial final : public sim::LockstepTrial {
   core::Satin baseline_;
   attack::Rootkit kit_;
   attack::KProber prober_;
-  char* caught_ = nullptr;
+  char* caught_;
 };
 
 // One Monte-Carlo batch: draws per batch from a seed that depends only on
@@ -147,23 +122,6 @@ int mc_escapes(std::uint64_t seed, int draws,
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
   using namespace satin;
-  // Local flag: --ramp-s=<sim seconds> of idle engagement ramp before
-  // each spot duel arms (prober deployed, nothing installed). Applied
-  // identically on every execution path, so forked-vs-unforked stays an
-  // apples-to-apples comparison; the default keeps today's output.
-  double ramp_s = 0.0;
-  {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--ramp-s=", 9) == 0) {
-        ramp_s = std::atof(argv[i] + 9);
-        if (!(ramp_s >= 0.0)) ramp_s = 0.0;
-        continue;
-      }
-      argv[out++] = argv[i];
-    }
-    argc = out;
-  }
   hw::TimingParams timing;
   const int jobs = obs.jobs(/*fallback=*/1);
 
@@ -220,97 +178,7 @@ int main(int argc, char** argv) {
   std::size_t duel_trials = 0;
   double duel_wall_s = 0.0;
   const int batch = obs.batch(/*fallback=*/1);
-  const int branches = obs.branches(/*fallback=*/0);
-  if (branches > 0 && batch > 1) {
-    std::fprintf(stderr,
-                 "bench_race_analysis: --branches and --batch are mutually "
-                 "exclusive\n");
-    return 2;
-  }
-  if (branches > 0) {
-    // COW fork ladder (sim/fork.h): probes grouped into branch groups.
-    // --fork-prefix=0 is the byte-identity oracle (each child replays its
-    // duel from scratch under fresh sinks); --fork-prefix>0 builds ONE
-    // staged trial per group — boot, prober deployment, warm-up, ramp —
-    // and fork()s it, each child engaging its own trace offset against
-    // the inherited copy-on-write image.
-    const double prefix_s = obs.fork_prefix_s();
-    const sim::TrialSeedSeq seeds(duel_options.root_seed);
-    const auto fork_t0 = std::chrono::steady_clock::now();
-    for (std::size_t base = 0; base < kProbeCount;
-         base += static_cast<std::size_t>(branches)) {
-      const std::size_t count = std::min(static_cast<std::size_t>(branches),
-                                         kProbeCount - base);
-      sim::ForkServerOptions fork_options;
-      fork_options.jobs = jobs;
-      fork_options.flight_ring = obs.flight_ring();
-      fork_options.index_base = base;
-      fork_options.marker_seed = [&seeds](std::size_t global) {
-        return seeds.seed_for(global);
-      };
-      std::vector<std::string> payloads;
-      if (prefix_s <= 0.0) {
-        sim::ForkServer server(fork_options);
-        payloads = server.run_collect(count, [&](std::size_t branch) {
-          char c = 0;
-          SpotDuelTrial trial(probes[base + branch].offset, &c, ramp_s);
-          while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
-          trial.finish();
-          return std::string(c ? "1" : "0");
-        });
-      } else {
-        fork_options.inherit_sinks = true;
-        sim::ForkServer server(fork_options);
-        std::unique_ptr<obs::MetricsRegistry> group_metrics;
-        std::unique_ptr<obs::FlightRecorder> group_flight;
-        if (obs::metrics() != nullptr) {
-          group_metrics = std::make_unique<obs::MetricsRegistry>();
-        }
-        if (obs::flight() != nullptr) {
-          obs::FlightRecorderOptions flight_options;
-          flight_options.ring = obs.flight_ring();
-          group_flight =
-              std::make_unique<obs::FlightRecorder>(flight_options);
-        }
-        std::vector<sim::ForkOutcome> outcomes;
-        {
-          sim::TrialObsScope scope(group_metrics.get(), nullptr,
-                                   group_flight.get());
-          SpotDuelTrial trial;
-          if (ramp_s > 0.0) {
-            trial.advance(sim::Duration::from_sec_f(ramp_s));
-          }
-          outcomes = server.run(count, [&](std::size_t branch) {
-            char c = 0;
-            trial.engage(probes[base + branch].offset, &c);
-            while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
-            trial.finish();
-            return std::string(c ? "1" : "0");
-          });
-        }
-        // Group scope dropped: the merge targets the session sinks.
-        server.merge_obs();
-        for (const sim::ForkOutcome& outcome : outcomes) {
-          if (!outcome.ok) {
-            std::fprintf(stderr, "bench_race_analysis: %s\n",
-                         outcome.error.c_str());
-            return 1;
-          }
-        }
-        payloads.reserve(outcomes.size());
-        for (sim::ForkOutcome& outcome : outcomes) {
-          payloads.push_back(std::move(outcome.payload));
-        }
-      }
-      for (std::size_t branch = 0; branch < payloads.size(); ++branch) {
-        caught[base + branch] = static_cast<char>(payloads[branch] == "1");
-      }
-    }
-    duel_trials = kProbeCount;
-    duel_wall_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - fork_t0)
-                      .count();
-  } else if (batch > 1) {
+  if (batch > 1) {
     // Lockstep shards; output rows are byte-identical to the unsharded
     // path below for every K.
     sim::BatchRunnerOptions batch_options;
@@ -318,19 +186,18 @@ int main(int argc, char** argv) {
     batch_options.fused = obs.fused();
     batch_options.runner = duel_options;
     sim::BatchRunner duel_runner(batch_options);
-    duel_runner.run(kProbeCount, [&probes, &caught, ramp_s](
+    duel_runner.run(kProbeCount, [&probes, &caught](
                                      const sim::TrialContext& ctx) {
       return std::make_unique<SpotDuelTrial>(probes[ctx.index].offset,
-                                             &caught[ctx.index], ramp_s);
+                                             &caught[ctx.index]);
     });
     duel_trials = duel_runner.trials_run();
     duel_wall_s = duel_runner.wall_seconds();
   } else {
     sim::TrialRunner duel_runner(duel_options);
-    duel_runner.run(kProbeCount, [&probes, &caught, ramp_s](
+    duel_runner.run(kProbeCount, [&probes, &caught](
                                      const sim::TrialContext& ctx) {
-      SpotDuelTrial trial(probes[ctx.index].offset, &caught[ctx.index],
-                          ramp_s);
+      SpotDuelTrial trial(probes[ctx.index].offset, &caught[ctx.index]);
       while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
       trial.finish();
     });

@@ -195,17 +195,6 @@ int main(int argc, char** argv) {
   // is byte-identical either way; the A/B harness flips this knob.
   sweep_config.fused = obs.fused();
   sweep_config.flight_ring = obs.flight_ring();
-  // --branches=N: COW fork branch groups (sim/fork.h). With no
-  // --fork-prefix this replays each replica from scratch in a child —
-  // byte-identical to the in-process run (CI-gated). --fork-prefix=S
-  // shares S simulated seconds across a group and diverges each branch
-  // by the default RNG perturbation — CI's negative control.
-  sweep_config.branches = obs.branches(/*fallback=*/0);
-  sweep_config.fork_prefix_s = obs.fork_prefix_s();
-  if (sweep_config.branches > 0 && sweep_config.batch > 1) {
-    std::fprintf(stderr, "--branches and --batch are mutually exclusive\n");
-    return 2;
-  }
 
   std::printf(
       "running %zu replicas of 190 introspection rounds (~1520 simulated s "

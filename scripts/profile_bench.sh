@@ -11,7 +11,7 @@
 #
 #   scripts/profile_bench.sh                          # default bench set
 #   scripts/profile_bench.sh bench_race_analysis      # one bench
-#   BENCH_ARGS='--ramp-s=20' scripts/profile_bench.sh bench_race_analysis
+#   BENCH_ARGS='--batch=8' scripts/profile_bench.sh bench_race_analysis
 #   TOP_N=40 scripts/profile_bench.sh                 # longer summary
 #
 # Output: <repo>/PROFILE_<bench>.txt — gprof flat profile (top $TOP_N

@@ -9,11 +9,8 @@
 # paired interleaved A/Bs. Each A/B interleaves its two modes and compares
 # USER-time medians because this host's wall clock drifts ±15-25% across
 # a session — a pair measured back-to-back and a median over n pairs are
-# robust to that; two single runs an hour apart are not. PR-9 adds a
-# paired A/B on bench_race_analysis's offset ladder: unforked
-# --ramp-s=$FORK_RAMP_S vs the warm-prefix COW fork backend
-# (--branches=$FORK_BRANCHES --fork-prefix=1), gated at >= 1.5x user time. PR-10 adds the fused
-# lockstep engine pass A/Bs: the gated one runs the hash-dominated
+# robust to that; two single runs an hour apart are not. Of the two
+# fused lockstep engine pass A/Bs, the gated one runs the hash-dominated
 # clean-rounds workload batched (--clean-rounds=$FUSED_ROUNDS
 # --batch=$FUSED_K) with the fused pass on vs off (the PR-9 round-robin
 # baseline) and must clear 1.3x user time; an ungated info A/B measures
@@ -233,61 +230,6 @@ if [ -x "$detect" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_satin_detection
   rm -f "$on_out" "$off_out"
 fi
 
-# Paired interleaved A/B: warm-prefix COW trial forking on the spot-duel
-# offset ladder. Both sides run the SAME workload — 16 spot duels, each
-# with an idle engagement ramp of $FORK_RAMP_S simulated seconds before
-# the probe — the unforked side re-simulating the ramp per trial, the
-# forked side (--branches=$FORK_BRANCHES --fork-prefix=1) simulating each
-# group's ramp once in the parent and fork()ing the branches off the warm
-# COW image. The spot-duel engagement draws nothing from the platform
-# RNG, so the warm fork is byte-identical to the unforked run here —
-# every pair re-checks stdout — and the user-time ratio is pure prefix
-# amortization. Gated: the ratio-of-medians must clear 1.5x.
-fork_ab="null"
-fork_pairs="${FORK_PAIRS:-5}"
-fork_branches="${FORK_BRANCHES:-8}"
-fork_ramp="${FORK_RAMP_S:-20}"
-race="$build/bench/bench_race_analysis"
-if [ -x "$race" ] && { [ "$#" -eq 0 ] || [[ " $* " == *" bench_race_analysis "* ]]; }; then
-  echo "== bench_race_analysis paired A/B: unforked vs --branches=$fork_branches --fork-prefix=1 (--ramp-s=$fork_ramp, n=$fork_pairs pairs)" >&2
-  a_out="$(mktemp)" b_out="$(mktemp)"
-  a_times=() b_times=() ratios=()
-  for i in $(seq 1 "$fork_pairs"); do
-    ua="$( { TIMEFORMAT='%U'; time "$race" "--ramp-s=$fork_ramp" >"$a_out" 2>"$tmp_err"; } 2>&1 )"
-    ub="$( { TIMEFORMAT='%U'; time "$race" "--ramp-s=$fork_ramp" "--branches=$fork_branches" --fork-prefix=1 >"$b_out" 2>"$tmp_err"; } 2>&1 )"
-    if ! diff -q "$a_out" "$b_out" >/dev/null; then
-      echo "ERROR: stdout differs between unforked and warm-forked ladder" >&2
-      diff "$a_out" "$b_out" >&2 || true
-      rm -f "$a_out" "$b_out"
-      exit 1
-    fi
-    a_times+=("$ua")
-    b_times+=("$ub")
-    pair_ratio="$(awk -v a="$ua" -v b="$ub" 'BEGIN{printf "%.3f", (b > 0) ? a / b : 0}')"
-    ratios+=("$pair_ratio")
-    echo "   pair $i/$fork_pairs: unforked ${ua}s  forked ${ub}s  (${pair_ratio}x)" >&2
-  done
-  rm -f "$a_out" "$b_out"
-  median() {
-    printf '%s\n' "$@" | sort -g |
-      awk '{v[NR]=$1} END{if (NR%2) print v[(NR+1)/2]; else printf "%.3f\n", (v[NR/2]+v[NR/2+1])/2}'
-  }
-  a_med="$(median "${a_times[@]}")"
-  b_med="$(median "${b_times[@]}")"
-  fork_speedup="$(awk -v a="$a_med" -v b="$b_med" 'BEGIN{printf "%.2f", (b > 0) ? a / b : 0}')"
-  fork_paired="$(median "${ratios[@]}")"
-  if awk -v s="$fork_speedup" 'BEGIN{exit !(s < 1.5)}'; then
-    echo "ERROR: warm-prefix fork speedup ${fork_speedup}x is below the 1.5x gate" >&2
-    exit 1
-  fi
-  a_list="$(IFS=,; echo "${a_times[*]}")"
-  b_list="$(IFS=,; echo "${b_times[*]}")"
-  r_list="$(IFS=,; echo "${ratios[*]}")"
-  fork_ab="$(printf '{"branches":%s,"fork_prefix_s":1,"ramp_s":%s,"pairs":%s,"user_s_unforked":[%s],"user_s_forked":[%s],"pair_ratios":[%s],"user_s_unforked_median":%s,"user_s_forked_median":%s,"speedup":%s,"speedup_paired":%s,"stdout_identical":true}' \
-              "$fork_branches" "$fork_ramp" "$fork_pairs" "$a_list" "$b_list" "$r_list" "$a_med" "$b_med" "$fork_speedup" "$fork_paired")"
-  echo "   medians: unforked ${a_med}s  forked ${b_med}s  speedup ${fork_speedup}x (median of pair ratios: ${fork_paired}x)" >&2
-fi
-
 # Paired interleaved A/B: the fused lockstep engine pass (PR-10) vs the
 # PR-9 round-robin shard loop, on the workload the pass targets — K
 # digest-cache steady-state replicas advancing in one shard, where the
@@ -398,9 +340,8 @@ PY
 fi
 
 baseline_name="$( [ -n "$baseline" ] && basename "$baseline" || echo null)"
-printf '{"schema":"satin-bench-pr10/1","nproc":%s,"jobs":%s,"baseline":"%s","detection_speedup_vs_baseline":%s,"event_churn_allocs":%s,"clean_rounds_cache_comparison":%s,"fork_ab":%s,"fused_ab":%s,"fused_duel_ab":%s,"benches":[%s]}\n' \
-  "$(nproc)" "$jobs" "$baseline_name" "$detect_speedup" "$churn" "$cache_cmp" "$fork_ab" "$fused_ab" "$fused_duel_ab" "$rows" >"$out"
-[ "$fork_ab" = "null" ] || echo "fork A/B (unforked vs --branches=$fork_branches --fork-prefix=1) user-time speedup: ${fork_speedup}x" >&2
+printf '{"schema":"satin-bench-pr10/1","nproc":%s,"jobs":%s,"baseline":"%s","detection_speedup_vs_baseline":%s,"event_churn_allocs":%s,"clean_rounds_cache_comparison":%s,"fused_ab":%s,"fused_duel_ab":%s,"benches":[%s]}\n' \
+  "$(nproc)" "$jobs" "$baseline_name" "$detect_speedup" "$churn" "$cache_cmp" "$fused_ab" "$fused_duel_ab" "$rows" >"$out"
 [ "$fused_ab" = "null" ] || echo "fused A/B (clean-rounds --batch=$fused_k, on vs off) user-time speedup: ${fused_speedup}x (gate: 1.3x)" >&2
 [ "$fused_duel_ab" = "null" ] || echo "fused duel A/B (bench_race_analysis --batch=$fused_k, on vs off) user-time speedup: ${fused_duel_speedup}x (info only)" >&2
 echo "wrote $out" >&2

@@ -146,9 +146,8 @@ CampaignSpec parse_campaign_spec(const std::string& text,
   const std::string where = "campaign";
   root.reject_unknown_keys(
       where, {"name", "trials", "root_seed", "jobs", "shard_size", "batch",
-              "shard", "branches", "fork_prefix", "trial_timeout_s",
-              "max_retries", "platform", "satin", "duel", "attacker",
-              "faults", "faults_reseed"});
+              "shard", "trial_timeout_s", "max_retries", "platform", "satin",
+              "duel", "attacker", "faults", "faults_reseed"});
 
   CampaignSpec spec;
   if (const JsonValue* j = root.find("name")) {
@@ -180,19 +179,6 @@ CampaignSpec parse_campaign_spec(const std::string& text,
     const std::int64_t shard = j->as_int("shard");
     if (shard < 0 || shard > 4096) j->fail("shard: must be in [0, 4096]");
     spec.shard = static_cast<int>(shard);
-  }
-  if (const JsonValue* j = root.find("branches")) {
-    const std::int64_t branches = j->as_int("branches");
-    if (branches < 0 || branches > 4096) {
-      j->fail("branches: must be in [0, 4096]");
-    }
-    spec.branches = static_cast<int>(branches);
-  }
-  if (const JsonValue* j = root.find("fork_prefix")) {
-    spec.fork_prefix = j->as_number("fork_prefix");
-    if (!(spec.fork_prefix >= 0.0)) {
-      j->fail("fork_prefix: must be >= 0");
-    }
   }
   if (const JsonValue* j = root.find("trial_timeout_s")) {
     spec.trial_timeout_s = positive_number(*j, "trial_timeout_s");

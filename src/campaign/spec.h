@@ -59,22 +59,9 @@ struct CampaignSpec {
   // is still a pure function of (spec, index) and the fused pass is
   // identity-inert, so journal/stats/artifacts are byte-identical to any
   // worker-pool schedule (CI-gated) — a pure runtime knob, NOT folded
-  // into content_hash(). Mutually exclusive with `branches` and the
-  // chaos knobs (there is no worker process to crash).
+  // into content_hash(). Mutually exclusive with the chaos knobs (there
+  // is no worker process to crash).
   int shard = 0;
-  // COW fork branch backend (sim/fork.h): > 0 replaces the persistent
-  // worker pool with fork()ed branch groups of this size, one child per
-  // trial. Every trial is still run_campaign_trial(spec, index) — a pure
-  // runtime knob like jobs/batch, so it is NOT folded into content_hash()
-  // and the journal/stats output is byte-identical for any value.
-  int branches = 0;
-  // Warm-prefix seconds for fork branching. The campaign REFUSES nonzero
-  // values at run time: the journal's crash-identity contract requires a
-  // trial to be a pure function of (spec, index), and a shared warm
-  // prefix would make results depend on group layout. The key exists so
-  // specs spell the knob uniformly with the sweep API; also excluded
-  // from content_hash().
-  double fork_prefix = 0.0;
 
   scenario::ScenarioConfig scenario;
   // True when the spec pinned platform.seed: trial 0 keeps it (the

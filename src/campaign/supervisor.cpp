@@ -28,7 +28,6 @@
 #include "obs/session.h"
 #include "scenario/scenario.h"
 #include "sim/batch.h"
-#include "sim/fork.h"
 #include "sim/parallel.h"
 #include "sim/seed_seq.h"
 
@@ -302,7 +301,6 @@ class Supervisor {
                                                : spec.trial_timeout_s;
     max_retries_ = options.max_retries >= 0 ? options.max_retries
                                             : spec.max_retries;
-    branches_ = options.branches >= 0 ? options.branches : spec.branches;
     lockstep_ = options.shard >= 0 ? options.shard : spec.shard;
     chaos_kill_armed_ = options.chaos_kill_trial >= 0;
     chaos_hang_armed_ = options.chaos_hang_trial >= 0;
@@ -349,34 +347,9 @@ class Supervisor {
       return outcome;
     }
 
-    if (branches_ > 0) {
-      // Fork-branch backend: guard the contracts the worker pool carries
-      // implicitly before replacing it.
-      if (spec_.fork_prefix > 0.0) {
-        outcome.error =
-            "fork_prefix: campaign trials must stay pure functions of "
-            "(spec, index); a shared warm prefix is not supported here";
-        return outcome;
-      }
-      if (options_.chaos_kill_trial >= 0 || options_.chaos_hang_trial >= 0 ||
-          options_.chaos_supervisor_kill_after > 0) {
-        outcome.error =
-            "chaos knobs drive the persistent worker pool; use the fork "
-            "server's own chaos hooks (sim/fork.h) instead of branches";
-        return outcome;
-      }
-    }
-
     if (lockstep_ > 1) {
-      // In-process lockstep backend: same contract guards. No worker
-      // process exists, so crash chaos is meaningless here, and the two
-      // pool replacements cannot be combined.
-      if (branches_ > 0) {
-        outcome.error =
-            "shard and branches are mutually exclusive worker-pool "
-            "replacements; pick one";
-        return outcome;
-      }
+      // In-process lockstep backend: no worker process exists, so crash
+      // chaos is meaningless here.
       if (options_.chaos_kill_trial >= 0 || options_.chaos_hang_trial >= 0 ||
           options_.chaos_supervisor_kill_after > 0) {
         outcome.error =
@@ -390,9 +363,7 @@ class Supervisor {
       // Writing into a dead worker's pipe must surface as EPIPE on the
       // write, not kill the supervisor.
       signal(SIGPIPE, SIG_IGN);
-      if (branches_ > 0) {
-        run_fork_backend(outcome);
-      } else if (lockstep_ > 1) {
+      if (lockstep_ > 1) {
         run_shard_backend(outcome);
       } else {
         const int jobs = static_cast<int>(std::min<std::uint64_t>(
@@ -709,77 +680,6 @@ class Supervisor {
     }
   }
 
-  // COW fork backend (spec/option `branches` > 0): pending trials run as
-  // fork()ed branch groups through sim::ForkServer instead of the
-  // persistent worker pool. Each child is still exactly
-  // run_campaign_trial(spec, index) under fresh per-trial sinks, its
-  // artifacts land directly under the journal's .d dir with the names
-  // merge_artifacts() expects, and the journal appends in strict index
-  // order within each group — so journal, stats, metrics and flight
-  // output are byte-identical to any worker-pool schedule. The fork
-  // server supplies the crash/wedge/torn-record retry ladder; its
-  // counters map onto the same volatile campaign.* gauges.
-  void run_fork_backend(CampaignOutcome& outcome) {
-    std::vector<std::uint64_t> order(pending_.begin(), pending_.end());
-    pending_.clear();
-    const auto group_size = static_cast<std::size_t>(branches_);
-    for (std::size_t base = 0; base < order.size(); base += group_size) {
-      const std::size_t count = std::min(group_size, order.size() - base);
-      const std::uint64_t* group = order.data() + base;
-      sim::ForkServerOptions fork_options;
-      fork_options.jobs = jobs_;
-      fork_options.timeout_s = timeout_s_;
-      fork_options.max_retries = max_retries_;
-      fork_options.flight_ring = options_.flight_ring;
-      fork_options.always_metrics = want_metrics_;
-      fork_options.keep_artifacts = true;
-      fork_options.metrics_path = [this, group](std::size_t branch) {
-        return trial_metrics_path(artifacts_dir_, group[branch]);
-      };
-      fork_options.flight_path = [this, group](std::size_t branch) {
-        return trial_flight_path(artifacts_dir_, group[branch]);
-      };
-      sim::ForkServer server(fork_options);
-      const std::vector<sim::ForkOutcome> results =
-          server.run(count, [this, group](std::size_t branch) {
-            return encode_trial_record(
-                run_campaign_trial(spec_, group[branch]));
-          });
-      outcome.workers_spawned += server.forks();
-      outcome.worker_crashes += server.crashes();
-      outcome.worker_timeouts += server.timeouts();
-      outcome.retries += server.retries();
-      for (std::size_t branch = 0; branch < count; ++branch) {
-        const std::uint64_t index = group[branch];
-        if (!results[branch].ok) {
-          std::fprintf(stderr, "campaign: %s\n",
-                       results[branch].error.c_str());
-          failed_.insert(index);
-          continue;
-        }
-        TrialResult result;
-        std::string why;
-        if (!decode_trial_record(results[branch].payload, result, &why) ||
-            result.index != index) {
-          std::fprintf(stderr,
-                       "campaign: bad branch record for trial %" PRIu64
-                       ": %s\n",
-                       index, why.c_str());
-          failed_.insert(index);
-          continue;
-        }
-        if (journal_.completed().count(index) == 0 &&
-            !journal_.append(result)) {
-          std::fprintf(stderr,
-                       "campaign: journal append failed for trial %" PRIu64
-                       "\n",
-                       index);
-          failed_.insert(index);
-        }
-      }
-    }
-  }
-
   // In-process lockstep shard backend (spec/option `shard` > 1): pending
   // trials run as fused lockstep groups on the supervisor thread instead
   // of the worker-process pool. Each group of `shard` trials advances
@@ -960,7 +860,6 @@ class Supervisor {
   std::uint64_t shard_size_ = 1;
   double timeout_s_ = 120.0;
   int max_retries_ = 2;
-  int branches_ = 0;
   int lockstep_ = 0;  // resolved `shard` knob (in-process lockstep size)
   bool chaos_kill_armed_ = false;
   bool chaos_hang_armed_ = false;

@@ -47,9 +47,6 @@ struct CampaignOptions {
   std::uint64_t shard_size = 0;
   double trial_timeout_s = 0.0;
   int max_retries = -1;
-  // COW fork branch group size (sim/fork.h); -1 = take the spec's value,
-  // 0 explicitly disables forking, > 0 replaces the worker pool.
-  int branches = -1;
   // In-process lockstep shard size (sim/batch.h); -1 = take the spec's
   // value, 0 explicitly disables, > 1 replaces the worker pool with fused
   // lockstep groups run on the supervisor thread.

@@ -183,37 +183,6 @@ void FlightRecorder::spill_buffer() {
   retained_.clear();
 }
 
-bool FlightRecorder::save_to(const std::string& path) const {
-  if (spilling()) return false;  // stream already partly written elsewhere
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  bool ok = true;
-  unsigned char header[kFlightHeaderBytes] = {};
-  std::memcpy(header, kFlightMagic, sizeof(kFlightMagic));
-  put_u32(header + 8, kFlightVersion);
-  put_u32(header + 12, static_cast<std::uint32_t>(kFlightRecordBytes));
-  put_u64(header + 16, ring_mode() ? 1u : 0u);
-  ok = std::fwrite(header, 1, sizeof(header), f) == sizeof(header);
-  unsigned char buf[kFlightRecordBytes];
-  for (const FlightRecord& rec : snapshot()) {
-    if (!ok) break;
-    encode_flight_record(rec, buf);
-    ok = std::fwrite(buf, 1, sizeof(buf), f) == sizeof(buf);
-  }
-  if (ok) {
-    FlightRecord footer;
-    footer.kind = static_cast<std::uint16_t>(FlightKind::kEof);
-    footer.t_ps = static_cast<std::int64_t>(commits_);
-    footer.seq = dropped_;
-    footer.payload = chain_;
-    footer.actor = 0;
-    encode_flight_record(footer, buf);
-    ok = std::fwrite(buf, 1, sizeof(buf), f) == sizeof(buf);
-  }
-  if (std::fclose(f) != 0) ok = false;
-  return ok;
-}
-
 bool FlightRecorder::close() {
   if (closed_) return !failed_;
   closed_ = true;

@@ -132,17 +132,6 @@ class FlightRecorder {
   // In-memory recorders return true and do nothing.
   bool close();
 
-  // Writes this recorder's current state — retained records plus a footer
-  // carrying the true commit/drop counts and chain hash — to `path` as a
-  // standalone recording, without finalizing the recorder. The escape
-  // hatch for an IN-MEMORY recorder that must cross a process boundary: a
-  // forked branch child inherits the warm prefix's recorder by
-  // copy-on-write, keeps recording, and persists the whole stream here
-  // for the parent's index-ordered merge. Returns false on any I/O
-  // failure (spill-mode recorders refuse: their stream is already partly
-  // on disk).
-  bool save_to(const std::string& path) const;
-
  private:
   void spill_buffer();
   bool write_all(const unsigned char* data, std::size_t size);

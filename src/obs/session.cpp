@@ -1,5 +1,8 @@
 #include "obs/session.h"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -125,23 +128,25 @@ ObsSession::ObsSession(int& argc, char** argv, std::size_t trace_capacity) {
   }
   const std::string jobs_value = take_flag(argc, argv, "jobs");
   if (!jobs_value.empty()) {
-    jobs_ = std::atoi(jobs_value.c_str());
-    if (jobs_ < 0) jobs_ = -1;  // nonsense value: behave as if absent
+    // Strict: atoi would turn "four" into 0, i.e. one worker per
+    // hardware thread.
+    char* end = nullptr;
+    errno = 0;
+    const long jobs = std::strtol(jobs_value.c_str(), &end, 10);
+    if (std::isdigit(static_cast<unsigned char>(jobs_value[0])) != 0 &&
+        *end == '\0' && errno == 0 && jobs <= INT_MAX) {
+      jobs_ = static_cast<int>(jobs);
+    } else {
+      std::fprintf(stderr,
+                   "obs: --jobs=%s not understood (want a whole number), "
+                   "ignoring it\n",
+                   jobs_value.c_str());
+    }
   }
   const std::string batch_value = take_flag(argc, argv, "batch");
   if (!batch_value.empty()) {
     batch_ = std::atoi(batch_value.c_str());
     if (batch_ < 1) batch_ = -1;  // nonsense value: behave as if absent
-  }
-  const std::string branches_value = take_flag(argc, argv, "branches");
-  if (!branches_value.empty()) {
-    branches_ = std::atoi(branches_value.c_str());
-    if (branches_ < 1) branches_ = -1;  // nonsense value: behave as if absent
-  }
-  const std::string prefix_value = take_flag(argc, argv, "fork-prefix");
-  if (!prefix_value.empty()) {
-    fork_prefix_s_ = std::atof(prefix_value.c_str());
-    if (!(fork_prefix_s_ >= 0.0)) fork_prefix_s_ = 0.0;  // also rejects NaN
   }
   const std::string fused_value = take_flag(argc, argv, "fused");
   if (fused_value == "off") {
@@ -153,9 +158,7 @@ ObsSession::ObsSession(int& argc, char** argv, std::size_t trace_capacity) {
                  fused_value.c_str());
   }
   const std::string cache_value = take_flag(argc, argv, "digest-cache");
-  if (cache_value == "off") {
-    digest_cache_ = false;
-  } else if (!cache_value.empty() && cache_value != "on") {
+  if (!cache_value.empty() && cache_value != "on" && cache_value != "off") {
     std::fprintf(stderr,
                  "obs: --digest-cache=%s not understood (want on|off), "
                  "keeping default on\n",
@@ -164,7 +167,7 @@ ObsSession::ObsSession(int& argc, char** argv, std::size_t trace_capacity) {
   // Process-wide default read by every secure::DigestCache constructed
   // after this point (one per Introspector, i.e. per trial — workers
   // inherit the value set here before the pool fans out).
-  secure::set_digest_cache_default(digest_cache_);
+  secure::set_digest_cache_default(cache_value != "off");
   // One flag should yield the full picture: a trace without an explicit
   // metrics path still drops a snapshot next to it.
   if (!trace_path_.empty() && metrics_path_.empty()) {

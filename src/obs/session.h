@@ -41,14 +41,15 @@ void snapshot_engine_metrics(const sim::Engine& engine,
 class ObsSession {
  public:
   // Consumes --trace= / --metrics= / --metrics-stable / --faults= /
-  // --jobs= / --batch= / --fused= / --branches= / --fork-prefix= /
-  // --digest-cache= / --flight= from argv (argc is rewritten).
+  // --jobs= / --batch= / --fused= / --digest-cache= / --flight= from
+  // argv (argc is rewritten).
   // When no flag is present the session installs nothing and costs
   // nothing. The faults spec is only stripped and stored — the obs layer
   // knows nothing about fault injection; pass faults_spec() to
   // fault::install_from_spec() to arm it. --jobs is likewise only parsed
   // and stored, for sim::TrialRunner: J worker threads, 0 = one per
-  // hardware thread, absent = the caller's fallback (typically 1).
+  // hardware thread, absent = the caller's fallback (typically 1). A
+  // value that is not a whole number is reported and treated as absent.
   // --digest-cache=on|off (default on) sets the process-wide default for
   // the secure world's incremental digest cache; off runs the cache in
   // shadow mode — bit-identical stdout/metrics/traces/digests, full
@@ -69,9 +70,7 @@ class ObsSession {
   bool flight_enabled() const { return flight_ != nullptr; }
   bool metrics_stable() const { return metrics_stable_; }
   bool faults_requested() const { return !faults_spec_.empty(); }
-  bool jobs_requested() const { return jobs_ >= 0; }
   bool batch_requested() const { return batch_ >= 1; }
-  bool digest_cache_enabled() const { return digest_cache_; }
   // Parsed --jobs value; `fallback` when the flag was absent, one worker
   // per hardware thread when it was --jobs=0.
   int jobs(int fallback = 1) const;
@@ -81,19 +80,6 @@ class ObsSession {
   // byte-identical for every value (CI-gated), so it never belongs in a
   // result-shaping config hash.
   int batch(int fallback = 1) const { return batch_ >= 1 ? batch_ : fallback; }
-  bool branches_requested() const { return branches_ >= 1; }
-  // Parsed --branches value (COW fork branch count for sim::ForkServer);
-  // `fallback` when absent. Like --jobs/--batch, a pure runtime knob:
-  // with --fork-prefix=0 the output is byte-identical for every value
-  // (CI-gated), so it never belongs in a result-shaping config hash.
-  int branches(int fallback = 0) const {
-    return branches_ >= 1 ? branches_ : fallback;
-  }
-  // Parsed --fork-prefix value: simulated seconds of warm prefix shared
-  // across fork branches. 0 (the default) keeps each branch a full
-  // independent replay — the byte-identity oracle. Nonzero values trade
-  // identity for speed and are recorded in bench provenance.
-  double fork_prefix_s() const { return fork_prefix_s_; }
   // Parsed --fused=on|off (default on): whether --batch=K shards run the
   // fused engine pass (merged event-frontier bursts + shard-shared
   // kernel image / pristine digest base) or the plain round-robin
@@ -124,12 +110,9 @@ class ObsSession {
   std::string faults_spec_;
   std::string flight_path_;
   std::size_t flight_ring_ = 0;  // 0 = spill mode
-  int jobs_ = -1;                // -1 = flag absent
+  int jobs_ = -1;                // -1 = flag absent (or nonsense value)
   int batch_ = -1;               // -1 = flag absent (or nonsense value)
-  int branches_ = -1;            // -1 = flag absent (or nonsense value)
-  double fork_prefix_s_ = 0.0;   // simulated seconds; 0 = oracle mode
   bool fused_ = true;
-  bool digest_cache_ = true;
   bool metrics_stable_ = false;
   std::unique_ptr<TraceRecorder> recorder_;
   std::unique_ptr<MetricsRegistry> registry_;

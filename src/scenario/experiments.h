@@ -101,41 +101,6 @@ struct DuelReport {
   }
 };
 
-// Declarative per-branch divergence for COW fork exploration (see
-// sim/fork.h): everything a branch child may change after the shared
-// warm prefix has run. Negative / unset fields keep the baseline value.
-// The delta deliberately covers only knobs that are safe to apply at the
-// fork point — attacker probe timing, SATIN period targets, and a seed
-// perturbation of a named RNG stream — so a branch is fully described by
-// (prefix, delta), never by imperative child code.
-struct BranchDelta {
-  // Reseed the platform RNG via sim::Rng::perturb(stream, salt) before
-  // the branch's trial is built. Gated by `perturb` (perturb with
-  // salt == 0 is still a reseed, not a no-op).
-  bool perturb = false;
-  std::string perturb_stream = "branch";
-  std::uint64_t seed_salt = 0;
-  // SATIN knobs: introspection period target / direct tp override.
-  double satin_tgoal_s = -1.0;
-  double satin_tp_s = -1.0;
-  int satin_randomize_wake = -1;  // -1 keep, else 0/1
-  // Attacker knobs: prober cadence/threshold and evasion re-arm delay.
-  double prober_sleep_s = -1.0;
-  double prober_threshold_s = -1.0;
-  double evader_rearm_delay_s = -1.0;
-
-  // Applies every non-RNG knob onto the branch's DuelConfig copy.
-  void apply(DuelConfig& duel) const;
-};
-
-// Fixed-field text codec for DuelReport — the payload a forked branch
-// child streams back over its result pipe. Doubles travel as raw IEEE-754
-// bit patterns (hex), so decode(encode(r)) == r bit-for-bit and forked
-// stdout can be byte-identical to the unforked run of record. decode
-// throws std::invalid_argument on any malformed field.
-std::string encode_duel_report(const DuelReport& report);
-DuelReport decode_duel_report(const std::string& text);
-
 // One duel, decomposed so a BatchRunner can interleave it with
 // shard-mates: the constructor performs the full setup (trusted boot,
 // prober deployment and 10 ms warm-up, SATIN start, rootkit install),
@@ -197,26 +162,6 @@ struct DuelSweepConfig {
   // merged event-frontier bursts (sim/batch.h). Byte-identical either
   // way; off is the PR-9 round-robin baseline for paired A/Bs.
   bool fused = true;
-  // COW fork branching (--branches=N; see sim/fork.h). 0 = the in-process
-  // paths above; N >= 1 groups trials into consecutive branch groups of N
-  // and runs each group as fork()ed child processes. With fork_prefix_s ==
-  // 0 every child replays its trial from scratch — a pure runtime knob
-  // whose output is byte-identical to branches == 0 (CI-gated). Mutually
-  // exclusive with batch > 1.
-  int branches = 0;
-  // Simulated seconds of warm prefix shared (run once in the parent, then
-  // inherited COW by every branch child in the group). 0 = oracle mode.
-  // Nonzero trades replay identity for speed: each group shares one
-  // scenario built from its leader trial's context, and every branch
-  // diverges via `branch_delta` — results are self-consistent but NOT
-  // comparable bit-for-bit with the unforked sweep.
-  double fork_prefix_s = 0.0;
-  // Per-branch divergence in warm mode; null = perturb the platform RNG
-  // with salt = global trial index ("branch" stream).
-  std::function<BranchDelta(const sim::TrialContext&)> branch_delta;
-  // Failure-ladder knobs forwarded to sim::ForkServerOptions.
-  double fork_timeout_s = 120.0;
-  int fork_retries = 2;
 };
 
 struct DuelSweep {

@@ -71,12 +71,6 @@ Rng Rng::fork(std::string_view name) {
   return Rng(mixed);
 }
 
-void Rng::perturb(std::string_view name, std::uint64_t salt) {
-  // Same mixing discipline as fork(), with the salt spread by the golden
-  // ratio so nearby salts land on distant seeds.
-  engine_.seed(fnv1a(name) ^ next_u64() ^ (salt * 0x9E3779B97F4A7C15ull));
-}
-
 double Rng::triangular(double lo, double mode, double hi) {
   const double u = uniform();
   const double c = (mode - lo) / (hi - lo);

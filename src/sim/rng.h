@@ -93,16 +93,6 @@ class Rng {
   // fresh draw keeps substreams decorrelated and stable by name.
   Rng fork(std::string_view name);
 
-  // Deterministically reseeds THIS stream from its current state, a
-  // stream name and a salt — the BranchDelta seed-perturbation primitive.
-  // A forked branch child calls perturb on its copy-on-write copy of the
-  // platform stream, so every substream forked after the branch point
-  // diverges as a pure function of (warm-prefix state, name, salt), while
-  // its siblings (including salt-free ones) are untouched. perturb with
-  // the same (name, salt) at the same state is reproducible; it is NOT a
-  // no-op for salt == 0 (the reseed itself moves the stream).
-  void perturb(std::string_view name, std::uint64_t salt);
-
   std::uint64_t next_u64() { return engine_(); }
 
   // Uniform real in [0, 1). Identical to

@@ -81,6 +81,15 @@ TEST(CampaignSpec, UnknownTopLevelKeyNamesTheKeyWithPosition) {
   EXPECT_NE(what.find("trails"), std::string::npos);
   // The typo is on line 2.
   EXPECT_NE(what.find("spec.json:2"), std::string::npos);
+  // Keys of the retired fork backend are unknown keys now: a spec that
+  // still sets them fails at parse time instead of silently running on
+  // the worker pool.
+  for (const std::string key : {"branches", "fork_prefix"}) {
+    const std::string stale =
+        parse_error("{\"trials\": 1,\n\n \"" + key + "\": 0}");
+    EXPECT_NE(stale.find("\"" + key + "\""), std::string::npos) << stale;
+    EXPECT_NE(stale.find("spec.json:3"), std::string::npos) << stale;
+  }
 }
 
 TEST(CampaignSpec, UnknownNestedKeyIsAnError) {
@@ -122,26 +131,6 @@ TEST(CampaignSpec, OutOfRangeBatchIsAnError) {
   parse_error(R"({"trials": 1, "batch": "eight"})");
 }
 
-TEST(CampaignSpec, BranchesAndForkPrefixParse) {
-  const CampaignSpec spec = parse_campaign_spec(
-      R"({"trials": 4, "branches": 8, "fork_prefix": 0.0})", "t");
-  EXPECT_EQ(spec.branches, 8);
-  EXPECT_EQ(spec.fork_prefix, 0.0);
-  // Default: forking off, pool backend.
-  const CampaignSpec plain = parse_campaign_spec(R"({"trials": 1})", "t");
-  EXPECT_EQ(plain.branches, 0);
-  EXPECT_EQ(plain.fork_prefix, 0.0);
-}
-
-TEST(CampaignSpec, OutOfRangeBranchesIsAnError) {
-  EXPECT_NE(parse_error(R"({"trials": 1, "branches": -1})").find("branches"),
-            std::string::npos);
-  parse_error(R"({"trials": 1, "branches": 5000})");
-  parse_error(R"({"trials": 1, "branches": "four"})");
-  parse_error(R"({"trials": 1, "fork_prefix": -1.0})");
-  parse_error(R"({"trials": 1, "fork_prefix": "warm"})");
-}
-
 TEST(CampaignSpec, ContentHashCoversResultShapingFields) {
   const CampaignSpec a = parse_campaign_spec(R"({"trials": 4})", "a");
   CampaignSpec b = a;
@@ -164,8 +153,6 @@ TEST(CampaignSpec, ContentHashIgnoresRuntimeKnobs) {
   b.batch = 8;
   b.trial_timeout_s = 1.0;
   b.max_retries = 9;
-  b.branches = 8;
-  b.fork_prefix = 3.0;
   // A resume may override all of these without invalidating the journal.
   EXPECT_EQ(a.content_hash(), b.content_hash());
 }

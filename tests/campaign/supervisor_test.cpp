@@ -111,51 +111,6 @@ TEST_F(SupervisorTest, WorkerSigkillRetriesAndStatsStayIdentical) {
             format_campaign_stats(spec_, chaos_outcome, b.completed()));
 }
 
-TEST_F(SupervisorTest, ForkBackendMatchesThePoolStats) {
-  // Reference: the persistent worker pool, jobs=1.
-  CampaignOptions ref = options();
-  ref.jobs = 1;
-  const CampaignOutcome ref_outcome = run_campaign(spec_, ref);
-  ASSERT_TRUE(ref_outcome.ok) << ref_outcome.error;
-
-  // Fork backend: one COW child per trial, groups of 2.
-  CampaignOptions forked = options(".b.journal");
-  forked.jobs = 2;
-  forked.branches = 2;
-  const CampaignOutcome fork_outcome = run_campaign(spec_, forked);
-  ASSERT_TRUE(fork_outcome.ok) << fork_outcome.error;
-  EXPECT_FALSE(fork_outcome.degraded);
-  EXPECT_EQ(fork_outcome.completed, spec_.trials);
-  // One fork per trial — the evidence the fork path (not the pool) ran.
-  EXPECT_EQ(fork_outcome.workers_spawned, spec_.trials);
-
-  std::string error;
-  CampaignJournal a, b;
-  ASSERT_TRUE(a.open(ref.journal_path, spec_, &error)) << error;
-  ASSERT_TRUE(b.open(forked.journal_path, spec_, &error)) << error;
-  EXPECT_EQ(format_campaign_stats(spec_, ref_outcome, a.completed()),
-            format_campaign_stats(spec_, fork_outcome, b.completed()));
-}
-
-TEST_F(SupervisorTest, ForkBackendRefusesWarmPrefixAndChaos) {
-  CampaignSpec warm = spec_;
-  warm.branches = 2;
-  warm.fork_prefix = 5.0;  // would break trial = f(spec, index)
-  CampaignOptions o = options();
-  const CampaignOutcome prefix_outcome = run_campaign(warm, o);
-  EXPECT_FALSE(prefix_outcome.ok);
-  EXPECT_NE(prefix_outcome.error.find("fork_prefix"), std::string::npos)
-      << prefix_outcome.error;
-
-  CampaignOptions chaos = options(".b.journal");
-  chaos.branches = 2;
-  chaos.chaos_kill_trial = 1;  // pool-only chaos knob
-  const CampaignOutcome chaos_outcome = run_campaign(spec_, chaos);
-  EXPECT_FALSE(chaos_outcome.ok);
-  EXPECT_NE(chaos_outcome.error.find("chaos"), std::string::npos)
-      << chaos_outcome.error;
-}
-
 TEST_F(SupervisorTest, ExhaustedRetriesDegradeInsteadOfHanging) {
   CampaignOptions o = options();
   o.jobs = 1;

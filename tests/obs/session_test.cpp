@@ -195,6 +195,23 @@ TEST(ObsSessionTest, BatchFlagParsedAndStripped) {
   }
 }
 
+TEST(ObsSessionTest, MalformedJobsIsStrippedAndTreatedAsAbsent) {
+  {
+    Argv argv({"prog", "--jobs=3", "-x"});
+    ObsSession session(argv.argc, argv.ptrs.data());
+    EXPECT_EQ(session.jobs(/*fallback=*/5), 3);
+  }
+  // std::atoi would read these as 0 or 4, and --jobs=0 means one worker
+  // per hardware thread.
+  for (const std::string value : {"four", "4x", "-2", " 4", ""}) {
+    Argv argv({"prog", "--jobs=" + value, "-x"});
+    ObsSession session(argv.argc, argv.ptrs.data());
+    EXPECT_EQ(session.jobs(/*fallback=*/5), 5) << value;
+    ASSERT_EQ(argv.argc, 2) << value;
+    EXPECT_STREQ(argv.ptrs[1], "-x");
+  }
+}
+
 TEST(ObsSessionTest, MetricsOnlyRunWritesNoTrace) {
   const std::string path = testing::TempDir() + "session_only.metrics.json";
   Argv argv({"prog", "--metrics=" + path});

@@ -10,9 +10,8 @@
 // --flight= / --trace=):
 //   --journal=PATH    journal file     (default: SPEC + ".journal")
 //   --out=PATH        stats JSON       (default: SPEC + ".stats.json")
-//   --jobs=N          worker processes (default: spec's `jobs`)
-//   --branches=N      COW fork branch group size (default: spec's
-//                     `branches`; 0 = the persistent worker pool)
+//   --jobs=N          worker processes (default: spec's `jobs`;
+//                     0 = one per hardware thread)
 //   --shard=N         in-process lockstep shard size (default: spec's
 //                     `shard`; 0 = the persistent worker pool)
 //   --timeout=SECS    per-trial wedge timeout (default: spec's)
@@ -20,19 +19,27 @@
 //   --chaos-kill-trial=I / --chaos-hang-trial=I / --chaos-kill-after=N
 //                     deterministic crash injection for the CI audit
 //
+// A flag value that is not a whole number in range (a positive number of
+// seconds for --timeout) is a usage error.
+//
 // Exit codes: 0 = campaign complete, 2 = usage / spec / journal error,
 // 3 = campaign finished DEGRADED (some trials permanently failed; partial
 // stats were still written, marked "degraded": true).
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "campaign/journal.h"
 #include "campaign/spec.h"
 #include "campaign/supervisor.h"
 #include "obs/session.h"
+#include "sim/parallel.h"
 
 namespace {
 
@@ -44,7 +51,7 @@ using satin::campaign::CampaignSpec;
 int usage() {
   std::fprintf(stderr,
                "usage: satin_campaign run      SPEC.json [--journal=P] "
-               "[--out=P] [--jobs=N] [--branches=N] [--shard=N] "
+               "[--out=P] [--jobs=N] [--shard=N] "
                "[--timeout=S] [--max-retries=N]\n"
                "       satin_campaign resume   SPEC.json [same flags]\n"
                "       satin_campaign status   JOURNAL\n"
@@ -67,6 +74,45 @@ std::string take_flag(int& argc, char** argv, const char* key) {
   argv[out] = nullptr;
   argc = out;
   return value;
+}
+
+// Parses --<key>=<text> as a whole number in [0, max] into `out`; an
+// absent flag (empty text) leaves `out` alone. Reports and returns false
+// on anything else: std::atoi would read "four" as 0, which for --jobs
+// means one worker per hardware thread and for --max-retries no retry.
+template <typename T>
+bool parse_count(const char* key, const std::string& text, T max, T& out) {
+  if (text.empty()) return true;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 ||
+      *end != '\0' || errno != 0 ||
+      value > static_cast<unsigned long long>(max)) {
+    std::fprintf(stderr,
+                 "satin_campaign: --%s=%s: want a whole number in [0, %llu]\n",
+                 key, text.c_str(), static_cast<unsigned long long>(max));
+    return false;
+  }
+  out = static_cast<T>(value);
+  return true;
+}
+
+// Like parse_count, for a positive finite number of seconds.
+bool parse_seconds(const char* key, const std::string& text, double& out) {
+  if (text.empty()) return true;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !(value > 0.0) ||
+      !std::isfinite(value)) {
+    std::fprintf(stderr,
+                 "satin_campaign: --%s=%s: want a positive number of "
+                 "seconds\n",
+                 key, text.c_str());
+    return false;
+  }
+  out = value;
+  return true;
 }
 
 bool load_spec(const char* path, CampaignSpec& spec) {
@@ -114,35 +160,37 @@ int cmd_validate(const char* spec_path) {
   return 0;
 }
 
-// `jobs_override` and `branches_override` carry ObsSession's parsed
-// --jobs= and --branches= values (ObsSession consumes both flags before
-// the subcommand sees argv); 0 / -1 = flag absent, defer to the spec.
-int cmd_run(int argc, char** argv, bool resume, int jobs_override,
-            int branches_override) {
+// `jobs` is the --jobs= text, which main() takes before ObsSession
+// would parse it leniently.
+int cmd_run(int argc, char** argv, bool resume, const std::string& jobs) {
   CampaignOptions options;
   options.require_existing_journal = resume;
-  options.jobs = jobs_override;
-  options.branches = branches_override;
   options.journal_path = take_flag(argc, argv, "journal");
   options.stats_path = take_flag(argc, argv, "out");
   const std::string shard = take_flag(argc, argv, "shard");
-  if (!shard.empty()) options.shard = std::atoi(shard.c_str());
   const std::string timeout = take_flag(argc, argv, "timeout");
   const std::string retries = take_flag(argc, argv, "max-retries");
   const std::string kill_trial = take_flag(argc, argv, "chaos-kill-trial");
   const std::string hang_trial = take_flag(argc, argv, "chaos-hang-trial");
   const std::string kill_after = take_flag(argc, argv, "chaos-kill-after");
-  if (!timeout.empty()) options.trial_timeout_s = std::atof(timeout.c_str());
-  if (!retries.empty()) options.max_retries = std::atoi(retries.c_str());
-  if (!kill_trial.empty()) {
-    options.chaos_kill_trial = std::strtoll(kill_trial.c_str(), nullptr, 10);
+  constexpr auto kMaxIndex = std::numeric_limits<std::int64_t>::max();
+  if (!parse_count("jobs", jobs, 256, options.jobs) ||
+      !parse_count("shard", shard, 4096, options.shard) ||
+      !parse_seconds("timeout", timeout, options.trial_timeout_s) ||
+      !parse_count("max-retries", retries, 16, options.max_retries) ||
+      !parse_count("chaos-kill-trial", kill_trial, kMaxIndex,
+                   options.chaos_kill_trial) ||
+      !parse_count("chaos-hang-trial", hang_trial, kMaxIndex,
+                   options.chaos_hang_trial) ||
+      !parse_count("chaos-kill-after", kill_after,
+                   std::numeric_limits<std::uint64_t>::max(),
+                   options.chaos_supervisor_kill_after)) {
+    return 2;
   }
-  if (!hang_trial.empty()) {
-    options.chaos_hang_trial = std::strtoll(hang_trial.c_str(), nullptr, 10);
-  }
-  if (!kill_after.empty()) {
-    options.chaos_supervisor_kill_after =
-        std::strtoull(kill_after.c_str(), nullptr, 10);
+  // --jobs=0 asks for one worker per hardware thread; CampaignOptions
+  // reads 0 as "take the spec's value".
+  if (!jobs.empty() && options.jobs == 0) {
+    options.jobs = satin::sim::TrialRunner::hardware_jobs();
   }
   if (argc != 2) return usage();
   const std::string spec_path = argv[1];
@@ -186,6 +234,7 @@ int cmd_run(int argc, char** argv, bool resume, int jobs_override,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string jobs = take_flag(argc, argv, "jobs");
   // Installs --metrics= / --metrics-stable / --flight= / --trace= sinks
   // for this (supervisor) thread; the campaign merges worker artifacts
   // into them in index order before the session flushes at exit.
@@ -197,9 +246,7 @@ int main(int argc, char** argv) {
     for (int i = 1; i + 1 < argc; ++i) argv[i] = argv[i + 1];
     --argc;
     argv[argc] = nullptr;
-    return cmd_run(argc, argv, cmd == "resume",
-                   session.jobs_requested() ? session.jobs() : 0,
-                   session.branches_requested() ? session.branches() : -1);
+    return cmd_run(argc, argv, cmd == "resume", jobs);
   }
   if (cmd == "status") {
     if (argc != 3) return usage();
