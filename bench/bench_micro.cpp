@@ -1,16 +1,19 @@
 // Micro-benchmarks (google-benchmark): the real computational kernels of
 // the simulator — hash functions over kernel-sized buffers, event-queue
-// throughput, TOCTTOU scan bookkeeping, metric emission.
+// throughput, TOCTTOU scan bookkeeping, metric emission, the prober spin.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 
+#include "attack/prober.h"
 #include "bench/common.h"
 #include "hw/memory.h"
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
+#include "scenario/scenario.h"
 #include "secure/digest_cache.h"
 #include "secure/hash.h"
 #include "sim/engine.h"
@@ -439,6 +442,61 @@ void BM_MetricEmitDigest(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_MetricEmitDigest);
+
+// --- Prober spin ----------------------------------------------------------
+//
+// One simulated second per iteration of KProber-II on all six cores of an
+// otherwise idle system, with a metrics registry installed as in a
+// campaign worker. range(0) picks the path: 0 = every wake-up and
+// completion a queue event (os::CyclePath::kEventPerRound, the oracle),
+// 1 = the duty-cycle fast path. Reports host ns per probe round, the
+// share of dispatches that ran as keyed actions, and heap allocations per
+// round; CI gates the fast path at exactly 0.
+
+void BM_ProberSpin(benchmark::State& state) {
+  satin::obs::MetricsRegistry registry;
+  satin::obs::MetricsRegistry* const previous = satin::obs::metrics();
+  satin::obs::install_metrics(&registry);
+  {
+    satin::scenario::ScenarioConfig config;
+    config.os.cycle_path = state.range(0) == 0
+                               ? satin::os::CyclePath::kEventPerRound
+                               : satin::os::CyclePath::kFastForward;
+    satin::scenario::Scenario system(config);
+    satin::attack::KProber prober(system.os(), {});
+    prober.deploy();
+    // Warm-up past every lazily grown capacity: pool slabs, draw blocks,
+    // metric slots, and the timer-wheel buckets, which the ticks reach
+    // one every ~4 ms per core.
+    system.run_for(satin::sim::Duration::from_sec(20));
+    satin::sim::Engine& engine = system.engine();
+    const std::uint64_t rounds0 = prober.rounds();
+    const std::uint64_t queued0 = engine.events_fired();
+    const std::uint64_t keyed0 = engine.keyed_fired();
+    const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+    const auto start = std::chrono::steady_clock::now();
+    for (auto _ : state) {
+      system.run_for(satin::sim::Duration::from_sec(1));
+      benchmark::DoNotOptimize(prober.rounds());
+    }
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    const std::uint64_t allocs =
+        g_allocs.load(std::memory_order_relaxed) - allocs0;
+    const auto rounds = static_cast<double>(prober.rounds() - rounds0);
+    const auto keyed = static_cast<double>(engine.keyed_fired() - keyed0);
+    const double dispatches =
+        keyed + static_cast<double>(engine.events_fired() - queued0);
+    state.counters["ns_per_round"] =
+        rounds > 0 ? elapsed.count() / rounds : 0.0;
+    state.counters["keyed_share"] = dispatches > 0 ? keyed / dispatches : 0.0;
+    state.counters["allocs_per_round"] =
+        rounds > 0 ? static_cast<double>(allocs) / rounds : 0.0;
+    state.SetLabel(state.range(0) == 0 ? "event-per-round" : "fast-forward");
+  }
+  satin::obs::install_metrics(previous);
+}
+BENCHMARK(BM_ProberSpin)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_MemoryTimedWriteUnderScan(benchmark::State& state) {
   satin::hw::Memory memory(1 << 20);

@@ -64,12 +64,15 @@ for b in "${benches[@]}"; do
     exit 1
   fi
   out="$repo/PROFILE_$name.txt"
+  # Through a file, not a pipe: under pipefail, head closing the pipe
+  # early would fail the script (SIGPIPE) before the next bench.
+  gprof -b -p "$exe" "$scratch/gmon.out" >"$scratch/flat.txt"
   {
     echo "# gprof flat profile: $name $bench_args"
     echo "# build: -DSATIN_PROFILE=ON (-pg -fno-omit-frame-pointer), $build"
     echo "# NOTE: -pg instruments every function; these times rank hot"
     echo "# spots but are not comparable to the plain build's wall clock."
-    gprof -b -p "$exe" "$scratch/gmon.out" | head -n "$((top_n + 5))"
+    head -n "$((top_n + 5))" "$scratch/flat.txt"
   } >"$out"
   rm -rf "$scratch"
   echo "   wrote $out" >&2

@@ -25,38 +25,32 @@ const char* to_string(ProbeMode mode) {
 namespace {
 
 // One Reporter(+Comparer) thread pinned to a probed core; the observer
-// variant compares without reporting.
+// variant compares without reporting. Its whole life is a duty cycle:
+// compute round_cost_s, probe, sleep sleep_s. Retracted, it parks,
+// waking every 100 ms to re-check.
 class ProberThread final : public os::Thread {
  public:
   ProberThread(KProber& owner, hw::CoreId core, bool reports)
       : os::Thread(std::string("kprober/") + std::to_string(core)),
         owner_(owner),
         core_(core),
-        reports_(reports) {}
-
-  os::Action next_action(os::OsContext&) override {
-    if (!owner_.deployed()) {
-      // Retracted: park quietly (wake rarely to re-check).
-      return os::SleepForAction{sim::Duration::from_ms(100)};
-    }
-    if (work_phase_) {
-      work_phase_ = false;
-      return os::ComputeAction{
-          sim::Duration::from_sec_f(owner_.config().round_cost_s),
-          [this](os::OsContext& inner) {
-            owner_.probe_round(core_, inner.now, reports_);
-          }};
-    }
-    work_phase_ = true;
-    return os::SleepForAction{
-        sim::Duration::from_sec_f(owner_.config().sleep_s)};
+        reports_(reports) {
+    declare_cycle({sim::Duration::from_sec_f(owner_.config().round_cost_s),
+                   sim::Duration::from_sec_f(owner_.config().sleep_s),
+                   sim::Duration::from_ms(100)});
   }
 
+  os::Action next_action(os::OsContext&) override { return cycle_action(); }
+
  private:
+  void cycle_round(os::OsContext& ctx) override {
+    owner_.probe_round(core_, ctx.now, reports_);
+  }
+  bool cycle_parked() const override { return !owner_.deployed(); }
+
   KProber& owner_;
   hw::CoreId core_;
   bool reports_;
-  bool work_phase_ = true;
 };
 
 }  // namespace

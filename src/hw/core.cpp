@@ -56,6 +56,14 @@ void Core::enter_secure(sim::Time when) {
     broken_world_invariant(*this, "nested secure entry", when,
                            secure_entry_time_);
   }
+  if (notifying_exit_) {
+    // Open defect (ROADMAP): a listener notified ahead of RichOs (the
+    // GIC, delivering a pended secure-timer IRQ) re-entered the secure
+    // world before the rest heard of the exit. RichOs then sees this
+    // entry while still frozen, and the exit below un-freezes a core
+    // that is secure again.
+    SATIN_METRIC_INC("hw.secure_reentries");
+  }
   world_ = World::kSecure;
   secure_entry_time_ = when;
   ++secure_entries_;
@@ -77,7 +85,9 @@ void Core::exit_secure(sim::Time when) {
   SATIN_METRIC_OBSERVE("hw.secure_stay_s", (when - secure_entry_time_).sec());
   SATIN_LOG(kDebug) << name() << " returns to normal world at "
                     << when.to_string();
+  notifying_exit_ = true;
   for (WorldListener* l : listeners_) l->on_secure_exit(id_, when);
+  notifying_exit_ = false;
 }
 
 }  // namespace satin::hw

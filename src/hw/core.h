@@ -68,6 +68,7 @@ class Core {
   sim::Time secure_entry_time_;
   sim::Duration secure_total_;
   std::size_t secure_entries_ = 0;
+  bool notifying_exit_ = false;
   std::vector<WorldListener*> listeners_;
 };
 

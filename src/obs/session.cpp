@@ -3,9 +3,11 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "secure/digest_cache.h"
 #include "sim/engine.h"
@@ -17,6 +19,10 @@ void snapshot_engine_metrics(const sim::Engine& engine,
                              MetricsRegistry& registry, bool include_wall) {
   registry.gauge("engine.events_fired")
       .set(static_cast<double>(engine.events_fired()));
+  // Keyed actions run in place of queue events (DESIGN.md §19): with
+  // engine.events_fired, the dispatch count of the event-per-round path.
+  registry.gauge("engine.keyed_fired")
+      .set(static_cast<double>(engine.keyed_fired()));
   registry.gauge("engine.queue_high_water")
       .set(static_cast<double>(engine.queue_high_water()));
   registry.gauge("engine.pending_events")
@@ -83,6 +89,29 @@ std::string take_flag(int& argc, char** argv, const char* key) {
   return value;
 }
 
+// Reads a numeric flag's value as a whole number in [min, max]. Digits
+// only: std::atoi would read "4x" as 4 and "two" as 0, and strtoull alone
+// stops quietly at a suffix. Anything else is reported, naming the flag,
+// and read as absent (nullopt).
+std::optional<unsigned long long> whole_number(const char* flag,
+                                               const std::string& value,
+                                               unsigned long long min,
+                                               unsigned long long max) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(value[0])) != 0 &&
+      *end == '\0' && errno == 0 && n >= min && n <= max) {
+    return n;
+  }
+  const std::string at_least = min > 0 ? " >= " + std::to_string(min) : "";
+  std::fprintf(stderr,
+               "obs: %s=%s not understood (want a whole number%s), "
+               "ignoring it\n",
+               flag, value.c_str(), at_least.c_str());
+  return std::nullopt;
+}
+
 // Strips a bare "--<key>" switch from argv; true when it was present.
 bool take_bool_flag(int& argc, char** argv, const char* key) {
   const std::string flag = std::string("--") + key;
@@ -120,33 +149,26 @@ ObsSession::ObsSession(int& argc, char** argv, std::size_t trace_capacity) {
   if (!flight_spec.empty()) {
     const std::size_t comma = flight_spec.find(",ring=");
     if (comma != std::string::npos) {
-      flight_ring_ = static_cast<std::size_t>(
-          std::strtoull(flight_spec.c_str() + comma + 6, nullptr, 10));
+      if (const auto ring = whole_number(
+              "--flight ring", flight_spec.substr(comma + 6), 0, SIZE_MAX)) {
+        flight_ring_ = static_cast<std::size_t>(*ring);
+      }
       flight_spec.resize(comma);
     }
     flight_path_ = flight_spec;
   }
   const std::string jobs_value = take_flag(argc, argv, "jobs");
   if (!jobs_value.empty()) {
-    // Strict: atoi would turn "four" into 0, i.e. one worker per
-    // hardware thread.
-    char* end = nullptr;
-    errno = 0;
-    const long jobs = std::strtol(jobs_value.c_str(), &end, 10);
-    if (std::isdigit(static_cast<unsigned char>(jobs_value[0])) != 0 &&
-        *end == '\0' && errno == 0 && jobs <= INT_MAX) {
-      jobs_ = static_cast<int>(jobs);
-    } else {
-      std::fprintf(stderr,
-                   "obs: --jobs=%s not understood (want a whole number), "
-                   "ignoring it\n",
-                   jobs_value.c_str());
+    // --jobs=0 is meaningful: one worker per hardware thread.
+    if (const auto jobs = whole_number("--jobs", jobs_value, 0, INT_MAX)) {
+      jobs_ = static_cast<int>(*jobs);
     }
   }
   const std::string batch_value = take_flag(argc, argv, "batch");
   if (!batch_value.empty()) {
-    batch_ = std::atoi(batch_value.c_str());
-    if (batch_ < 1) batch_ = -1;  // nonsense value: behave as if absent
+    if (const auto batch = whole_number("--batch", batch_value, 1, INT_MAX)) {
+      batch_ = static_cast<int>(*batch);
+    }
   }
   const std::string fused_value = take_flag(argc, argv, "fused");
   if (fused_value == "off") {

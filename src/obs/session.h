@@ -30,8 +30,9 @@ class Engine;
 
 namespace satin::obs {
 
-// Records engine self-metrics (events fired, queue depth high-water mark,
-// cancelled-event ratio, wall time per simulated second) as gauges.
+// Records engine self-metrics (queue events and keyed actions fired, queue
+// depth high-water mark, cancelled-event ratio, wall time per simulated
+// second) as gauges.
 // Pass include_wall=false inside parallel trials: host wall time differs
 // run to run, and trial metrics must stay bit-identical across --jobs.
 void snapshot_engine_metrics(const sim::Engine& engine,
@@ -49,7 +50,8 @@ class ObsSession {
   // fault::install_from_spec() to arm it. --jobs is likewise only parsed
   // and stored, for sim::TrialRunner: J worker threads, 0 = one per
   // hardware thread, absent = the caller's fallback (typically 1). A
-  // value that is not a whole number is reported and treated as absent.
+  // --jobs, --batch or ring= value that is not a whole number in range
+  // is reported, naming the flag, and treated as absent.
   // --digest-cache=on|off (default on) sets the process-wide default for
   // the secure world's incremental digest cache; off runs the cache in
   // shadow mode — bit-identical stdout/metrics/traces/digests, full
@@ -75,10 +77,10 @@ class ObsSession {
   // per hardware thread when it was --jobs=0.
   int jobs(int fallback = 1) const;
   // Parsed --batch value (lockstep shard size for sim::BatchRunner);
-  // `fallback` when the flag was absent or below 1. Like --jobs, this is
-  // only stripped and stored — a pure runtime knob whose output is
-  // byte-identical for every value (CI-gated), so it never belongs in a
-  // result-shaping config hash.
+  // `fallback` when the flag was absent or not a whole number >= 1. Like
+  // --jobs, this is only stripped and stored — a pure runtime knob whose
+  // output is byte-identical for every value (CI-gated), so it never
+  // belongs in a result-shaping config hash.
   int batch(int fallback = 1) const { return batch_ >= 1 ? batch_ : fallback; }
   // Parsed --fused=on|off (default on): whether --batch=K shards run the
   // fused engine pass (merged event-frontier bursts + shard-shared
@@ -91,7 +93,8 @@ class ObsSession {
   const std::string& metrics_path() const { return metrics_path_; }
   const std::string& faults_spec() const { return faults_spec_; }
   const std::string& flight_path() const { return flight_path_; }
-  // Ring capacity parsed from --flight=path,ring=N; 0 = spill mode.
+  // Ring capacity parsed from --flight=path,ring=N; 0 = spill mode, also
+  // when N is not a whole number.
   std::size_t flight_ring() const { return flight_ring_; }
 
   TraceRecorder* recorder() { return recorder_.get(); }

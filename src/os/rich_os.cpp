@@ -46,11 +46,18 @@ RichOs::RichOs(hw::Platform& platform,
   if (config.hz < 100 || config.hz > 1000) {
     throw std::invalid_argument("OsConfig: HZ outside the Linux 100..1000 range");
   }
+  for (int c = 0; c < platform.num_cores(); ++c) {
+    cpu(c).keyed_slot = platform.engine().add_keyed_slot(
+        this, static_cast<std::uint32_t>(c));
+  }
 }
 
 RichOs::~RichOs() {
   for (int c = 0; c < platform_.num_cores(); ++c) {
     platform_.core(c).remove_world_listener(this);
+    if (cpu(c).keyed != CpuState::Keyed::kNone) {
+      platform_.engine().disarm(cpu(c).keyed_slot);
+    }
   }
 }
 
@@ -129,6 +136,7 @@ Thread* RichOs::running_thread(hw::CoreId core) const {
 
 void RichOs::enqueue_thread(Thread* thread) {
   const hw::CoreId core = choose_core(*thread);
+  hand_back(core);
   thread->current_core_ = core;
   thread->state_ = ThreadState::kRunnable;
   thread->ran_in_slice_ = sim::Duration::zero();
@@ -251,24 +259,13 @@ void RichOs::begin_next_action(hw::CoreId core) {
   st.last_thread = t;
 
   if (auto* sleep_for = std::get_if<SleepForAction>(&action)) {
-    const sim::Time wake = engine.now() + sleep_for->duration;
-    t->state_ = ThreadState::kSleeping;
-    st.current = nullptr;
-    engine.schedule_at(wake, [this, t] {
-      if (t->state_ == ThreadState::kSleeping) enqueue_thread(t);
-    });
-    dispatch(core);
+    sleep_thread(core, t, engine.now() + sleep_for->duration);
     return;
   }
   if (auto* sleep_until = std::get_if<SleepUntilAction>(&action)) {
-    const sim::Time wake =
-        sleep_until->until > engine.now() ? sleep_until->until : engine.now();
-    t->state_ = ThreadState::kSleeping;
-    st.current = nullptr;
-    engine.schedule_at(wake, [this, t] {
-      if (t->state_ == ThreadState::kSleeping) enqueue_thread(t);
-    });
-    dispatch(core);
+    sleep_thread(core, t,
+                 sleep_until->until > engine.now() ? sleep_until->until
+                                                   : engine.now());
     return;
   }
   if (std::get_if<YieldAction>(&action) != nullptr) {
@@ -284,6 +281,26 @@ void RichOs::begin_next_action(hw::CoreId core) {
   t->state_ = ThreadState::kExited;
   st.current = nullptr;
   dispatch(core);
+}
+
+void RichOs::sleep_thread(hw::CoreId core, Thread* t, sim::Time wake) {
+  CpuState& st = cpu(core);
+  t->state_ = ThreadState::kSleeping;
+  st.current = nullptr;
+  if (can_fast_forward(core, *t)) {
+    // A clean sleep: the core (re)joins the fast path. With nothing
+    // queued, dispatch() would only mark the core idle.
+    st.sleeper = t;
+    arm_keyed(core, CpuState::Keyed::kWake, wake);
+    mark_idle(core, true);
+    return;
+  }
+  platform_.engine().schedule_at(wake, [this, t] { wake_thread(t); });
+  dispatch(core);
+}
+
+void RichOs::wake_thread(Thread* t) {
+  if (t->state_ == ThreadState::kSleeping) enqueue_thread(t);
 }
 
 void RichOs::start_compute(hw::CoreId core, sim::Duration total) {
@@ -315,6 +332,7 @@ void RichOs::finish_compute(hw::CoreId core) {
 }
 
 void RichOs::preempt_current(hw::CoreId core) {
+  hand_back(core);
   CpuState& st = cpu(core);
   Thread* t = st.current;
   if (t == nullptr) {
@@ -407,6 +425,7 @@ void RichOs::on_tick(hw::CoreId core) {
 // Secure-world freeze (the availability side channel)
 
 void RichOs::on_secure_entry(hw::CoreId core, sim::Time) {
+  hand_back(core);
   CpuState& st = cpu(core);
   st.frozen = true;
   if (st.current != nullptr) {
@@ -427,6 +446,7 @@ void RichOs::on_secure_entry(hw::CoreId core, sim::Time) {
 }
 
 void RichOs::on_secure_exit(hw::CoreId core, sim::Time) {
+  hand_back(core);
   CpuState& st = cpu(core);
   st.frozen = false;
   if (st.current != nullptr) {
@@ -443,6 +463,123 @@ void RichOs::on_secure_exit(hw::CoreId core, sim::Time) {
   }
   const bool busy = st.current != nullptr || !st.queue.empty();
   if ((busy || !config_.nohz_idle) && !st.tick_active) program_tick(core);
+}
+
+// ---------------------------------------------------------------------------
+// Duty-cycle fast path (DESIGN.md §19)
+//
+// A core whose only thread declares a duty cycle runs the cycle's wake-ups
+// and completions as keyed engine actions: each carries the (when, seq)
+// key the event path's schedule_at() would have given its event, and does
+// exactly that event's state updates in place. Any event-path entry that
+// touches the core hands the pending action back to the queue under the
+// same key first; the core rejoins at its next clean sleep.
+
+bool RichOs::can_fast_forward(hw::CoreId core, const Thread& t) const {
+  const CpuState& st = cpu(core);
+  return config_.cycle_path == CyclePath::kFastForward &&
+         t.cycle_.has_value() && t.pinned_ == core && st.queue.empty() &&
+         !st.frozen;
+}
+
+void RichOs::arm_keyed(hw::CoreId core, CpuState::Keyed kind,
+                       sim::Time when) {
+  CpuState& st = cpu(core);
+  sim::Engine& engine = platform_.engine();
+  st.keyed = kind;
+  engine.arm(st.keyed_slot, {when, engine.reserve_seq()});
+}
+
+void RichOs::hand_back(hw::CoreId core) {
+  CpuState& st = cpu(core);
+  if (st.keyed == CpuState::Keyed::kNone) return;
+  sim::Engine& engine = platform_.engine();
+  const sim::Engine::Key key = engine.disarm(st.keyed_slot);
+  if (st.keyed == CpuState::Keyed::kWake) {
+    Thread* t = st.sleeper;
+    st.sleeper = nullptr;
+    engine.schedule_keyed(key, [this, t] { wake_thread(t); });
+  } else {
+    // What begin_next_action would have left for finish_compute.
+    st.current->pending_on_complete_ = st.current->cycle_round_callback();
+    st.completion =
+        engine.schedule_keyed(key, [this, core] { finish_compute(core); });
+  }
+  st.keyed = CpuState::Keyed::kNone;
+}
+
+void RichOs::run_keyed_action(std::uint32_t tag) {
+  const auto core = static_cast<hw::CoreId>(tag);
+  if (cpu(core).keyed == CpuState::Keyed::kWake) {
+    fast_wake(core);
+  } else {
+    fast_complete(core);
+  }
+}
+
+void RichOs::fast_wake(hw::CoreId core) {
+  CpuState& st = cpu(core);
+  Thread* t = st.sleeper;
+  st.sleeper = nullptr;
+  st.keyed = CpuState::Keyed::kNone;
+  if (!can_fast_forward(core, *t)) {
+    // Re-pinned while asleep: the event path's wake-up, at the same
+    // position, places it.
+    wake_thread(t);
+    return;
+  }
+  // enqueue_thread() then dispatch() on an idle core: the thread would be
+  // queued and popped at once. A waking CFS thread's vruntime clamp has
+  // no reference here, with nothing queued or running.
+  t->current_core_ = core;
+  t->ran_in_slice_ = sim::Duration::zero();
+  t->enqueue_seq_ = enqueue_counter_++;
+  mark_idle(core, false);
+  if (!st.tick_active) program_tick(core);
+  t->state_ = ThreadState::kRunning;
+  st.current = t;
+  st.slice_start = platform_.engine().now();
+  begin_cycle_step(core, t);
+}
+
+void RichOs::fast_complete(hw::CoreId core) {
+  CpuState& st = cpu(core);
+  st.keyed = CpuState::Keyed::kNone;
+  Thread* t = st.current;
+  if (t == nullptr) {
+    broken_invariant("compute completion fired with no running thread", core,
+                     "last thread", st.last_thread, platform_.engine().now());
+  }
+  // finish_compute() with the round called directly.
+  account_current(core);
+  t->remaining_compute_ = sim::Duration::zero();
+  OsContext ctx{*this, platform_.engine().now(), core};
+  t->cycle_round(ctx);
+  if (st.current == t) begin_cycle_step(core, t);
+}
+
+// begin_next_action() for a cycle thread with nothing left to resume,
+// taking the step straight from the declaration cycle_action() reads.
+void RichOs::begin_cycle_step(hw::CoreId core, Thread* t) {
+  CpuState& st = cpu(core);
+  const sim::Time now = platform_.engine().now();
+  const Thread::CycleStep step = t->next_cycle_step();
+  if (!step.compute) {
+    st.last_thread = t;
+    sleep_thread(core, t, now + step.duration);
+    return;
+  }
+  sim::Duration total = step.duration;
+  t->remaining_compute_ = total;
+  if (st.last_thread != t) {
+    total += config_.context_switch_cost;
+    SATIN_METRIC_INC("os.context_switches");
+  }
+  st.last_thread = t;
+  // Only fast_wake() reaches a compute step (a completion is always
+  // followed by a sleep), on a core it has just found eligible.
+  st.action_end = now + total;
+  arm_keyed(core, CpuState::Keyed::kCompletion, st.action_end);
 }
 
 }  // namespace satin::os

@@ -19,6 +19,17 @@
 
 namespace satin::os {
 
+// How a core whose only thread declares a duty cycle advances (DESIGN.md
+// §19). Bit-identical by contract; only the engine.* self-metrics differ.
+enum class CyclePath {
+  // Each wake-up and completion is a keyed engine action, run in place
+  // without a queue event, a scheduler pass or an Action; the default.
+  kFastForward,
+  // Each is a queue event through the full scheduler; the oracle that
+  // tests and bench_micro compare against.
+  kEventPerRound,
+};
+
 struct OsConfig {
   // Scheduling-clock tick frequency; lsk-4.4 arm64 defconfig uses 250
   // (§III-C1: "100 <= HZ <= 1000 for most versions of the Linux kernel").
@@ -37,9 +48,12 @@ struct OsConfig {
   // running same-priority thread and can wait out its slice — the
   // §III-B2 instability that motivates KProber-II's RT scheduling.
   double sleeper_bonus_cap_s = 0.5e-3;
+  // Never part of result identity: set only by tests and bench_micro.
+  CyclePath cycle_path = CyclePath::kFastForward;
 };
 
-class RichOs final : public hw::WorldListener {
+class RichOs final : public hw::WorldListener,
+                     private sim::KeyedActionOwner {
  public:
   RichOs(hw::Platform& platform, KernelImage image, OsConfig config = {});
   // Shared-image form: several trials in a lockstep shard reference one
@@ -103,6 +117,13 @@ class RichOs final : public hw::WorldListener {
     sim::Time idle_since;
     bool idle_accounting = false;
     sim::Duration idle_total;
+    // Duty-cycle fast path: the engine slot that carries this core's
+    // pending wake-up (of `sleeper`) or completion (of `current`) while
+    // no queue event stands for it.
+    std::uint32_t keyed_slot = 0;
+    enum class Keyed : std::uint8_t { kNone, kWake, kCompletion };
+    Keyed keyed = Keyed::kNone;
+    Thread* sleeper = nullptr;
   };
 
   CpuState& cpu(hw::CoreId core) { return cpus_.at(static_cast<std::size_t>(core)); }
@@ -122,6 +143,19 @@ class RichOs final : public hw::WorldListener {
   void mark_idle(hw::CoreId core, bool idle);
   void on_tick(hw::CoreId core);
   void program_tick(hw::CoreId core);
+  void sleep_thread(hw::CoreId core, Thread* thread, sim::Time wake);
+  void wake_thread(Thread* thread);
+
+  // Duty-cycle fast path (DESIGN.md §19).
+  bool can_fast_forward(hw::CoreId core, const Thread& thread) const;
+  void arm_keyed(hw::CoreId core, CpuState::Keyed kind, sim::Time when);
+  // Hands the core's keyed action, if any, back to the queue under its
+  // key; every event-path entry that touches the core calls this first.
+  void hand_back(hw::CoreId core);
+  void run_keyed_action(std::uint32_t core) override;
+  void fast_wake(hw::CoreId core);
+  void fast_complete(hw::CoreId core);
+  void begin_cycle_step(hw::CoreId core, Thread* thread);
 
   hw::Platform& platform_;
   std::shared_ptr<const KernelImage> image_;

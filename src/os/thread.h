@@ -51,6 +51,16 @@ struct ExitAction {};
 using Action = std::variant<ComputeAction, SleepForAction, SleepUntilAction,
                             YieldAction, ExitAction>;
 
+// A fixed duty cycle a thread may declare (DESIGN.md §19): compute for
+// `compute`, run the thread's round, sleep for `sleep`, and repeat. While
+// the thread reports itself parked, each wake-up sleeps `park` instead and
+// computes nothing.
+struct DutyCycle {
+  sim::Duration compute;
+  sim::Duration sleep;
+  sim::Duration park;
+};
+
 class Thread {
  public:
   explicit Thread(std::string name) : name_(std::move(name)) {}
@@ -86,9 +96,48 @@ class Thread {
   // Total CPU time actually executed (drives Fig. 7 accounting).
   sim::Duration cpu_time() const { return cpu_time_; }
 
+ protected:
+  // Declares that this thread's whole life is `cycle`; its next_action()
+  // must then return cycle_action(). Both that and RichOs's fast path
+  // derive every step from this one declaration and the two hooks below,
+  // so a core can run the cycle without an engine event per step and
+  // still agree with the event path.
+  void declare_cycle(DutyCycle cycle) {
+    if (cycle.compute <= sim::Duration::zero()) {
+      cycle.compute = sim::Duration::from_ps(1);
+    }
+    cycle_ = cycle;
+  }
+  Action cycle_action() {
+    const CycleStep step = next_cycle_step();
+    if (step.compute) {
+      return ComputeAction{step.duration, cycle_round_callback()};
+    }
+    return SleepForAction{step.duration};
+  }
+  // Runs when a compute of the cycle completes.
+  virtual void cycle_round(OsContext&) {}
+  virtual bool cycle_parked() const { return false; }
+
  private:
   friend class RichOs;
   friend class RunQueue;
+
+  struct CycleStep {
+    bool compute;
+    sim::Duration duration;
+  };
+  CycleStep next_cycle_step() {
+    if (cycle_parked()) return {false, cycle_->park};
+    const bool compute = cycle_computes_next_;
+    cycle_computes_next_ = !compute;
+    return compute ? CycleStep{true, cycle_->compute}
+                   : CycleStep{false, cycle_->sleep};
+  }
+  std::function<void(OsContext&)> cycle_round_callback() {
+    return [this](OsContext& ctx) { cycle_round(ctx); };
+  }
+
   std::string name_;
   int tid_ = -1;
   ThreadState state_ = ThreadState::kNew;
@@ -105,6 +154,9 @@ class Thread {
   sim::Duration ran_in_slice_;       // time on CPU since last enqueue
   sim::Duration cpu_time_;
   std::uint64_t enqueue_seq_ = 0;    // FIFO order within RT priority
+
+  std::optional<DutyCycle> cycle_;
+  bool cycle_computes_next_ = true;
 };
 
 // Thread defined by a lambda; handy for tests and simple workloads.

@@ -47,6 +47,13 @@ class WallTimer {
       std::to_string(cursor) + ", t=" + now.to_string() + ")");
 }
 
+[[noreturn, gnu::cold, gnu::noinline]] void broken_keyed_use(
+    const char* what, std::uint32_t slot, Time now) {
+  throw std::logic_error(std::string("Engine: keyed slot ") +
+                         std::to_string(slot) + " " + what + " (t=" +
+                         now.to_string() + ")");
+}
+
 }  // namespace
 
 bool EventHandle::pending() const {
@@ -101,6 +108,18 @@ EventHandle Engine::schedule_at(Time when, Callback cb) {
   if (when < now_) {
     throw std::logic_error("Engine::schedule_at: time in the past");
   }
+  return enqueue(when, next_seq_++, std::move(cb));
+}
+
+EventHandle Engine::schedule_keyed(Key key, Callback cb) {
+  if (key.when < now_ || key.seq >= next_seq_) {
+    throw std::logic_error(
+        "Engine::schedule_keyed: key in the past or never reserved");
+  }
+  return enqueue(key.when, key.seq, std::move(cb));
+}
+
+EventHandle Engine::enqueue(Time when, std::uint64_t seq, Callback cb) {
   // Opportunistic cursor resync: with no bucketed entries the wheel window
   // can slide up to the clock for free, so near-future events keep landing
   // in buckets even after a long quiet jump (run_until over idle time).
@@ -117,7 +136,7 @@ EventHandle Engine::schedule_at(Time when, Callback cb) {
   } else {
     ++cb_inline_;
   }
-  const QueueEntry entry{when, next_seq_++, index};
+  const QueueEntry entry{when, seq, index};
   const std::uint64_t b = bucket_of(when);
   if (b < cursor_) {
     // The bucket was already loaded (a callback scheduling into the
@@ -224,8 +243,69 @@ void Engine::settle_tops(Time limit) {
   }
 }
 
+std::uint32_t Engine::add_keyed_slot(KeyedActionOwner* owner,
+                                     std::uint32_t tag) {
+  keyed_.push_back(KeyedSlot{owner, tag, false});
+  armed_.reserve(keyed_.size());
+  return static_cast<std::uint32_t>(keyed_.size() - 1);
+}
+
+void Engine::arm(std::uint32_t slot, Key key) {
+  KeyedSlot& s = keyed_.at(slot);
+  if (s.armed) broken_keyed_use("armed twice", slot, now_);
+  if (key.when < now_ || key.seq >= next_seq_) {
+    broken_keyed_use("armed with a past or unreserved key", slot, now_);
+  }
+  s.armed = true;
+  const QueueEntry entry{key.when, key.seq, slot};
+  auto at = armed_.end();
+  while (at != armed_.begin() && *(at - 1) > entry) --at;
+  armed_.insert(at, entry);
+}
+
+Engine::Key Engine::disarm(std::uint32_t slot) {
+  KeyedSlot& s = keyed_.at(slot);
+  if (!s.armed) broken_keyed_use("disarmed while idle", slot, now_);
+  s.armed = false;
+  const auto at = std::find_if(
+      armed_.begin(), armed_.end(),
+      [slot](const QueueEntry& e) { return e.index == slot; });
+  const Key key{at->when, at->seq};
+  armed_.erase(at);
+  return key;
+}
+
 bool Engine::fire_next(Time limit) {
+  // One predictable branch when nothing is armed.
+  if (!armed_.empty()) return fire_merged(limit);
   settle_tops(limit);
+  return fire_queued(limit);
+}
+
+bool Engine::fire_merged(Time limit) {
+  const QueueEntry next = armed_.front();
+  // A bucket that starts after the armed key cannot hold an earlier
+  // event, so settling stops there.
+  settle_tops(std::min(limit, next.when));
+  if ((!drain_.empty() && next > drain_.front()) ||
+      (!heap_.empty() && next > heap_.front())) {
+    return fire_queued(limit);
+  }
+  if (next.when > limit) return false;
+  armed_.erase(armed_.begin());
+  KeyedSlot& slot = keyed_[next.index];
+  slot.armed = false;
+  now_ = next.when;
+  ++keyed_fired_;
+  // The same commit the queued event would have made; the per-dispatch
+  // trace span and queue-depth sample are queue-only.
+  SATIN_FLIGHT_RECORD(obs::FlightKind::kDispatch, now_, next.seq,
+                      obs::kGlobalTrack, 0);
+  slot.owner->run_keyed_action(slot.tag);
+  return true;
+}
+
+bool Engine::fire_queued(Time limit) {
   const bool have_drain = !drain_.empty();
   const bool have_heap = !heap_.empty();
   if (!have_drain && !have_heap) return false;
@@ -266,9 +346,11 @@ bool Engine::fire_next(Time limit) {
 }
 
 Time Engine::next_event_time(Time limit) {
-  settle_tops(limit);
-  Time best = Time::max();
-  if (!drain_.empty()) best = drain_.front().when;
+  Time best = armed_.empty() ? Time::max() : armed_.front().when;
+  settle_tops(std::min(limit, best));
+  if (!drain_.empty() && drain_.front().when < best) {
+    best = drain_.front().when;
+  }
   if (!heap_.empty() && heap_.front().when < best) best = heap_.front().when;
   return best;
 }

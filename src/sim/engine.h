@@ -66,6 +66,16 @@ class EventHandle {
   std::uint32_t generation_ = 0;
 };
 
+// Owner of keyed slots (Engine::add_keyed_slot): runs the action armed on
+// one of its slots when dispatch reaches that action's key.
+class KeyedActionOwner {
+ public:
+  virtual void run_keyed_action(std::uint32_t tag) = 0;
+
+ protected:
+  ~KeyedActionOwner() = default;
+};
+
 class Engine {
  public:
   // Construction installs this engine as the log-time source (the newest
@@ -82,30 +92,33 @@ class Engine {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
-  // Runs the single next event, if any. Returns false when the queue is
-  // empty (after skipping cancelled entries). Manual single-stepping is
-  // never interrupted: any pending stop request is cleared first, exactly
-  // like run_until/run_all do on entry, so request_stop() only ever
-  // affects the run_* call it was issued inside of.
+  // Runs the single next event or keyed action, if any. Returns false when
+  // there is none (after skipping cancelled entries). Manual
+  // single-stepping is never interrupted: any pending stop request is
+  // cleared first, exactly like run_until/run_all do on entry, so
+  // request_stop() only ever affects the run_* call it was issued inside
+  // of.
   bool step();
 
   // Runs every event with timestamp <= deadline, then advances the clock to
-  // the deadline. Returns the number of events fired.
+  // the deadline. Returns the number of events fired, keyed actions
+  // included.
   std::size_t run_until(Time deadline);
   std::size_t run_for(Duration d) { return run_until(now_ + d); }
 
   // Drains the queue completely (use only for bounded simulations).
   std::size_t run_all();
 
-  // Timestamp of the next live event, or Time::max() when the queue holds
-  // nothing at or before `limit`. Settles the queue tops exactly as far as
-  // a run_until(limit) would before its first dispatch — cancelled-top
-  // pops and bucket loads this performs are ones that run would perform —
-  // so peeking at the current run deadline is observationally inert. The
-  // fused lockstep pass (sim/parallel.cpp) uses this to order K trials'
-  // engines by their merged event frontier. Do not pass Time::max() while
-  // running to a nearer deadline: that would load far buckets early and
-  // perturb the wheel-vs-heap admission counters against the unsharded run.
+  // Timestamp of the next live event or armed keyed action, or Time::max()
+  // when there is none at or before `limit`. Settles the queue tops
+  // exactly as far as a run_until(limit) would before its first dispatch —
+  // cancelled-top pops and bucket loads this performs are ones that run
+  // would perform — so peeking at the current run deadline is
+  // observationally inert. The fused lockstep pass (sim/parallel.cpp)
+  // uses this to order K trials' engines by their merged event frontier.
+  // Do not pass Time::max() while running to a nearer deadline: that
+  // would load far buckets early and perturb the wheel-vs-heap admission
+  // counters against the unsharded run.
   Time next_event_time(Time limit);
 
   // Callable from inside a callback: makes the enclosing run_* return once
@@ -114,8 +127,39 @@ class Engine {
   void request_stop() { stop_requested_ = true; }
   bool stop_requested() const { return stop_requested_; }
 
+  // --- Keyed actions (DESIGN.md §19) --------------------------------------
+  // A keyed action runs at a reserved (when, seq) dispatch position with
+  // no queue entry, pool state or callback. Its owner takes the seq from
+  // reserve_seq() exactly where a schedule_at() would have taken one, and
+  // arms one of its slots with the key. Dispatch merges armed slots into
+  // the queue by full (when, seq) order, so the action runs where the
+  // event it stands for would have: among queue events, other slots and
+  // same-picosecond ties alike. step(), run_until's limit, request_stop()
+  // and next_event_time() treat armed actions like queue events. A
+  // disarmed key can go back to the queue through schedule_keyed().
+  // RichOs runs duty-cycle threads this way.
+  struct Key {
+    Time when;
+    std::uint64_t seq = 0;
+  };
+  // Registers a slot whose actions call owner->run_keyed_action(tag).
+  std::uint32_t add_keyed_slot(KeyedActionOwner* owner, std::uint32_t tag);
+  // Consumes and returns the seq the next schedule_at() would take.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+  // Arms an idle slot; the key must be reserved and not in the past.
+  void arm(std::uint32_t slot, Key key);
+  // Disarms an armed slot and returns its key.
+  Key disarm(std::uint32_t slot);
+  // schedule_at() under a key reserved earlier: the event takes exactly
+  // the dispatch position the key names.
+  EventHandle schedule_keyed(Key key, Callback cb);
+
+  // Queued events only; armed keyed actions are not counted.
   std::size_t pending_count() const { return pool_->pending(); }
+  // Queue dispatches. keyed_fired() counts keyed actions run; the two
+  // sum to the dispatch count of a run without keyed actions.
   std::uint64_t events_fired() const { return fired_; }
+  std::uint64_t keyed_fired() const { return keyed_fired_; }
 
   // --- Engine self-metrics (see obs/session.h) ---------------------------
   // Deepest the event queue has ever been (including cancelled entries).
@@ -189,7 +233,19 @@ class Engine {
     return static_cast<std::uint64_t>(t.ps()) >> kBucketShift;
   }
 
+  struct KeyedSlot {
+    KeyedActionOwner* owner = nullptr;
+    std::uint32_t tag = 0;
+    bool armed = false;
+  };
+
+  EventHandle enqueue(Time when, std::uint64_t seq, Callback cb);
   bool fire_next(Time limit);
+  // Pops and runs the queue top if it is due by `limit`; the tops must be
+  // settled.
+  bool fire_queued(Time limit);
+  // fire_next() with at least one slot armed.
+  bool fire_merged(Time limit);
   // Pops cancelled entries off the drain/heap tops and loads every wheel
   // bucket that could contain the next event, until both tops are live
   // and provably minimal.
@@ -222,6 +278,15 @@ class Engine {
   std::uint64_t cb_fallback_ = 0;
   std::uint64_t wheel_scheduled_ = 0;
   std::uint64_t heap_scheduled_ = 0;
+
+  // Keyed slots, a handful per engine (one per core of a RichOs). The
+  // armed ones sit in armed_ as (when, seq, slot), ascending, so the
+  // earliest is the front; a re-armed action is usually the latest and
+  // lands at the back. Capacity is reserved per slot, so arming never
+  // allocates.
+  std::vector<KeyedSlot> keyed_;
+  std::vector<QueueEntry> armed_;
+  std::uint64_t keyed_fired_ = 0;
 
 #if SATIN_OBS_ENABLED
   obs::QuantileDigest queue_depth_digest_;

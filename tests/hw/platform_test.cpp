@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/metrics.h"
+
 namespace satin::hw {
 
 struct CoreTestPeer {
@@ -285,6 +287,37 @@ TEST(Gic, SecureIrqWhileSecurePendsUntilExit) {
   EXPECT_EQ(sessions.size(), 1u);  // pended, not re-entered
   p.engine().run_until(sim::Time::from_ms(20));
   EXPECT_EQ(sessions.size(), 2u);  // served after the exit
+}
+
+TEST(Gic, PendedSecureIrqReentersDuringTheExitNotification) {
+  // The open re-entry defect (ROADMAP): the GIC hears of an exit before
+  // the listeners registered after it and delivers the pended secure
+  // timer IRQ at once, so the core re-enters inside exit_secure.
+  obs::MetricsRegistry registry;
+  obs::MetricsRegistry* const previous = obs::metrics();
+  obs::install_metrics(&registry);
+  Platform p;
+  p.monitor().set_secure_timer_payload(
+      [&](std::shared_ptr<SecureSession> session) {
+        p.engine().schedule_after(sim::Duration::from_ms(2),
+                                  [session] { session->complete(); });
+      });
+  p.timer().program_secure(0, sim::Time::from_ms(1));
+  p.engine().run_until(sim::Time::from_ms(1) + sim::Duration::from_us(100));
+  p.timer().program_secure(0, sim::Time::from_ms(2));  // pends
+  p.engine().run_until(sim::Time::from_ms(20));
+  // A later stay entered from the normal world is no re-entry.
+  p.timer().program_secure(0, sim::Time::from_ms(30));
+  p.engine().run_until(sim::Time::from_ms(40));
+  obs::install_metrics(previous);
+  EXPECT_EQ(p.core(0).secure_entries(), 3u);
+  const obs::Counter* reentries = registry.find_counter("hw.secure_reentries");
+#if SATIN_OBS_ENABLED
+  ASSERT_NE(reentries, nullptr);
+  EXPECT_EQ(reentries->value(), 1u);
+#else
+  EXPECT_EQ(reentries, nullptr);
+#endif
 }
 
 TEST(Gic, PendingCollapsesRepeatedRaises) {

@@ -129,6 +129,21 @@ TEST(ObsSessionTest, FlightRingSpecParsed) {
 #endif
   session.flush();
   std::remove(path.c_str());
+  // strtoull alone would stop at the suffix and keep a 1-record ring.
+  for (const std::string value : {"1k", "-5", "x"}) {
+    Argv bad({"prog", "--flight=" + path + ",ring=" + value});
+    testing::internal::CaptureStderr();
+    ObsSession spill(bad.argc, bad.ptrs.data());
+    const std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(spill.flight_ring(), 0u) << value;
+    EXPECT_NE(warning.find("ring=" + value), std::string::npos) << warning;
+#if SATIN_OBS_ENABLED
+    EXPECT_EQ(spill.flight_path(), path);
+    EXPECT_FALSE(spill.flight_recorder()->ring_mode()) << value;
+#endif
+    spill.flush();
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ObsSessionTest, MetricsStableDropsVolatileGauges) {
@@ -192,6 +207,19 @@ TEST(ObsSessionTest, BatchFlagParsedAndStripped) {
     ObsSession session(argv.argc, argv.ptrs.data());
     EXPECT_FALSE(session.batch_requested());
     EXPECT_EQ(session.batch(7), 7);
+  }
+  // Malformed values are reported, naming the flag: std::atoi would read
+  // "4x" as 4 and "two" silently as absent.
+  for (const std::string value : {"4x", "two", "0", " 2"}) {
+    Argv argv({"prog", "--batch=" + value, "-x"});
+    testing::internal::CaptureStderr();
+    ObsSession session(argv.argc, argv.ptrs.data());
+    const std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(session.batch_requested()) << value;
+    EXPECT_EQ(session.batch(7), 7) << value;
+    EXPECT_NE(warning.find("--batch=" + value), std::string::npos) << warning;
+    ASSERT_EQ(argv.argc, 2) << value;
+    EXPECT_STREQ(argv.ptrs[1], "-x");
   }
 }
 

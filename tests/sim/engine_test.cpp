@@ -429,5 +429,98 @@ TEST(Engine, HandleOutlivingEngineIsSafe) {
   EXPECT_FALSE(survivor.pending());
 }
 
+// --- Keyed actions --------------------------------------------------------
+
+// Records which tags ran, in order; can request a stop from inside.
+struct KeyedLog : KeyedActionOwner {
+  explicit KeyedLog(Engine& e) : engine(e) {}
+  void run_keyed_action(std::uint32_t tag) override {
+    order.push_back(static_cast<int>(tag));
+    if (stop_inside) engine.request_stop();
+  }
+  Engine& engine;
+  std::vector<int> order;
+  bool stop_inside = false;
+};
+
+TEST(EngineKeyed, ArmedActionsMergeWithQueueEventsInWhenSeqOrder) {
+  Engine engine;
+  KeyedLog log(engine);
+  const std::uint32_t a = engine.add_keyed_slot(&log, 100);
+  const std::uint32_t b = engine.add_keyed_slot(&log, 101);
+  // Seqs interleave: queue 0, keyed b, queue 1, keyed a, all at one
+  // picosecond, plus an earlier queue event scheduled last.
+  const Time t = Time::from_us(50);
+  engine.schedule_at(t, [&] { log.order.push_back(0); });
+  const std::uint64_t seq_b = engine.reserve_seq();
+  engine.schedule_at(t, [&] { log.order.push_back(1); });
+  const std::uint64_t seq_a = engine.reserve_seq();
+  engine.arm(a, {t, seq_a});
+  engine.arm(b, {t, seq_b});
+  engine.schedule_at(Time::from_us(10), [&] { log.order.push_back(-1); });
+  EXPECT_EQ(engine.next_event_time(Time::max()), Time::from_us(10));
+  EXPECT_EQ(engine.run_all(), 5u);
+  EXPECT_EQ(log.order, (std::vector<int>{-1, 0, 101, 1, 100}));
+  EXPECT_EQ(engine.events_fired(), 3u);
+  EXPECT_EQ(engine.keyed_fired(), 2u);
+  EXPECT_EQ(engine.now(), t);
+}
+
+TEST(EngineKeyed, HandedBackKeyKeepsItsDispatchPosition) {
+  Engine engine;
+  KeyedLog log(engine);
+  const std::uint32_t slot = engine.add_keyed_slot(&log, 7);
+  const Time t = Time::from_ms(200);  // beyond the wheel: a heap entry
+  engine.schedule_at(t, [&] { log.order.push_back(0); });
+  engine.arm(slot, {t, engine.reserve_seq()});
+  engine.schedule_at(t, [&] { log.order.push_back(2); });
+  const Engine::Key key = engine.disarm(slot);
+  engine.schedule_keyed(key, [&] { log.order.push_back(1); });
+  engine.run_all();
+  EXPECT_EQ(log.order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(engine.keyed_fired(), 0u);
+  EXPECT_THROW(engine.disarm(slot), std::logic_error);
+}
+
+TEST(EngineKeyed, StepLimitAndStopTreatArmedActionsLikeEvents) {
+  Engine engine;
+  KeyedLog log(engine);
+  const std::uint32_t slot = engine.add_keyed_slot(&log, 3);
+  engine.arm(slot, {Time::from_us(20), engine.reserve_seq()});
+  // A limit before the action leaves it armed.
+  EXPECT_EQ(engine.run_until(Time::from_us(19)), 0u);
+  EXPECT_EQ(engine.now(), Time::from_us(19));
+  EXPECT_TRUE(log.order.empty());
+  EXPECT_EQ(engine.next_event_time(Time::from_us(19)), Time::from_us(20));
+  // step() runs it alone.
+  engine.schedule_at(Time::from_us(30), [&] { log.order.push_back(-1); });
+  EXPECT_TRUE(engine.step());
+  EXPECT_EQ(log.order, (std::vector<int>{3}));
+  EXPECT_EQ(engine.now(), Time::from_us(20));
+  // A stop requested inside a keyed action ends the run after it.
+  log.stop_inside = true;
+  engine.arm(slot, {Time::from_us(25), engine.reserve_seq()});
+  EXPECT_EQ(engine.run_until(Time::from_us(100)), 1u);
+  EXPECT_EQ(engine.now(), Time::from_us(25));
+  EXPECT_TRUE(engine.step());
+  EXPECT_EQ(log.order, (std::vector<int>{3, 3, -1}));
+  EXPECT_FALSE(engine.step());
+}
+
+TEST(EngineKeyed, ArmRejectsPastUnreservedOrDoubleKeys) {
+  Engine engine;
+  KeyedLog log(engine);
+  const std::uint32_t slot = engine.add_keyed_slot(&log, 0);
+  engine.run_until(Time::from_us(5));
+  const std::uint64_t seq = engine.reserve_seq();
+  EXPECT_THROW(engine.arm(slot, {Time::from_us(4), seq}), std::logic_error);
+  EXPECT_THROW(engine.arm(slot, {Time::from_us(6), seq + 1}),
+               std::logic_error);
+  engine.arm(slot, {Time::from_us(6), seq});
+  EXPECT_THROW(engine.arm(slot, {Time::from_us(6), seq}), std::logic_error);
+  EXPECT_THROW(engine.schedule_keyed({Time::from_us(7), seq + 5}, [] {}),
+               std::logic_error);
+}
+
 }  // namespace
 }  // namespace satin::sim
