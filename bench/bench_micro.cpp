@@ -10,12 +10,15 @@
 
 #include "attack/prober.h"
 #include "bench/common.h"
+#include "core/satin.h"
 #include "hw/memory.h"
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
+#include "os/kernel_image.h"
 #include "scenario/scenario.h"
 #include "secure/digest_cache.h"
 #include "secure/hash.h"
+#include "secure/pristine_base.h"
 #include "sim/engine.h"
 #include "sim/event_pool.h"
 #include "sim/rng.h"
@@ -497,6 +500,41 @@ void BM_ProberSpin(benchmark::State& state) {
   satin::obs::install_metrics(previous);
 }
 BENCHMARK(BM_ProberSpin)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One trial's boot set-up in steady state: a booted default Scenario plus
+// SATIN's boot-state authorization. Every trial shares the process-wide
+// kernel image and pristine digest chains (DESIGN.md §20), so once the
+// warm-up boot has built them no boot copies image bytes or builds a
+// chain. A checker left without the shared base hashes every area itself,
+// which counts as one chain per area. CI fails unless both counters are 0.
+void BM_ScenarioBoot(benchmark::State& state) {
+  std::uint64_t unshared_chains = 0;
+  const auto boot = [&unshared_chains] {
+    satin::scenario::Scenario system;
+    satin::core::Satin satin(system.platform(), system.kernel(),
+                             system.tsp(), {});
+    satin.checker().authorize_boot_state();
+    auto base = satin.checker().introspector().digest_cache().pristine_base();
+    if (base == nullptr) unshared_chains += satin.checker().areas().size();
+    return base;
+  };
+  const auto base = boot();  // warm-up: builds the image and the chains
+  const std::uint64_t copied = satin::os::KernelImage::copied_install_bytes();
+  const std::uint64_t chains = base != nullptr ? base->chains_built() : 0;
+  unshared_chains = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(boot());
+  const auto boots = static_cast<double>(state.iterations());
+  state.counters["image_bytes_copied_per_boot"] =
+      static_cast<double>(satin::os::KernelImage::copied_install_bytes() -
+                          copied) /
+      boots;
+  state.counters["chains_built_per_boot"] =
+      static_cast<double>((base != nullptr ? base->chains_built() - chains
+                                           : 0) +
+                          unshared_chains) /
+      boots;
+}
+BENCHMARK(BM_ScenarioBoot)->Unit(benchmark::kMicrosecond);
 
 void BM_MemoryTimedWriteUnderScan(benchmark::State& state) {
   satin::hw::Memory memory(1 << 20);

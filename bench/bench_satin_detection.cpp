@@ -91,7 +91,7 @@ class CleanRoundsTrial final : public satin::sim::LockstepTrial {
     // Shadow mode keeps this bookkeeping identical with the cache off, so
     // these rows are safe to print under the on-vs-off stdout diff. The
     // pristine-base serve path counts served chunks as misses for the
-    // same reason, so they also hold across --fused=on|off.
+    // same reason, so they are what hashing every chunk would print.
     bench::subheading("digest cache");
     bench::text_row("chunk hits", std::to_string(stats.hits));
     bench::text_row("chunk misses", std::to_string(stats.misses));
@@ -121,10 +121,10 @@ class CleanRoundsTrial final : public satin::sim::LockstepTrial {
 // With --batch=K (K >= 2) the run becomes K replicas in one lockstep
 // shard: replica 0 keeps the default platform seed and prints the very
 // same rows as the inline single run (CI diffs them), the rest take
-// sweep seeds. Because this workload is dominated by the per-replica
-// fixed costs the fused pass shares — kernel-image construction, boot
-// authorization, the first-cycle hash of every chunk — it is the
-// headline A/B for --fused=on vs off in scripts/run_benches.sh.
+// sweep seeds. The per-replica fixed costs — kernel-image construction,
+// boot authorization, the first-cycle hash of every chunk — are shared
+// process-wide on every path (DESIGN.md §20), so --fused=on and off
+// differ only in how the engines advance.
 int run_clean_rounds(std::uint64_t target, satin::bench::ObsGuard& obs) {
   using namespace satin;
   const int batch = obs.batch(/*fallback=*/1);

@@ -50,8 +50,8 @@ inline void columns(const std::string& label,
   std::printf("\n");
 }
 
-// Machine-readable timing record for scripts/run_benches.sh: one
-// `BENCHJSON {...}` line on STDERR. Stderr, never stdout: stdout (and the
+// Machine-readable timing record, for grepping out of a bench's output:
+// one `BENCHJSON {...}` line on STDERR. Stderr, never stdout: stdout (and the
 // metrics snapshot) must stay bit-identical across --jobs values, and
 // host wall-clock never is.
 inline void json_row(const std::string& bench, std::size_t trials, int jobs,

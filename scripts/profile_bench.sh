@@ -6,8 +6,8 @@
 # <repo>/build-profile, override with PROFILE_BUILD_DIR) because -pg adds
 # a counting prologue to every function: numbers from a profiled binary
 # are NOT comparable to the plain build's, so the two must never share a
-# build dir. The tree is configured/built here on first use — unlike
-# run_benches.sh this script owns its build, since nothing else wants one.
+# build dir. The tree is configured/built here on first use, since
+# nothing else wants one.
 #
 #   scripts/profile_bench.sh                          # default bench set
 #   scripts/profile_bench.sh bench_race_analysis      # one bench

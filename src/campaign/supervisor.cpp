@@ -683,8 +683,9 @@ class Supervisor {
   // In-process lockstep shard backend (spec/option `shard` > 1): pending
   // trials run as fused lockstep groups on the supervisor thread instead
   // of the worker-process pool. Each group of `shard` trials advances
-  // through one merged event frontier, sharing the immutable kernel image
-  // and pristine digest base (sim/batch.h, sim/shard.h); every trial
+  // through one merged event frontier (sim/batch.h); like every other
+  // path it boots the process-wide kernel image and pristine digest base
+  // (DESIGN.md §20). Every trial
   // still runs under fresh per-trial sinks and remains a pure function of
   // (spec, index), so journal, stats, metrics and flight artifacts are
   // byte-identical to any worker-pool schedule (CI-gated). There is no

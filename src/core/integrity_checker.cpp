@@ -9,9 +9,23 @@
 #include "obs/trace.h"
 #include "secure/pristine_base.h"
 #include "sim/log.h"
-#include "sim/shard.h"
 
 namespace satin::core {
+
+namespace {
+
+// The pristine digest chains of the process-wide default kernel image,
+// shared by every checker on that image in every thread (DESIGN.md §20).
+const std::shared_ptr<secure::PristineBase>& default_pristine_base() {
+  static const std::shared_ptr<secure::PristineBase> base = [] {
+    const auto& image = os::default_kernel_image();
+    return std::make_shared<secure::PristineBase>(
+        image, std::span<const std::uint8_t>(image->bytes()));
+  }();
+  return base;
+}
+
+}  // namespace
 
 const char* to_string(AlarmKind kind) {
   return kind == AlarmKind::kConfirmed ? "confirmed" : "transient";
@@ -35,24 +49,13 @@ IntegrityChecker::IntegrityChecker(hw::Platform& platform,
   for (const Area& area : areas_) {
     introspector_.register_area(area.offset, area.size);
   }
-  // Inside a lockstep shard, trials share one kernel image (sim/shard.h).
-  // When this checker's image IS that shared replica, attach the shard's
-  // pristine digest base so clean-round chunk states are computed once per
-  // shard instead of once per trial. Identity-neutral: the cache only
-  // serves chunks still provably holding the installed bytes, with the
-  // same counters and digests as hashing them (secure/pristine_base.h).
-  if (sim::ShardContext* shard = sim::ShardContext::current()) {
-    auto shared_image =
-        shard->get<const os::KernelImage>("kernel-image/default");
-    if (shared_image != nullptr && shared_image.get() == &image_) {
-      auto base = shard->get_or_create<secure::PristineBase>(
-          "pristine-base/default", [&] {
-            return std::make_shared<secure::PristineBase>(
-                shared_image,
-                std::span<const std::uint8_t>(shared_image->bytes()));
-          });
-      introspector_.digest_cache().set_pristine_base(base);
-    }
+  // A checker on the default image attaches the process's pristine digest
+  // base, so clean-round chunk states are computed once per process
+  // instead of once per trial. Identity-neutral: the cache only serves
+  // chunks still provably holding the installed bytes, with the same
+  // counters and digests as hashing them (secure/pristine_base.h).
+  if (&image_ == os::default_kernel_image().get()) {
+    introspector_.digest_cache().set_pristine_base(default_pristine_base());
   }
 }
 
@@ -63,7 +66,7 @@ void IntegrityChecker::authorize_boot_state() {
   const auto& pristine = image_.bytes();
   const auto& base = introspector_.digest_cache().pristine_base();
   for (const Area& area : areas_) {
-    // With a shard base attached the per-area reference digest is the
+    // With the pristine base attached the per-area reference digest is the
     // chain's final state — hash_resume's exact-chaining identity makes it
     // bit-equal to digest_reference over the same slice, and the chains
     // computed here are the ones clean rounds resume from later.

@@ -1,7 +1,12 @@
 #include "hw/memory.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -12,21 +17,58 @@ namespace satin::hw {
 
 namespace {
 constexpr std::size_t kChunksPerSuper = 64;
+
+std::size_t page_bytes() {
+  static const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+std::size_t round_up_to_page(std::size_t n) {
+  const std::size_t page = page_bytes();
+  return (n + page - 1) / page * page;
+}
+
+// Reserves size bytes rounded up to whole pages plus a PROT_NONE guard
+// page. Anonymous private pages read as zero until first written, so an
+// untouched gigabyte costs nothing.
+std::uint8_t* map_zeroed(std::size_t size, std::size_t map_bytes) {
+  void* base = ::mmap(nullptr, map_bytes, PROT_NONE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+  const std::size_t usable = round_up_to_page(size);
+  if (usable > 0 && ::mprotect(base, usable, PROT_READ | PROT_WRITE) != 0) {
+    ::munmap(base, map_bytes);
+    throw std::bad_alloc();
+  }
+  return static_cast<std::uint8_t*>(base);
+}
 }  // namespace
 
 Memory::Memory(std::size_t size)
-    : bytes_(size, 0),
+    : size_(size),
+      map_bytes_(round_up_to_page(size) + page_bytes()),
+      data_(map_zeroed(size_, map_bytes_)),
       chunk_gen_((size + kChunkBytes - 1) / kChunkBytes, 0),
       super_gen_((chunk_gen_.size() + kChunksPerSuper - 1) / kChunksPerSuper,
                  0) {}
 
+Memory::~Memory() { ::munmap(data_, map_bytes_); }
+
+std::uint8_t Memory::read(std::size_t offset) const {
+  if (offset >= size_) {
+    throw std::out_of_range("Memory::read: offset " + std::to_string(offset) +
+                            " exceeds size " + std::to_string(size_));
+  }
+  return data_[offset];
+}
+
 void Memory::check_range(const char* what, std::size_t offset,
                          std::size_t length) const {
-  if (offset > bytes_.size() || length > bytes_.size() - offset) {
+  if (offset > size_ || length > size_ - offset) {
     throw std::out_of_range(std::string("Memory::") + what + ": offset " +
                             std::to_string(offset) + " + len " +
                             std::to_string(length) + " exceeds size " +
-                            std::to_string(bytes_.size()));
+                            std::to_string(size_));
   }
 }
 
@@ -45,7 +87,7 @@ std::uint64_t Memory::generation(std::size_t offset,
                                  std::size_t length) const {
   check_range("generation", offset, length);
   if (length == 0) return 0;
-  if (offset == 0 && length == bytes_.size()) return generation_;
+  if (offset == 0 && length == size_) return generation_;
   const std::size_t first = offset / kChunkBytes;
   const std::size_t last = (offset + length - 1) / kChunkBytes;
   std::uint64_t max_gen = 0;
@@ -76,9 +118,7 @@ void Memory::materialize_overlapping(std::size_t offset, std::size_t length) {
     const std::size_t lo = std::max(offset, scan.offset);
     const std::size_t hi = std::min(offset + length, scan.offset + scan.length);
     if (lo >= hi) continue;
-    scan.view.assign(bytes_.begin() + static_cast<std::ptrdiff_t>(scan.offset),
-                     bytes_.begin() +
-                         static_cast<std::ptrdiff_t>(scan.offset + scan.length));
+    scan.view.assign(data_ + scan.offset, data_ + scan.offset + scan.length);
     scan.materialized = true;
   }
 }
@@ -90,7 +130,31 @@ void Memory::poke(std::size_t offset, std::span<const std::uint8_t> data) {
   // before the backing bytes move under them.
   materialize_overlapping(offset, data.size());
   bump_generations(offset, data.size());
-  std::copy(data.begin(), data.end(), bytes_.begin() + offset);
+  std::copy(data.begin(), data.end(), data_ + offset);
+}
+
+bool Memory::install_image(std::span<const std::uint8_t> image, int fd) {
+  check_range("install_image", 0, image.size());
+  const std::size_t mapped = image.size() / page_bytes() * page_bytes();
+  // Mapping replaces pages wholesale, so it is exact only over pages that
+  // still read as zero and that no in-flight scan window references.
+  if (fd >= 0 && mapped > 0 && generation_ == 0 && scans_.empty()) {
+    if (::mmap(data_, mapped, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_FIXED, fd, 0) != MAP_FAILED) {
+      bump_generations(0, image.size());
+      std::memcpy(data_ + mapped, image.data() + mapped,
+                  image.size() - mapped);
+      return true;
+    }
+    // A failed MAP_FIXED may already have dropped the pages it was to
+    // replace: put fresh zero pages back, then copy.
+    if (::mmap(data_, mapped, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED, -1, 0) == MAP_FAILED) {
+      throw std::bad_alloc();
+    }
+  }
+  poke(0, image);
+  return false;
 }
 
 void Memory::write(sim::Time now, std::size_t offset,
@@ -130,7 +194,7 @@ void Memory::write(sim::Time now, std::size_t offset,
     SATIN_METRIC_DIGEST_OBSERVE("race.window_bytes",
                                 static_cast<double>(bytes_won));
   }
-  std::copy(data.begin(), data.end(), bytes_.begin() + offset);
+  std::copy(data.begin(), data.end(), data_ + offset);
 }
 
 Memory::ScanToken Memory::begin_scan(sim::Time start, std::size_t offset,
@@ -152,8 +216,7 @@ Memory::ScanToken Memory::begin_scan(sim::Time start, std::size_t offset,
   // backing bytes, and racing writes still apply on top of the (possibly
   // corrupted) view deterministically.
   if (fault_hooks_ != nullptr) {
-    scan.view.assign(bytes_.begin() + static_cast<std::ptrdiff_t>(offset),
-                     bytes_.begin() + static_cast<std::ptrdiff_t>(offset + length));
+    scan.view.assign(data_ + offset, data_ + offset + length);
     scan.materialized = true;
     fault_hooks_->corrupt_scan_view(start, offset, scan.view);
     // A glitched view never enters the digest cache (it is materialized,
@@ -166,7 +229,7 @@ Memory::ScanToken Memory::begin_scan(sim::Time start, std::size_t offset,
                                offset);
       if (!std::equal(scan.view.begin() + static_cast<std::ptrdiff_t>(i),
                       scan.view.begin() + static_cast<std::ptrdiff_t>(chunk_end),
-                      bytes_.begin() + static_cast<std::ptrdiff_t>(offset + i))) {
+                      data_ + offset + i)) {
         bump_generations(offset + i, chunk_end - i);
       }
       i = chunk_end;
@@ -182,8 +245,7 @@ Memory::ScanView Memory::finish_scan(ScanToken token) {
       ScanView result =
           it->materialized
               ? ScanView(std::move(it->view))
-              : ScanView(std::span<const std::uint8_t>(bytes_).subspan(
-                    it->offset, it->length));
+              : ScanView(bytes().subspan(it->offset, it->length));
       scans_.erase(it);
       return result;
     }

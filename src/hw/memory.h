@@ -12,6 +12,12 @@
 // Events execute in simulated-time order, so this reproduces exactly what
 // a real linear hash pass would have read. Hashes downstream are computed
 // over the returned view — detection is never scripted.
+//
+// The bytes live in one private anonymous mapping, zeroed lazily by the
+// host kernel page by page, with a PROT_NONE guard page after it so an
+// overrun still faults. install_image() can map a boot image's whole
+// pages copy-on-write from a file instead of copying them (DESIGN.md
+// §20); bytes() stays one contiguous span either way.
 #pragma once
 
 #include <algorithm>
@@ -34,13 +40,26 @@ class Memory {
   static constexpr std::size_t kChunkBytes = 256;
 
   explicit Memory(std::size_t size);
+  ~Memory();
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
 
-  std::size_t size() const { return bytes_.size(); }
+  std::size_t size() const { return size_; }
 
   // Untimed state access: boot-time initialization and test assertions.
-  std::span<const std::uint8_t> bytes() const { return bytes_; }
-  std::uint8_t read(std::size_t offset) const { return bytes_.at(offset); }
+  std::span<const std::uint8_t> bytes() const { return {data_, size_}; }
+  std::uint8_t read(std::size_t offset) const;
   void poke(std::size_t offset, std::span<const std::uint8_t> data);
+
+  // Trusted-boot install: leaves exactly the bytes and generations that
+  // poke(0, image) leaves. When `fd` is a file whose first image.size()
+  // bytes are `image`, this memory was never mutated and no scan is
+  // active, the image's whole pages are mapped copy-on-write (MAP_PRIVATE)
+  // from `fd` and only a partial last page is copied; a later write to
+  // this memory never reaches the file or any other memory mapping it.
+  // Otherwise (or when mmap fails, or fd < 0) it copies. Returns true
+  // when it mapped.
+  bool install_image(std::span<const std::uint8_t> image, int fd);
 
   // Timed write from a running world. `now` must be the current simulated
   // time; active scans resolve visibility against it.
@@ -193,7 +212,13 @@ class Memory {
   // freshly bumped global generation.
   void bump_generations(std::size_t offset, std::size_t length);
 
-  std::vector<std::uint8_t> bytes_;
+  // The mapping: size_ usable bytes rounded up to whole pages, then one
+  // PROT_NONE guard page; map_bytes_ covers both and is what the
+  // destructor unmaps. data_ is initialized from the two fields above it,
+  // so they must stay declared first.
+  std::size_t size_;
+  std::size_t map_bytes_;
+  std::uint8_t* data_;
   FaultHooks* fault_hooks_ = nullptr;
   std::list<ActiveScan> scans_;
   std::uint64_t next_scan_id_ = 1;

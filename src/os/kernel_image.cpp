@@ -1,10 +1,32 @@
 #include "os/kernel_image.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace satin::os {
 
+// Owns the memfd holding an image's bytes; closed when the last image
+// copy sharing it goes.
+class KernelImage::PageFile {
+ public:
+  explicit PageFile(int fd) : fd_(fd) {}
+  ~PageFile() { ::close(fd_); }
+  PageFile(const PageFile&) = delete;
+  PageFile& operator=(const PageFile&) = delete;
+  int fd() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
 namespace {
+std::atomic<std::uint64_t> g_copied_install_bytes{0};
+
 // splitmix64: fast, deterministic filler for the synthetic "machine code".
 std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9E3779B97F4A7C15ull;
@@ -22,11 +44,12 @@ KernelImage::KernelImage(SystemMap map, std::uint64_t content_seed)
     : map_(std::move(map)), bytes_(map_.total_size()) {
   std::uint64_t state = content_seed;
   for (std::size_t i = 0; i + 8 <= bytes_.size(); i += 8) {
-    const std::uint64_t word = splitmix64(state);
-    for (int b = 0; b < 8; ++b) {
-      bytes_[i + static_cast<std::size_t>(b)] =
-          static_cast<std::uint8_t>(word >> (8 * b));
+    // Each word is stored little-endian, whatever the host order.
+    std::uint64_t word = splitmix64(state);
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
     }
+    std::memcpy(bytes_.data() + i, &word, sizeof word);
   }
   for (std::size_t i = bytes_.size() & ~std::size_t{7}; i < bytes_.size();
        ++i) {
@@ -63,7 +86,35 @@ void KernelImage::install(hw::Memory& memory) const {
   if (memory.size() < bytes_.size()) {
     throw std::invalid_argument("KernelImage::install: memory too small");
   }
-  memory.poke(0, bytes_);
+  if (!memory.install_image(bytes_, pages_ != nullptr ? pages_->fd() : -1)) {
+    g_copied_install_bytes += bytes_.size();
+  }
+}
+
+std::uint64_t KernelImage::copied_install_bytes() {
+  return g_copied_install_bytes;
+}
+
+void KernelImage::share_pages() {
+  const int fd = ::memfd_create("satin-kernel-image", MFD_CLOEXEC);
+  if (fd < 0) return;
+  auto file = std::make_shared<const PageFile>(fd);
+  std::size_t done = 0;
+  while (done < bytes_.size()) {
+    const ssize_t n = ::write(fd, bytes_.data() + done, bytes_.size() - done);
+    if (n <= 0) return;
+    done += static_cast<std::size_t>(n);
+  }
+  pages_ = std::move(file);
+}
+
+const std::shared_ptr<const KernelImage>& default_kernel_image() {
+  static const std::shared_ptr<const KernelImage> image = [] {
+    auto built = std::make_shared<KernelImage>(make_default_map());
+    built->share_pages();
+    return std::shared_ptr<const KernelImage>(std::move(built));
+  }();
+  return image;
 }
 
 std::size_t KernelImage::syscall_entry_offset(int nr) const {

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "hw/memory.h"
@@ -27,8 +28,17 @@ class KernelImage {
   // Pristine (benign) image bytes; authorized hashes are computed on this.
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
 
-  // Copies the image into physical memory at offset 0 (trusted boot).
+  // Installs the image into physical memory at offset 0 (trusted boot).
+  // The default image maps its whole pages copy-on-write when the memory
+  // allows it (hw::Memory::install_image); any other image, or a memory
+  // that was already mutated or is being scanned, gets a copy. Either way
+  // the memory ends in the state poke(0, bytes()) leaves.
   void install(hw::Memory& memory) const;
+
+  // Image bytes install() has copied in this process, over every image,
+  // because it could not map them (diagnostic: a steady-state boot of the
+  // default image adds 0).
+  static std::uint64_t copied_install_bytes();
 
   // Offset of syscall table entry `nr` within the image.
   std::size_t syscall_entry_offset(int nr) const;
@@ -42,12 +52,27 @@ class KernelImage {
   std::array<std::uint8_t, 8> benign_irq_vector() const;
 
  private:
+  friend const std::shared_ptr<const KernelImage>& default_kernel_image();
+
+  // Puts the bytes in a memfd that install() maps pages from. Leaves the
+  // image copy-installed when memfd is unavailable.
+  void share_pages();
+
   std::array<std::uint8_t, 8> read8(std::size_t offset) const;
+
+  class PageFile;
 
   SystemMap map_;
   std::vector<std::uint8_t> bytes_;
+  std::shared_ptr<const PageFile> pages_;
   std::size_t syscall_table_offset_ = 0;
   std::size_t vectors_offset_ = 0;
 };
+
+// The process-wide default image, a pure function of make_default_map()
+// and the default fill seed: built on first use, immutable, and shared by
+// every Scenario on every thread (DESIGN.md §20). A process forked after
+// the first use inherits it; one forked before builds its own.
+const std::shared_ptr<const KernelImage>& default_kernel_image();
 
 }  // namespace satin::os

@@ -56,10 +56,10 @@ class RichOs final : public hw::WorldListener,
                      private sim::KeyedActionOwner {
  public:
   RichOs(hw::Platform& platform, KernelImage image, OsConfig config = {});
-  // Shared-image form: several trials in a lockstep shard reference one
-  // immutable KernelImage (the ctor is 8.7% of the batched-bench profile;
-  // the image never mutates after construction, so sharing is safe —
-  // fault-injected corruption lands on hw::Memory views, never here).
+  // Shared-image form: every Scenario references the one process-wide
+  // immutable default image (os::default_kernel_image). The image never
+  // mutates after construction, so sharing is safe — fault-injected
+  // corruption lands on hw::Memory views, never here.
   RichOs(hw::Platform& platform, std::shared_ptr<const KernelImage> image,
          OsConfig config = {});
   ~RichOs() override;

@@ -158,9 +158,9 @@ struct DuelSweepConfig {
   // byte-identical for every K (CI-gated).
   int batch = 1;
   // Fused engine pass for batch >= 2 (--fused=on|off, default on): shard
-  // trials share one kernel image + pristine digest base and advance via
-  // merged event-frontier bursts (sim/batch.h). Byte-identical either
-  // way; off is the PR-9 round-robin baseline for paired A/Bs.
+  // trials advance via merged event-frontier bursts (sim/batch.h).
+  // Byte-identical either way; off is the PR-9 round-robin baseline for
+  // paired A/Bs. Set-up sharing is process-wide on every path.
   bool fused = true;
 };
 

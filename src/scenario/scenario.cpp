@@ -1,33 +1,13 @@
 #include "scenario/scenario.h"
 
-#include "os/system_map.h"
-#include "sim/shard.h"
-
 namespace satin::scenario {
 
-namespace {
-
-// The default kernel image is a pure function of (make_default_map(), its
-// fixed fill seed) and fully immutable after construction, so every trial
-// in a lockstep shard can reference one replica. Outside a fused shard
-// (ShardContext::current() == nullptr) each trial builds its own, exactly
-// as before — the run of record never touches the shared path.
-std::shared_ptr<const os::KernelImage> default_kernel_image() {
-  if (sim::ShardContext* shard = sim::ShardContext::current()) {
-    return shard->get_or_create<const os::KernelImage>(
-        "kernel-image/default", [] {
-          return std::make_shared<const os::KernelImage>(
-              os::make_default_map());
-        });
-  }
-  return std::make_shared<const os::KernelImage>(os::make_default_map());
-}
-
-}  // namespace
-
+// Every Scenario boots the process-wide default kernel image (DESIGN.md
+// §20): one immutable build per process, installed copy-on-write into
+// each trial's own physical memory.
 Scenario::Scenario(ScenarioConfig config) {
   platform_ = std::make_unique<hw::Platform>(config.platform);
-  os_ = std::make_unique<os::RichOs>(*platform_, default_kernel_image(),
+  os_ = std::make_unique<os::RichOs>(*platform_, os::default_kernel_image(),
                                      config.os);
   tsp_ = std::make_unique<secure::TestSecurePayload>(*platform_);
   if (config.boot) os_->boot();

@@ -73,14 +73,14 @@ DigestCache::RoundOutcome DigestCache::round_digest(
     return out;
   }
 
-  // Shard-shared pristine base: when attached, and the backing memory has
+  // Process-wide pristine base: when attached, and the backing memory has
   // a post-boot baseline stamp, chunks whose generation never moved past
   // that stamp still hold exactly the installed image bytes — their resume
   // states can be served from the shared chain instead of re-hashed. The
   // eligibility check below makes served chunks bit-identical to hashing
   // (gen unchanged since baseline + trusted zero-copy view + matching
   // incoming state), and the round accounts them as misses either way, so
-  // unsharded and fused runs print the same counters.
+  // the printed counters are those of hashing every chunk.
   const PristineBase::AreaChain* base_chain = nullptr;
   std::uint64_t baseline_gen = 0;
   if (base_ != nullptr) {

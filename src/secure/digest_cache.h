@@ -114,20 +114,22 @@ class DigestCache {
 
   const Stats& stats() const { return stats_; }
 
-  // Attaches a shard-shared pristine-image digest base (see
-  // secure/pristine_base.h). Chunks that provably still hold the
-  // installed image bytes take their resume states from the base instead
-  // of re-hashing — counters, cache entries and digests are identical by
-  // construction, so this is pure host-time savings and is active in both
-  // enabled and shadow mode. nullptr (the default) disables it.
+  // Attaches the process-wide pristine-image digest base (see
+  // secure/pristine_base.h); IntegrityChecker does so for every checker
+  // on the default kernel image, on every path. Chunks that provably
+  // still hold the installed image bytes take their resume states from
+  // the base instead of re-hashing — counters, cache entries and digests
+  // are identical by construction, so this is pure host-time savings and
+  // is active in both enabled and shadow mode. nullptr (the default)
+  // disables it.
   void set_pristine_base(std::shared_ptr<PristineBase> base) {
     base_ = std::move(base);
   }
   const std::shared_ptr<PristineBase>& pristine_base() const { return base_; }
 
   // Chunks whose resume states were served from the pristine base
-  // (diagnostic only — deliberately outside Stats so the fused and
-  // unsharded runs stay identical on every printed counter).
+  // (diagnostic only — deliberately outside Stats: served chunks count as
+  // misses, so every printed counter is what hashing them would print).
   std::uint64_t base_served_chunks() const { return base_served_; }
 
  private:

@@ -12,11 +12,16 @@ const PristineBase::AreaChain* PristineBase::area_chain(
     return nullptr;
   }
   const Key key{static_cast<int>(kind), offset, length, chunk_bytes};
-  auto it = chains_.find(key);
-  if (it != chains_.end()) return &it->second;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto it = chains_.find(key);
+    if (it != chains_.end()) return &it->second;
+  }
 
   // Same walk as DigestCache::round_digest's miss path, over the pristine
   // bytes: resume-chained per-chunk states starting from the hash seed.
+  // Built outside the lock; a thread that loses the race to publish the
+  // same key takes the winner's (identical) chain.
   AreaChain chain;
   const std::size_t chunk_count = (length + chunk_bytes - 1) / chunk_bytes;
   chain.state_in.reserve(chunk_count);
@@ -30,7 +35,13 @@ const PristineBase::AreaChain* PristineBase::area_chain(
     chain.state_out.push_back(state);
   }
   chain.digest = state;
+  const std::lock_guard<std::mutex> lock(mutex_);
   return &chains_.emplace(key, std::move(chain)).first->second;
+}
+
+std::uint64_t PristineBase::chains_built() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return chains_.size();
 }
 
 }  // namespace satin::secure

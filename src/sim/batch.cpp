@@ -1,11 +1,9 @@
 #include "sim/batch.h"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "sim/engine.h"
-#include "sim/shard.h"
 
 namespace satin::sim {
 
@@ -39,13 +37,6 @@ void run_lockstep_shard(
   std::vector<std::unique_ptr<LockstepTrial>> live(count);
   std::vector<Engine*> engines(count, nullptr);
   std::size_t remaining = 0;
-
-  // The shared-state registry exists ONLY under the fused pass, so
-  // --fused=off reproduces the per-trial construction (and its cost)
-  // exactly — that is what makes the recorded A/B an honest comparison.
-  ShardContext context;
-  std::optional<ShardContext::Scope> context_scope;
-  if (fused) context_scope.emplace(context);
 
   for (std::size_t j = 0; j < count; ++j) {
     with_sinks(j, [&] {

@@ -60,11 +60,11 @@ struct BatchRunnerOptions {
   // Lockstep slice of simulated time (matches run_duel's historical 1 s
   // stride so sliced and unsliced trials run the same event sequence).
   Duration quantum = Duration::from_sec(1);
-  // Fused engine pass (--fused=on, the default): shard trials share a
-  // ShardContext (immutable kernel image + pristine digest base) and
-  // their engines advance in merged event-frontier bursts. Off reproduces
-  // the PR-8/9 round-robin advance() loop exactly — the honest A/B
-  // baseline. Byte-identity to --batch=1 holds either way.
+  // Fused engine pass (--fused=on, the default): shard trials' engines
+  // advance in merged event-frontier bursts. Off reproduces the PR-8/9
+  // round-robin advance() loop exactly. Both share the process-wide
+  // kernel image and pristine digest base like every other path
+  // (DESIGN.md §20). Byte-identity to --batch=1 holds either way.
   bool fused = true;
   // Worker pool / seeds / per-trial sink capacities (TrialRunner
   // semantics; jobs is clamped to the shard count).

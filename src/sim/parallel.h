@@ -115,11 +115,11 @@ class TrialRunner {
   // claims a whole shard, constructs its trials via `make`, and advances
   // them in lockstep, one `quantum` of simulated time each round, until
   // all finish. With `fused` (the default) the shard runs the fused
-  // engine pass: trials share a ShardContext (immutable kernel image,
-  // pristine digest base) and lanes exposing fused_engine() advance
-  // through merged event-frontier bursts, falling back to per-trial
-  // advance() for stragglers; fused=false is the plain round-robin
-  // advance() loop with no shared state (the PR-8/9 behavior). Obs sinks
+  // engine pass: lanes exposing fused_engine() advance through merged
+  // event-frontier bursts, falling back to per-trial advance() for
+  // stragglers; fused=false is the plain round-robin advance() loop (the
+  // PR-8/9 behavior). Set-up sharing (kernel image, pristine digest base)
+  // is process-wide and the same either way (DESIGN.md §20). Obs sinks
   // stay PER TRIAL — installed around every construct / advance / finish
   // call — and the final merge is run()'s submission-order merge, so for
   // any shard size, fused or not, the output is byte-identical to run()

@@ -26,7 +26,10 @@ constexpr char kTinySpec[] = R"({
 class SupervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps concurrently running test processes apart: under a
+    // sanitizer's deterministic heap two of them can share `this`.
     base_ = testing::TempDir() + "/campaign_sup_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this));
     spec_ = parse_campaign_spec(kTinySpec, "tiny");
   }

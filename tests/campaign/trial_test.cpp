@@ -1,18 +1,24 @@
 // run_campaign_trial against the scalar draw oracle. Every campaign trial
 // draws through the batched block kernels by default; pinning the spec's
 // platform to DrawMode::kScalar must change nothing a campaign persists:
-// the journal record and the per-trial SATNMET1 metrics file.
+// the journal record and the per-trial SATNMET1 metrics file. Nor may the
+// process-wide set-up cache (DESIGN.md §20): a trial persists the same
+// bytes whether it boots cold or after other trials warmed the cache.
 #include "campaign/trial.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 
 #include "campaign/spec.h"
+#include "obs/flight/recorder.h"
 #include "obs/metrics.h"
 #include "sim/parallel.h"
 #include "sim/rng.h"
@@ -35,17 +41,20 @@ constexpr char kFaultedSpec[] = R"({
 struct PersistedTrial {
   std::string record;
   std::string metrics;  // SATNMET1 bytes
+  std::uint64_t flight_chain = 0;
   std::uint64_t faults_injected = 0;
 };
 
-// What a campaign worker persists for trial `index`: the journal line and
-// the trial's metrics registry saved as SATNMET1.
+// What a campaign worker persists for trial `index`: the journal line, the
+// trial's metrics registry saved as SATNMET1 and its flight stream (here
+// its chain hash).
 PersistedTrial run_and_persist(const CampaignSpec& spec, std::uint64_t index,
                                const std::string& tag) {
   obs::MetricsRegistry registry;
+  obs::FlightRecorder flight;
   TrialResult result;
   {
-    sim::TrialObsScope sinks(&registry, nullptr, nullptr);
+    sim::TrialObsScope sinks(&registry, nullptr, &flight);
     result = run_campaign_trial(spec, index);
   }
   const std::string path = testing::TempDir() + "/campaign_trial_" + tag +
@@ -57,6 +66,7 @@ PersistedTrial run_and_persist(const CampaignSpec& spec, std::uint64_t index,
   out.record = encode_trial_record(result);
   out.metrics.assign(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
+  out.flight_chain = flight.chain_hash();
   out.faults_injected = result.faults_injected;
   std::remove(path.c_str());
   return out;
@@ -79,6 +89,53 @@ TEST(CampaignTrial, ScalarDrawOracleMatchesTheDefaultRecordAndMetrics) {
   }
   // The storm fired, so the comparison covered faulted duels.
   EXPECT_GT(faults, 0u);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(CampaignTrial, PersistedBytesDoNotDependOnWhatRanBeforeInTheProcess) {
+  CampaignSpec spec = parse_campaign_spec(kFaultedSpec, "faulted");
+  spec.trials = 11;
+  constexpr std::uint64_t kIndex = 10;
+
+  // First in a fresh process: a forked child runs trial 10 before anything
+  // else. ctest runs each test in its own process, so the child builds the
+  // kernel image and pristine chains itself, as a cold campaign worker does.
+  const std::string dir = testing::TempDir() + "/fresh_trial_" +
+                          std::to_string(::getpid());
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const PersistedTrial fresh = run_and_persist(spec, kIndex, "fresh");
+    std::ofstream(dir + ".rec", std::ios::binary) << fresh.record;
+    std::ofstream(dir + ".met", std::ios::binary) << fresh.metrics;
+    std::ofstream(dir + ".chain") << fresh.flight_chain;
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  PersistedTrial fresh;
+  fresh.record = slurp(dir + ".rec");
+  fresh.metrics = slurp(dir + ".met");
+  std::istringstream(slurp(dir + ".chain")) >> fresh.flight_chain;
+  for (const char* ext : {".rec", ".met", ".chain"}) {
+    std::remove((dir + ext).c_str());
+  }
+
+  // After ten other trials in this process.
+  for (std::uint64_t i = 0; i < kIndex; ++i) run_and_persist(spec, i, "warm");
+  const PersistedTrial warm = run_and_persist(spec, kIndex, "warm");
+
+  ASSERT_FALSE(fresh.record.empty());
+  ASSERT_FALSE(fresh.metrics.empty());
+  EXPECT_EQ(warm.record, fresh.record);
+  EXPECT_EQ(warm.metrics, fresh.metrics);
+  EXPECT_NE(fresh.flight_chain, 0u);
+  EXPECT_EQ(warm.flight_chain, fresh.flight_chain);
 }
 
 }  // namespace

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <vector>
 
+#include "core/satin.h"
 #include "hw/memory.h"
 #include "scenario/scenario.h"
 #include "secure/hash.h"
 #include "secure/pristine_base.h"
-#include "sim/shard.h"
+#include "sim/parallel.h"
 
 namespace satin::os {
 namespace {
@@ -102,88 +105,197 @@ TEST(KernelImage, BenignAccessorsReflectImageBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// PR-10 fused shard sharing (sim/shard.h): inside a ShardContext every
-// Scenario references ONE immutable default kernel image, and that shared
-// replica must be indistinguishable from the per-trial image it replaces
-// — same bytes, same whole-image digests under every hash kind.
+// Shared immutable set-up (DESIGN.md §20): every Scenario, on every path,
+// boots the one process-wide default image, and checkers on it share one
+// pristine digest base. The shared image must be the image a fresh build
+// gives — pinned here by size and whole-image digests.
 
-TEST(KernelImage, ShardSharedImageHasUnchangedBytesAndDigests) {
-  const KernelImage fresh = make_image();  // run-of-record construction
+TEST(KernelImage, DefaultImageHasPinnedSizeAndDigests) {
+  const auto& image = default_kernel_image();
+  ASSERT_NE(image, nullptr);
+  EXPECT_EQ(&default_kernel_image(), &image);  // built once
+  EXPECT_EQ(image->size(), 11'916'240u);
+  const std::span<const std::uint8_t> bytes(image->bytes());
+  EXPECT_EQ(secure::hash_bytes(secure::HashKind::kDjb2, bytes),
+            0x779ec87f124ca8b5ull);
+  EXPECT_EQ(secure::hash_bytes(secure::HashKind::kSdbm, bytes),
+            0xd599a84e2157ebd4ull);
+  EXPECT_EQ(secure::hash_bytes(secure::HashKind::kFnv1a, bytes),
+            0xcfece480f80136bfull);
+  EXPECT_EQ(image->bytes(), make_image().bytes());
+}
 
-  sim::ShardContext shard;
-  sim::ShardContext::Scope scope(shard);
+TEST(KernelImage, ScenariosOnEveryPathShareOneImage) {
   scenario::Scenario a;
   scenario::Scenario b;
-  // One replica per shard, not one per trial.
-  EXPECT_EQ(&a.kernel(), &b.kernel());
-  EXPECT_NE(&a.kernel(), &fresh);
-  EXPECT_EQ(shard.get<const KernelImage>("kernel-image/default").get(),
-            &a.kernel());
+  scenario::ScenarioConfig unbooted;
+  unbooted.boot = false;
+  scenario::Scenario c(unbooted);
+  EXPECT_EQ(&a.kernel(), default_kernel_image().get());
+  EXPECT_EQ(&b.kernel(), &a.kernel());
+  EXPECT_EQ(&c.kernel(), &a.kernel());
+  // Each trial still owns its physical memory, holding the image.
+  EXPECT_NE(a.platform().memory().bytes().data(),
+            b.platform().memory().bytes().data());
+  EXPECT_TRUE(std::equal(a.kernel().bytes().begin(), a.kernel().bytes().end(),
+                         b.platform().memory().bytes().begin()));
+}
 
-  EXPECT_EQ(a.kernel().bytes(), fresh.bytes());
-  const std::span<const std::uint8_t> shared_bytes(a.kernel().bytes());
-  const std::span<const std::uint8_t> fresh_bytes(fresh.bytes());
-  for (const secure::HashKind kind :
-       {secure::HashKind::kDjb2, secure::HashKind::kSdbm,
-        secure::HashKind::kFnv1a}) {
-    EXPECT_EQ(secure::hash_bytes(kind, shared_bytes),
-              secure::hash_bytes(kind, fresh_bytes))
-        << secure::to_string(kind);
+// Four TrialRunner threads boot Scenarios and authorize SATIN at once
+// (the thread-sanitizer job runs this): all share one image and one
+// pristine base, and boot-time authorization never rebuilds a chain after
+// the first trial built it.
+TEST(KernelImage, TrialRunnerThreadsShareOneImageAndPristineBase) {
+  struct Seen {
+    const KernelImage* image = nullptr;
+    const secure::PristineBase* base = nullptr;
+    std::uint64_t first_digest = 0;
+  };
+  sim::TrialRunnerOptions options;
+  options.jobs = 4;
+  sim::TrialRunner runner(options);
+  const auto seen = runner.run_collect(8, [](const sim::TrialContext& ctx) {
+    scenario::ScenarioConfig config;
+    config.platform.seed = ctx.seed;
+    scenario::Scenario s(config);
+    core::Satin satin(s.platform(), s.kernel(), s.tsp(), {});
+    satin.checker().authorize_boot_state();
+    const auto& base =
+        satin.checker().introspector().digest_cache().pristine_base();
+    Seen out;
+    out.image = &s.kernel();
+    out.base = base.get();
+    if (base != nullptr) {
+      const core::Area& first = satin.checker().areas()[0];
+      out.first_digest = base->area_chain(secure::HashKind::kDjb2,
+                                          first.offset, first.size,
+                                          hw::Memory::kChunkBytes)
+                             ->digest;
+    }
+    return out;
+  });
+  ASSERT_EQ(seen.size(), 8u);
+  ASSERT_NE(seen[0].base, nullptr);
+  const std::uint64_t chains = seen[0].base->chains_built();
+  EXPECT_GT(chains, 0u);
+  for (const Seen& trial : seen) {
+    EXPECT_EQ(trial.image, default_kernel_image().get());
+    EXPECT_EQ(trial.base, seen[0].base);
+    EXPECT_EQ(trial.first_digest, seen[0].first_digest);
   }
+  // One chain per (hash kind, area, chunk size), however many trials.
+  scenario::Scenario s;
+  core::Satin satin(s.platform(), s.kernel(), s.tsp(), {});
+  satin.checker().authorize_boot_state();
+  EXPECT_EQ(seen[0].base->chains_built(), chains);
 }
 
-TEST(KernelImage, ScenariosOutsideAShardBuildPrivateImages) {
-  ASSERT_EQ(sim::ShardContext::current(), nullptr);
-  scenario::Scenario a;
-  scenario::Scenario b;
-  EXPECT_NE(&a.kernel(), &b.kernel());
-  EXPECT_EQ(a.kernel().bytes(), b.kernel().bytes());
+// A default-path trial really serves clean chunks from the shared base,
+// so the sharing cannot silently turn off; a checker on a one-off image
+// gets no base.
+TEST(KernelImage, DefaultPathTrialServesChunksFromThePristineBase) {
+  scenario::Scenario s;
+  core::SatinConfig config;
+  config.tp_s = 0.05;
+  core::Satin satin(s.platform(), s.kernel(), s.tsp(), config);
+  satin.start();
+  s.run_for(sim::Duration::from_sec(2));
+  ASSERT_GT(satin.rounds(), 0u);
+  const auto& cache = satin.checker().introspector().digest_cache();
+  ASSERT_NE(cache.pristine_base(), nullptr);
+  EXPECT_GT(cache.base_served_chunks(), 0u);
+
+  const KernelImage one_off = make_image();
+  core::Satin other(s.platform(), one_off, s.tsp(), {});
+  EXPECT_EQ(other.checker().introspector().digest_cache().pristine_base(),
+            nullptr);
 }
 
-// The shard's pristine digest base memoizes the streaming chunk-hash
-// chain over the shared image. Serving from it must be bit-for-bit what
-// hashing the bytes produces: digest == hash_bytes over the area, every
-// state_out == hash_resume(state_in, chunk), states chained end to end.
+// The pristine digest base memoizes the streaming chunk-hash chain over
+// the shared image. Serving from it must be bit-for-bit what hashing the
+// bytes produces: digest == hash_bytes over the area, every state_out ==
+// hash_resume(state_in, chunk), states chained end to end — over SATIN's
+// real default area set, ragged last chunks included, under every hash.
 
 TEST(KernelImage, PristineBaseChainsMatchDirectHashing) {
-  auto image = std::make_shared<const KernelImage>(make_default_map());
+  const auto& image = default_kernel_image();
   secure::PristineBase base(image,
                             std::span<const std::uint8_t>(image->bytes()));
   ASSERT_EQ(base.size(), image->size());
 
-  const std::size_t kChunk = 256;
-  const std::size_t offset = 4096;
-  const std::size_t length = 16 * kChunk;
-  const std::span<const std::uint8_t> area(image->bytes().data() + offset,
-                                           length);
+  scenario::Scenario s;
+  const core::Satin satin(s.platform(), s.kernel(), s.tsp(), {});
+  const std::vector<core::Area>& areas = satin.checker().areas();
+  ASSERT_GT(areas.size(), 1u);
+  const std::size_t kChunk = hw::Memory::kChunkBytes;
+  bool ragged = false;
+  for (const core::Area& a : areas) ragged |= a.size % kChunk != 0;
+  ASSERT_TRUE(ragged) << "no area ends in a partial chunk";
+
   for (const secure::HashKind kind :
        {secure::HashKind::kDjb2, secure::HashKind::kSdbm,
         secure::HashKind::kFnv1a}) {
-    const secure::PristineBase::AreaChain* chain =
-        base.area_chain(kind, offset, length, kChunk);
-    ASSERT_NE(chain, nullptr) << secure::to_string(kind);
-    ASSERT_EQ(chain->state_in.size(), length / kChunk);
-    ASSERT_EQ(chain->state_out.size(), length / kChunk);
-    EXPECT_EQ(chain->state_in[0], secure::hash_seed(kind));
-    for (std::size_t k = 0; k < chain->state_in.size(); ++k) {
-      EXPECT_EQ(chain->state_out[k],
-                secure::hash_resume(kind, chain->state_in[k],
-                                    area.subspan(k * kChunk, kChunk)))
-          << secure::to_string(kind) << " chunk " << k;
-      if (k > 0) {
-        EXPECT_EQ(chain->state_in[k], chain->state_out[k - 1]);
+    for (const core::Area& a : areas) {
+      const std::span<const std::uint8_t> area(image->bytes().data() + a.offset,
+                                               a.size);
+      const secure::PristineBase::AreaChain* chain =
+          base.area_chain(kind, a.offset, a.size, kChunk);
+      ASSERT_NE(chain, nullptr) << secure::to_string(kind) << " " << a.label;
+      const std::size_t chunks = (a.size + kChunk - 1) / kChunk;
+      ASSERT_EQ(chain->state_in.size(), chunks);
+      ASSERT_EQ(chain->state_out.size(), chunks);
+      EXPECT_EQ(chain->state_in[0], secure::hash_seed(kind));
+      for (std::size_t k = 0; k < chunks; ++k) {
+        const std::size_t len = std::min(kChunk, a.size - k * kChunk);
+        ASSERT_EQ(chain->state_out[k],
+                  secure::hash_resume(kind, chain->state_in[k],
+                                      area.subspan(k * kChunk, len)))
+            << secure::to_string(kind) << " " << a.label << " chunk " << k;
+        if (k > 0) {
+          ASSERT_EQ(chain->state_in[k], chain->state_out[k - 1]);
+        }
       }
+      EXPECT_EQ(chain->digest, chain->state_out.back());
+      EXPECT_EQ(chain->digest, secure::hash_bytes(kind, area))
+          << secure::to_string(kind) << " " << a.label;
+      // Memoized: the second request serves the same chain object.
+      EXPECT_EQ(base.area_chain(kind, a.offset, a.size, kChunk), chain);
     }
-    EXPECT_EQ(chain->digest, chain->state_out.back());
-    EXPECT_EQ(chain->digest, secure::hash_bytes(kind, area))
-        << secure::to_string(kind);
-    // Memoized: the second request serves the same chain object.
-    EXPECT_EQ(base.area_chain(kind, offset, length, kChunk), chain);
   }
+  EXPECT_EQ(base.chains_built(), 3 * areas.size());
   // Areas leaving the pristine bytes are refused, not clamped.
   EXPECT_EQ(base.area_chain(secure::HashKind::kDjb2, image->size() - kChunk,
                             2 * kChunk, kChunk),
             nullptr);
+}
+
+// Installing the default image maps its pages and copies nothing through
+// the fallback; a one-off image, or a memory already written, copies.
+TEST(KernelImage, DefaultInstallMapsAndOtherInstallsCopy) {
+  const auto& image = default_kernel_image();
+  const std::uint64_t before = KernelImage::copied_install_bytes();
+  hw::Memory mapped(16 * 1024 * 1024);
+  image->install(mapped);
+  EXPECT_EQ(KernelImage::copied_install_bytes(), before);
+
+  hw::Memory written(16 * 1024 * 1024);
+  written.poke(written.size() - 1, std::vector<std::uint8_t>{1});
+  image->install(written);
+  EXPECT_EQ(KernelImage::copied_install_bytes(), before + image->size());
+
+  const KernelImage one_off = make_image();
+  hw::Memory copied(16 * 1024 * 1024);
+  one_off.install(copied);
+  EXPECT_EQ(KernelImage::copied_install_bytes(), before + 2 * image->size());
+
+  EXPECT_TRUE(std::equal(image->bytes().begin(), image->bytes().end(),
+                         mapped.bytes().begin()));
+  EXPECT_TRUE(std::equal(image->bytes().begin(), image->bytes().end(),
+                         copied.bytes().begin()));
+  EXPECT_EQ(mapped.write_generation(), copied.write_generation());
+  for (std::size_t c = 0; c < mapped.chunk_count(); ++c) {
+    ASSERT_EQ(mapped.chunk_generation(c), copied.chunk_generation(c)) << c;
+  }
 }
 
 }  // namespace
