@@ -28,6 +28,7 @@ struct AblationRow {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
   const int jobs = obs.jobs(/*fallback=*/1);
   const std::size_t bound =

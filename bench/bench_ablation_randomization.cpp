@@ -55,6 +55,7 @@ struct ThresholdRow {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
   const int jobs = obs.jobs(/*fallback=*/1);
   bench::heading("Ablation: randomization knobs");

@@ -129,6 +129,7 @@ void print_timeline(const char* title, const Timeline& tl) {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
   bench::heading("Fig. 3: the race, measured (times relative to t_start, s)");
   const auto bench_start = std::chrono::steady_clock::now();

@@ -23,6 +23,7 @@ struct PeriodRow {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
   hw::TimingParams timing;
   const int jobs = obs.jobs(/*fallback=*/1);

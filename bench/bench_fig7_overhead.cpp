@@ -52,6 +52,7 @@ void run_case(int copies, double paper_overall) {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
   bench::heading("Fig. 7: SATIN overhead, mini-UnixBench");
   const auto bench_start = std::chrono::steady_clock::now();

@@ -291,11 +291,11 @@ BENCHMARK(BM_EventChurnScheduleCancel);
 //
 // The duel is draw-bound (~672M truncated normals per full
 // bench_satin_detection run), so these benches measure the exact hot
-// paths --batch=K buys: the MT block refill and the batched distribution
-// kernels, each against its scalar per-draw oracle. All streams
-// preallocate their block at construction, so the steady state sits
-// under the same zero-allocation gate as the event churn benches:
-// allocs_per_draw must be exactly 0.
+// paths the default batched draws take: the MT block refill and the
+// batched distribution kernels, each against its scalar per-draw oracle.
+// All streams preallocate their block at construction, so the steady
+// state sits under the same zero-allocation gate as the event churn
+// benches: allocs_per_draw must be exactly 0.
 
 constexpr double kDrawMean = 1.55e-4;   // cross-core delay model params
 constexpr double kDrawStddev = 3.5e-5;

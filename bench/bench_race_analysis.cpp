@@ -8,17 +8,15 @@
 // ~1.2 MB are caught.
 //
 // Monte-Carlo batches and duels fan out over --jobs=J workers through
-// sim::TrialRunner; the printed rows are bit-identical for any J (and,
-// for the spot duels, for any --batch=K lockstep shard size).
-#include <memory>
+// sim::TrialRunner; the printed rows are bit-identical for any J.
 #include <string>
+#include <vector>
 
 #include "attack/evader.h"
 #include "bench/common.h"
 #include "core/race_model.h"
 #include "core/satin.h"
 #include "scenario/experiments.h"
-#include "sim/batch.h"
 #include "sim/parallel.h"
 #include "sim/stats.h"
 
@@ -27,17 +25,15 @@ namespace {
 
 // Event-driven duel with the rootkit's trace forced to `offset`: a bare
 // evader (KProber + a rootkit whose single trace sits at the probe
-// offset) against the PKM baseline. Decomposed as a LockstepTrial so a
-// BatchRunner can interleave it with shard-mates; the --batch=1 path
-// drives the very same class to completion inline.
-class SpotDuelTrial final : public sim::LockstepTrial {
+// offset) against the PKM baseline. run() plays six baseline rounds and
+// reports whether any of them alarmed.
+class SpotDuelTrial {
  public:
-  SpotDuelTrial(std::size_t offset, char* caught)
+  explicit SpotDuelTrial(std::size_t offset)
       : baseline_(s_.platform(), s_.kernel(), s_.tsp(),
                   core::make_pkm_baseline_config(1.0, true, true)),
         kit_(s_.os(), s_.platform().rng().fork("probe-kit")),
-        prober_(s_.os(), attack::KProberConfig{}),
-        caught_(caught) {
+        prober_(s_.os(), attack::KProberConfig{}) {
     baseline_.checker().authorize_boot_state();
     prober_.set_on_detect([this](hw::CoreId, sim::Time, sim::Duration) {
       if (kit_.installed() && !kit_.recovering()) {
@@ -71,18 +67,14 @@ class SpotDuelTrial final : public sim::LockstepTrial {
     kit_.install();
   }
 
-  bool done() const override { return baseline_.rounds() >= 6; }
-  void advance(sim::Duration quantum) override { s_.run_for(quantum); }
-  // advance() IS engine run_until (Scenario::run_for), with no
-  // request_stop use, so the fused shard loop may drive it directly.
-  sim::Engine* fused_engine() override { return &s_.engine(); }
-  void finish() override {
+  bool run() {
+    while (baseline_.rounds() < 6) s_.run_for(sim::Duration::from_sec(1));
     baseline_.stop();
     if (auto* registry = obs::metrics()) {
       obs::snapshot_engine_metrics(s_.engine(), *registry,
                                    /*include_wall=*/false);
     }
-    *caught_ = static_cast<char>(baseline_.alarm_count() > 0);
+    return baseline_.alarm_count() > 0;
   }
 
  private:
@@ -90,7 +82,6 @@ class SpotDuelTrial final : public sim::LockstepTrial {
   core::Satin baseline_;
   attack::Rootkit kit_;
   attack::KProber prober_;
-  char* caught_;
 };
 
 // One Monte-Carlo batch: draws per batch from a seed that depends only on
@@ -121,6 +112,7 @@ int mc_escapes(std::uint64_t seed, int draws,
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
   hw::TimingParams timing;
   const int jobs = obs.jobs(/*fallback=*/1);
@@ -174,42 +166,20 @@ int main(int argc, char** argv) {
   sim::TrialRunnerOptions duel_options;
   duel_options.jobs = jobs;
   duel_options.flight_ring = obs.flight_ring();
-  std::vector<char> caught(kProbeCount, 0);
-  std::size_t duel_trials = 0;
-  double duel_wall_s = 0.0;
-  const int batch = obs.batch(/*fallback=*/1);
-  if (batch > 1) {
-    // Lockstep shards; output rows are byte-identical to the unsharded
-    // path below for every K.
-    sim::BatchRunnerOptions batch_options;
-    batch_options.batch = static_cast<std::size_t>(batch);
-    batch_options.fused = obs.fused();
-    batch_options.runner = duel_options;
-    sim::BatchRunner duel_runner(batch_options);
-    duel_runner.run(kProbeCount, [&probes, &caught](
-                                     const sim::TrialContext& ctx) {
-      return std::make_unique<SpotDuelTrial>(probes[ctx.index].offset,
-                                             &caught[ctx.index]);
-    });
-    duel_trials = duel_runner.trials_run();
-    duel_wall_s = duel_runner.wall_seconds();
-  } else {
-    sim::TrialRunner duel_runner(duel_options);
-    duel_runner.run(kProbeCount, [&probes, &caught](
-                                     const sim::TrialContext& ctx) {
-      SpotDuelTrial trial(probes[ctx.index].offset, &caught[ctx.index]);
-      while (!trial.done()) trial.advance(sim::Duration::from_sec(1));
-      trial.finish();
-    });
-    duel_trials = duel_runner.trials_run();
-    duel_wall_s = duel_runner.wall_seconds();
-  }
+  sim::TrialRunner duel_runner(duel_options);
+  // char, not bool: trials fill their slots concurrently.
+  const std::vector<char> caught = duel_runner.run_collect(
+      kProbeCount, [&probes](const sim::TrialContext& ctx) {
+        SpotDuelTrial duel(probes[ctx.index].offset);
+        return static_cast<char>(duel.run());
+      });
   for (std::size_t i = 0; i < kProbeCount; ++i) {
     bench::text_row("trace at " + std::to_string(probes[i].offset),
                     caught[i] ? "CAUGHT" : "escapes", probes[i].note);
   }
 
-  bench::json_row("bench_race_analysis", mc_runner.trials_run() + duel_trials,
-                  jobs, mc_runner.wall_seconds() + duel_wall_s);
+  bench::json_row("bench_race_analysis",
+                  mc_runner.trials_run() + duel_runner.trials_run(), jobs,
+                  mc_runner.wall_seconds() + duel_runner.wall_seconds());
   return 0;
 }

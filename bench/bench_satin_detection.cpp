@@ -12,26 +12,32 @@
 // below match the single-run bench of record); the extra replicas feed
 // the seed-stability summary.
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
-#include <memory>
-#include <vector>
+#include <optional>
 
 #include "bench/common.h"
 #include "scenario/experiments.h"
 #include "secure/digest_cache.h"
-#include "sim/batch.h"
 
 namespace {
 
 // Strips --clean-rounds=<N> from argv; 0 = flag absent (run the duel).
-std::uint64_t take_clean_rounds(int& argc, char** argv) {
+// A value that is not a whole number >= 1 is reported, naming the flag,
+// as nullopt.
+std::optional<std::uint64_t> take_clean_rounds(int& argc, char** argv) {
   constexpr const char* kPrefix = "--clean-rounds=";
-  std::uint64_t rounds = 0;
+  std::optional<std::uint64_t> rounds = 0;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], kPrefix, std::strlen(kPrefix)) == 0) {
-      rounds = std::strtoull(argv[i] + std::strlen(kPrefix), nullptr, 10);
+      rounds = satin::obs::parse_whole_number(argv[i] + std::strlen(kPrefix),
+                                              1, UINT64_MAX);
+      if (!rounds) {
+        std::fprintf(stderr,
+                     "bench_satin_detection: %s: want a whole number >= 1\n",
+                     argv[i]);
+      }
       continue;
     }
     argv[out++] = argv[i];
@@ -41,74 +47,35 @@ std::uint64_t take_clean_rounds(int& argc, char** argv) {
   return rounds;
 }
 
-// One clean-run replica, decomposed as a LockstepTrial so --batch=K can
-// interleave K of them in a shard: setup in the constructor, 500 ms
-// quanta (the historical slicing of the inline loop below), stop + drain
-// + stats in finish(). Replica 0 prints the rows of record.
-class CleanRoundsTrial final : public satin::sim::LockstepTrial {
- public:
-  CleanRoundsTrial(const satin::scenario::ScenarioConfig& config,
-                   std::uint64_t target, std::uint64_t* alarms, bool print)
-      : system_(config),
-        satin_(system_.platform(), system_.kernel(), system_.tsp(),
-               clean_config()),
-        target_(target),
-        alarms_(alarms),
-        print_(print) {
-    satin_.start();
-  }
+satin::core::SatinConfig clean_config() {
+  satin::core::SatinConfig config;
+  config.tp_s = 0.05;  // one area every 50 ms: hashing dominates events
+  return config;
+}
 
-  bool done() const override { return satin_.rounds() >= target_; }
-  void advance(satin::sim::Duration quantum) override {
-    system_.run_for(quantum);
-  }
-  // advance() is exactly engine run_until, so the fused pass may drive it.
-  satin::sim::Engine* fused_engine() override { return &system_.engine(); }
-  void finish() override {
-    satin_.stop();
-    system_.run_for(satin::sim::Duration::from_ms(500));  // drain in-flight
-    *alarms_ = satin_.alarm_count();
-    if (print_) print_rows(system_, satin_);
-  }
-
-  static satin::core::SatinConfig clean_config() {
-    satin::core::SatinConfig config;
-    config.tp_s = 0.05;  // one area every 50 ms: hashing dominates events
-    return config;
-  }
-
-  static void print_rows(satin::scenario::Scenario& system,
-                         satin::core::Satin& satin) {
-    using namespace satin;
-    const auto& stats = satin.checker().introspector().digest_cache().stats();
-    bench::heading("SATIN clean-round introspection (digest-cache workload)");
-    bench::text_row("introspection rounds", std::to_string(satin.rounds()));
-    bench::text_row("full kernel cycles", std::to_string(satin.full_cycles()));
-    bench::text_row("areas", std::to_string(satin.area_count()));
-    bench::text_row("alarms", std::to_string(satin.alarm_count()),
-                    "(every digest matched the authorized value)");
-    bench::sci_row("simulated duration (s)", {system.now().sec()});
-    // Shadow mode keeps this bookkeeping identical with the cache off, so
-    // these rows are safe to print under the on-vs-off stdout diff. The
-    // pristine-base serve path counts served chunks as misses for the
-    // same reason, so they are what hashing every chunk would print.
-    bench::subheading("digest cache");
-    bench::text_row("chunk hits", std::to_string(stats.hits));
-    bench::text_row("chunk misses", std::to_string(stats.misses));
-    bench::text_row("chunk invalidations",
-                    std::to_string(stats.invalidations));
-    bench::text_row("bypasses", std::to_string(stats.bypasses));
-    bench::text_row("bytes hashed", std::to_string(stats.bytes_hashed));
-    bench::text_row("bytes skipped", std::to_string(stats.bytes_skipped));
-  }
-
- private:
-  satin::scenario::Scenario system_;
-  satin::core::Satin satin_;
-  std::uint64_t target_;
-  std::uint64_t* alarms_;
-  bool print_;
-};
+void print_clean_rows(satin::scenario::Scenario& system,
+                      satin::core::Satin& satin) {
+  using namespace satin;
+  const auto& stats = satin.checker().introspector().digest_cache().stats();
+  bench::heading("SATIN clean-round introspection (digest-cache workload)");
+  bench::text_row("introspection rounds", std::to_string(satin.rounds()));
+  bench::text_row("full kernel cycles", std::to_string(satin.full_cycles()));
+  bench::text_row("areas", std::to_string(satin.area_count()));
+  bench::text_row("alarms", std::to_string(satin.alarm_count()),
+                  "(every digest matched the authorized value)");
+  bench::sci_row("simulated duration (s)", {system.now().sec()});
+  // Shadow mode keeps this bookkeeping identical with the cache off, so
+  // these rows are safe to print under the on-vs-off stdout diff. The
+  // pristine-base serve path counts served chunks as misses for the
+  // same reason, so they are what hashing every chunk would print.
+  bench::subheading("digest cache");
+  bench::text_row("chunk hits", std::to_string(stats.hits));
+  bench::text_row("chunk misses", std::to_string(stats.misses));
+  bench::text_row("chunk invalidations", std::to_string(stats.invalidations));
+  bench::text_row("bypasses", std::to_string(stats.bypasses));
+  bench::text_row("bytes hashed", std::to_string(stats.bytes_hashed));
+  bench::text_row("bytes skipped", std::to_string(stats.bytes_skipped));
+}
 
 // --clean-rounds=N: a hash-dominated workload for the incremental digest
 // cache. SATIN runs alone (no attacker, no workload churn) with a brisk
@@ -117,50 +84,13 @@ class CleanRoundsTrial final : public satin::sim::LockstepTrial {
 // the cache on, warm rounds skip the full re-hash in host time; simulated
 // time, digests and every stdout row below stay bit-identical to
 // --digest-cache=off (the CI gate diffs the two).
-//
-// With --batch=K (K >= 2) the run becomes K replicas in one lockstep
-// shard: replica 0 keeps the default platform seed and prints the very
-// same rows as the inline single run (CI diffs them), the rest take
-// sweep seeds. The per-replica fixed costs — kernel-image construction,
-// boot authorization, the first-cycle hash of every chunk — are shared
-// process-wide on every path (DESIGN.md §20), so --fused=on and off
-// differ only in how the engines advance.
-int run_clean_rounds(std::uint64_t target, satin::bench::ObsGuard& obs) {
+int run_clean_rounds(std::uint64_t target) {
   using namespace satin;
-  const int batch = obs.batch(/*fallback=*/1);
   const std::string name = std::string("bench_satin_detection_clean_") +
                            (secure::digest_cache_default() ? "on" : "off");
-  if (batch > 1) {
-    sim::BatchRunnerOptions options;
-    options.batch = static_cast<std::size_t>(batch);
-    options.fused = obs.fused();
-    // Match the inline loop's historical 500 ms slicing so replica 0 stops
-    // on the same round boundary and prints identical rows.
-    options.quantum = sim::Duration::from_ms(500);
-    options.runner.jobs = obs.jobs(/*fallback=*/1);
-    options.runner.flight_ring = obs.flight_ring();
-    sim::BatchRunner runner(options);
-    std::vector<std::uint64_t> alarms(static_cast<std::size_t>(batch), 0);
-    runner.run(static_cast<std::size_t>(batch),
-               [&](const sim::TrialContext& ctx) {
-                 scenario::ScenarioConfig config;
-                 config.platform.seed = ctx.index == 0
-                                            ? hw::PlatformConfig{}.seed
-                                            : ctx.seed;
-                 return std::make_unique<CleanRoundsTrial>(
-                     config, target, &alarms[ctx.index], ctx.index == 0);
-               });
-    bench::json_row(name, runner.trials_run(),
-                    runner.jobs_for(static_cast<std::size_t>(batch)),
-                    runner.wall_seconds());
-    for (std::uint64_t a : alarms) {
-      if (a != 0) return 1;
-    }
-    return 0;
-  }
   scenario::Scenario system;
   core::Satin satin(system.platform(), system.kernel(), system.tsp(),
-                    CleanRoundsTrial::clean_config());
+                    clean_config());
   satin.start();
   // Slice the run so we stop near the target instead of overshooting by
   // a whole horizon; the loop is deterministic (sim-time driven).
@@ -169,7 +99,7 @@ int run_clean_rounds(std::uint64_t target, satin::bench::ObsGuard& obs) {
   }
   satin.stop();
   system.run_for(sim::Duration::from_ms(500));  // drain in-flight rounds
-  CleanRoundsTrial::print_rows(system, satin);
+  print_clean_rows(system, satin);
   bench::json_row(name, satin.rounds(), 1, system.engine().wall_seconds());
   return satin.alarm_count() == 0 ? 0 : 1;
 }
@@ -179,21 +109,18 @@ int run_clean_rounds(std::uint64_t target, satin::bench::ObsGuard& obs) {
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
   using namespace satin;
-  const std::uint64_t clean_rounds = take_clean_rounds(argc, argv);
-  if (clean_rounds > 0) return run_clean_rounds(clean_rounds, obs);
+  const std::optional<std::uint64_t> clean_rounds =
+      take_clean_rounds(argc, argv);
+  if (!clean_rounds || satin::obs::reject_unconsumed_args(argc, argv)) {
+    return 2;
+  }
+  if (*clean_rounds > 0) return run_clean_rounds(*clean_rounds);
   constexpr std::size_t kReplicas = 3;
 
   scenario::DuelSweepConfig sweep_config;
   sweep_config.duel.rounds_target = 190;  // defaults ARE the paper config
   sweep_config.trials = kReplicas;
   sweep_config.jobs = obs.jobs(/*fallback=*/1);
-  // --batch=K: lockstep shards of K trials. A pure speed knob — every
-  // stdout row below is byte-identical to --batch=1, which CI diffs.
-  sweep_config.batch = obs.batch(/*fallback=*/1);
-  // --fused=on|off picks the engine pass for batch >= 2: fused
-  // event-frontier bursts (default) or the round-robin baseline. Output
-  // is byte-identical either way; the A/B harness flips this knob.
-  sweep_config.fused = obs.fused();
   sweep_config.flight_ring = obs.flight_ring();
 
   std::printf(

@@ -40,6 +40,7 @@ Row measure(scenario::Scenario& s, hw::CoreId core,
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
   scenario::Scenario s;
 

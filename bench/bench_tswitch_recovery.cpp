@@ -12,6 +12,7 @@
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
   const auto bench_start = std::chrono::steady_clock::now();
   scenario::Scenario s;

@@ -72,6 +72,7 @@ ProbeOutcome measure(bool with_load, double threshold_s) {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
   bench::heading("User-level prober detection delay Tns_delay (§III-B1)");
 

@@ -6,7 +6,9 @@
 // Every bench also accepts --trace=<file> / --metrics=<file>: declare an
 // ObsGuard first thing in main and the flags are consumed from argv, a
 // global TraceRecorder/MetricsRegistry is installed for the run, and the
-// files are written when the guard goes out of scope.
+// files are written when the guard goes out of scope. Once the bench has
+// stripped its own flags too, it exits 2 if obs::reject_unconsumed_args
+// finds anything left.
 #pragma once
 
 #include <cstdio>

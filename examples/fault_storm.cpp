@@ -17,9 +17,10 @@
 // --replicas=N repeats the duel under N storms (replica 0 is the storm of
 // record; later replicas re-seed the storm and the platform), fanned over
 // --jobs=J workers.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "fault/injector.h"
@@ -48,20 +49,24 @@ struct ReplicaOutcome {
   bool ok = false;
 };
 
-// Strips a leading --replicas=N from argv (anywhere), like ObsSession
-// does for its own flags.
-std::size_t parse_replicas(int& argc, char** argv) {
-  std::size_t replicas = 1;
+// Strips --replicas=N from argv (anywhere), like ObsSession does for its
+// own flags; 1 when absent. A value that is not a whole number >= 1 is
+// reported, naming the flag, as nullopt.
+std::optional<std::size_t> take_replicas(int& argc, char** argv) {
+  std::optional<std::size_t> replicas = 1;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--replicas=", 11) == 0) {
-      replicas = static_cast<std::size_t>(
-          std::strtoull(argv[i] + 11, nullptr, 10));
-      if (replicas == 0) replicas = 1;
+      replicas = satin::obs::parse_whole_number(argv[i] + 11, 1, SIZE_MAX);
+      if (!replicas) {
+        std::fprintf(stderr, "fault_storm: %s: want a whole number >= 1\n",
+                     argv[i]);
+      }
     } else {
       argv[out++] = argv[i];
     }
   }
+  argv[out] = nullptr;
   argc = out;
   return replicas;
 }
@@ -72,10 +77,14 @@ int main(int argc, char** argv) {
   using namespace satin;
 
   obs::ObsSession obs(argc, argv);
-  const std::size_t replicas = parse_replicas(argc, argv);
-  if (argc > 1 && std::strcmp(argv[1], "-v") == 0) {
-    sim::set_log_level(sim::LogLevel::kInfo);
+  const std::optional<std::size_t> replicas_flag = take_replicas(argc, argv);
+  const bool verbose = argc > 1 && std::strcmp(argv[1], "-v") == 0;
+  if (!replicas_flag ||
+      satin::obs::reject_unconsumed_args(argc, argv, verbose ? 2 : 1)) {
+    return 2;
   }
+  const std::size_t replicas = *replicas_flag;
+  if (verbose) sim::set_log_level(sim::LogLevel::kInfo);
   const bool custom_spec = obs.faults_requested();
   const std::string spec0 = custom_spec
                                 ? obs.faults_spec()

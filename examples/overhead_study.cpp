@@ -50,6 +50,7 @@ int main(int argc, char** argv) {
   // two passes overlay on the same timeline (merge order: baseline, then
   // SATIN — the trial submission order).
   obs::ObsSession obs(argc, argv);
+  if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   std::printf("running mini-UnixBench twice (without / with SATIN)...\n\n");
   sim::TrialRunnerOptions options;
   options.jobs = obs.jobs(/*fallback=*/1);

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   //    generic timers, GIC, physical memory, booted lsk-4.4-like kernel.
   scenario::Scenario system;
   obs::ObsSession obs(argc, argv);
+  if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   const auto injector =
       fault::install_from_spec(system.platform(), obs.faults_spec());
   std::printf("booted: %d cores, %zu-byte kernel, %d System.map regions\n",

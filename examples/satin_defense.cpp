@@ -20,11 +20,13 @@ int main(int argc, char** argv) {
 
   scenario::Scenario system;
   obs::ObsSession obs(argc, argv);
+  const bool verbose = argc > 1 && std::strcmp(argv[1], "-v") == 0;
+  if (satin::obs::reject_unconsumed_args(argc, argv, verbose ? 2 : 1)) {
+    return 2;
+  }
   const auto injector =
       fault::install_from_spec(system.platform(), obs.faults_spec());
-  if (argc > 1 && std::strcmp(argv[1], "-v") == 0) {
-    sim::set_log_level(sim::LogLevel::kInfo);
-  }
+  if (verbose) sim::set_log_level(sim::LogLevel::kInfo);
   scenario::DuelConfig duel;
   duel.satin.tgoal_s = 57.0;  // tp = 3 s for a brisk demo
   duel.rounds_target = 57;    // three full kernel cycles

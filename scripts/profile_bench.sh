@@ -11,7 +11,7 @@
 #
 #   scripts/profile_bench.sh                          # default bench set
 #   scripts/profile_bench.sh bench_race_analysis      # one bench
-#   BENCH_ARGS='--batch=8' scripts/profile_bench.sh bench_race_analysis
+#   BENCH_ARGS='--clean-rounds=2000' scripts/profile_bench.sh bench_satin_detection
 #   TOP_N=40 scripts/profile_bench.sh                 # longer summary
 #
 # Output: <repo>/PROFILE_<bench>.txt — gprof flat profile (top $TOP_N
@@ -68,8 +68,8 @@ for b in "${benches[@]}"; do
   # early would fail the script (SIGPIPE) before the next bench.
   gprof -b -p "$exe" "$scratch/gmon.out" >"$scratch/flat.txt"
   {
-    echo "# gprof flat profile: $name $bench_args"
-    echo "# build: -DSATIN_PROFILE=ON (-pg -fno-omit-frame-pointer), $build"
+    echo "# gprof flat profile: $name${bench_args:+ $bench_args}"
+    echo "# build: -DSATIN_PROFILE=ON (-pg -fno-omit-frame-pointer), ${build#"$repo"/}"
     echo "# NOTE: -pg instruments every function; these times rank hot"
     echo "# spots but are not comparable to the plain build's wall clock."
     head -n "$((top_n + 5))" "$scratch/flat.txt"

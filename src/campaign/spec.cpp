@@ -146,8 +146,8 @@ CampaignSpec parse_campaign_spec(const std::string& text,
   const std::string where = "campaign";
   root.reject_unknown_keys(
       where, {"name", "trials", "root_seed", "jobs", "shard_size", "batch",
-              "shard", "trial_timeout_s", "max_retries", "platform", "satin",
-              "duel", "attacker", "faults", "faults_reseed"});
+              "trial_timeout_s", "max_retries", "platform", "satin", "duel",
+              "attacker", "faults", "faults_reseed"});
 
   CampaignSpec spec;
   if (const JsonValue* j = root.find("name")) {
@@ -174,11 +174,6 @@ CampaignSpec parse_campaign_spec(const std::string& text,
     const std::int64_t batch = j->as_int("batch");
     if (batch < 1 || batch > 4096) j->fail("batch: must be in [1, 4096]");
     spec.batch = static_cast<int>(batch);
-  }
-  if (const JsonValue* j = root.find("shard")) {
-    const std::int64_t shard = j->as_int("shard");
-    if (shard < 0 || shard > 4096) j->fail("shard: must be in [0, 4096]");
-    spec.shard = static_cast<int>(shard);
   }
   if (const JsonValue* j = root.find("trial_timeout_s")) {
     spec.trial_timeout_s = positive_number(*j, "trial_timeout_s");

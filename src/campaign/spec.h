@@ -52,16 +52,6 @@ struct CampaignSpec {
   // whatever its value. NOT folded into content_hash(), so a resume may
   // change it.
   int batch = 1;
-  // In-process lockstep shard backend (sim/batch.h): > 1 replaces the
-  // worker-process pool with groups of this many trials advanced through
-  // the fused engine pass on the supervisor thread (merged event
-  // frontiers, shared kernel image + pristine digest base). Every trial
-  // is still a pure function of (spec, index) and the fused pass is
-  // identity-inert, so journal/stats/artifacts are byte-identical to any
-  // worker-pool schedule (CI-gated) — a pure runtime knob, NOT folded
-  // into content_hash(). Mutually exclusive with the chaos knobs (there
-  // is no worker process to crash).
-  int shard = 0;
 
   scenario::ScenarioConfig scenario;
   // True when the spec pinned platform.seed: trial 0 keeps it (the

@@ -20,15 +20,9 @@
 
 #include "campaign/trial.h"
 #include "campaign/worker.h"
-#include "fault/injector.h"
-#include "fault/plan.h"
 #include "obs/flight/audit.h"
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/session.h"
-#include "scenario/scenario.h"
-#include "sim/batch.h"
-#include "sim/parallel.h"
 #include "sim/seed_seq.h"
 
 namespace satin::campaign {
@@ -228,68 +222,6 @@ bool write_campaign_stats(const std::string& path, const std::string& body,
 
 namespace {
 
-// One campaign trial decomposed for the in-process lockstep shard
-// backend: the same derivations run_campaign_trial() performs (per-trial
-// seed, platform-seed pinning, fault-plan reseed), split into construct /
-// advance / finish so sim::run_lockstep_shard can interleave shard-mates
-// through the fused engine pass. The composed result is written through
-// `out` at finish() time because the shard loop destroys the trial object
-// as soon as it completes.
-class CampaignLockstepTrial final : public sim::LockstepTrial {
- public:
-  CampaignLockstepTrial(const CampaignSpec& spec, std::uint64_t index,
-                        TrialResult* out, bool* completed)
-      : index_(index),
-        seed_(sim::TrialSeedSeq(spec.root_seed).seed_for(index)),
-        out_(out),
-        completed_(completed) {
-    scenario::ScenarioConfig config = spec.scenario;
-    if (!(spec.pin_first_platform_seed && index == 0)) {
-      config.platform.seed = seed_;
-    }
-    std::string faults = spec.faults;
-    if (spec.faults_reseed && !faults.empty()) {
-      fault::FaultPlan plan = fault::FaultPlan::parse(faults);
-      plan.seed ^= seed_;
-      faults = plan.to_string();
-    }
-    system_ = std::make_unique<scenario::Scenario>(config);
-    injector_ = fault::install_from_spec(system_->platform(), faults);
-    duel_ = std::make_unique<scenario::DuelTrial>(*system_, spec.duel);
-  }
-
-  bool done() const override { return duel_->done(); }
-  void advance(sim::Duration quantum) override { duel_->advance(quantum); }
-  // DuelTrial::advance is exactly engine run_until (fault injections are
-  // ordinary scheduled events), so the fused pass may drive the engine
-  // directly — the sim/batch.h contract.
-  sim::Engine* fused_engine() override { return &system_->engine(); }
-
-  void finish() override {
-    out_->index = index_;
-    out_->seed = seed_;
-    out_->report = duel_->finish();
-    out_->faults_injected =
-        injector_ != nullptr ? injector_->injected_total() : 0;
-    // The same snapshot run_single_duel takes — engine self-metrics minus
-    // host wall time — into this trial's private registry.
-    if (auto* registry = obs::metrics()) {
-      obs::snapshot_engine_metrics(system_->engine(), *registry,
-                                   /*include_wall=*/false);
-    }
-    *completed_ = true;
-  }
-
- private:
-  std::uint64_t index_;
-  std::uint64_t seed_;
-  TrialResult* out_;
-  bool* completed_;
-  std::unique_ptr<scenario::Scenario> system_;
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<scenario::DuelTrial> duel_;
-};
-
 class Supervisor {
  public:
   Supervisor(const CampaignSpec& spec, const CampaignOptions& options)
@@ -301,7 +233,6 @@ class Supervisor {
                                                : spec.trial_timeout_s;
     max_retries_ = options.max_retries >= 0 ? options.max_retries
                                             : spec.max_retries;
-    lockstep_ = options.shard >= 0 ? options.shard : spec.shard;
     chaos_kill_armed_ = options.chaos_kill_trial >= 0;
     chaos_hang_armed_ = options.chaos_hang_trial >= 0;
   }
@@ -347,32 +278,16 @@ class Supervisor {
       return outcome;
     }
 
-    if (lockstep_ > 1) {
-      // In-process lockstep backend: no worker process exists, so crash
-      // chaos is meaningless here.
-      if (options_.chaos_kill_trial >= 0 || options_.chaos_hang_trial >= 0 ||
-          options_.chaos_supervisor_kill_after > 0) {
-        outcome.error =
-            "chaos knobs drive the persistent worker pool; the in-process "
-            "shard backend has no worker process to crash";
-        return outcome;
-      }
-    }
-
     if (!pending_.empty()) {
       // Writing into a dead worker's pipe must surface as EPIPE on the
       // write, not kill the supervisor.
       signal(SIGPIPE, SIG_IGN);
-      if (lockstep_ > 1) {
-        run_shard_backend(outcome);
-      } else {
-        const int jobs = static_cast<int>(std::min<std::uint64_t>(
-            static_cast<std::uint64_t>(jobs_), pending_.size()));
-        slots_.resize(static_cast<std::size_t>(jobs));
-        for (WorkerSlot& slot : slots_) spawn(slot, outcome);
-        event_loop(outcome);
-        shutdown_workers();
-      }
+      const int jobs = static_cast<int>(std::min<std::uint64_t>(
+          static_cast<std::uint64_t>(jobs_), pending_.size()));
+      slots_.resize(static_cast<std::size_t>(jobs));
+      for (WorkerSlot& slot : slots_) spawn(slot, outcome);
+      event_loop(outcome);
+      shutdown_workers();
     }
 
     // Permanently failed trials (retries exhausted or pool emptied).
@@ -680,107 +595,6 @@ class Supervisor {
     }
   }
 
-  // In-process lockstep shard backend (spec/option `shard` > 1): pending
-  // trials run as fused lockstep groups on the supervisor thread instead
-  // of the worker-process pool. Each group of `shard` trials advances
-  // through one merged event frontier (sim/batch.h); like every other
-  // path it boots the process-wide kernel image and pristine digest base
-  // (DESIGN.md §20). Every trial
-  // still runs under fresh per-trial sinks and remains a pure function of
-  // (spec, index), so journal, stats, metrics and flight artifacts are
-  // byte-identical to any worker-pool schedule (CI-gated). There is no
-  // process isolation: a throwing trial fails permanently (the retry
-  // ladder exists to absorb crashes, which cannot happen here), and the
-  // chaos/timeout knobs are refused up front.
-  void run_shard_backend(CampaignOutcome& outcome) {
-    (void)outcome;
-    std::vector<std::uint64_t> order(pending_.begin(), pending_.end());
-    pending_.clear();
-    const auto group_size = static_cast<std::size_t>(lockstep_);
-    for (std::size_t base = 0; base < order.size(); base += group_size) {
-      const std::size_t count = std::min(group_size, order.size() - base);
-      const std::uint64_t* group = order.data() + base;
-
-      // Per-slot sinks mirror the worker process's private ones: metrics
-      // are always recorded, flight only when the session asks.
-      std::vector<std::unique_ptr<obs::MetricsRegistry>> metrics(count);
-      std::vector<std::unique_ptr<obs::FlightRecorder>> flight(count);
-      std::vector<TrialResult> results(count);
-      std::deque<bool> completed(count, false);
-      std::deque<bool> errored(count, false);
-      for (std::size_t j = 0; j < count; ++j) {
-        if (want_metrics_) {
-          metrics[j] = std::make_unique<obs::MetricsRegistry>();
-        }
-        if (want_flight_) {
-          obs::FlightRecorder::Options fopts;
-          fopts.path = trial_flight_path(artifacts_dir_, group[j]);
-          fopts.ring = options_.flight_ring;
-          flight[j] = std::make_unique<obs::FlightRecorder>(fopts);
-        }
-      }
-
-      sim::run_lockstep_shard(
-          count, sim::Duration::from_sec(1), /*fused=*/true,
-          [&](std::size_t j) -> std::unique_ptr<sim::LockstepTrial> {
-            return std::make_unique<CampaignLockstepTrial>(
-                spec_, group[j], &results[j], &completed[j]);
-          },
-          [&](std::size_t j, const std::function<void()>& fn) {
-            sim::TrialObsScope sinks(metrics[j].get(), nullptr,
-                                     flight[j].get());
-            fn();
-          },
-          [&](std::size_t j, std::exception_ptr error) {
-            errored[j] = true;
-            try {
-              if (error) std::rethrow_exception(error);
-            } catch (const std::exception& e) {
-              std::fprintf(stderr,
-                           "campaign: trial %" PRIu64 " failed: %s\n",
-                           group[j], e.what());
-            } catch (...) {
-              std::fprintf(stderr, "campaign: trial %" PRIu64 " failed\n",
-                           group[j]);
-            }
-          });
-
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::uint64_t index = group[j];
-        if (errored[j] || !completed[j] || results[j].index != index) {
-          failed_.insert(index);
-          continue;
-        }
-        // Artifacts first, journal second — the same durability order the
-        // worker protocol keeps: "in the journal" implies "artifacts on
-        // disk".
-        bool durable = true;
-        if (flight[j] != nullptr && !flight[j]->close()) durable = false;
-        if (durable && metrics[j] != nullptr) {
-          std::string error;
-          if (!metrics[j]->save_binary(
-                  trial_metrics_path(artifacts_dir_, index), &error)) {
-            std::fprintf(stderr, "campaign: trial %" PRIu64 ": %s\n", index,
-                         error.c_str());
-            durable = false;
-          }
-        }
-        if (!durable) {
-          failed_.insert(index);
-          continue;
-        }
-        if (journal_.completed().count(index) == 0 &&
-            !journal_.append(results[j])) {
-          std::fprintf(stderr,
-                       "campaign: journal append failed for trial %" PRIu64
-                       "\n",
-                       index);
-          failed_.insert(index);
-        }
-      }
-    }
-  }
-
   // Folds per-trial obs artifacts into the calling thread's session sinks
   // in strict index order — the cross-process twin of TrialRunner's
   // submission-order merge, and the reason a campaign's --metrics and
@@ -861,7 +675,6 @@ class Supervisor {
   std::uint64_t shard_size_ = 1;
   double timeout_s_ = 120.0;
   int max_retries_ = 2;
-  int lockstep_ = 0;  // resolved `shard` knob (in-process lockstep size)
   bool chaos_kill_armed_ = false;
   bool chaos_hang_armed_ = false;
 

@@ -47,10 +47,6 @@ struct CampaignOptions {
   std::uint64_t shard_size = 0;
   double trial_timeout_s = 0.0;
   int max_retries = -1;
-  // In-process lockstep shard size (sim/batch.h); -1 = take the spec's
-  // value, 0 explicitly disables, > 1 replaces the worker pool with fused
-  // lockstep groups run on the supervisor thread.
-  int shard = -1;
   // `resume` refuses to start a fresh journal; `run` creates one.
   bool require_existing_journal = false;
   // Per-trial flight ring capacity for worker recorders (0 = full stream).

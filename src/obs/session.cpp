@@ -70,6 +70,27 @@ void snapshot_engine_metrics(const sim::Engine& engine,
   registry.gauge("engine.wall_s_per_sim_s").mark_volatile();
 }
 
+std::optional<unsigned long long> parse_whole_number(const std::string& text,
+                                                     unsigned long long min,
+                                                     unsigned long long max) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(text.c_str(), &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(text[0])) != 0 &&
+      *end == '\0' && errno == 0 && n >= min && n <= max) {
+    return n;
+  }
+  return std::nullopt;
+}
+
+bool reject_unconsumed_args(int argc, char* const* argv, int first) {
+  if (first >= argc) return false;
+  const char* slash = std::strrchr(argv[0], '/');
+  std::fprintf(stderr, "%s: unrecognized argument '%s'\n",
+               slash != nullptr ? slash + 1 : argv[0], argv[first]);
+  return true;
+}
+
 namespace {
 
 // Strips "--<key>=<value>" from argv; returns the last value seen.
@@ -89,21 +110,13 @@ std::string take_flag(int& argc, char** argv, const char* key) {
   return value;
 }
 
-// Reads a numeric flag's value as a whole number in [min, max]. Digits
-// only: std::atoi would read "4x" as 4 and "two" as 0, and strtoull alone
-// stops quietly at a suffix. Anything else is reported, naming the flag,
-// and read as absent (nullopt).
+// Reads a numeric flag's value with parse_whole_number. Anything else is
+// reported, naming the flag, and read as absent (nullopt).
 std::optional<unsigned long long> whole_number(const char* flag,
                                                const std::string& value,
                                                unsigned long long min,
                                                unsigned long long max) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-  if (std::isdigit(static_cast<unsigned char>(value[0])) != 0 &&
-      *end == '\0' && errno == 0 && n >= min && n <= max) {
-    return n;
-  }
+  if (const auto n = parse_whole_number(value, min, max)) return n;
   const std::string at_least = min > 0 ? " >= " + std::to_string(min) : "";
   std::fprintf(stderr,
                "obs: %s=%s not understood (want a whole number%s), "
@@ -163,21 +176,6 @@ ObsSession::ObsSession(int& argc, char** argv, std::size_t trace_capacity) {
     if (const auto jobs = whole_number("--jobs", jobs_value, 0, INT_MAX)) {
       jobs_ = static_cast<int>(*jobs);
     }
-  }
-  const std::string batch_value = take_flag(argc, argv, "batch");
-  if (!batch_value.empty()) {
-    if (const auto batch = whole_number("--batch", batch_value, 1, INT_MAX)) {
-      batch_ = static_cast<int>(*batch);
-    }
-  }
-  const std::string fused_value = take_flag(argc, argv, "fused");
-  if (fused_value == "off") {
-    fused_ = false;
-  } else if (!fused_value.empty() && fused_value != "on") {
-    std::fprintf(stderr,
-                 "obs: --fused=%s not understood (want on|off), "
-                 "keeping default on\n",
-                 fused_value.c_str());
   }
   const std::string cache_value = take_flag(argc, argv, "digest-cache");
   if (!cache_value.empty() && cache_value != "on" && cache_value != "off") {

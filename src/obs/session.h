@@ -18,6 +18,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "obs/flight/recorder.h"
@@ -42,16 +43,15 @@ void snapshot_engine_metrics(const sim::Engine& engine,
 class ObsSession {
  public:
   // Consumes --trace= / --metrics= / --metrics-stable / --faults= /
-  // --jobs= / --batch= / --fused= / --digest-cache= / --flight= from
-  // argv (argc is rewritten).
+  // --jobs= / --digest-cache= / --flight= from argv (argc is rewritten).
   // When no flag is present the session installs nothing and costs
   // nothing. The faults spec is only stripped and stored — the obs layer
   // knows nothing about fault injection; pass faults_spec() to
   // fault::install_from_spec() to arm it. --jobs is likewise only parsed
   // and stored, for sim::TrialRunner: J worker threads, 0 = one per
   // hardware thread, absent = the caller's fallback (typically 1). A
-  // --jobs, --batch or ring= value that is not a whole number in range
-  // is reported, naming the flag, and treated as absent.
+  // --jobs or ring= value that is not a whole number in range is
+  // reported, naming the flag, and treated as absent.
   // --digest-cache=on|off (default on) sets the process-wide default for
   // the secure world's incremental digest cache; off runs the cache in
   // shadow mode — bit-identical stdout/metrics/traces/digests, full
@@ -72,23 +72,9 @@ class ObsSession {
   bool flight_enabled() const { return flight_ != nullptr; }
   bool metrics_stable() const { return metrics_stable_; }
   bool faults_requested() const { return !faults_spec_.empty(); }
-  bool batch_requested() const { return batch_ >= 1; }
   // Parsed --jobs value; `fallback` when the flag was absent, one worker
   // per hardware thread when it was --jobs=0.
   int jobs(int fallback = 1) const;
-  // Parsed --batch value (lockstep shard size for sim::BatchRunner);
-  // `fallback` when the flag was absent or not a whole number >= 1. Like
-  // --jobs, this is only stripped and stored — a pure runtime knob whose
-  // output is byte-identical for every value (CI-gated), so it never
-  // belongs in a result-shaping config hash.
-  int batch(int fallback = 1) const { return batch_ >= 1 ? batch_ : fallback; }
-  // Parsed --fused=on|off (default on): whether --batch=K shards run the
-  // fused engine pass (merged event-frontier bursts + shard-shared
-  // kernel image / pristine digest base) or the plain round-robin
-  // advance() loop. A pure runtime knob like --batch itself — output is
-  // byte-identical either way (CI-gated) — kept switchable so paired
-  // A/Bs can measure the pass against the PR-9 baseline honestly.
-  bool fused() const { return fused_; }
   const std::string& trace_path() const { return trace_path_; }
   const std::string& metrics_path() const { return metrics_path_; }
   const std::string& faults_spec() const { return faults_spec_; }
@@ -114,13 +100,25 @@ class ObsSession {
   std::string flight_path_;
   std::size_t flight_ring_ = 0;  // 0 = spill mode
   int jobs_ = -1;                // -1 = flag absent (or nonsense value)
-  int batch_ = -1;               // -1 = flag absent (or nonsense value)
-  bool fused_ = true;
   bool metrics_stable_ = false;
   std::unique_ptr<TraceRecorder> recorder_;
   std::unique_ptr<MetricsRegistry> registry_;
   std::unique_ptr<FlightRecorder> flight_;
   bool flushed_ = false;
 };
+
+// Reads `text` as a whole number in [min, max]. Digits only: std::atoi
+// would read "4x" as 4 and "two" as 0, and strtoull alone stops quietly
+// at a suffix. nullopt for anything else.
+std::optional<unsigned long long> parse_whole_number(const std::string& text,
+                                                     unsigned long long min,
+                                                     unsigned long long max);
+
+// Call once every flag the program reads has been stripped from argv:
+// names the first of argv[first..argc) on stderr as an unrecognized
+// argument and returns true, or returns false when there is none. The
+// examples and benches exit 2 on true, so a misspelled or retired flag
+// fails instead of being silently ignored.
+bool reject_unconsumed_args(int argc, char* const* argv, int first = 1);
 
 }  // namespace satin::obs

@@ -1,13 +1,11 @@
 #include "scenario/experiments.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "fault/injector.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
 #include "os/system_map.h"
-#include "sim/batch.h"
 
 namespace satin::scenario {
 
@@ -163,53 +161,6 @@ DuelReport run_duel(Scenario& scenario, const DuelConfig& config) {
   return trial.finish();
 }
 
-namespace {
-
-// run_duel as a lockstep citizen: owns its Scenario, writes its report
-// into the submission-order slot the factory wired. finish() runs under
-// the trial's sinks, so the metrics snapshot matches the unsharded path.
-class DuelLockstepTrial final : public sim::LockstepTrial {
- public:
-  DuelLockstepTrial(const ScenarioConfig& scenario_config,
-                    const DuelConfig& duel, DuelReport* slot)
-      : scenario_(scenario_config), trial_(scenario_, duel), slot_(slot) {}
-
-  bool done() const override { return trial_.done(); }
-  void advance(sim::Duration quantum) override { trial_.advance(quantum); }
-  // Fused-pass contract (sim/batch.h): DuelTrial::advance IS
-  // scenario.run_for, i.e. engine run_until, with no request_stop use and
-  // no per-advance side work — the shard loop may drive the engine
-  // directly.
-  sim::Engine* fused_engine() override { return &scenario_.engine(); }
-  void finish() override {
-    *slot_ = trial_.finish();
-    if (auto* registry = obs::metrics()) {
-      obs::snapshot_engine_metrics(scenario_.engine(), *registry,
-                                   /*include_wall=*/false);
-    }
-  }
-
- private:
-  Scenario scenario_;
-  DuelTrial trial_;
-  DuelReport* slot_;
-};
-
-// Per-trial configs are derived identically on every sweep path.
-ScenarioConfig duel_trial_scenario_config(const sim::TrialContext& ctx,
-                                          DuelConfig& duel,
-                                          const std::function<void(
-                                              const sim::TrialContext&,
-                                              ScenarioConfig&, DuelConfig&)>&
-                                              customize) {
-  ScenarioConfig scenario_config;
-  scenario_config.platform.seed = ctx.seed;
-  if (customize) customize(ctx, scenario_config, duel);
-  return scenario_config;
-}
-
-}  // namespace
-
 DuelSweep run_duel_sweep(
     const DuelSweepConfig& config,
     const std::function<void(const sim::TrialContext&, ScenarioConfig&,
@@ -220,36 +171,14 @@ DuelSweep run_duel_sweep(
   options.flight_ring = config.flight_ring;
 
   DuelSweep sweep;
-  if (config.batch > 1) {
-    sim::BatchRunnerOptions batch_options;
-    batch_options.batch = static_cast<std::size_t>(config.batch);
-    batch_options.fused = config.fused;
-    batch_options.runner = options;
-    sim::BatchRunner runner(batch_options);
-    // Report the same effective worker clamp as the unsharded sweep:
-    // `jobs` is the requested-parallelism knob, and sweep output must be
-    // byte-identical across --batch (shards may cap workers lower).
-    sweep.jobs = sim::TrialRunner(options).jobs_for(config.trials);
-    sweep.reports.resize(config.trials);
-    runner.run(config.trials, [&config, &customize, &sweep](
-                                  const sim::TrialContext& ctx) {
-      DuelConfig duel = config.duel;
-      const ScenarioConfig scenario_config =
-          duel_trial_scenario_config(ctx, duel, customize);
-      return std::make_unique<DuelLockstepTrial>(scenario_config, duel,
-                                                 &sweep.reports[ctx.index]);
-    });
-    sweep.wall_seconds = runner.wall_seconds();
-    return sweep;
-  }
-
   sim::TrialRunner runner(options);
   sweep.jobs = runner.jobs_for(config.trials);
   sweep.reports = runner.run_collect(
       config.trials, [&config, &customize](const sim::TrialContext& ctx) {
+        ScenarioConfig scenario_config;
+        scenario_config.platform.seed = ctx.seed;
         DuelConfig duel = config.duel;
-        const ScenarioConfig scenario_config =
-            duel_trial_scenario_config(ctx, duel, customize);
+        if (customize) customize(ctx, scenario_config, duel);
         Scenario scenario(scenario_config);
         DuelReport report = run_duel(scenario, duel);
         // Engine self-metrics, minus host wall time: trial metrics must

@@ -101,13 +101,13 @@ struct DuelReport {
   }
 };
 
-// One duel, decomposed so a BatchRunner can interleave it with
-// shard-mates: the constructor performs the full setup (trusted boot,
-// prober deployment and 10 ms warm-up, SATIN start, rootkit install),
-// advance() runs one slice of simulated time, finish() stops both sides
-// and correlates detections against ground truth. run_duel() is exactly
-// construct + advance(1 s) until done + finish, so sliced and unsliced
-// execution produce identical reports by construction.
+// One duel in three stages: the constructor performs the full setup
+// (trusted boot, prober deployment and 10 ms warm-up, SATIN start,
+// rootkit install), advance() runs one slice of simulated time, finish()
+// stops both sides and correlates detections against ground truth.
+// run_duel() is exactly construct + advance(1 s) until done + finish; the
+// campaign trial reaches it through run_single_duel(), and perfbench's
+// traced replay calls the stages itself to time each one.
 class DuelTrial {
  public:
   DuelTrial(Scenario& scenario, const DuelConfig& config);
@@ -151,17 +151,6 @@ struct DuelSweepConfig {
   // Per-trial flight-recorder ring capacity (0 = full per-trial stream);
   // pass ObsSession::flight_ring() so --flight=...,ring=N bounds trials too.
   std::size_t flight_ring = 0;
-  // Lockstep shard size (--batch=K). 1 = every trial on its own via
-  // TrialRunner::run(); K >= 2 groups trials into shards of K advanced in
-  // lockstep by sim::BatchRunner. Draws take the platform's draw mode
-  // either way. A runtime performance knob: the sweep output is
-  // byte-identical for every K (CI-gated).
-  int batch = 1;
-  // Fused engine pass for batch >= 2 (--fused=on|off, default on): shard
-  // trials advance via merged event-frontier bursts (sim/batch.h).
-  // Byte-identical either way; off is the PR-9 round-robin baseline for
-  // paired A/Bs. Set-up sharing is process-wide on every path.
-  bool fused = true;
 };
 
 struct DuelSweep {

@@ -345,16 +345,6 @@ bool Engine::fire_queued(Time limit) {
   return true;
 }
 
-Time Engine::next_event_time(Time limit) {
-  Time best = armed_.empty() ? Time::max() : armed_.front().when;
-  settle_tops(std::min(limit, best));
-  if (!drain_.empty() && drain_.front().when < best) {
-    best = drain_.front().when;
-  }
-  if (!heap_.empty() && heap_.front().when < best) best = heap_.front().when;
-  return best;
-}
-
 bool Engine::step() {
   // Same contract as run_until/run_all: a stop request only affects the
   // run it was issued inside of; entering a new (single-step) run clears

@@ -109,18 +109,6 @@ class Engine {
   // Drains the queue completely (use only for bounded simulations).
   std::size_t run_all();
 
-  // Timestamp of the next live event or armed keyed action, or Time::max()
-  // when there is none at or before `limit`. Settles the queue tops
-  // exactly as far as a run_until(limit) would before its first dispatch —
-  // cancelled-top pops and bucket loads this performs are ones that run
-  // would perform — so peeking at the current run deadline is
-  // observationally inert. The fused lockstep pass (sim/parallel.cpp)
-  // uses this to order K trials' engines by their merged event frontier.
-  // Do not pass Time::max() while running to a nearer deadline: that
-  // would load far buckets early and perturb the wheel-vs-heap admission
-  // counters against the unsharded run.
-  Time next_event_time(Time limit);
-
   // Callable from inside a callback: makes the enclosing run_* return once
   // the current event finishes. A request issued outside any run is inert:
   // step/run_until/run_all all clear it on entry.
@@ -134,9 +122,9 @@ class Engine {
   // arms one of its slots with the key. Dispatch merges armed slots into
   // the queue by full (when, seq) order, so the action runs where the
   // event it stands for would have: among queue events, other slots and
-  // same-picosecond ties alike. step(), run_until's limit, request_stop()
-  // and next_event_time() treat armed actions like queue events. A
-  // disarmed key can go back to the queue through schedule_keyed().
+  // same-picosecond ties alike. step(), run_until's limit and
+  // request_stop() treat armed actions like queue events. A disarmed key
+  // can go back to the queue through schedule_keyed().
   // RichOs runs duty-cycle threads this way.
   struct Key {
     Time when;

@@ -5,12 +5,11 @@
 #include <exception>
 #include <memory>
 #include <thread>
-#include <utility>
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/batch.h"
+#include "sim/time.h"
 
 namespace satin::sim {
 
@@ -57,9 +56,7 @@ namespace {
 
 // The calling thread's sinks decide whether trials record at all; the
 // per-trial instances exist so workers never contend on one registry and
-// so the merged state is independent of completion order — shared
-// verbatim between run() and run_sharded(), which is what makes their
-// outputs byte-identical to each other.
+// so the merged state is independent of completion order.
 struct PerTrialSinks {
   obs::MetricsRegistry* parent_metrics = obs::metrics();
   obs::TraceRecorder* parent_tracer = obs::tracer();
@@ -86,7 +83,7 @@ struct PerTrialSinks {
   }
 
   // Merge in submission order, on the calling thread, after every trial
-  // has settled — the one place all execution paths reconverge.
+  // has settled.
   void merge(const TrialSeedSeq& seeds) {
     for (std::size_t i = 0; i < metrics.size(); ++i) {
       if (metrics[i] != nullptr) parent_metrics->merge_from(*metrics[i]);
@@ -151,52 +148,6 @@ void TrialRunner::run(std::size_t trials,
   };
 
   run_pool(jobs_for(trials), trials, run_one);
-  sinks.merge(seeds_);
-
-  trials_run_ += trials;
-  wall_seconds_ += std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - wall_start)
-                       .count();
-
-  for (std::size_t i = 0; i < trials; ++i) {
-    if (errors[i]) std::rethrow_exception(errors[i]);
-  }
-}
-
-void TrialRunner::run_sharded(
-    std::size_t trials, std::size_t shard_size, Duration quantum,
-    const std::function<std::unique_ptr<LockstepTrial>(const TrialContext&)>&
-        make,
-    bool fused) {
-  if (trials == 0) return;
-  if (shard_size < 1) shard_size = 1;
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  PerTrialSinks sinks(trials, options_);
-  std::vector<std::exception_ptr> errors(trials);
-  const std::size_t shards = (trials + shard_size - 1) / shard_size;
-
-  const auto run_shard = [&](std::size_t s) {
-    const std::size_t begin = s * shard_size;
-    const std::size_t count = std::min(shard_size, trials - begin);
-    run_lockstep_shard(
-        count, quantum, fused,
-        [&](std::size_t j) {
-          const std::size_t i = begin + j;
-          return make(TrialContext{i, seeds_.seed_for(i)});
-        },
-        [&](std::size_t j, const std::function<void()>& fn) {
-          const std::size_t i = begin + j;
-          TrialObsScope scope(sinks.metrics[i].get(), sinks.tracers[i].get(),
-                              sinks.flights[i].get());
-          fn();
-        },
-        [&](std::size_t j, std::exception_ptr error) {
-          errors[begin + j] = std::move(error);
-        });
-  };
-
-  run_pool(jobs_for(shards), shards, run_shard);
   sinks.merge(seeds_);
 
   trials_run_ += trials;

@@ -23,12 +23,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
 #include "sim/seed_seq.h"
-#include "sim/time.h"
 
 namespace satin::obs {
 class MetricsRegistry;
@@ -37,8 +35,6 @@ class FlightRecorder;
 }  // namespace satin::obs
 
 namespace satin::sim {
-
-class LockstepTrial;  // sim/batch.h
 
 struct TrialContext {
   std::size_t index = 0;    // submission order, 0-based
@@ -109,29 +105,6 @@ class TrialRunner {
     });
     return results;
   }
-
-  // Sharded lockstep execution (the engine under sim::BatchRunner):
-  // trials are grouped into consecutive shards of `shard_size`; a worker
-  // claims a whole shard, constructs its trials via `make`, and advances
-  // them in lockstep, one `quantum` of simulated time each round, until
-  // all finish. With `fused` (the default) the shard runs the fused
-  // engine pass: lanes exposing fused_engine() advance through merged
-  // event-frontier bursts, falling back to per-trial advance() for
-  // stragglers; fused=false is the plain round-robin advance() loop (the
-  // PR-8/9 behavior). Set-up sharing (kernel image, pristine digest base)
-  // is process-wide and the same either way (DESIGN.md §20). Obs sinks
-  // stay PER TRIAL — installed around every construct / advance / finish
-  // call — and the final merge is run()'s submission-order merge, so for
-  // any shard size, fused or not, the output is byte-identical to run()
-  // provided each trial is insensitive to run_for slicing (event-engine
-  // trials are by construction). Exceptions are captured per trial; a
-  // throwing trial is destroyed (under its sinks) and its shard-mates
-  // continue.
-  void run_sharded(
-      std::size_t trials, std::size_t shard_size, Duration quantum,
-      const std::function<std::unique_ptr<LockstepTrial>(const TrialContext&)>&
-          make,
-      bool fused = true);
 
   // Host wall-clock spent inside run(), cumulative across calls, and the
   // trial throughput it implies. Host timing is intentionally NOT written

@@ -81,10 +81,10 @@ TEST(CampaignSpec, UnknownTopLevelKeyNamesTheKeyWithPosition) {
   EXPECT_NE(what.find("trails"), std::string::npos);
   // The typo is on line 2.
   EXPECT_NE(what.find("spec.json:2"), std::string::npos);
-  // Keys of the retired fork backend are unknown keys now: a spec that
-  // still sets them fails at parse time instead of silently running on
-  // the worker pool.
-  for (const std::string key : {"branches", "fork_prefix"}) {
+  // Keys of the retired fork and lockstep shard backends are unknown keys
+  // now: a spec that still sets them fails at parse time instead of
+  // silently running on the worker pool.
+  for (const std::string key : {"branches", "fork_prefix", "shard"}) {
     const std::string stale =
         parse_error("{\"trials\": 1,\n\n \"" + key + "\": 0}");
     EXPECT_NE(stale.find("\"" + key + "\""), std::string::npos) << stale;

@@ -1,7 +1,8 @@
 // run_campaign_trial against the scalar draw oracle. Every campaign trial
 // draws through the batched block kernels by default; pinning the spec's
 // platform to DrawMode::kScalar must change nothing a campaign persists:
-// the journal record and the per-trial SATNMET1 metrics file. Nor may the
+// the journal record, the per-trial SATNMET1 metrics file and the flight
+// stream (compared by its chain hash over every commit). Nor may the
 // process-wide set-up cache (DESIGN.md §20): a trial persists the same
 // bytes whether it boots cold or after other trials warmed the cache.
 #include "campaign/trial.h"
@@ -85,6 +86,8 @@ TEST(CampaignTrial, ScalarDrawOracleMatchesTheDefaultRecordAndMetrics) {
     EXPECT_EQ(got.record, want.record) << "trial " << i;
     ASSERT_FALSE(want.metrics.empty()) << "trial " << i;
     EXPECT_EQ(got.metrics, want.metrics) << "trial " << i;
+    EXPECT_NE(want.flight_chain, 0u) << "trial " << i;
+    EXPECT_EQ(got.flight_chain, want.flight_chain) << "trial " << i;
     faults += want.faults_injected;
   }
   // The storm fired, so the comparison covered faulted duels.

@@ -275,18 +275,6 @@ TEST(CycleFastForward, RunLimitsBetweenAWakeAndItsCompletion) {
   EXPECT_GT(mid_compute, 0);
 }
 
-TEST(CycleFastForward, NextEventTimeSeesArmedActions) {
-  expect_identical_runs(attack::ProbeMode::kRtScheduler,
-                        [](ProberRun& run, int stage) {
-                          const Time limit =
-                              run.engine().now() + Duration::from_ms(1);
-                          const Time next = run.engine().next_event_time(limit);
-                          EXPECT_LE(next, limit);
-                          run.system->run_until(next);
-                          return stage < 200;
-                        });
-}
-
 TEST(CycleFastForward, RetractMidComputeParksTheProbers) {
   // Retracts while core 0's prober is mid-compute, then runs on: every
   // prober parks, waking each 100 ms to re-check.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -175,54 +176,6 @@ TEST(ObsSessionTest, MetricsStableDropsVolatileGauges) {
   std::remove(stable.c_str());
 }
 
-TEST(ObsSessionTest, BatchFlagParsedAndStripped) {
-  {
-    Argv argv({"prog", "--batch=8", "-x"});
-    ObsSession session(argv.argc, argv.ptrs.data());
-    EXPECT_TRUE(session.batch_requested());
-    EXPECT_EQ(session.batch(), 8);
-    EXPECT_EQ(session.batch(3), 8);
-    // The flag is stripped; nothing else is installed for it.
-    ASSERT_EQ(argv.argc, 2);
-    EXPECT_STREQ(argv.ptrs[1], "-x");
-    EXPECT_FALSE(session.trace_enabled());
-    EXPECT_FALSE(session.metrics_enabled());
-  }
-  {
-    Argv argv({"prog"});
-    ObsSession session(argv.argc, argv.ptrs.data());
-    EXPECT_FALSE(session.batch_requested());
-    EXPECT_EQ(session.batch(), 1);
-    EXPECT_EQ(session.batch(4), 4);
-  }
-  {
-    // Nonsense values behave as if the flag were absent.
-    Argv argv({"prog", "--batch=0"});
-    ObsSession session(argv.argc, argv.ptrs.data());
-    EXPECT_FALSE(session.batch_requested());
-    EXPECT_EQ(session.batch(), 1);
-  }
-  {
-    Argv argv({"prog", "--batch=-3"});
-    ObsSession session(argv.argc, argv.ptrs.data());
-    EXPECT_FALSE(session.batch_requested());
-    EXPECT_EQ(session.batch(7), 7);
-  }
-  // Malformed values are reported, naming the flag: std::atoi would read
-  // "4x" as 4 and "two" silently as absent.
-  for (const std::string value : {"4x", "two", "0", " 2"}) {
-    Argv argv({"prog", "--batch=" + value, "-x"});
-    testing::internal::CaptureStderr();
-    ObsSession session(argv.argc, argv.ptrs.data());
-    const std::string warning = testing::internal::GetCapturedStderr();
-    EXPECT_FALSE(session.batch_requested()) << value;
-    EXPECT_EQ(session.batch(7), 7) << value;
-    EXPECT_NE(warning.find("--batch=" + value), std::string::npos) << warning;
-    ASSERT_EQ(argv.argc, 2) << value;
-    EXPECT_STREQ(argv.ptrs[1], "-x");
-  }
-}
-
 TEST(ObsSessionTest, MalformedJobsIsStrippedAndTreatedAsAbsent) {
   {
     Argv argv({"prog", "--jobs=3", "-x"});
@@ -238,6 +191,53 @@ TEST(ObsSessionTest, MalformedJobsIsStrippedAndTreatedAsAbsent) {
     ASSERT_EQ(argv.argc, 2) << value;
     EXPECT_STREQ(argv.ptrs[1], "-x");
   }
+}
+
+TEST(ObsSessionTest, RetiredAndUnknownFlagsAreLeftForTheCaller) {
+  // --batch and --fused belonged to the retired lockstep runner: the
+  // session no longer consumes them, so the unconsumed-argument check
+  // names them.
+  for (const std::string flag : {"--batch=8", "--fused=off", "--bogus"}) {
+    Argv argv({"/path/to/bench", "--jobs=2", flag});
+    ObsSession session(argv.argc, argv.ptrs.data());
+    EXPECT_EQ(session.jobs(), 2) << flag;
+    ASSERT_EQ(argv.argc, 2) << flag;
+    testing::internal::CaptureStderr();
+    EXPECT_TRUE(reject_unconsumed_args(argv.argc, argv.ptrs.data()));
+    const std::string error = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(error, "bench: unrecognized argument '" + flag + "'\n");
+  }
+}
+
+TEST(ObsSessionTest, UnconsumedArgumentCheckStartsAtFirst) {
+  Argv bare({"prog"});
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(reject_unconsumed_args(bare.argc, bare.ptrs.data()));
+  // A switch the caller read itself is skipped by passing `first`.
+  Argv verbose({"prog", "-v"});
+  EXPECT_FALSE(reject_unconsumed_args(verbose.argc, verbose.ptrs.data(), 2));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  // The first leftover is named, not a later one.
+  Argv extra({"prog", "-v", "-x", "-y"});
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(reject_unconsumed_args(extra.argc, extra.ptrs.data(), 2));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: unrecognized argument '-x'\n");
+}
+
+TEST(ObsSessionTest, WholeNumbersAreDigitsOnlyAndInRange) {
+  EXPECT_EQ(parse_whole_number("400", 1, 1000), 400u);
+  EXPECT_EQ(parse_whole_number("0", 0, 5), 0u);
+  EXPECT_EQ(parse_whole_number("18446744073709551615", 1, UINT64_MAX),
+            UINT64_MAX);
+  // strtoull alone would read "2x" and " 2" as 2, "+4" as 4 and "-1" as
+  // 2^64 - 1, and atoi "abc" and "" as 0. "0" is below the minimum and
+  // the last one overflows.
+  for (const std::string text :
+       {"2x", "abc", " 2", "+4", "-1", "", "0", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_whole_number(text, 1, UINT64_MAX)) << text;
+  }
+  EXPECT_FALSE(parse_whole_number("6", 1, 5));
 }
 
 TEST(ObsSessionTest, MetricsOnlyRunWritesNoTrace) {

@@ -340,8 +340,9 @@ TEST(RngDifferential, MixedDrawSequenceStaysAligned) {
 
 // ---------------------------------------------------------------------------
 // Batched pipeline differentials: a kBatched stream must equal the
-// kScalar per-draw oracle bit for bit at every block size — the batch
-// engine's byte-identity gate (--batch=K vs --batch=1) rests on this.
+// kScalar per-draw oracle bit for bit at every block size — the
+// whole-trial scalar oracle in tests/campaign/trial_test.cpp rests on
+// this.
 
 // Block sizes straddling the kernel chunk boundaries: degenerate (1),
 // small, odd (33 — forces ragged refill tails), and the default.

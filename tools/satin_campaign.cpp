@@ -12,21 +12,18 @@
 //   --out=PATH        stats JSON       (default: SPEC + ".stats.json")
 //   --jobs=N          worker processes (default: spec's `jobs`;
 //                     0 = one per hardware thread)
-//   --shard=N         in-process lockstep shard size (default: spec's
-//                     `shard`; 0 = the persistent worker pool)
 //   --timeout=SECS    per-trial wedge timeout (default: spec's)
 //   --max-retries=N   per-trial retry budget  (default: spec's)
 //   --chaos-kill-trial=I / --chaos-hang-trial=I / --chaos-kill-after=N
 //                     deterministic crash injection for the CI audit
 //
 // A flag value that is not a whole number in range (a positive number of
-// seconds for --timeout) is a usage error.
+// seconds for --timeout) is a usage error, and so is any argument left
+// over once the flags and SPEC are taken; both name the argument.
 //
 // Exit codes: 0 = campaign complete, 2 = usage / spec / journal error,
 // 3 = campaign finished DEGRADED (some trials permanently failed; partial
 // stats were still written, marked "degraded": true).
-#include <cctype>
-#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -51,8 +48,7 @@ using satin::campaign::CampaignSpec;
 int usage() {
   std::fprintf(stderr,
                "usage: satin_campaign run      SPEC.json [--journal=P] "
-               "[--out=P] [--jobs=N] [--shard=N] "
-               "[--timeout=S] [--max-retries=N]\n"
+               "[--out=P] [--jobs=N] [--timeout=S] [--max-retries=N]\n"
                "       satin_campaign resume   SPEC.json [same flags]\n"
                "       satin_campaign status   JOURNAL\n"
                "       satin_campaign validate SPEC.json\n");
@@ -83,18 +79,15 @@ std::string take_flag(int& argc, char** argv, const char* key) {
 template <typename T>
 bool parse_count(const char* key, const std::string& text, T max, T& out) {
   if (text.empty()) return true;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 ||
-      *end != '\0' || errno != 0 ||
-      value > static_cast<unsigned long long>(max)) {
+  const auto value = satin::obs::parse_whole_number(
+      text, 0, static_cast<unsigned long long>(max));
+  if (!value) {
     std::fprintf(stderr,
                  "satin_campaign: --%s=%s: want a whole number in [0, %llu]\n",
                  key, text.c_str(), static_cast<unsigned long long>(max));
     return false;
   }
-  out = static_cast<T>(value);
+  out = static_cast<T>(*value);
   return true;
 }
 
@@ -113,6 +106,18 @@ bool parse_seconds(const char* key, const std::string& text, double& out) {
   }
   out = value;
   return true;
+}
+
+// True when argv[at] is the subcommand's one positional argument and
+// nothing is left over; otherwise prints the usage or names the leftover
+// argument (a flag before the positional one included).
+bool one_positional(int argc, char** argv, int at) {
+  if (argc <= at) {
+    usage();
+    return false;
+  }
+  return !satin::obs::reject_unconsumed_args(
+      argc, argv, argv[at][0] == '-' ? at : at + 1);
 }
 
 bool load_spec(const char* path, CampaignSpec& spec) {
@@ -167,7 +172,6 @@ int cmd_run(int argc, char** argv, bool resume, const std::string& jobs) {
   options.require_existing_journal = resume;
   options.journal_path = take_flag(argc, argv, "journal");
   options.stats_path = take_flag(argc, argv, "out");
-  const std::string shard = take_flag(argc, argv, "shard");
   const std::string timeout = take_flag(argc, argv, "timeout");
   const std::string retries = take_flag(argc, argv, "max-retries");
   const std::string kill_trial = take_flag(argc, argv, "chaos-kill-trial");
@@ -175,7 +179,6 @@ int cmd_run(int argc, char** argv, bool resume, const std::string& jobs) {
   const std::string kill_after = take_flag(argc, argv, "chaos-kill-after");
   constexpr auto kMaxIndex = std::numeric_limits<std::int64_t>::max();
   if (!parse_count("jobs", jobs, 256, options.jobs) ||
-      !parse_count("shard", shard, 4096, options.shard) ||
       !parse_seconds("timeout", timeout, options.trial_timeout_s) ||
       !parse_count("max-retries", retries, 16, options.max_retries) ||
       !parse_count("chaos-kill-trial", kill_trial, kMaxIndex,
@@ -192,7 +195,7 @@ int cmd_run(int argc, char** argv, bool resume, const std::string& jobs) {
   if (!jobs.empty() && options.jobs == 0) {
     options.jobs = satin::sim::TrialRunner::hardware_jobs();
   }
-  if (argc != 2) return usage();
+  if (!one_positional(argc, argv, 1)) return 2;
   const std::string spec_path = argv[1];
 
   CampaignSpec spec;
@@ -249,11 +252,11 @@ int main(int argc, char** argv) {
     return cmd_run(argc, argv, cmd == "resume", jobs);
   }
   if (cmd == "status") {
-    if (argc != 3) return usage();
+    if (!one_positional(argc, argv, 2)) return 2;
     return cmd_status(argv[2]);
   }
   if (cmd == "validate") {
-    if (argc != 3) return usage();
+    if (!one_positional(argc, argv, 2)) return 2;
     return cmd_validate(argv[2]);
   }
   return usage();
