@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
   constexpr std::size_t kTargets = sizeof(targets) / sizeof(targets[0]);
   sim::TrialRunnerOptions options;
   options.jobs = jobs;
-  options.flight_ring = obs.flight_ring();
   sim::TrialRunner runner(options);
   const std::vector<AblationRow> rows = runner.run_collect(
       kTargets, [&targets](const sim::TrialContext& ctx) {

@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
 
   sim::TrialRunnerOptions options;
   options.jobs = jobs;
-  options.flight_ring = obs.flight_ring();
   sim::TrialRunner runner(options);
 
   // The randomized run is longer so area 14 gets several checks.

@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
 
   sim::TrialRunnerOptions options;
   options.jobs = jobs;
-  options.flight_ring = obs.flight_ring();
   options.root_seed = 4;
   sim::TrialRunner runner(options);
   const std::vector<PeriodRow> rows = runner.run_collect(

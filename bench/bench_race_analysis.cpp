@@ -132,7 +132,6 @@ int main(int argc, char** argv) {
   constexpr int kDrawsPerBatch = 1'000;
   sim::TrialRunnerOptions mc_options;
   mc_options.jobs = jobs;
-  mc_options.flight_ring = obs.flight_ring();
   mc_options.root_seed = 11;
   sim::TrialRunner mc_runner(mc_options);
   const std::vector<int> batch_escapes = mc_runner.run_collect(
@@ -165,7 +164,6 @@ int main(int argc, char** argv) {
   constexpr std::size_t kProbeCount = sizeof(probes) / sizeof(probes[0]);
   sim::TrialRunnerOptions duel_options;
   duel_options.jobs = jobs;
-  duel_options.flight_ring = obs.flight_ring();
   sim::TrialRunner duel_runner(duel_options);
   // char, not bool: trials fill their slots concurrently.
   const std::vector<char> caught = duel_runner.run_collect(

@@ -7,18 +7,19 @@
 // false positives or negatives; the average gap between area-14 checks is
 // 141 s and the guaranteed full-scan period ~152 s.
 //
-// Three seed replicas run through scenario::run_duel_sweep over --jobs=J
-// workers. Replica 0 keeps the paper-baseline platform seed (its rows
-// below match the single-run bench of record); the extra replicas feed
-// the seed-stability summary.
+// Three seed replicas of scenario::run_single_duel run on a
+// sim::TrialRunner over --jobs=J workers. Replica 0 keeps the
+// paper-baseline platform seed (its rows below match the single-run bench
+// of record); the extra replicas feed the seed-stability summary.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <vector>
 
 #include "bench/common.h"
 #include "scenario/experiments.h"
-#include "secure/digest_cache.h"
+#include "sim/parallel.h"
 
 namespace {
 
@@ -64,10 +65,11 @@ void print_clean_rows(satin::scenario::Scenario& system,
   bench::text_row("alarms", std::to_string(satin.alarm_count()),
                   "(every digest matched the authorized value)");
   bench::sci_row("simulated duration (s)", {system.now().sec()});
-  // Shadow mode keeps this bookkeeping identical with the cache off, so
-  // these rows are safe to print under the on-vs-off stdout diff. The
-  // pristine-base serve path counts served chunks as misses for the
-  // same reason, so they are what hashing every chunk would print.
+  // Shadow mode keeps this bookkeeping identical with the cache off
+  // (core::SatinConfig::shadow_digest_cache), so these rows are the same
+  // in both modes. The pristine-base serve path counts served chunks as
+  // misses for the same reason, so they are what hashing every chunk
+  // would print.
   bench::subheading("digest cache");
   bench::text_row("chunk hits", std::to_string(stats.hits));
   bench::text_row("chunk misses", std::to_string(stats.misses));
@@ -82,12 +84,10 @@ void print_clean_rows(satin::scenario::Scenario& system,
 // tp, so almost every round re-hashes a byte-identical area: exactly the
 // mostly-clean steady state §VI-B1's long runs spend their time in. With
 // the cache on, warm rounds skip the full re-hash in host time; simulated
-// time, digests and every stdout row below stay bit-identical to
-// --digest-cache=off (the CI gate diffs the two).
+// time, digests and every stdout row below stay bit-identical to the
+// cache's shadow mode (the oracle sweep test compares the two).
 int run_clean_rounds(std::uint64_t target) {
   using namespace satin;
-  const std::string name = std::string("bench_satin_detection_clean_") +
-                           (secure::digest_cache_default() ? "on" : "off");
   scenario::Scenario system;
   core::Satin satin(system.platform(), system.kernel(), system.tsp(),
                     clean_config());
@@ -100,7 +100,8 @@ int run_clean_rounds(std::uint64_t target) {
   satin.stop();
   system.run_for(sim::Duration::from_ms(500));  // drain in-flight rounds
   print_clean_rows(system, satin);
-  bench::json_row(name, satin.rounds(), 1, system.engine().wall_seconds());
+  bench::json_row("bench_satin_detection_clean", satin.rounds(), 1,
+                  system.engine().wall_seconds());
   return satin.alarm_count() == 0 ? 0 : 1;
 }
 
@@ -117,25 +118,25 @@ int main(int argc, char** argv) {
   if (*clean_rounds > 0) return run_clean_rounds(*clean_rounds);
   constexpr std::size_t kReplicas = 3;
 
-  scenario::DuelSweepConfig sweep_config;
-  sweep_config.duel.rounds_target = 190;  // defaults ARE the paper config
-  sweep_config.trials = kReplicas;
-  sweep_config.jobs = obs.jobs(/*fallback=*/1);
-  sweep_config.flight_ring = obs.flight_ring();
+  scenario::DuelConfig duel;
+  duel.rounds_target = 190;  // defaults ARE the paper config
 
   std::printf(
       "running %zu replicas of 190 introspection rounds (~1520 simulated s "
       "each)...\n",
       kReplicas);
-  const scenario::DuelSweep sweep = scenario::run_duel_sweep(
-      sweep_config,
-      [](const sim::TrialContext& ctx, scenario::ScenarioConfig& config,
-         scenario::DuelConfig&) {
+  sim::TrialRunnerOptions options;
+  options.jobs = obs.jobs(/*fallback=*/1);
+  sim::TrialRunner runner(options);
+  const std::vector<scenario::DuelReport> reports = runner.run_collect(
+      kReplicas, [&duel](const sim::TrialContext& ctx) {
+        scenario::ScenarioConfig config;
         // Replica 0 is the run of record: the default platform seed every
         // previous single-run bench and EXPERIMENTS.md quoted.
-        if (ctx.index == 0) config.platform.seed = hw::PlatformConfig{}.seed;
+        if (ctx.index > 0) config.platform.seed = ctx.seed;
+        return scenario::run_single_duel(config, duel).report;
       });
-  const scenario::DuelReport& report = sweep.reports[0];
+  const scenario::DuelReport& report = reports[0];
 
   bench::heading("SATIN vs TZ-Evader (§VI-B1)");
   bench::text_row("introspection rounds", std::to_string(report.rounds),
@@ -166,9 +167,9 @@ int main(int argc, char** argv) {
   bench::subheading("seed stability across replicas");
   std::size_t always_caught = 0;
   std::uint64_t fp = 0, fn = 0;
-  double gap_min = sweep.reports[0].avg_target_gap_s;
+  double gap_min = report.avg_target_gap_s;
   double gap_max = gap_min;
-  for (const scenario::DuelReport& r : sweep.reports) {
+  for (const scenario::DuelReport& r : reports) {
     if (r.satin_always_caught()) ++always_caught;
     fp += r.false_positives;
     fn += r.false_negatives;
@@ -191,7 +192,7 @@ int main(int argc, char** argv) {
   bench::sci_row("guaranteed full-scan period (s)",
                  {probe.guaranteed_scan_period(hw::CoreType::kBigA57).sec()},
                  "(paper: ~152 s)");
-  bench::json_row("bench_satin_detection", kReplicas, sweep.jobs,
-                  sweep.wall_seconds);
+  bench::json_row("bench_satin_detection", kReplicas,
+                  runner.jobs_for(kReplicas), runner.wall_seconds());
   return 0;
 }

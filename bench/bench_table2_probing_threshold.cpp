@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
 
   sim::TrialRunnerOptions options;
   options.jobs = jobs;
-  options.flight_ring = obs.flight_ring();
   options.root_seed = 20190624;
   sim::TrialRunner runner(options);
   const std::vector<PeriodStats> stats = runner.run_collect(

@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
 
   sim::TrialRunnerOptions options;
   options.jobs = obs.jobs(/*fallback=*/1);
-  options.flight_ring = obs.flight_ring();
   sim::TrialRunner runner(options);
   const std::vector<ReplicaOutcome> outcomes = runner.run_collect(
       replicas, [&](const sim::TrialContext& ctx) {

@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
   std::printf("running mini-UnixBench twice (without / with SATIN)...\n\n");
   sim::TrialRunnerOptions options;
   options.jobs = obs.jobs(/*fallback=*/1);
-  options.flight_ring = obs.flight_ring();
   sim::TrialRunner runner(options);
   const auto passes = runner.run_collect(
       std::size_t{2}, [&obs](const sim::TrialContext& ctx) {

@@ -346,7 +346,6 @@ class Supervisor {
       ctx.artifacts_dir = artifacts_dir_;
       ctx.want_metrics = want_metrics_;
       ctx.want_flight = want_flight_;
-      ctx.flight_ring = options_.flight_ring;
       worker_main(ctx);  // never returns
     }
     ::close(cmd_pipe[0]);

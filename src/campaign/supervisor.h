@@ -49,8 +49,6 @@ struct CampaignOptions {
   int max_retries = -1;
   // `resume` refuses to start a fresh journal; `run` creates one.
   bool require_existing_journal = false;
-  // Per-trial flight ring capacity for worker recorders (0 = full stream).
-  std::size_t flight_ring = 0;
 
   // Chaos knobs (CI crash audits; -1 / 0 = off).
   std::int64_t chaos_kill_trial = -1;   // worker SIGKILLs itself on first

@@ -103,7 +103,6 @@ void worker_main(const WorkerContext& ctx) {
     if (ctx.want_flight) {
       obs::FlightRecorder::Options fopts;
       fopts.path = trial_flight_path(ctx.artifacts_dir, index);
-      fopts.ring = ctx.flight_ring;
       flight = std::make_unique<obs::FlightRecorder>(fopts);
     }
 

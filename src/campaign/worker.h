@@ -38,7 +38,6 @@ struct WorkerContext {
   std::string artifacts_dir;
   bool want_metrics = false;
   bool want_flight = false;
-  std::size_t flight_ring = 0;
 };
 
 // Per-trial artifact paths, shared with the supervisor-side merge.

@@ -55,6 +55,8 @@ Satin::Satin(hw::Platform& platform, const os::KernelImage& image,
                             platform_.rng().fork("satin-wake-queue"));
   wake_queue_.set_randomized(config_.randomize_wake);
   checker_.set_max_retries(config_.resilience.max_scan_retries);
+  checker_.introspector().digest_cache().set_enabled(
+      !config_.shadow_digest_cache);
 }
 
 void Satin::start() {

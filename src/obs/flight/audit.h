@@ -9,10 +9,11 @@
 //             streams so the post-mortem starts at the cause, not the
 //             10^6th downstream symptom?
 //
-// The jobs=1-vs-8, digest-cache on/off and faults-off-vs-baseline
-// identity gates all reduce to "diff reports zero divergence"; the
-// negative gate (an armed fault plan MUST diverge) reduces to "diff
-// locates a first divergence".
+// The jobs=1-vs-8 and faults-off-vs-baseline identity gates reduce to
+// "diff reports zero divergence"; the negative gate (an armed fault plan
+// MUST diverge) reduces to "diff locates a first divergence". The oracle
+// sweep (tests/integration/oracle_sweep_test.cpp) compares flight chains
+// in process and writes both recordings for diff when they disagree.
 #pragma once
 
 #include <array>

@@ -64,6 +64,8 @@ const char* to_string(FlightKind kind) {
       return "probe";
     case FlightKind::kFault:
       return "fault";
+    case FlightKind::kTrialEnd:
+      return "trial_end";
     case FlightKind::kEof:
       return "eof";
   }
@@ -130,6 +132,7 @@ void FlightRecorder::record(FlightKind kind, sim::Time t, std::uint64_t seq,
   rec.actor = static_cast<std::int16_t>(actor);
 
   ++commits_;
+  last_t_ps_ = rec.t_ps;
   chain_ = fnv_step(chain_, static_cast<std::uint64_t>(rec.t_ps));
   chain_ = fnv_step(chain_, rec.seq);
   chain_ = fnv_step(chain_, rec.payload);

@@ -52,6 +52,8 @@ enum class FlightKind : std::uint16_t {
   kRetry = 8,       // payload = area, actor = core
   kProbe = 9,       // prober detection, actor = core
   kFault = 10,      // payload = fault kind, actor = core
+  kTrialEnd = 11,   // actor = trial index, seq = the trial's commits,
+                    // payload = the trial's chain hash
   kEof = 0xFFFF,    // footer sentinel (never recorded by components)
 };
 
@@ -104,7 +106,8 @@ class FlightRecorder {
 
   // Replays the other recorder's retained records into this one in their
   // commit order and folds its drop count. The TrialRunner calls this in
-  // submission order, bracketed by kTrialBegin markers it emits itself.
+  // submission order, bracketed by the kTrialBegin and kTrialEnd records
+  // it emits itself.
   void append_from(const FlightRecorder& other);
 
   // Folds drops that happened outside this recorder (e.g. a replayed
@@ -117,7 +120,14 @@ class FlightRecorder {
   std::uint64_t dropped() const { return dropped_; }
   // FNV-1a fold over every committed record, in commit order.
   std::uint64_t chain_hash() const { return chain_; }
+  // Time of the newest committed record; zero before the first.
+  sim::Time last_commit_time() const {
+    return sim::Time::from_ps(last_t_ps_);
+  }
 
+  // Ring capacity (0 = no ring); the TrialRunner sizes each per-trial
+  // recorder from the one installed on the calling thread.
+  std::size_t ring_capacity() const { return options_.ring; }
   bool ring_mode() const { return options_.ring > 0; }
   bool spilling() const { return file_ != nullptr && !ring_mode(); }
   const std::string& path() const { return options_.path; }
@@ -144,6 +154,7 @@ class FlightRecorder {
   std::uint64_t commits_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t chain_ = 14695981039346656037ull;  // FNV-1a offset basis
+  std::int64_t last_t_ps_ = 0;
   bool closed_ = false;
   bool failed_ = false;
 };

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <optional>
 
-#include "secure/digest_cache.h"
 #include "sim/engine.h"
 #include "sim/parallel.h"
 
@@ -93,15 +92,22 @@ bool reject_unconsumed_args(int argc, char* const* argv, int first) {
 
 namespace {
 
-// Strips "--<key>=<value>" from argv; returns the last value seen.
-std::string take_flag(int& argc, char** argv, const char* key) {
+// Strips "--<key>=<value>" from argv; returns the last value seen. An
+// argument whose value `malformed` flags stays in argv instead, where the
+// caller's unconsumed-argument check names it: a bad value fails the run
+// rather than falling back to a default.
+std::string take_flag(int& argc, char** argv, const char* key,
+                      bool (*malformed)(const std::string&) = nullptr) {
   const std::string prefix = std::string("--") + key + "=";
   std::string value;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      value = argv[i] + prefix.size();
-      continue;
+      const std::string candidate = argv[i] + prefix.size();
+      if (malformed == nullptr || !malformed(candidate)) {
+        value = candidate;
+        continue;
+      }
     }
     argv[out++] = argv[i];
   }
@@ -110,19 +116,26 @@ std::string take_flag(int& argc, char** argv, const char* key) {
   return value;
 }
 
-// Reads a numeric flag's value with parse_whole_number. Anything else is
-// reported, naming the flag, and read as absent (nullopt).
-std::optional<unsigned long long> whole_number(const char* flag,
-                                               const std::string& value,
-                                               unsigned long long min,
-                                               unsigned long long max) {
-  if (const auto n = parse_whole_number(value, min, max)) return n;
-  const std::string at_least = min > 0 ? " >= " + std::to_string(min) : "";
-  std::fprintf(stderr,
-               "obs: %s=%s not understood (want a whole number%s), "
-               "ignoring it\n",
-               flag, value.c_str(), at_least.c_str());
-  return std::nullopt;
+// True, after naming the flag on stderr, when `value` is not a whole
+// number in [0, max].
+bool not_whole_number(const char* flag, const std::string& value,
+                      unsigned long long max) {
+  if (parse_whole_number(value, 0, max)) return false;
+  std::fprintf(stderr, "obs: %s=%s not understood (want a whole number)\n",
+               flag, value.c_str());
+  return true;
+}
+
+// --jobs=0 is meaningful: one worker per hardware thread.
+bool malformed_jobs(const std::string& value) {
+  return not_whole_number("--jobs", value, INT_MAX);
+}
+
+// --flight=path[,ring=N]
+bool malformed_flight(const std::string& value) {
+  const std::size_t comma = value.find(",ring=");
+  return comma != std::string::npos &&
+         not_whole_number("--flight ring", value.substr(comma + 6), SIZE_MAX);
 }
 
 // Strips a bare "--<key>" switch from argv; true when it was present.
@@ -150,7 +163,7 @@ int ObsSession::jobs(int fallback) const {
   return jobs_;
 }
 
-ObsSession::ObsSession(int& argc, char** argv, std::size_t trace_capacity) {
+ObsSession::ObsSession(int& argc, char** argv) {
   trace_path_ = take_flag(argc, argv, "trace");
   metrics_path_ = take_flag(argc, argv, "metrics");
   metrics_stable_ = take_bool_flag(argc, argv, "metrics-stable");
@@ -158,43 +171,26 @@ ObsSession::ObsSession(int& argc, char** argv, std::size_t trace_capacity) {
   // --flight=path[,ring=N]: path of the binary recording, optionally a
   // ring capacity (keep only the newest N records; 0/absent = spill the
   // full stream to disk in bounded-memory chunks).
-  std::string flight_spec = take_flag(argc, argv, "flight");
-  if (!flight_spec.empty()) {
-    const std::size_t comma = flight_spec.find(",ring=");
-    if (comma != std::string::npos) {
-      if (const auto ring = whole_number(
-              "--flight ring", flight_spec.substr(comma + 6), 0, SIZE_MAX)) {
-        flight_ring_ = static_cast<std::size_t>(*ring);
-      }
-      flight_spec.resize(comma);
-    }
-    flight_path_ = flight_spec;
+  std::string flight_spec = take_flag(argc, argv, "flight", malformed_flight);
+  std::size_t flight_ring = 0;
+  const std::size_t comma = flight_spec.find(",ring=");
+  if (comma != std::string::npos) {
+    flight_ring = static_cast<std::size_t>(
+        *parse_whole_number(flight_spec.substr(comma + 6), 0, SIZE_MAX));
+    flight_spec.resize(comma);
   }
-  const std::string jobs_value = take_flag(argc, argv, "jobs");
+  flight_path_ = flight_spec;
+  const std::string jobs_value = take_flag(argc, argv, "jobs", malformed_jobs);
   if (!jobs_value.empty()) {
-    // --jobs=0 is meaningful: one worker per hardware thread.
-    if (const auto jobs = whole_number("--jobs", jobs_value, 0, INT_MAX)) {
-      jobs_ = static_cast<int>(*jobs);
-    }
+    jobs_ = static_cast<int>(*parse_whole_number(jobs_value, 0, INT_MAX));
   }
-  const std::string cache_value = take_flag(argc, argv, "digest-cache");
-  if (!cache_value.empty() && cache_value != "on" && cache_value != "off") {
-    std::fprintf(stderr,
-                 "obs: --digest-cache=%s not understood (want on|off), "
-                 "keeping default on\n",
-                 cache_value.c_str());
-  }
-  // Process-wide default read by every secure::DigestCache constructed
-  // after this point (one per Introspector, i.e. per trial — workers
-  // inherit the value set here before the pool fans out).
-  secure::set_digest_cache_default(cache_value != "off");
   // One flag should yield the full picture: a trace without an explicit
   // metrics path still drops a snapshot next to it.
   if (!trace_path_.empty() && metrics_path_.empty()) {
     metrics_path_ = trace_path_ + ".metrics.json";
   }
   if (!trace_path_.empty()) {
-    recorder_ = std::make_unique<TraceRecorder>(trace_capacity);
+    recorder_ = std::make_unique<TraceRecorder>();
     install_tracer(recorder_.get());
   }
   if (!metrics_path_.empty()) {
@@ -204,7 +200,7 @@ ObsSession::ObsSession(int& argc, char** argv, std::size_t trace_capacity) {
   if (!flight_path_.empty()) {
     FlightRecorder::Options opts;
     opts.path = flight_path_;
-    opts.ring = flight_ring_;
+    opts.ring = flight_ring;
     flight_ = std::make_unique<FlightRecorder>(opts);
     if (flight_->failed()) {
       std::fprintf(stderr, "obs: failed to open flight recording %s\n",

@@ -43,25 +43,21 @@ void snapshot_engine_metrics(const sim::Engine& engine,
 class ObsSession {
  public:
   // Consumes --trace= / --metrics= / --metrics-stable / --faults= /
-  // --jobs= / --digest-cache= / --flight= from argv (argc is rewritten).
-  // When no flag is present the session installs nothing and costs
-  // nothing. The faults spec is only stripped and stored — the obs layer
-  // knows nothing about fault injection; pass faults_spec() to
-  // fault::install_from_spec() to arm it. --jobs is likewise only parsed
-  // and stored, for sim::TrialRunner: J worker threads, 0 = one per
-  // hardware thread, absent = the caller's fallback (typically 1). A
-  // --jobs or ring= value that is not a whole number in range is
-  // reported, naming the flag, and treated as absent.
-  // --digest-cache=on|off (default on) sets the process-wide default for
-  // the secure world's incremental digest cache; off runs the cache in
-  // shadow mode — bit-identical stdout/metrics/traces/digests, full
-  // re-hash every round. --flight=path[,ring=N] records the engine's
-  // event-commit stream to a binary flight recording (spill mode by
-  // default; ring=N keeps only the newest N records). --metrics-stable
-  // omits volatile gauges (host wall time, allocator high-water marks)
-  // from the metrics snapshot, so identity gates can diff it verbatim.
-  ObsSession(int& argc, char** argv,
-             std::size_t trace_capacity = 1u << 20);
+  // --jobs= / --flight= from argv (argc is rewritten). When no flag is
+  // present the session installs nothing and costs nothing. The faults
+  // spec is only stripped and stored — the obs layer knows nothing about
+  // fault injection; pass faults_spec() to fault::install_from_spec() to
+  // arm it. --jobs is likewise only parsed and stored, for
+  // sim::TrialRunner: J worker threads, 0 = one per hardware thread,
+  // absent = the caller's fallback (typically 1). --flight=path[,ring=N]
+  // records the engine's event-commit stream to a binary flight recording
+  // (spill mode by default; ring=N keeps only the newest N records).
+  // A --jobs or ring= value that is not a whole number in range is
+  // reported, naming the flag, and left in argv, so the caller's
+  // reject_unconsumed_args() check fails the run. --metrics-stable omits
+  // volatile gauges (host wall time, allocator high-water marks) from the
+  // metrics snapshot, so identity gates can diff it verbatim.
+  ObsSession(int& argc, char** argv);
   ~ObsSession();
 
   ObsSession(const ObsSession&) = delete;
@@ -79,9 +75,6 @@ class ObsSession {
   const std::string& metrics_path() const { return metrics_path_; }
   const std::string& faults_spec() const { return faults_spec_; }
   const std::string& flight_path() const { return flight_path_; }
-  // Ring capacity parsed from --flight=path,ring=N; 0 = spill mode, also
-  // when N is not a whole number.
-  std::size_t flight_ring() const { return flight_ring_; }
 
   TraceRecorder* recorder() { return recorder_.get(); }
   MetricsRegistry* registry() { return registry_.get(); }
@@ -98,8 +91,7 @@ class ObsSession {
   std::string metrics_path_;
   std::string faults_spec_;
   std::string flight_path_;
-  std::size_t flight_ring_ = 0;  // 0 = spill mode
-  int jobs_ = -1;                // -1 = flag absent (or nonsense value)
+  int jobs_ = -1;                // -1 = flag absent
   bool metrics_stable_ = false;
   std::unique_ptr<TraceRecorder> recorder_;
   std::unique_ptr<MetricsRegistry> registry_;

@@ -161,38 +161,6 @@ DuelReport run_duel(Scenario& scenario, const DuelConfig& config) {
   return trial.finish();
 }
 
-DuelSweep run_duel_sweep(
-    const DuelSweepConfig& config,
-    const std::function<void(const sim::TrialContext&, ScenarioConfig&,
-                             DuelConfig&)>& customize) {
-  sim::TrialRunnerOptions options;
-  options.jobs = config.jobs;
-  options.root_seed = config.root_seed;
-  options.flight_ring = config.flight_ring;
-
-  DuelSweep sweep;
-  sim::TrialRunner runner(options);
-  sweep.jobs = runner.jobs_for(config.trials);
-  sweep.reports = runner.run_collect(
-      config.trials, [&config, &customize](const sim::TrialContext& ctx) {
-        ScenarioConfig scenario_config;
-        scenario_config.platform.seed = ctx.seed;
-        DuelConfig duel = config.duel;
-        if (customize) customize(ctx, scenario_config, duel);
-        Scenario scenario(scenario_config);
-        DuelReport report = run_duel(scenario, duel);
-        // Engine self-metrics, minus host wall time: trial metrics must
-        // stay bit-identical across --jobs.
-        if (auto* registry = obs::metrics()) {
-          obs::snapshot_engine_metrics(scenario.engine(), *registry,
-                                       /*include_wall=*/false);
-        }
-        return report;
-      });
-  sweep.wall_seconds = runner.wall_seconds();
-  return sweep;
-}
-
 SingleDuelResult run_single_duel(const ScenarioConfig& scenario_config,
                                  const DuelConfig& duel,
                                  const std::string& fault_spec) {

@@ -8,14 +8,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "attack/evader.h"
 #include "core/satin.h"
 #include "scenario/scenario.h"
-#include "sim/parallel.h"
 
 namespace satin::scenario {
 
@@ -134,38 +132,6 @@ class DuelTrial {
 };
 
 DuelReport run_duel(Scenario& scenario, const DuelConfig& config);
-
-// Replicated duels over a sim::TrialRunner: `trials` independent duels
-// fanned over `jobs` workers, each against a fresh Scenario seeded
-// seed_for(trial). Reports land in submission-order slots, so output is
-// bit-identical for any job count. Each trial snapshots its engine's
-// self-metrics (without host wall time) into the trial metrics sink when
-// one is installed.
-struct DuelSweepConfig {
-  DuelConfig duel;
-  std::size_t trials = 1;
-  // Worker threads (sim::TrialRunnerOptions semantics: <= 0 means one per
-  // hardware thread).
-  int jobs = 1;
-  std::uint64_t root_seed = 0x5A71A57ull;
-  // Per-trial flight-recorder ring capacity (0 = full per-trial stream);
-  // pass ObsSession::flight_ring() so --flight=...,ring=N bounds trials too.
-  std::size_t flight_ring = 0;
-};
-
-struct DuelSweep {
-  std::vector<DuelReport> reports;
-  int jobs = 1;           // workers actually used
-  double wall_seconds = 0.0;
-};
-
-// `customize` (optional) runs per trial before the Scenario is built: it
-// may rewrite the platform seed (e.g. pin trial 0 to the paper baseline)
-// or the duel knobs. It must depend only on the TrialContext.
-DuelSweep run_duel_sweep(
-    const DuelSweepConfig& config,
-    const std::function<void(const sim::TrialContext&, ScenarioConfig&,
-                             DuelConfig&)>& customize = {});
 
 // One fully-specified duel, start to finish: builds a Scenario from
 // `scenario_config`, arms `fault_spec` (src/fault/plan.h grammar; empty =

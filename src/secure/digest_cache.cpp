@@ -129,7 +129,7 @@ DigestCache::RoundOutcome DigestCache::round_digest(
   area.area_gen = area_gen;
   area.global_gen = global_gen;
   area.digest = state;
-  // Shadow mode (--digest-cache=off): identical bookkeeping above, but the
+  // Shadow mode (enabled_ false): identical bookkeeping above, but the
   // digest handed out is an independent full re-hash of the view — the
   // exact pre-cache computation. The differential tests pin state == the
   // re-hash, so enabled runs are bit-identical.

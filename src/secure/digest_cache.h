@@ -23,16 +23,17 @@
 // the generations describe. Simulated scan time is charged in full by the
 // Introspector regardless of cache hits.
 //
-// `--digest-cache=off` (obs::ObsSession) switches every cache constructed
-// afterwards into *shadow mode*: the full bookkeeping still runs — so
-// hit/miss/invalidation counters and trace instants stay bit-identical to
-// the enabled run — but the returned digest is an independent full
-// re-hash of the observed view, i.e. exactly the pre-cache behavior. The
-// differential tests (and the CI on-vs-off gate) hold the two modes to
-// identical stdout, metrics and digests.
+// A cache constructed with enabled = false (or switched by set_enabled,
+// as core::SatinConfig::shadow_digest_cache does) runs in *shadow mode*:
+// the full bookkeeping still runs — so hit/miss/invalidation counters and
+// trace instants stay bit-identical to the enabled run — but the returned
+// digest is an independent full re-hash of the observed view, i.e.
+// exactly the pre-cache behavior. Shadow mode is the oracle of the tests:
+// digest_cache_test holds the two modes to identical round outcomes, and
+// the oracle sweep (tests/integration/oracle_sweep_test.cpp) to identical
+// journal records, metrics, traces and flight streams.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -47,21 +48,6 @@
 namespace satin::secure {
 
 class PristineBase;
-
-// Process-wide default for newly constructed caches. Header-only so
-// obs::ObsSession can set it from --digest-cache= without a link-time
-// dependency on satin_secure. Set before trials fan out; workers only
-// read it.
-inline std::atomic<bool>& digest_cache_default_flag() {
-  static std::atomic<bool> enabled{true};
-  return enabled;
-}
-inline bool digest_cache_default() {
-  return digest_cache_default_flag().load(std::memory_order_relaxed);
-}
-inline void set_digest_cache_default(bool enabled) {
-  digest_cache_default_flag().store(enabled, std::memory_order_relaxed);
-}
 
 class DigestCache {
  public:
@@ -89,7 +75,7 @@ class DigestCache {
     std::uint64_t bytes_skipped = 0;
   };
 
-  explicit DigestCache(HashKind kind, bool enabled = digest_cache_default(),
+  explicit DigestCache(HashKind kind, bool enabled = true,
                        std::size_t chunk_bytes = hw::Memory::kChunkBytes);
 
   HashKind kind() const { return kind_; }

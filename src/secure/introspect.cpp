@@ -73,10 +73,10 @@ void Introspector::scan_async(hw::CoreId core, std::size_t offset,
         SATIN_TRACE_END("secure", "scan", result.scan_end, core,
                         obs::kWorldSecure);
         // Cache observability. RoundOutcome bookkeeping is identical with
-        // the cache enabled or shadowed (--digest-cache=off), so these
-        // counters and instants are part of the bit-identity contract,
-        // not an exception to it. Simulated scan time above was already
-        // charged in full — hits only save host time.
+        // the cache enabled or in shadow mode, so these counters and
+        // instants are part of the bit-identity contract, not an
+        // exception to it. Simulated scan time above was already charged
+        // in full — hits only save host time.
         SATIN_TRACE_INSTANT_ARG(
             "secure",
             cached.bypassed

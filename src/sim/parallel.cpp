@@ -54,9 +54,11 @@ double TrialRunner::trials_per_second() const {
 
 namespace {
 
-// The calling thread's sinks decide whether trials record at all; the
-// per-trial instances exist so workers never contend on one registry and
-// so the merged state is independent of completion order.
+// The calling thread's sinks decide whether trials record at all and how
+// much each trial keeps: a per-trial recorder has its parent's trace
+// capacity or flight ring. The per-trial instances exist so workers never
+// contend on one registry and so the merged state is independent of
+// completion order.
 struct PerTrialSinks {
   obs::MetricsRegistry* parent_metrics = obs::metrics();
   obs::TraceRecorder* parent_tracer = obs::tracer();
@@ -65,18 +67,19 @@ struct PerTrialSinks {
   std::vector<std::unique_ptr<obs::TraceRecorder>> tracers;
   std::vector<std::unique_ptr<obs::FlightRecorder>> flights;
 
-  PerTrialSinks(std::size_t trials, const TrialRunnerOptions& options)
+  explicit PerTrialSinks(std::size_t trials)
       : metrics(trials), tracers(trials), flights(trials) {
     for (std::size_t i = 0; i < trials; ++i) {
       if (parent_metrics != nullptr) {
         metrics[i] = std::make_unique<obs::MetricsRegistry>();
       }
       if (parent_tracer != nullptr) {
-        tracers[i] = std::make_unique<obs::TraceRecorder>(options.trace_capacity);
+        tracers[i] =
+            std::make_unique<obs::TraceRecorder>(parent_tracer->capacity());
       }
       if (parent_flight != nullptr) {
-        obs::FlightRecorder::Options fopts;
-        fopts.ring = options.flight_ring;  // in-memory; no path, no spill
+        obs::FlightRecorder::Options fopts;  // in-memory; no path, no spill
+        fopts.ring = parent_flight->ring_capacity();
         flights[i] = std::make_unique<obs::FlightRecorder>(fopts);
       }
     }
@@ -97,6 +100,14 @@ struct PerTrialSinks {
                               static_cast<std::uint64_t>(i),
                               static_cast<int>(i), seeds.seed_for(i));
         parent_flight->append_from(*flights[i]);
+        // A ring-bounded trial replays only the tail it kept. The closing
+        // record carries the trial's commit count and chain hash, which
+        // fold every record it committed, so the merged chain still
+        // covers each trial's full stream.
+        parent_flight->record(obs::FlightKind::kTrialEnd,
+                              flights[i]->last_commit_time(),
+                              flights[i]->commits(), static_cast<int>(i),
+                              flights[i]->chain_hash());
       }
     }
   }
@@ -133,7 +144,7 @@ void TrialRunner::run(std::size_t trials,
   if (trials == 0) return;
   const auto wall_start = std::chrono::steady_clock::now();
 
-  PerTrialSinks sinks(trials, options_);
+  PerTrialSinks sinks(trials);
   std::vector<std::exception_ptr> errors(trials);
 
   const auto run_one = [&](std::size_t i) {

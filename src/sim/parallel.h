@@ -9,8 +9,9 @@
 //
 //  * seeds come from TrialSeedSeq (root seed + trial index only);
 //  * every trial runs against its own thread-local MetricsRegistry /
-//    TraceRecorder (created only when the calling thread had one
-//    installed), merged back in submission order after all trials settle;
+//    TraceRecorder / FlightRecorder (created only when the calling thread
+//    had one installed, and sized like it), merged back in submission
+//    order after all trials settle;
 //  * results land in submission-order slots, so aggregation code never
 //    observes completion order;
 //  * exceptions are captured per trial and the first (by submission
@@ -67,14 +68,6 @@ struct TrialRunnerOptions {
   int jobs = 1;
   // Root of the per-trial seed derivation (see sim/seed_seq.h).
   std::uint64_t root_seed = 0x5A71A57ull;
-  // Ring capacity of each per-trial TraceRecorder (only allocated when
-  // the calling thread has a recorder installed).
-  std::size_t trace_capacity = 1u << 20;
-  // Ring capacity of each per-trial FlightRecorder (only created when the
-  // calling thread has one installed; see obs/flight/recorder.h). 0
-  // retains each trial's full stream in memory until the submission-order
-  // merge; pass the session's --flight ring value to bound it.
-  std::size_t flight_ring = 0;
 };
 
 class TrialRunner {

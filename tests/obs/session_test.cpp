@@ -92,7 +92,7 @@ TEST(ObsSessionTest, FlightFlagRecordsEngineCommits) {
 #if SATIN_OBS_ENABLED
     ASSERT_TRUE(session.flight_enabled());
     EXPECT_EQ(session.flight_path(), path);
-    EXPECT_EQ(session.flight_ring(), 0u);
+    EXPECT_EQ(session.flight_recorder()->ring_capacity(), 0u);
     EXPECT_EQ(flight(), session.flight_recorder());
 #endif
     ASSERT_EQ(argv.argc, 2);
@@ -125,25 +125,29 @@ TEST(ObsSessionTest, FlightRingSpecParsed) {
 #if SATIN_OBS_ENABLED
   EXPECT_TRUE(session.flight_enabled());
   EXPECT_EQ(session.flight_path(), path);
-  EXPECT_EQ(session.flight_ring(), 128u);
+  EXPECT_EQ(session.flight_recorder()->ring_capacity(), 128u);
   EXPECT_TRUE(session.flight_recorder()->ring_mode());
 #endif
   session.flush();
   std::remove(path.c_str());
-  // strtoull alone would stop at the suffix and keep a 1-record ring.
+  // strtoull alone would stop at the suffix and keep a 1-record ring. A
+  // malformed ring records nothing and stays in argv for the
+  // unconsumed-argument check, which fails the run.
   for (const std::string value : {"1k", "-5", "x"}) {
-    Argv bad({"prog", "--flight=" + path + ",ring=" + value});
+    const std::string flag = "--flight=" + path + ",ring=" + value;
+    Argv bad({"prog", flag});
     testing::internal::CaptureStderr();
-    ObsSession spill(bad.argc, bad.ptrs.data());
+    ObsSession session_bad(bad.argc, bad.ptrs.data());
     const std::string warning = testing::internal::GetCapturedStderr();
-    EXPECT_EQ(spill.flight_ring(), 0u) << value;
     EXPECT_NE(warning.find("ring=" + value), std::string::npos) << warning;
-#if SATIN_OBS_ENABLED
-    EXPECT_EQ(spill.flight_path(), path);
-    EXPECT_FALSE(spill.flight_recorder()->ring_mode()) << value;
-#endif
-    spill.flush();
-    std::remove(path.c_str());
+    EXPECT_FALSE(session_bad.flight_enabled()) << value;
+    EXPECT_EQ(flight(), nullptr) << value;
+    ASSERT_EQ(bad.argc, 2) << value;
+    EXPECT_EQ(bad.ptrs[1], flag);
+    testing::internal::CaptureStderr();
+    EXPECT_TRUE(reject_unconsumed_args(bad.argc, bad.ptrs.data()));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "prog: unrecognized argument '" + flag + "'\n");
   }
 }
 
@@ -176,20 +180,31 @@ TEST(ObsSessionTest, MetricsStableDropsVolatileGauges) {
   std::remove(stable.c_str());
 }
 
-TEST(ObsSessionTest, MalformedJobsIsStrippedAndTreatedAsAbsent) {
+TEST(ObsSessionTest, MalformedJobsIsLeftForTheUnconsumedArgumentCheck) {
   {
     Argv argv({"prog", "--jobs=3", "-x"});
     ObsSession session(argv.argc, argv.ptrs.data());
     EXPECT_EQ(session.jobs(/*fallback=*/5), 3);
+    ASSERT_EQ(argv.argc, 2);
   }
   // std::atoi would read these as 0 or 4, and --jobs=0 means one worker
-  // per hardware thread.
+  // per hardware thread. Each is reported and left in argv, so the
+  // unconsumed-argument check names it and the program exits 2 instead of
+  // running with the fallback.
   for (const std::string value : {"four", "4x", "-2", " 4", ""}) {
-    Argv argv({"prog", "--jobs=" + value, "-x"});
+    const std::string flag = "--jobs=" + value;
+    Argv argv({"prog", flag});
+    testing::internal::CaptureStderr();
     ObsSession session(argv.argc, argv.ptrs.data());
+    const std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_NE(warning.find(flag), std::string::npos) << warning;
     EXPECT_EQ(session.jobs(/*fallback=*/5), 5) << value;
     ASSERT_EQ(argv.argc, 2) << value;
-    EXPECT_STREQ(argv.ptrs[1], "-x");
+    EXPECT_EQ(argv.ptrs[1], flag);
+    testing::internal::CaptureStderr();
+    EXPECT_TRUE(reject_unconsumed_args(argv.argc, argv.ptrs.data()));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "prog: unrecognized argument '" + flag + "'\n");
   }
 }
 

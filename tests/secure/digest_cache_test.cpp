@@ -160,8 +160,9 @@ TEST(DigestCache, UntrustedViewBypassesAndDoesNotPolluteTheCache) {
 
 TEST(DigestCache, ShadowModeKeepsCountersAndDigestsIdentical) {
   // Two memories with identical histories, one enabled cache, one shadow
-  // (--digest-cache=off). Every round outcome must agree bit for bit —
-  // this is the on-vs-off identity the CI gate enforces end to end.
+  // (the oracle core::SatinConfig::shadow_digest_cache selects). Every
+  // round outcome must agree bit for bit — the on-vs-off identity the
+  // oracle sweep test enforces end to end.
   hw::Memory mem_on(1024), mem_off(1024);
   scribble(mem_on, 29);
   scribble(mem_off, 29);
@@ -203,17 +204,6 @@ TEST(DigestCache, RegisterAreaPresizesTables) {
   cache.register_area(1024, 512);
   cache.register_area(0, 1024);  // idempotent
   EXPECT_EQ(cache.area_count(), 2u);
-}
-
-TEST(DigestCache, DefaultFlagGovernsNewCaches) {
-  const bool saved = digest_cache_default();
-  set_digest_cache_default(false);
-  DigestCache off_by_default(HashKind::kDjb2);
-  EXPECT_FALSE(off_by_default.enabled());
-  set_digest_cache_default(true);
-  DigestCache on_by_default(HashKind::kDjb2);
-  EXPECT_TRUE(on_by_default.enabled());
-  set_digest_cache_default(saved);
 }
 
 TEST(DigestCache, ZeroChunkSizeIsRejected) {

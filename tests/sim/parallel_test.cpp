@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/flight/recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
@@ -196,6 +197,66 @@ TEST(TrialRunner, TraceEventsMergeInSubmissionOrder) {
     EXPECT_TRUE(events.empty());
 #endif
   }
+}
+
+// Two trials of ten flight records each, merged into a 4-record ring on
+// the calling thread. `first` is the payload of each trial's first
+// record, which no 4-record window keeps.
+struct RingMerge {
+  std::uint64_t chain = 0;
+  std::uint64_t commits = 0;
+  std::uint64_t dropped = 0;
+  std::vector<obs::FlightRecord> kept;
+};
+
+void record_ten(std::uint64_t first, int actor) {
+  for (std::uint64_t k = 0; k < 10; ++k) {
+    obs::flight()->record(obs::FlightKind::kDispatch,
+                          Time::from_ps(static_cast<std::int64_t>(k + 1)), k,
+                          actor, k == 0 ? first : k);
+  }
+}
+
+RingMerge merge_ring_trials(std::uint64_t first) {
+  obs::FlightRecorder::Options options;
+  options.ring = 4;
+  obs::FlightRecorder parent(options);
+  obs::install_flight(&parent);
+  TrialRunnerOptions runner_options;
+  runner_options.jobs = 2;
+  TrialRunner runner(runner_options);
+  runner.run(std::size_t{2}, [first](const TrialContext& ctx) {
+    record_ten(first, static_cast<int>(ctx.index));
+  });
+  obs::install_flight(nullptr);
+  return {parent.chain_hash(), parent.commits(), parent.dropped(),
+          parent.snapshot()};
+}
+
+TEST(TrialRunner, RingMergedChainCoversRecordsBeforeTheKeptTail) {
+  const RingMerge a = merge_ring_trials(0xA);
+  const RingMerge b = merge_ring_trials(0xB);
+  // Each trial recorder took the calling thread's 4-record ring: it kept
+  // four of its ten records and dropped six. The merge committed a begin
+  // record, the four kept and a closing record per trial.
+  EXPECT_EQ(a.commits, 12u);
+  EXPECT_EQ(a.dropped, 2 * 6u + (12u - 4u));
+  // The trials differ only before their kept tails, yet the merged chains
+  // differ: each closing record carries its trial's full-stream chain.
+  EXPECT_NE(a.chain, b.chain);
+
+  obs::FlightRecorder alone;
+  {
+    TrialObsScope scope(nullptr, nullptr, &alone);
+    record_ten(0xA, 1);
+  }
+  ASSERT_EQ(a.kept.size(), 4u);
+  const obs::FlightRecord& end = a.kept.back();
+  EXPECT_EQ(end.kind, static_cast<std::uint16_t>(obs::FlightKind::kTrialEnd));
+  EXPECT_EQ(end.actor, 1);
+  EXPECT_EQ(end.t_ps, 10);
+  EXPECT_EQ(end.seq, 10u);
+  EXPECT_EQ(end.payload, alone.chain_hash());
 }
 
 TEST(TrialRunner, NoSinksInstalledMeansNoObsOverheadAndNoCrash) {

@@ -5,13 +5,20 @@
 //   satin_flightool diff  A B [--context=N]    first-divergence report
 //
 // Exit codes: 0 = ok / identical, 1 = divergence found, 2 = usage or
-// read error. CI's divergence-audit job gates directly on these.
+// read error (a --limit or --context value that is not a whole number is
+// a usage error). CI's divergence-audit job gates directly on these.
+//
+// Merged recordings bracket each trial's records with a trial_begin
+// record (payload = trial seed) and, for sim::TrialRunner merges, a
+// trial_end record (seq = the trial's commits, payload = its chain hash).
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "obs/flight/audit.h"
+#include "obs/session.h"
 
 namespace {
 
@@ -27,16 +34,23 @@ int usage() {
   return 2;
 }
 
-// Parses "--<key>=<value>" out of argv; returns fallback when absent.
-std::size_t take_size_flag(int& argc, char** argv, const char* key,
-                           std::size_t fallback) {
+// Parses "--<key>=<value>" out of argv; returns fallback when absent, and
+// nullopt, naming the argument, when a value is not a whole number.
+std::optional<std::size_t> take_size_flag(int& argc, char** argv,
+                                          const char* key,
+                                          std::size_t fallback) {
   const std::string prefix = std::string("--") + key + "=";
-  std::size_t value = fallback;
+  std::optional<std::size_t> value = fallback;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      value = static_cast<std::size_t>(
-          std::strtoull(argv[i] + prefix.size(), nullptr, 10));
+      value = satin::obs::parse_whole_number(argv[i] + prefix.size(), 0,
+                                             SIZE_MAX);
+      if (!value) {
+        std::fprintf(stderr, "satin_flightool: %s: want a whole number\n",
+                     argv[i]);
+        return std::nullopt;
+      }
       continue;
     }
     argv[out++] = argv[i];
@@ -118,19 +132,20 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   if (cmd == "dump") {
-    const std::size_t limit =
-        take_size_flag(argc, argv, "limit", static_cast<std::size_t>(-1));
+    const auto limit = take_size_flag(argc, argv, "limit", SIZE_MAX);
+    if (!limit) return 2;
     if (argc != 3) return usage();
-    return cmd_dump(argv[2], limit);
+    return cmd_dump(argv[2], *limit);
   }
   if (cmd == "stats") {
     if (argc != 3) return usage();
     return cmd_stats(argv[2]);
   }
   if (cmd == "diff") {
-    const std::size_t context = take_size_flag(argc, argv, "context", 5);
+    const auto context = take_size_flag(argc, argv, "context", 5);
+    if (!context) return 2;
     if (argc != 4) return usage();
-    return cmd_diff(argv[2], argv[3], context);
+    return cmd_diff(argv[2], argv[3], *context);
   }
   return usage();
 }
