@@ -3,10 +3,14 @@
 // throughput, TOCTTOU scan bookkeeping, metric emission, the prober spin.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "attack/prober.h"
 #include "bench/common.h"
@@ -22,6 +26,7 @@
 #include "sim/engine.h"
 #include "sim/event_pool.h"
 #include "sim/rng.h"
+#include "workload/unixbench.h"
 
 // --- Allocation accounting ----------------------------------------------
 //
@@ -446,17 +451,20 @@ void BM_MetricEmitDigest(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricEmitDigest);
 
-// --- Prober spin ----------------------------------------------------------
+// --- Cycle fast path -----------------------------------------------------
 //
-// One simulated second per iteration of KProber-II on all six cores of an
-// otherwise idle system, with a metrics registry installed as in a
-// campaign worker. range(0) picks the path: 0 = every wake-up and
-// completion a queue event (os::CyclePath::kEventPerRound, the oracle),
-// 1 = the duty-cycle fast path. Reports host ns per probe round, the
-// share of dispatches that ran as keyed actions, and heap allocations per
-// round; CI gates the fast path at exactly 0.
-
-void BM_ProberSpin(benchmark::State& state) {
+// One simulated second per iteration of a system whose cores each run one
+// cycle thread, with a metrics registry installed as in a campaign worker.
+// range(0) picks the path: 0 = every wake-up and completion a queue event
+// (os::CyclePath::kEventPerRound, the oracle), 1 = the cycle fast path.
+// `start` sets the cycle threads up on the booted system and returns a
+// callable that counts their steps. Reports host ns per step, the share
+// of dispatches that ran as keyed actions, and heap allocations per step,
+// each named after `unit`; CI gates the fast path at exactly 0
+// allocations.
+template <typename Start>
+void cycle_bench(benchmark::State& state, const std::string& unit,
+                 const Start& start) {
   satin::obs::MetricsRegistry registry;
   satin::obs::MetricsRegistry* const previous = satin::obs::metrics();
   satin::obs::install_metrics(&registry);
@@ -466,40 +474,72 @@ void BM_ProberSpin(benchmark::State& state) {
                                ? satin::os::CyclePath::kEventPerRound
                                : satin::os::CyclePath::kFastForward;
     satin::scenario::Scenario system(config);
-    satin::attack::KProber prober(system.os(), {});
-    prober.deploy();
+    const auto steps = start(system);
     // Warm-up past every lazily grown capacity: pool slabs, draw blocks,
     // metric slots, and the timer-wheel buckets, which the ticks reach
     // one every ~4 ms per core.
     system.run_for(satin::sim::Duration::from_sec(20));
     satin::sim::Engine& engine = system.engine();
-    const std::uint64_t rounds0 = prober.rounds();
+    const std::uint64_t steps0 = steps();
     const std::uint64_t queued0 = engine.events_fired();
     const std::uint64_t keyed0 = engine.keyed_fired();
     const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-    const auto start = std::chrono::steady_clock::now();
+    const auto begin = std::chrono::steady_clock::now();
     for (auto _ : state) {
       system.run_for(satin::sim::Duration::from_sec(1));
-      benchmark::DoNotOptimize(prober.rounds());
+      benchmark::DoNotOptimize(steps());
     }
     const std::chrono::duration<double, std::nano> elapsed =
-        std::chrono::steady_clock::now() - start;
+        std::chrono::steady_clock::now() - begin;
     const std::uint64_t allocs =
         g_allocs.load(std::memory_order_relaxed) - allocs0;
-    const auto rounds = static_cast<double>(prober.rounds() - rounds0);
+    const auto done = static_cast<double>(steps() - steps0);
     const auto keyed = static_cast<double>(engine.keyed_fired() - keyed0);
     const double dispatches =
         keyed + static_cast<double>(engine.events_fired() - queued0);
-    state.counters["ns_per_round"] =
-        rounds > 0 ? elapsed.count() / rounds : 0.0;
+    state.counters["ns_per_" + unit] = done > 0 ? elapsed.count() / done : 0.0;
     state.counters["keyed_share"] = dispatches > 0 ? keyed / dispatches : 0.0;
-    state.counters["allocs_per_round"] =
-        rounds > 0 ? static_cast<double>(allocs) / rounds : 0.0;
+    state.counters["allocs_per_" + unit] =
+        done > 0 ? static_cast<double>(allocs) / done : 0.0;
     state.SetLabel(state.range(0) == 0 ? "event-per-round" : "fast-forward");
   }
   satin::obs::install_metrics(previous);
 }
+
+// KProber-II's duty cycle on all six cores of an otherwise idle system,
+// per probe round.
+void BM_ProberSpin(benchmark::State& state) {
+  cycle_bench(state, "round", [](satin::scenario::Scenario& system) {
+    auto prober = std::make_shared<satin::attack::KProber>(
+        system.os(), satin::attack::KProberConfig{});
+    prober->deploy();
+    return [prober] { return prober->rounds(); };
+  });
+}
 BENCHMARK(BM_ProberSpin)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Mini-UnixBench's densest program, syscall_overhead (40 µs iterations),
+// as a loop on each of the six cores, per workload iteration.
+void BM_WorkloadLoop(benchmark::State& state) {
+  cycle_bench(state, "iteration", [](satin::scenario::Scenario& system) {
+    const auto& suite = satin::workload::unixbench_suite();
+    const auto spec = std::find_if(suite.begin(), suite.end(), [](auto& w) {
+      return w.name == "syscall_overhead";
+    });
+    std::vector<satin::workload::WorkloadThread*> loops;
+    for (int c = 0; c < system.platform().num_cores(); ++c) {
+      loops.push_back(static_cast<satin::workload::WorkloadThread*>(
+          system.os().add_thread(
+              std::make_unique<satin::workload::WorkloadThread>(*spec))));
+    }
+    return [loops] {
+      std::uint64_t total = 0;
+      for (const auto* loop : loops) total += loop->iterations();
+      return total;
+    };
+  });
+}
+BENCHMARK(BM_WorkloadLoop)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // One trial's boot set-up in steady state: a booted default Scenario plus
 // SATIN's boot-state authorization. Every trial shares the process-wide

@@ -230,13 +230,15 @@ void RichOs::begin_next_action(hw::CoreId core) {
   if (t->remaining_compute_ > sim::Duration::zero()) {
     // Resuming a preempted/frozen compute; the context-switch tax applies
     // when a different thread ran in between.
-    sim::Duration total = t->remaining_compute_;
-    if (st.last_thread != t) {
-      total += config_.context_switch_cost;
-      SATIN_METRIC_INC("os.context_switches");
-    }
-    st.last_thread = t;
-    start_compute(core, total);
+    open_compute(core, t, t->remaining_compute_);
+    schedule_completion(core);
+    return;
+  }
+  // A loop's next compute is where its core (re)joins the fast path. A
+  // loop never sleeps, so placement never runs for it and no pinning is
+  // needed.
+  if (t->cycle_loops() && fast_path_open(core) && !t->cycle_diverted()) {
+    begin_cycle_step(core, t);
     return;
   }
 
@@ -247,13 +249,8 @@ void RichOs::begin_next_action(hw::CoreId core) {
     sim::Duration total = compute->duration;
     if (total <= sim::Duration::zero()) total = sim::Duration::from_ps(1);
     t->pending_on_complete_ = std::move(compute->on_complete);
-    t->remaining_compute_ = total;
-    if (st.last_thread != t) {
-      total += config_.context_switch_cost;
-      SATIN_METRIC_INC("os.context_switches");
-    }
-    st.last_thread = t;
-    start_compute(core, total);
+    open_compute(core, t, total);
+    schedule_completion(core);
     return;
   }
   st.last_thread = t;
@@ -303,12 +300,23 @@ void RichOs::wake_thread(Thread* t) {
   if (t->state_ == ThreadState::kSleeping) enqueue_thread(t);
 }
 
-void RichOs::start_compute(hw::CoreId core, sim::Duration total) {
+// `duration` becomes the thread's remaining compute; the core is busy for
+// it plus the context-switch tax when another thread ran last.
+void RichOs::open_compute(hw::CoreId core, Thread* t, sim::Duration duration) {
   CpuState& st = cpu(core);
-  sim::Engine& engine = platform_.engine();
-  st.action_end = engine.now() + total;
-  st.completion =
-      engine.schedule_at(st.action_end, [this, core] { finish_compute(core); });
+  t->remaining_compute_ = duration;
+  if (st.last_thread != t) {
+    duration += config_.context_switch_cost;
+    SATIN_METRIC_INC("os.context_switches");
+  }
+  st.last_thread = t;
+  st.action_end = platform_.engine().now() + duration;
+}
+
+void RichOs::schedule_completion(hw::CoreId core) {
+  CpuState& st = cpu(core);
+  st.completion = platform_.engine().schedule_at(
+      st.action_end, [this, core] { finish_compute(core); });
 }
 
 void RichOs::finish_compute(hw::CoreId core) {
@@ -451,7 +459,8 @@ void RichOs::on_secure_exit(hw::CoreId core, sim::Time) {
   st.frozen = false;
   if (st.current != nullptr) {
     st.slice_start = platform_.engine().now();
-    start_compute(core, st.current->remaining_compute_);
+    st.action_end = st.slice_start + st.current->remaining_compute_;
+    schedule_completion(core);
     // An RT thread woken during the freeze outranks the resumed thread.
     Thread* waiting = st.queue.peek();
     if (waiting != nullptr && RunQueue::rt_preempts(*waiting, *st.current)) {
@@ -466,20 +475,24 @@ void RichOs::on_secure_exit(hw::CoreId core, sim::Time) {
 }
 
 // ---------------------------------------------------------------------------
-// Duty-cycle fast path (DESIGN.md §19)
+// Cycle fast path (DESIGN.md §19)
 //
-// A core whose only thread declares a duty cycle runs the cycle's wake-ups
-// and completions as keyed engine actions: each carries the (when, seq)
-// key the event path's schedule_at() would have given its event, and does
-// exactly that event's state updates in place. Any event-path entry that
-// touches the core hands the pending action back to the queue under the
-// same key first; the core rejoins at its next clean sleep.
+// A core whose only thread declares a duty cycle or a loop runs the
+// cycle's wake-ups and completions as keyed engine actions: each carries
+// the (when, seq) key the event path's schedule_at() would have given its
+// event, and does exactly that event's state updates in place. Any
+// event-path entry that touches the core hands the pending action back to
+// the queue under the same key first. A duty-cycle core rejoins at its
+// next clean sleep, a loop core at its next compute.
+
+bool RichOs::fast_path_open(hw::CoreId core) const {
+  const CpuState& st = cpu(core);
+  return config_.cycle_path == CyclePath::kFastForward && st.queue.empty() &&
+         !st.frozen;
+}
 
 bool RichOs::can_fast_forward(hw::CoreId core, const Thread& t) const {
-  const CpuState& st = cpu(core);
-  return config_.cycle_path == CyclePath::kFastForward &&
-         t.cycle_.has_value() && t.pinned_ == core && st.queue.empty() &&
-         !st.frozen;
+  return t.cycle_.has_value() && t.pinned_ == core && fast_path_open(core);
 }
 
 void RichOs::arm_keyed(hw::CoreId core, CpuState::Keyed kind,
@@ -500,7 +513,8 @@ void RichOs::hand_back(hw::CoreId core) {
     st.sleeper = nullptr;
     engine.schedule_keyed(key, [this, t] { wake_thread(t); });
   } else {
-    // What begin_next_action would have left for finish_compute.
+    // What begin_next_action would have left for finish_compute, after a
+    // duty-cycle or a loop compute alike.
     st.current->pending_on_complete_ = st.current->cycle_round_callback();
     st.completion =
         engine.schedule_keyed(key, [this, core] { finish_compute(core); });
@@ -555,30 +569,29 @@ void RichOs::fast_complete(hw::CoreId core) {
   t->remaining_compute_ = sim::Duration::zero();
   OsContext ctx{*this, platform_.engine().now(), core};
   t->cycle_round(ctx);
-  if (st.current == t) begin_cycle_step(core, t);
+  if (st.current != t) return;
+  // A duty cycle sleeps next. A loop computes next, on this path only
+  // while the core stays eligible.
+  if (t->cycle_loops()) {
+    begin_next_action(core);
+  } else {
+    begin_cycle_step(core, t);
+  }
 }
 
 // begin_next_action() for a cycle thread with nothing left to resume,
-// taking the step straight from the declaration cycle_action() reads.
+// taking the step straight from the declaration cycle_action() reads. A
+// compute step is reached only on a core found eligible: by fast_wake()
+// for a duty cycle, by begin_next_action() for a loop.
 void RichOs::begin_cycle_step(hw::CoreId core, Thread* t) {
   CpuState& st = cpu(core);
-  const sim::Time now = platform_.engine().now();
   const Thread::CycleStep step = t->next_cycle_step();
   if (!step.compute) {
     st.last_thread = t;
-    sleep_thread(core, t, now + step.duration);
+    sleep_thread(core, t, platform_.engine().now() + step.duration);
     return;
   }
-  sim::Duration total = step.duration;
-  t->remaining_compute_ = total;
-  if (st.last_thread != t) {
-    total += config_.context_switch_cost;
-    SATIN_METRIC_INC("os.context_switches");
-  }
-  st.last_thread = t;
-  // Only fast_wake() reaches a compute step (a completion is always
-  // followed by a sleep), on a core it has just found eligible.
-  st.action_end = now + total;
+  open_compute(core, t, step.duration);
   arm_keyed(core, CpuState::Keyed::kCompletion, st.action_end);
 }
 

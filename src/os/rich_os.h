@@ -19,8 +19,9 @@
 
 namespace satin::os {
 
-// How a core whose only thread declares a duty cycle advances (DESIGN.md
-// §19). Bit-identical by contract; only the engine.* self-metrics differ.
+// How a core whose only thread declares a duty cycle or a loop advances
+// (DESIGN.md §19). Bit-identical by contract; only the engine.*
+// self-metrics differ.
 enum class CyclePath {
   // Each wake-up and completion is a keyed engine action, run in place
   // without a queue event, a scheduler pass or an Action; the default.
@@ -117,9 +118,9 @@ class RichOs final : public hw::WorldListener,
     sim::Time idle_since;
     bool idle_accounting = false;
     sim::Duration idle_total;
-    // Duty-cycle fast path: the engine slot that carries this core's
-    // pending wake-up (of `sleeper`) or completion (of `current`) while
-    // no queue event stands for it.
+    // Cycle fast path: the engine slot that carries this core's pending
+    // wake-up (of `sleeper`) or completion (of `current`) while no queue
+    // event stands for it.
     std::uint32_t keyed_slot = 0;
     enum class Keyed : std::uint8_t { kNone, kWake, kCompletion };
     Keyed keyed = Keyed::kNone;
@@ -136,7 +137,10 @@ class RichOs final : public hw::WorldListener,
   void maybe_preempt_for(hw::CoreId core, Thread& wakee);
   void dispatch(hw::CoreId core);
   void begin_next_action(hw::CoreId core);
-  void start_compute(hw::CoreId core, sim::Duration total);
+  // The start of a compute on either path (DESIGN.md §19).
+  void open_compute(hw::CoreId core, Thread* thread, sim::Duration duration);
+  // Queues the completion of the core's compute at its action_end.
+  void schedule_completion(hw::CoreId core);
   void finish_compute(hw::CoreId core);
   void preempt_current(hw::CoreId core);
   void account_current(hw::CoreId core);
@@ -146,7 +150,8 @@ class RichOs final : public hw::WorldListener,
   void sleep_thread(hw::CoreId core, Thread* thread, sim::Time wake);
   void wake_thread(Thread* thread);
 
-  // Duty-cycle fast path (DESIGN.md §19).
+  // Cycle fast path (DESIGN.md §19).
+  bool fast_path_open(hw::CoreId core) const;
   bool can_fast_forward(hw::CoreId core, const Thread& thread) const;
   void arm_keyed(hw::CoreId core, CpuState::Keyed kind, sim::Time when);
   // Hands the core's keyed action, if any, back to the queue under its

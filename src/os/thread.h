@@ -52,13 +52,14 @@ using Action = std::variant<ComputeAction, SleepForAction, SleepUntilAction,
                             YieldAction, ExitAction>;
 
 // A fixed duty cycle a thread may declare (DESIGN.md §19): compute for
-// `compute`, run the thread's round, sleep for `sleep`, and repeat. While
-// the thread reports itself parked, each wake-up sleeps `park` instead and
-// computes nothing.
+// `compute`, run the thread's round, sleep for `sleep`, and repeat. A loop
+// declares no `sleep`: it computes back to back, one round per compute.
+// While the thread reports itself parked, each step sleeps `park` instead
+// and computes nothing.
 struct DutyCycle {
   sim::Duration compute;
-  sim::Duration sleep;
-  sim::Duration park;
+  std::optional<sim::Duration> sleep = std::nullopt;
+  sim::Duration park = sim::Duration::zero();
 };
 
 class Thread {
@@ -98,10 +99,10 @@ class Thread {
 
  protected:
   // Declares that this thread's whole life is `cycle`; its next_action()
-  // must then return cycle_action(). Both that and RichOs's fast path
-  // derive every step from this one declaration and the two hooks below,
-  // so a core can run the cycle without an engine event per step and
-  // still agree with the event path.
+  // must then return cycle_action(), for a loop whenever cycle_diverted()
+  // is false. Both that and RichOs's fast path derive every step from this
+  // one declaration and the hooks below, so a core can run the cycle
+  // without an engine event per step and still agree with the event path.
   void declare_cycle(DutyCycle cycle) {
     if (cycle.compute <= sim::Duration::zero()) {
       cycle.compute = sim::Duration::from_ps(1);
@@ -118,6 +119,9 @@ class Thread {
   // Runs when a compute of the cycle completes.
   virtual void cycle_round(OsContext&) {}
   virtual bool cycle_parked() const { return false; }
+  // True when a loop's next step is not the cycle's; RichOs then asks
+  // next_action() for it.
+  virtual bool cycle_diverted() const { return false; }
 
  private:
   friend class RichOs;
@@ -129,11 +133,13 @@ class Thread {
   };
   CycleStep next_cycle_step() {
     if (cycle_parked()) return {false, cycle_->park};
+    if (!cycle_->sleep) return {true, cycle_->compute};
     const bool compute = cycle_computes_next_;
     cycle_computes_next_ = !compute;
     return compute ? CycleStep{true, cycle_->compute}
-                   : CycleStep{false, cycle_->sleep};
+                   : CycleStep{false, *cycle_->sleep};
   }
+  bool cycle_loops() const { return cycle_.has_value() && !cycle_->sleep; }
   std::function<void(OsContext&)> cycle_round_callback() {
     return [this](OsContext& ctx) { cycle_round(ctx); };
   }

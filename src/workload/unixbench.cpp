@@ -1,6 +1,7 @@
 #include "workload/unixbench.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace satin::workload {
 
@@ -30,7 +31,9 @@ const std::vector<WorkloadSpec>& unixbench_suite() {
 }
 
 WorkloadThread::WorkloadThread(WorkloadSpec spec)
-    : os::Thread("unixbench/" + spec.name), spec_(std::move(spec)) {}
+    : os::Thread("unixbench/" + spec.name), spec_(std::move(spec)) {
+  declare_cycle({spec_.iteration_cost});
+}
 
 os::Action WorkloadThread::next_action(os::OsContext&) {
   if (stop_requested_) return os::ExitAction{};
@@ -40,8 +43,7 @@ os::Action WorkloadThread::next_action(os::OsContext&) {
     pending_penalty_ = sim::Duration::zero();
     return os::ComputeAction{penalty, nullptr};
   }
-  return os::ComputeAction{spec_.iteration_cost,
-                           [this](os::OsContext&) { ++iterations_; }};
+  return cycle_action();
 }
 
 UnixBenchHarness::UnixBenchHarness(os::RichOs& os) : os_(os) {
@@ -88,8 +90,15 @@ std::vector<UnixBenchHarness::Result> UnixBenchHarness::run_suite(
     // Drain: let stopped workloads leave their cores. Must outlast the
     // largest disruption penalty — a stopped thread mid-penalty still has
     // to burn it before it can exit, and a leftover zombie would skew the
-    // next test's thread placement.
+    // next test's thread placement, so one is an error.
     engine.run_for(sim::Duration::from_ms(500));
+    for (const WorkloadThread* t : active_) {
+      if (t->stopped()) continue;
+      throw std::logic_error(
+          "UnixBenchHarness: " + t->name() + " still running on core " +
+          std::to_string(t->current_core()) + " at t=" +
+          engine.now().to_string() + ", after the 500 ms drain");
+    }
     active_.clear();
     Result r;
     r.name = spec.name;

@@ -30,6 +30,9 @@ struct WorkloadSpec {
 // The 12 benchmark programs of Fig. 7, in plot order.
 const std::vector<WorkloadSpec>& unixbench_suite();
 
+// A loop (os::DutyCycle with no sleep, DESIGN.md §19): compute
+// iteration_cost, count one iteration, repeat. A stop request or a pending
+// penalty diverts the loop for one step.
 class WorkloadThread final : public os::Thread {
  public:
   explicit WorkloadThread(WorkloadSpec spec);
@@ -47,6 +50,11 @@ class WorkloadThread final : public os::Thread {
   void add_penalty(sim::Duration penalty) { pending_penalty_ += penalty; }
 
  private:
+  void cycle_round(os::OsContext&) override { ++iterations_; }
+  bool cycle_diverted() const override {
+    return stop_requested_ || pending_penalty_ > sim::Duration::zero();
+  }
+
   WorkloadSpec spec_;
   std::uint64_t iterations_ = 0;
   sim::Duration pending_penalty_;

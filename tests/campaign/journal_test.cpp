@@ -77,7 +77,10 @@ TEST(TrialRecord, DecodeRejectsDamage) {
 class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps concurrently running test processes apart: under a
+    // sanitizer's deterministic heap two of them can share `this`.
     path_ = testing::TempDir() + "/journal_test_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".journal";
     std::remove(path_.c_str());
     spec_ = parse_campaign_spec(R"({"trials": 8, "root_seed": 42})", "t");

@@ -23,6 +23,16 @@ constexpr char kTinySpec[] = R"({
   "duel": {"rounds_target": 5}
 })";
 
+// kTinySpec stopped after 50 simulated milliseconds: a healthy trial fits
+// a 1 s trial timeout even under TSan, where a kTinySpec trial takes
+// about 1.4 s.
+constexpr char kQuickSpec[] = R"({
+  "trials": 4,
+  "root_seed": 42,
+  "satin": {"tgoal_s": 8.0},
+  "duel": {"rounds_target": 5, "max_sim_seconds": 0.05}
+})";
+
 class SupervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -137,6 +147,7 @@ TEST_F(SupervisorTest, ExhaustedRetriesDegradeInsteadOfHanging) {
 }
 
 TEST_F(SupervisorTest, HungWorkerIsKilledAfterTimeout) {
+  spec_ = parse_campaign_spec(kQuickSpec, "quick");
   CampaignOptions o = options();
   o.jobs = 1;
   o.trial_timeout_s = 1.0;

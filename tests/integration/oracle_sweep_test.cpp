@@ -2,7 +2,7 @@
 //
 // Three host-time fast paths must never change a simulated bit: block
 // draws (oracle: hw::PlatformConfig::draw_mode = sim::DrawMode::kScalar),
-// duty-cycle fast-forward (os::OsConfig::cycle_path =
+// cycle fast-forward of duty cycles and loops (os::OsConfig::cycle_path =
 // CyclePath::kEventPerRound, DESIGN.md §19) and the incremental digest
 // cache (core::SatinConfig::shadow_digest_cache, DESIGN.md §11). Every
 // campaign trial here runs four times, on the default path and on each
@@ -16,26 +16,32 @@
 // The trials: fixed cases, more than a hundred trials drawn from seeded
 // random specs (perfbench's duel, fleet and storm shapes with random
 // Tgoal, core counts and fault plans), and bench_satin_detection's
-// clean-rounds workload with the cache on and shadowed.
+// clean-rounds workload with the cache on and shadowed. Mini-UnixBench
+// passes, whose programs are loops, run on the default path and the event
+// path and must agree the same way on their scores.
 //
-// A mismatch prints the spec text and trial index; the first one in a
-// test also writes both flight recordings, and `satin_flightool diff A B`
-// on them names the first divergent commit. With -DSATIN_ENABLE_OBS=OFF no metric or flight
-// record is emitted, and only journal records and engine counts are
-// compared.
+// A mismatch prints the spec text and trial index (or the pass's name);
+// the first one in a test also writes both flight recordings, and
+// `satin_flightool diff A B` on them names the first divergent commit.
+// With -DSATIN_ENABLE_OBS=OFF no metric or flight record is emitted, and
+// only journal records (or scores) and engine counts are compared.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "campaign/spec.h"
 #include "campaign/trial.h"
 #include "core/satin.h"
+#include "fault/injector.h"
 #include "obs/flight/audit.h"
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
@@ -43,6 +49,8 @@
 #include "obs/trace.h"
 #include "scenario/scenario.h"
 #include "sim/parallel.h"
+#include "sim/seed_seq.h"
+#include "workload/unixbench.h"
 
 namespace satin {
 namespace {
@@ -84,9 +92,10 @@ campaign::CampaignSpec on_path(campaign::CampaignSpec spec, Path path) {
   return spec;
 }
 
-// What one campaign trial leaves behind.
+// What one campaign trial (or UnixBench pass) leaves behind.
 struct TrialOutcome {
-  std::string record;   // journal line, or "failed: " and the exception text
+  std::string record;   // journal line (or score bits), or "failed: " and
+                        // the exception text
   std::string metrics;  // stable JSON snapshot
   std::uint64_t flight_chain = 0;
   std::uint64_t flight_commits = 0;
@@ -102,12 +111,12 @@ double gauge_of(const obs::MetricsRegistry& r, const char* name) {
   return g != nullptr ? g->value() : 0.0;
 }
 
-// Runs trial `index` of `spec` as a campaign worker does, under a private
-// registry and flight recorder. With `flight_path` the recorder spills
-// the full stream there; otherwise it keeps one record, and its chain
-// still folds every commit.
-TrialOutcome run_trial(const campaign::CampaignSpec& spec, std::uint64_t index,
-                       const std::string& flight_path = {}) {
+// Runs `body`, which fills the record, under a private registry and
+// flight recorder, and collects what it leaves behind. With `flight_path`
+// the recorder spills the full stream there; otherwise it keeps one
+// record, and its chain still folds every commit.
+TrialOutcome observe(const std::string& flight_path,
+                     const std::function<void(TrialOutcome&)>& body) {
   obs::MetricsRegistry registry;
   obs::FlightRecorder::Options options;
   options.path = flight_path;
@@ -117,10 +126,7 @@ TrialOutcome run_trial(const campaign::CampaignSpec& spec, std::uint64_t index,
   {
     sim::TrialObsScope sinks(&registry, nullptr, &flight);
     try {
-      const campaign::TrialResult result =
-          campaign::run_campaign_trial(spec, index);
-      out.record = campaign::encode_trial_record(result);
-      out.faults_injected = result.faults_injected;
+      body(out);
     } catch (const std::exception& e) {
       out.record = std::string("failed: ") + e.what();
       out.threw = true;
@@ -136,6 +142,17 @@ TrialOutcome run_trial(const campaign::CampaignSpec& spec, std::uint64_t index,
     out.reentries = c->value();
   }
   return out;
+}
+
+// Runs trial `index` of `spec` as a campaign worker does.
+TrialOutcome run_trial(const campaign::CampaignSpec& spec, std::uint64_t index,
+                       const std::string& flight_path = {}) {
+  return observe(flight_path, [&](TrialOutcome& out) {
+    const campaign::TrialResult result =
+        campaign::run_campaign_trial(spec, index);
+    out.record = campaign::encode_trial_record(result);
+    out.faults_injected = result.faults_injected;
+  });
 }
 
 std::string without_engine_lines(const std::string& json) {
@@ -197,20 +214,26 @@ std::string disagreements(const TrialOutcome& want, const TrialOutcome& got,
   return out.str();
 }
 
-// Re-runs trial `index` on the default path and on `path`, spilling both
-// full flight streams to files. Returns where they are and the auditor's
-// first-divergence report.
-std::string write_recordings(const std::string& text,
-                             const campaign::CampaignSpec& spec,
-                             std::uint64_t index, Path path) {
-  char stem[96];
-  std::snprintf(stem, sizeof(stem), "oracle_sweep_%016" PRIx64 "_%" PRIu64,
-                std::hash<std::string>{}(text), index);
+// Fails with `what`, the way a case disagrees with the default path. The
+// first failure in the process also re-runs the case on the default path
+// and on `path` through `record`, which spills each full flight stream to
+// the file it is given, and adds where they are and the auditor's
+// first-divergence report. A storm trial's recordings run to ~100 MB
+// each.
+void report_disagreement(
+    const std::string& what, const std::string& stem, Path path,
+    const std::function<void(Path, const std::string&)>& record) {
+  static bool recorded = false;
+  if (!kObs || recorded) {
+    ADD_FAILURE() << what;
+    return;
+  }
+  recorded = true;
   const std::string a = testing::TempDir() + stem + "_default.flt";
   const std::string b = testing::TempDir() + stem + "_" + to_string(path) +
                         ".flt";
-  run_trial(spec, index, a);
-  run_trial(on_path(spec, path), index, b);
+  record(Path::kDefault, a);
+  record(path, b);
   std::string report = "flight recordings (satin_flightool diff " + a + " " +
                        b + "):\n";
   obs::FlightLog log_a, log_b;
@@ -221,7 +244,7 @@ std::string write_recordings(const std::string& text,
   } else {
     report += error;
   }
-  return report;
+  ADD_FAILURE() << what << report;
 }
 
 // Runs trial `index` of the campaign spec `text` on the default path and
@@ -236,19 +259,16 @@ TrialOutcome expect_oracles_agree(const std::string& text,
     const TrialOutcome got = run_trial(on_path(spec, path), index);
     const std::string why = disagreements(want, got, path);
     if (why.empty()) continue;
-    // A storm trial's recordings run to ~100 MB each: the first
-    // disagreement in the process gets them.
-    static bool recorded = false;
-    std::string recordings;
-    if (kObs && !recorded) {
-      recorded = true;
-      recordings = write_recordings(text, spec, index, path);
-    }
-    ADD_FAILURE() << "trial " << index << " on the " << to_string(path)
-                  << " oracle disagrees with the default path\n"
-                  << why << "spec:\n"
-                  << text << "\n"
-                  << recordings;
+    char stem[96];
+    std::snprintf(stem, sizeof(stem), "oracle_sweep_%016" PRIx64 "_%" PRIu64,
+                  std::hash<std::string>{}(text), index);
+    report_disagreement(
+        "trial " + std::to_string(index) + " on the " + to_string(path) +
+            " oracle disagrees with the default path\n" + why + "spec:\n" +
+            text + "\n",
+        stem, path, [&](Path side, const std::string& file) {
+          run_trial(on_path(spec, side), index, file);
+        });
   }
   if (kObs && !want.threw) {
     EXPECT_NE(want.metrics.find("\"engine.events_fired\""), std::string::npos)
@@ -496,6 +516,215 @@ TEST_P(OracleSweepRandom, EveryOracleAgreesWithTheDefaultPath) {
 
 INSTANTIATE_TEST_SUITE_P(Blocks, OracleSweepRandom,
                          testing::Range(0, kBlocks));
+
+// --- UnixBench passes ----------------------------------------------------
+//
+// Each mini-UnixBench program is a loop (DESIGN.md §19): on the default
+// path a core whose only thread it is completes every iteration as a
+// keyed action. A pass runs on the default path and on the event path,
+// under a private registry and flight recorder, and the two must agree on
+// the score bits, every stable metric outside engine.*, the flight stream
+// and the dispatch total.
+
+using Scores = std::vector<workload::UnixBenchHarness::Result>;
+
+struct PassCase {
+  std::string name;
+  scenario::ScenarioConfig config;
+  // Runs the pass on the booted system and returns its scores.
+  std::function<Scores(scenario::Scenario&)> run;
+};
+
+std::string score_bits(const Scores& scores) {
+  std::string out;
+  for (const auto& r : scores) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &r.score, sizeof(bits));
+    char field[96];
+    std::snprintf(field, sizeof(field), "%s=%016" PRIx64 ";", r.name.c_str(),
+                  bits);
+    out += field;
+  }
+  return out;
+}
+
+// Runs `pass` on `path` (the default or the event path); the outcome's
+// record holds the score bits.
+TrialOutcome run_pass(const PassCase& pass, Path path,
+                      const std::string& flight_path = {}) {
+  scenario::ScenarioConfig config = pass.config;
+  if (path == Path::kEventPerRound) {
+    config.os.cycle_path = os::CyclePath::kEventPerRound;
+  }
+  return observe(flight_path, [&](TrialOutcome& out) {
+    scenario::Scenario system(config);
+    try {
+      out.record = score_bits(pass.run(system));
+    } catch (const std::exception& e) {
+      out.record = std::string("failed: ") + e.what();
+      out.threw = true;
+    }
+    // Engine counts after a throw too, so they are compared there.
+    obs::snapshot_engine_metrics(system.engine(), *obs::metrics(),
+                                 /*include_wall=*/false);
+  });
+}
+
+// Runs `pass` on the default path and on the event path and fails, naming
+// the pass, on any disagreement. Returns the default path's outcome.
+TrialOutcome expect_pass_paths_agree(const PassCase& pass) {
+  const TrialOutcome want = run_pass(pass, Path::kDefault);
+  const TrialOutcome got = run_pass(pass, Path::kEventPerRound);
+  const std::string why = disagreements(want, got, Path::kEventPerRound);
+  if (!why.empty()) {
+    report_disagreement(
+        "UnixBench pass '" + pass.name +
+            "' on the event-per-round oracle disagrees with the default "
+            "path\n" + why,
+        "oracle_sweep_pass_" + pass.name, Path::kEventPerRound,
+        [&](Path side, const std::string& file) {
+          run_pass(pass, side, file);
+        });
+  }
+  if (kObs) {
+    EXPECT_GT(want.flight_commits, 0u) << pass.name;
+  }
+  return want;
+}
+
+// perfbench's overhead workload (perfbench/satin_perfbench.cpp): one copy
+// of each program beside SATIN at tp = 1 s, self-activating or idle, on
+// pair 0 of input set 0.
+PassCase overhead_pass(bool with_satin, const std::string& faults = {}) {
+  PassCase pass;
+  pass.name = std::string("overhead_") + (with_satin ? "satin" : "plain");
+  pass.config.platform.seed = sim::TrialSeedSeq(0x5A7100000ull).seed_for(0);
+  pass.run = [with_satin, faults](scenario::Scenario& system) {
+    const auto injector =
+        fault::install_from_spec(system.platform(), faults);
+    core::SatinConfig config;
+    config.tp_s = 1.0;
+    if (!faults.empty()) {
+      // fault_storm's self-healing SATIN.
+      config.resilience.watchdog = true;
+      config.resilience.max_scan_retries = 2;
+      config.resilience.adapt_offline = true;
+    }
+    core::Satin satin(system.platform(), system.kernel(), system.tsp(),
+                      config);
+    if (with_satin) satin.start();
+    workload::UnixBenchHarness harness(system.os());
+    return harness.run_suite(sim::Duration::from_sec(12), 1);
+  };
+  return pass;
+}
+
+TEST(OracleSweep, OverheadPassesAgree) {
+  for (const bool with_satin : {false, true}) {
+    const TrialOutcome fast = expect_pass_paths_agree(overhead_pass(with_satin));
+    EXPECT_FALSE(fast.threw) << fast.record;
+    // Nearly every dispatch was a fast-forwarded iteration.
+    EXPECT_GT(fast.keyed, 0.9 * fast.dispatches) << with_satin;
+  }
+}
+
+TEST(OracleSweep, SixTaskFig7PassAgrees) {
+  // bench_fig7_overhead's 6-task shape: six copies beside SATIN at
+  // tp = 0.8 s, after 5 s of settling, on 3 s windows.
+  PassCase pass;
+  pass.name = "fig7_6task";
+  pass.run = [](scenario::Scenario& system) {
+    core::SatinConfig config;
+    config.tp_s = 0.8;
+    core::Satin satin(system.platform(), system.kernel(), system.tsp(),
+                      config);
+    satin.start();
+    system.run_for(sim::Duration::from_sec(5));
+    workload::UnixBenchHarness harness(system.os());
+    return harness.run_suite(sim::Duration::from_sec(3), 6);
+  };
+  const TrialOutcome fast = expect_pass_paths_agree(pass);
+  EXPECT_FALSE(fast.threw) << fast.record;
+  EXPECT_GT(fast.keyed, 0.9 * fast.dispatches);
+}
+
+// examples/fault_storm's seven-kind plan; `seed` is the storm's seed.
+std::string fault_storm_plan(int seed) {
+  return "seed=" + std::to_string(seed) +
+         ",timer-misfire@5s+30s:p=0.35,irq-lost@20s+40s:p=0.3,"
+         "smc-fail@45s+30s:p=0.25,timer-drift@70s+40s:p=0.5:drift=800ms,"
+         "irq-spurious@95s+20s:p=0.3:period=2s,bitflip@10s+130s:p=0.12,"
+         "core-off@110s+25s:core=3";
+}
+
+TEST(OracleSweep, FaultStormPassesAgree) {
+  // The overhead pass under fault_storm's plan. Replica 1's storm seed
+  // runs the whole suite through every fault window.
+  PassCase pass = overhead_pass(true, fault_storm_plan(10));
+  pass.name = "fault_storm_seed10";
+  const TrialOutcome fast = expect_pass_paths_agree(pass);
+  EXPECT_FALSE(fast.threw) << fast.record;
+  if (kObs) {
+    EXPECT_NE(fast.metrics.find("\"fault.injected\""), std::string::npos);
+  }
+  // Replica 0's seed: a secure stay re-entered during its exit
+  // notification (ROADMAP, open defects) freezes execl_throughput's core
+  // with no compute pending, and every path throws the same diagnostic.
+  pass = overhead_pass(true, fault_storm_plan(9));
+  pass.name = "fault_storm_seed9";
+  const TrialOutcome seed9 = expect_pass_paths_agree(pass);
+  EXPECT_NE(seed9.record.find(
+                "secure entry froze a thread with no pending compute (core "
+                "0, thread 'unixbench/execl_throughput'"),
+            std::string::npos)
+      << seed9.record;
+}
+
+TEST(OracleSweep, PinnedSatinPassHandsBackEveryRound) {
+  // Harness.SatinDisruptionReducesSensitiveScores's shape: SATIN and the
+  // program both on core 2 at tp = 0.5 s, so nearly every round freezes
+  // the loop's core, hands its completion back and delivers a penalty.
+  PassCase pass;
+  pass.name = "pinned_core2";
+  pass.run = [](scenario::Scenario& system) {
+    core::SatinConfig config;
+    config.tp_s = 0.5;
+    config.multi_core = false;
+    config.fixed_core = 2;
+    core::Satin satin(system.platform(), system.kernel(), system.tsp(),
+                      config);
+    satin.start();
+    struct Penalizer : hw::WorldListener {
+      workload::WorkloadThread* target = nullptr;
+      void on_secure_entry(hw::CoreId, sim::Time) override {}
+      void on_secure_exit(hw::CoreId core, sim::Time) override {
+        if (target != nullptr && core == target->current_core() &&
+            !target->stopped()) {
+          target->add_penalty(target->spec().disruption_penalty);
+        }
+      }
+    } penalizer;
+    system.platform().core(2).add_world_listener(&penalizer);
+    Scores scores;
+    for (const int program : {0, 3, 7}) {
+      const workload::WorkloadSpec& spec = workload::unixbench_suite()[program];
+      auto thread = std::make_unique<workload::WorkloadThread>(spec);
+      thread->pin_to_core(2);
+      penalizer.target = static_cast<workload::WorkloadThread*>(
+          system.os().add_thread(std::move(thread)));
+      system.run_for(sim::Duration::from_sec(5));
+      scores.push_back(
+          {spec.name, static_cast<double>(penalizer.target->iterations())});
+      penalizer.target->request_stop();
+      system.run_for(sim::Duration::from_ms(500));
+    }
+    system.platform().core(2).remove_world_listener(&penalizer);
+    return scores;
+  };
+  const TrialOutcome fast = expect_pass_paths_agree(pass);
+  EXPECT_FALSE(fast.threw) << fast.record;
+  EXPECT_GT(fast.keyed, 0u);
+}
 
 // --- Clean rounds --------------------------------------------------------
 

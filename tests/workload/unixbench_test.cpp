@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/satin.h"
 #include "scenario/scenario.h"
 
@@ -85,6 +88,34 @@ TEST(Harness, BaselineSuiteScoresArePositiveAndStable) {
   // Scores reflect iteration costs: dhrystone (100 us) ~ 2x whetstone?
   // no — simply check ordering against cost.
   EXPECT_GT(results[0].score, results[9].score);  // 100us beats 5ms shell
+}
+
+TEST(Harness, WorkloadStillRunningAfterTheDrainThrows) {
+  // 10 ms before dhrystone2's 100 ms window ends, its copy takes a 2 s
+  // penalty: the stop request finds it mid-penalty, and it is still
+  // burning it when the 500 ms drain ends.
+  scenario::Scenario s;
+  UnixBenchHarness harness(s.os());
+  const sim::Time start = s.now();
+  s.engine().schedule_at(start + Duration::from_ms(90), [&s] {
+    for (int c = 0; c < s.platform().num_cores(); ++c) {
+      if (auto* t = dynamic_cast<WorkloadThread*>(s.os().running_thread(c))) {
+        t->add_penalty(Duration::from_sec(2));
+      }
+    }
+  });
+  try {
+    harness.run_suite(Duration::from_ms(100), 1);
+    FAIL() << "run_suite returned with a workload still running";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unixbench/dhrystone2 still running on core 0"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("t=" + (start + Duration::from_ms(600)).to_string()),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(Harness, CompareRunsComputesDegradation) {
