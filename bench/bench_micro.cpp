@@ -458,10 +458,10 @@ BENCHMARK(BM_MetricEmitDigest);
 // range(0) picks the path: 0 = every wake-up and completion a queue event
 // (os::CyclePath::kEventPerRound, the oracle), 1 = the cycle fast path.
 // `start` sets the cycle threads up on the booted system and returns a
-// callable that counts their steps. Reports host ns per step, the share
-// of dispatches that ran as keyed actions, and heap allocations per step,
-// each named after `unit`; CI gates the fast path at exactly 0
-// allocations.
+// callable that counts their steps. Reports host ns per step, the shares
+// of dispatches that ran as keyed actions and, of those, completed in
+// place (in a loop's bursts), and heap allocations per step, each named
+// after `unit`; CI gates the fast path at exactly 0 allocations.
 template <typename Start>
 void cycle_bench(benchmark::State& state, const std::string& unit,
                  const Start& start) {
@@ -483,6 +483,7 @@ void cycle_bench(benchmark::State& state, const std::string& unit,
     const std::uint64_t steps0 = steps();
     const std::uint64_t queued0 = engine.events_fired();
     const std::uint64_t keyed0 = engine.keyed_fired();
+    const std::uint64_t in_place0 = engine.keyed_in_place();
     const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
     const auto begin = std::chrono::steady_clock::now();
     for (auto _ : state) {
@@ -495,10 +496,14 @@ void cycle_bench(benchmark::State& state, const std::string& unit,
         g_allocs.load(std::memory_order_relaxed) - allocs0;
     const auto done = static_cast<double>(steps() - steps0);
     const auto keyed = static_cast<double>(engine.keyed_fired() - keyed0);
+    const auto in_place =
+        static_cast<double>(engine.keyed_in_place() - in_place0);
     const double dispatches =
         keyed + static_cast<double>(engine.events_fired() - queued0);
     state.counters["ns_per_" + unit] = done > 0 ? elapsed.count() / done : 0.0;
     state.counters["keyed_share"] = dispatches > 0 ? keyed / dispatches : 0.0;
+    state.counters["in_place_share"] =
+        dispatches > 0 ? in_place / dispatches : 0.0;
     state.counters["allocs_per_" + unit] =
         done > 0 ? static_cast<double>(allocs) / done : 0.0;
     state.SetLabel(state.range(0) == 0 ? "event-per-round" : "fast-forward");
@@ -519,15 +524,19 @@ void BM_ProberSpin(benchmark::State& state) {
 BENCHMARK(BM_ProberSpin)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Mini-UnixBench's densest program, syscall_overhead (40 µs iterations),
-// as a loop on each of the six cores, per workload iteration.
+// per workload iteration, as range(1) copies: 6 is one loop on each core,
+// whose completions tie with one another, and 1 is a lone loop that
+// completes its iterations in place between ticks, as in perfbench's
+// `overhead` and Fig. 7's 1-task setting.
 void BM_WorkloadLoop(benchmark::State& state) {
-  cycle_bench(state, "iteration", [](satin::scenario::Scenario& system) {
+  const auto copies = static_cast<int>(state.range(1));
+  cycle_bench(state, "iteration", [copies](satin::scenario::Scenario& system) {
     const auto& suite = satin::workload::unixbench_suite();
     const auto spec = std::find_if(suite.begin(), suite.end(), [](auto& w) {
       return w.name == "syscall_overhead";
     });
     std::vector<satin::workload::WorkloadThread*> loops;
-    for (int c = 0; c < system.platform().num_cores(); ++c) {
+    for (int i = 0; i < copies; ++i) {
       loops.push_back(static_cast<satin::workload::WorkloadThread*>(
           system.os().add_thread(
               std::make_unique<satin::workload::WorkloadThread>(*spec))));
@@ -539,7 +548,12 @@ void BM_WorkloadLoop(benchmark::State& state) {
     };
   });
 }
-BENCHMARK(BM_WorkloadLoop)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WorkloadLoop)
+    ->Args({0, 6})
+    ->Args({1, 6})
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
 
 // One trial's boot set-up in steady state: a booted default Scenario plus
 // SATIN's boot-state authorization. Every trial shares the process-wide

@@ -13,9 +13,13 @@ workload, seed and metric the table gives both sides' median and quartiles,
 the ratio of medians (head / base), the median of the per-pair ratios and
 the pairs in which the head was better. A metric is "unresolved" when the
 base's own quartile spread, relative to its median, exceeds the metric's
-BENCHMARK.json bound: the host was too noisy to tell. Otherwise it is
-"WORSE" when the head's median is worse than the base's by more than that
-bound. Per-layer metrics (--trace 1) carry no bound and are reported only.
+BENCHMARK.json bound (the host was too noisy to tell), unless every head
+run is better than every base run. Otherwise it is "WORSE" when the head's
+median is worse than the base's by more than that bound. Per-layer metrics
+(--trace 1) carry no bound and are reported only. The "gain" column says
+whether the row supports a gain claim: the head is better in at least 9 of
+10 pairs (ties count for neither side), and its median is better than the
+base's by more than the base's quartile distance.
 
 The JSON written by --out holds every run's metrics and the table rows.
 """
@@ -97,12 +101,16 @@ def summarize(workload, seed, pairs, specs):
         head = [p["head"]["metrics"][name] for p in pairs]
         base_med, head_med = statistics.median(base), statistics.median(head)
         ratios = [h / b for b, h in zip(base, head) if b]
-        if better == "higher":
-            wins = sum(h > b for b, h in zip(base, head))
-        else:
-            wins = sum(h < b for b, h in zip(base, head))
+        sign = 1 if better == "higher" else -1
+        wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
         b_q1, b_q3 = quartiles(base)
         h_q1, h_q3 = quartiles(head)
+        # Head minus base medians, positive when the head is better.
+        gap = sign * (head_med - base_med)
+        if better == "higher":
+            every_run_better = min(head) > max(base)
+        else:
+            every_run_better = max(head) < min(base)
         row = {"workload": workload, "seed": seed, "metric": name,
                "better": better, "pairs": len(pairs),
                "base_median": base_med, "base_q1": b_q1, "base_q3": b_q3,
@@ -110,17 +118,19 @@ def summarize(workload, seed, pairs, specs):
                "ratio_of_medians": head_med / base_med if base_med else None,
                "median_pair_ratio": (statistics.median(ratios)
                                      if ratios else None),
-               "pairs_better": wins, "identical": base == head}
+               "pairs_better": wins, "identical": base == head,
+               "every_run_better": every_run_better,
+               "gain": 10 * wins >= 9 * len(pairs) and gap > b_q3 - b_q1}
         bound = spec.get("bound")
         if bound is None:
             row["verdict"] = "reported"
         else:
             spread = (b_q3 - b_q1) / abs(base_med) if base_med else 0.0
-            worse = ((base_med - head_med) if better == "higher"
-                     else (head_med - base_med))
-            if base_med and spread > bound:
+            if every_run_better:
+                row["verdict"] = "within bound"
+            elif base_med and spread > bound:
                 row["verdict"] = "unresolved"
-            elif base_med and worse / abs(base_med) > bound:
+            elif base_med and -gap / abs(base_med) > bound:
                 row["verdict"] = "WORSE"
             else:
                 row["verdict"] = "within bound"
@@ -137,8 +147,8 @@ def fmt(value):
 def print_table(rows):
     print("| workload | seed | metric | base median [q1, q3] | "
           "head median [q1, q3] | ratio of medians | median pair ratio | "
-          "pairs better | verdict |")
-    print("|---|---|---|---|---|---|---|---|---|")
+          "pairs better | verdict | gain |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for r in rows:
         print(f"| {r['workload']} | {r['seed']} | {r['metric']} | "
               f"{fmt(r['base_median'])} [{fmt(r['base_q1'])}, "
@@ -147,7 +157,8 @@ def print_table(rows):
               f"{fmt(r['ratio_of_medians'])} | "
               f"{fmt(r['median_pair_ratio'])} | "
               f"{r['pairs_better']}/{r['pairs']} | "
-              f"{'identical' if r['identical'] else r['verdict']} |")
+              f"{'identical' if r['identical'] else r['verdict']} | "
+              f"{'holds' if r['gain'] else 'no'} |")
 
 
 def main():

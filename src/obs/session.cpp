@@ -22,6 +22,10 @@ void snapshot_engine_metrics(const sim::Engine& engine,
   // engine.events_fired, the dispatch count of the event-per-round path.
   registry.gauge("engine.keyed_fired")
       .set(static_cast<double>(engine.keyed_fired()));
+  // The keyed actions a loop completed in place, in bursts; a subset of
+  // engine.keyed_fired.
+  registry.gauge("engine.keyed_in_place")
+      .set(static_cast<double>(engine.keyed_in_place()));
   registry.gauge("engine.queue_high_water")
       .set(static_cast<double>(engine.queue_high_water()));
   registry.gauge("engine.pending_events")

@@ -361,16 +361,24 @@ void RichOs::preempt_current(hw::CoreId core) {
 
 void RichOs::account_current(hw::CoreId core) {
   CpuState& st = cpu(core);
+  if (st.current == nullptr) return;
+  account_slices(st, platform_.engine().now() - st.slice_start, 1);
+}
+
+// account_current() for `slices` back-to-back slices of `slice` each, the
+// last ending now: the integer charges fold into one product, the CFS
+// vruntime adds `slices` times in order, as that many calls would.
+void RichOs::account_slices(CpuState& st, sim::Duration slice,
+                            std::uint64_t slices) {
   Thread* t = st.current;
-  if (t == nullptr) return;
-  const sim::Time now = platform_.engine().now();
-  const sim::Duration elapsed = now - st.slice_start;
-  if (elapsed > sim::Duration::zero()) {
-    t->cpu_time_ += elapsed;
-    t->ran_in_slice_ += elapsed;
-    if (t->policy() == SchedPolicy::kCfs) t->vruntime_s_ += elapsed.sec();
+  if (slice > sim::Duration::zero()) {
+    t->cpu_time_ += slice * slices;
+    t->ran_in_slice_ += slice * slices;
+    if (t->policy() == SchedPolicy::kCfs) {
+      for (std::uint64_t i = 0; i < slices; ++i) t->vruntime_s_ += slice.sec();
+    }
   }
-  st.slice_start = now;
+  st.slice_start = platform_.engine().now();
 }
 
 void RichOs::mark_idle(hw::CoreId core, bool idle) {
@@ -504,6 +512,7 @@ void RichOs::arm_keyed(hw::CoreId core, CpuState::Keyed kind,
 }
 
 void RichOs::hand_back(hw::CoreId core) {
+  settle_burst(core);
   CpuState& st = cpu(core);
   if (st.keyed == CpuState::Keyed::kNone) return;
   sim::Engine& engine = platform_.engine();
@@ -572,11 +581,63 @@ void RichOs::fast_complete(hw::CoreId core) {
   if (st.current != t) return;
   // A duty cycle sleeps next. A loop computes next, on this path only
   // while the core stays eligible.
-  if (t->cycle_loops()) {
-    begin_next_action(core);
-  } else {
+  if (!t->cycle_loops()) {
     begin_cycle_step(core, t);
+    return;
   }
+  complete_loop_in_place(core, t);
+  if (st.current == t) begin_next_action(core);
+}
+
+// The tail of fast_complete() for a loop: every further iteration that
+// would end before anything else could run completes in place, as a burst,
+// instead of being armed and dispatched one by one. Each is the iteration
+// begin_next_action() would take next, with the seq it would reserve,
+// completed as fast_complete() completes one: the dispatch commit, the
+// accounting and the round. Only the accounting is deferred, to
+// settle_burst().
+void RichOs::complete_loop_in_place(hw::CoreId core, Thread* t) {
+  CpuState& st = cpu(core);
+  // Nothing to resume and no context-switch tax. Whatever could change
+  // that, or close the fast path, enters through hand_back(), which ends
+  // the burst.
+  if (t->remaining_compute_ > sim::Duration::zero() || st.last_thread != t ||
+      !fast_path_open(core)) {
+    return;
+  }
+  st.burst_period = t->cycle_->compute;
+  const std::uint64_t done = platform_.engine().complete_in_place(
+      st.keyed_slot, st.burst_period,
+      // Where begin_next_action() would take the loop's fast path.
+      [t, &st] {
+        return st.burst_period > sim::Duration::zero() &&
+               !t->cycle_diverted() && !t->cycle_parked();
+      },
+      [this, core, t](sim::Time when) {
+        OsContext ctx{*this, when, core};
+        t->cycle_round(ctx);
+      });
+  if (done > 0) {
+    settle_burst(core);
+  } else {
+    st.burst_period = sim::Duration::zero();
+  }
+}
+
+// Ends a burst, when it runs out or when a round enters the scheduler on
+// its core (through hand_back()), whichever comes first. Until then
+// slice_start stays where the last accounting left it, so the iterations
+// completed in place are (now - slice_start) / burst_period, each one
+// slice.
+void RichOs::settle_burst(hw::CoreId core) {
+  CpuState& st = cpu(core);
+  const sim::Duration period = st.burst_period;
+  if (period == sim::Duration::zero()) return;
+  st.burst_period = sim::Duration::zero();
+  account_slices(st, period,
+                 static_cast<std::uint64_t>(
+                     (platform_.engine().now() - st.slice_start).ps() /
+                     period.ps()));
 }
 
 // begin_next_action() for a cycle thread with nothing left to resume,

@@ -125,6 +125,9 @@ class RichOs final : public hw::WorldListener,
     enum class Keyed : std::uint8_t { kNone, kWake, kCompletion };
     Keyed keyed = Keyed::kNone;
     Thread* sleeper = nullptr;
+    // A loop's iteration cost while its iterations complete in place;
+    // zero otherwise.
+    sim::Duration burst_period;
   };
 
   CpuState& cpu(hw::CoreId core) { return cpus_.at(static_cast<std::size_t>(core)); }
@@ -144,6 +147,8 @@ class RichOs final : public hw::WorldListener,
   void finish_compute(hw::CoreId core);
   void preempt_current(hw::CoreId core);
   void account_current(hw::CoreId core);
+  void account_slices(CpuState& st, sim::Duration slice,
+                      std::uint64_t slices);
   void mark_idle(hw::CoreId core, bool idle);
   void on_tick(hw::CoreId core);
   void program_tick(hw::CoreId core);
@@ -155,11 +160,15 @@ class RichOs final : public hw::WorldListener,
   bool can_fast_forward(hw::CoreId core, const Thread& thread) const;
   void arm_keyed(hw::CoreId core, CpuState::Keyed kind, sim::Time when);
   // Hands the core's keyed action, if any, back to the queue under its
-  // key; every event-path entry that touches the core calls this first.
+  // key, after settle_burst(); every event-path entry that touches the
+  // core calls this first.
   void hand_back(hw::CoreId core);
   void run_keyed_action(std::uint32_t core) override;
   void fast_wake(hw::CoreId core);
   void fast_complete(hw::CoreId core);
+  void complete_loop_in_place(hw::CoreId core, Thread* t);
+  // Ends a burst, folding its deferred accounting up to the clock.
+  void settle_burst(hw::CoreId core);
   void begin_cycle_step(hw::CoreId core, Thread* thread);
 
   hw::Platform& platform_;

@@ -96,6 +96,8 @@ class Thread {
 
   // Total CPU time actually executed (drives Fig. 7 accounting).
   sim::Duration cpu_time() const { return cpu_time_; }
+  // CFS virtual runtime, seconds.
+  double vruntime_s() const { return vruntime_s_; }
 
  protected:
   // Declares that this thread's whole life is `cycle`; its next_action()
@@ -116,7 +118,9 @@ class Thread {
     }
     return SleepForAction{step.duration};
   }
-  // Runs when a compute of the cycle completes.
+  // Runs when a compute of the cycle completes. A loop's rounds may run in
+  // a burst (DESIGN.md §19), which charges the thread's cpu_time() and
+  // vruntime_s() only after them, so a loop's round must not read those.
   virtual void cycle_round(OsContext&) {}
   virtual bool cycle_parked() const { return false; }
   // True when a loop's next step is not the cycle's; RichOs then asks

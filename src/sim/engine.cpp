@@ -56,6 +56,34 @@ class WallTimer {
 
 }  // namespace
 
+// Enters a run: sets its in-place end and clears the dispatching slot and
+// the in-place count, restoring the outer run's on the way out (also when
+// a callback throws).
+class Engine::RunScope {
+ public:
+  RunScope(Engine& engine, Time end) : engine_(engine), outer_(engine.run_) {
+    engine_.run_ = Run{end};
+  }
+  ~RunScope() { engine_.run_ = outer_; }
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+  std::uint64_t in_place() const { return engine_.run_.in_place; }
+
+ private:
+  Engine& engine_;
+  const Run outer_;
+};
+
+void Engine::broken_in_place_use(std::uint32_t slot, std::uint32_t dispatching,
+                                 Time now) {
+  throw std::logic_error(
+      "Engine: keyed slot " + std::to_string(slot) +
+      " completed in place outside its own dispatch (dispatching " +
+      (dispatching == kNoSlot ? std::string("no slot")
+                              : "slot " + std::to_string(dispatching)) +
+      ", t=" + now.to_string() + ")");
+}
+
 bool EventHandle::pending() const {
   return pool_ != nullptr && pool_->matches(index_, generation_) &&
          !pool_->state(index_).cancelled;
@@ -211,20 +239,7 @@ void Engine::load_bucket(std::uint64_t abs) {
 
 void Engine::settle_tops(Time limit) {
   for (;;) {
-    // Skip cancelled entries off both tops; releasing them recycles the
-    // pool slot immediately.
-    while (!drain_.empty() && pool_->state(drain_.front().index).cancelled) {
-      std::pop_heap(drain_.begin(), drain_.end(), std::greater<QueueEntry>());
-      pool_->release(drain_.back().index);
-      drain_.pop_back();
-      ++cancelled_popped_;
-    }
-    while (!heap_.empty() && pool_->state(heap_.front().index).cancelled) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<QueueEntry>());
-      pool_->release(heap_.back().index);
-      heap_.pop_back();
-      ++cancelled_popped_;
-    }
+    pop_cancelled_tops();
     if (wheel_count_ == 0) return;
     // Load the earliest bucket while it could still contain the next
     // event: its start must not exceed the run limit nor either live top.
@@ -275,6 +290,21 @@ Engine::Key Engine::disarm(std::uint32_t slot) {
   return key;
 }
 
+Time Engine::in_place_horizon() const {
+  Time horizon = stop_requested_ ? now_ : run_.end;
+  if (!drain_.empty()) horizon = std::min(horizon, drain_.front().when);
+  if (!heap_.empty()) horizon = std::min(horizon, heap_.front().when);
+  if (wheel_count_ != 0) {
+    horizon = std::min(
+        horizon, Time::from_ps(static_cast<std::int64_t>(
+                                   next_nonempty_bucket() << kBucketShift)));
+  }
+  if (!armed_.empty()) horizon = std::min(horizon, armed_.front().when);
+  // Every pending key is at or after now(); only a bucket start or the
+  // end of a step() can fall before it.
+  return std::max(horizon, now_);
+}
+
 bool Engine::fire_next(Time limit) {
   // One predictable branch when nothing is armed.
   if (!armed_.empty()) return fire_merged(limit);
@@ -301,7 +331,9 @@ bool Engine::fire_merged(Time limit) {
   // trace span and queue-depth sample are queue-only.
   SATIN_FLIGHT_RECORD(obs::FlightKind::kDispatch, now_, next.seq,
                       obs::kGlobalTrack, 0);
+  run_.dispatching = next.index;
   slot.owner->run_keyed_action(slot.tag);
+  run_.dispatching = kNoSlot;
   return true;
 }
 
@@ -350,24 +382,32 @@ bool Engine::step() {
   // run it was issued inside of; entering a new (single-step) run clears
   // any stale request instead of silently carrying it forward.
   stop_requested_ = false;
+  // One action per step: the in-place horizon is the clock.
+  const RunScope run(*this, Time::zero());
   return fire_next(Time::max());
 }
 
 std::size_t Engine::run_until(Time deadline) {
   WallTimer wall(wall_seconds_);
   stop_requested_ = false;
+  // The limit is inclusive, so an action at exactly `deadline` may
+  // complete in place.
+  const RunScope run(*this, deadline < Time::max()
+                                ? deadline + Duration::from_ps(1)
+                                : Time::max());
   std::size_t n = 0;
   while (!stop_requested_ && fire_next(deadline)) ++n;
   if (!stop_requested_ && now_ < deadline) now_ = deadline;
-  return n;
+  return n + run.in_place();
 }
 
 std::size_t Engine::run_all() {
   WallTimer wall(wall_seconds_);
   stop_requested_ = false;
+  const RunScope run(*this, Time::max());
   std::size_t n = 0;
   while (!stop_requested_ && fire_next(Time::max())) ++n;
-  return n;
+  return n + run.in_place();
 }
 
 }  // namespace satin::sim

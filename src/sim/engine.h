@@ -18,11 +18,15 @@
 // stay byte-identical at any --jobs=J.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "obs/flight/recorder.h"
+#include "obs/trace.h"
 #include "sim/event_pool.h"
 #include "sim/inline_callback.h"
 #include "sim/time.h"
@@ -142,12 +146,38 @@ class Engine {
   // the dispatch position the key names.
   EventHandle schedule_keyed(Key key, Callback cb);
 
+  // --- In-place completions (DESIGN.md §19) -------------------------------
+  // The earliest time at which anything other than the keyed action being
+  // dispatched could run: the earliest queued entry (a wheel bucket not
+  // yet loaded counts from its start, a lower bound), the earliest other
+  // armed slot, and one picosecond past the run's inclusive limit. It is
+  // now() inside step() and once a stop is requested.
+  Time in_place_horizon() const;
+  // Completes, without returning to the run loop, the further actions of
+  // `slot` that would each end `period` after the previous one, starting
+  // from now(), strictly before in_place_horizon(). Every pending key was
+  // reserved before them, so on a tie that key dispatches first. Before
+  // each one it asks the owner's `ready()`; then the completion takes the
+  // seq its arm() would have reserved, moves the clock, makes the keyed
+  // dispatch's flight commit and calls `round(when)`. The burst stops when
+  // ready() is false, or after a round that requests a stop, reserves a
+  // seq, or schedules or cancels an event. Returns the number completed;
+  // keyed_fired(), keyed_in_place() and the enclosing run's return value
+  // count them. Only the action being dispatched may call this, with its
+  // slot idle; anything else throws std::logic_error.
+  template <typename Ready, typename Round>
+  std::uint64_t complete_in_place(std::uint32_t slot, Duration period,
+                                  Ready&& ready, Round&& round);
+
   // Queued events only; armed keyed actions are not counted.
   std::size_t pending_count() const { return pool_->pending(); }
   // Queue dispatches. keyed_fired() counts keyed actions run; the two
   // sum to the dispatch count of a run without keyed actions.
   std::uint64_t events_fired() const { return fired_; }
   std::uint64_t keyed_fired() const { return keyed_fired_; }
+  // The keyed actions that complete_in_place() ran, a subset of
+  // keyed_fired().
+  std::uint64_t keyed_in_place() const { return keyed_in_place_; }
 
   // --- Engine self-metrics (see obs/session.h) ---------------------------
   // Deepest the event queue has ever been (including cancelled entries).
@@ -227,6 +257,25 @@ class Engine {
     bool armed = false;
   };
 
+  static constexpr std::uint32_t kNoSlot = ~0u;
+
+  // The innermost step()/run_until()/run_all() call. A nested run saves
+  // the outer one's and restores it on the way out (RunScope).
+  struct Run {
+    // Exclusive end for in-place completions: the inclusive limit plus
+    // 1 ps, saturated; zero in step() and outside any run.
+    Time end = Time::zero();
+    // The slot whose keyed action is running, or kNoSlot.
+    std::uint32_t dispatching = kNoSlot;
+    // Completions run in place, which the run's return value counts.
+    std::uint64_t in_place = 0;
+  };
+  class RunScope;
+
+  [[noreturn]] static void broken_in_place_use(std::uint32_t slot,
+                                               std::uint32_t dispatching,
+                                               Time now);
+
   EventHandle enqueue(Time when, std::uint64_t seq, Callback cb);
   bool fire_next(Time limit);
   // Pops and runs the queue top if it is due by `limit`; the tops must be
@@ -234,9 +283,26 @@ class Engine {
   bool fire_queued(Time limit);
   // fire_next() with at least one slot armed.
   bool fire_merged(Time limit);
-  // Pops cancelled entries off the drain/heap tops and loads every wheel
-  // bucket that could contain the next event, until both tops are live
-  // and provably minimal.
+  // Pops cancelled entries off the drain/heap tops; releasing one recycles
+  // its pool slot immediately. Inline: settle_tops() runs it on every
+  // dispatch.
+  void pop_cancelled_tops() {
+    while (!drain_.empty() && pool_->state(drain_.front().index).cancelled) {
+      std::pop_heap(drain_.begin(), drain_.end(), std::greater<QueueEntry>());
+      pool_->release(drain_.back().index);
+      drain_.pop_back();
+      ++cancelled_popped_;
+    }
+    while (!heap_.empty() && pool_->state(heap_.front().index).cancelled) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<QueueEntry>());
+      pool_->release(heap_.back().index);
+      heap_.pop_back();
+      ++cancelled_popped_;
+    }
+  }
+  // pop_cancelled_tops(), then loads every wheel bucket that could
+  // contain the next event, until both tops are live and provably
+  // minimal.
   void settle_tops(Time limit);
   // Moves bucket `abs` into the drain heap and advances the cursor.
   void load_bucket(std::uint64_t abs);
@@ -304,6 +370,56 @@ class Engine {
   // Memoized next_nonempty_bucket() result so the bitmap scan runs once
   // per bucket load, not once per fired event; kNoBucket = stale.
   mutable std::uint64_t next_bucket_cache_ = kNoBucket;
+
+  std::uint64_t keyed_in_place_ = 0;
+  Run run_;
 };
+
+template <typename Ready, typename Round>
+std::uint64_t Engine::complete_in_place(std::uint32_t slot, Duration period,
+                                        Ready&& ready, Round&& round) {
+  if (slot != run_.dispatching || keyed_[slot].armed) {
+    broken_in_place_use(slot, run_.dispatching, now_);
+  }
+  // Ties with another armed slot (six loops deployed at one instant), a
+  // stop and the run's end rule a burst out without touching the queue.
+  if (period <= Duration::zero() || stop_requested_ ||
+      run_.end <= now_ + period ||
+      (!armed_.empty() && armed_.front().when <= now_ + period)) {
+    return 0;
+  }
+  // The cancelled tops the next dispatch's settle would pop; no bucket is
+  // loaded, the horizon only reads their starts.
+  pop_cancelled_tops();
+  const Time horizon = in_place_horizon();
+  if (horizon <= now_ + period) return 0;
+  // now() + i * period < horizon for i = 1..fits.
+  const auto fits = static_cast<std::uint64_t>(
+      ((horizon - now_).ps() - 1) / period.ps());
+  const std::size_t allocated = pool_->allocated();
+  const std::size_t cancelled = pool_->cancelled_live();
+  Time when = now_;
+  std::uint64_t done = 0;
+  for (std::uint64_t seq = next_seq_; done < fits && ready(); ++seq) {
+    when += period;
+    now_ = when;
+    next_seq_ = seq + 1;
+    ++done;
+    SATIN_FLIGHT_RECORD(obs::FlightKind::kDispatch, when, seq,
+                        obs::kGlobalTrack, 0);
+    round(when);
+    // A round that took a seq or touched the queue may have moved the
+    // horizon.
+    if (stop_requested_ || next_seq_ != seq + 1 ||
+        pool_->allocated() != allocated ||
+        pool_->cancelled_live() != cancelled) {
+      break;
+    }
+  }
+  keyed_fired_ += done;
+  keyed_in_place_ += done;
+  run_.in_place += done;
+  return done;
+}
 
 }  // namespace satin::sim

@@ -10,6 +10,7 @@
 // tests/integration/oracle_sweep_test.cpp.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -24,6 +25,16 @@
 #include "workload/unixbench.h"
 
 namespace satin {
+namespace os {
+
+struct RichOsTestPeer {
+  static const std::vector<std::unique_ptr<Thread>>& threads(const RichOs& os) {
+    return os.threads_;
+  }
+};
+
+}  // namespace os
+
 namespace {
 
 using os::CyclePath;
@@ -31,8 +42,9 @@ using sim::Duration;
 using sim::Time;
 
 // Everything a step of either path could have touched: the clock, the
-// run's own `counters`, the dispatches, the flight stream and each core's
-// idle time, run-queue length and running thread.
+// run's own `counters`, the dispatches, the flight stream, each core's
+// idle time, run-queue length and running thread, and each thread's CPU
+// time and CFS vruntime bits.
 std::string fingerprint(scenario::Scenario& system,
                         const obs::FlightRecorder& flight,
                         const std::string& counters) {
@@ -47,6 +59,11 @@ std::string fingerprint(scenario::Scenario& system,
     out << " | core" << c << " idle=" << os.idle_time(c).ps()
         << " runnable=" << os.runnable_count(c)
         << " running=" << (t != nullptr ? t->name() : "-");
+  }
+  for (const auto& t : os::RichOsTestPeer::threads(os)) {
+    out << " | " << t->name() << " cpu=" << t->cpu_time().ps() << " vruntime=0x"
+        << std::hex << std::bit_cast<std::uint64_t>(t->vruntime_s())
+        << std::dec;
   }
   return out.str();
 }
@@ -226,11 +243,14 @@ struct LoopRun {
   }
 
   std::string fingerprint() {
-    return satin::fingerprint(*system, flight,
-                              "iterations=" + std::to_string(iterations()));
+    std::string counters = "iterations=" + std::to_string(iterations());
+    for (const std::uint64_t n : seen) counters += " seen=" + std::to_string(n);
+    return satin::fingerprint(*system, flight, counters);
   }
 
   CyclePath path;
+  // Iteration counts that planted queue events saw.
+  std::vector<std::uint64_t> seen;
   obs::FlightRecorder flight;
   std::unique_ptr<scenario::Scenario> system;
   std::vector<workload::WorkloadThread*> loops;
@@ -266,6 +286,112 @@ TEST(CycleFastForward, LoopRunLimitsInsideIterations) {
     return stage < 500;
   });
   EXPECT_GT(inside, 0);
+}
+
+TEST(CycleFastForward, LoneLoopCompletesMostIterationsInPlace) {
+  // 200 ms in one run: between the 4 ms ticks the loop's iterations
+  // complete in bursts, each bounded by the next tick's bucket.
+  LoopRun oracle(CyclePath::kEventPerRound, 1);
+  LoopRun fast(CyclePath::kFastForward, 1);
+  expect_identical_runs(oracle, fast, [](LoopRun& run, int) {
+    run.system->run_for(Duration::from_ms(200));
+    return false;
+  });
+  EXPECT_EQ(oracle.engine().keyed_in_place(), 0u);
+  EXPECT_GT(fast.iterations(), 4'900u);
+  EXPECT_GT(fast.engine().keyed_in_place(), fast.iterations() * 9 / 10);
+}
+
+TEST(CycleFastForward, QueueEventsAtCompletionPicosecondsDispatchFirst) {
+  // Plants queue events at exactly the picoseconds of eight consecutive
+  // future completions, and one more a picosecond after the last. Each
+  // planted key is older than its completion's, so it sees the iteration
+  // before that completion, on both paths. On the fast path the previous
+  // completion's burst stops at it (unless a wheel bucket boundary comes
+  // first). The loop was dispatched at t = 0 and pays the 3 µs
+  // context-switch tax once, so iteration k ends at k * 40 µs + 3 µs.
+  const Duration cost = syscall_overhead().iteration_cost;
+  const Duration tax = os::OsConfig{}.context_switch_cost;
+  LoopRun oracle(CyclePath::kEventPerRound, 1);
+  LoopRun fast(CyclePath::kFastForward, 1);
+  expect_identical_runs(oracle, fast, [&](LoopRun& run, int stage) {
+    if (stage == 1) {
+      const std::int64_t next = (run.engine().now() - tax).ps() / cost.ps() + 1;
+      const auto plant = [&run](Time at) {
+        run.engine().schedule_at(at, [&run] {
+          run.seen.push_back(run.iterations());
+        });
+      };
+      for (std::int64_t k = next + 20; k < next + 28; ++k) {
+        plant(Time::zero() + tax + cost * k);
+      }
+      plant(Time::zero() + tax + cost * (next + 27) + Duration::from_ps(1));
+    }
+    run.system->run_for(stage == 0 ? Duration::from_us(5'013)
+                                   : Duration::from_us(900));
+    return stage < 3;
+  });
+  // One iteration between planted events, and the last completion lands
+  // between the last two: every planted event sits on a completion.
+  ASSERT_EQ(oracle.seen.size(), 9u);
+  for (std::size_t i = 1; i < oracle.seen.size(); ++i) {
+    EXPECT_EQ(oracle.seen[i], oracle.seen[i - 1] + 1) << "planted event " << i;
+  }
+  EXPECT_GT(fast.engine().keyed_in_place(), 0u);
+}
+
+// A loop whose 150th round adds a CFS thread pinned to the loop's own core:
+// the scheduler reads the loop's accounting (the new thread's vruntime
+// clamp, the wake-up preemption check) in the middle of what is a burst on
+// the fast path.
+class SpawningLoop final : public os::Thread {
+ public:
+  SpawningLoop() : Thread("spawning-loop") {
+    declare_cycle({Duration::from_us(40)});
+  }
+  os::Action next_action(os::OsContext&) override { return cycle_action(); }
+  std::uint64_t iterations = 0;
+
+ private:
+  void cycle_round(os::OsContext& ctx) override {
+    if (++iterations != 150) return;
+    int computes = 0;
+    auto hog = std::make_unique<os::FunctionThread>(
+        "hog", [computes](os::OsContext&) mutable -> os::Action {
+          if (++computes > 3) return os::ExitAction{};
+          return os::ComputeAction{Duration::from_ms(1), nullptr};
+        });
+    hog->pin_to_core(ctx.core);
+    ctx.os.add_thread(std::move(hog));
+  }
+};
+
+struct SpawnRun {
+  explicit SpawnRun(CyclePath path) : flight(ProberRun::options()) {
+    scenario::ScenarioConfig config;
+    config.os.cycle_path = path;
+    system = std::make_unique<scenario::Scenario>(config);
+    loop = static_cast<SpawningLoop*>(
+        system->os().add_thread(std::make_unique<SpawningLoop>()));
+  }
+  sim::Engine& engine() { return system->engine(); }
+  std::string fingerprint() {
+    return satin::fingerprint(*system, flight,
+                              "iterations=" + std::to_string(loop->iterations));
+  }
+  obs::FlightRecorder flight;
+  std::unique_ptr<scenario::Scenario> system;
+  SpawningLoop* loop = nullptr;
+};
+
+TEST(CycleFastForward, ARoundThatEntersTheSchedulerMidBurstSeesItsAccounting) {
+  SpawnRun oracle(CyclePath::kEventPerRound);
+  SpawnRun fast(CyclePath::kFastForward);
+  expect_identical_runs(oracle, fast, [](SpawnRun& run, int stage) {
+    run.system->run_for(stage == 0 ? Duration::from_ms(5) : Duration::from_ms(2));
+    return stage < 10;
+  });
+  EXPECT_GT(fast.engine().keyed_in_place(), 100u);
 }
 
 TEST(CycleFastForward, StopAndPenaltyWhileACompletionIsArmed) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -518,6 +519,198 @@ TEST(EngineKeyed, ArmRejectsPastUnreservedOrDoubleKeys) {
   EXPECT_THROW(engine.arm(slot, {Time::from_us(6), seq}), std::logic_error);
   EXPECT_THROW(engine.schedule_keyed({Time::from_us(7), seq + 5}, [] {}),
                std::logic_error);
+}
+
+// --- In-place completions ------------------------------------------------
+
+// A lone loop on one slot, run the way RichOs runs one: each dispatch
+// completes in place every further iteration that fits, then arms the
+// next one `period` later. Records every iteration's end.
+struct LoopOwner : KeyedActionOwner {
+  LoopOwner(Engine& e, Duration p)
+      : engine(e), period(p), slot(e.add_keyed_slot(this, 0)) {}
+  void start() { engine.arm(slot, {engine.now() + period, engine.reserve_seq()}); }
+  void run_keyed_action(std::uint32_t) override {
+    ends.push_back(engine.now());
+    if (stop_in_action) engine.request_stop();
+    horizons.push_back(engine.in_place_horizon());
+    in_place += engine.complete_in_place(
+        slot, period, [] { return true; },
+        [this](Time when) {
+          ends.push_back(when);
+          if (ends.size() == stop_after) engine.request_stop();
+        });
+    engine.arm(slot, {engine.now() + period, engine.reserve_seq()});
+  }
+  // Iterations ended before `t`.
+  std::size_t ended_before(Time t) const {
+    return static_cast<std::size_t>(
+        std::count_if(ends.begin(), ends.end(), [t](Time e) { return e < t; }));
+  }
+  Engine& engine;
+  Duration period;
+  std::uint32_t slot;
+  std::vector<Time> ends;
+  std::vector<Time> horizons;
+  std::uint64_t in_place = 0;
+  std::size_t stop_after = 0;  // a round requests a stop at this many ends
+  bool stop_in_action = false;
+};
+
+std::vector<Time> every(Duration period, int first, int last) {
+  std::vector<Time> out;
+  for (int i = first; i <= last; ++i) out.push_back(period * i);
+  return out;
+}
+
+TEST(EngineKeyed, QueuedEventAtACompletionsPicosecondDispatchesFirst) {
+  Engine engine;
+  LoopOwner loop(engine, Time::from_us(10));
+  std::size_t seen = 0;
+  // Reserved before every iteration's key, so it wins the tie at 50 µs.
+  engine.schedule_at(Time::from_us(50), [&] { seen = loop.ends.size(); });
+  loop.start();
+  engine.run_until(Time::from_us(60));
+  EXPECT_EQ(seen, 4u);
+  EXPECT_EQ(loop.ends, every(Time::from_us(10), 1, 6));
+  // 20, 30 and 40 µs in place; 50 µs waited for the event.
+  EXPECT_EQ(loop.horizons.front(), Time::from_us(50));
+  EXPECT_EQ(engine.keyed_in_place(), 4u);
+}
+
+TEST(EngineKeyed, InPlaceCompletionsStopAtTheInclusiveRunLimit) {
+  for (const Time limit : {Time::from_us(40), Time::from_us(40) -
+                                                  Duration::from_ps(1)}) {
+    Engine engine;
+    LoopOwner loop(engine, Time::from_us(10));
+    loop.start();
+    engine.run_until(limit);
+    const int last = limit == Time::from_us(40) ? 4 : 3;
+    EXPECT_EQ(loop.ends, every(Time::from_us(10), 1, last)) << limit.ps();
+    EXPECT_EQ(loop.in_place, static_cast<std::uint64_t>(last - 1));
+    EXPECT_EQ(engine.now(), limit);
+  }
+}
+
+TEST(EngineKeyed, StepNeverCompletesInPlace) {
+  Engine engine;
+  LoopOwner loop(engine, Time::from_us(10));
+  loop.start();
+  for (int i = 1; i <= 5; ++i) {
+    EXPECT_TRUE(engine.step());
+    EXPECT_EQ(loop.ends.size(), static_cast<std::size_t>(i));
+    EXPECT_EQ(loop.horizons.back(), engine.now());
+  }
+  EXPECT_EQ(engine.keyed_in_place(), 0u);
+  EXPECT_EQ(engine.keyed_fired(), 5u);
+}
+
+TEST(EngineKeyed, AStopRequestedInTheBurstEndsIt) {
+  Engine engine;
+  LoopOwner loop(engine, Time::from_us(10));
+  loop.stop_after = 3;
+  loop.start();
+  EXPECT_EQ(engine.run_until(Time::from_ms(1)), 3u);
+  EXPECT_EQ(loop.ends, every(Time::from_us(10), 1, 3));
+  EXPECT_EQ(engine.now(), Time::from_us(30));
+  // A stop the action requests before its burst leaves nothing to
+  // complete in place.
+  loop.stop_in_action = true;
+  EXPECT_EQ(engine.run_until(Time::from_ms(1)), 1u);
+  EXPECT_EQ(loop.horizons.back(), Time::from_us(40));
+  EXPECT_EQ(loop.ends, every(Time::from_us(10), 1, 4));
+}
+
+TEST(EngineKeyed, AnotherOwnersEarlierArmedSlotBoundsTheBurst) {
+  Engine engine;
+  LoopOwner loop(engine, Time::from_us(10));
+  KeyedLog other(engine);
+  const std::uint32_t slot = engine.add_keyed_slot(&other, 9);
+  loop.start();
+  engine.arm(slot, {Time::from_us(35), engine.reserve_seq()});
+  std::size_t seen = 0;
+  engine.schedule_at(Time::from_us(36), [&] { seen = loop.ends.size(); });
+  engine.run_until(Time::from_us(60));
+  EXPECT_EQ(loop.horizons.front(), Time::from_us(35));
+  EXPECT_EQ(loop.ended_before(Time::from_us(35)), 3u);
+  EXPECT_EQ(other.order, (std::vector<int>{9}));
+  EXPECT_EQ(seen, 3u);
+  EXPECT_EQ(loop.ends, every(Time::from_us(10), 1, 6));
+}
+
+TEST(EngineKeyed, AnEventInAWheelBucketNotYetLoadedBoundsTheBurst) {
+  Engine engine;
+  LoopOwner loop(engine, Time::from_us(10));
+  // Bucket 2 is loaded only once a dispatch reaches its start; until then
+  // the start bounds the burst.
+  const Time bucket2 = Time::from_ps(std::int64_t{2} << Engine::kBucketShift);
+  std::size_t seen = 0;
+  engine.schedule_at(bucket2 + Duration::from_us(7),
+                     [&] { seen = loop.ends.size(); });
+  loop.start();
+  engine.run_until(Time::from_us(200));
+  EXPECT_EQ(loop.horizons.front(), bucket2);
+  EXPECT_EQ(loop.ended_before(bucket2), 13u);  // 10 .. 130 µs
+  EXPECT_EQ(seen, 14u);                        // and 140 µs, then the event
+  EXPECT_EQ(loop.ends, every(Time::from_us(10), 1, 20));
+}
+
+TEST(EngineKeyed, InPlaceCompletionOutsideItsDispatchThrows) {
+  Engine engine;
+  LoopOwner loop(engine, Time::from_us(10));
+  const auto complete = [&] {
+    engine.complete_in_place(
+        loop.slot, loop.period, [] { return true; }, [](Time) {});
+  };
+  EXPECT_THROW(complete(), std::logic_error);  // outside any run
+  bool threw = false;
+  engine.schedule_at(Time::from_us(1), [&] {
+    try {
+      complete();  // inside a queue event
+    } catch (const std::logic_error& e) {
+      threw = std::string(e.what()).find("outside its own dispatch") !=
+              std::string::npos;
+    }
+  });
+  engine.run_all();
+  EXPECT_TRUE(threw);
+  // Another slot's dispatch may not complete this slot's actions.
+  struct Intruder : KeyedActionOwner {
+    explicit Intruder(const std::function<void()>& f) : fn(f) {}
+    void run_keyed_action(std::uint32_t) override { fn(); }
+    std::function<void()> fn;
+  } intruder(complete);
+  const std::uint32_t intruding = engine.add_keyed_slot(&intruder, 2);
+  engine.arm(intruding, {Time::from_us(3), engine.reserve_seq()});
+  EXPECT_THROW(engine.run_all(), std::logic_error);
+}
+
+TEST(EngineKeyed, RunUntilCountsInPlaceCompletions) {
+  Engine engine;
+  LoopOwner loop(engine, Time::from_us(10));
+  engine.schedule_at(Time::from_us(55), [] {});
+  loop.start();
+  // Dispatched: 10 µs, the event, 60 µs; in place: 20 .. 50, 70 .. 100.
+  EXPECT_EQ(engine.run_until(Time::from_us(100)), 11u);
+  EXPECT_EQ(engine.keyed_in_place(), 8u);
+  EXPECT_EQ(engine.events_fired() + engine.keyed_fired(), 11u);
+}
+
+TEST(EngineKeyed, ANestedRunKeepsTheOuterLimit) {
+  Engine engine;
+  LoopOwner loop(engine, Time::from_us(10));
+  std::size_t inner = 0;
+  engine.schedule_at(Time::from_us(5), [&] {
+    inner = engine.run_until(Time::from_us(25));
+  });
+  loop.start();
+  // The event, 30 µs, and 40 .. 60 µs in place: the nested run completed
+  // 10 (dispatched) and 20 µs (in place) within its own limit, and the
+  // outer one then ran in place to its own.
+  EXPECT_EQ(engine.run_until(Time::from_us(60)), 5u);
+  EXPECT_EQ(inner, 2u);
+  EXPECT_EQ(loop.ends, every(Time::from_us(10), 1, 6));
+  EXPECT_EQ(engine.keyed_in_place(), 4u);
 }
 
 }  // namespace
