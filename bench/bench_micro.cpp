@@ -125,26 +125,14 @@ BENCHMARK(BM_EngineScheduleFire);
 // --- Event churn (zero-allocation steady state) --------------------------
 //
 // Each bench warms the engine past every lazily-grown capacity (pool
-// slabs, wheel bucket vectors, heap storage), then measures the hot loop
-// and reports allocs_per_event. Expected value after PR 5: exactly 0.
+// slabs, queue storage), then measures the hot loop and reports
+// allocs_per_event. Expected value after PR 5: exactly 0.
 
 // The 250 Hz scheduler-tick pattern: every fired tick schedules the next
-// one 4 ms out — dense periodic traffic on the timer wheel's O(1) path.
+// one 4 ms out — dense periodic traffic through a one-entry queue.
 void BM_EventChurnPeriodicTick(benchmark::State& state) {
   satin::sim::Engine engine;
-  // Warm-up. Each 4 ms hop lands in exactly one wheel slot ~60 slots
-  // ahead, so a tick loop alone would take thousands of iterations to
-  // touch all 1024 bucket vectors; seed one event into every bucket
-  // instead so each vector reaches its steady capacity deterministically.
-  for (std::size_t b = 0; b < satin::sim::Engine::kWheelBuckets; ++b) {
-    engine.schedule_after(
-        satin::sim::Duration::from_ps(
-            static_cast<std::int64_t>(b) << satin::sim::Engine::kBucketShift) +
-            satin::sim::Duration::from_us(1),
-        [] {});
-  }
-  engine.run_all();
-  for (int i = 0; i < 128; ++i) {  // settle the tick pattern itself
+  for (int i = 0; i < 128; ++i) {  // settle the tick pattern
     engine.schedule_after(satin::sim::Duration::from_ms(4), [] {});
     engine.step();
   }
@@ -176,14 +164,6 @@ void churn_with_flight(benchmark::State& state,
                        satin::obs::FlightRecorder& recorder) {
   satin::sim::Engine engine;
   satin::obs::install_flight(&recorder);
-  for (std::size_t b = 0; b < satin::sim::Engine::kWheelBuckets; ++b) {
-    engine.schedule_after(
-        satin::sim::Duration::from_ps(
-            static_cast<std::int64_t>(b) << satin::sim::Engine::kBucketShift) +
-            satin::sim::Duration::from_us(1),
-        [] {});
-  }
-  engine.run_all();
   for (int i = 0; i < 128; ++i) {
     engine.schedule_after(satin::sim::Duration::from_ms(4), [] {});
     engine.step();
@@ -226,7 +206,7 @@ void BM_EventChurnPeriodicTickFlightSpill(benchmark::State& state) {
 BENCHMARK(BM_EventChurnPeriodicTickFlightSpill);
 
 // Far-future traffic (watchdogs, introspection periods): a standing
-// population of ~1k events rides the overflow binary heap; each round
+// population of ~1k events, far more than any workload queues; each round
 // fires the earliest and schedules a replacement 500 ms out.
 void BM_EventChurnFarFuture(benchmark::State& state) {
   satin::sim::Engine engine;
@@ -253,24 +233,21 @@ void BM_EventChurnFarFuture(benchmark::State& state) {
 BENCHMARK(BM_EventChurnFarFuture);
 
 // Speculative timer traffic: most scheduled events are cancelled before
-// they fire (timer reprogramming). One round = one wheel bucket of time:
-// 8 doomed events, 1 live probe, drain. Advancing by exactly one bucket
-// keeps per-bucket density identical across revolutions, so warm-up
+// they fire (timer reprogramming). One round = 64 µs: 8 doomed events,
+// 1 live probe, drain. Every round leaves the queue empty, so warm-up
 // provably reaches every retained capacity.
 void BM_EventChurnScheduleCancel(benchmark::State& state) {
   satin::sim::Engine engine;
-  const satin::sim::Duration bucket = satin::sim::Duration::from_ps(
-      std::int64_t{1} << satin::sim::Engine::kBucketShift);
-  auto round = [&engine, bucket] {
+  auto round = [&engine] {
     satin::sim::EventHandle doomed[8];
     for (auto& h : doomed) {
       h = engine.schedule_after(satin::sim::Duration::from_us(40), [] {});
     }
     for (auto& h : doomed) h.cancel();
     engine.schedule_after(satin::sim::Duration::from_us(30), [] {});
-    engine.run_for(bucket);
+    engine.run_for(satin::sim::Duration::from_us(64));
   };
-  for (int i = 0; i < 1200; ++i) round();  // > one full wheel revolution
+  for (int i = 0; i < 128; ++i) round();  // settle
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -475,9 +452,8 @@ void cycle_bench(benchmark::State& state, const std::string& unit,
                                : satin::os::CyclePath::kFastForward;
     satin::scenario::Scenario system(config);
     const auto steps = start(system);
-    // Warm-up past every lazily grown capacity: pool slabs, draw blocks,
-    // metric slots, and the timer-wheel buckets, which the ticks reach
-    // one every ~4 ms per core.
+    // Warm-up past every lazily grown capacity: pool slabs, queue
+    // storage, draw blocks and metric slots.
     system.run_for(satin::sim::Duration::from_sec(20));
     satin::sim::Engine& engine = system.engine();
     const std::uint64_t steps0 = steps();

@@ -37,9 +37,9 @@ void snapshot_engine_metrics(const sim::Engine& engine,
                ? static_cast<double>(engine.cancelled_popped()) / popped
                : 0.0);
   // Memory-model gauges (PR 5). All deterministic for a fixed event
-  // sequence — schedule order fixes pool recycling, callback storage and
-  // wheel/heap admission — so, unlike the wall gauges below, they are
-  // safe to snapshot inside parallel trials at any --jobs.
+  // sequence — schedule order fixes pool recycling and callback storage —
+  // so, unlike the wall gauges below, they are safe to snapshot inside
+  // parallel trials at any --jobs.
   // Exception: the pool high-water mark depends on how many events are
   // simultaneously live, which the ASan/obs-off builds perturb via
   // callback storage sizes — volatile so --metrics-stable drops it.
@@ -54,10 +54,6 @@ void snapshot_engine_metrics(const sim::Engine& engine,
       .set(static_cast<double>(engine.callbacks_inline()));
   registry.gauge("engine.cb_fallback")
       .set(static_cast<double>(engine.callback_fallbacks()));
-  registry.gauge("engine.wheel_events")
-      .set(static_cast<double>(engine.wheel_scheduled()));
-  registry.gauge("engine.heap_events")
-      .set(static_cast<double>(engine.heap_scheduled()));
 #if SATIN_OBS_ENABLED
   // Engine-side queue-depth digest (sampled per dispatch, cheap integer
   // bit ops — no per-event map lookup). Deterministic: depth at each

@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <functional>
 #include <stdexcept>
@@ -35,17 +34,6 @@ class WallTimer {
   double& sink_;
   std::chrono::steady_clock::time_point start_;
 };
-
-// Always-on wheel invariant: a nonzero wheel count with no bucket bit set
-// would otherwise return a bogus bucket in an optimized build. Out of line
-// and cold, off the dispatch path.
-[[noreturn, gnu::cold, gnu::noinline]] void broken_wheel_invariant(
-    std::size_t wheel_count, std::uint64_t cursor, Time now) {
-  throw std::logic_error(
-      "Engine invariant: timer wheel counts " + std::to_string(wheel_count) +
-      " queued events but no bucket is marked (cursor bucket " +
-      std::to_string(cursor) + ", t=" + now.to_string() + ")");
-}
 
 [[noreturn, gnu::cold, gnu::noinline]] void broken_keyed_use(
     const char* what, std::uint32_t slot, Time now) {
@@ -107,28 +95,23 @@ Engine::~Engine() {
   // engine. Handles that outlive the engine go stale via the generation
   // bump and keep only the pool's bookkeeping alive through their shared
   // pointer — a late cancel()/pending() no-ops instead of dangling.
-  for (const QueueEntry& e : heap_) pool_->release(e.index);
-  for (const QueueEntry& e : drain_) pool_->release(e.index);
-  for (std::vector<QueueEntry>& bucket : wheel_) {
-    for (const QueueEntry& e : bucket) pool_->release(e.index);
-  }
+  for (const QueueEntry& e : queue_) pool_->release(e.index);
 }
 
 void Engine::compact() {
-  // Sweep into the retained scratch buffer (capacity survives the swap
-  // round-trip, so steady-state sweeps never allocate).
-  compact_scratch_.clear();
-  compact_scratch_.reserve(heap_.size());
-  for (const QueueEntry& e : heap_) {
+  // Sweeps in place: the live entries move down, the vector keeps its
+  // capacity.
+  std::size_t kept = 0;
+  for (const QueueEntry& e : queue_) {
     if (pool_->state(e.index).cancelled) {
       pool_->release(e.index);
       ++cancelled_popped_;
     } else {
-      compact_scratch_.push_back(e);
+      queue_[kept++] = e;
     }
   }
-  heap_.swap(compact_scratch_);
-  std::make_heap(heap_.begin(), heap_.end(), std::greater<QueueEntry>());
+  queue_.resize(kept);
+  std::make_heap(queue_.begin(), queue_.end(), std::greater<QueueEntry>());
   ++compactions_;
 }
 
@@ -148,114 +131,26 @@ EventHandle Engine::schedule_keyed(Key key, Callback cb) {
 }
 
 EventHandle Engine::enqueue(Time when, std::uint64_t seq, Callback cb) {
-  // Opportunistic cursor resync: with no bucketed entries the wheel window
-  // can slide up to the clock for free, so near-future events keep landing
-  // in buckets even after a long quiet jump (run_until over idle time).
-  if (wheel_count_ == 0) {
-    const std::uint64_t now_bucket = bucket_of(now_);
-    if (now_bucket > cursor_) cursor_ = now_bucket;
-  }
   const std::uint32_t index = pool_->allocate();
   EventPool::State& s = pool_->state(index);
   s.callback = std::move(cb);
   s.when = when;
+  s.queued = true;
   if (s.callback.heap_allocated()) {
     ++cb_fallback_;
   } else {
     ++cb_inline_;
   }
-  const QueueEntry entry{when, seq, index};
-  const std::uint64_t b = bucket_of(when);
-  if (b < cursor_) {
-    // The bucket was already loaded (a callback scheduling into the
-    // currently-draining time range): join the drain heap directly.
-    s.location = EventLocation::kDrain;
-    drain_.push_back(entry);
-    std::push_heap(drain_.begin(), drain_.end(), std::greater<QueueEntry>());
-    ++wheel_scheduled_;
-  } else if (b - cursor_ < kWheelBuckets) {
-    s.location = EventLocation::kWheel;
-    // Tighten a valid memo; a stale one stays stale (an arbitrary earlier
-    // bucket may exist, only a rescan can tell).
-    if (next_bucket_cache_ != kNoBucket && b < next_bucket_cache_) {
-      next_bucket_cache_ = b;
-    }
-    wheel_[b & kWheelMask].push_back(entry);
-    bitmap_set(b);
-    ++wheel_count_;
-    ++wheel_scheduled_;
-  } else {
-    s.location = EventLocation::kHeap;
-    heap_.push_back(entry);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<QueueEntry>());
-    ++heap_scheduled_;
-  }
-  // Lazy compaction: once dead entries outnumber live ones in the
-  // far-future heap (and it is big enough for the sweep to matter), sweep
-  // them out in one O(n) pass instead of dragging them through every
-  // sift. Wheel entries are never compacted — their lifetime is bounded
-  // by the ~68 ms horizon, so they drain out on their own.
-  if (pool_->cancelled_in_heap() > heap_.size() / 2 && heap_.size() >= 64) {
+  queue_.push_back(QueueEntry{when, seq, index});
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<QueueEntry>());
+  // Lazy compaction: once dead entries outnumber live ones (and the queue
+  // is big enough for the sweep to matter), sweep them out in one O(n)
+  // pass instead of dragging them through every sift.
+  if (pool_->cancelled_live() > queue_.size() / 2 && queue_.size() >= 64) {
     compact();
   }
-  const std::size_t queued = heap_.size() + drain_.size() + wheel_count_;
-  if (queued > queue_high_water_) queue_high_water_ = queued;
+  if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
   return EventHandle(pool_, index, s.generation);
-}
-
-std::uint64_t Engine::next_nonempty_bucket() const {
-  if (next_bucket_cache_ != kNoBucket) return next_bucket_cache_;
-  const std::uint64_t start = cursor_ & kWheelMask;
-  std::uint64_t scanned = 0;
-  while (scanned < kWheelBuckets) {
-    const std::uint64_t slot = (start + scanned) & kWheelMask;
-    const std::uint64_t word = bitmap_[slot >> 6] >> (slot & 63);
-    if (word != 0) {
-      const std::uint64_t d =
-          scanned + static_cast<std::uint64_t>(std::countr_zero(word));
-      if (d >= kWheelBuckets) break;
-      next_bucket_cache_ = cursor_ + d;
-      return next_bucket_cache_;
-    }
-    scanned += 64 - (slot & 63);
-  }
-  if (wheel_count_ != 0) broken_wheel_invariant(wheel_count_, cursor_, now_);
-  return cursor_;
-}
-
-void Engine::load_bucket(std::uint64_t abs) {
-  std::vector<QueueEntry>& bucket = wheel_[abs & kWheelMask];
-  for (const QueueEntry& e : bucket) {
-    pool_->state(e.index).location = EventLocation::kDrain;
-    drain_.push_back(e);
-    std::push_heap(drain_.begin(), drain_.end(), std::greater<QueueEntry>());
-  }
-  wheel_count_ -= bucket.size();
-  bucket.clear();
-  bitmap_clear(abs);
-  cursor_ = abs + 1;
-  next_bucket_cache_ = kNoBucket;  // recomputed lazily on the next probe
-}
-
-void Engine::settle_tops(Time limit) {
-  for (;;) {
-    pop_cancelled_tops();
-    if (wheel_count_ == 0) return;
-    // Load the earliest bucket while it could still contain the next
-    // event: its start must not exceed the run limit nor either live top.
-    // (<=, not <: a bucket can hold an entry at exactly the top's
-    // timestamp whose sequence number decides the order.)
-    Time best = limit;
-    if (!drain_.empty() && drain_.front().when < best) {
-      best = drain_.front().when;
-    }
-    if (!heap_.empty() && heap_.front().when < best) best = heap_.front().when;
-    const std::uint64_t b = next_nonempty_bucket();
-    if (Time::from_ps(static_cast<std::int64_t>(b) << kBucketShift) > best) {
-      return;
-    }
-    load_bucket(b);
-  }
 }
 
 std::uint32_t Engine::add_keyed_slot(KeyedActionOwner* owner,
@@ -290,37 +185,26 @@ Engine::Key Engine::disarm(std::uint32_t slot) {
   return key;
 }
 
-Time Engine::in_place_horizon() const {
+Time Engine::in_place_horizon() {
+  pop_cancelled();
   Time horizon = stop_requested_ ? now_ : run_.end;
-  if (!drain_.empty()) horizon = std::min(horizon, drain_.front().when);
-  if (!heap_.empty()) horizon = std::min(horizon, heap_.front().when);
-  if (wheel_count_ != 0) {
-    horizon = std::min(
-        horizon, Time::from_ps(static_cast<std::int64_t>(
-                                   next_nonempty_bucket() << kBucketShift)));
-  }
+  if (!queue_.empty()) horizon = std::min(horizon, queue_.front().when);
   if (!armed_.empty()) horizon = std::min(horizon, armed_.front().when);
-  // Every pending key is at or after now(); only a bucket start or the
-  // end of a step() can fall before it.
+  // Every pending key is at or after now(); only the end of a step() can
+  // fall before it.
   return std::max(horizon, now_);
 }
 
 bool Engine::fire_next(Time limit) {
+  pop_cancelled();
   // One predictable branch when nothing is armed.
   if (!armed_.empty()) return fire_merged(limit);
-  settle_tops(limit);
   return fire_queued(limit);
 }
 
 bool Engine::fire_merged(Time limit) {
   const QueueEntry next = armed_.front();
-  // A bucket that starts after the armed key cannot hold an earlier
-  // event, so settling stops there.
-  settle_tops(std::min(limit, next.when));
-  if ((!drain_.empty() && next > drain_.front()) ||
-      (!heap_.empty() && next > heap_.front())) {
-    return fire_queued(limit);
-  }
+  if (!queue_.empty() && next > queue_.front()) return fire_queued(limit);
   if (next.when > limit) return false;
   armed_.erase(armed_.begin());
   KeyedSlot& slot = keyed_[next.index];
@@ -338,18 +222,11 @@ bool Engine::fire_merged(Time limit) {
 }
 
 bool Engine::fire_queued(Time limit) {
-  const bool have_drain = !drain_.empty();
-  const bool have_heap = !heap_.empty();
-  if (!have_drain && !have_heap) return false;
-  // Full (when, seq) comparison across the wheel/heap boundary keeps
-  // equal-timestamp FIFO order identical to the single-heap engine.
-  const bool from_heap =
-      have_heap && (!have_drain || drain_.front() > heap_.front());
-  std::vector<QueueEntry>& src = from_heap ? heap_ : drain_;
-  const QueueEntry top = src.front();
+  if (queue_.empty()) return false;
+  const QueueEntry top = queue_.front();
   if (top.when > limit) return false;
-  std::pop_heap(src.begin(), src.end(), std::greater<QueueEntry>());
-  src.pop_back();
+  std::pop_heap(queue_.begin(), queue_.end(), std::greater<QueueEntry>());
+  queue_.pop_back();
   EventPool::State& s = pool_->state(top.index);
   // Move the callback out and release the slot before invoking: an event
   // that cancels or reschedules "itself" through a captured handle sees a
@@ -360,9 +237,8 @@ bool Engine::fire_queued(Time limit) {
   pool_->release(top.index);
   ++fired_;
 #if SATIN_OBS_ENABLED
-  // Depth AFTER the pop: the population the next settle/pop works over.
-  queue_depth_digest_.observe(
-      static_cast<double>(heap_.size() + drain_.size() + wheel_count_));
+  // Depth AFTER the pop: the population the next pop works over.
+  queue_depth_digest_.observe(static_cast<double>(queue_.size()));
 #endif
   // The flight record is the ground-truth commit: (when, seq) is exactly
   // the pair the queue ordered by, so two runs with identical streams

@@ -9,13 +9,12 @@
 // allocations. Event states live in a slab pool (sim/event_pool.h) and
 // handles are {index, generation} pairs — a stale handle held after its
 // slot was recycled compares unequal and no-ops. Callbacks are stored
-// inline in the state (sim/inline_callback.h), and the queue is a
-// two-level structure: a timer wheel of 1024 × ~67 µs buckets absorbs
-// dense near-future traffic (scheduler ticks, probes, scan steps) with an
-// O(1) bucket append, overflowing to the binary heap only for events more
-// than ~68 ms out. Ordering is unchanged from the single-heap engine:
-// every pop compares full (when, seq), so stdout/--trace=/--metrics=
-// stay byte-identical at any --jobs=J.
+// inline in the state (sim/inline_callback.h). The queue is one binary
+// min-heap of (when, seq, index) entries whose vector keeps its capacity;
+// it holds a few dozen entries in every workload, because duty cycles and
+// loops run as keyed actions outside it. Every pop compares full
+// (when, seq), so stdout/--trace=/--metrics= stay byte-identical at any
+// --jobs=J.
 #pragma once
 
 #include <algorithm>
@@ -148,11 +147,12 @@ class Engine {
 
   // --- In-place completions (DESIGN.md §19) -------------------------------
   // The earliest time at which anything other than the keyed action being
-  // dispatched could run: the earliest queued entry (a wheel bucket not
-  // yet loaded counts from its start, a lower bound), the earliest other
-  // armed slot, and one picosecond past the run's inclusive limit. It is
-  // now() inside step() and once a stop is requested.
-  Time in_place_horizon() const;
+  // dispatched could run: the earliest live queued event (cancelled
+  // entries on top of the queue are popped first, as the next dispatch
+  // would pop them), the earliest other armed slot, and one picosecond
+  // past the run's inclusive limit. It is now() inside step() and once a
+  // stop is requested.
+  Time in_place_horizon();
   // Completes, without returning to the run loop, the further actions of
   // `slot` that would each end `period` after the previous one, starting
   // from now(), strictly before in_place_horizon(). Every pending key was
@@ -185,7 +185,7 @@ class Engine {
   // Cancelled entries removed without firing — popped and skipped, or
   // swept out by lazy compaction.
   std::uint64_t cancelled_popped() const { return cancelled_popped_; }
-  // Cancelled entries currently sitting in the queues (diagnostics).
+  // Cancelled entries currently sitting in the queue (diagnostics).
   std::size_t cancelled_pending() const { return pool_->cancelled_live(); }
   // Lazy compaction sweeps performed (diagnostics/tests).
   std::uint64_t compactions() const { return compactions_; }
@@ -204,9 +204,6 @@ class Engine {
   // Scheduled callbacks stored inline vs spilled to a heap fallback.
   std::uint64_t callbacks_inline() const { return cb_inline_; }
   std::uint64_t callback_fallbacks() const { return cb_fallback_; }
-  // Events admitted to the near-future wheel vs the far-future heap.
-  std::uint64_t wheel_scheduled() const { return wheel_scheduled_; }
-  std::uint64_t heap_scheduled() const { return heap_scheduled_; }
 
 #if SATIN_OBS_ENABLED
   // Queue depth sampled at every dispatch into a mergeable log-bucket
@@ -221,18 +218,7 @@ class Engine {
   }
 #endif
 
-  // Timer-wheel geometry: 1024 buckets of 2^26 ps (~67.1 µs) give a
-  // ~68.7 ms horizon — comfortably past the 4 ms / 250 Hz scheduler tick,
-  // timer reprogramming and probe cadences that dominate event traffic,
-  // while second-scale watchdogs and introspection periods overflow to
-  // the heap. Both are powers of two so bucket mapping is shift + mask.
-  // Public so tests and benches can phrase traffic in bucket units.
-  static constexpr int kBucketShift = 26;
-  static constexpr std::size_t kWheelBuckets = 1024;
-
  private:
-  friend struct EngineTestPeer;  // tests build broken queue states
-
   struct QueueEntry {
     Time when;
     std::uint64_t seq;
@@ -242,14 +228,6 @@ class Engine {
       return seq > o.seq;
     }
   };
-
-  static constexpr std::uint64_t kWheelMask = kWheelBuckets - 1;
-  // Sentinel for "earliest non-empty bucket unknown, rescan the bitmap".
-  static constexpr std::uint64_t kNoBucket = ~0ull;
-
-  static std::uint64_t bucket_of(Time t) {
-    return static_cast<std::uint64_t>(t.ps()) >> kBucketShift;
-  }
 
   struct KeyedSlot {
     KeyedActionOwner* owner = nullptr;
@@ -278,46 +256,25 @@ class Engine {
 
   EventHandle enqueue(Time when, std::uint64_t seq, Callback cb);
   bool fire_next(Time limit);
-  // Pops and runs the queue top if it is due by `limit`; the tops must be
-  // settled.
+  // Pops and runs the queue top if it is due by `limit`; the top must be
+  // live.
   bool fire_queued(Time limit);
   // fire_next() with at least one slot armed.
   bool fire_merged(Time limit);
-  // Pops cancelled entries off the drain/heap tops; releasing one recycles
-  // its pool slot immediately. Inline: settle_tops() runs it on every
-  // dispatch.
-  void pop_cancelled_tops() {
-    while (!drain_.empty() && pool_->state(drain_.front().index).cancelled) {
-      std::pop_heap(drain_.begin(), drain_.end(), std::greater<QueueEntry>());
-      pool_->release(drain_.back().index);
-      drain_.pop_back();
-      ++cancelled_popped_;
-    }
-    while (!heap_.empty() && pool_->state(heap_.front().index).cancelled) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<QueueEntry>());
-      pool_->release(heap_.back().index);
-      heap_.pop_back();
+  // Pops cancelled entries off the queue top until a live one is there;
+  // releasing one recycles its pool slot immediately. Inline: every
+  // dispatch runs it.
+  void pop_cancelled() {
+    while (!queue_.empty() && pool_->state(queue_.front().index).cancelled) {
+      std::pop_heap(queue_.begin(), queue_.end(), std::greater<QueueEntry>());
+      pool_->release(queue_.back().index);
+      queue_.pop_back();
       ++cancelled_popped_;
     }
   }
-  // pop_cancelled_tops(), then loads every wheel bucket that could
-  // contain the next event, until both tops are live and provably
-  // minimal.
-  void settle_tops(Time limit);
-  // Moves bucket `abs` into the drain heap and advances the cursor.
-  void load_bucket(std::uint64_t abs);
-  // Earliest non-empty absolute bucket (valid only when wheel_count_ > 0).
-  std::uint64_t next_nonempty_bucket() const;
-  // Sweeps cancelled entries out of the far heap and re-heapifies; called
+  // Sweeps cancelled entries out of the queue and re-heapifies; called
   // when they outnumber the live ones (amortized O(1) per event).
   void compact();
-
-  void bitmap_set(std::uint64_t abs) {
-    bitmap_[(abs & kWheelMask) >> 6] |= 1ull << (abs & 63);
-  }
-  void bitmap_clear(std::uint64_t abs) {
-    bitmap_[(abs & kWheelMask) >> 6] &= ~(1ull << (abs & 63));
-  }
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;
@@ -330,8 +287,6 @@ class Engine {
 
   std::uint64_t cb_inline_ = 0;
   std::uint64_t cb_fallback_ = 0;
-  std::uint64_t wheel_scheduled_ = 0;
-  std::uint64_t heap_scheduled_ = 0;
 
   // Keyed slots, a handful per engine (one per core of a RichOs). The
   // armed ones sit in armed_ as (when, seq, slot), ascending, so the
@@ -350,26 +305,10 @@ class Engine {
   // live pool state to (no-)op against.
   std::shared_ptr<EventPool> pool_ = std::make_shared<EventPool>();
 
-  // Far-future min-heap (std::push_heap/pop_heap over a vector ordered by
-  // operator>), plus a retained scratch buffer so compaction sweeps do
-  // not allocate in steady state.
-  std::vector<QueueEntry> heap_;
-  std::vector<QueueEntry> compact_scratch_;
-
-  // Near-future wheel: buckets[abs & mask] holds the unsorted entries of
-  // absolute bucket `abs`, for abs in [cursor_, cursor_ + kWheelBuckets).
-  // Buckets below cursor_ have been loaded into drain_, a (when, seq)
-  // min-heap that also absorbs late arrivals for already-loaded buckets.
-  // Bucket vectors and drain_ retain capacity, so the steady state runs
-  // allocation-free.
-  std::vector<std::vector<QueueEntry>> wheel_{kWheelBuckets};
-  std::vector<QueueEntry> drain_;
-  std::uint64_t bitmap_[kWheelBuckets / 64] = {};
-  std::uint64_t cursor_ = 0;    // absolute bucket index
-  std::size_t wheel_count_ = 0; // entries in buckets (excluding drain_)
-  // Memoized next_nonempty_bucket() result so the bitmap scan runs once
-  // per bucket load, not once per fired event; kNoBucket = stale.
-  mutable std::uint64_t next_bucket_cache_ = kNoBucket;
+  // The event queue: a (when, seq) min-heap (std::push_heap/pop_heap over
+  // a vector ordered by operator>). It retains its capacity, so the
+  // steady state runs allocation-free.
+  std::vector<QueueEntry> queue_;
 
   std::uint64_t keyed_in_place_ = 0;
   Run run_;
@@ -388,9 +327,6 @@ std::uint64_t Engine::complete_in_place(std::uint32_t slot, Duration period,
       (!armed_.empty() && armed_.front().when <= now_ + period)) {
     return 0;
   }
-  // The cancelled tops the next dispatch's settle would pop; no bucket is
-  // loaded, the horizon only reads their starts.
-  pop_cancelled_tops();
   const Time horizon = in_place_horizon();
   if (horizon <= now_ + period) return 0;
   // now() + i * period < horizon for i = 1..fits.

@@ -25,7 +25,7 @@ std::uint32_t EventPool::allocate() {
   // slot's first release is a recycle.
   if (s.generation > 0) ++reuses_;
   s.cancelled = false;
-  s.location = EventLocation::kNone;
+  s.queued = false;
   ++allocated_;
   if (allocated_ > occupancy_high_water_) occupancy_high_water_ = allocated_;
   return index;
@@ -36,10 +36,9 @@ void EventPool::release(std::uint32_t index) {
   s.callback.reset();
   if (s.cancelled) {
     --cancelled_live_;
-    if (s.location == EventLocation::kHeap) --cancelled_in_heap_;
     s.cancelled = false;
   }
-  s.location = EventLocation::kNone;
+  s.queued = false;
   ++s.generation;  // stales every outstanding handle to this slot
   s.next_free = free_head_;
   free_head_ = index;
@@ -52,7 +51,6 @@ bool EventPool::cancel(std::uint32_t index, std::uint32_t generation) {
   if (s.cancelled) return false;
   s.cancelled = true;
   ++cancelled_live_;
-  if (s.location == EventLocation::kHeap) ++cancelled_in_heap_;
   return true;
 }
 

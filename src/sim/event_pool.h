@@ -9,10 +9,10 @@
 // cancel()/pending()/when() — the safety shared_ptr used to buy, without
 // the per-event allocation and atomics.
 //
-// The pool also owns the cancellation tallies. Handles can outlive their
+// The pool also owns the cancellation tally. Handles can outlive their
 // engine (the engine shares the pool with every handle it hands out via
 // one shared_ptr per engine, copied — never allocated — per handle), so a
-// late cancel() must find the tallies alive; parking them here instead of
+// late cancel() must find the tally alive; parking it here instead of
 // on the engine makes that true by construction.
 #pragma once
 
@@ -25,16 +25,6 @@
 #include "sim/time.h"
 
 namespace satin::sim {
-
-// Which queue structure currently holds the event's entry; cancel() uses
-// it to keep the main-heap cancellation tally (which drives lazy
-// compaction) exact without scanning.
-enum class EventLocation : std::uint8_t {
-  kNone,   // released / never queued
-  kWheel,  // near-future timer-wheel bucket
-  kDrain,  // loaded out of the wheel into the drain heap
-  kHeap,   // far-future binary heap
-};
 
 class EventPool {
  public:
@@ -50,7 +40,8 @@ class EventPool {
     Time when;
     std::uint32_t generation = 0;
     std::uint32_t next_free = kInvalidIndex;
-    EventLocation location = EventLocation::kNone;
+    // True from the engine queueing the entry until release().
+    bool queued = false;
     bool cancelled = false;
   };
 
@@ -59,13 +50,13 @@ class EventPool {
   EventPool& operator=(const EventPool&) = delete;
 
   // Pops the free list, growing a fresh slab only when it is empty. The
-  // returned slot has an empty callback, cancelled=false, location=kNone
+  // returned slot has an empty callback, cancelled=false, queued=false
   // and carries the generation the matching handle must remember.
   std::uint32_t allocate();
 
   // Destroys the slot's callback, bumps its generation (staling every
   // outstanding handle) and pushes it on the free list. Settles the
-  // cancellation tallies for a cancelled slot.
+  // cancellation tally for a cancelled slot.
   void release(std::uint32_t index);
 
   State& state(std::uint32_t index) {
@@ -78,20 +69,18 @@ class EventPool {
   // True while `generation` still names the slot's current occupant.
   bool matches(std::uint32_t index, std::uint32_t generation) const {
     return index < capacity() && state(index).generation == generation &&
-           state(index).location != EventLocation::kNone;
+           state(index).queued;
   }
 
   // Marks the slot cancelled if the handle is still current; returns
-  // whether anything changed. Keeps live/cancelled tallies exact.
+  // whether anything changed. Keeps the live/cancelled tally exact.
   bool cancel(std::uint32_t index, std::uint32_t generation);
 
   // Queued events that are neither fired nor cancelled.
   std::size_t pending() const { return allocated_ - cancelled_live_; }
-  // Cancelled entries still sitting in some queue structure.
+  // Cancelled entries still sitting in the queue (the lazy-compaction
+  // trigger); release() settles it as they leave.
   std::size_t cancelled_live() const { return cancelled_live_; }
-  // Cancelled entries specifically in the far-future heap (compaction
-  // trigger); release() settles it as swept entries leave the heap.
-  std::size_t cancelled_in_heap() const { return cancelled_in_heap_; }
 
   // --- Self-metrics ------------------------------------------------------
   std::size_t capacity() const { return slabs_.size() * kSlabSlots; }
@@ -110,7 +99,6 @@ class EventPool {
   std::uint32_t free_head_ = kInvalidIndex;
   std::size_t allocated_ = 0;
   std::size_t cancelled_live_ = 0;
-  std::size_t cancelled_in_heap_ = 0;
   std::size_t occupancy_high_water_ = 0;
   std::uint64_t slab_grows_ = 0;
   std::uint64_t reuses_ = 0;

@@ -289,17 +289,24 @@ TEST(CycleFastForward, LoopRunLimitsInsideIterations) {
 }
 
 TEST(CycleFastForward, LoneLoopCompletesMostIterationsInPlace) {
-  // 200 ms in one run: between the 4 ms ticks the loop's iterations
-  // complete in bursts, each bounded by the next tick's bucket.
+  // 200 ms in one run: between two 4 ms ticks on its core the loop's
+  // iterations complete in one burst, which the next tick bounds, so the
+  // loop is dispatched about once per tick.
   LoopRun oracle(CyclePath::kEventPerRound, 1);
   LoopRun fast(CyclePath::kFastForward, 1);
+  std::uint64_t ticks = 0;
+  fast.system->os().add_tick_hook([&fast, &ticks](hw::CoreId core, Time) {
+    if (core == fast.loops.front()->current_core()) ++ticks;
+  });
   expect_identical_runs(oracle, fast, [](LoopRun& run, int) {
     run.system->run_for(Duration::from_ms(200));
     return false;
   });
   EXPECT_EQ(oracle.engine().keyed_in_place(), 0u);
   EXPECT_GT(fast.iterations(), 4'900u);
-  EXPECT_GT(fast.engine().keyed_in_place(), fast.iterations() * 9 / 10);
+  EXPECT_GE(ticks, 49u);
+  EXPECT_LE(fast.engine().keyed_fired() - fast.engine().keyed_in_place(),
+            ticks + 2);
 }
 
 TEST(CycleFastForward, QueueEventsAtCompletionPicosecondsDispatchFirst) {
@@ -307,9 +314,9 @@ TEST(CycleFastForward, QueueEventsAtCompletionPicosecondsDispatchFirst) {
   // future completions, and one more a picosecond after the last. Each
   // planted key is older than its completion's, so it sees the iteration
   // before that completion, on both paths. On the fast path the previous
-  // completion's burst stops at it (unless a wheel bucket boundary comes
-  // first). The loop was dispatched at t = 0 and pays the 3 µs
-  // context-switch tax once, so iteration k ends at k * 40 µs + 3 µs.
+  // completion's burst stops at it. The loop was dispatched at t = 0 and
+  // pays the 3 µs context-switch tax once, so iteration k ends at
+  // k * 40 µs + 3 µs.
   const Duration cost = syscall_overhead().iteration_cost;
   const Duration tax = os::OsConfig{}.context_switch_cost;
   LoopRun oracle(CyclePath::kEventPerRound, 1);

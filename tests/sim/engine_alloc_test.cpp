@@ -1,5 +1,5 @@
-// Zero-allocation steady state: once the pool slabs, wheel buckets and
-// heap storage are warm, sustained schedule/cancel/fire churn must not
+// Zero-allocation steady state: once the pool slabs and the queue's
+// storage are warm, sustained schedule/cancel/fire churn must not
 // touch the global allocator at all. Global operator new/delete are
 // replaced with counting shims; the measurement window runs the exact
 // same traffic pattern as the warm-up, so any delta is a regression in
@@ -56,15 +56,13 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace satin::sim {
 namespace {
 
-// One round = exactly one wheel bucket (2^kBucketShift ps ≈ 67 µs) of the
-// simulator's typical traffic: a burst of near-future probes, a cancelled
-// event, and a far-future watchdog that rides the binary heap. Advancing
-// by a whole bucket keeps the per-bucket entry count identical on every
-// wheel revolution, so all retained capacities provably plateau during
-// warm-up.
+// One round = 64 µs of the simulator's typical traffic: a burst of
+// near-future probes, a cancelled event, and a far-future watchdog. Every
+// round fires its probes and one watchdog scheduled 100 ms earlier, so
+// once the watchdog window is full the queue's population, and with it
+// every retained capacity, stays flat.
 void churn(Engine& engine, int rounds) {
-  const Duration bucket =
-      Duration::from_ps(std::int64_t{1} << Engine::kBucketShift);
+  const Duration round = Duration::from_us(64);
   for (int r = 0; r < rounds; ++r) {
     for (int k = 0; k < 8; ++k) {
       engine.schedule_after(Duration::from_us(8 + k), [] {});
@@ -72,16 +70,14 @@ void churn(Engine& engine, int rounds) {
     EventHandle victim = engine.schedule_after(Duration::from_us(40), [] {});
     victim.cancel();
     engine.schedule_after(Duration::from_ms(100), [] {});
-    engine.run_for(bucket);
+    engine.run_for(round);
   }
 }
 
 TEST(EngineAllocation, SteadyStateChurnIsAllocationFree) {
   Engine engine;
-  // Warm-up: long enough for every wheel bucket slot to reach its
-  // steady-state capacity (one revolution is 1024 buckets ≈ 68.7 ms of
-  // churn) and for the far-future heap population to plateau (the 100 ms
-  // watchdog window fills after ~1500 rounds).
+  // Warm-up: long enough for the watchdog population to plateau (the
+  // 100 ms window fills after ~1560 rounds).
   churn(engine, 1800);
   const std::uint64_t fired_before = engine.events_fired();
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);

@@ -3,9 +3,14 @@
 // seed, and handle safety after events fire.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <iterator>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "obs/flight/recorder.h"
 #include "sim/engine.h"
 #include "sim/rng.h"
 #include "sim/time.h"
@@ -78,12 +83,13 @@ TEST(EngineStress, StormIsDeterministicForAFixedSeed) {
   EXPECT_EQ(a.engine.now(), b.engine.now());
   EXPECT_EQ(a.engine.events_fired(), b.engine.events_fired());
   EXPECT_EQ(a.engine.cancelled_popped(), b.engine.cancelled_popped());
-  // The memory-model counters are part of the determinism contract too:
-  // identical schedules must recycle slots and pick wheel/heap identically.
+  // The queue and memory-model counters are part of the determinism
+  // contract too: identical schedules must grow the queue, compact it and
+  // recycle slots identically.
+  EXPECT_EQ(a.engine.queue_high_water(), b.engine.queue_high_water());
+  EXPECT_EQ(a.engine.compactions(), b.engine.compactions());
   EXPECT_EQ(a.engine.pool_reuses(), b.engine.pool_reuses());
   EXPECT_EQ(a.engine.pool_high_water(), b.engine.pool_high_water());
-  EXPECT_EQ(a.engine.wheel_scheduled(), b.engine.wheel_scheduled());
-  EXPECT_EQ(a.engine.heap_scheduled(), b.engine.heap_scheduled());
 }
 
 TEST(EngineStress, StormRecyclesSlotsInsteadOfGrowingSlabs) {
@@ -133,6 +139,251 @@ TEST(EngineStress, SelfCancellationInsideOwnCallbackIsBenign) {
   engine.run_all();
   EXPECT_TRUE(ran);
   EXPECT_FALSE(self.pending());
+}
+
+// Seeded random traffic checked against a test-side reference of the
+// engine's (when, seq) order. The test mirrors the engine's seq counter
+// (schedule_at, reserve_seq and every in-place completion take one;
+// schedule_keyed takes none), so it knows the key of every queued event
+// and armed keyed action, and keeps the live ones in a sorted set. Every
+// dispatch must be the set's minimum, every completion in place must come
+// strictly before it, and the flight stream's kDispatch records must be
+// exactly the dispatches the test saw, in order.
+class ReferenceTraffic : public KeyedActionOwner {
+ public:
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (when ps, seq)
+
+  explicit ReferenceTraffic(std::uint64_t seed) : rng_(seed) {
+    for (std::uint32_t tag = 0; tag < 4; ++tag) {
+      // Slot 3 is a loop: each dispatch completes further iterations in
+      // place, the way RichOs runs a lone mini-UnixBench loop.
+      slots_.push_back(Slot{engine.add_keyed_slot(this, tag),
+                            tag == 3 ? Duration::from_us(3 + 7 * (seed % 3))
+                                     : Duration::zero()});
+    }
+  }
+
+  void run(int rounds) {
+#if SATIN_OBS_ENABLED
+    obs::FlightRecorder flight;
+    obs::install_flight(&flight);
+#endif
+    for (int i = 0; i < 40; ++i) act();
+    for (int r = 0; r < rounds; ++r) {
+      act();
+      const std::size_t before = dispatched.size();
+      if (rng_.bernoulli(0.3)) {
+        const bool any = !live.empty();
+        EXPECT_EQ(engine.step(), any);
+        EXPECT_EQ(dispatched.size(), before + (any ? 1 : 0));
+        continue;
+      }
+      const Time limit =
+          engine.now() + Duration::from_ns(rng_.uniform_int(0, 3'000'000));
+      const std::size_t ran = engine.run_until(limit);
+      EXPECT_EQ(ran, dispatched.size() - before);
+      if (!engine.stop_requested()) {
+        EXPECT_EQ(engine.now(), limit);
+        EXPECT_TRUE(live.empty() || live.begin()->first > limit.ps());
+      }
+    }
+    // Drain: no new traffic, no re-arms, no bursts.
+    budget_ = 0;
+    engine.run_all();
+#if SATIN_OBS_ENABLED
+    obs::install_flight(nullptr);
+    std::vector<Key> recorded;
+    for (const obs::FlightRecord& r : flight.snapshot()) {
+      if (r.kind == static_cast<std::uint16_t>(obs::FlightKind::kDispatch)) {
+        recorded.emplace_back(r.t_ps, r.seq);
+      }
+    }
+    EXPECT_EQ(recorded, dispatched);
+#endif
+  }
+
+  Engine engine;
+  std::set<Key> live;
+  std::set<Key> cancelled;
+  std::vector<Key> dispatched;
+  std::uint64_t in_place = 0;
+  int handed_back = 0;
+
+ private:
+  struct Slot {
+    std::uint32_t id;
+    Duration period;  // nonzero: a loop that completes in place
+    bool armed = false;
+    Key key{};
+  };
+  struct Scheduled {
+    EventHandle handle;
+    Key key;
+  };
+
+  void run_keyed_action(std::uint32_t tag) override {
+    Slot& slot = slots_[tag];
+    EXPECT_TRUE(slot.armed);
+    slot.armed = false;
+    dispatch(slot.key);
+    if (slot.period > Duration::zero()) {
+      engine.complete_in_place(
+          slot.id, slot.period, [this] { return budget_ > 0; },
+          [this](Time when) {
+            const Key key{when.ps(), seq_++};
+            EXPECT_EQ(engine.now(), when);
+            EXPECT_TRUE(live.empty() || key < *live.begin());
+            dispatched.push_back(key);
+            ++in_place;
+          });
+    }
+    act();
+    if (budget_ > 0 && !slot.armed &&
+        (slot.period > Duration::zero() || rng_.bernoulli(0.5))) {
+      arm(slot, engine.now() + (slot.period > Duration::zero() ? slot.period
+                                                               : delay()));
+    }
+  }
+
+  void dispatch(const Key& key) {
+    EXPECT_EQ(engine.now().ps(), key.first);
+    ASSERT_FALSE(live.empty()) << "dispatched " << key.first << "/"
+                               << key.second << " with nothing live";
+    EXPECT_EQ(*live.begin(), key);
+    EXPECT_EQ(cancelled.count(key), 0u);
+    live.erase(key);
+    dispatched.push_back(key);
+  }
+
+  void on_event(const Key& key) {
+    dispatch(key);
+    act();
+    if (rng_.bernoulli(0.3)) act();
+    if (budget_ > 0 && rng_.bernoulli(0.01)) engine.request_stop();
+  }
+
+  // 1 µs to 200 ms out, a third of them within 100 µs.
+  Duration delay() {
+    const std::int64_t max_ns = std::array<std::int64_t, 3>{
+        100'000, 68'000'000, 200'000'000}[rng_.index(3)];
+    return Duration::from_ns(rng_.uniform_int(1'000, max_ns));
+  }
+
+  // Sometimes the picosecond of a live key, so that seqs decide ties.
+  Time when() {
+    if (!live.empty() && rng_.bernoulli(0.1)) {
+      const auto at = std::next(live.begin(),
+                                static_cast<std::ptrdiff_t>(
+                                    rng_.index(live.size())));
+      return Time::from_ps(at->first);
+    }
+    return engine.now() + delay();
+  }
+
+  void schedule(Time at) {
+    const Key key{at.ps(), seq_++};
+    scheduled_.push_back(
+        {engine.schedule_at(at, [this, key] { on_event(key); }), key});
+    live.insert(key);
+  }
+
+  // Cancels a random handle: pending, cancelled, fired or handed back.
+  void cancel_one() {
+    if (scheduled_.empty()) return;
+    Scheduled& s = scheduled_[rng_.index(scheduled_.size())];
+    if (s.handle.pending()) {
+      EXPECT_EQ(live.erase(s.key), 1u);
+      cancelled.insert(s.key);
+    }
+    s.handle.cancel();
+    EXPECT_FALSE(s.handle.pending());
+  }
+
+  void arm(Slot& slot, Time at) {
+    EXPECT_EQ(engine.reserve_seq(), seq_);
+    slot.key = {at.ps(), seq_++};
+    slot.armed = true;
+    engine.arm(slot.id, {at, slot.key.second});
+    live.insert(slot.key);
+  }
+
+  // Disarms a random armed slot and hands half the keys back to the
+  // queue, where they keep their dispatch position.
+  void disarm_one() {
+    Slot& slot = slots_[rng_.index(slots_.size())];
+    if (!slot.armed) return;
+    const Engine::Key key = engine.disarm(slot.id);
+    slot.armed = false;
+    EXPECT_EQ(Key(key.when.ps(), key.seq), slot.key);
+    if (!rng_.bernoulli(0.5)) {
+      live.erase(slot.key);
+      cancelled.insert(slot.key);
+      return;
+    }
+    const Key back = slot.key;
+    scheduled_.push_back(
+        {engine.schedule_keyed(key, [this, back] { on_event(back); }), back});
+    ++handed_back;
+  }
+
+  // Schedules 80 events 100 to 200 ms out and cancels 60 of them, which
+  // leaves cancelled entries in the majority for lazy compaction.
+  void flood() {
+    const std::size_t first = scheduled_.size();
+    for (int i = 0; i < 80; ++i) {
+      schedule(engine.now() +
+               Duration::from_ns(rng_.uniform_int(100'000'000, 200'000'000)));
+    }
+    for (std::size_t i = first; i < first + 60; ++i) {
+      live.erase(scheduled_[i].key);
+      cancelled.insert(scheduled_[i].key);
+      scheduled_[i].handle.cancel();
+    }
+  }
+
+  // One random piece of traffic, while the budget lasts.
+  void act() {
+    if (budget_ == 0) return;
+    --budget_;
+    const double u = rng_.uniform();
+    if (u < 0.45) {
+      schedule(when());
+    } else if (u < 0.65) {
+      cancel_one();
+    } else if (u < 0.8) {
+      Slot& slot = slots_[rng_.index(slots_.size())];
+      if (!slot.armed) arm(slot, when());
+    } else if (u < 0.95) {
+      disarm_one();
+    } else if (u < 0.955) {
+      flood();
+    }
+  }
+
+  Rng rng_;
+  std::vector<Slot> slots_;
+  std::vector<Scheduled> scheduled_;
+  std::uint64_t seq_ = 0;  // the engine's next seq
+  int budget_ = 6000;
+};
+
+TEST(EngineStress, DispatchOrderMatchesASortedReference) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    ReferenceTraffic traffic(seed);
+    traffic.run(1500);
+    const Engine& engine = traffic.engine;
+    EXPECT_TRUE(traffic.live.empty());
+    EXPECT_EQ(engine.pending_count(), 0u);
+    EXPECT_EQ(engine.events_fired() + engine.keyed_fired(),
+              traffic.dispatched.size());
+    EXPECT_EQ(engine.keyed_in_place(), traffic.in_place);
+    // The traffic reached every path it is meant to check.
+    EXPECT_GT(traffic.in_place, 0u);
+    EXPECT_GT(traffic.handed_back, 0);
+    EXPECT_GT(traffic.cancelled.size(), 100u);
+    EXPECT_GT(engine.compactions(), 0u);
+  }
 }
 
 TEST(EngineStress, CancelledEventsNeverFireEvenWhenCancelledMidRun) {

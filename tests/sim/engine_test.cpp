@@ -4,38 +4,12 @@
 
 #include <algorithm>
 #include <functional>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace satin::sim {
-
-struct EngineTestPeer {
-  // Clears every wheel bucket mark while the entries stay counted: the
-  // state a lost bitmap update would leave behind.
-  static void unmark_wheel_buckets(Engine& engine) {
-    std::fill(std::begin(engine.bitmap_), std::end(engine.bitmap_), 0);
-    engine.next_bucket_cache_ = Engine::kNoBucket;
-  }
-};
-
 namespace {
-
-TEST(EngineInvariant, CountedWheelEntriesWithoutABucketThrow) {
-  Engine engine;
-  engine.schedule_at(Time::from_us(10), [] {});  // lands in the wheel
-  EngineTestPeer::unmark_wheel_buckets(engine);
-  try {
-    engine.run_all();
-    FAIL() << "expected a broken-wheel diagnostic";
-  } catch (const std::logic_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("timer wheel counts 1 queued events"),
-              std::string::npos) << what;
-    EXPECT_NE(what.find("t="), std::string::npos) << what;
-  }
-}
 
 TEST(Engine, StartsAtZero) {
   Engine engine;
@@ -293,9 +267,7 @@ TEST(Engine, SmallHeapsSkipCompaction) {
 
 TEST(Engine, CancelAfterCompactionIsSafe) {
   // A handle whose entry was swept out must stay inert: cancel() again,
-  // pending(), when() — no crash, no tally corruption. Times are beyond
-  // the ~68 ms wheel horizon so every doomed entry sits in the far heap,
-  // the structure compaction sweeps.
+  // pending(), when() — no crash, no tally corruption.
   Engine engine;
   std::vector<EventHandle> doomed;
   for (int i = 0; i < 128; ++i) {
@@ -333,29 +305,24 @@ TEST(Engine, StaleHandleAfterRecycleIsInert) {
   EXPECT_TRUE(b_fired);
 }
 
-TEST(Engine, EqualTimestampFifoAcrossWheelHeapBoundary) {
-  // An event scheduled while its timestamp was beyond the wheel horizon
-  // lives in the far heap; a later event at the *same* timestamp scheduled
-  // once the horizon has advanced lives in the wheel. Scheduling order
-  // (sequence number) must still decide who fires first.
+TEST(Engine, EqualTimestampScheduledLaterFiresLater) {
+  // Two events at one timestamp, the second scheduled 50 ms into the run
+  // from a callback: the sequence number, not the scheduling time,
+  // decides who fires first.
   Engine engine;
   std::vector<int> order;
-  const Time t = Time::from_ms(100);  // beyond the ~68 ms horizon at time 0
-  engine.schedule_at(t, [&] { order.push_back(0); });  // far heap, seq 0
+  const Time t = Time::from_ms(100);
+  engine.schedule_at(t, [&] { order.push_back(0); });  // seq 0
   engine.schedule_at(Time::from_ms(50), [&] {
-    // Horizon now covers t: same timestamp, later sequence, wheel side.
-    engine.schedule_at(t, [&] { order.push_back(1); });
+    engine.schedule_at(t, [&] { order.push_back(1); });  // seq 2
   });
   engine.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
-  EXPECT_GE(engine.heap_scheduled(), 1u);
-  EXPECT_GE(engine.wheel_scheduled(), 1u);
 }
 
-TEST(Engine, CallbackSchedulingIntoDrainingBucketKeepsOrder) {
-  // Two events share one ~67 µs wheel bucket; the first schedules a third
-  // between them at fire time, after the bucket has already been loaded
-  // into the drain heap. It must still fire in timestamp order.
+TEST(Engine, CallbackSchedulingBetweenPendingEventsKeepsOrder) {
+  // The first of two events 20 µs apart schedules a third between them
+  // at fire time. It must still fire in timestamp order.
   Engine engine;
   std::vector<int> order;
   engine.schedule_at(Time::from_us(10), [&] {
@@ -367,27 +334,26 @@ TEST(Engine, CallbackSchedulingIntoDrainingBucketKeepsOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(Engine, NearFutureTrafficLandsInTheWheel) {
+TEST(Engine, TickProbeAndWatchdogRangesFireInTimeOrder) {
   Engine engine;
-  engine.schedule_at(Time::from_ms(4), [] {});    // scheduler-tick range
-  engine.schedule_at(Time::from_us(50), [] {});   // probe range
-  engine.schedule_at(Time::from_sec(2), [] {});   // watchdog range
-  EXPECT_EQ(engine.wheel_scheduled(), 2u);
-  EXPECT_EQ(engine.heap_scheduled(), 1u);
+  std::vector<Time> fired;
+  const auto record = [&] { fired.push_back(engine.now()); };
+  engine.schedule_at(Time::from_ms(4), record);   // scheduler-tick range
+  engine.schedule_at(Time::from_us(50), record);  // probe range
+  engine.schedule_at(Time::from_sec(2), record);  // watchdog range
+  EXPECT_EQ(engine.queue_high_water(), 3u);
   engine.run_all();
-  EXPECT_EQ(engine.events_fired(), 3u);
+  EXPECT_EQ(fired, (std::vector<Time>{Time::from_us(50), Time::from_ms(4),
+                                      Time::from_sec(2)}));
 }
 
-TEST(Engine, WheelWindowSlidesAfterQuietJump) {
-  // After run_until jumps the clock far past the wheel window, newly
-  // scheduled near-future events must still be bucketed (the cursor
-  // resyncs when the wheel is empty) rather than leaking into the heap.
+TEST(Engine, EventScheduledAfterAQuietJumpFiresOnTime) {
+  // run_until over idle time moves the clock with an empty queue; an
+  // event scheduled after the jump is relative to the new clock.
   Engine engine;
   engine.run_until(Time::from_sec(5));
   engine.schedule_after(Duration::from_ms(4), [] {});
-  EXPECT_EQ(engine.wheel_scheduled(), 1u);
-  EXPECT_EQ(engine.heap_scheduled(), 0u);
-  engine.run_all();
+  EXPECT_EQ(engine.run_all(), 1u);
   EXPECT_EQ(engine.now(), Time::from_sec(5) + Duration::from_ms(4));
 }
 
@@ -470,7 +436,7 @@ TEST(EngineKeyed, HandedBackKeyKeepsItsDispatchPosition) {
   Engine engine;
   KeyedLog log(engine);
   const std::uint32_t slot = engine.add_keyed_slot(&log, 7);
-  const Time t = Time::from_ms(200);  // beyond the wheel: a heap entry
+  const Time t = Time::from_ms(200);
   engine.schedule_at(t, [&] { log.order.push_back(0); });
   engine.arm(slot, {t, engine.reserve_seq()});
   engine.schedule_at(t, [&] { log.order.push_back(2); });
@@ -532,6 +498,7 @@ struct LoopOwner : KeyedActionOwner {
   void start() { engine.arm(slot, {engine.now() + period, engine.reserve_seq()}); }
   void run_keyed_action(std::uint32_t) override {
     ends.push_back(engine.now());
+    if (in_action) in_action();
     if (stop_in_action) engine.request_stop();
     horizons.push_back(engine.in_place_horizon());
     in_place += engine.complete_in_place(
@@ -555,6 +522,7 @@ struct LoopOwner : KeyedActionOwner {
   std::uint64_t in_place = 0;
   std::size_t stop_after = 0;  // a round requests a stop at this many ends
   bool stop_in_action = false;
+  std::function<void()> in_action;  // runs in each dispatch, before the burst
 };
 
 std::vector<Time> every(Duration period, int first, int last) {
@@ -638,21 +606,38 @@ TEST(EngineKeyed, AnotherOwnersEarlierArmedSlotBoundsTheBurst) {
   EXPECT_EQ(loop.ends, every(Time::from_us(10), 1, 6));
 }
 
-TEST(EngineKeyed, AnEventInAWheelBucketNotYetLoadedBoundsTheBurst) {
+TEST(EngineKeyed, AQueuedEventBoundsTheBurstAtItsOwnTime) {
   Engine engine;
   LoopOwner loop(engine, Time::from_us(10));
-  // Bucket 2 is loaded only once a dispatch reaches its start; until then
-  // the start bounds the burst.
-  const Time bucket2 = Time::from_ps(std::int64_t{2} << Engine::kBucketShift);
+  // The horizon is the event's own time, however far out it lies: one
+  // burst runs up to it, and one more from the next dispatch to the limit.
+  const Time at = Time::from_ps(141'217'728);
   std::size_t seen = 0;
-  engine.schedule_at(bucket2 + Duration::from_us(7),
-                     [&] { seen = loop.ends.size(); });
+  engine.schedule_at(at, [&] { seen = loop.ends.size(); });
   loop.start();
   engine.run_until(Time::from_us(200));
-  EXPECT_EQ(loop.horizons.front(), bucket2);
-  EXPECT_EQ(loop.ended_before(bucket2), 13u);  // 10 .. 130 µs
-  EXPECT_EQ(seen, 14u);                        // and 140 µs, then the event
+  EXPECT_EQ(loop.horizons.front(), at);
+  EXPECT_EQ(seen, 14u);  // 10 .. 140 µs, 20 .. 140 µs in place
   EXPECT_EQ(loop.ends, every(Time::from_us(10), 1, 20));
+  // Dispatched: 10 µs and 150 µs.
+  EXPECT_EQ(engine.keyed_fired() - engine.keyed_in_place(), 2u);
+}
+
+TEST(EngineKeyed, AnEventCancelledInTheActionDoesNotBoundTheBurst) {
+  Engine engine;
+  LoopOwner loop(engine, Time::from_us(10));
+  bool fired = false;
+  EventHandle doomed =
+      engine.schedule_at(Time::from_us(55), [&] { fired = true; });
+  // Cancelled by the first dispatch itself, while it is the queue's top.
+  loop.in_action = [&doomed] { doomed.cancel(); };
+  loop.start();
+  engine.run_until(Time::from_us(100));
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(loop.horizons.front(), Time::from_us(100) + Duration::from_ps(1));
+  EXPECT_EQ(loop.ends, every(Time::from_us(10), 1, 10));
+  EXPECT_EQ(engine.keyed_fired() - engine.keyed_in_place(), 1u);
+  EXPECT_EQ(engine.cancelled_popped(), 1u);
 }
 
 TEST(EngineKeyed, InPlaceCompletionOutsideItsDispatchThrows) {

@@ -120,19 +120,17 @@ TEST(TrialRunner, MetricsSnapshotsAreByteIdenticalAcrossJobCounts) {
 #endif
 }
 
-// Each trial runs a real pooled engine — seed-dependent mix of wheel and
-// heap traffic with mid-run cancels and schedule-from-callback — and folds
-// the engine's memory-model counters into the merged metrics. Those
-// counters are deterministic per trial, so the merged snapshot must be
-// byte-identical at any job count, exactly like the PR-3 contract for
+// Each trial runs a real pooled engine — seed-dependent traffic up to
+// 200 ms out with mid-run cancels and schedule-from-callback — and folds
+// the engine's queue and memory-model counters into the merged metrics.
+// Those counters are deterministic per trial, so the merged snapshot must
+// be byte-identical at any job count, exactly like the PR-3 contract for
 // bench output.
 void pooled_engine_trial(const TrialContext& ctx) {
   Engine engine;
   Rng rng(ctx.seed);
   std::vector<EventHandle> handles;
   for (int i = 0; i < 40; ++i) {
-    // Up to 200 ms out: straddles the ~68 ms wheel horizon, so every
-    // trial exercises both admission paths.
     const auto us = static_cast<std::int64_t>(rng.index(200000)) + 1;
     handles.push_back(engine.schedule_after(
         Duration::from_us(us), [&engine, &rng, &handles] {
@@ -150,8 +148,8 @@ void pooled_engine_trial(const TrialContext& ctx) {
   engine.run_all();
   SATIN_METRIC_ADD("engine_trial.fired", engine.events_fired());
   SATIN_METRIC_ADD("engine_trial.pool_reuses", engine.pool_reuses());
-  SATIN_METRIC_ADD("engine_trial.wheel", engine.wheel_scheduled());
-  SATIN_METRIC_ADD("engine_trial.heap", engine.heap_scheduled());
+  SATIN_METRIC_ADD("engine_trial.queue_high_water", engine.queue_high_water());
+  SATIN_METRIC_ADD("engine_trial.cancelled_popped", engine.cancelled_popped());
   SATIN_METRIC_ADD("engine_trial.cb_inline", engine.callbacks_inline());
   SATIN_METRIC_ADD("engine_trial.cb_fallback", engine.callback_fallbacks());
 }
