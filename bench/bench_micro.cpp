@@ -677,7 +677,7 @@ BENCHMARK(BM_DigestCacheWarmDirty)->Arg(1)->Arg(8)->Arg(64);
 
 }  // namespace
 
-// Hand-rolled BENCHMARK_MAIN so --trace/--metrics are stripped before
+// Hand-rolled BENCHMARK_MAIN so --metrics/--flight are stripped before
 // benchmark::Initialize sees them (it rejects unknown flags).
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);

@@ -3,12 +3,13 @@
 // Every bench prints the paper's rows next to the simulator's, so the
 // shape comparison (who wins, by what factor, where crossovers fall) is
 // visible at a glance; EXPERIMENTS.md records the same numbers.
-// Every bench also accepts --trace=<file> / --metrics=<file>: declare an
+// Every bench also accepts --metrics=<file> / --flight=<file>: declare an
 // ObsGuard first thing in main and the flags are consumed from argv, a
-// global TraceRecorder/MetricsRegistry is installed for the run, and the
-// files are written when the guard goes out of scope. Once the bench has
+// global MetricsRegistry/FlightRecorder is installed for the run, and the
+// files are written when the guard goes out of scope (draw a recording
+// for Perfetto with `satin_flightool chrome`). Once the bench has
 // stripped its own flags too, it exits 2 if obs::reject_unconsumed_args
-// finds anything left.
+// finds anything left, such as an output file that cannot be opened.
 #pragma once
 
 #include <cstdio>

@@ -6,7 +6,7 @@
 // channel and hides its traces while the scan is still crawling toward
 // them. Run with -v for the play-by-play narration.
 //
-//   $ ./examples/evasion_attack [-v] [--trace=out.json] [--faults=<spec>]
+//   $ ./examples/evasion_attack [-v] [--flight=out.flt] [--faults=<spec>]
 #include <cstdio>
 #include <cstring>
 

@@ -10,7 +10,7 @@
 // no benign area is ever confirmed tampered.
 //
 //   $ ./examples/fault_storm [-v] [--replicas=N] [--jobs=J]
-//                            [--trace=out.json] [--faults=<spec>]
+//                            [--flight=out.flt] [--faults=<spec>]
 //
 // Pass --faults= to replace the built-in storm (see src/fault/plan.h for
 // the spec grammar); --faults with an empty value runs fault-free.

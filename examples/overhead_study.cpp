@@ -7,7 +7,7 @@
 // (baseline first), bit-identical for any J. The full-suite 1-task/6-task
 // reproduction lives in bench/bench_fig7_overhead.
 //
-//   $ ./examples/overhead_study [--jobs=2] [--trace=out.json]
+//   $ ./examples/overhead_study [--jobs=2] [--flight=out.flt]
 //                               [--faults=<spec>]
 #include <cstdio>
 #include <string>
@@ -46,9 +46,9 @@ std::vector<satin::workload::UnixBenchHarness::Result> run(
 
 int main(int argc, char** argv) {
   using namespace satin;
-  // Both runs share one trace; their engines each start at t=0, so the
-  // two passes overlay on the same timeline (merge order: baseline, then
-  // SATIN — the trial submission order).
+  // Both runs share one flight recording, each pass bracketed as its own
+  // trial (merge order: baseline, then SATIN — the trial submission
+  // order); `satin_flightool chrome` draws each as its own process.
   obs::ObsSession obs(argc, argv);
   if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   std::printf("running mini-UnixBench twice (without / with SATIN)...\n\n");

@@ -2,8 +2,9 @@
 // start SATIN in the secure world, plant a kernel rootkit, and watch the
 // integrity checker catch it.
 //
-//   $ ./examples/quickstart [--trace=out.json] [--metrics=out.metrics.json]
+//   $ ./examples/quickstart [--flight=out.flt] [--metrics=out.metrics.json]
 //                           [--faults=<spec>]
+//   $ ./tools/satin_flightool chrome out.flt > out.json   # Perfetto view
 #include <cstdio>
 
 #include "attack/rootkit.h"

@@ -6,7 +6,7 @@
 // its recovery finishes (~8 ms), the area containing its traces has been
 // fully hashed. Run with -v for the narration.
 //
-//   $ ./examples/satin_defense [-v] [--trace=out.json] [--faults=<spec>]
+//   $ ./examples/satin_defense [-v] [--flight=out.flt] [--faults=<spec>]
 #include <cstdio>
 #include <cstring>
 

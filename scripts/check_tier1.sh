@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure (ASan by default), build, run the full test
-# suite, then smoke-test the quickstart trace/metrics export and validate
-# the emitted JSON. Run from anywhere; builds into <repo>/build-check.
+# suite, then smoke-test the quickstart flight/metrics export: draw the
+# flight recording with satin_flightool chrome and validate the JSON.
+# Run from anywhere; builds into <repo>/build-check.
 #
-#   scripts/check_tier1.sh              # ASan build + tests + trace smoke
+#   scripts/check_tier1.sh              # ASan build + tests + flight smoke
 #   SATIN_SANITIZE= scripts/check_tier1.sh   # plain build
 set -euo pipefail
 
@@ -20,18 +21,20 @@ cmake --build "$build" -j "$(nproc)"
 echo "== ctest =="
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 
-echo "== quickstart --trace smoke =="
+echo "== quickstart --flight smoke =="
+flight="$build/quickstart.flt"
 out="$build/quickstart.trace.json"
-rm -f "$out" "$out.jsonl" "$out.metrics.json"
-"$build/examples/quickstart" --trace="$out" >/dev/null
+metrics="$build/quickstart.metrics.json"
+rm -f "$flight" "$out" "$metrics"
+"$build/examples/quickstart" --flight="$flight" --metrics="$metrics" >/dev/null
+"$build/tools/satin_flightool" chrome "$flight" >"$out"
 
-for f in "$out" "$out.metrics.json"; do
+for f in "$out" "$metrics"; do
   [ -s "$f" ] || { echo "missing $f" >&2; exit 1; }
   python3 -m json.tool "$f" >/dev/null || { echo "invalid JSON: $f" >&2; exit 1; }
 done
-[ -s "$out.jsonl" ] || { echo "missing $out.jsonl" >&2; exit 1; }
 
-python3 - "$out" "$out.metrics.json" <<'EOF'
+python3 - "$out" "$metrics" <<'EOF'
 import json, sys
 
 trace = json.load(open(sys.argv[1]))
@@ -39,15 +42,18 @@ events = trace["traceEvents"]
 spans = [e for e in events if e.get("ph") in ("B", "E")]
 names = {e["name"] for e in events}
 assert {"world_switch_in", "world_switch_out", "scan"} <= names, names
-for name in ("world_switch_in", "scan"):
-    per_tid = {}
+tracks = {e["args"]["name"] for e in events if e["name"] == "thread_name"}
+assert "core0/secure" in tracks, tracks
+for name in ("world_switch_in", "world_switch_out", "secure_world", "scan"):
+    per_track = {}
     for e in spans:
         if e["name"] == name:
-            b, end = per_tid.get(e["tid"], (0, 0))
-            per_tid[e["tid"]] = (b + (e["ph"] == "B"), end + (e["ph"] == "E"))
-    assert per_tid, f"no {name} spans"
-    for tid, (b, end) in per_tid.items():
-        assert abs(b - end) <= 1, (name, tid, b, end)
+            track = (e["pid"], e["tid"])
+            b, end = per_track.get(track, (0, 0))
+            per_track[track] = (b + (e["ph"] == "B"), end + (e["ph"] == "E"))
+    assert per_track, f"no {name} spans"
+    for track, (b, end) in per_track.items():
+        assert abs(b - end) <= 1, (name, track, b, end)
 
 metrics = json.load(open(sys.argv[2]))
 counters = metrics["counters"]

@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/log.h"
 
 namespace satin::attack {
@@ -51,8 +51,8 @@ void TzEvader::on_detect(hw::CoreId core, sim::Time when,
   if (observer_) observer_(core, when, staleness);
   if (!rootkit_.installed() || rootkit_.recovering()) return;
   ++evasions_;
-  SATIN_TRACE_INSTANT_ARG("attack", "evasion", when, core, obs::kWorldNormal,
-                          "staleness_s", staleness.sec());
+  SATIN_FLIGHT_RECORD(obs::FlightKind::kEvasion, when, evasions_ - 1, core,
+                      static_cast<std::uint64_t>(staleness.ps()));
   SATIN_METRIC_INC("attack.evasions");
   SATIN_LOG(kInfo) << "tz-evader: hiding traces (core " << core
                    << " flagged at " << when.to_string() << ")";
@@ -77,8 +77,9 @@ void TzEvader::try_rearm() {
         }
         rootkit_.install();
         ++rearms_;
-        SATIN_TRACE_INSTANT("attack", "rearm", os_.platform().engine().now(),
-                            obs::kGlobalTrack, obs::kWorldNormal);
+        SATIN_FLIGHT_RECORD(obs::FlightKind::kRearm,
+                            os_.platform().engine().now(), rearms_ - 1,
+                            obs::kGlobalTrack, 0);
         SATIN_METRIC_INC("attack.rearms");
         SATIN_LOG(kInfo) << "tz-evader: re-armed at "
                          << os_.platform().engine().now().to_string();

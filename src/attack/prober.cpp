@@ -5,7 +5,6 @@
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/log.h"
 
 namespace satin::attack {
@@ -167,9 +166,6 @@ void KProber::probe_round(hw::CoreId self, sim::Time now, bool report) {
         // bit-stable where a rounded seconds double would not be.
         SATIN_FLIGHT_RECORD(obs::FlightKind::kProbe, now, detections_ - 1,
                             core, static_cast<std::uint64_t>(staleness.ps()));
-        SATIN_TRACE_INSTANT_ARG("attack", "scan_detected", now, core,
-                                obs::kWorldNormal, "staleness_s",
-                                staleness.sec());
         SATIN_METRIC_INC("attack.detections");
         SATIN_METRIC_DIGEST_OBSERVE("attack.detection_staleness_s",
                                     staleness.sec());

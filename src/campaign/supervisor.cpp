@@ -618,20 +618,26 @@ class Supervisor {
         }
       }
       if (session_flight != nullptr) {
+        // Streamed in, like TrialRunner's spilled trials: the reader checks
+        // the file's framing before the first record, so a damaged
+        // artifact is a gap, never half a trial.
         const std::string path = trial_flight_path(artifacts_dir_, index);
-        obs::FlightLog log;
-        std::string error;
-        if (!obs::read_flight_log(path, log, &error)) {
-          std::fprintf(stderr, "campaign: %s (flight gap)\n", error.c_str());
+        obs::FlightReader reader;
+        if (!reader.open(path) || !reader.has_footer()) {
+          const std::string why =
+              reader.error().empty() ? path + ": no footer" : reader.error();
+          std::fprintf(stderr, "campaign: %s (flight gap)\n", why.c_str());
           ++artifacts_missing_;
           continue;
         }
-        // Same convention as TrialRunner: the parent emits the trial
-        // marker, then replays the trial's stream.
-        session_flight->record(obs::FlightKind::kTrialBegin, sim::Time::zero(),
-                               index, static_cast<int>(index),
-                               seeds.seed_for(index));
-        obs::replay_flight_log(log, *session_flight);
+        session_flight->append_trial(
+            index, seeds.seed_for(index), reader.totals(),
+            [&reader](obs::FlightRecord& rec) { return reader.next(rec); });
+        if (!reader.error().empty()) {
+          std::fprintf(stderr, "campaign: %s (flight gap)\n",
+                       reader.error().c_str());
+          ++artifacts_missing_;
+        }
       }
     }
   }

@@ -11,7 +11,6 @@
 #include "campaign/trial.h"
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/parallel.h"
 
 namespace satin::campaign {
@@ -72,7 +71,6 @@ void worker_main(const WorkerContext& ctx) {
   // This process must not record into (or later flush) the supervisor's
   // session sinks: every trial gets private ones below.
   obs::install_metrics(nullptr);
-  obs::install_tracer(nullptr);
   obs::install_flight(nullptr);
   // A dead supervisor shows up as EPIPE/EOF, and the default SIGPIPE
   // disposition turns the first write into a clean exit — exactly the
@@ -108,7 +106,7 @@ void worker_main(const WorkerContext& ctx) {
 
     TrialResult result;
     {
-      sim::TrialObsScope sinks(metrics.get(), nullptr, flight.get());
+      sim::TrialObsScope sinks(metrics.get(), flight.get());
       try {
         result = run_campaign_trial(*ctx.spec, index);
       } catch (const std::exception& e) {

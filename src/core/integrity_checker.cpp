@@ -6,7 +6,6 @@
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "secure/pristine_base.h"
 #include "sim/log.h"
 
@@ -115,8 +114,6 @@ void IntegrityChecker::run_attempt(
           SATIN_METRIC_INC("satin.retries");
           SATIN_FLIGHT_RECORD(obs::FlightKind::kRetry, scan.scan_end, retries_,
                               core, static_cast<std::uint64_t>(area));
-          SATIN_TRACE_INSTANT_ARG("integrity", "retry", scan.scan_end, core,
-                                  obs::kWorldSecure, "area", area);
           SATIN_LOG(kDebug) << "integrity: mismatch on area " << area
                             << ", rescan " << (attempt + 1) << "/"
                             << max_retries_;
@@ -154,15 +151,10 @@ void IntegrityChecker::run_attempt(
           if (kind == AlarmKind::kTransient) {
             ++transient_alarms_;
             SATIN_METRIC_INC("satin.transient_alarms");
-            SATIN_TRACE_INSTANT_ARG("integrity", "transient_alarm",
-                                    scan.scan_end, core, obs::kWorldSecure,
-                                    "area", area);
             SATIN_LOG(kInfo) << "integrity: transient alarm on area " << area
                              << " cleared after " << attempt << " rescan(s)";
           } else {
             ++confirmed_alarms_;
-            SATIN_TRACE_INSTANT_ARG("integrity", "alarm", scan.scan_end, core,
-                                    obs::kWorldSecure, "area", area);
             SATIN_LOG(kInfo) << "integrity: ALARM area " << area << " on core "
                              << core << " at " << scan.scan_end.to_string();
           }

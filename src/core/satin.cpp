@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/log.h"
 
 namespace satin::core {
@@ -121,8 +121,8 @@ void Satin::on_session(std::shared_ptr<hw::SecureSession> session) {
   const hw::CoreId core = session->core_id();
   const int area = area_set_.take_next();
   const std::uint64_t round = ++rounds_;
-  SATIN_TRACE_INSTANT_ARG("satin", "round", platform_.engine().now(), core,
-                          obs::kWorldSecure, "area", area);
+  SATIN_FLIGHT_RECORD(obs::FlightKind::kRound, platform_.engine().now(),
+                      round - 1, core, static_cast<std::uint64_t>(area));
   SATIN_METRIC_INC("satin.rounds");
   SATIN_LOG(kDebug) << "satin: round " << round << " scans area " << area
                     << " on core " << core;
@@ -187,8 +187,9 @@ void Satin::watchdog_tick() {
         absent_[idx] = true;
         wake_queue_.set_core_online(c, false);
         SATIN_METRIC_INC("satin.cores_dropped");
-        SATIN_TRACE_INSTANT("satin", "core_dropped", now, c,
-                            obs::kWorldSecure);
+        SATIN_FLIGHT_RECORD(obs::FlightKind::kCoreState, now, 0, c,
+                            obs::core_state_payload(
+                                obs::FlightCoreState::kSatinDropped));
         SATIN_LOG(kInfo) << "satin: core " << c
                          << " offline, redistributing its rounds";
       }
@@ -204,8 +205,9 @@ void Satin::watchdog_tick() {
       expected_wake_[idx] = next;
       platform_.timer().program_secure(c, next);
       SATIN_METRIC_INC("satin.cores_resorbed");
-      SATIN_TRACE_INSTANT("satin", "core_resorbed", now, c,
-                          obs::kWorldSecure);
+      SATIN_FLIGHT_RECORD(obs::FlightKind::kCoreState, now, 0, c,
+                          obs::core_state_payload(
+                              obs::FlightCoreState::kSatinResorbed));
       SATIN_LOG(kInfo) << "satin: core " << c << " back online, resorbed";
       continue;
     }
@@ -219,8 +221,9 @@ void Satin::watchdog_tick() {
       expected_wake_[idx] = now;
       platform_.timer().program_secure(c, now);
       SATIN_METRIC_INC("satin.watchdog_fires");
-      SATIN_TRACE_INSTANT("satin", "watchdog_rearm", now, c,
-                          obs::kWorldSecure);
+      SATIN_FLIGHT_RECORD(obs::FlightKind::kCoreState, now, 0, c,
+                          obs::core_state_payload(
+                              obs::FlightCoreState::kWatchdogRearm));
       SATIN_LOG(kInfo) << "satin: watchdog re-arms overdue core " << c;
     }
   }

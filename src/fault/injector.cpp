@@ -4,7 +4,6 @@
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/log.h"
 
 namespace satin::fault {
@@ -52,8 +51,6 @@ void FaultInjector::note(FaultKind kind, int core) {
   SATIN_FLIGHT_RECORD(obs::FlightKind::kFault, platform_.engine().now(),
                       injected_total() - 1, core,
                       static_cast<std::uint64_t>(kind));
-  SATIN_TRACE_INSTANT("fault", to_string(kind),
-                      platform_.engine().now(), core, obs::kWorldNone);
   SATIN_METRIC_INC("fault.injected");
 #if SATIN_OBS_ENABLED
   // The per-kind name is built at run time, so it cannot go through the

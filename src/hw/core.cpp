@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/log.h"
 
 namespace satin::hw {
@@ -34,8 +34,10 @@ void Core::remove_world_listener(WorldListener* listener) {
 void Core::set_online(bool online, sim::Time when) {
   if (online_ == online) return;
   online_ = online;
-  SATIN_TRACE_INSTANT("hw", online ? "core_online" : "core_offline", when,
-                      id_, obs::kWorldNone);
+  SATIN_FLIGHT_RECORD(obs::FlightKind::kCoreState, when, 0, id_,
+                      obs::core_state_payload(
+                          online ? obs::FlightCoreState::kOnline
+                                 : obs::FlightCoreState::kOffline));
   if (online) {
     SATIN_METRIC_INC("hw.core_online");
   } else {
@@ -67,7 +69,6 @@ void Core::enter_secure(sim::Time when) {
   world_ = World::kSecure;
   secure_entry_time_ = when;
   ++secure_entries_;
-  SATIN_TRACE_BEGIN("hw", "secure_world", when, id_, obs::kWorldSecure);
   SATIN_METRIC_INC("hw.secure_entries");
   SATIN_LOG(kDebug) << name() << " enters secure world at "
                     << when.to_string();
@@ -81,7 +82,6 @@ void Core::exit_secure(sim::Time when) {
   }
   world_ = World::kNormal;
   secure_total_ += when - secure_entry_time_;
-  SATIN_TRACE_END("hw", "secure_world", when, id_, obs::kWorldSecure);
   SATIN_METRIC_OBSERVE("hw.secure_stay_s", (when - secure_entry_time_).sec());
   SATIN_LOG(kDebug) << name() << " returns to normal world at "
                     << when.to_string();

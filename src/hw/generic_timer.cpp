@@ -2,10 +2,14 @@
 
 #include <stdexcept>
 
+#include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace satin::hw {
+
+// The export draws a secure-timer fire on the core's secure track.
+static_assert(obs::kSecureTimerIrq ==
+              static_cast<std::uint64_t>(IrqId::kSecurePhysTimer));
 
 GenericTimer::GenericTimer(sim::Engine& engine, int num_cores)
     : engine_(engine),
@@ -41,11 +45,8 @@ void GenericTimer::program(std::vector<PerCoreTimer>& timers, CoreId core,
                                              : compare_value + drift);
   t.event = engine_.schedule_at(when, [this, core, irq, &t] {
     t.enabled = false;
-    SATIN_TRACE_INSTANT_ARG("hw", "timer_fire", engine_.now(), core,
-                            irq == IrqId::kSecurePhysTimer
-                                ? obs::kWorldSecure
-                                : obs::kWorldNormal,
-                            "irq", static_cast<int>(irq));
+    SATIN_FLIGHT_RECORD(obs::FlightKind::kTimerFire, engine_.now(), 0, core,
+                        static_cast<std::uint64_t>(irq));
     if (irq == IrqId::kSecurePhysTimer) {
       SATIN_METRIC_INC("hw.secure_timer_fires");
     } else {

@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/log.h"
 
 namespace satin::hw {
@@ -40,8 +40,10 @@ void InterruptController::raise(CoreId core, IrqId irq) {
   // takes effect for newly raised interrupts.)
   if (!target.online()) {
     ++dropped_irqs_;
-    SATIN_TRACE_INSTANT_ARG("hw", "irq_dropped_offline", engine_.now(), core,
-                            obs::kWorldNone, "irq", static_cast<int>(irq));
+    SATIN_FLIGHT_RECORD(obs::FlightKind::kCoreState, engine_.now(), 0, core,
+                        obs::core_state_payload(
+                            obs::FlightCoreState::kIrqDroppedOffline,
+                            static_cast<std::uint64_t>(irq)));
     SATIN_METRIC_INC("hw.irqs_dropped_offline");
     SATIN_LOG(kDebug) << "gic: drop irq " << static_cast<int>(irq)
                       << " to offline core " << core;

@@ -10,8 +10,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace satin::hw {
 
@@ -182,10 +182,8 @@ void Memory::write(sim::Time now, std::size_t offset,
     }
     // Per-byte race resolution: bytes the write placed ahead of the cursor
     // are what the scanner will hash; bytes behind it were already read.
-    SATIN_TRACE_INSTANT_ARG("race", bytes_won > 0 ? "write_before_cursor"
-                                                  : "write_after_cursor",
-                            now, obs::kGlobalTrack, obs::kWorldNormal,
-                            "bytes_won", bytes_won);
+    SATIN_FLIGHT_RECORD(obs::FlightKind::kRace, now, write_count_ - 1,
+                        obs::kGlobalTrack, bytes_won);
     SATIN_METRIC_ADD("race.bytes_write_won", bytes_won);
     SATIN_METRIC_ADD("race.bytes_write_lost", (hi - lo) - bytes_won);
     SATIN_METRIC_INC("race.writes_during_scan");

@@ -4,7 +4,6 @@
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/log.h"
 
 namespace satin::hw {
@@ -47,15 +46,10 @@ void SecureMonitor::on_secure_irq(CoreId core_id, IrqId irq) {
     return;
   }
   const sim::Time entry = engine_.now();
-  SATIN_TRACE_INSTANT("hw", "secure_timer_irq", entry, core_id,
-                      obs::kWorldSecure);
   SATIN_METRIC_INC("hw.secure_irqs");
   // Context save begins now: the normal world on this core is frozen from
   // this instant — exactly the availability loss the probers sense.
   core.enter_secure(entry);
-  SATIN_FLIGHT_RECORD(obs::FlightKind::kWorldEnter, entry, sessions_, core_id,
-                      0);
-  ++sessions_;
 
   auto session = std::make_shared<SecureSession>();
   session->monitor_ = this;
@@ -64,10 +58,11 @@ void SecureMonitor::on_secure_irq(CoreId core_id, IrqId irq) {
   session->entry_ = entry;
 
   const sim::Duration switch_in = sample_switch();
-  SATIN_TRACE_BEGIN("hw", "world_switch_in", entry, core_id,
-                    obs::kWorldSecure);
-  SATIN_TRACE_END("hw", "world_switch_in", entry + switch_in, core_id,
-                  obs::kWorldSecure);
+  // One record carries the whole entry: the IRQ, the stay's start and the
+  // switch-in span.
+  SATIN_FLIGHT_RECORD(obs::FlightKind::kWorldEnter, entry, sessions_, core_id,
+                      static_cast<std::uint64_t>(switch_in.ps()));
+  ++sessions_;
   SATIN_METRIC_INC("hw.world_switches");
   SATIN_METRIC_OBSERVE("hw.switch_s", switch_in.sec());
   engine_.schedule_after(switch_in, [this, session] {
@@ -83,17 +78,14 @@ void SecureMonitor::on_secure_irq(CoreId core_id, IrqId irq) {
 void SecureMonitor::finish_session(SecureSession& session) {
   const CoreId core_id = session.core_id();
   const sim::Duration switch_out = sample_switch();
-  SATIN_TRACE_BEGIN("hw", "world_switch_out", engine_.now(), core_id,
-                    obs::kWorldSecure);
-  SATIN_TRACE_END("hw", "world_switch_out", engine_.now() + switch_out,
-                  core_id, obs::kWorldSecure);
   SATIN_METRIC_INC("hw.world_switches");
   SATIN_METRIC_OBSERVE("hw.switch_s", switch_out.sec());
-  engine_.schedule_after(switch_out, [this, core_id] {
+  engine_.schedule_after(switch_out, [this, core_id, switch_out] {
     Core& core = *cores_.at(static_cast<std::size_t>(core_id));
     core.exit_secure(engine_.now());
+    // The exit ends both the stay and the switch-out span that led to it.
     SATIN_FLIGHT_RECORD(obs::FlightKind::kWorldExit, engine_.now(), exits_,
-                        core_id, 0);
+                        core_id, static_cast<std::uint64_t>(switch_out.ps()));
     ++exits_;
   });
 }

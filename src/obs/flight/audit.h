@@ -1,7 +1,9 @@
-// Divergence auditor over flight recordings.
+// Streaming reader and divergence auditor over flight recordings.
 //
-// Reads the binary stream written by FlightRecorder and answers the two
-// questions the determinism gates ask:
+// FlightReader streams the binary file written by FlightRecorder one
+// record at a time, so reading a recording costs a fixed buffer however
+// long it is. On top of it sit the two questions the determinism gates
+// ask:
 //  * stats  — what does this recording contain (per-kind counts, time
 //             span, chain hash, drops)?
 //  * diff   — are two recordings identical, and if not, where is the
@@ -14,10 +16,14 @@
 // MUST diverge) reduces to "diff locates a first divergence". The oracle
 // sweep (tests/integration/oracle_sweep_test.cpp) compares flight chains
 // in process and writes both recordings for diff when they disagree.
+// Merges (sim::TrialRunner under a spilling parent, the campaign
+// supervisor) stream per-trial files through the same reader into
+// FlightRecorder::append_trial.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -25,41 +31,58 @@
 
 namespace satin::obs {
 
-struct FlightLog {
-  std::vector<FlightRecord> records;  // footer excluded
-  // Footer bookkeeping (zero/false when the footer is missing).
-  std::uint64_t commits = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t chain_hash = 0;
-  bool ring = false;
-  bool has_footer = false;
+class FlightReader {
+ public:
+  FlightReader() = default;
+  ~FlightReader();
+  FlightReader(const FlightReader&) = delete;
+  FlightReader& operator=(const FlightReader&) = delete;
+
+  // Opens a recording and checks its framing before the first record is
+  // read: a missing file, a zero-length or truncated-header file, bad
+  // magic/version and a torn record each fail with a distinct diagnostic
+  // naming the cause (error()). So a merge never half-applies a damaged
+  // file. A missing footer is tolerated (has_footer() is false) so
+  // crashed runs still dump.
+  bool open(const std::string& path);
+
+  // The next record in commit order; false after the last one, and on a
+  // read error (error() says which).
+  bool next(FlightRecord& out);
+
+  const std::string& error() const { return error_; }
+  bool ring() const { return ring_; }
+  bool has_footer() const { return has_footer_; }
+  // The footer triple; zeros when the footer is missing.
+  const FlightTotals& totals() const { return totals_; }
+  // Records in the file, footer excluded.
+  std::uint64_t records() const { return records_; }
+
+ private:
+  bool fail(const std::string& why);
+
+  std::string path_;
+  std::string error_;
+  std::FILE* file_ = nullptr;
+  std::vector<unsigned char> buf_;  // encoded records read ahead
+  std::size_t buf_pos_ = 0;
+  std::uint64_t records_ = 0;
+  std::uint64_t read_ = 0;
+  FlightTotals totals_;
+  bool ring_ = false;
+  bool has_footer_ = false;
 };
-
-// Loads a recording; returns false (and sets *error when given) on a
-// missing file, zero-length or truncated-header file, bad magic/version
-// or a torn record — each with a distinct diagnostic naming the cause. A
-// missing footer is tolerated (has_footer = false) so crashed runs still
-// dump.
-bool read_flight_log(const std::string& path, FlightLog& out,
-                     std::string* error = nullptr);
-
-// Re-records a loaded log into `out` in commit order and folds the log's
-// drop count; record-for-record this reproduces the chain-hash evolution
-// the original commits produced. The campaign supervisor uses this to
-// merge per-trial flight files (written by worker processes) into the
-// session stream in trial-index order — the cross-process analogue of
-// FlightRecorder::append_from.
-void replay_flight_log(const FlightLog& log, FlightRecorder& out);
 
 struct FlightStats {
   std::uint64_t total = 0;
-  std::array<std::uint64_t, 16> by_kind{};  // indexed by FlightKind value
-  std::uint64_t other_kinds = 0;            // kinds outside the enum range
+  std::array<std::uint64_t, kFlightKindCount> by_kind{};  // by FlightKind
+  std::uint64_t other_kinds = 0;  // kinds outside the enum range
   std::int64_t first_t_ps = 0;
   std::int64_t last_t_ps = 0;
 };
 
-FlightStats compute_flight_stats(const FlightLog& log);
+// Reads the rest of `reader`; check reader.error() afterwards.
+FlightStats compute_flight_stats(FlightReader& reader);
 
 // One human-readable line per record: "t=<ps> kind seq=<n> actor=<a>
 // payload=<hex>".
@@ -75,7 +98,9 @@ struct FlightDivergence {
   std::string report;
 };
 
-FlightDivergence diff_flight_logs(const FlightLog& a, const FlightLog& b,
-                                  std::size_t context = 5);
+// Walks both readers to the first differing record, holding only the
+// context window in memory; check each reader's error() afterwards.
+FlightDivergence diff_flight_streams(FlightReader& a, FlightReader& b,
+                                     std::size_t context = 5);
 
 }  // namespace satin::obs

@@ -41,35 +41,15 @@ std::uint64_t get_u64(const unsigned char* in) {
 }  // namespace
 
 const char* to_string(FlightKind kind) {
-  switch (kind) {
-    case FlightKind::kNote:
-      return "note";
-    case FlightKind::kTrialBegin:
-      return "trial_begin";
-    case FlightKind::kDispatch:
-      return "dispatch";
-    case FlightKind::kWorldEnter:
-      return "world_enter";
-    case FlightKind::kWorldExit:
-      return "world_exit";
-    case FlightKind::kScanStart:
-      return "scan_start";
-    case FlightKind::kScanEnd:
-      return "scan_end";
-    case FlightKind::kAlarm:
-      return "alarm";
-    case FlightKind::kRetry:
-      return "retry";
-    case FlightKind::kProbe:
-      return "probe";
-    case FlightKind::kFault:
-      return "fault";
-    case FlightKind::kTrialEnd:
-      return "trial_end";
-    case FlightKind::kEof:
-      return "eof";
-  }
-  return "?";
+  static constexpr const char* kNames[kFlightKindCount] = {
+      "note",       "trial_begin", "dispatch",     "world_enter",
+      "world_exit", "scan_start",  "scan_end",     "alarm",
+      "retry",      "probe",       "fault",        "trial_end",
+      "timer_fire", "tick",        "race",         "round",
+      "evasion",    "rearm",       "digest_cache", "core_state"};
+  const auto k = static_cast<std::size_t>(kind);
+  if (k < kFlightKindCount) return kNames[k];
+  return kind == FlightKind::kEof ? "eof" : "?";
 }
 
 void encode_flight_record(const FlightRecord& record, unsigned char* out) {
@@ -132,7 +112,6 @@ void FlightRecorder::record(FlightKind kind, sim::Time t, std::uint64_t seq,
   rec.actor = static_cast<std::int16_t>(actor);
 
   ++commits_;
-  last_t_ps_ = rec.t_ps;
   chain_ = fnv_step(chain_, static_cast<std::uint64_t>(rec.t_ps));
   chain_ = fnv_step(chain_, rec.seq);
   chain_ = fnv_step(chain_, rec.payload);
@@ -153,12 +132,23 @@ void FlightRecorder::record(FlightKind kind, sim::Time t, std::uint64_t seq,
   if (spilling() && retained_.size() >= options_.spill_chunk) spill_buffer();
 }
 
-void FlightRecorder::append_from(const FlightRecorder& other) {
-  for (const FlightRecord& rec : other.snapshot()) {
-    record(static_cast<FlightKind>(rec.kind), sim::Time::from_ps(rec.t_ps),
-           rec.seq, rec.actor, rec.payload);
+void FlightRecorder::append_trial(
+    std::size_t index, std::uint64_t seed, const FlightTotals& trial,
+    const std::function<bool(FlightRecord&)>& next) {
+  // The parent, not the trial, emits the brackets: in ring mode a marker
+  // recorded inside the trial would be its oldest record and the first
+  // one overwritten, losing the trial boundary exactly when the auditor
+  // needs it.
+  const int actor = static_cast<int>(index);
+  record(FlightKind::kTrialBegin, sim::Time::zero(), index, actor, seed);
+  sim::Time last = sim::Time::zero();
+  FlightRecord rec;
+  while (next(rec)) {
+    record(rec);
+    last = sim::Time::from_ps(rec.t_ps);
   }
-  dropped_ += other.dropped();
+  record(FlightKind::kTrialEnd, last, trial.commits, actor, trial.chain_hash);
+  dropped_ += trial.dropped;
 }
 
 std::vector<FlightRecord> FlightRecorder::snapshot() const {

@@ -1,15 +1,17 @@
-// Flight recorder: the always-recordable ground-truth event stream.
+// Flight recorder: the one event tap.
 //
 // Every determinism claim this repo makes — any --jobs=J is bit-identical,
 // the digest cache is invisible, a fault plan off is a no-op — ultimately
 // reduces to "the engine committed the same events in the same order".
-// The FlightRecorder taps exactly that: each engine event commit (and a
-// handful of semantic commits layered on top: world switches, scan
-// start/end with the digest as payload, alarms, probes, fault injections)
-// becomes one fixed-size FlightRecord {when, seq, kind, actor, payload}.
-// Two runs are equivalent iff their flight streams are identical, which
-// turns today's ad-hoc stdout diffs into a systematic audit
-// (obs/flight/audit.h + tools/satin_flightool).
+// The FlightRecorder taps exactly that: each engine event commit (and the
+// semantic commits layered on top: world switches, scans with the digest
+// as payload, alarms, probes, fault injections, timer fires, ticks, race
+// resolutions, SATIN rounds, evasions, digest-cache outcomes and rare
+// core state changes) becomes one fixed-size FlightRecord {when, seq,
+// kind, actor, payload}. Two runs are equivalent iff their flight streams
+// are identical, which turns ad-hoc stdout diffs into a systematic audit
+// (obs/flight/audit.h + tools/satin_flightool), and the same stream draws
+// the Perfetto timeline (obs/flight/chrome.h, `satin_flightool chrome`).
 //
 // Memory model: zero steady-state allocations on the record path.
 //  * Spill mode (a path, ring == 0): records accumulate in a buffer
@@ -20,11 +22,11 @@
 //    needs); the file is written on close(). Dropped-record counts are
 //    preserved in the footer.
 //  * In-memory mode (no path): same ring/unbounded retention, no file —
-//    per-trial recorders and tests.
+//    per-trial recorders under a ring parent, and tests.
 //
 // Threading follows the PR-3 obs discipline: a thread_local slot, one
 // pointer test per macro when no recorder is installed, per-trial
-// recorders installed by sim::TrialRunner and merged (append_from) in
+// recorders installed by sim::TrialRunner and merged (append_trial) in
 // submission order, so the merged stream is identical for any --jobs.
 //
 // A chain hash (FNV-1a folded over every record in commit order) rides
@@ -33,6 +35,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,18 +47,66 @@ enum class FlightKind : std::uint16_t {
   kNote = 0,        // freeform marker (payload = caller-defined)
   kTrialBegin = 1,  // actor = trial index, payload = trial seed
   kDispatch = 2,    // engine commit: seq = engine sequence number
-  kWorldEnter = 3,  // secure-world entry, actor = core
-  kWorldExit = 4,   // secure-world exit, actor = core
+  kWorldEnter = 3,  // secure-world entry, actor = core,
+                    // payload = switch-in duration (ps)
+  kWorldExit = 4,   // secure-world exit, actor = core,
+                    // payload = switch-out duration (ps)
   kScanStart = 5,   // payload = (offset << 32) | length
   kScanEnd = 6,     // payload = observed digest
   kAlarm = 7,       // payload = (area << 1) | transient, actor = core
   kRetry = 8,       // payload = area, actor = core
-  kProbe = 9,       // prober detection, actor = core
+  kProbe = 9,       // prober detection, actor = core,
+                    // payload = staleness (ps)
   kFault = 10,      // payload = fault kind, actor = core
   kTrialEnd = 11,   // actor = trial index, seq = the trial's commits,
                     // payload = the trial's chain hash
+  kTimerFire = 12,  // generic-timer expiry, actor = core, payload = irq
+  kTick = 13,       // rich-OS scheduler tick, actor = core
+  kRace = 14,       // a write overlapping a scan, seq = write ordinal,
+                    // payload = bytes written ahead of the scan cursor
+  kRound = 15,      // SATIN round, actor = core, seq = round ordinal,
+                    // payload = area
+  kEvasion = 16,    // TZ-Evader hides, actor = core, seq = evasion
+                    // ordinal, payload = staleness (ps)
+  kRearm = 17,      // TZ-Evader re-arms, seq = rearm ordinal
+  kDigestCache = 18,  // a scan's digest-cache outcome, actor = core,
+                      // seq = scan ordinal,
+                      // payload = (bytes hashed << 2) | FlightCacheOutcome
+  kCoreState = 19,  // rare core/IRQ state change, actor = core,
+                    // payload = (irq << 8) | FlightCoreState
   kEof = 0xFFFF,    // footer sentinel (never recorded by components)
 };
+
+// Kinds below this value are the ones components record.
+inline constexpr std::size_t kFlightKindCount = 20;
+
+// kDigestCache payload, low two bits: how a scan's digest was served.
+enum class FlightCacheOutcome : std::uint8_t {
+  kClean = 0,    // every chunk from the cache
+  kPartial = 1,  // some chunks re-hashed
+  kBypass = 2,   // a raced or glitched view, hashed in full
+};
+
+// kCoreState payload, low byte.
+enum class FlightCoreState : std::uint8_t {
+  kOnline = 0,
+  kOffline = 1,
+  kSatinDropped = 2,       // SATIN took an offline core out of rotation
+  kSatinResorbed = 3,      // ... and back in
+  kWatchdogRearm = 4,      // SATIN re-armed an overdue core's timer
+  kIrqDroppedOffline = 5,  // an IRQ to an offline core; irq in bits 8+
+};
+
+inline std::uint64_t core_state_payload(FlightCoreState state,
+                                        std::uint64_t irq = 0) {
+  return (irq << 8) | static_cast<std::uint64_t>(state);
+}
+
+// Actor of records that belong to no core: the engine/global track.
+inline constexpr int kGlobalTrack = -1;
+// kTimerFire's payload for the per-core secure timer (hw::IrqId::
+// kSecurePhysTimer); its fires belong to the secure world.
+inline constexpr std::uint64_t kSecureTimerIrq = 29;
 
 const char* to_string(FlightKind kind);
 
@@ -80,6 +131,14 @@ inline constexpr char kFlightMagic[8] = {'S', 'A', 'T', 'N',
 inline constexpr std::uint32_t kFlightVersion = 1;
 inline constexpr std::size_t kFlightHeaderBytes = 32;
 
+// A recording's footer triple: records committed (spilled and
+// overwritten ones included), ring overwrites, and the chain hash.
+struct FlightTotals {
+  std::uint64_t commits = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t chain_hash = 0;
+};
+
 struct FlightRecorderOptions {
   // Spill target; empty = in-memory only (per-trial recorders, tests).
   std::string path;
@@ -103,27 +162,33 @@ class FlightRecorder {
 
   void record(FlightKind kind, sim::Time t, std::uint64_t seq, int actor,
               std::uint64_t payload);
+  void record(const FlightRecord& rec) {
+    record(static_cast<FlightKind>(rec.kind), sim::Time::from_ps(rec.t_ps),
+           rec.seq, rec.actor, rec.payload);
+  }
 
-  // Replays the other recorder's retained records into this one in their
-  // commit order and folds its drop count. The TrialRunner calls this in
-  // submission order, bracketed by the kTrialBegin and kTrialEnd records
-  // it emits itself.
-  void append_from(const FlightRecorder& other);
+  // Writes one trial into this merged stream: a kTrialBegin record
+  // (actor = index, payload = seed), every record `next` yields, in
+  // commit order, then a kTrialEnd record at the last one's time. The
+  // trial's commit count and chain hash ride in kTrialEnd; they fold every
+  // record the trial committed, so the merged chain covers a ring-bounded
+  // trial's whole stream. The trial's drops are folded too.
+  // sim::TrialRunner and the campaign merge write every trial through
+  // this, from an in-memory recorder or from a FlightReader.
+  void append_trial(std::size_t index, std::uint64_t seed,
+                    const FlightTotals& trial,
+                    const std::function<bool(FlightRecord&)>& next);
 
-  // Folds drops that happened outside this recorder (e.g. a replayed
-  // per-trial file whose footer recorded ring overwrites).
-  void note_dropped(std::uint64_t n) { dropped_ += n; }
+  // This recorder's footer triple.
+  FlightTotals totals() const { return {commits_, dropped_, chain_}; }
 
   // Records ever committed to this recorder (including spilled/overwritten).
   std::uint64_t commits() const { return commits_; }
-  // Ring overwrites (oldest records lost), plus drops folded by append_from.
+  // Ring overwrites (oldest records lost), plus drops folded by
+  // append_trial.
   std::uint64_t dropped() const { return dropped_; }
   // FNV-1a fold over every committed record, in commit order.
   std::uint64_t chain_hash() const { return chain_; }
-  // Time of the newest committed record; zero before the first.
-  sim::Time last_commit_time() const {
-    return sim::Time::from_ps(last_t_ps_);
-  }
 
   // Ring capacity (0 = no ring); the TrialRunner sizes each per-trial
   // recorder from the one installed on the calling thread.
@@ -131,7 +196,8 @@ class FlightRecorder {
   bool ring_mode() const { return options_.ring > 0; }
   bool spilling() const { return file_ != nullptr && !ring_mode(); }
   const std::string& path() const { return options_.path; }
-  // True when a path was configured but the file could not be opened.
+  // True when a path was configured but the file could not be opened or
+  // written.
   bool failed() const { return failed_; }
 
   // Retained records in commit order (ring unwound, oldest first).
@@ -154,7 +220,6 @@ class FlightRecorder {
   std::uint64_t commits_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t chain_ = 14695981039346656037ull;  // FNV-1a offset basis
-  std::int64_t last_t_ps_ = 0;
   bool closed_ = false;
   bool failed_ = false;
 };
@@ -165,8 +230,8 @@ void encode_flight_record(const FlightRecord& record, unsigned char* out);
 FlightRecord decode_flight_record(const unsigned char* in);
 
 // Per-thread recorder the macro emits into; null disables flight
-// recording. Thread-local for the same reason as the tracer/metrics
-// slots: parallel trial workers record into their own instance, merged in
+// recording. Thread-local for the same reason as the metrics slot:
+// parallel trial workers record into their own instance, merged in
 // submission order — no locks on the hot path.
 inline FlightRecorder*& flight_slot() {
   thread_local FlightRecorder* recorder = nullptr;

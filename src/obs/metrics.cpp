@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/trace.h"  // json_escape
 
 namespace satin::obs {
 
@@ -160,6 +159,40 @@ const QuantileDigest* MetricsRegistry::find_digest(
     const std::string& name) const {
   const auto it = digests_.find(name);
   return it == digests_.end() ? nullptr : &it->second;
+}
+
+std::string json_escape(const std::string& raw) {
+  std::string out;
+  out.reserve(raw.size());
+  for (const char c : raw) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 namespace {

@@ -227,6 +227,9 @@ class MetricsRegistry {
   SlotTable<QuantileDigest> digest_slots_;
 };
 
+// Escapes a string for embedding inside a JSON string literal.
+std::string json_escape(const std::string& raw);
+
 // Per-thread registry the macros emit into; null disables metrics. The
 // slot is thread-local so parallel trial workers each write into their
 // own registry (installed by sim::TrialRunner around every trial) while

@@ -9,6 +9,8 @@
 #include <cstring>
 #include <optional>
 
+#include <sys/stat.h>
+
 #include "sim/engine.h"
 #include "sim/parallel.h"
 
@@ -131,11 +133,36 @@ bool malformed_jobs(const std::string& value) {
   return not_whole_number("--jobs", value, INT_MAX);
 }
 
+// True, after naming the flag on stderr, when `path` cannot be opened
+// for writing. The probe appends nothing and truncates nothing, and
+// removes a file it created, so a run refused for another flag leaves no
+// empty output behind.
+bool unwritable(const char* flag, const std::string& path) {
+  struct stat st {};
+  const bool existed = ::stat(path.c_str(), &st) == 0;
+  std::FILE* f = std::fopen(path.c_str(), "a");
+  if (f == nullptr) {
+    std::fprintf(stderr, "obs: %s=%s cannot be opened for writing: %s\n",
+                 flag, path.c_str(), std::strerror(errno));
+    return true;
+  }
+  std::fclose(f);
+  if (!existed) std::remove(path.c_str());
+  return false;
+}
+
+bool malformed_metrics(const std::string& value) {
+  return unwritable("--metrics", value);
+}
+
 // --flight=path[,ring=N]
 bool malformed_flight(const std::string& value) {
   const std::size_t comma = value.find(",ring=");
-  return comma != std::string::npos &&
-         not_whole_number("--flight ring", value.substr(comma + 6), SIZE_MAX);
+  if (comma != std::string::npos &&
+      not_whole_number("--flight ring", value.substr(comma + 6), SIZE_MAX)) {
+    return true;
+  }
+  return unwritable("--flight", value.substr(0, comma));
 }
 
 // Strips a bare "--<key>" switch from argv; true when it was present.
@@ -164,8 +191,7 @@ int ObsSession::jobs(int fallback) const {
 }
 
 ObsSession::ObsSession(int& argc, char** argv) {
-  trace_path_ = take_flag(argc, argv, "trace");
-  metrics_path_ = take_flag(argc, argv, "metrics");
+  metrics_path_ = take_flag(argc, argv, "metrics", malformed_metrics);
   metrics_stable_ = take_bool_flag(argc, argv, "metrics-stable");
   faults_spec_ = take_flag(argc, argv, "faults");
   // --flight=path[,ring=N]: path of the binary recording, optionally a
@@ -183,15 +209,6 @@ ObsSession::ObsSession(int& argc, char** argv) {
   const std::string jobs_value = take_flag(argc, argv, "jobs", malformed_jobs);
   if (!jobs_value.empty()) {
     jobs_ = static_cast<int>(*parse_whole_number(jobs_value, 0, INT_MAX));
-  }
-  // One flag should yield the full picture: a trace without an explicit
-  // metrics path still drops a snapshot next to it.
-  if (!trace_path_.empty() && metrics_path_.empty()) {
-    metrics_path_ = trace_path_ + ".metrics.json";
-  }
-  if (!trace_path_.empty()) {
-    recorder_ = std::make_unique<TraceRecorder>();
-    install_tracer(recorder_.get());
   }
   if (!metrics_path_.empty()) {
     registry_ = std::make_unique<MetricsRegistry>();
@@ -219,19 +236,6 @@ bool ObsSession::flush(const sim::Engine* engine) {
   if (flushed_) return true;
   flushed_ = true;
   bool ok = true;
-  if (recorder_ != nullptr) {
-    if (tracer() == recorder_.get()) install_tracer(nullptr);
-    if (!recorder_->write_chrome_json(trace_path_)) {
-      std::fprintf(stderr, "obs: failed to write trace %s\n",
-                   trace_path_.c_str());
-      ok = false;
-    }
-    if (!recorder_->write_jsonl(trace_path_ + ".jsonl")) {
-      std::fprintf(stderr, "obs: failed to write trace %s.jsonl\n",
-                   trace_path_.c_str());
-      ok = false;
-    }
-  }
   if (registry_ != nullptr) {
     if (engine != nullptr) snapshot_engine_metrics(*engine, *registry_);
     if (metrics() == registry_.get()) install_metrics(nullptr);

@@ -1,7 +1,7 @@
 // One-call observability wiring for examples and benches.
 //
-// ObsSession parses and strips `--trace=<file>` and `--metrics=<file>`
-// from argv, installs a global TraceRecorder / MetricsRegistry while
+// ObsSession parses and strips `--metrics=<file>` and `--flight=<file>`
+// from argv, installs a global MetricsRegistry / FlightRecorder while
 // alive, and writes the requested files when flushed (or destroyed).
 //
 //   int main(int argc, char** argv) {
@@ -11,10 +11,9 @@
 //     obs.flush(&system.engine());          // optional explicit flush
 //   }
 //
-// `--trace=out.json` writes Chrome trace-event JSON (open in Perfetto or
-// chrome://tracing) plus a JSONL twin at `out.json` + ".jsonl"; when no
-// `--metrics=` path is given a snapshot still lands next to the trace at
-// `out.json` + ".metrics.json", so one flag yields a full picture.
+// `--flight=run.flt` records every traced event (tools/satin_flightool
+// reads it; `satin_flightool chrome run.flt > run.json` opens in Perfetto
+// or chrome://tracing).
 #pragma once
 
 #include <memory>
@@ -23,7 +22,6 @@
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace satin::sim {
 class Engine;
@@ -42,8 +40,8 @@ void snapshot_engine_metrics(const sim::Engine& engine,
 
 class ObsSession {
  public:
-  // Consumes --trace= / --metrics= / --metrics-stable / --faults= /
-  // --jobs= / --flight= from argv (argc is rewritten). When no flag is
+  // Consumes --metrics= / --metrics-stable / --faults= / --jobs= /
+  // --flight= from argv (argc is rewritten). When no flag is
   // present the session installs nothing and costs nothing. The faults
   // spec is only stripped and stored — the obs layer knows nothing about
   // fault injection; pass faults_spec() to fault::install_from_spec() to
@@ -52,18 +50,19 @@ class ObsSession {
   // absent = the caller's fallback (typically 1). --flight=path[,ring=N]
   // records the engine's event-commit stream to a binary flight recording
   // (spill mode by default; ring=N keeps only the newest N records).
-  // A --jobs or ring= value that is not a whole number in range is
+  // A --jobs or ring= value that is not a whole number in range, and a
+  // --metrics or --flight file that cannot be opened for writing, is
   // reported, naming the flag, and left in argv, so the caller's
-  // reject_unconsumed_args() check fails the run. --metrics-stable omits
-  // volatile gauges (host wall time, allocator high-water marks) from the
-  // metrics snapshot, so identity gates can diff it verbatim.
+  // reject_unconsumed_args() check fails the run before it simulates
+  // anything. --metrics-stable omits volatile gauges (host wall time,
+  // allocator high-water marks) from the metrics snapshot, so identity
+  // gates can diff it verbatim.
   ObsSession(int& argc, char** argv);
   ~ObsSession();
 
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  bool trace_enabled() const { return recorder_ != nullptr; }
   bool metrics_enabled() const { return registry_ != nullptr; }
   bool flight_enabled() const { return flight_ != nullptr; }
   bool metrics_stable() const { return metrics_stable_; }
@@ -71,12 +70,10 @@ class ObsSession {
   // Parsed --jobs value; `fallback` when the flag was absent, one worker
   // per hardware thread when it was --jobs=0.
   int jobs(int fallback = 1) const;
-  const std::string& trace_path() const { return trace_path_; }
   const std::string& metrics_path() const { return metrics_path_; }
   const std::string& faults_spec() const { return faults_spec_; }
   const std::string& flight_path() const { return flight_path_; }
 
-  TraceRecorder* recorder() { return recorder_.get(); }
   MetricsRegistry* registry() { return registry_.get(); }
   FlightRecorder* flight_recorder() { return flight_.get(); }
 
@@ -87,13 +84,11 @@ class ObsSession {
   bool flush(const sim::Engine* engine = nullptr);
 
  private:
-  std::string trace_path_;
   std::string metrics_path_;
   std::string faults_spec_;
   std::string flight_path_;
   int jobs_ = -1;                // -1 = flag absent
   bool metrics_stable_ = false;
-  std::unique_ptr<TraceRecorder> recorder_;
   std::unique_ptr<MetricsRegistry> registry_;
   std::unique_ptr<FlightRecorder> flight_;
   bool flushed_ = false;

@@ -5,8 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/log.h"
 
 namespace satin::os {
@@ -405,8 +405,8 @@ void RichOs::program_tick(hw::CoreId core) {
 
 void RichOs::on_tick(hw::CoreId core) {
   CpuState& st = cpu(core);
-  SATIN_TRACE_INSTANT("os", "tick", platform_.engine().now(), core,
-                      obs::kWorldNormal);
+  SATIN_FLIGHT_RECORD(obs::FlightKind::kTick, platform_.engine().now(), 0,
+                      core, 0);
   SATIN_METRIC_INC("os.ticks");
   if (st.frozen) {
     // A tick pended across a secure stay lands here before our own

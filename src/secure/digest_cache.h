@@ -26,12 +26,13 @@
 // A cache constructed with enabled = false (or switched by set_enabled,
 // as core::SatinConfig::shadow_digest_cache does) runs in *shadow mode*:
 // the full bookkeeping still runs — so hit/miss/invalidation counters and
-// trace instants stay bit-identical to the enabled run — but the returned
+// digest_cache flight records stay bit-identical to the enabled run — but
+// the returned
 // digest is an independent full re-hash of the observed view, i.e.
 // exactly the pre-cache behavior. Shadow mode is the oracle of the tests:
 // digest_cache_test holds the two modes to identical round outcomes, and
 // the oracle sweep (tests/integration/oracle_sweep_test.cpp) to identical
-// journal records, metrics, traces and flight streams.
+// journal records, metrics and flight streams.
 #pragma once
 
 #include <cstdint>

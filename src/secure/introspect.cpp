@@ -4,7 +4,6 @@
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace satin::secure {
 
@@ -44,7 +43,6 @@ void Introspector::scan_async(hw::CoreId core, std::size_t offset,
   SATIN_FLIGHT_RECORD(obs::FlightKind::kScanStart, start, scans_, core,
                       (static_cast<std::uint64_t>(offset) << 32) |
                           static_cast<std::uint64_t>(length));
-  SATIN_TRACE_BEGIN("secure", "scan", start, core, obs::kWorldSecure);
 
   const sim::Duration total = sim::Duration::from_sec_f(
       per_byte_s * static_cast<double>(length));
@@ -70,21 +68,19 @@ void Introspector::scan_async(hw::CoreId core, std::size_t offset,
         ++scans_;
         SATIN_FLIGHT_RECORD(obs::FlightKind::kScanEnd, result.scan_end,
                             scans_ - 1, core, result.digest);
-        SATIN_TRACE_END("secure", "scan", result.scan_end, core,
-                        obs::kWorldSecure);
         // Cache observability. RoundOutcome bookkeeping is identical with
         // the cache enabled or in shadow mode, so these counters and
-        // instants are part of the bit-identity contract, not an
+        // records are part of the bit-identity contract, not an
         // exception to it. Simulated scan time above was already charged
         // in full — hits only save host time.
-        SATIN_TRACE_INSTANT_ARG(
-            "secure",
-            cached.bypassed
-                ? "digest_cache_bypass"
-                : (cached.chunk_misses == 0 ? "digest_cache_clean"
-                                            : "digest_cache_partial"),
-            result.scan_end, core, obs::kWorldSecure, "bytes_hashed",
-            cached.bytes_hashed);
+        SATIN_FLIGHT_RECORD(
+            obs::FlightKind::kDigestCache, result.scan_end, scans_ - 1, core,
+            (static_cast<std::uint64_t>(cached.bytes_hashed) << 2) |
+                static_cast<std::uint64_t>(
+                    cached.bypassed ? obs::FlightCacheOutcome::kBypass
+                    : cached.chunk_misses == 0
+                        ? obs::FlightCacheOutcome::kClean
+                        : obs::FlightCacheOutcome::kPartial));
         SATIN_METRIC_ADD("digest_cache.hits", cached.chunk_hits);
         SATIN_METRIC_ADD("digest_cache.misses", cached.chunk_misses);
         SATIN_METRIC_ADD("digest_cache.invalidations",

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "obs/flight/recorder.h"
-#include "obs/trace.h"
 #include "sim/log.h"
 
 namespace satin::sim {
@@ -211,8 +210,8 @@ bool Engine::fire_merged(Time limit) {
   slot.armed = false;
   now_ = next.when;
   ++keyed_fired_;
-  // The same commit the queued event would have made; the per-dispatch
-  // trace span and queue-depth sample are queue-only.
+  // The same commit the queued event would have made; the queue-depth
+  // sample is queue-only.
   SATIN_FLIGHT_RECORD(obs::FlightKind::kDispatch, now_, next.seq,
                       obs::kGlobalTrack, 0);
   run_.dispatching = next.index;
@@ -245,11 +244,7 @@ bool Engine::fire_queued(Time limit) {
   // dispatched identical work.
   SATIN_FLIGHT_RECORD(obs::FlightKind::kDispatch, now_, top.seq,
                       obs::kGlobalTrack, 0);
-  SATIN_TRACE_BEGIN("engine", "dispatch", now_, obs::kGlobalTrack,
-                    obs::kWorldNone);
   cb();
-  SATIN_TRACE_END("engine", "dispatch", now_, obs::kGlobalTrack,
-                  obs::kWorldNone);
   return true;
 }
 

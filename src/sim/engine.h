@@ -13,7 +13,7 @@
 // min-heap of (when, seq, index) entries whose vector keeps its capacity;
 // it holds a few dozen entries in every workload, because duty cycles and
 // loops run as keyed actions outside it. Every pop compares full
-// (when, seq), so stdout/--trace=/--metrics= stay byte-identical at any
+// (when, seq), so stdout/--metrics=/--flight= stay byte-identical at any
 // --jobs=J.
 #pragma once
 
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "obs/flight/recorder.h"
-#include "obs/trace.h"
 #include "sim/event_pool.h"
 #include "sim/inline_callback.h"
 #include "sim/time.h"

@@ -2,31 +2,28 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <exception>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
+#include "obs/flight/audit.h"
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "sim/time.h"
 
 namespace satin::sim {
 
 TrialObsScope::TrialObsScope(obs::MetricsRegistry* metrics,
-                             obs::TraceRecorder* tracer,
                              obs::FlightRecorder* flight)
-    : prev_metrics_(obs::metrics()),
-      prev_tracer_(obs::tracer()),
-      prev_flight_(obs::flight()) {
+    : prev_metrics_(obs::metrics()), prev_flight_(obs::flight()) {
   obs::install_metrics(metrics);
-  obs::install_tracer(tracer);
   obs::install_flight(flight);
 }
 
 TrialObsScope::~TrialObsScope() {
   obs::install_metrics(prev_metrics_);
-  obs::install_tracer(prev_tracer_);
   obs::install_flight(prev_flight_);
 }
 
@@ -54,30 +51,30 @@ double TrialRunner::trials_per_second() const {
 
 namespace {
 
-// The calling thread's sinks decide whether trials record at all and how
-// much each trial keeps: a per-trial recorder has its parent's trace
-// capacity or flight ring. The per-trial instances exist so workers never
-// contend on one registry and so the merged state is independent of
+// The calling thread's sinks decide whether trials record at all and how.
+// A per-trial flight recorder takes its parent's shape. Under a spilling
+// parent each trial spills to its own file beside the parent's, opened
+// only while the trial runs, and the merge streams each file in and
+// removes it, so no trial's stream sits in memory. Under a ring parent
+// each trial keeps a ring of the parent's size, and under an in-memory
+// parent it keeps everything. The per-trial instances exist so workers
+// never contend on one sink and so the merged state is independent of
 // completion order.
 struct PerTrialSinks {
   obs::MetricsRegistry* parent_metrics = obs::metrics();
-  obs::TraceRecorder* parent_tracer = obs::tracer();
   obs::FlightRecorder* parent_flight = obs::flight();
+  bool spill = parent_flight != nullptr && parent_flight->spilling();
   std::vector<std::unique_ptr<obs::MetricsRegistry>> metrics;
-  std::vector<std::unique_ptr<obs::TraceRecorder>> tracers;
-  std::vector<std::unique_ptr<obs::FlightRecorder>> flights;
+  std::vector<std::unique_ptr<obs::FlightRecorder>> flights;  // unless spill
+  std::vector<char> spilled;  // trial i's spill file was created
 
   explicit PerTrialSinks(std::size_t trials)
-      : metrics(trials), tracers(trials), flights(trials) {
+      : metrics(trials), flights(trials), spilled(trials, 0) {
     for (std::size_t i = 0; i < trials; ++i) {
       if (parent_metrics != nullptr) {
         metrics[i] = std::make_unique<obs::MetricsRegistry>();
       }
-      if (parent_tracer != nullptr) {
-        tracers[i] =
-            std::make_unique<obs::TraceRecorder>(parent_tracer->capacity());
-      }
-      if (parent_flight != nullptr) {
+      if (parent_flight != nullptr && !spill) {
         obs::FlightRecorder::Options fopts;  // in-memory; no path, no spill
         fopts.ring = parent_flight->ring_capacity();
         flights[i] = std::make_unique<obs::FlightRecorder>(fopts);
@@ -85,30 +82,73 @@ struct PerTrialSinks {
     }
   }
 
+  std::string spill_path(std::size_t i) const {
+    return parent_flight->path() + ".trial" + std::to_string(i);
+  }
+
+  // Runs trial i's body under its sinks, on whichever thread claimed it.
+  void run(std::size_t i, const std::function<void()>& body,
+           std::exception_ptr& error) {
+    std::unique_ptr<obs::FlightRecorder> file;
+    if (spill) {
+      obs::FlightRecorder::Options fopts;
+      fopts.path = spill_path(i);
+      file = std::make_unique<obs::FlightRecorder>(fopts);
+      // A recorder without its file would keep the whole stream in memory.
+      if (file->failed()) {
+        error = std::make_exception_ptr(
+            std::runtime_error("flight: cannot open " + fopts.path));
+        return;
+      }
+      spilled[i] = 1;
+    }
+    {
+      TrialObsScope scope(metrics[i].get(),
+                          spill ? file.get() : flights[i].get());
+      try {
+        body();
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+    if (file != nullptr && !file->close() && !error) {
+      error = std::make_exception_ptr(
+          std::runtime_error("flight: cannot write " + file->path()));
+    }
+  }
+
   // Merge in submission order, on the calling thread, after every trial
   // has settled.
-  void merge(const TrialSeedSeq& seeds) {
+  void merge(const TrialSeedSeq& seeds,
+             std::vector<std::exception_ptr>& errors) {
     for (std::size_t i = 0; i < metrics.size(); ++i) {
       if (metrics[i] != nullptr) parent_metrics->merge_from(*metrics[i]);
-      if (tracers[i] != nullptr) parent_tracer->append_from(*tracers[i]);
-      if (flights[i] != nullptr) {
-        // The trial-begin marker is emitted here, by the parent, rather
-        // than inside the trial: in ring mode it would be the trial's
-        // OLDEST record and the first one overwritten, losing the
-        // stream's trial boundaries exactly when the auditor needs them.
-        parent_flight->record(obs::FlightKind::kTrialBegin, Time::zero(),
-                              static_cast<std::uint64_t>(i),
-                              static_cast<int>(i), seeds.seed_for(i));
-        parent_flight->append_from(*flights[i]);
-        // A ring-bounded trial replays only the tail it kept. The closing
-        // record carries the trial's commit count and chain hash, which
-        // fold every record it committed, so the merged chain still
-        // covers each trial's full stream.
-        parent_flight->record(obs::FlightKind::kTrialEnd,
-                              flights[i]->last_commit_time(),
-                              flights[i]->commits(), static_cast<int>(i),
-                              flights[i]->chain_hash());
+      if (parent_flight == nullptr) continue;
+      if (!spill) {
+        const std::vector<obs::FlightRecord> kept = flights[i]->snapshot();
+        std::size_t k = 0;
+        parent_flight->append_trial(
+            i, seeds.seed_for(i), flights[i]->totals(),
+            [&kept, &k](obs::FlightRecord& rec) {
+              if (k == kept.size()) return false;
+              rec = kept[k++];
+              return true;
+            });
+        continue;
       }
+      if (spilled[i] == 0) continue;  // its trial already failed the run
+      const std::string path = spill_path(i);
+      obs::FlightReader reader;
+      if (reader.open(path)) {
+        parent_flight->append_trial(
+            i, seeds.seed_for(i), reader.totals(),
+            [&reader](obs::FlightRecord& rec) { return reader.next(rec); });
+      }
+      if (!reader.error().empty() && !errors[i]) {
+        errors[i] = std::make_exception_ptr(
+            std::runtime_error("flight: " + reader.error()));
+      }
+      std::remove(path.c_str());
     }
   }
 };
@@ -149,17 +189,11 @@ void TrialRunner::run(std::size_t trials,
 
   const auto run_one = [&](std::size_t i) {
     const TrialContext ctx{i, seeds_.seed_for(i)};
-    TrialObsScope scope(sinks.metrics[i].get(), sinks.tracers[i].get(),
-                        sinks.flights[i].get());
-    try {
-      fn(ctx);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
+    sinks.run(i, [&fn, &ctx] { fn(ctx); }, errors[i]);
   };
 
   run_pool(jobs_for(trials), trials, run_one);
-  sinks.merge(seeds_);
+  sinks.merge(seeds_, errors);
 
   trials_run_ += trials;
   wall_seconds_ += std::chrono::duration<double>(

@@ -9,9 +9,10 @@
 //
 //  * seeds come from TrialSeedSeq (root seed + trial index only);
 //  * every trial runs against its own thread-local MetricsRegistry /
-//    TraceRecorder / FlightRecorder (created only when the calling thread
-//    had one installed, and sized like it), merged back in submission
-//    order after all trials settle;
+//    FlightRecorder (created only when the calling thread had one
+//    installed, and shaped like it: a spilling recorder's trials spill to
+//    files beside it, a ring's keep rings of its size), merged back in
+//    submission order after all trials settle;
 //  * results land in submission-order slots, so aggregation code never
 //    observes completion order;
 //  * exceptions are captured per trial and the first (by submission
@@ -22,6 +23,7 @@
 // diff between jobs=1 and jobs=8 output is a bug by construction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <type_traits>
@@ -31,7 +33,6 @@
 
 namespace satin::obs {
 class MetricsRegistry;
-class TraceRecorder;
 class FlightRecorder;
 }  // namespace satin::obs
 
@@ -50,15 +51,18 @@ struct TrialContext {
 // matter where the trial runs.
 class TrialObsScope {
  public:
-  TrialObsScope(obs::MetricsRegistry* metrics, obs::TraceRecorder* tracer,
-                obs::FlightRecorder* flight);
+  TrialObsScope(obs::MetricsRegistry* metrics, obs::FlightRecorder* flight);
+  // The three-argument form of the retired trace slot, for callers not yet
+  // moved to two arguments.
+  TrialObsScope(obs::MetricsRegistry* metrics, std::nullptr_t,
+                obs::FlightRecorder* flight)
+      : TrialObsScope(metrics, flight) {}
   ~TrialObsScope();
   TrialObsScope(const TrialObsScope&) = delete;
   TrialObsScope& operator=(const TrialObsScope&) = delete;
 
  private:
   obs::MetricsRegistry* prev_metrics_;
-  obs::TraceRecorder* prev_tracer_;
   obs::FlightRecorder* prev_flight_;
 };
 

@@ -53,7 +53,7 @@ PersistedTrial run_and_persist(const CampaignSpec& spec, std::uint64_t index,
   obs::FlightRecorder flight;
   TrialResult result;
   {
-    sim::TrialObsScope sinks(&registry, nullptr, &flight);
+    sim::TrialObsScope sinks(&registry, &flight);
     result = run_campaign_trial(spec, index);
   }
   const std::string path = testing::TempDir() + "/campaign_trial_" + tag +

@@ -106,11 +106,11 @@ void expect_identical_runs(Run& oracle, Run& fast, const Drive& drive) {
   for (int stage = 0;; ++stage) {
     bool more = false;
     {
-      sim::TrialObsScope sinks(nullptr, nullptr, &oracle.flight);
+      sim::TrialObsScope sinks(nullptr, &oracle.flight);
       more = drive(oracle, stage);
     }
     {
-      sim::TrialObsScope sinks(nullptr, nullptr, &fast.flight);
+      sim::TrialObsScope sinks(nullptr, &fast.flight);
       EXPECT_EQ(drive(fast, stage), more);
     }
     ASSERT_EQ(fast.fingerprint(), oracle.fingerprint()) << "stage " << stage;

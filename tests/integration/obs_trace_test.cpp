@@ -1,26 +1,29 @@
 // End-to-end observability: run the quickstart scenario (SATIN catches a
-// GETTID rootkit) with a recorder + registry installed and check that the
-// trace tells a coherent story — spans pair up per core, the counters
-// agree with the simulation, and two same-seed runs trace identically.
+// GETTID rootkit) with a flight recorder + registry installed, draw the
+// recording with the Chrome exporter, and check that the timeline tells a
+// coherent story — spans pair up per core, the counters agree with the
+// simulation, and two same-seed runs draw identically.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cstdio>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 
 #include "attack/rootkit.h"
 #include "core/satin.h"
+#include "obs/flight/chrome.h"
+#include "obs/flight/recorder.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
-#include "obs/trace.h"
 #include "scenario/scenario.h"
+#include "sim/parallel.h"
 
 namespace satin {
 namespace {
 
 struct RunResult {
-  std::vector<obs::TraceEvent> events;
   std::string chrome_json;
   std::string metrics_json;
   std::uint64_t scans = 0;
@@ -29,13 +32,31 @@ struct RunResult {
   std::uint64_t detections = 0;
 };
 
-RunResult run_quickstart_traced() {
-  obs::TraceRecorder recorder(1u << 16);
-  obs::MetricsRegistry registry;
-  obs::install_tracer(&recorder);
-  obs::install_metrics(&registry);
+std::string export_chrome(const std::string& flight_path) {
+  obs::FlightReader reader;
+  EXPECT_TRUE(reader.open(flight_path)) << reader.error();
+  std::FILE* out = std::tmpfile();
+  EXPECT_NE(out, nullptr);
+  EXPECT_TRUE(obs::write_chrome_trace(reader, out));
+  std::string text;
+  std::rewind(out);
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), out)) > 0) text.append(buf, n);
+  std::fclose(out);
+  return text;
+}
 
+// `stem` names the recording, so tests running side by side do not share
+// a file.
+RunResult run_quickstart_recorded(const std::string& stem) {
+  const std::string path = testing::TempDir() + stem + ".flt";
+  obs::MetricsRegistry registry;
   {
+    obs::FlightRecorder::Options options;
+    options.path = path;
+    obs::FlightRecorder flight(options);
+    sim::TrialObsScope sinks(&registry, &flight);
     scenario::Scenario system;
     core::Satin satin(system.platform(), system.kernel(), system.tsp(),
                       core::SatinConfig{});
@@ -48,14 +69,12 @@ RunResult run_quickstart_traced() {
       system.run_for(sim::Duration::from_sec(5));
     }
     satin.stop();
+    EXPECT_TRUE(flight.close());
   }
 
-  obs::install_tracer(nullptr);
-  obs::install_metrics(nullptr);
-
   RunResult out;
-  out.events = recorder.snapshot();
-  out.chrome_json = recorder.to_chrome_json();
+  out.chrome_json = export_chrome(path);
+  std::remove(path.c_str());
   out.metrics_json = registry.to_json();
   auto counter = [&](const char* name) -> std::uint64_t {
     const obs::Counter* c = registry.find_counter(name);
@@ -68,23 +87,27 @@ RunResult run_quickstart_traced() {
   return out;
 }
 
-// (begins, ends) for one span name, grouped by core.
-std::map<int, std::pair<int, int>> span_balance(
-    const std::vector<obs::TraceEvent>& events, const char* name) {
-  std::map<int, std::pair<int, int>> by_core;
-  for (const auto& ev : events) {
-    if (std::strcmp(ev.name, name) != 0) continue;
-    if (ev.phase == obs::TracePhase::kBegin) ++by_core[ev.core].first;
-    if (ev.phase == obs::TracePhase::kEnd) ++by_core[ev.core].second;
+// (begins, ends) for one span name, grouped by track.
+std::map<int, std::pair<int, int>> span_balance(const std::string& json,
+                                                const std::string& name) {
+  std::map<int, std::pair<int, int>> by_track;
+  std::istringstream in(json);
+  std::string line;
+  const std::string head = "{\"name\":\"" + name + "\",";
+  while (std::getline(in, line)) {
+    if (line.rfind(head, 0) != 0) continue;
+    const int tid = std::stoi(line.substr(line.find("\"tid\":") + 6));
+    if (line.find("\"ph\":\"B\"") != std::string::npos) ++by_track[tid].first;
+    if (line.find("\"ph\":\"E\"") != std::string::npos) ++by_track[tid].second;
   }
-  return by_core;
+  return by_track;
 }
 
 TEST(ObsIntegrationTest, QuickstartTraceTellsACoherentStory) {
 #if !SATIN_OBS_ENABLED
   GTEST_SKIP() << "instrumentation compiled out (SATIN_ENABLE_OBS=OFF)";
 #endif
-  const RunResult run = run_quickstart_traced();
+  const RunResult run = run_quickstart_recorded("obs_quickstart_story");
 
   // The simulation did real work and the counters saw it.
   EXPECT_GT(run.scans, 0u);
@@ -97,38 +120,47 @@ TEST(ObsIntegrationTest, QuickstartTraceTellsACoherentStory) {
   EXPECT_LE(run.rounds - run.scans, 6u);
 
   // World-switch spans pair per core (the run ends outside the secure
-  // world, so every enter has its exit).
-  const auto switches = span_balance(run.events, "secure_world");
+  // world, so every enter has its exit), all on secure tracks.
+  const auto switches = span_balance(run.chrome_json, "secure_world");
   ASSERT_FALSE(switches.empty());
-  for (const auto& [core, be] : switches) {
-    EXPECT_EQ(be.first, be.second) << "unbalanced secure_world on core "
-                                   << core;
+  for (const auto& [tid, be] : switches) {
+    EXPECT_EQ(tid % 2, 0) << "secure_world off a secure track: " << tid;
+    EXPECT_EQ(be.first, be.second) << "unbalanced secure_world on track "
+                                   << tid;
     EXPECT_GT(be.first, 0);
+  }
+  // So do the switch spans, one of each per stay.
+  for (const char* name : {"world_switch_in", "world_switch_out"}) {
+    for (const auto& [tid, be] : span_balance(run.chrome_json, name)) {
+      EXPECT_EQ(be.first, be.second) << name << " on track " << tid;
+      EXPECT_EQ(be.first, switches.at(tid).first) << name << " on " << tid;
+    }
   }
 
   // Scan spans pair per core too; at most the final in-flight scan (cut
   // off by satin.stop()) may be open.
-  const auto scans = span_balance(run.events, "scan");
+  const auto scans = span_balance(run.chrome_json, "scan");
   ASSERT_FALSE(scans.empty());
   int total_begins = 0;
-  for (const auto& [core, be] : scans) {
+  for (const auto& [tid, be] : scans) {
     EXPECT_GE(be.first, be.second);
     EXPECT_LE(be.first - be.second, 1)
-        << "more than one dangling scan on core " << core;
+        << "more than one dangling scan on track " << tid;
     total_begins += be.first;
   }
-  EXPECT_GT(total_begins, 0);
+  EXPECT_GE(static_cast<std::uint64_t>(total_begins), run.scans);
 
-  // The exported JSON carries the per-core/world track metadata.
+  // The export carries the per-core/world track metadata and the engine's
+  // dispatch counter.
   EXPECT_NE(run.chrome_json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(run.chrome_json.find("core0/secure"), std::string::npos);
+  EXPECT_NE(run.chrome_json.find("\"dispatches_per_ms\""), std::string::npos);
   EXPECT_NE(run.metrics_json.find("introspect.scans"), std::string::npos);
 }
 
 TEST(ObsIntegrationTest, SameSeedRunsTraceIdentically) {
-  const RunResult a = run_quickstart_traced();
-  const RunResult b = run_quickstart_traced();
-  EXPECT_EQ(a.events.size(), b.events.size());
+  const RunResult a = run_quickstart_recorded("obs_quickstart_a");
+  const RunResult b = run_quickstart_recorded("obs_quickstart_b");
   EXPECT_EQ(a.chrome_json, b.chrome_json);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
 }

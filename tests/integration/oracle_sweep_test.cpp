@@ -46,7 +46,6 @@
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
-#include "obs/trace.h"
 #include "scenario/scenario.h"
 #include "sim/parallel.h"
 #include "sim/seed_seq.h"
@@ -124,7 +123,7 @@ TrialOutcome observe(const std::string& flight_path,
   obs::FlightRecorder flight(options);
   TrialOutcome out;
   {
-    sim::TrialObsScope sinks(&registry, nullptr, &flight);
+    sim::TrialObsScope sinks(&registry, &flight);
     try {
       body(out);
     } catch (const std::exception& e) {
@@ -236,14 +235,11 @@ void report_disagreement(
   record(path, b);
   std::string report = "flight recordings (satin_flightool diff " + a + " " +
                        b + "):\n";
-  obs::FlightLog log_a, log_b;
-  std::string error;
-  if (obs::read_flight_log(a, log_a, &error) &&
-      obs::read_flight_log(b, log_b, &error)) {
-    report += obs::diff_flight_logs(log_a, log_b).report;
-  } else {
-    report += error;
+  obs::FlightReader log_a, log_b;
+  if (log_a.open(a) && log_b.open(b)) {
+    report += obs::diff_flight_streams(log_a, log_b).report;
   }
+  report += log_a.error() + log_b.error();
   ADD_FAILURE() << what << report;
 }
 
@@ -734,8 +730,7 @@ struct CleanRounds {
   std::uint64_t rounds = 0;
   std::uint64_t alarms = 0;
   std::string metrics;  // stable JSON snapshot
-  std::string trace;    // JSONL
-  std::uint64_t flight_chain = 0;
+  std::uint64_t flight_chain = 0;  // covers the digest-cache outcomes too
   std::uint64_t flight_commits = 0;
 };
 
@@ -752,11 +747,10 @@ std::string stats_text(const secure::DigestCache::Stats& s) {
 // nearly every round re-hashes a byte-identical area.
 CleanRounds run_clean_rounds(bool shadow) {
   obs::MetricsRegistry registry;
-  obs::TraceRecorder tracer;
   obs::FlightRecorder::Options options;
   options.ring = 1;
   obs::FlightRecorder flight(options);
-  sim::TrialObsScope sinks(&registry, &tracer, &flight);
+  sim::TrialObsScope sinks(&registry, &flight);
   scenario::Scenario system;
   core::SatinConfig config;
   config.tp_s = 0.05;
@@ -776,7 +770,6 @@ CleanRounds run_clean_rounds(bool shadow) {
   out.rounds = satin.rounds();
   out.alarms = satin.alarm_count();
   out.metrics = registry.to_json(/*include_volatile=*/false);
-  out.trace = tracer.to_jsonl();
   out.flight_chain = flight.chain_hash();
   out.flight_commits = flight.commits();
   return out;
@@ -797,8 +790,6 @@ TEST(OracleSweep, CleanRoundsAgreeWithTheCacheShadowed) {
   EXPECT_EQ(first_difference(shadow.metrics, cached.metrics), "");
   if (!kObs) return;
   EXPECT_NE(cached.metrics.find("\"digest_cache.hits\""), std::string::npos);
-  EXPECT_FALSE(cached.trace.empty());
-  EXPECT_EQ(first_difference(shadow.trace, cached.trace), "");
   EXPECT_GT(cached.flight_commits, 0u);
   EXPECT_EQ(shadow.flight_commits, cached.flight_commits);
   EXPECT_EQ(shadow.flight_chain, cached.flight_chain);

@@ -10,6 +10,16 @@
 namespace satin::obs {
 namespace {
 
+TEST(JsonEscapeTest, EscapesSpecialCharacters) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
+  EXPECT_EQ(json_escape("a\tb"), "a\\tb");
+  EXPECT_EQ(json_escape("a\rb"), "a\\rb");
+  EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
+}
+
 TEST(CounterTest, IncrementsByOneAndDelta) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);

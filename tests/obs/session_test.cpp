@@ -39,40 +39,90 @@ std::string slurp(const std::string& path) {
 TEST(ObsSessionTest, NoFlagsInstallsNothing) {
   Argv argv({"prog", "-v"});
   ObsSession session(argv.argc, argv.ptrs.data());
-  EXPECT_FALSE(session.trace_enabled());
+  EXPECT_FALSE(session.flight_enabled());
   EXPECT_FALSE(session.metrics_enabled());
   EXPECT_EQ(argv.argc, 2);
-  EXPECT_EQ(tracer(), nullptr);
+  EXPECT_EQ(flight(), nullptr);
   EXPECT_EQ(metrics(), nullptr);
 }
 
-TEST(ObsSessionTest, StripsFlagsAndDerivesMetricsPath) {
-  const std::string trace = testing::TempDir() + "session_strip.trace.json";
-  Argv argv({"prog", "--trace=" + trace, "-v"});
+TEST(ObsSessionTest, StripsFlagsAndWritesMetricsAndFlight) {
+  const std::string metrics_path = testing::TempDir() + "session_strip.json";
+  const std::string flight_path = testing::TempDir() + "session_strip.flt";
+  Argv argv({"prog", "--metrics=" + metrics_path, "-v",
+             "--flight=" + flight_path});
   {
     ObsSession session(argv.argc, argv.ptrs.data());
-    EXPECT_TRUE(session.trace_enabled());
     EXPECT_TRUE(session.metrics_enabled());
-    EXPECT_EQ(session.trace_path(), trace);
-    EXPECT_EQ(session.metrics_path(), trace + ".metrics.json");
+    EXPECT_TRUE(session.flight_enabled());
+    EXPECT_EQ(session.metrics_path(), metrics_path);
+    EXPECT_EQ(session.flight_path(), flight_path);
     // The obs flags are gone; the program's own flags survive in order.
     ASSERT_EQ(argv.argc, 2);
     EXPECT_STREQ(argv.ptrs[0], "prog");
     EXPECT_STREQ(argv.ptrs[1], "-v");
-    EXPECT_NE(tracer(), nullptr);
+    EXPECT_NE(flight(), nullptr);
     EXPECT_NE(metrics(), nullptr);
   }
   // Destructor flushed the files and uninstalled the globals.
-  EXPECT_EQ(tracer(), nullptr);
+  EXPECT_EQ(flight(), nullptr);
   EXPECT_EQ(metrics(), nullptr);
-  EXPECT_NE(slurp(trace).find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(slurp(trace + ".metrics.json").find("\"counters\""),
-            std::string::npos);
+  EXPECT_NE(slurp(metrics_path).find("\"counters\""), std::string::npos);
+  FlightReader reader;
+  EXPECT_TRUE(reader.open(flight_path)) << reader.error();
+  EXPECT_TRUE(reader.has_footer());
+  std::remove(metrics_path.c_str());
+  std::remove(flight_path.c_str());
+}
+
+// An output the session cannot open is named and left in argv, so the
+// unconsumed-argument check fails the run before it simulates anything,
+// and nothing is installed for it.
+void expect_refused(const std::string& flag) {
+  Argv argv({"prog", flag});
+  testing::internal::CaptureStderr();
+  ObsSession session(argv.argc, argv.ptrs.data());
+  const std::string warning = testing::internal::GetCapturedStderr();
+  EXPECT_NE(warning.find("cannot be opened for writing"), std::string::npos)
+      << warning;
+  EXPECT_FALSE(session.metrics_enabled()) << flag;
+  EXPECT_FALSE(session.flight_enabled()) << flag;
+  EXPECT_EQ(metrics(), nullptr) << flag;
+  EXPECT_EQ(flight(), nullptr) << flag;
+  ASSERT_EQ(argv.argc, 2) << flag;
+  EXPECT_EQ(argv.ptrs[1], flag);
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(reject_unconsumed_args(argv.argc, argv.ptrs.data()));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: unrecognized argument '" + flag + "'\n");
+}
+
+TEST(ObsSessionTest, UnwritableMetricsFileFailsTheRun) {
+  expect_refused("--metrics=/nonexistent-dir-zzz/q.json");
+  expect_refused("--metrics=" + testing::TempDir());  // a directory
+  // A writable path is probed without leaving a file behind.
+  const std::string path = testing::TempDir() + "session_probe.json";
+  std::remove(path.c_str());
+  Argv argv({"prog", "--metrics=" + path, "-x"});
+  {
+    ObsSession session(argv.argc, argv.ptrs.data());
+    EXPECT_TRUE(session.metrics_enabled());
+    std::FILE* probe = std::fopen(path.c_str(), "r");
+    EXPECT_EQ(probe, nullptr);
+    if (probe != nullptr) std::fclose(probe);
+  }
+  EXPECT_NE(slurp(path).find("\"counters\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(ObsSessionTest, UnwritableFlightFileFailsTheRun) {
+  expect_refused("--flight=/nonexistent-dir-zzz/q.flt");
+  expect_refused("--flight=/nonexistent-dir-zzz/q.flt,ring=64");
 }
 
 TEST(ObsSessionTest, FlushWithEngineAddsSelfMetrics) {
-  const std::string trace = testing::TempDir() + "session_engine.trace.json";
-  Argv argv({"prog", "--trace=" + trace});
+  const std::string path = testing::TempDir() + "session_engine.json";
+  Argv argv({"prog", "--metrics=" + path});
   sim::Engine engine;
   engine.schedule_at(sim::Time::from_ms(1), [] {});
   engine.run_all();
@@ -106,11 +156,13 @@ TEST(ObsSessionTest, FlightFlagRecordsEngineCommits) {
   EXPECT_EQ(flight(), nullptr);
 #if SATIN_OBS_ENABLED
   {
-    FlightLog log;
-    ASSERT_TRUE(read_flight_log(path, log));
-    EXPECT_TRUE(log.has_footer);
-    EXPECT_EQ(log.commits, 5u);
-    for (const FlightRecord& r : log.records) {
+    FlightReader reader;
+    ASSERT_TRUE(reader.open(path)) << reader.error();
+    EXPECT_TRUE(reader.has_footer());
+    EXPECT_EQ(reader.totals().commits, 5u);
+    EXPECT_EQ(reader.records(), 5u);
+    FlightRecord r;
+    while (reader.next(r)) {
       EXPECT_EQ(r.kind, static_cast<std::uint16_t>(FlightKind::kDispatch));
     }
   }
@@ -212,7 +264,10 @@ TEST(ObsSessionTest, RetiredAndUnknownFlagsAreLeftForTheCaller) {
   // --batch and --fused belonged to the retired lockstep runner: the
   // session no longer consumes them, so the unconsumed-argument check
   // names them.
-  for (const std::string flag : {"--batch=8", "--fused=off", "--bogus"}) {
+  // --trace belonged to the retired trace recorder; --flight= records
+  // every event it did.
+  for (const std::string flag :
+       {"--batch=8", "--fused=off", "--trace=t.json", "--bogus"}) {
     Argv argv({"/path/to/bench", "--jobs=2", flag});
     ObsSession session(argv.argc, argv.ptrs.data());
     EXPECT_EQ(session.jobs(), 2) << flag;
@@ -255,12 +310,13 @@ TEST(ObsSessionTest, WholeNumbersAreDigitsOnlyAndInRange) {
   EXPECT_FALSE(parse_whole_number("6", 1, 5));
 }
 
-TEST(ObsSessionTest, MetricsOnlyRunWritesNoTrace) {
+TEST(ObsSessionTest, MetricsOnlyRunRecordsNoFlight) {
   const std::string path = testing::TempDir() + "session_only.metrics.json";
   Argv argv({"prog", "--metrics=" + path});
   {
     ObsSession session(argv.argc, argv.ptrs.data());
-    EXPECT_FALSE(session.trace_enabled());
+    EXPECT_FALSE(session.flight_enabled());
+    EXPECT_EQ(flight(), nullptr);
     EXPECT_TRUE(session.metrics_enabled());
   }
   EXPECT_NE(slurp(path).find("\"gauges\""), std::string::npos);

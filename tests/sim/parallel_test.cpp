@@ -1,22 +1,26 @@
 // TrialRunner: the determinism contract is the whole point — jobs=1 and
 // jobs=8 must produce byte-identical merged metrics, identically ordered
-// traces and identical result slots, because benches print from exactly
-// this machinery.
+// flight streams and identical result slots, because benches print from
+// exactly this machinery.
 #include "sim/parallel.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include "obs/flight/audit.h"
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/rng.h"
 #include "sim/seed_seq.h"
@@ -77,16 +81,15 @@ TEST(TrialRunner, SeedsMatchSeedSeqForAnyJobCount) {
 }
 
 // The per-trial workload every determinism test runs: counters keyed by
-// parity, one histogram, one gauge, a couple of trace events. Values
-// depend only on the trial index.
+// parity, one histogram, one gauge, a flight record. Values depend only
+// on the trial index.
 void emit_trial_obs(const TrialContext& ctx) {
   SATIN_METRIC_INC("trial.count");
   SATIN_METRIC_ADD("trial.index_sum", ctx.index);
   SATIN_METRIC_GAUGE_SET("trial.last_index", ctx.index);
   SATIN_METRIC_OBSERVE("trial.value", 1e-6 * static_cast<double>(ctx.index));
-  SATIN_TRACE_INSTANT_ARG("test", "trial", sim::Time::zero(),
-                          static_cast<int>(ctx.index % 4), obs::kWorldNormal,
-                          "index", ctx.index);
+  SATIN_FLIGHT_RECORD(obs::FlightKind::kNote, Time::from_us(1), ctx.index,
+                      static_cast<int>(ctx.index % 4), 0x7700 + ctx.index);
 }
 
 std::string run_and_snapshot_metrics(int jobs, std::size_t trials) {
@@ -175,26 +178,92 @@ TEST(TrialRunner, PooledEngineCountersAreByteIdenticalAcrossJobCounts) {
 #endif
 }
 
-TEST(TrialRunner, TraceEventsMergeInSubmissionOrder) {
-  for (int jobs : {1, 8}) {
-    obs::TraceRecorder recorder(1024);
-    obs::install_tracer(&recorder);
-    TrialRunnerOptions options;
-    options.jobs = jobs;
-    TrialRunner runner(options);
+// The merged stream of 20 trials recorded under a spilling parent at
+// `path`: each trial's file beside it is streamed in and removed.
+std::vector<obs::FlightRecord> spill_merge(int jobs, const std::string& path) {
+  {
+    obs::FlightRecorder::Options options;
+    options.path = path;
+    obs::FlightRecorder parent(options);
+    obs::install_flight(&parent);
+    TrialRunnerOptions runner_options;
+    runner_options.jobs = jobs;
+    TrialRunner runner(runner_options);
     runner.run(std::size_t{20}, emit_trial_obs);
-    obs::install_tracer(nullptr);
-    const auto events = recorder.snapshot();
-#if SATIN_OBS_ENABLED
-    ASSERT_EQ(events.size(), 20u) << "jobs=" << jobs;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      EXPECT_DOUBLE_EQ(events[i].arg_value, static_cast<double>(i))
-          << "jobs=" << jobs;
-    }
-#else
-    EXPECT_TRUE(events.empty());
-#endif
+    obs::install_flight(nullptr);
+    EXPECT_TRUE(parent.close());
   }
+  for (std::size_t i = 0; i < 20; ++i) {
+    const std::string trial = path + ".trial" + std::to_string(i);
+    std::FILE* left = std::fopen(trial.c_str(), "rb");
+    EXPECT_EQ(left, nullptr) << trial << " left behind, jobs=" << jobs;
+    if (left != nullptr) std::fclose(left);
+  }
+  obs::FlightReader reader;
+  EXPECT_TRUE(reader.open(path)) << reader.error();
+  std::vector<obs::FlightRecord> records;
+  obs::FlightRecord rec;
+  while (reader.next(rec)) records.push_back(rec);
+  EXPECT_EQ(reader.totals().commits, records.size());
+  std::remove(path.c_str());
+  return records;
+}
+
+TEST(TrialRunner, FlightRecordsMergeInSubmissionOrder) {
+  const std::string path = testing::TempDir() + "parallel_spill.flt";
+  const std::vector<obs::FlightRecord> serial = spill_merge(1, path);
+  const std::vector<obs::FlightRecord> parallel = spill_merge(8, path);
+  EXPECT_EQ(serial, parallel);
+  // Each trial: its begin marker, its one record (none when the macros
+  // are compiled out), its closing record.
+  const std::size_t recorded = SATIN_OBS_ENABLED ? 1 : 0;
+  const std::size_t per_trial = recorded + 2;
+  ASSERT_EQ(serial.size(), 20u * per_trial);
+  TrialSeedSeq seeds(TrialRunnerOptions{}.root_seed);
+  for (std::size_t i = 0; i < 20; ++i) {
+    const obs::FlightRecord& begin = serial[per_trial * i];
+    EXPECT_EQ(begin.kind,
+              static_cast<std::uint16_t>(obs::FlightKind::kTrialBegin));
+    EXPECT_EQ(begin.actor, static_cast<int>(i));
+    EXPECT_EQ(begin.payload, seeds.seed_for(i));
+    if (recorded > 0) {
+      const obs::FlightRecord& note = serial[per_trial * i + 1];
+      EXPECT_EQ(note.kind, static_cast<std::uint16_t>(obs::FlightKind::kNote));
+      EXPECT_EQ(note.payload, 0x7700 + i);
+    }
+    const obs::FlightRecord& end = serial[per_trial * i + per_trial - 1];
+    EXPECT_EQ(end.kind, static_cast<std::uint16_t>(obs::FlightKind::kTrialEnd));
+    EXPECT_EQ(end.seq, recorded);
+    EXPECT_EQ(end.t_ps, recorded > 0 ? 1'000'000 : 0);
+  }
+}
+
+TEST(TrialRunner, ATrialSpillThatCannotBeOpenedFailsTheRun) {
+  const std::string path = testing::TempDir() + "parallel_unopenable.flt";
+  // A directory where trial 3's spill file would go.
+  const std::string blocked = path + ".trial3";
+  ASSERT_EQ(::mkdir(blocked.c_str(), 0700), 0);
+  obs::FlightRecorder::Options options;
+  options.path = path;
+  obs::FlightRecorder parent(options);
+  obs::install_flight(&parent);
+  TrialRunnerOptions runner_options;
+  runner_options.jobs = 2;
+  TrialRunner runner(runner_options);
+  std::atomic<int> ran{0};
+  try {
+    runner.run(std::size_t{6}, [&ran](const TrialContext&) { ++ran; });
+    ADD_FAILURE() << "an unopenable trial spill must fail the run";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(blocked), std::string::npos)
+        << e.what();
+  }
+  obs::install_flight(nullptr);
+  // Trial 3 never ran into an in-memory recorder; the others did.
+  EXPECT_EQ(ran.load(), 5);
+  EXPECT_TRUE(parent.close());
+  std::remove(path.c_str());
+  ::rmdir(blocked.c_str());
 }
 
 // Two trials of ten flight records each, merged into a 4-record ring on
@@ -245,7 +314,7 @@ TEST(TrialRunner, RingMergedChainCoversRecordsBeforeTheKeptTail) {
 
   obs::FlightRecorder alone;
   {
-    TrialObsScope scope(nullptr, nullptr, &alone);
+    TrialObsScope scope(nullptr, &alone);
     record_ten(0xA, 1);
   }
   ASSERT_EQ(a.kept.size(), 4u);
@@ -259,7 +328,7 @@ TEST(TrialRunner, RingMergedChainCoversRecordsBeforeTheKeptTail) {
 
 TEST(TrialRunner, NoSinksInstalledMeansNoObsOverheadAndNoCrash) {
   obs::install_metrics(nullptr);
-  obs::install_tracer(nullptr);
+  obs::install_flight(nullptr);
   TrialRunnerOptions options;
   options.jobs = 4;
   TrialRunner runner(options);
@@ -356,11 +425,11 @@ TEST(TrialObsScope, NextEmissionAfterASwapLandsInTheNewRegistry) {
   obs::install_metrics(&outer);
   emit_scoped_probe();
   {
-    TrialObsScope scope(&trial, nullptr, nullptr);
+    TrialObsScope scope(&trial, nullptr);
     emit_scoped_probe();
     emit_scoped_probe();
     {
-      TrialObsScope silenced(nullptr, nullptr, nullptr);
+      TrialObsScope silenced(nullptr, nullptr);
       emit_scoped_probe();  // no registry: dropped
     }
     emit_scoped_probe();

@@ -19,10 +19,10 @@
 //
 // A flag value that is not a whole number in range (a positive number of
 // seconds for --timeout) is a usage error, and so is any argument left
-// over once the flags and SPEC are taken; both name the argument. So is
-// --trace=: workers record no trace events. Per-trial event streams come
-// from --flight= (read them with satin_flightool), per-trial counters
-// from --metrics=.
+// over once the flags and SPEC are taken; both name the argument, before
+// any journal exists. Per-trial event streams come from --flight= (read
+// them, or draw them for Perfetto, with satin_flightool), per-trial
+// counters from --metrics=.
 //
 // Exit codes: 0 = campaign complete, 2 = usage / spec / journal error,
 // 3 = campaign finished DEGRADED (some trials permanently failed; partial
@@ -241,18 +241,6 @@ int cmd_run(int argc, char** argv, bool resume, const std::string& jobs) {
 
 int main(int argc, char** argv) {
   const std::string jobs = take_flag(argc, argv, "jobs");
-  // Refused before ObsSession would take it and write an empty trace, and
-  // before any journal exists.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      std::fprintf(stderr,
-                   "satin_campaign: unrecognized argument '%s' (workers "
-                   "record no trace; use --flight= with satin_flightool, "
-                   "or --metrics=)\n",
-                   argv[i]);
-      return 2;
-    }
-  }
   // Installs --metrics= / --metrics-stable / --flight= sinks for this
   // (supervisor) thread; the campaign merges worker artifacts into them
   // in index order before the session flushes at exit.
