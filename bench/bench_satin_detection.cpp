@@ -13,7 +13,6 @@
 // of record); the extra replicas feed the seed-stability summary.
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -22,31 +21,6 @@
 #include "sim/parallel.h"
 
 namespace {
-
-// Strips --clean-rounds=<N> from argv; 0 = flag absent (run the duel).
-// A value that is not a whole number >= 1 is reported, naming the flag,
-// as nullopt.
-std::optional<std::uint64_t> take_clean_rounds(int& argc, char** argv) {
-  constexpr const char* kPrefix = "--clean-rounds=";
-  std::optional<std::uint64_t> rounds = 0;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kPrefix, std::strlen(kPrefix)) == 0) {
-      rounds = satin::obs::parse_whole_number(argv[i] + std::strlen(kPrefix),
-                                              1, UINT64_MAX);
-      if (!rounds) {
-        std::fprintf(stderr,
-                     "bench_satin_detection: %s: want a whole number >= 1\n",
-                     argv[i]);
-      }
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argv[out] = nullptr;
-  argc = out;
-  return rounds;
-}
 
 satin::core::SatinConfig clean_config() {
   satin::core::SatinConfig config;
@@ -110,12 +84,11 @@ int run_clean_rounds(std::uint64_t target) {
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
   using namespace satin;
-  const std::optional<std::uint64_t> clean_rounds =
-      take_clean_rounds(argc, argv);
-  if (!clean_rounds || satin::obs::reject_unconsumed_args(argc, argv)) {
-    return 2;
-  }
-  if (*clean_rounds > 0) return run_clean_rounds(*clean_rounds);
+  // --clean-rounds=N runs the clean-rounds workload instead of the duel.
+  const std::optional<unsigned long long> clean_rounds =
+      obs::take_whole_number(argc, argv, "clean-rounds", 1, UINT64_MAX);
+  if (obs::reject_unconsumed_args(argc, argv)) return 2;
+  if (clean_rounds) return run_clean_rounds(*clean_rounds);
   constexpr std::size_t kReplicas = 3;
 
   scenario::DuelConfig duel;

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "fault/injector.h"
@@ -49,41 +48,16 @@ struct ReplicaOutcome {
   bool ok = false;
 };
 
-// Strips --replicas=N from argv (anywhere), like ObsSession does for its
-// own flags; 1 when absent. A value that is not a whole number >= 1 is
-// reported, naming the flag, as nullopt.
-std::optional<std::size_t> take_replicas(int& argc, char** argv) {
-  std::optional<std::size_t> replicas = 1;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--replicas=", 11) == 0) {
-      replicas = satin::obs::parse_whole_number(argv[i] + 11, 1, SIZE_MAX);
-      if (!replicas) {
-        std::fprintf(stderr, "fault_storm: %s: want a whole number >= 1\n",
-                     argv[i]);
-      }
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argv[out] = nullptr;
-  argc = out;
-  return replicas;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace satin;
 
   obs::ObsSession obs(argc, argv);
-  const std::optional<std::size_t> replicas_flag = take_replicas(argc, argv);
+  const std::size_t replicas =
+      obs::take_whole_number(argc, argv, "replicas", 1, SIZE_MAX).value_or(1);
   const bool verbose = argc > 1 && std::strcmp(argv[1], "-v") == 0;
-  if (!replicas_flag ||
-      satin::obs::reject_unconsumed_args(argc, argv, verbose ? 2 : 1)) {
-    return 2;
-  }
-  const std::size_t replicas = *replicas_flag;
+  if (obs::reject_unconsumed_args(argc, argv, verbose ? 2 : 1)) return 2;
   if (verbose) sim::set_log_level(sim::LogLevel::kInfo);
   const bool custom_spec = obs.faults_requested();
   const std::string spec0 = custom_spec
@@ -131,7 +105,7 @@ int main(int argc, char** argv) {
         out.report = result.report;
         out.injected = result.faults_injected;
         out.ok = out.report.rounds >= duel.rounds_target &&
-                 out.report.target_always_flagged() &&
+                 out.report.satin_always_caught() &&
                  out.report.benign_confirmed_alarms == 0;
         return out;
       });

@@ -3,11 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <set>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 namespace satin::campaign {
 
@@ -38,6 +35,40 @@ bool parse_header(const std::string& line, CampaignJournal::Status& out) {
   return true;
 }
 
+// Replays a journal's `text`: the header line into `status`, each valid
+// record into `completed` (the first record of an index wins). A torn
+// tail (a final fragment without its newline: the artifact of a killed
+// append), a checksum-failing line and an index past the header's trial
+// count are quarantined instead: counted in `status`, and their trials
+// re-run. False when the first line is not a header.
+bool replay(const std::string& text, CampaignJournal::Status& status,
+            std::map<std::uint64_t, TrialResult>& completed) {
+  std::size_t pos = 0;
+  bool first = true;
+  while (pos < text.size()) {
+    const std::size_t nl = text.find('\n', pos);
+    const bool torn = nl == std::string::npos;
+    const std::string line =
+        text.substr(pos, torn ? std::string::npos : nl - pos);
+    pos = torn ? text.size() : nl + 1;
+    if (first) {
+      first = false;
+      if (torn || !parse_header(line, status)) return false;
+      continue;
+    }
+    if (line.empty()) continue;
+    TrialResult result;
+    if (torn || !decode_trial_record(line, result) ||
+        result.index >= status.trials) {
+      ++status.quarantined;
+      continue;
+    }
+    completed.emplace(result.index, result);
+  }
+  status.completed = completed.size();
+  return !first;
+}
+
 bool set_error(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
@@ -62,11 +93,7 @@ bool slurp(const std::string& path, std::string& out, bool& exists) {
 }
 
 bool flush_and_sync(std::FILE* f) {
-  if (std::fflush(f) != 0) return false;
-#ifndef _WIN32
-  if (fsync(fileno(f)) != 0) return false;
-#endif
-  return true;
+  return std::fflush(f) == 0 && fsync(fileno(f)) == 0;
 }
 
 }  // namespace
@@ -98,42 +125,21 @@ bool CampaignJournal::open(const std::string& path, const CampaignSpec& spec,
       header_line(spec.content_hash(), spec.trials, spec.root_seed);
 
   if (exists && !text.empty()) {
-    // Replay. Split on '\n'; a final fragment without a newline is the
-    // torn tail of a killed append — quarantine it, the trial re-runs.
-    std::size_t pos = 0;
-    bool first = true;
-    while (pos < text.size()) {
-      const std::size_t nl = text.find('\n', pos);
-      const bool torn = nl == std::string::npos;
-      const std::string line =
-          text.substr(pos, torn ? std::string::npos : nl - pos);
-      pos = torn ? text.size() : nl + 1;
-      if (first) {
-        first = false;
-        Status header;
-        if (torn || !parse_header(line, header)) {
-          return set_error(error, path + ": corrupt journal header");
-        }
-        if (line != expected_header) {
-          char buf[160];
-          std::snprintf(buf, sizeof(buf),
-                        ": journal belongs to a different campaign "
-                        "(spec=%016" PRIx64 " trials=%" PRIu64
-                        " root_seed=%" PRIu64 ")",
-                        header.spec_hash, header.trials, header.root_seed);
-          return set_error(error, path + buf);
-        }
-        continue;
-      }
-      if (line.empty()) continue;
-      TrialResult result;
-      if (torn || !decode_trial_record(line, result) ||
-          result.index >= spec.trials) {
-        ++quarantined_;
-        continue;
-      }
-      completed_.emplace(result.index, result);  // first record wins
+    Status header;
+    if (!replay(text, header, completed_)) {
+      return set_error(error, path + ": corrupt journal header");
     }
+    if (text.compare(0, text.find('\n'), expected_header) != 0) {
+      char buf[160];
+      std::snprintf(buf, sizeof(buf),
+                    ": journal belongs to a different campaign "
+                    "(spec=%016" PRIx64 " trials=%" PRIu64
+                    " root_seed=%" PRIu64 ")",
+                    header.spec_hash, header.trials, header.root_seed);
+      completed_.clear();
+      return set_error(error, path + buf);
+    }
+    quarantined_ = header.quarantined;
   }
 
   // A torn tail was quarantined above, but it is also still physically at
@@ -141,13 +147,11 @@ bool CampaignJournal::open(const std::string& path, const CampaignSpec& spec,
   // onto the fragment and corrupt BOTH. Cut the file back to the last
   // complete line before reopening for append.
   if (exists && !text.empty() && text.back() != '\n') {
-#ifndef _WIN32
-    const std::size_t last_nl = text.rfind('\n');
-    const std::size_t keep = last_nl == std::string::npos ? 0 : last_nl + 1;
+    // replay() refused a torn header, so a complete line is there to keep.
+    const std::size_t keep = text.rfind('\n') + 1;
     if (::truncate(path.c_str(), static_cast<off_t>(keep)) != 0) {
       return set_error(error, path + ": cannot trim torn tail");
     }
-#endif
   }
 
   file_ = std::fopen(path.c_str(), exists ? "ab" : "wb");
@@ -187,33 +191,10 @@ bool CampaignJournal::read_status(const std::string& path, Status& out,
   }
   if (!exists) return set_error(error, path + ": no such journal");
   if (text.empty()) return set_error(error, path + ": empty journal");
-
-  std::set<std::uint64_t> seen;
-  std::size_t pos = 0;
-  bool first = true;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    const bool torn = nl == std::string::npos;
-    const std::string line =
-        text.substr(pos, torn ? std::string::npos : nl - pos);
-    pos = torn ? text.size() : nl + 1;
-    if (first) {
-      first = false;
-      if (torn || !parse_header(line, out)) {
-        return set_error(error, path + ": corrupt journal header");
-      }
-      continue;
-    }
-    if (line.empty()) continue;
-    TrialResult result;
-    if (torn || !decode_trial_record(line, result) ||
-        result.index >= out.trials) {
-      ++out.quarantined;
-    } else {
-      seen.insert(result.index);
-    }
+  std::map<std::uint64_t, TrialResult> completed;
+  if (!replay(text, out, completed)) {
+    return set_error(error, path + ": corrupt journal header");
   }
-  out.completed = seen.size();
   return true;
 }
 

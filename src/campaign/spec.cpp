@@ -145,7 +145,7 @@ CampaignSpec parse_campaign_spec(const std::string& text,
   const JsonValue root = parse_json(text, source);
   const std::string where = "campaign";
   root.reject_unknown_keys(
-      where, {"name", "trials", "root_seed", "jobs", "shard_size", "batch",
+      where, {"name", "trials", "root_seed", "jobs", "batch",
               "trial_timeout_s", "max_retries", "platform", "satin", "duel",
               "attacker", "faults", "faults_reseed"});
 
@@ -165,10 +165,6 @@ CampaignSpec parse_campaign_spec(const std::string& text,
     const std::int64_t jobs = j->as_int("jobs");
     if (jobs < 1 || jobs > 256) j->fail("jobs: must be in [1, 256]");
     spec.jobs = static_cast<int>(jobs);
-  }
-  if (const JsonValue* j = root.find("shard_size")) {
-    spec.shard_size = j->as_uint("shard_size");
-    if (spec.shard_size == 0) j->fail("shard_size: must be at least 1");
   }
   if (const JsonValue* j = root.find("batch")) {
     const std::int64_t batch = j->as_int("batch");
@@ -261,7 +257,7 @@ std::uint64_t CampaignSpec::content_hash() const {
   fold_string(h, name);
   fold_value(h, trials);
   fold_value(h, root_seed);
-  // jobs / shard_size / timeout / retries are *runtime* knobs: they never
+  // jobs / timeout / retries are *runtime* knobs: they never
   // change any trial's result, so a resume may legally override them.
   fold_value(h, scenario.platform.num_little);
   fold_value(h, scenario.platform.num_big);

@@ -9,7 +9,7 @@
 //
 // Determinism contract: a trial's entire input is (spec, trial index).
 // Per-trial seeds come from sim::TrialSeedSeq(root_seed), so any worker
-// count, shard layout, crash/retry history or resume point replays a
+// count, crash/retry history or resume point replays a
 // trial bit-identically — the property every crash-identity gate and the
 // journal's resume path rely on.
 //
@@ -18,7 +18,6 @@
 //     "trials": 64,
 //     "root_seed": 99,
 //     "jobs": 4,
-//     "shard_size": 2,
 //     "trial_timeout_s": 120.0,
 //     "max_retries": 2,
 //     "platform": {"num_little": 4, "num_big": 2, "seed": 5936453},
@@ -44,7 +43,6 @@ struct CampaignSpec {
   std::uint64_t trials = 1;
   std::uint64_t root_seed = 0x5A71A57ull;
   int jobs = 1;                   // worker processes
-  std::uint64_t shard_size = 1;   // trial indices per dispatch batch
   double trial_timeout_s = 120.0; // host wall time before a trial is killed
   int max_retries = 2;            // re-dispatches per trial before giving up
   // Accepted and range-checked for old specs, but inert: every trial

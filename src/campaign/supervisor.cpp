@@ -9,6 +9,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -46,7 +47,7 @@ struct WorkerSlot {
   pid_t pid = -1;
   int cmd_fd = -1;  // supervisor writes commands here
   int res_fd = -1;  // supervisor reads heartbeats/results here
-  std::deque<std::uint64_t> inflight;  // dispatch order
+  std::optional<std::uint64_t> inflight;  // the trial it is running
   std::string read_buf;
   double last_activity = 0.0;
   int consecutive_crashes = 0;
@@ -227,8 +228,6 @@ class Supervisor {
   Supervisor(const CampaignSpec& spec, const CampaignOptions& options)
       : spec_(spec), options_(options) {
     jobs_ = options.jobs > 0 ? options.jobs : spec.jobs;
-    shard_size_ = options.shard_size > 0 ? options.shard_size
-                                         : spec.shard_size;
     timeout_s_ = options.trial_timeout_s > 0.0 ? options.trial_timeout_s
                                                : spec.trial_timeout_s;
     max_retries_ = options.max_retries >= 0 ? options.max_retries
@@ -266,11 +265,9 @@ class Supervisor {
       if (journal_.completed().count(i) == 0) pending_.push_back(i);
     }
 
-    // Per-trial metrics snapshots are a few KB, so they are ALWAYS
-    // recorded: a resume started with --metrics can then merge trials
-    // completed by an earlier metrics-less run. Flight recordings can be
-    // arbitrarily large, so those only exist when the session asks.
-    want_metrics_ = true;
+    // Flight recordings can be arbitrarily large, so, unlike the metrics
+    // snapshots (campaign/worker.h), they only exist when the session
+    // asks.
     want_flight_ = obs::flight() != nullptr;
     artifacts_dir_ = options_.journal_path + ".d";
     if (::mkdir(artifacts_dir_.c_str(), 0777) != 0 && errno != EEXIST) {
@@ -344,7 +341,6 @@ class Supervisor {
       ctx.cmd_fd = cmd_pipe[0];
       ctx.res_fd = res_pipe[1];
       ctx.artifacts_dir = artifacts_dir_;
-      ctx.want_metrics = want_metrics_;
       ctx.want_flight = want_flight_;
       worker_main(ctx);  // never returns
     }
@@ -356,7 +352,7 @@ class Supervisor {
     slot.alive = true;
     slot.quitting = false;
     slot.read_buf.clear();
-    slot.inflight.clear();
+    slot.inflight.reset();
     slot.last_activity = now_seconds();
     ++outcome.workers_spawned;
   }
@@ -373,33 +369,33 @@ class Supervisor {
     return true;
   }
 
-  // Tops a worker up to shard_size in-flight trials, in global index
-  // order. Dispatch order is deterministic; completion order is racy;
-  // nothing downstream reads completion order.
+  // Hands an idle worker the next pending trial, in global index order.
+  // Dispatch order is deterministic; completion order is racy; nothing
+  // downstream reads completion order.
   void top_up(WorkerSlot& slot, CampaignOutcome& outcome) {
-    while (slot.alive && !slot.retired &&
-           slot.inflight.size() < shard_size_ && !pending_.empty()) {
-      const std::uint64_t idx = pending_.front();
-      std::string cmd = "T " + std::to_string(idx);
-      if (chaos_kill_armed_ &&
-          idx == static_cast<std::uint64_t>(options_.chaos_kill_trial)) {
-        cmd += " kill";
-        chaos_kill_armed_ = false;  // first dispatch only: the retry runs
-      }
-      if (chaos_hang_armed_ &&
-          idx == static_cast<std::uint64_t>(options_.chaos_hang_trial)) {
-        cmd += " hang";
-        chaos_hang_armed_ = false;
-      }
-      if (!send_command(slot, cmd + "\n")) {
-        // Pipe already broken; the poll loop will reap the crash.
-        return;
-      }
-      pending_.pop_front();
-      slot.inflight.push_back(idx);
-      if (was_dispatched_.count(idx) != 0) ++outcome.retries;
-      was_dispatched_.insert(idx);
+    if (!slot.alive || slot.retired || slot.inflight || pending_.empty()) {
+      return;
     }
+    const std::uint64_t idx = pending_.front();
+    std::string cmd = "T " + std::to_string(idx);
+    if (chaos_kill_armed_ &&
+        idx == static_cast<std::uint64_t>(options_.chaos_kill_trial)) {
+      cmd += " kill";
+      chaos_kill_armed_ = false;  // first dispatch only: the retry runs
+    }
+    if (chaos_hang_armed_ &&
+        idx == static_cast<std::uint64_t>(options_.chaos_hang_trial)) {
+      cmd += " hang";
+      chaos_hang_armed_ = false;
+    }
+    if (!send_command(slot, cmd + "\n")) {
+      // Pipe already broken; the poll loop will reap the crash.
+      return;
+    }
+    pending_.pop_front();
+    slot.inflight = idx;
+    if (was_dispatched_.count(idx) != 0) ++outcome.retries;
+    was_dispatched_.insert(idx);
   }
 
   void handle_crash(WorkerSlot& slot, CampaignOutcome& outcome,
@@ -417,11 +413,11 @@ class Supervisor {
     if (timed_out) ++outcome.worker_timeouts;
     ++slot.consecutive_crashes;
 
-    // Return in-flight trials to the FRONT of the queue, preserving
-    // index order, with retry budgets decremented.
-    outcome.redispatches += slot.inflight.size();
-    for (auto it = slot.inflight.rbegin(); it != slot.inflight.rend(); ++it) {
-      const std::uint64_t idx = *it;
+    // Return the in-flight trial to the FRONT of the queue, preserving
+    // index order, with its retry budget decremented.
+    if (slot.inflight) {
+      const std::uint64_t idx = *slot.inflight;
+      ++outcome.redispatches;
       if (++retry_count_[idx] > max_retries_) {
         failed_.insert(idx);
         std::fprintf(stderr,
@@ -430,8 +426,8 @@ class Supervisor {
       } else {
         pending_.push_front(idx);
       }
+      slot.inflight.reset();
     }
-    slot.inflight.clear();
 
     if (slot.consecutive_crashes >= kSlotCrashLimit) {
       slot.retired = true;
@@ -462,7 +458,7 @@ class Supervisor {
   bool work_remains() const {
     if (!pending_.empty()) return true;
     for (const WorkerSlot& s : slots_) {
-      if (!s.inflight.empty()) return true;
+      if (s.inflight) return true;
     }
     return false;
   }
@@ -480,13 +476,13 @@ class Supervisor {
       handle_crash(slot, outcome, /*timed_out=*/false);
       return;
     }
-    if (slot.inflight.empty() || slot.inflight.front() != result.index) {
-      std::fprintf(stderr, "campaign: out-of-order record for trial %" PRIu64
+    if (slot.inflight != result.index) {
+      std::fprintf(stderr, "campaign: unexpected record for trial %" PRIu64
                            "\n", result.index);
       handle_crash(slot, outcome, /*timed_out=*/false);
       return;
     }
-    slot.inflight.pop_front();
+    slot.inflight.reset();
     slot.consecutive_crashes = 0;
     if (journal_.completed().count(result.index) == 0) {
       if (!journal_.append(result)) {
@@ -523,7 +519,7 @@ class Supervisor {
         if (!slot.alive) continue;
         fds.push_back(pollfd{slot.res_fd, POLLIN, 0});
         fd_slot.push_back(i);
-        if (!slot.inflight.empty()) {
+        if (slot.inflight) {
           next_deadline =
               std::min(next_deadline, slot.last_activity + timeout_s_);
         }
@@ -562,12 +558,12 @@ class Supervisor {
       // result within the timeout is killed and treated as crashed.
       const double now = now_seconds();
       for (WorkerSlot& slot : slots_) {
-        if (slot.alive && !slot.inflight.empty() &&
+        if (slot.alive && slot.inflight &&
             now - slot.last_activity > timeout_s_) {
           std::fprintf(stderr,
                        "campaign: worker pid %d timed out on trial %" PRIu64
                        " after %.1fs\n",
-                       static_cast<int>(slot.pid), slot.inflight.front(),
+                       static_cast<int>(slot.pid), *slot.inflight,
                        timeout_s_);
           handle_crash(slot, outcome, /*timed_out=*/true);
         }
@@ -677,7 +673,6 @@ class Supervisor {
   const CampaignSpec& spec_;
   const CampaignOptions& options_;
   int jobs_ = 1;
-  std::uint64_t shard_size_ = 1;
   double timeout_s_ = 120.0;
   int max_retries_ = 2;
   bool chaos_kill_armed_ = false;
@@ -690,7 +685,6 @@ class Supervisor {
   std::set<std::uint64_t> was_dispatched_;
   std::set<std::uint64_t> failed_;
   std::string artifacts_dir_;
-  bool want_metrics_ = false;
   bool want_flight_ = false;
   std::uint64_t artifacts_missing_ = 0;
 };

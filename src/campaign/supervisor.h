@@ -1,14 +1,14 @@
 // Campaign supervisor: process-isolated fan-out with crash identity.
 //
-// The supervisor forks `jobs` worker processes and feeds each a shard of
-// trial indices over a pipe pair; workers run trials (campaign/trial.h)
+// The supervisor forks `jobs` worker processes and feeds each one trial
+// index at a time over a pipe pair; workers run trials (campaign/trial.h)
 // against their own per-trial obs sinks, persist the obs artifacts, and
 // send back checksummed result records which the supervisor validates and
 // appends to the journal (fsync'd) before counting the trial done.
 //
 // Failure model, in order of escalation:
 //  * worker crash (any exit, SIGKILL included) — its in-flight trial
-//    indices go back to the front of the queue; each index retries up to
+//    goes back to the front of the queue; each index retries up to
 //    max_retries times with exponential backoff on the respawned slot;
 //  * worker wedge — no heartbeat ("B <idx>") or result within
 //    trial_timeout_s gets the worker SIGKILLed, then the crash path;
@@ -20,7 +20,7 @@
 //
 // Crash identity: trials are pure functions of (spec, index) and
 // aggregation is strictly index-ordered, so ANY schedule — jobs count,
-// shard layout, crashes, retries, re-dispatches, SIGKILL + resume — ends
+// crashes, retries, re-dispatches, SIGKILL + resume — ends
 // in byte-identical stats and (stable) metrics. CI enforces this
 // literally, with a chaos-injected run diffed against a jobs=1
 // uninterrupted one. The chaos_* knobs exist for that gate: they make a
@@ -44,7 +44,6 @@ struct CampaignOptions {
   // Runtime overrides; 0/-1 = take the spec's value. Never part of the
   // spec content hash, so a resume may change them freely.
   int jobs = 0;
-  std::uint64_t shard_size = 0;
   double trial_timeout_s = 0.0;
   int max_retries = -1;
   // `resume` refuses to start a fresh journal; `run` creates one.

@@ -93,11 +93,8 @@ void worker_main(const WorkerContext& ctx) {
       for (;;) pause();
     }
 
-    std::unique_ptr<obs::MetricsRegistry> metrics;
+    obs::MetricsRegistry metrics;
     std::unique_ptr<obs::FlightRecorder> flight;
-    if (ctx.want_metrics) {
-      metrics = std::make_unique<obs::MetricsRegistry>();
-    }
     if (ctx.want_flight) {
       obs::FlightRecorder::Options fopts;
       fopts.path = trial_flight_path(ctx.artifacts_dir, index);
@@ -106,7 +103,7 @@ void worker_main(const WorkerContext& ctx) {
 
     TrialResult result;
     {
-      sim::TrialObsScope sinks(metrics.get(), flight.get());
+      sim::TrialObsScope sinks(&metrics, flight.get());
       try {
         result = run_campaign_trial(*ctx.spec, index);
       } catch (const std::exception& e) {
@@ -119,14 +116,12 @@ void worker_main(const WorkerContext& ctx) {
     // Artifacts first, result record second: "in the journal" must imply
     // "artifacts durable".
     if (flight != nullptr && !flight->close()) _exit(4);
-    if (metrics != nullptr) {
-      std::string error;
-      if (!metrics->save_binary(trial_metrics_path(ctx.artifacts_dir, index),
-                                &error)) {
-        std::fprintf(stderr, "campaign worker: trial %llu: %s\n",
-                     static_cast<unsigned long long>(index), error.c_str());
-        _exit(4);
-      }
+    std::string error;
+    if (!metrics.save_binary(trial_metrics_path(ctx.artifacts_dir, index),
+                             &error)) {
+      std::fprintf(stderr, "campaign worker: trial %llu: %s\n",
+                   static_cast<unsigned long long>(index), error.c_str());
+      _exit(4);
     }
 
     write_line_or_die(ctx.res_fd, encode_trial_record(result) + "\n");

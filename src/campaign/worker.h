@@ -34,9 +34,10 @@ struct WorkerContext {
   const CampaignSpec* spec = nullptr;
   int cmd_fd = -1;   // read end: commands from the supervisor
   int res_fd = -1;   // write end: heartbeats and results
-  // Where per-trial obs artifacts go ("" = record nothing).
+  // Where per-trial obs artifacts go. Every trial saves its metrics
+  // snapshot there (a few KB), so a resume started with --metrics can
+  // merge trials an earlier metrics-less run completed.
   std::string artifacts_dir;
-  bool want_metrics = false;
   bool want_flight = false;
 };
 

@@ -52,13 +52,11 @@ void FaultInjector::note(FaultKind kind, int core) {
                       injected_total() - 1, core,
                       static_cast<std::uint64_t>(kind));
   SATIN_METRIC_INC("fault.injected");
-#if SATIN_OBS_ENABLED
   // The per-kind name is built at run time, so it cannot go through the
   // literal-only macros; injections are rare enough for a by-name lookup.
   if (obs::MetricsRegistry* metrics = obs::metrics()) {
     metrics->counter(std::string("fault.") + to_string(kind)).inc();
   }
-#endif
   SATIN_LOG(kDebug) << "fault: inject " << to_string(kind)
                     << (core >= 0 ? " on core " + std::to_string(core) : "");
 }

@@ -244,20 +244,8 @@ inline void install_flight(FlightRecorder* recorder) {
 
 }  // namespace satin::obs
 
-#ifndef SATIN_OBS_ENABLED
-#define SATIN_OBS_ENABLED 1
-#endif
-
-#if SATIN_OBS_ENABLED
-
 #define SATIN_FLIGHT_RECORD(kind, t, seq, actor, payload)                  \
   do {                                                                     \
     if (auto* satin_obs_fl_ = ::satin::obs::flight())                      \
       satin_obs_fl_->record((kind), (t), (seq), (actor), (payload));       \
   } while (0)
-
-#else  // !SATIN_OBS_ENABLED
-
-#define SATIN_FLIGHT_RECORD(kind, t, seq, actor, payload) ((void)0)
-
-#endif  // SATIN_OBS_ENABLED

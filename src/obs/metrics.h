@@ -8,8 +8,7 @@
 // histograms record distributions (probe staleness, switch durations).
 //
 // Components emit through SATIN_METRIC_* macros; with no registry
-// installed a macro is one pointer test, and -DSATIN_ENABLE_OBS=OFF
-// compiles the macros out entirely. An enabled emission costs a slot
+// installed a macro is one pointer test. An enabled emission costs a slot
 // lookup plus the add or observe itself: each macro site takes a site id
 // once per process (next_metric_site) and the registry caches, per id, a
 // pointer into its own name-keyed maps.
@@ -245,12 +244,6 @@ inline void install_metrics(MetricsRegistry* registry) {
 
 }  // namespace satin::obs
 
-#ifndef SATIN_OBS_ENABLED
-#define SATIN_OBS_ENABLED 1
-#endif
-
-#if SATIN_OBS_ENABLED
-
 // `name` must be a string literal (`"" name` rejects anything else), so
 // a site's id always comes with the same name. The site takes its id on
 // its first enabled emission and keeps it in a function-local static.
@@ -280,13 +273,3 @@ inline void install_metrics(MetricsRegistry* registry) {
 
 #define SATIN_METRIC_DIGEST_OBSERVE(name, value) \
   SATIN_OBS_METRIC_EMIT_(digest, name, observe(static_cast<double>(value)))
-
-#else  // !SATIN_OBS_ENABLED
-
-#define SATIN_METRIC_INC(name) ((void)0)
-#define SATIN_METRIC_ADD(name, delta) ((void)0)
-#define SATIN_METRIC_GAUGE_SET(name, value) ((void)0)
-#define SATIN_METRIC_OBSERVE(name, value) ((void)0)
-#define SATIN_METRIC_DIGEST_OBSERVE(name, value) ((void)0)
-
-#endif  // SATIN_OBS_ENABLED

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <optional>
 
 #include <sys/stat.h>
@@ -43,8 +44,8 @@ void snapshot_engine_metrics(const sim::Engine& engine,
   // so, unlike the wall gauges below, they are safe to snapshot inside
   // parallel trials at any --jobs.
   // Exception: the pool high-water mark depends on how many events are
-  // simultaneously live, which the ASan/obs-off builds perturb via
-  // callback storage sizes — volatile so --metrics-stable drops it.
+  // simultaneously live, which an ASan build perturbs via callback
+  // storage sizes — volatile so --metrics-stable drops it.
   registry.gauge("engine.pool_high_water")
       .set(static_cast<double>(engine.pool_high_water()));
   registry.gauge("engine.pool_high_water").mark_volatile();
@@ -56,12 +57,10 @@ void snapshot_engine_metrics(const sim::Engine& engine,
       .set(static_cast<double>(engine.callbacks_inline()));
   registry.gauge("engine.cb_fallback")
       .set(static_cast<double>(engine.callback_fallbacks()));
-#if SATIN_OBS_ENABLED
   // Engine-side queue-depth digest (sampled per dispatch, cheap integer
   // bit ops — no per-event map lookup). Deterministic: depth at each
   // dispatch is fixed by the schedule order.
   registry.digest("engine.queue_depth").merge_from(engine.queue_depth_digest());
-#endif
   if (!include_wall) return;
   registry.gauge("engine.wall_seconds").set(engine.wall_seconds());
   registry.gauge("engine.wall_seconds").mark_volatile();
@@ -92,21 +91,16 @@ bool reject_unconsumed_args(int argc, char* const* argv, int first) {
   return true;
 }
 
-namespace {
-
-// Strips "--<key>=<value>" from argv; returns the last value seen. An
-// argument whose value `malformed` flags stays in argv instead, where the
-// caller's unconsumed-argument check names it: a bad value fails the run
-// rather than falling back to a default.
 std::string take_flag(int& argc, char** argv, const char* key,
-                      bool (*malformed)(const std::string&) = nullptr) {
+                      const std::function<bool(const std::string&)>&
+                          malformed) {
   const std::string prefix = std::string("--") + key + "=";
   std::string value;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
       const std::string candidate = argv[i] + prefix.size();
-      if (malformed == nullptr || !malformed(candidate)) {
+      if (!malformed || !malformed(candidate)) {
         value = candidate;
         continue;
       }
@@ -118,20 +112,32 @@ std::string take_flag(int& argc, char** argv, const char* key,
   return value;
 }
 
-// True, after naming the flag on stderr, when `value` is not a whole
-// number in [0, max].
-bool not_whole_number(const char* flag, const std::string& value,
-                      unsigned long long max) {
-  if (parse_whole_number(value, 0, max)) return false;
-  std::fprintf(stderr, "obs: %s=%s not understood (want a whole number)\n",
-               flag, value.c_str());
-  return true;
+std::optional<unsigned long long> take_whole_number(int& argc, char** argv,
+                                                    const char* key,
+                                                    unsigned long long min,
+                                                    unsigned long long max) {
+  std::optional<unsigned long long> last;
+  take_flag(argc, argv, key, [&](const std::string& text) {
+    const std::optional<unsigned long long> n =
+        parse_whole_number(text, min, max);
+    if (n) {
+      last = n;
+      return false;
+    }
+    const char* slash = std::strrchr(argv[0], '/');
+    std::fprintf(stderr, "%s: --%s=%s: want a whole number ",
+                 slash != nullptr ? slash + 1 : argv[0], key, text.c_str());
+    if (max >= static_cast<unsigned long long>(INT_MAX)) {
+      std::fprintf(stderr, ">= %llu\n", min);
+    } else {
+      std::fprintf(stderr, "in [%llu, %llu]\n", min, max);
+    }
+    return true;
+  });
+  return last;
 }
 
-// --jobs=0 is meaningful: one worker per hardware thread.
-bool malformed_jobs(const std::string& value) {
-  return not_whole_number("--jobs", value, INT_MAX);
-}
+namespace {
 
 // True, after naming the flag on stderr, when `path` cannot be opened
 // for writing. The probe appends nothing and truncates nothing, and
@@ -159,7 +165,9 @@ bool malformed_metrics(const std::string& value) {
 bool malformed_flight(const std::string& value) {
   const std::size_t comma = value.find(",ring=");
   if (comma != std::string::npos &&
-      not_whole_number("--flight ring", value.substr(comma + 6), SIZE_MAX)) {
+      !parse_whole_number(value.substr(comma + 6), 0, SIZE_MAX)) {
+    std::fprintf(stderr, "obs: --flight=%s: ring= wants a whole number\n",
+                 value.c_str());
     return true;
   }
   return unwritable("--flight", value.substr(0, comma));
@@ -206,9 +214,9 @@ ObsSession::ObsSession(int& argc, char** argv) {
     flight_spec.resize(comma);
   }
   flight_path_ = flight_spec;
-  const std::string jobs_value = take_flag(argc, argv, "jobs", malformed_jobs);
-  if (!jobs_value.empty()) {
-    jobs_ = static_cast<int>(*parse_whole_number(jobs_value, 0, INT_MAX));
+  // --jobs=0 is meaningful: one worker per hardware thread.
+  if (const auto jobs = take_whole_number(argc, argv, "jobs", 0, INT_MAX)) {
+    jobs_ = static_cast<int>(*jobs);
   }
   if (!metrics_path_.empty()) {
     registry_ = std::make_unique<MetricsRegistry>();

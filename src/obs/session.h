@@ -16,6 +16,7 @@
 // or chrome://tracing).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -100,6 +101,23 @@ class ObsSession {
 std::optional<unsigned long long> parse_whole_number(const std::string& text,
                                                      unsigned long long min,
                                                      unsigned long long max);
+
+// Strips every "--<key>=<value>" from argv (argc is rewritten) and
+// returns the last value, "" when the flag is absent. An argument whose
+// value `malformed` flags stays in argv instead, where
+// reject_unconsumed_args() names it: a bad value fails the run rather
+// than falling back to a default.
+std::string take_flag(int& argc, char** argv, const char* key,
+                      const std::function<bool(const std::string&)>&
+                          malformed = nullptr);
+
+// take_flag for a whole number in [min, max]: the last one given, nullopt
+// when there is none. Any other value is reported on stderr, naming the
+// argument, and stays in argv.
+std::optional<unsigned long long> take_whole_number(int& argc, char** argv,
+                                                    const char* key,
+                                                    unsigned long long min,
+                                                    unsigned long long max);
 
 // Call once every flag the program reads has been stripped from argv:
 // names the first of argv[first..argc) on stderr as an unrecognized

@@ -81,8 +81,11 @@ struct DuelReport {
   std::uint64_t watchdog_fires = 0;
   std::uint64_t scan_retries = 0;
 
-  // §VI-B1 success criterion: every target-area round raised an alarm and
-  // the prober had neither false positives nor false negatives.
+  // §VI-B1 success criterion: SATIN examined the target area at least
+  // once, and every such round raised an alarm, confirmed or transient.
+  // Under a fault storm it is also the resilience criterion: injected
+  // faults caused no missed detection. The prober's false positives and
+  // negatives are not part of it.
   bool satin_always_caught() const {
     return target_area_rounds > 0 && target_area_alarms == target_area_rounds;
   }
@@ -90,12 +93,6 @@ struct DuelReport {
   // never alarmed.
   bool evader_always_escaped() const {
     return target_area_rounds > 0 && target_area_alarms == 0;
-  }
-  // Resilience success criterion: under a fault storm, every round over
-  // the tampered area still raised an alarm — confirmed or transient —
-  // i.e. injected faults caused no missed detection.
-  bool target_always_flagged() const {
-    return target_area_rounds > 0 && target_area_alarms == target_area_rounds;
   }
 };
 

@@ -235,10 +235,8 @@ bool Engine::fire_queued(Time limit) {
   now_ = top.when;
   pool_->release(top.index);
   ++fired_;
-#if SATIN_OBS_ENABLED
   // Depth AFTER the pop: the population the next pop works over.
   queue_depth_digest_.observe(static_cast<double>(queue_.size()));
-#endif
   // The flight record is the ground-truth commit: (when, seq) is exactly
   // the pair the queue ordered by, so two runs with identical streams
   // dispatched identical work.

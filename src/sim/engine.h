@@ -24,17 +24,11 @@
 #include <string>
 #include <vector>
 
+#include "obs/digest.h"
 #include "obs/flight/recorder.h"
 #include "sim/event_pool.h"
 #include "sim/inline_callback.h"
 #include "sim/time.h"
-
-#ifndef SATIN_OBS_ENABLED
-#define SATIN_OBS_ENABLED 1
-#endif
-#if SATIN_OBS_ENABLED
-#include "obs/digest.h"
-#endif
 
 namespace satin::sim {
 
@@ -204,18 +198,15 @@ class Engine {
   std::uint64_t callbacks_inline() const { return cb_inline_; }
   std::uint64_t callback_fallbacks() const { return cb_fallback_; }
 
-#if SATIN_OBS_ENABLED
   // Queue depth sampled at every dispatch into a mergeable log-bucket
   // digest (obs/digest.h). Owned by the engine rather than routed through
   // the metrics slot so the per-event cost is a few integer bit ops, not
   // a string-map lookup; obs/session.h folds it into the registry as
   // "engine.queue_depth". Deterministic for a fixed schedule, so trials
-  // merge bit-identically at any --jobs. Compiled out with the rest of
-  // the instrumentation under -DSATIN_ENABLE_OBS=OFF.
+  // merge bit-identically at any --jobs.
   const obs::QuantileDigest& queue_depth_digest() const {
     return queue_depth_digest_;
   }
-#endif
 
  private:
   struct QueueEntry {
@@ -296,9 +287,7 @@ class Engine {
   std::vector<QueueEntry> armed_;
   std::uint64_t keyed_fired_ = 0;
 
-#if SATIN_OBS_ENABLED
   obs::QuantileDigest queue_depth_digest_;
-#endif
 
   // Shared with every handle so a handle outliving the engine still finds
   // live pool state to (no-)op against.

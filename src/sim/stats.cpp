@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace satin::sim {
@@ -104,19 +103,6 @@ BoxStats make_box_stats(std::vector<double> samples) {
     }
   }
   return box;
-}
-
-std::string sci_row(const std::string& label,
-                    const std::vector<double>& values) {
-  std::string out;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%-24s", label.c_str());
-  out += buf;
-  for (double v : values) {
-    std::snprintf(buf, sizeof(buf), "  %12.3e", v);
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace satin::sim

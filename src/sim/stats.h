@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace satin::sim {
@@ -71,9 +70,5 @@ struct BoxStats {
 };
 
 BoxStats make_box_stats(std::vector<double> samples);
-
-// Renders a fixed-width table row of scientific-notation values; used by
-// the bench binaries to print paper-style tables.
-std::string sci_row(const std::string& label, const std::vector<double>& values);
 
 }  // namespace satin::sim

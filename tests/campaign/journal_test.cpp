@@ -204,6 +204,37 @@ TEST_F(JournalTest, OutOfRangeIndexIsQuarantined) {
   EXPECT_EQ(journal.completed().size(), 1u);
 }
 
+TEST_F(JournalTest, OpenAndReadStatusAgreeOnEveryKindOfDamage) {
+  std::string error;
+  {
+    CampaignJournal journal;
+    ASSERT_TRUE(journal.open(path_, spec_, &error)) << error;
+    ASSERT_TRUE(journal.append(sample_result(1)));   // checksum fails below
+    ASSERT_TRUE(journal.append(sample_result(12)));  // trials=8: out of range
+    ASSERT_TRUE(journal.append(sample_result(2)));
+    ASSERT_TRUE(journal.append(sample_result(3)));   // torn below
+  }
+  std::FILE* f = std::fopen(path_.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 70, SEEK_SET);  // inside record 1 (file line 2)
+  std::fputc('Z', f);
+  std::fseek(f, 0, SEEK_END);
+  const long size = std::ftell(f);
+  std::fclose(f);
+  ASSERT_EQ(::truncate(path_.c_str(), size - 9), 0);
+
+  // Status first: open() also trims the torn tail off the file.
+  CampaignJournal::Status status;
+  ASSERT_TRUE(CampaignJournal::read_status(path_, status, &error)) << error;
+  CampaignJournal journal;
+  ASSERT_TRUE(journal.open(path_, spec_, &error)) << error;
+  EXPECT_EQ(status.quarantined, 3u);
+  EXPECT_EQ(journal.quarantined(), status.quarantined);
+  EXPECT_EQ(status.completed, 1u);
+  EXPECT_EQ(journal.completed().size(), status.completed);
+  EXPECT_EQ(journal.completed().count(2), 1u);
+}
+
 TEST_F(JournalTest, ReadStatusCountsDistinctCompletedTrials) {
   std::string error;
   {

@@ -28,7 +28,6 @@ TEST(CampaignSpec, MinimalSpecGetsDefaults) {
   EXPECT_EQ(spec.trials, 4u);
   EXPECT_EQ(spec.name, "campaign");
   EXPECT_EQ(spec.jobs, 1);
-  EXPECT_EQ(spec.shard_size, 1u);
   EXPECT_EQ(spec.batch, 1);
   EXPECT_EQ(spec.max_retries, 2);
   EXPECT_TRUE(spec.faults.empty());
@@ -41,7 +40,6 @@ TEST(CampaignSpec, FullSpecRoundTripsEveryKnob) {
     "trials": 16,
     "root_seed": 99,
     "jobs": 4,
-    "shard_size": 2,
     "batch": 8,
     "trial_timeout_s": 33.5,
     "max_retries": 5,
@@ -57,7 +55,6 @@ TEST(CampaignSpec, FullSpecRoundTripsEveryKnob) {
   EXPECT_EQ(spec.trials, 16u);
   EXPECT_EQ(spec.root_seed, 99u);
   EXPECT_EQ(spec.jobs, 4);
-  EXPECT_EQ(spec.shard_size, 2u);
   EXPECT_EQ(spec.batch, 8);
   EXPECT_DOUBLE_EQ(spec.trial_timeout_s, 33.5);
   EXPECT_EQ(spec.max_retries, 5);
@@ -81,10 +78,12 @@ TEST(CampaignSpec, UnknownTopLevelKeyNamesTheKeyWithPosition) {
   EXPECT_NE(what.find("trails"), std::string::npos);
   // The typo is on line 2.
   EXPECT_NE(what.find("spec.json:2"), std::string::npos);
-  // Keys of the retired fork and lockstep shard backends are unknown keys
-  // now: a spec that still sets them fails at parse time instead of
+  // Keys of the retired fork and lockstep shard backends, and the retired
+  // dispatch batch size (a worker runs one trial at a time), are unknown
+  // keys now: a spec that still sets them fails at parse time instead of
   // silently running on the worker pool.
-  for (const std::string key : {"branches", "fork_prefix", "shard"}) {
+  for (const std::string key :
+       {"branches", "fork_prefix", "shard", "shard_size"}) {
     const std::string stale =
         parse_error("{\"trials\": 1,\n\n \"" + key + "\": 0}");
     EXPECT_NE(stale.find("\"" + key + "\""), std::string::npos) << stale;
@@ -149,7 +148,6 @@ TEST(CampaignSpec, ContentHashIgnoresRuntimeKnobs) {
   const CampaignSpec a = parse_campaign_spec(R"({"trials": 4})", "a");
   CampaignSpec b = a;
   b.jobs = 16;
-  b.shard_size = 8;
   b.batch = 8;
   b.trial_timeout_s = 1.0;
   b.max_retries = 9;

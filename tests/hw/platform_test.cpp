@@ -312,12 +312,8 @@ TEST(Gic, PendedSecureIrqReentersDuringTheExitNotification) {
   obs::install_metrics(previous);
   EXPECT_EQ(p.core(0).secure_entries(), 3u);
   const obs::Counter* reentries = registry.find_counter("hw.secure_reentries");
-#if SATIN_OBS_ENABLED
   ASSERT_NE(reentries, nullptr);
   EXPECT_EQ(reentries->value(), 1u);
-#else
-  EXPECT_EQ(reentries, nullptr);
-#endif
 }
 
 TEST(Gic, PendingCollapsesRepeatedRaises) {

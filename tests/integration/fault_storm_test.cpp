@@ -65,7 +65,7 @@ TEST(FaultStorm, DetectionGuaranteeSurvivesTheStorm) {
   EXPECT_GE(r.rounds, 57u);
   EXPECT_GE(r.full_cycles, 3u);
   ASSERT_GT(r.target_area_rounds, 0u);
-  EXPECT_TRUE(r.target_always_flagged())
+  EXPECT_TRUE(r.satin_always_caught())
       << r.target_area_alarms << " of " << r.target_area_rounds
       << " target-area rounds flagged";
   EXPECT_EQ(r.benign_confirmed_alarms, 0u)

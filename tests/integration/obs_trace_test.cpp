@@ -104,9 +104,6 @@ std::map<int, std::pair<int, int>> span_balance(const std::string& json,
 }
 
 TEST(ObsIntegrationTest, QuickstartTraceTellsACoherentStory) {
-#if !SATIN_OBS_ENABLED
-  GTEST_SKIP() << "instrumentation compiled out (SATIN_ENABLE_OBS=OFF)";
-#endif
   const RunResult run = run_quickstart_recorded("obs_quickstart_story");
 
   // The simulation did real work and the counters saw it.

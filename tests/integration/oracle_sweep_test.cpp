@@ -23,8 +23,6 @@
 // A mismatch prints the spec text and trial index (or the pass's name);
 // the first one in a test also writes both flight recordings, and
 // `satin_flightool diff A B` on them names the first divergent commit.
-// With -DSATIN_ENABLE_OBS=OFF no metric or flight record is emitted, and
-// only journal records (or scores) and engine counts are compared.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -53,8 +51,6 @@
 
 namespace satin {
 namespace {
-
-constexpr bool kObs = SATIN_OBS_ENABLED != 0;
 
 enum class Path { kDefault, kScalarDraws, kEventPerRound, kShadowCache };
 constexpr Path kOracles[] = {Path::kScalarDraws, Path::kEventPerRound,
@@ -195,7 +191,6 @@ std::string disagreements(const TrialOutcome& want, const TrialOutcome& got,
         << " keyed), want " << want.dispatches << " (" << keyed
         << " keyed)\n";
   }
-  if (!kObs) return out.str();
   const std::string metrics = first_difference(
       engine_too ? got.metrics : without_engine_lines(got.metrics),
       engine_too ? want.metrics : without_engine_lines(want.metrics));
@@ -223,7 +218,7 @@ void report_disagreement(
     const std::string& what, const std::string& stem, Path path,
     const std::function<void(Path, const std::string&)>& record) {
   static bool recorded = false;
-  if (!kObs || recorded) {
+  if (recorded) {
     ADD_FAILURE() << what;
     return;
   }
@@ -266,19 +261,13 @@ TrialOutcome expect_oracles_agree(const std::string& text,
           run_trial(on_path(spec, side), index, file);
         });
   }
-  if (kObs && !want.threw) {
+  if (!want.threw) {
     EXPECT_NE(want.metrics.find("\"engine.events_fired\""), std::string::npos)
         << "trial " << index << " of\n" << text;
     EXPECT_GT(want.flight_commits, 0u) << "trial " << index << " of\n"
                                        << text;
   }
   return want;
-}
-
-// Whether the trial reached a secure re-entry; vacuous when the metric
-// macros are compiled out.
-bool reentered(const TrialOutcome& outcome) {
-  return !kObs || outcome.reentries > 0;
 }
 
 // --- Fixed cases ---------------------------------------------------------
@@ -322,7 +311,7 @@ TEST(OracleSweep, FleetReentryTrialAgrees) {
   // during its exit notification (ROADMAP, open defects).
   const TrialOutcome fast =
       expect_oracles_agree(perfbench_spec(kFleetBody, 5), 68);
-  EXPECT_TRUE(reentered(fast));
+  EXPECT_GT(fast.reentries, 0u);
   EXPECT_NE(fast.record.find(" fn=1 "), std::string::npos) << fast.record;
 }
 
@@ -330,7 +319,7 @@ TEST(OracleSweep, StormReentryTrialWithEveryFaultKindAgrees) {
   // Input set 10, trial 5: all seven fault kinds, and a re-entered stay.
   const TrialOutcome fast =
       expect_oracles_agree(perfbench_spec(kStormBody, 10), 5);
-  EXPECT_TRUE(reentered(fast));
+  EXPECT_GT(fast.reentries, 0u);
   EXPECT_NE(fast.record.find(" inj="), std::string::npos) << fast.record;
   EXPECT_EQ(fast.record.find(" inj=0 "), std::string::npos) << fast.record;
 }
@@ -353,7 +342,7 @@ TEST(OracleSweep, FaultReproducerThrowsTheSameDiagnosticEverywhere) {
                              "thread (core 0, last thread 'kprober/0'"),
             std::string::npos)
       << fast.record;
-  EXPECT_TRUE(reentered(fast));
+  EXPECT_GT(fast.reentries, 0u);
 }
 
 TEST(OracleSweep, FaultedShortDuelsAgree) {
@@ -582,9 +571,7 @@ TrialOutcome expect_pass_paths_agree(const PassCase& pass) {
           run_pass(pass, side, file);
         });
   }
-  if (kObs) {
-    EXPECT_GT(want.flight_commits, 0u) << pass.name;
-  }
+  EXPECT_GT(want.flight_commits, 0u) << pass.name;
   return want;
 }
 
@@ -660,9 +647,7 @@ TEST(OracleSweep, FaultStormPassesAgree) {
   pass.name = "fault_storm_seed10";
   const TrialOutcome fast = expect_pass_paths_agree(pass);
   EXPECT_FALSE(fast.threw) << fast.record;
-  if (kObs) {
-    EXPECT_NE(fast.metrics.find("\"fault.injected\""), std::string::npos);
-  }
+  EXPECT_NE(fast.metrics.find("\"fault.injected\""), std::string::npos);
   // Replica 0's seed: a secure stay re-entered during its exit
   // notification (ROADMAP, open defects) freezes execl_throughput's core
   // with no compute pending, and every path throws the same diagnostic.
@@ -788,7 +773,6 @@ TEST(OracleSweep, CleanRoundsAgreeWithTheCacheShadowed) {
   EXPECT_EQ(shadow.rounds, cached.rounds);
   EXPECT_EQ(shadow.alarms, cached.alarms);
   EXPECT_EQ(first_difference(shadow.metrics, cached.metrics), "");
-  if (!kObs) return;
   EXPECT_NE(cached.metrics.find("\"digest_cache.hits\""), std::string::npos);
   EXPECT_GT(cached.flight_commits, 0u);
   EXPECT_EQ(shadow.flight_commits, cached.flight_commits);

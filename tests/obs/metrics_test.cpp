@@ -215,14 +215,10 @@ TEST(MetricsMacroTest, MacrosEmitIntoInstalledRegistry) {
   install_metrics(nullptr);
   SATIN_METRIC_INC("m.a");  // after uninstall: must not land
 
-#if SATIN_OBS_ENABLED
   EXPECT_EQ(reg.find_counter("m.a")->value(), 10u);
   EXPECT_DOUBLE_EQ(reg.find_gauge("m.g")->value(), 4.25);
   EXPECT_EQ(reg.find_histogram("m.h")->moments().count(), 1u);
   EXPECT_EQ(reg.find_digest("m.q")->count(), 1u);
-#else
-  EXPECT_EQ(reg.find_counter("m.a"), nullptr);
-#endif
 }
 
 TEST(MetricsRegistryTest, IdAndNameLookupsReturnTheSameMetric) {
@@ -242,8 +238,6 @@ TEST(MetricsRegistryTest, IdAndNameLookupsReturnTheSameMetric) {
   EXPECT_EQ(reg.histogram(next_metric_site(), "ids.custom").upper_bounds(),
             (std::vector<double>{1.0, 2.0}));
 }
-
-#if SATIN_OBS_ENABLED
 
 void emit_shared_site_a() { SATIN_METRIC_INC("m.shared"); }
 void emit_shared_site_b() { SATIN_METRIC_ADD("m.shared", 4); }
@@ -348,8 +342,6 @@ TEST(MetricsMacroTest, MacroSnapshotEqualsByNameSnapshot) {
   EXPECT_EQ(by_macro.find_counter("snap.branch_never_taken"), nullptr);
   EXPECT_EQ(by_macro.find_histogram("snap.hist_never_taken"), nullptr);
 }
-
-#endif  // SATIN_OBS_ENABLED
 
 }  // namespace
 }  // namespace satin::obs

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -139,12 +140,10 @@ TEST(ObsSessionTest, FlightFlagRecordsEngineCommits) {
   sim::Engine engine;
   {
     ObsSession session(argv.argc, argv.ptrs.data());
-#if SATIN_OBS_ENABLED
     ASSERT_TRUE(session.flight_enabled());
     EXPECT_EQ(session.flight_path(), path);
     EXPECT_EQ(session.flight_recorder()->ring_capacity(), 0u);
     EXPECT_EQ(flight(), session.flight_recorder());
-#endif
     ASSERT_EQ(argv.argc, 2);
     EXPECT_STREQ(argv.ptrs[1], "-k");
     for (int i = 1; i <= 5; ++i) {
@@ -154,7 +153,6 @@ TEST(ObsSessionTest, FlightFlagRecordsEngineCommits) {
     EXPECT_TRUE(session.flush(&engine));
   }
   EXPECT_EQ(flight(), nullptr);
-#if SATIN_OBS_ENABLED
   {
     FlightReader reader;
     ASSERT_TRUE(reader.open(path)) << reader.error();
@@ -166,7 +164,6 @@ TEST(ObsSessionTest, FlightFlagRecordsEngineCommits) {
       EXPECT_EQ(r.kind, static_cast<std::uint16_t>(FlightKind::kDispatch));
     }
   }
-#endif
   std::remove(path.c_str());
 }
 
@@ -174,12 +171,10 @@ TEST(ObsSessionTest, FlightRingSpecParsed) {
   const std::string path = testing::TempDir() + "session_flight_ring.bin";
   Argv argv({"prog", "--flight=" + path + ",ring=128"});
   ObsSession session(argv.argc, argv.ptrs.data());
-#if SATIN_OBS_ENABLED
   EXPECT_TRUE(session.flight_enabled());
   EXPECT_EQ(session.flight_path(), path);
   EXPECT_EQ(session.flight_recorder()->ring_capacity(), 128u);
   EXPECT_TRUE(session.flight_recorder()->ring_mode());
-#endif
   session.flush();
   std::remove(path.c_str());
   // strtoull alone would stop at the suffix and keep a 1-record ring. A
@@ -258,6 +253,29 @@ TEST(ObsSessionTest, MalformedJobsIsLeftForTheUnconsumedArgumentCheck) {
     EXPECT_EQ(testing::internal::GetCapturedStderr(),
               "prog: unrecognized argument '" + flag + "'\n");
   }
+}
+
+TEST(ObsSessionTest, TakeFlagKeepsTheLastValueAndLeavesMalformedOnes) {
+  Argv argv({"prog", "--n=1", "-x", "--n=two", "--n=3", "--nn=4"});
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(take_whole_number(argv.argc, argv.ptrs.data(), "n", 1, 5), 3u);
+  const std::string warning = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(warning, "prog: --n=two: want a whole number in [1, 5]\n");
+  ASSERT_EQ(argv.argc, 4);
+  EXPECT_STREQ(argv.ptrs[1], "-x");
+  EXPECT_STREQ(argv.ptrs[2], "--n=two");
+  EXPECT_STREQ(argv.ptrs[3], "--nn=4");
+  EXPECT_EQ(argv.ptrs[4], nullptr);
+  EXPECT_EQ(take_whole_number(argv.argc, argv.ptrs.data(), "m", 0, 9),
+            std::nullopt);
+  // Without a predicate every value is taken, the last one winning.
+  EXPECT_EQ(take_flag(argv.argc, argv.ptrs.data(), "n"), "two");
+  EXPECT_EQ(take_flag(argv.argc, argv.ptrs.data(), "nn",
+                      [](const std::string& v) { return v != "4"; }),
+            "4");
+  ASSERT_EQ(argv.argc, 2);
+  EXPECT_STREQ(argv.ptrs[1], "-x");
+  EXPECT_EQ(take_flag(argv.argc, argv.ptrs.data(), "n"), "");
 }
 
 TEST(ObsSessionTest, RetiredAndUnknownFlagsAreLeftForTheCaller) {

@@ -164,10 +164,8 @@ class ReferenceTraffic : public KeyedActionOwner {
   }
 
   void run(int rounds) {
-#if SATIN_OBS_ENABLED
     obs::FlightRecorder flight;
     obs::install_flight(&flight);
-#endif
     for (int i = 0; i < 40; ++i) act();
     for (int r = 0; r < rounds; ++r) {
       act();
@@ -190,7 +188,6 @@ class ReferenceTraffic : public KeyedActionOwner {
     // Drain: no new traffic, no re-arms, no bursts.
     budget_ = 0;
     engine.run_all();
-#if SATIN_OBS_ENABLED
     obs::install_flight(nullptr);
     std::vector<Key> recorded;
     for (const obs::FlightRecord& r : flight.snapshot()) {
@@ -199,7 +196,6 @@ class ReferenceTraffic : public KeyedActionOwner {
       }
     }
     EXPECT_EQ(recorded, dispatched);
-#endif
   }
 
   Engine engine;

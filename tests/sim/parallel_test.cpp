@@ -107,7 +107,6 @@ TEST(TrialRunner, MetricsSnapshotsAreByteIdenticalAcrossJobCounts) {
   const std::string serial = run_and_snapshot_metrics(1, 37);
   const std::string parallel = run_and_snapshot_metrics(8, 37);
   EXPECT_EQ(serial, parallel);
-#if SATIN_OBS_ENABLED
   // And the content is the deterministic fold of all trials.
   obs::MetricsRegistry registry;
   obs::install_metrics(&registry);
@@ -120,7 +119,6 @@ TEST(TrialRunner, MetricsSnapshotsAreByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(registry.counter("trial.index_sum").value(), 37u * 36u / 2u);
   EXPECT_DOUBLE_EQ(registry.gauge("trial.last_index").value(), 36.0);
   EXPECT_EQ(registry.histogram("trial.value").moments().count(), 37u);
-#endif
 }
 
 // Each trial runs a real pooled engine — seed-dependent traffic up to
@@ -173,9 +171,7 @@ TEST(TrialRunner, PooledEngineCountersAreByteIdenticalAcrossJobCounts) {
   const std::string serial = run_pooled_engine_trials(1, 12);
   const std::string parallel = run_pooled_engine_trials(8, 12);
   EXPECT_EQ(serial, parallel);
-#if SATIN_OBS_ENABLED
   EXPECT_NE(serial.find("engine_trial.pool_reuses"), std::string::npos);
-#endif
 }
 
 // The merged stream of 20 trials recorded under a spilling parent at
@@ -214,10 +210,8 @@ TEST(TrialRunner, FlightRecordsMergeInSubmissionOrder) {
   const std::vector<obs::FlightRecord> serial = spill_merge(1, path);
   const std::vector<obs::FlightRecord> parallel = spill_merge(8, path);
   EXPECT_EQ(serial, parallel);
-  // Each trial: its begin marker, its one record (none when the macros
-  // are compiled out), its closing record.
-  const std::size_t recorded = SATIN_OBS_ENABLED ? 1 : 0;
-  const std::size_t per_trial = recorded + 2;
+  // Each trial: its begin marker, its one record, its closing record.
+  constexpr std::size_t per_trial = 3;
   ASSERT_EQ(serial.size(), 20u * per_trial);
   TrialSeedSeq seeds(TrialRunnerOptions{}.root_seed);
   for (std::size_t i = 0; i < 20; ++i) {
@@ -226,15 +220,13 @@ TEST(TrialRunner, FlightRecordsMergeInSubmissionOrder) {
               static_cast<std::uint16_t>(obs::FlightKind::kTrialBegin));
     EXPECT_EQ(begin.actor, static_cast<int>(i));
     EXPECT_EQ(begin.payload, seeds.seed_for(i));
-    if (recorded > 0) {
-      const obs::FlightRecord& note = serial[per_trial * i + 1];
-      EXPECT_EQ(note.kind, static_cast<std::uint16_t>(obs::FlightKind::kNote));
-      EXPECT_EQ(note.payload, 0x7700 + i);
-    }
-    const obs::FlightRecord& end = serial[per_trial * i + per_trial - 1];
+    const obs::FlightRecord& note = serial[per_trial * i + 1];
+    EXPECT_EQ(note.kind, static_cast<std::uint16_t>(obs::FlightKind::kNote));
+    EXPECT_EQ(note.payload, 0x7700 + i);
+    const obs::FlightRecord& end = serial[per_trial * i + 2];
     EXPECT_EQ(end.kind, static_cast<std::uint16_t>(obs::FlightKind::kTrialEnd));
-    EXPECT_EQ(end.seq, recorded);
-    EXPECT_EQ(end.t_ps, recorded > 0 ? 1'000'000 : 0);
+    EXPECT_EQ(end.seq, 1u);
+    EXPECT_EQ(end.t_ps, 1'000'000);
   }
 }
 
@@ -373,10 +365,8 @@ TEST(TrialRunner, FailedTrialsStillMergeTheirPartialObs) {
                  }),
       std::runtime_error);
   obs::install_metrics(nullptr);
-#if SATIN_OBS_ENABLED
   EXPECT_EQ(registry.counter("attempted").value(), 10u);
   EXPECT_EQ(registry.counter("finished").value(), 9u);
-#endif
 }
 
 TEST(TrialRunner, JobsForClampsToTrialCountAndHardware) {
@@ -412,8 +402,6 @@ TEST(TrialRunner, ZeroTrialsWithSinksInstalledIsStillANoOp) {
   EXPECT_EQ(runner.trials_run(), 0u);
   EXPECT_EQ(registry.find_counter("never"), nullptr);
 }
-
-#if SATIN_OBS_ENABLED
 
 void emit_scoped_probe() { SATIN_METRIC_INC("scope.probe"); }
 
@@ -470,8 +458,6 @@ TEST(MetricSite, EightThreadsRacingAFreshLiteralShareOneMetric) {
               kEmits);
   }
 }
-
-#endif  // SATIN_OBS_ENABLED
 
 TEST(TrialRunner, MoreJobsThanTrialsRunsEachTrialExactlyOnce) {
   TrialRunnerOptions options;

@@ -98,12 +98,5 @@ TEST(BoxStats, RejectsEmpty) {
   EXPECT_THROW(make_box_stats({}), std::invalid_argument);
 }
 
-TEST(SciRow, FormatsLabelAndValues) {
-  const std::string row = sci_row("A53-Average", {1.07e-8, 1.08e-8});
-  EXPECT_NE(row.find("A53-Average"), std::string::npos);
-  EXPECT_NE(row.find("1.070e-08"), std::string::npos);
-  EXPECT_NE(row.find("1.080e-08"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace satin::sim

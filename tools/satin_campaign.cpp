@@ -31,7 +31,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -58,57 +57,24 @@ int usage() {
   return 2;
 }
 
-// Strips "--<key>=<value>" from argv, returning the value ("" if absent).
-std::string take_flag(int& argc, char** argv, const char* key) {
-  const std::string prefix = std::string("--") + key + "=";
-  std::string value;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      value = argv[i] + prefix.size();
-      continue;
+// Strips --timeout=<seconds> from argv into `out` (left alone when
+// absent). A value that is not a positive finite number stays in argv,
+// where one_positional names it.
+void take_timeout(int& argc, char** argv, double& out) {
+  satin::obs::take_flag(argc, argv, "timeout", [&out](const std::string& text) {
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || !(value > 0.0) ||
+        !std::isfinite(value)) {
+      std::fprintf(stderr,
+                   "satin_campaign: --timeout=%s: want a positive number of "
+                   "seconds\n",
+                   text.c_str());
+      return true;
     }
-    argv[out++] = argv[i];
-  }
-  argv[out] = nullptr;
-  argc = out;
-  return value;
-}
-
-// Parses --<key>=<text> as a whole number in [0, max] into `out`; an
-// absent flag (empty text) leaves `out` alone. Reports and returns false
-// on anything else: std::atoi would read "four" as 0, which for --jobs
-// means one worker per hardware thread and for --max-retries no retry.
-template <typename T>
-bool parse_count(const char* key, const std::string& text, T max, T& out) {
-  if (text.empty()) return true;
-  const auto value = satin::obs::parse_whole_number(
-      text, 0, static_cast<unsigned long long>(max));
-  if (!value) {
-    std::fprintf(stderr,
-                 "satin_campaign: --%s=%s: want a whole number in [0, %llu]\n",
-                 key, text.c_str(), static_cast<unsigned long long>(max));
+    out = value;
     return false;
-  }
-  out = static_cast<T>(*value);
-  return true;
-}
-
-// Like parse_count, for a positive finite number of seconds.
-bool parse_seconds(const char* key, const std::string& text, double& out) {
-  if (text.empty()) return true;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || !(value > 0.0) ||
-      !std::isfinite(value)) {
-    std::fprintf(stderr,
-                 "satin_campaign: --%s=%s: want a positive number of "
-                 "seconds\n",
-                 key, text.c_str());
-    return false;
-  }
-  out = value;
-  return true;
+  });
 }
 
 // True when argv[at] is the subcommand's one positional argument and
@@ -168,35 +134,44 @@ int cmd_validate(const char* spec_path) {
   return 0;
 }
 
-// `jobs` is the --jobs= text, which main() takes before ObsSession
-// would parse it leniently.
+// `jobs` is the --jobs= text, which main() takes before ObsSession,
+// whose --jobs range is wider than the campaign's.
 int cmd_run(int argc, char** argv, bool resume, const std::string& jobs) {
+  using satin::obs::take_whole_number;
   CampaignOptions options;
   options.require_existing_journal = resume;
-  options.journal_path = take_flag(argc, argv, "journal");
-  options.stats_path = take_flag(argc, argv, "out");
-  const std::string timeout = take_flag(argc, argv, "timeout");
-  const std::string retries = take_flag(argc, argv, "max-retries");
-  const std::string kill_trial = take_flag(argc, argv, "chaos-kill-trial");
-  const std::string hang_trial = take_flag(argc, argv, "chaos-hang-trial");
-  const std::string kill_after = take_flag(argc, argv, "chaos-kill-after");
-  constexpr auto kMaxIndex = std::numeric_limits<std::int64_t>::max();
-  if (!parse_count("jobs", jobs, 256, options.jobs) ||
-      !parse_seconds("timeout", timeout, options.trial_timeout_s) ||
-      !parse_count("max-retries", retries, 16, options.max_retries) ||
-      !parse_count("chaos-kill-trial", kill_trial, kMaxIndex,
-                   options.chaos_kill_trial) ||
-      !parse_count("chaos-hang-trial", hang_trial, kMaxIndex,
-                   options.chaos_hang_trial) ||
-      !parse_count("chaos-kill-after", kill_after,
-                   std::numeric_limits<std::uint64_t>::max(),
-                   options.chaos_supervisor_kill_after)) {
-    return 2;
+  options.journal_path = satin::obs::take_flag(argc, argv, "journal");
+  options.stats_path = satin::obs::take_flag(argc, argv, "out");
+  take_timeout(argc, argv, options.trial_timeout_s);
+  if (const auto n = take_whole_number(argc, argv, "max-retries", 0, 16)) {
+    options.max_retries = static_cast<int>(*n);
   }
-  // --jobs=0 asks for one worker per hardware thread; CampaignOptions
-  // reads 0 as "take the spec's value".
-  if (!jobs.empty() && options.jobs == 0) {
-    options.jobs = satin::sim::TrialRunner::hardware_jobs();
+  constexpr auto kMaxIndex = std::numeric_limits<std::int64_t>::max();
+  if (const auto n =
+          take_whole_number(argc, argv, "chaos-kill-trial", 0, kMaxIndex)) {
+    options.chaos_kill_trial = static_cast<std::int64_t>(*n);
+  }
+  if (const auto n =
+          take_whole_number(argc, argv, "chaos-hang-trial", 0, kMaxIndex)) {
+    options.chaos_hang_trial = static_cast<std::int64_t>(*n);
+  }
+  if (const auto n = take_whole_number(argc, argv, "chaos-kill-after", 0,
+                                       UINT64_MAX)) {
+    options.chaos_supervisor_kill_after = *n;
+  }
+  if (!jobs.empty()) {
+    const auto n = satin::obs::parse_whole_number(jobs, 0, 256);
+    if (!n) {
+      std::fprintf(stderr,
+                   "satin_campaign: --jobs=%s: want a whole number in "
+                   "[0, 256]\n",
+                   jobs.c_str());
+      return 2;
+    }
+    // --jobs=0 asks for one worker per hardware thread; CampaignOptions
+    // reads 0 as "take the spec's value".
+    options.jobs = *n == 0 ? satin::sim::TrialRunner::hardware_jobs()
+                           : static_cast<int>(*n);
   }
   if (!one_positional(argc, argv, 1)) return 2;
   const std::string spec_path = argv[1];
@@ -240,7 +215,7 @@ int cmd_run(int argc, char** argv, bool resume, const std::string& jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string jobs = take_flag(argc, argv, "jobs");
+  const std::string jobs = satin::obs::take_flag(argc, argv, "jobs");
   // Installs --metrics= / --metrics-stable / --flight= sinks for this
   // (supervisor) thread; the campaign merges worker artifacts into them
   // in index order before the session flushes at exit.

@@ -10,8 +10,9 @@
 // the recording is.
 //
 // Exit codes: 0 = ok / identical, 1 = divergence found, 2 = usage or
-// read error (a --limit or --context value that is not a whole number is
-// a usage error). CI's divergence-audit job gates directly on these.
+// read error (a --limit or --context value that is not a whole number,
+// and any other argument left over, is a usage error that names it).
+// CI's divergence-audit job gates directly on these.
 //
 // Merged recordings bracket each trial's records with a trial_begin
 // record (payload = trial seed) and a trial_end record (seq = the trial's
@@ -19,7 +20,6 @@
 // own process.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -44,30 +44,18 @@ int usage() {
   return 2;
 }
 
-// Parses "--<key>=<value>" out of argv; returns fallback when absent, and
-// nullopt, naming the argument, when a value is not a whole number.
-std::optional<std::size_t> take_size_flag(int& argc, char** argv,
-                                          const char* key,
-                                          std::size_t fallback) {
-  const std::string prefix = std::string("--") + key + "=";
-  std::optional<std::size_t> value = fallback;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      value = satin::obs::parse_whole_number(argv[i] + prefix.size(), 0,
-                                             SIZE_MAX);
-      if (!value) {
-        std::fprintf(stderr, "satin_flightool: %s: want a whole number\n",
-                     argv[i]);
-        return std::nullopt;
-      }
-      continue;
+// True when the command's `n` arguments, from argv[2] on, are all that
+// is left in argv. Otherwise names the first leftover flag (a malformed
+// --limit or --context value stays in argv), or prints the usage.
+bool only_operands(int argc, char** argv, int n) {
+  for (int i = 2; i < argc; ++i) {
+    if (argv[i][0] == '-') {
+      return !satin::obs::reject_unconsumed_args(argc, argv, i);
     }
-    argv[out++] = argv[i];
   }
-  argv[out] = nullptr;
-  argc = out;
-  return value;
+  if (argc == 2 + n) return true;
+  usage();
+  return false;
 }
 
 bool open(const char* path, FlightReader& reader) {
@@ -168,24 +156,23 @@ int cmd_chrome(const char* path) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
+  using satin::obs::take_whole_number;
   if (cmd == "dump") {
-    const auto limit = take_size_flag(argc, argv, "limit", SIZE_MAX);
-    if (!limit) return 2;
-    if (argc != 3) return usage();
-    return cmd_dump(argv[2], *limit);
+    const auto limit = take_whole_number(argc, argv, "limit", 0, SIZE_MAX);
+    if (!only_operands(argc, argv, 1)) return 2;
+    return cmd_dump(argv[2], limit.value_or(SIZE_MAX));
   }
   if (cmd == "stats") {
-    if (argc != 3) return usage();
+    if (!only_operands(argc, argv, 1)) return 2;
     return cmd_stats(argv[2]);
   }
   if (cmd == "diff") {
-    const auto context = take_size_flag(argc, argv, "context", 5);
-    if (!context) return 2;
-    if (argc != 4) return usage();
-    return cmd_diff(argv[2], argv[3], *context);
+    const auto context = take_whole_number(argc, argv, "context", 0, SIZE_MAX);
+    if (!only_operands(argc, argv, 2)) return 2;
+    return cmd_diff(argv[2], argv[3], context.value_or(5));
   }
   if (cmd == "chrome") {
-    if (argc != 3) return usage();
+    if (!only_operands(argc, argv, 1)) return 2;
     return cmd_chrome(argv[2]);
   }
   return usage();
