@@ -273,8 +273,8 @@ BENCHMARK(BM_EventChurnScheduleCancel);
 //
 // The duel is draw-bound (~672M truncated normals per full
 // bench_satin_detection run), so these benches measure the exact hot
-// paths the default batched draws take: the MT block refill and the
-// batched distribution kernels, each against its scalar per-draw oracle.
+// paths the default batched draws take: the MT block refill and the two
+// staleness-read streams, each against its scalar per-draw oracle.
 // All streams preallocate their block at construction, so the steady
 // state sits under the same zero-allocation gate as the event churn
 // benches: allocs_per_draw must be exactly 0.
@@ -350,24 +350,6 @@ void BM_DrawTruncatedNormal(benchmark::State& state) {
       });
 }
 BENCHMARK(BM_DrawTruncatedNormal)->Arg(0)->Arg(1);
-
-void BM_DrawExponential(benchmark::State& state) {
-  draw_stream_bench<satin::sim::ExponentialStream>(
-      state, [](satin::sim::Rng rng, satin::sim::DrawMode mode) {
-        return satin::sim::ExponentialStream(std::move(rng), kDrawMean, mode);
-      });
-}
-BENCHMARK(BM_DrawExponential)->Arg(0)->Arg(1);
-
-void BM_DrawLognormal(benchmark::State& state) {
-  draw_stream_bench<satin::sim::LognormalStream>(
-      state, [](satin::sim::Rng rng, satin::sim::DrawMode mode) {
-        // The spike model's parameterization (log-median 2.3e-4, σ 0.55).
-        return satin::sim::LognormalStream(std::move(rng), -8.377,  0.55,
-                                           mode);
-      });
-}
-BENCHMARK(BM_DrawLognormal)->Arg(0)->Arg(1);
 
 void BM_DrawCanonical(benchmark::State& state) {
   draw_stream_bench<satin::sim::CanonicalStream>(

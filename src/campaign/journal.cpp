@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 
 #include <unistd.h>
 
@@ -21,14 +20,16 @@ std::string header_line(std::uint64_t spec_hash, std::uint64_t trials,
   return buf;
 }
 
+// A header is exactly the line header_line() writes for its fields:
+// sscanf alone would also take trailing bytes, a 0x prefix or upper-case
+// hex, which open() then refuses as another campaign's header.
 bool parse_header(const std::string& line, CampaignJournal::Status& out) {
   unsigned long long spec = 0, trials = 0, root_seed = 0;
-  char magic[16] = {};
-  if (std::sscanf(line.c_str(), "%15s spec=%llx trials=%llu root_seed=%llu",
-                  magic, &spec, &trials, &root_seed) != 4) {
+  if (std::sscanf(line.c_str(), "%*s spec=%llx trials=%llu root_seed=%llu",
+                  &spec, &trials, &root_seed) != 3 ||
+      line != header_line(spec, trials, root_seed)) {
     return false;
   }
-  if (std::strcmp(magic, kHeaderMagic) != 0) return false;
   out.spec_hash = spec;
   out.trials = trials;
   out.root_seed = root_seed;

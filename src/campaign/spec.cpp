@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "fault/plan.h"
+#include "sim/fnv1a.h"
 
 namespace satin::campaign {
 
@@ -229,23 +230,15 @@ CampaignSpec load_campaign_spec(const std::string& path) {
 
 namespace {
 
-void fold(std::uint64_t& h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-}
-
 template <typename T>
 void fold_value(std::uint64_t& h, const T& value) {
-  fold(h, &value, sizeof(value));
+  h = sim::fnv1a(&value, sizeof(value), h);
 }
 
 void fold_string(std::uint64_t& h, const std::string& s) {
   const std::uint64_t len = s.size();
   fold_value(h, len);
-  fold(h, s.data(), s.size());
+  h = sim::fnv1a(s.data(), s.size(), h);
 }
 
 }  // namespace
@@ -253,7 +246,7 @@ void fold_string(std::uint64_t& h, const std::string& s) {
 std::uint64_t CampaignSpec::content_hash() const {
   // Canonical field-order fold; doubles hash by bit pattern so the hash is
   // exactly as strict as the determinism contract.
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = sim::kFnv1aOffsetBasis;
   fold_string(h, name);
   fold_value(h, trials);
   fold_value(h, root_seed);

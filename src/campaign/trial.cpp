@@ -6,20 +6,12 @@
 #include <cstring>
 
 #include "fault/plan.h"
+#include "sim/fnv1a.h"
 #include "sim/seed_seq.h"
 
 namespace satin::campaign {
 
 namespace {
-
-std::uint64_t fnv1a(const char* data, std::size_t len) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::uint64_t double_bits(double v) {
   std::uint64_t bits;
@@ -154,7 +146,7 @@ std::string encode_trial_record(const TrialResult& r) {
   append_field(body, "wdog", d.watchdog_fires);
   append_field(body, "sretry", d.scan_retries);
   append_field(body, "inj", r.faults_injected);
-  append_hex_field(body, "crc", fnv1a(body.data(), body.size()));
+  append_hex_field(body, "crc", sim::fnv1a(body.data(), body.size()));
   return body;
 }
 
@@ -173,7 +165,9 @@ bool decode_trial_record(const std::string& line, TrialResult& out,
   if (end == crc_text.c_str() || *end != '\0') {
     return fail("malformed checksum");
   }
-  if (stored != fnv1a(line.data(), crc_at)) return fail("checksum mismatch");
+  if (stored != sim::fnv1a(line.data(), crc_at)) {
+    return fail("checksum mismatch");
+  }
 
   TrialResult r;
   std::uint64_t gap_bits = 0, sims_bits = 0;

@@ -1,5 +1,6 @@
 #include "obs/session.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <climits>
@@ -9,6 +10,7 @@
 #include <cstring>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include <sys/stat.h>
 
@@ -40,7 +42,7 @@ void snapshot_engine_metrics(const sim::Engine& engine,
                ? static_cast<double>(engine.cancelled_popped()) / popped
                : 0.0);
   // Memory-model gauges (PR 5). All deterministic for a fixed event
-  // sequence — schedule order fixes pool recycling and callback storage —
+  // sequence — schedule order fixes pool recycling and the callback count —
   // so, unlike the wall gauges below, they are safe to snapshot inside
   // parallel trials at any --jobs.
   // Exception: the pool high-water mark depends on how many events are
@@ -55,8 +57,6 @@ void snapshot_engine_metrics(const sim::Engine& engine,
       .set(static_cast<double>(engine.pool_reuses()));
   registry.gauge("engine.cb_inline")
       .set(static_cast<double>(engine.callbacks_inline()));
-  registry.gauge("engine.cb_fallback")
-      .set(static_cast<double>(engine.callback_fallbacks()));
   // Engine-side queue-depth digest (sampled per dispatch, cheap integer
   // bit ops — no per-event map lookup). Deterministic: depth at each
   // dispatch is fixed by the schedule order.
@@ -83,11 +83,27 @@ std::optional<unsigned long long> parse_whole_number(const std::string& text,
   return std::nullopt;
 }
 
+namespace {
+
+// Every argument whose value a take_flag predicate refused, so that
+// reject_unconsumed_args can tell it from an argument no flag matched.
+// Flags are taken on the main thread before anything runs.
+std::vector<std::string>& refused_args() {
+  static std::vector<std::string> refused;
+  return refused;
+}
+
+}  // namespace
+
 bool reject_unconsumed_args(int argc, char* const* argv, int first) {
   if (first >= argc) return false;
   const char* slash = std::strrchr(argv[0], '/');
-  std::fprintf(stderr, "%s: unrecognized argument '%s'\n",
-               slash != nullptr ? slash + 1 : argv[0], argv[first]);
+  const std::vector<std::string>& refused = refused_args();
+  const bool was_refused =
+      std::find(refused.begin(), refused.end(), argv[first]) != refused.end();
+  std::fprintf(stderr, "%s: %s argument '%s'\n",
+               slash != nullptr ? slash + 1 : argv[0],
+               was_refused ? "refused" : "unrecognized", argv[first]);
   return true;
 }
 
@@ -104,6 +120,7 @@ std::string take_flag(int& argc, char** argv, const char* key,
         value = candidate;
         continue;
       }
+      refused_args().push_back(argv[i]);
     }
     argv[out++] = argv[i];
   }

@@ -120,10 +120,11 @@ std::optional<unsigned long long> take_whole_number(int& argc, char** argv,
                                                     unsigned long long max);
 
 // Call once every flag the program reads has been stripped from argv:
-// names the first of argv[first..argc) on stderr as an unrecognized
-// argument and returns true, or returns false when there is none. The
-// examples and benches exit 2 on true, so a misspelled or retired flag
-// fails instead of being silently ignored.
+// names the first of argv[first..argc) on stderr and returns true, or
+// returns false when there is none. An argument whose value take_flag
+// refused is named as refused, any other as unrecognized. The examples
+// and benches exit 2 on true, so a misspelled or retired flag, or a bad
+// value, fails instead of being silently ignored.
 bool reject_unconsumed_args(int argc, char* const* argv, int first = 1);
 
 }  // namespace satin::obs

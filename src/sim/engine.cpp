@@ -135,11 +135,7 @@ EventHandle Engine::enqueue(Time when, std::uint64_t seq, Callback cb) {
   s.callback = std::move(cb);
   s.when = when;
   s.queued = true;
-  if (s.callback.heap_allocated()) {
-    ++cb_fallback_;
-  } else {
-    ++cb_inline_;
-  }
+  ++cb_inline_;
   queue_.push_back(QueueEntry{when, seq, index});
   std::push_heap(queue_.begin(), queue_.end(), std::greater<QueueEntry>());
   // Lazy compaction: once dead entries outnumber live ones (and the queue

@@ -194,9 +194,8 @@ class Engine {
   std::uint64_t pool_slab_grows() const { return pool_->slab_grows(); }
   // Allocations served by recycling a previously released state.
   std::uint64_t pool_reuses() const { return pool_->reuses(); }
-  // Scheduled callbacks stored inline vs spilled to a heap fallback.
+  // Scheduled callbacks, each stored inline in its event state.
   std::uint64_t callbacks_inline() const { return cb_inline_; }
-  std::uint64_t callback_fallbacks() const { return cb_fallback_; }
 
   // Queue depth sampled at every dispatch into a mergeable log-bucket
   // digest (obs/digest.h). Owned by the engine rather than routed through
@@ -276,7 +275,6 @@ class Engine {
   bool stop_requested_ = false;
 
   std::uint64_t cb_inline_ = 0;
-  std::uint64_t cb_fallback_ = 0;
 
   // Keyed slots, a handful per engine (one per core of a RichOs). The
   // armed ones sit in armed_ as (when, seq, slot), ascending, so the

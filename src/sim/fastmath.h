@@ -116,8 +116,7 @@ SATIN_FM_INLINE double fm_log(double x) {
 
 // exp(x) for x in [-708, 692]: the range where the result scale fits a
 // single exponent-field add. Branch-free; the full-domain fm_exp below
-// routes the extreme tails elsewhere. This is the only path draw kernels
-// use (distribution arguments live within +-40 sigma of 0).
+// routes the extreme tails elsewhere.
 SATIN_FM_INLINE double fm_exp_core(double x) {
   using namespace fm_detail;
   // Nearest integer multiple of ln 2 via the shift trick (|t| << 2^51,

@@ -10,55 +10,42 @@
 // schedules stores its callback inline in the slab-pooled event state and
 // the steady-state event path performs zero heap allocations.
 //
-// Callables larger than kCapacity (or over-aligned, or with throwing
-// moves) still work: they fall back to a single heap allocation, and the
-// fallback is counted process-wide (inline_callback_fallbacks()) and
-// per-engine (Engine::callback_fallbacks()) so a capture that silently
-// outgrows the buffer shows up in metrics and the zero-alloc CI gate
-// instead of quietly re-introducing allocator traffic.
+// A callable larger than kCapacity, over-aligned or with a throwing move
+// does not convert to an InlineCallback: the fit is a constraint of the
+// constructor, so a capture that outgrows the buffer is a compile error
+// instead of allocator traffic on the event path.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace satin::sim {
 
-// Process-wide tally of InlineCallback constructions that spilled to the
-// heap. Monotonic, aggregated across threads; per-engine determinism-safe
-// counts live on Engine itself (this one exists so the allocation-gate
-// bench can name the culprit when it trips).
-inline std::atomic<std::uint64_t>& inline_callback_fallbacks() {
-  static std::atomic<std::uint64_t> count{0};
-  return count;
-}
-
 class InlineCallback {
  public:
   // Inline storage: fits every capture in the tree today (largest ~88 B,
-  // see header comment). Growing a capture past this is legal but costs
-  // one heap allocation per scheduled event — watch callback_fallbacks().
+  // see header comment).
   static constexpr std::size_t kCapacity = 128;
   static constexpr std::size_t kAlignment = alignof(std::max_align_t);
+
+  template <typename D>
+  static constexpr bool fits_inline() {
+    return sizeof(D) <= kCapacity && alignof(D) <= kAlignment &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
 
   InlineCallback() noexcept = default;
 
   template <typename F,
             typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, InlineCallback> &&
-                                        std::is_invocable_r_v<void, D&>>>
+                                        std::is_invocable_r_v<void, D&> &&
+                                        fits_inline<D>()>>
   InlineCallback(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = &inline_ops<D>;
-    } else {
-      *reinterpret_cast<void**>(storage_) = new D(std::forward<F>(f));
-      ops_ = &heap_ops<D>;
-      inline_callback_fallbacks().fetch_add(1, std::memory_order_relaxed);
-    }
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+    ops_ = &inline_ops<D>;
   }
 
   InlineCallback(InlineCallback&& other) noexcept { steal(other); }
@@ -79,21 +66,11 @@ class InlineCallback {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  // True when the stored callable spilled to the heap (capture larger
-  // than kCapacity, over-aligned, or not nothrow-movable).
-  bool heap_allocated() const noexcept { return ops_ != nullptr && ops_->heap; }
-
   void reset() noexcept {
     if (ops_ != nullptr) {
       ops_->destroy(storage_);
       ops_ = nullptr;
     }
-  }
-
-  template <typename D>
-  static constexpr bool fits_inline() {
-    return sizeof(D) <= kCapacity && alignof(D) <= kAlignment &&
-           std::is_nothrow_move_constructible_v<D>;
   }
 
  private:
@@ -102,7 +79,6 @@ class InlineCallback {
     // Move-constructs dst storage from src storage, leaving src destroyed.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void* storage) noexcept;
-    bool heap;
   };
 
   template <typename D>
@@ -114,17 +90,6 @@ class InlineCallback {
         from->~D();
       },
       [](void* s) noexcept { std::launder(reinterpret_cast<D*>(s))->~D(); },
-      false,
-  };
-
-  template <typename D>
-  static constexpr Ops heap_ops = {
-      [](void* s) { (**reinterpret_cast<D**>(s))(); },
-      [](void* dst, void* src) noexcept {
-        *reinterpret_cast<void**>(dst) = *reinterpret_cast<void**>(src);
-      },
-      [](void* s) noexcept { delete *reinterpret_cast<D**>(s); },
-      true,
   };
 
   void steal(InlineCallback& other) noexcept {

@@ -5,18 +5,9 @@
 
 #include <sys/mman.h>
 
-namespace satin::sim {
+#include "sim/fnv1a.h"
 
-namespace {
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-}  // namespace
+namespace satin::sim {
 
 void Mt19937_64::refill() {
   constexpr std::uint64_t kUpperMask = 0xFFFFFFFF80000000ull;
@@ -67,15 +58,8 @@ void Mt19937_64::generate_block(result_type* out, std::size_t n) {
 }
 
 Rng Rng::fork(std::string_view name) {
-  const std::uint64_t mixed = fnv1a(name) ^ next_u64();
+  const std::uint64_t mixed = fnv1a(name.data(), name.size()) ^ next_u64();
   return Rng(mixed);
-}
-
-double Rng::triangular(double lo, double mode, double hi) {
-  const double u = uniform();
-  const double c = (mode - lo) / (hi - lo);
-  if (u < c) return lo + std::sqrt(u * (hi - lo) * (mode - lo));
-  return hi - std::sqrt((1.0 - u) * (hi - lo) * (hi - mode));
 }
 
 // --------------------------------------------------------------------------
@@ -133,10 +117,10 @@ void unmap_pages(void* p, std::size_t bytes) noexcept { ::munmap(p, bytes); }
 }  // namespace detail
 
 // --------------------------------------------------------------------------
-// Block streams. Refills run whole kernel chunks, so buffers carry one
-// chunk of head-room past the block target; everything is sized in the
-// constructor — steady-state draws never allocate (the bench_micro churn
-// gate covers this).
+// Block streams. The truncated-normal refill runs whole kernel chunks, so
+// its buffer carries one chunk of head-room past the block target; every
+// buffer is sized in the constructor — steady-state draws never allocate
+// (the bench_micro churn gate covers this).
 
 CanonicalStream::CanonicalStream(Rng rng, DrawMode mode, std::size_t block)
     : rng_(rng), mode_(mode), block_(block < 1 ? 1 : block) {
@@ -146,29 +130,6 @@ CanonicalStream::CanonicalStream(Rng rng, DrawMode mode, std::size_t block)
 void CanonicalStream::refill() {
   detail::draw_kernels().canonical_block(rng_.engine(), buf_.data(), block_);
   size_ = block_;
-  pos_ = 0;
-}
-
-NormalStream::NormalStream(Rng rng, double mean, double stddev, DrawMode mode,
-                           std::size_t block)
-    : rng_(rng),
-      mean_(mean),
-      stddev_(stddev),
-      mode_(mode),
-      block_(block < 1 ? 1 : block) {
-  if (mode_ == DrawMode::kBatched) {
-    buf_.resize(block_ + detail::kKernelChunkPairs);
-  }
-}
-
-void NormalStream::refill() {
-  const detail::DrawKernels& k = detail::draw_kernels();
-  std::size_t n = 0;
-  while (n < block_) {
-    n = k.normal_block(rng_.engine(), mean_, stddev_, buf_.data(), n,
-                       detail::kKernelChunkPairs);
-  }
-  size_ = n;
   pos_ = 0;
 }
 
@@ -195,42 +156,6 @@ void TruncatedNormalStream::refill() {
     n = k.truncated_normal_block(rng_.engine(), mean_, stddev_, lo_, hi_,
                                  &misses_, buf_.data(), n,
                                  detail::kKernelChunkPairs);
-  }
-  size_ = n;
-  pos_ = 0;
-}
-
-ExponentialStream::ExponentialStream(Rng rng, double mean, DrawMode mode,
-                                     std::size_t block)
-    : rng_(rng), mean_(mean), mode_(mode), block_(block < 1 ? 1 : block) {
-  if (mode_ == DrawMode::kBatched) buf_.resize(block_);
-}
-
-void ExponentialStream::refill() {
-  detail::draw_kernels().exponential_block(rng_.engine(), mean_, buf_.data(),
-                                           block_);
-  size_ = block_;
-  pos_ = 0;
-}
-
-LognormalStream::LognormalStream(Rng rng, double mu, double sigma,
-                                 DrawMode mode, std::size_t block)
-    : rng_(rng),
-      mu_(mu),
-      sigma_(sigma),
-      mode_(mode),
-      block_(block < 1 ? 1 : block) {
-  if (mode_ == DrawMode::kBatched) {
-    buf_.resize(block_ + detail::kKernelChunkPairs);
-  }
-}
-
-void LognormalStream::refill() {
-  const detail::DrawKernels& k = detail::draw_kernels();
-  std::size_t n = 0;
-  while (n < block_) {
-    n = k.lognormal_block(rng_.engine(), mu_, sigma_, buf_.data(), n,
-                          detail::kKernelChunkPairs);
   }
   size_ = n;
   pos_ = 0;

@@ -144,26 +144,14 @@ class Rng {
     return std::clamp(mean, lo, hi);
   }
 
-  double exponential(double mean) {
-    const double lambda = 1.0 / mean;  // divide like the std:: adaptor did
-    return -fm_log(1.0 - canonical()) / lambda;
-  }
-
   // Log-normal parameterized by the mean/sigma of the underlying normal.
   double lognormal(double mu, double sigma) {
     return fm_exp(sigma * normal(0.0, 1.0) + mu);
   }
 
-  double triangular(double lo, double mode, double hi);
-
   // Uniform Duration in [lo, hi].
   Duration uniform_duration(Duration lo, Duration hi) {
     return Duration::from_ps(uniform_int(lo.ps(), hi.ps()));
-  }
-
-  template <typename T>
-  const T& pick(const std::vector<T>& v) {
-    return v[index(v.size())];
   }
 
   template <typename It>
@@ -189,18 +177,21 @@ class Rng {
 // ---------------------------------------------------------------------------
 // Batched draw pipeline (PR-8).
 //
-// The detection duel is draw-bound (~672M truncated normals per bench run)
-// and every hot consumer draws from a *dedicated* substream with fixed
-// parameters. That makes the draws precomputable: a block kernel refills
-// the engine a few hundred draws at a time and pushes them through the
-// polar/filter transforms as flat array passes that auto-vectorize. The
-// schedule is filter-compaction — canonical pairs are consumed strictly in
-// stream order, each pair either polar-rejects (no output) or yields a
-// candidate that the truncation filter keeps or drops — which is exactly
-// the order the scalar per-draw loop consumes them in, so the block
-// outputs are bit-identical to the scalar oracle for any block size or
-// vector width. tests/sim/rng_test.cpp differentials every distribution
-// at block sizes {1,2,4,8,33}, including rejection-heavy tails.
+// The detection duel is draw-bound (~672M truncated normals per bench run).
+// Its one hot consumer, the prober's cross-core staleness read
+// (attack::SharedTimeBuffer), takes one truncated normal and one
+// spike-gate canonical per read, each from a *dedicated* substream with
+// fixed parameters. That makes the draws precomputable: a block kernel
+// refills the engine a few hundred draws at a time and pushes them through
+// the polar/filter transforms as flat array passes that auto-vectorize.
+// The schedule is filter-compaction — canonical pairs are consumed
+// strictly in stream order, each pair either polar-rejects (no output) or
+// yields a candidate that the truncation filter keeps or drops — which is
+// exactly the order the scalar per-draw loop consumes them in, so the
+// block outputs are bit-identical to the scalar oracle for any block size
+// or vector width. tests/sim/rng_test.cpp differentials both streams at
+// block sizes {1,2,4,8,33}, including rejection-heavy tails. Every other
+// draw in the tree is a per-call Rng draw.
 //
 // DrawMode selects per consumer: kBatched is the block pipeline every
 // platform uses by default (hw::PlatformConfig::draw_mode), kScalar the
@@ -241,26 +232,15 @@ inline constexpr std::size_t kKernelChunkPairs = 512;
 struct DrawKernels {
   // Fills out[0..n) with canonical [0,1) draws, one engine draw each.
   void (*canonical_block)(Mt19937_64& eng, double* out, std::size_t n);
-  // Consumes `pairs` canonical pairs, appends the polar-accepted normals
-  // (scaled by stddev/mean) at out[count..]; returns the new count.
-  std::size_t (*normal_block)(Mt19937_64& eng, double mean, double stddev,
-                              double* out, std::size_t count,
-                              std::size_t pairs);
-  // As normal_block, filtered to [lo, hi]. `misses` carries the count of
-  // consecutive out-of-range candidates across calls so the scalar
-  // oracle's 1024-try clamp fallback reproduces exactly.
+  // Consumes `pairs` canonical pairs and appends, at out[count..], the
+  // polar-accepted normals (scaled by stddev/mean) that land in [lo, hi];
+  // returns the new count. `misses` carries the count of consecutive
+  // out-of-range candidates across calls so the scalar oracle's 1024-try
+  // clamp fallback reproduces exactly.
   std::size_t (*truncated_normal_block)(Mt19937_64& eng, double mean,
                                         double stddev, double lo, double hi,
                                         int* misses, double* out,
                                         std::size_t count, std::size_t pairs);
-  // Fills out[0..n) with Exp(mean) draws, one engine draw each.
-  void (*exponential_block)(Mt19937_64& eng, double mean, double* out,
-                            std::size_t n);
-  // Consumes pairs, appends exp(sigma * N(0,1) + mu) draws.
-  std::size_t (*lognormal_block)(Mt19937_64& eng, double mu, double sigma,
-                                 double* out, std::size_t count,
-                                 std::size_t pairs);
-  const char* isa;  // "base", "avx2", ... (for bench labels)
 };
 
 // Widest flavor the running CPU supports (resolved once).
@@ -276,7 +256,7 @@ void force_base_draw_kernels(bool on);
 }  // namespace detail
 
 // Default stream block: draws precomputed per refill (plus up to one
-// kernel-chunk overshoot of buffer head-room for the pair-fed kernels).
+// kernel-chunk overshoot of buffer head-room for the pair-fed kernel).
 inline constexpr std::size_t kDefaultDrawBlock = 4096;
 
 namespace detail {
@@ -335,26 +315,6 @@ class CanonicalStream {
   detail::DrawBuffer buf_;
 };
 
-class NormalStream {
- public:
-  NormalStream(Rng rng, double mean, double stddev, DrawMode mode,
-               std::size_t block = kDefaultDrawBlock);
-  double next() {
-    if (mode_ == DrawMode::kScalar) return rng_.normal(mean_, stddev_);
-    if (pos_ == size_) refill();
-    return buf_[pos_++];
-  }
-
- private:
-  void refill();
-  Rng rng_;
-  double mean_, stddev_;
-  DrawMode mode_;
-  std::size_t block_;
-  std::size_t pos_ = 0, size_ = 0;
-  detail::DrawBuffer buf_;
-};
-
 class TruncatedNormalStream {
  public:
   TruncatedNormalStream(Rng rng, double mean, double stddev, double lo,
@@ -375,50 +335,6 @@ class TruncatedNormalStream {
   DrawMode mode_;
   std::size_t block_;
   int misses_ = 0;
-  std::size_t pos_ = 0, size_ = 0;
-  detail::DrawBuffer buf_;
-};
-
-class ExponentialStream {
- public:
-  ExponentialStream(Rng rng, double mean, DrawMode mode,
-                    std::size_t block = kDefaultDrawBlock);
-  double next() {
-    if (mode_ == DrawMode::kScalar) return rng_.exponential(mean_);
-    if (pos_ == size_) refill();
-    return buf_[pos_++];
-  }
-
- private:
-  void refill();
-  Rng rng_;
-  double mean_;
-  DrawMode mode_;
-  std::size_t block_;
-  std::size_t pos_ = 0, size_ = 0;
-  detail::DrawBuffer buf_;
-};
-
-// Precondition (batched kernel): |mu| + 12.2 * |sigma| <= 692, so that
-// sigma * N + mu stays inside fm_exp_core's window. The polar method
-// bounds |N| by sqrt(-2 ln(r2_min)) < 12.2 (r2 >= 2^-106 when nonzero),
-// so any physically meaningful parameterization qualifies.
-class LognormalStream {
- public:
-  LognormalStream(Rng rng, double mu, double sigma, DrawMode mode,
-                  std::size_t block = kDefaultDrawBlock);
-  double next() {
-    if (mode_ == DrawMode::kScalar) return rng_.lognormal(mu_, sigma_);
-    if (pos_ == size_) refill();
-    return buf_[pos_++];
-  }
-
- private:
-  void refill();
-  Rng rng_;
-  double mu_, sigma_;
-  DrawMode mode_;
-  std::size_t block_;
   std::size_t pos_ = 0, size_ = 0;
   detail::DrawBuffer buf_;
 };

@@ -5,6 +5,5 @@
 // x86-64 only; other targets build the base flavor alone.
 #if defined(SATIN_KERNELS_HAVE_AVX2)
 #define SATIN_KERNEL_NS avx2
-#define SATIN_KERNEL_ISA_NAME "avx2"
 #include "sim/rng_kernels.inc"
 #endif

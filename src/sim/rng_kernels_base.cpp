@@ -3,5 +3,4 @@
 // runtime dispatch falls back to it, and the cross-ISA differential
 // tests compare the wider flavors against it.
 #define SATIN_KERNEL_NS base
-#define SATIN_KERNEL_ISA_NAME "base"
 #include "sim/rng_kernels.inc"

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 
+#include "sim/fnv1a.h"
 #include "sim/rng.h"
 
 namespace satin::sim {
@@ -27,23 +28,12 @@ class TrialSeedSeq {
   // on how many seeds were derived before or on which thread asks.
   std::uint64_t seed_for(std::uint64_t trial) const {
     char name[32];
-    std::snprintf(name, sizeof(name), "trial/%llu",
-                  static_cast<unsigned long long>(trial));
-    return fnv1a(name) ^ mix_;
+    const int len = std::snprintf(name, sizeof(name), "trial/%llu",
+                                  static_cast<unsigned long long>(trial));
+    return fnv1a(name, static_cast<std::size_t>(len)) ^ mix_;
   }
-
-  Rng rng_for(std::uint64_t trial) const { return Rng(seed_for(trial)); }
 
  private:
-  static std::uint64_t fnv1a(const char* s) {
-    std::uint64_t h = 14695981039346656037ull;
-    for (; *s != '\0'; ++s) {
-      h ^= static_cast<unsigned char>(*s);
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-
   std::uint64_t root_;
   std::uint64_t mix_;  // one fork-style draw from the root engine
 };

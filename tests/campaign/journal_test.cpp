@@ -235,6 +235,36 @@ TEST_F(JournalTest, OpenAndReadStatusAgreeOnEveryKindOfDamage) {
   EXPECT_EQ(journal.completed().count(2), 1u);
 }
 
+TEST_F(JournalTest, HeaderWithTrailingBytesIsMalformedEverywhere) {
+  std::string error;
+  {
+    CampaignJournal journal;
+    ASSERT_TRUE(journal.open(path_, spec_, &error)) << error;
+    ASSERT_TRUE(journal.append(sample_result(0)));
+  }
+  std::FILE* f = std::fopen(path_.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string text;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  // The header's fields still parse, and name this very spec.
+  text.insert(text.find('\n'), " x");
+  f = std::fopen(path_.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
+  std::fclose(f);
+
+  CampaignJournal::Status status;
+  EXPECT_FALSE(CampaignJournal::read_status(path_, status, &error));
+  EXPECT_NE(error.find("corrupt journal header"), std::string::npos) << error;
+  error.clear();
+  CampaignJournal journal;
+  EXPECT_FALSE(journal.open(path_, spec_, &error));
+  EXPECT_NE(error.find("corrupt journal header"), std::string::npos) << error;
+}
+
 TEST_F(JournalTest, ReadStatusCountsDistinctCompletedTrials) {
   std::string error;
   {

@@ -95,7 +95,7 @@ void expect_refused(const std::string& flag) {
   testing::internal::CaptureStderr();
   EXPECT_TRUE(reject_unconsumed_args(argv.argc, argv.ptrs.data()));
   EXPECT_EQ(testing::internal::GetCapturedStderr(),
-            "prog: unrecognized argument '" + flag + "'\n");
+            "prog: refused argument '" + flag + "'\n");
 }
 
 TEST(ObsSessionTest, UnwritableMetricsFileFailsTheRun) {
@@ -194,7 +194,7 @@ TEST(ObsSessionTest, FlightRingSpecParsed) {
     testing::internal::CaptureStderr();
     EXPECT_TRUE(reject_unconsumed_args(bad.argc, bad.ptrs.data()));
     EXPECT_EQ(testing::internal::GetCapturedStderr(),
-              "prog: unrecognized argument '" + flag + "'\n");
+              "prog: refused argument '" + flag + "'\n");
   }
 }
 
@@ -251,7 +251,7 @@ TEST(ObsSessionTest, MalformedJobsIsLeftForTheUnconsumedArgumentCheck) {
     testing::internal::CaptureStderr();
     EXPECT_TRUE(reject_unconsumed_args(argv.argc, argv.ptrs.data()));
     EXPECT_EQ(testing::internal::GetCapturedStderr(),
-              "prog: unrecognized argument '" + flag + "'\n");
+              "prog: refused argument '" + flag + "'\n");
   }
 }
 
@@ -295,6 +295,24 @@ TEST(ObsSessionTest, RetiredAndUnknownFlagsAreLeftForTheCaller) {
     const std::string error = testing::internal::GetCapturedStderr();
     EXPECT_EQ(error, "bench: unrecognized argument '" + flag + "'\n");
   }
+}
+
+TEST(ObsSessionTest, ARefusedValueIsNamedAsRefused) {
+  // --n=0 matched the flag, whose range refused the value; --m=1 matched
+  // no flag at all. Each is named as what it is, in argv order.
+  Argv argv({"/path/to/prog", "--n=0", "--m=1"});
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(take_whole_number(argv.argc, argv.ptrs.data(), "n", 1, 9),
+            std::nullopt);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: --n=0: want a whole number in [1, 9]\n");
+  ASSERT_EQ(argv.argc, 3);
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(reject_unconsumed_args(argv.argc, argv.ptrs.data()));
+  EXPECT_TRUE(reject_unconsumed_args(argv.argc, argv.ptrs.data(), 2));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: refused argument '--n=0'\n"
+            "prog: unrecognized argument '--m=1'\n");
 }
 
 TEST(ObsSessionTest, UnconsumedArgumentCheckStartsAtFirst) {

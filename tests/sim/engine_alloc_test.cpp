@@ -88,7 +88,6 @@ TEST(EngineAllocation, SteadyStateChurnIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "steady-state churn allocated " << allocs
                         << " times over " << fired << " events";
   EXPECT_GT(fired, 2000u);  // the window really exercised the hot path
-  EXPECT_EQ(engine.callback_fallbacks(), 0u);
 }
 
 TEST(EngineAllocation, StaleHandleOpsDoNotAllocate) {

@@ -100,9 +100,6 @@ TEST(EngineStress, StormRecyclesSlotsInsteadOfGrowingSlabs) {
   EXPECT_GT(storm.engine.pool_reuses(), 0u);
   EXPECT_EQ(storm.engine.pool_slab_grows(), 1u);
   EXPECT_LE(storm.engine.pool_high_water(), 256u);
-  // Every callback in the storm captures {this, id}: all inline, no heap
-  // fallback.
-  EXPECT_EQ(storm.engine.callback_fallbacks(), 0u);
   EXPECT_GT(storm.engine.callbacks_inline(), 0u);
 }
 

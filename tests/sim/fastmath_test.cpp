@@ -66,9 +66,8 @@ TEST(FastMath, ExpStaysWithinUlpEnvelopeOfLibm) {
 }
 
 TEST(FastMath, ExpCoreAgreesWithFullDomainInsideWindow) {
-  // fm_exp dispatches to fm_exp_core across [-708, 692]; the batched
-  // lognormal kernel calls the core directly, so the two must be the
-  // same function there — bit for bit, not within tolerance.
+  // fm_exp dispatches to fm_exp_core across [-708, 692], so the two must
+  // be the same function there — bit for bit, not within tolerance.
   std::mt19937_64 g(44);
   for (int i = 0; i < 200000; ++i) {
     const double x = std::uniform_real_distribution<double>(-708.0, 692.0)(g);

@@ -1,28 +1,45 @@
-// InlineCallback: small-buffer storage for small captures, counted heap
-// fallback for oversized ones, move-only ownership semantics.
+// InlineCallback: small-buffer storage for every capture that fits, a
+// compile error for one that does not, move-only ownership semantics.
 #include "sim/inline_callback.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 namespace satin::sim {
 namespace {
 
+// A capture past kCapacity, an over-aligned one and one whose move may
+// throw do not convert: the event path never stores a callback on the
+// heap.
+struct Big {
+  std::array<char, InlineCallback::kCapacity + 1> bytes;
+  void operator()() {}
+};
+struct alignas(2 * InlineCallback::kAlignment) OverAligned {
+  void operator()() {}
+};
+struct ThrowingMove {
+  ThrowingMove() = default;
+  ThrowingMove(ThrowingMove&&) noexcept(false) {}
+  void operator()() {}
+};
+static_assert(!std::is_constructible_v<InlineCallback, Big>);
+static_assert(!std::is_constructible_v<InlineCallback, OverAligned>);
+static_assert(!std::is_constructible_v<InlineCallback, ThrowingMove>);
+
 TEST(InlineCallback, DefaultIsEmpty) {
   InlineCallback cb;
   EXPECT_FALSE(static_cast<bool>(cb));
-  EXPECT_FALSE(cb.heap_allocated());
 }
 
 TEST(InlineCallback, InvokesSmallCaptureInline) {
   int hits = 0;
   InlineCallback cb([&hits] { ++hits; });
   ASSERT_TRUE(static_cast<bool>(cb));
-  EXPECT_FALSE(cb.heap_allocated());
   cb();
   cb();
   EXPECT_EQ(hits, 2);
@@ -33,23 +50,11 @@ TEST(InlineCallback, CaptureAtCapacityStaysInline) {
   payload.front() = 7;
   payload.back() = 9;
   int sum = 0;
-  InlineCallback cb(
-      [payload, &sum] { sum = payload.front() + payload.back(); });
-  EXPECT_FALSE(cb.heap_allocated());
+  const auto add = [payload, &sum] { sum = payload.front() + payload.back(); };
+  static_assert(sizeof(add) == InlineCallback::kCapacity);
+  InlineCallback cb(add);
   cb();
   EXPECT_EQ(sum, 16);
-}
-
-TEST(InlineCallback, OversizedCaptureFallsBackToHeapAndIsCounted) {
-  const std::uint64_t before = inline_callback_fallbacks().load();
-  std::array<char, InlineCallback::kCapacity * 4> big{};
-  big[0] = 1;
-  bool saw = false;
-  InlineCallback cb([big, &saw] { saw = big[0] == 1; });
-  EXPECT_TRUE(cb.heap_allocated());
-  EXPECT_EQ(inline_callback_fallbacks().load(), before + 1);
-  cb();
-  EXPECT_TRUE(saw);
 }
 
 TEST(InlineCallback, MoveTransfersOwnership) {
@@ -77,19 +82,6 @@ TEST(InlineCallback, MoveAssignReplacesExistingTarget) {
   EXPECT_TRUE(old_alive.expired());  // previous capture destroyed
   cb();
   EXPECT_EQ(hits, 1);
-}
-
-TEST(InlineCallback, HeapFallbackMoveMovesThePointerNotTheCapture) {
-  std::array<char, InlineCallback::kCapacity * 2> big{};
-  big[1] = 5;
-  int got = 0;
-  InlineCallback a([big, &got] { got = big[1]; });
-  ASSERT_TRUE(a.heap_allocated());
-  InlineCallback b(std::move(a));
-  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
-  EXPECT_TRUE(b.heap_allocated());
-  b();
-  EXPECT_EQ(got, 5);
 }
 
 }  // namespace

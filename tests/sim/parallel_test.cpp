@@ -152,7 +152,6 @@ void pooled_engine_trial(const TrialContext& ctx) {
   SATIN_METRIC_ADD("engine_trial.queue_high_water", engine.queue_high_water());
   SATIN_METRIC_ADD("engine_trial.cancelled_popped", engine.cancelled_popped());
   SATIN_METRIC_ADD("engine_trial.cb_inline", engine.callbacks_inline());
-  SATIN_METRIC_ADD("engine_trial.cb_fallback", engine.callback_fallbacks());
 }
 
 std::string run_pooled_engine_trials(int jobs, std::size_t trials) {
