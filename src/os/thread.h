@@ -122,6 +122,12 @@ class Thread {
   // a burst (DESIGN.md §19), which charges the thread's cpu_time() and
   // vruntime_s() only after them, so a loop's round must not read those.
   virtual void cycle_round(OsContext&) {}
+  // An additive round: a loop whose round only counts overrides both, and
+  // cycle_rounds(ctx, n) then does what n cycle_round() calls would, the
+  // last ending at ctx.now. RichOs then completes the loop's bursts by
+  // arithmetic (DESIGN.md §19).
+  virtual bool cycle_additive() const { return false; }
+  virtual void cycle_rounds(OsContext&, std::uint64_t) {}
   virtual bool cycle_parked() const { return false; }
   // True when a loop's next step is not the cycle's; RichOs then asks
   // next_action() for it.

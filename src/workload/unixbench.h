@@ -31,8 +31,9 @@ struct WorkloadSpec {
 const std::vector<WorkloadSpec>& unixbench_suite();
 
 // A loop (os::DutyCycle with no sleep, DESIGN.md §19): compute
-// iteration_cost, count one iteration, repeat. A stop request or a pending
-// penalty diverts the loop for one step.
+// iteration_cost, count one iteration, repeat. The count is an additive
+// round, so a burst of n iterations adds n at once. A stop request or a
+// pending penalty diverts the loop for one step.
 class WorkloadThread final : public os::Thread {
  public:
   explicit WorkloadThread(WorkloadSpec spec);
@@ -51,6 +52,10 @@ class WorkloadThread final : public os::Thread {
 
  private:
   void cycle_round(os::OsContext&) override { ++iterations_; }
+  bool cycle_additive() const override { return true; }
+  void cycle_rounds(os::OsContext&, std::uint64_t n) override {
+    iterations_ += n;
+  }
   bool cycle_diverted() const override {
     return stop_requested_ || pending_penalty_ > sim::Duration::zero();
   }
