@@ -6,7 +6,9 @@
 // (CNTPCT_EL0). SATIN's self-activation programs these so the secure world
 // wakes itself with no help from (and no signal to) the normal world.
 // The rich OS drives its scheduling tick from the per-core non-secure
-// physical timer.
+// physical timer. A non-secure expiry can be keyed (DESIGN.md §19): it then
+// runs as an engine keyed action at the dispatch position its queue event
+// would have taken.
 #pragma once
 
 #include <functional>
@@ -19,11 +21,14 @@
 
 namespace satin::hw {
 
-class GenericTimer {
+class GenericTimer final : private sim::KeyedActionOwner {
  public:
   using RaiseFn = std::function<void(CoreId, IrqId)>;
 
   GenericTimer(sim::Engine& engine, int num_cores);
+  ~GenericTimer();
+  GenericTimer(const GenericTimer&) = delete;
+  GenericTimer& operator=(const GenericTimer&) = delete;
 
   // CNTPCT_EL0: the counter shared by all cores. §III-B1's probers read a
   // "shared timer among all CPU cores" — this is it.
@@ -42,9 +47,25 @@ class GenericTimer {
   sim::Time secure_compare_value(CoreId core) const;
 
   // Non-secure physical timer: same contract, fires kNonSecurePhysTimer.
-  void program_nonsecure(CoreId core, sim::Time compare_value);
+  // A `keyed` expiry takes the seq its queue event would have and arms
+  // nonsecure_slot(core) instead; its dispatch does what the event does.
+  void program_nonsecure(CoreId core, sim::Time compare_value,
+                         bool keyed = false);
   void stop_nonsecure(CoreId core);
   bool nonsecure_enabled(CoreId core) const;
+  // The engine slot of `core`'s keyed expiry, and whether one is armed.
+  std::uint32_t nonsecure_slot(CoreId core) const {
+    return nonsecure_.at(static_cast<std::size_t>(core)).slot;
+  }
+  bool nonsecure_keyed(CoreId core) const {
+    return nonsecure_.at(static_cast<std::size_t>(core)).keyed;
+  }
+  // Puts a keyed expiry back in the queue under its key; no-op otherwise.
+  void hand_back_nonsecure(CoreId core);
+  // A keyed expiry that an in-place run (sim::Engine::complete_in_place)
+  // has just dispatched: its flight commit and counter, without raising
+  // the IRQ, which the caller delivers itself.
+  void expire_nonsecure_in_place(CoreId core);
 
   int num_cores() const { return static_cast<int>(secure_.size()); }
 
@@ -60,11 +81,20 @@ class GenericTimer {
     sim::EventHandle event;
     sim::Time compare_value;
     bool enabled = false;
+    bool keyed = false;      // the expiry is armed on `slot`
+    std::uint32_t slot = 0;  // non-secure timers only
   };
 
   void program(std::vector<PerCoreTimer>& timers, CoreId core,
-               sim::Time compare_value, IrqId irq);
+               sim::Time compare_value, IrqId irq, bool keyed);
   void stop(std::vector<PerCoreTimer>& timers, CoreId core);
+  // Cancels the pending expiry, queued or keyed.
+  void cancel(PerCoreTimer& t);
+  // The expiry's own work; the queued event and a keyed dispatch then
+  // raise the IRQ.
+  void expire(PerCoreTimer& t, CoreId core, IrqId irq);
+  sim::Callback expiry_event(PerCoreTimer& t, CoreId core, IrqId irq);
+  void run_keyed_action(std::uint32_t core) override;
 
   sim::Engine& engine_;
   RaiseFn raise_;

@@ -158,6 +158,11 @@ class RichOs final : public hw::WorldListener,
   // Cycle fast path (DESIGN.md §19).
   bool fast_path_open(hw::CoreId core) const;
   bool can_fast_forward(hw::CoreId core, const Thread& thread) const;
+  // True when the core's tick would only keep books: it runs an additive
+  // loop on the fast path, with no tick hook, online and in the normal
+  // world. Its tick is then keyed, and its loop's runs complete it in
+  // place.
+  bool tick_keeps_books(hw::CoreId core) const;
   void arm_keyed(hw::CoreId core, CpuState::Keyed kind, sim::Time when);
   // Hands the core's keyed action, if any, back to the queue under its
   // key, after settle_burst(); every event-path entry that touches the
