@@ -20,9 +20,7 @@ namespace satin::sim {
 class TrialSeedSeq {
  public:
   explicit TrialSeedSeq(std::uint64_t root_seed)
-      : root_(root_seed), mix_(Rng(root_seed).next_u64()) {}
-
-  std::uint64_t root() const { return root_; }
+      : mix_(Rng(root_seed).next_u64()) {}
 
   // Stateless per-index derivation: depends only on (root, trial), never
   // on how many seeds were derived before or on which thread asks.
@@ -34,7 +32,6 @@ class TrialSeedSeq {
   }
 
  private:
-  std::uint64_t root_;
   std::uint64_t mix_;  // one fork-style draw from the root engine
 };
 
