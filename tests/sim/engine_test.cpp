@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "obs/flight/recorder.h"
 
 namespace satin::sim {
 namespace {
@@ -485,8 +489,9 @@ TEST(EngineKeyed, ArmRejectsPastUnreservedOrDoubleKeys) {
 // --- In-place completions ------------------------------------------------
 
 // A lone loop on one slot, run the way RichOs runs one: each dispatch
-// completes in place every further iteration that fits, then arms the
-// next one `period` later. Records every iteration's end.
+// completes in place every further iteration that fits, one by one or
+// (`counted`) all at once, then arms the next one `period` later. Records
+// every iteration's end.
 struct LoopOwner : KeyedActionOwner {
   LoopOwner(Engine& e, Duration p)
       : engine(e), period(p), slot(e.add_keyed_slot(this, 0)) {}
@@ -496,12 +501,21 @@ struct LoopOwner : KeyedActionOwner {
     if (in_action) in_action();
     if (stop_in_action) engine.request_stop();
     horizons.push_back(engine.in_place_horizon());
-    in_place += engine.complete_in_place(
-        slot, period, [] { return true; },
-        [this](Time when) {
-          ends.push_back(when);
-          if (ends.size() == stop_after) engine.request_stop();
-        });
+    const auto ready = [] { return true; };
+    if (counted) {
+      in_place += engine.complete_rounds_in_place(
+          slot, period, ready, [this](std::uint64_t n) {
+            for (std::uint64_t i = n; i-- > 0;) {
+              ends.push_back(engine.now() - period * i);
+            }
+          });
+    } else {
+      in_place += engine.complete_in_place(
+          slot, period, ready, [this](Time when) {
+            ends.push_back(when);
+            if (ends.size() == stop_after) engine.request_stop();
+          });
+    }
     engine.arm(slot, {engine.now() + period, engine.reserve_seq()});
   }
   // Iterations ended before `t`.
@@ -516,6 +530,7 @@ struct LoopOwner : KeyedActionOwner {
   std::vector<Time> horizons;
   std::uint64_t in_place = 0;
   std::size_t stop_after = 0;  // a round requests a stop at this many ends
+  bool counted = false;
   bool stop_in_action = false;
   std::function<void()> in_action;  // runs in each dispatch, before the burst
 };
@@ -693,5 +708,215 @@ TEST(EngineKeyed, ANestedRunKeepsTheOuterLimit) {
   EXPECT_EQ(engine.keyed_in_place(), 4u);
 }
 
+// --- Multi-slot in-place runs ----------------------------------------------
+
+// Installs a flight recorder for its lifetime. The one-record ring keeps
+// the newest commit; the chain folds every one.
+struct Recording {
+  Recording() : flight(options()) { obs::install_flight(&flight); }
+  ~Recording() { obs::install_flight(nullptr); }
+  static obs::FlightRecorder::Options options() {
+    obs::FlightRecorder::Options o;
+    o.ring = 1;
+    return o;
+  }
+  obs::FlightRecorder flight;
+};
+
+TEST(EngineKeyed, ACountedRunWritesThePerRoundRunsCommits) {
+  // Queued events at uneven times bound the bursts, so several runs of
+  // each length happen; both forms must commit the same (when, seq)
+  // stream and complete the same iterations.
+  std::vector<std::uint64_t> chains, commits;
+  std::vector<std::vector<Time>> ends;
+  for (const bool counted : {false, true}) {
+    Engine engine;
+    const Recording recording;
+    LoopOwner loop(engine, Time::from_us(10));
+    loop.counted = counted;
+    for (const int us : {37, 38, 95, 241, 242, 600}) {
+      engine.schedule_at(Time::from_us(us), [] {});
+    }
+    loop.start();
+    engine.run_until(Time::from_ms(1));
+    EXPECT_GT(loop.in_place, 80u) << counted;
+    chains.push_back(recording.flight.chain_hash());
+    commits.push_back(recording.flight.commits());
+    ends.push_back(loop.ends);
+  }
+  EXPECT_EQ(chains[1], chains[0]);
+  EXPECT_EQ(commits[1], commits[0]);
+  EXPECT_EQ(ends[1], ends[0]);
+}
+
+// A loop and its core's tick, the way RichOs runs a lone loop core whose
+// tick only keeps books: each dispatch of the loop completes its further
+// rounds in place, counted or one by one, with the tick's slot joined to
+// the run; the tick re-arms itself `tick_period` after it runs, whether
+// dispatched or joined. Logs every round's end ('L') and tick ('T').
+struct TickedLoop : KeyedActionOwner {
+  TickedLoop(Engine& e, Duration p, Duration q, bool counted)
+      : engine(e),
+        period(p),
+        tick_period(q),
+        counted(counted),
+        loop(e.add_keyed_slot(this, 0)),
+        tick(e.add_keyed_slot(this, 1)) {}
+  // Arms the first tick, then the first round.
+  void start() {
+    engine.arm(tick, {engine.now() + tick_period, engine.reserve_seq()});
+    engine.arm(loop, {engine.now() + period, engine.reserve_seq()});
+  }
+  void run_keyed_action(std::uint32_t tag) override {
+    if (tag == 1) {
+      on_tick();
+      return;
+    }
+    log.emplace_back('L', engine.now());
+    if (!in_place) {
+      engine.arm(loop, {engine.now() + period, engine.reserve_seq()});
+      return;
+    }
+    const std::uint32_t joined[] = {tick};
+    const auto ready = [] { return true; };
+    const auto join = [this](std::uint32_t) { on_tick(); };
+    returned.push_back(
+        counted ? engine.complete_rounds_in_place(
+                      loop, period, ready,
+                      [this](std::uint64_t n) {
+                        for (std::uint64_t i = n; i-- > 0;) {
+                          log.emplace_back('L', engine.now() - period * i);
+                        }
+                      },
+                      joined, join)
+                : engine.complete_in_place(
+                      loop, period, ready,
+                      [this](Time when) { log.emplace_back('L', when); },
+                      joined, join));
+    engine.arm(loop, {engine.now() + period, engine.reserve_seq()});
+  }
+  void on_tick() {
+    log.emplace_back('T', engine.now());
+    if (in_tick) in_tick();
+    engine.arm(tick, {engine.now() + tick_period, engine.reserve_seq()});
+  }
+  // The order of the round and the tick that end at `t`.
+  std::string order_at(Time t) const {
+    std::string out;
+    for (const auto& [what, when] : log) {
+      if (when == t) out += what;
+    }
+    return out;
+  }
+  Engine& engine;
+  Duration period;
+  Duration tick_period;
+  bool counted;
+  std::uint32_t loop;
+  std::uint32_t tick;
+  bool in_place = true;  // false: every round and tick is dispatched
+  std::function<void()> in_tick;
+  std::vector<std::pair<char, Time>> log;
+  std::vector<std::uint64_t> returned;  // by each in-place run
+};
+
+// Runs a TickedLoop to `limit`, and again with every round and tick
+// dispatched one by one, each under a flight recorder.
+struct TickedRuns {
+  TickedRuns(Duration period, Duration tick_period, bool counted,
+             Time limit)
+      : fast(fast_engine, period, tick_period, counted),
+        stepped(stepped_engine, period, tick_period, counted) {
+    stepped.in_place = false;
+    for (auto [loop, chain] : {std::pair{&fast, &fast_chain},
+                               std::pair{&stepped, &stepped_chain}}) {
+      const Recording recording;
+      loop->start();
+      loop->engine.run_until(limit);
+      *chain = recording.flight.chain_hash();
+    }
+  }
+  Engine fast_engine;
+  Engine stepped_engine;
+  TickedLoop fast;
+  TickedLoop stepped;
+  std::uint64_t fast_chain = 0;
+  std::uint64_t stepped_chain = 0;
+};
+
+TEST(EngineKeyed, ATiedTickAndRoundRunInSeqOrderInPlace) {
+  // Same-producer reordering: a core's tick and its loop's round end in
+  // one picosecond, and the one holding the older seq goes first. With
+  // 10 µs rounds and 40 µs ticks the tick's seq, reserved a tick earlier,
+  // is older; with 50 µs rounds and 20 µs ticks the round's is.
+  struct Case {
+    Duration period, tick_period;
+    Time tie;
+    const char* order;
+  };
+  for (const Case& c : {Case{Time::from_us(10), Time::from_us(40),
+                             Time::from_us(40), "TL"},
+                        Case{Time::from_us(50), Time::from_us(20),
+                             Time::from_us(100), "LT"}}) {
+    for (const bool counted : {false, true}) {
+      const TickedRuns runs(c.period, c.tick_period, counted,
+                            Time::from_us(400));
+      const std::string label = std::string(c.order) +
+                                (counted ? " counted" : " per round");
+      EXPECT_EQ(runs.stepped.order_at(c.tie), c.order) << label;
+      EXPECT_EQ(runs.fast.log, runs.stepped.log) << label;
+      EXPECT_EQ(runs.fast_chain, runs.stepped_chain) << label;
+      EXPECT_EQ(runs.fast_engine.now(), runs.stepped_engine.now()) << label;
+      EXPECT_GT(runs.fast_engine.keyed_in_place(), 10u) << label;
+      EXPECT_EQ(runs.fast_engine.keyed_fired(),
+                runs.stepped_engine.keyed_fired())
+          << label;
+    }
+  }
+}
+
+TEST(EngineKeyed, ARunWhoseOwnSlotIsDueFirstStillMakesProgress) {
+  // Horizon deadlock: the joined tick is due before every next round.
+  // Counted in the horizon it would end each run at once; joined, one
+  // dispatch of the loop runs to the limit.
+  for (const bool counted : {false, true}) {
+    const TickedRuns runs(Time::from_us(50), Time::from_us(20), counted,
+                          Time::from_ms(1));
+    EXPECT_EQ(runs.fast.log, runs.stepped.log) << counted;
+    EXPECT_EQ(runs.fast_chain, runs.stepped_chain) << counted;
+    // Dispatched: the ticks at 20 and 40 µs, the round at 50 µs and,
+    // after the run's last round at 1 ms, the tick tied with it.
+    ASSERT_EQ(runs.fast.returned.size(), 1u) << counted;
+    EXPECT_EQ(runs.fast.returned.front(), runs.fast.log.size() - 4)
+        << counted;
+    EXPECT_EQ(runs.fast_engine.keyed_fired() -
+                  runs.fast_engine.keyed_in_place(),
+              4u)
+        << counted;
+  }
+}
+
+TEST(EngineKeyed, AJoinedActionThatPullsTheHorizonInThrows) {
+  // A joined action must only keep books: one that schedules an event
+  // before the round it precedes breaks the run. Dispatched, the same
+  // action is fine.
+  Engine engine;
+  TickedLoop loop(engine, Time::from_us(50), Time::from_us(20), true);
+  loop.in_tick = [&engine] {
+    engine.schedule_at(engine.now() + Duration::from_ps(1), [] {});
+  };
+  loop.start();
+  try {
+    engine.run_until(Time::from_us(200));
+    ADD_FAILURE() << "no throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("pulled its horizon in"),
+              std::string::npos)
+        << e.what();
+  }
+  // Ticks at 20 and 40 µs dispatched, the one at 60 µs joined.
+  EXPECT_EQ(engine.now(), Time::from_us(60));
+  EXPECT_EQ(engine.events_fired(), 2u);
+}
 }  // namespace
 }  // namespace satin::sim
