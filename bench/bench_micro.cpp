@@ -418,8 +418,9 @@ BENCHMARK(BM_MetricEmitDigest);
 // (os::CyclePath::kEventPerRound, the oracle), 1 = the cycle fast path.
 // `start` sets the cycle threads up on the booted system and returns a
 // callable that counts their steps. Reports host ns per step, the shares
-// of dispatches that ran as keyed actions and, of those, completed in
-// place (in a loop's bursts), and heap allocations per step, each named
+// of dispatches that ran as keyed actions, of those that completed in
+// place (a loop's bursts and the ticks that join them) and of those that
+// went through the event queue, and heap allocations per step, each named
 // after `unit`; CI gates the fast path at exactly 0 allocations.
 template <typename Start>
 void cycle_bench(benchmark::State& state, const std::string& unit,
@@ -456,12 +457,13 @@ void cycle_bench(benchmark::State& state, const std::string& unit,
     const auto keyed = static_cast<double>(engine.keyed_fired() - keyed0);
     const auto in_place =
         static_cast<double>(engine.keyed_in_place() - in_place0);
-    const double dispatches =
-        keyed + static_cast<double>(engine.events_fired() - queued0);
+    const auto queued = static_cast<double>(engine.events_fired() - queued0);
+    const double dispatches = keyed + queued;
     state.counters["ns_per_" + unit] = done > 0 ? elapsed.count() / done : 0.0;
     state.counters["keyed_share"] = dispatches > 0 ? keyed / dispatches : 0.0;
     state.counters["in_place_share"] =
         dispatches > 0 ? in_place / dispatches : 0.0;
+    state.counters["queue_share"] = dispatches > 0 ? queued / dispatches : 0.0;
     state.counters["allocs_per_" + unit] =
         done > 0 ? static_cast<double>(allocs) / done : 0.0;
     state.SetLabel(state.range(0) == 0 ? "event-per-round" : "fast-forward");
@@ -484,8 +486,8 @@ BENCHMARK(BM_ProberSpin)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 // Mini-UnixBench's densest program, syscall_overhead (40 µs iterations),
 // per workload iteration, as range(1) copies: 6 is one loop on each core,
 // whose completions tie with one another, and 1 is a lone loop that
-// completes its iterations in place between ticks, as in perfbench's
-// `overhead` and Fig. 7's 1-task setting.
+// completes its iterations and its core's ticks in place, as in
+// perfbench's `overhead` and Fig. 7's 1-task setting.
 void BM_WorkloadLoop(benchmark::State& state) {
   const auto copies = static_cast<int>(state.range(1));
   cycle_bench(state, "iteration", [copies](satin::scenario::Scenario& system) {
