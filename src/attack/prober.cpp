@@ -42,7 +42,8 @@ class ProberThread final : public os::Thread {
   os::Action next_action(os::OsContext&) override { return cycle_action(); }
 
  private:
-  void cycle_round(os::OsContext& ctx) override {
+  // A duty cycle's round is always one.
+  void cycle_round(os::OsContext& ctx, std::uint64_t) override {
     owner_.probe_round(core_, ctx.now, reports_);
   }
   bool cycle_parked() const override { return !owner_.deployed(); }
@@ -132,10 +133,6 @@ void KProber::retract() {
                                   os_.kernel_image().irq_vector_offset(),
                                   saved_vector_bytes_);
   }
-}
-
-bool KProber::core_flagged(hw::CoreId core) const {
-  return flagged_.at(static_cast<std::size_t>(core));
 }
 
 bool KProber::any_flagged() const {

@@ -76,7 +76,6 @@ class KProber {
   const KProberConfig& config() const { return config_; }
   const std::vector<hw::CoreId>& probed_cores() const { return probed_; }
 
-  bool core_flagged(hw::CoreId core) const;
   // True while any probed core is flagged as secure-world-held.
   bool any_flagged() const;
 

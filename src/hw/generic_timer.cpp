@@ -110,17 +110,15 @@ void GenericTimer::hand_back_nonsecure(CoreId core) {
       expiry_event(t, core, IrqId::kNonSecurePhysTimer));
 }
 
-void GenericTimer::stop(std::vector<PerCoreTimer>& timers, CoreId core) {
-  auto& t = timers.at(static_cast<std::size_t>(core));
-  cancel(t);
-  t.enabled = false;
-}
-
 void GenericTimer::program_secure(CoreId core, sim::Time compare_value) {
   program(secure_, core, compare_value, IrqId::kSecurePhysTimer, false);
 }
 
-void GenericTimer::stop_secure(CoreId core) { stop(secure_, core); }
+void GenericTimer::stop_secure(CoreId core) {
+  auto& t = secure_.at(static_cast<std::size_t>(core));
+  cancel(t);
+  t.enabled = false;
+}
 
 bool GenericTimer::secure_enabled(CoreId core) const {
   return secure_.at(static_cast<std::size_t>(core)).enabled;
@@ -133,12 +131,6 @@ sim::Time GenericTimer::secure_compare_value(CoreId core) const {
 void GenericTimer::program_nonsecure(CoreId core, sim::Time compare_value,
                                      bool keyed) {
   program(nonsecure_, core, compare_value, IrqId::kNonSecurePhysTimer, keyed);
-}
-
-void GenericTimer::stop_nonsecure(CoreId core) { stop(nonsecure_, core); }
-
-bool GenericTimer::nonsecure_enabled(CoreId core) const {
-  return nonsecure_.at(static_cast<std::size_t>(core)).enabled;
 }
 
 }  // namespace satin::hw

@@ -51,8 +51,6 @@ class GenericTimer final : private sim::KeyedActionOwner {
   // nonsecure_slot(core) instead; its dispatch does what the event does.
   void program_nonsecure(CoreId core, sim::Time compare_value,
                          bool keyed = false);
-  void stop_nonsecure(CoreId core);
-  bool nonsecure_enabled(CoreId core) const;
   // The engine slot of `core`'s keyed expiry, and whether one is armed.
   std::uint32_t nonsecure_slot(CoreId core) const {
     return nonsecure_.at(static_cast<std::size_t>(core)).slot;
@@ -62,9 +60,10 @@ class GenericTimer final : private sim::KeyedActionOwner {
   }
   // Puts a keyed expiry back in the queue under its key; no-op otherwise.
   void hand_back_nonsecure(CoreId core);
-  // A keyed expiry that an in-place run (sim::Engine::complete_in_place)
-  // has just dispatched: its flight commit and counter, without raising
-  // the IRQ, which the caller delivers itself.
+  // A keyed expiry that joined the core's loop's in-place run
+  // (sim::Engine::complete_in_place), which has made its dispatch commit:
+  // the expiry's flight record and counter, without raising the IRQ, which
+  // the caller delivers itself.
   void expire_nonsecure_in_place(CoreId core);
 
   int num_cores() const { return static_cast<int>(secure_.size()); }
@@ -87,7 +86,6 @@ class GenericTimer final : private sim::KeyedActionOwner {
 
   void program(std::vector<PerCoreTimer>& timers, CoreId core,
                sim::Time compare_value, IrqId irq, bool keyed);
-  void stop(std::vector<PerCoreTimer>& timers, CoreId core);
   // Cancels the pending expiry, queued or keyed.
   void cancel(PerCoreTimer& t);
   // The expiry's own work; the queued event and a keyed dispatch then

@@ -513,8 +513,7 @@ bool RichOs::tick_keeps_books(hw::CoreId core) const {
   const Thread* t = cpu(core).current;
   const hw::Core& hw_core = platform_.core(core);
   return fast_path_open(core) && tick_hooks_.empty() && t != nullptr &&
-         t->cycle_loops() && t->cycle_additive() && hw_core.online() &&
-         !hw_core.in_secure_world();
+         t->cycle_loops() && hw_core.online() && !hw_core.in_secure_world();
 }
 
 void RichOs::arm_keyed(hw::CoreId core, CpuState::Keyed kind,
@@ -526,7 +525,6 @@ void RichOs::arm_keyed(hw::CoreId core, CpuState::Keyed kind,
 }
 
 void RichOs::hand_back(hw::CoreId core) {
-  settle_burst(core);
   platform_.timer().hand_back_nonsecure(core);
   CpuState& st = cpu(core);
   if (st.keyed == CpuState::Keyed::kNone) return;
@@ -592,7 +590,7 @@ void RichOs::fast_complete(hw::CoreId core) {
   account_current(core);
   t->remaining_compute_ = sim::Duration::zero();
   OsContext ctx{*this, platform_.engine().now(), core};
-  t->cycle_round(ctx);
+  t->cycle_round(ctx, 1);
   if (st.current != t) return;
   // A duty cycle sleeps next. A loop computes next, on this path only
   // while the core stays eligible.
@@ -609,88 +607,48 @@ void RichOs::fast_complete(hw::CoreId core) {
 // instead of being armed and dispatched one by one. Each is the iteration
 // begin_next_action() would take next, with the seq it would reserve,
 // completed as fast_complete() completes one: the dispatch commit, the
-// accounting and the round. An additive round completes them all at once;
-// any other round completes them one by one, with the accounting deferred
-// to settle_burst().
+// accounting and the round. The round is additive, so the engine completes
+// every iteration that fits at once.
 void RichOs::complete_loop_in_place(hw::CoreId core, Thread* t) {
   CpuState& st = cpu(core);
-  // Nothing to resume and no context-switch tax. Whatever could change
-  // that, or close the fast path, enters through hand_back(), which ends
-  // the burst.
+  // Only where begin_next_action() would take the loop's fast path, with
+  // nothing to resume and no context-switch tax.
   if (t->remaining_compute_ > sim::Duration::zero() || st.last_thread != t ||
       !fast_path_open(core)) {
     return;
   }
-  sim::Engine& engine = platform_.engine();
   const sim::Duration period = t->cycle_->compute;
-  if (t->cycle_additive()) {
-    // The core's tick joins the run when it keeps books and the GIC would
-    // deliver it at once, with nothing to log.
-    hw::GenericTimer& timer = platform_.timer();
-    const std::uint32_t tick = timer.nonsecure_slot(core);
-    const bool tick_joins = timer.nonsecure_keyed(core) &&
-                            tick_keeps_books(core) &&
-                            !sim::log_enabled(sim::LogLevel::kTrace);
-    const std::uint64_t done = engine.complete_rounds_in_place(
-        st.keyed_slot, period,
-        [t] { return !t->cycle_diverted() && !t->cycle_parked(); },
-        [this, core, t, period, &st](std::uint64_t n) {
-          // n slices, the last ending now; the first began where an
-          // in-place tick split it, or a period earlier.
-          const sim::Time now = platform_.engine().now();
-          account_slices(st, now - st.slice_start - period * (n - 1), 1);
-          account_slices(st, period, n - 1);
-          OsContext ctx{*this, now, core};
-          t->cycle_rounds(ctx, n);
-        },
-        std::span<const std::uint32_t>(&tick, tick_joins ? 1 : 0),
-        // The queued tick's expiry, the GIC's delivery to a core in the
-        // normal world, and on_tick().
-        [this, core, &timer](std::uint32_t) {
-          timer.expire_nonsecure_in_place(core);
-          on_tick(core);
-        });
-    // A run that completed nothing (the loop's next iteration ties with
-    // another core's, or comes after the next foreign key) leaves the tick
-    // to the queue, where it costs other dispatches nothing; on_tick()
-    // keys the next one again.
-    if (done == 0) timer.hand_back_nonsecure(core);
-    return;
-  }
-  st.burst_period = period;
-  const std::uint64_t done = engine.complete_in_place(
-      st.keyed_slot, st.burst_period,
-      // Where begin_next_action() would take the loop's fast path, while
-      // the burst is on.
-      [t, &st] {
-        return st.burst_period > sim::Duration::zero() &&
-               !t->cycle_diverted() && !t->cycle_parked();
+  // The core's tick joins the run when it keeps books and the GIC would
+  // deliver it at once, with nothing to log.
+  hw::GenericTimer& timer = platform_.timer();
+  const std::uint32_t tick = timer.nonsecure_slot(core);
+  const bool tick_joins = timer.nonsecure_keyed(core) &&
+                          tick_keeps_books(core) &&
+                          !sim::log_enabled(sim::LogLevel::kTrace);
+  const std::uint64_t done = platform_.engine().complete_in_place(
+      st.keyed_slot, period,
+      [t] { return !t->cycle_diverted() && !t->cycle_parked(); },
+      [this, core, t, period, &st](std::uint64_t n) {
+        // n slices, the last ending now; the first began where an
+        // in-place tick split it, or a period earlier.
+        const sim::Time now = platform_.engine().now();
+        account_slices(st, now - st.slice_start - period * (n - 1), 1);
+        account_slices(st, period, n - 1);
+        OsContext ctx{*this, now, core};
+        t->cycle_round(ctx, n);
       },
-      [this, core, t](sim::Time when) {
-        OsContext ctx{*this, when, core};
-        t->cycle_round(ctx);
+      std::span<const std::uint32_t>(&tick, tick_joins ? 1 : 0),
+      // The queued tick's expiry, the GIC's delivery to a core in the
+      // normal world, and on_tick().
+      [this, core, &timer](std::uint32_t) {
+        timer.expire_nonsecure_in_place(core);
+        on_tick(core);
       });
-  if (done > 0) {
-    settle_burst(core);
-  } else {
-    st.burst_period = sim::Duration::zero();
-  }
-}
-
-// Ends a burst, when it runs out or when a round enters the scheduler on
-// its core (through hand_back()), whichever comes first. Until then
-// slice_start stays where the last accounting left it, so the iterations
-// completed in place are (now - slice_start) / burst_period, each one
-// slice.
-void RichOs::settle_burst(hw::CoreId core) {
-  CpuState& st = cpu(core);
-  const sim::Duration period = st.burst_period;
-  if (period == sim::Duration::zero()) return;
-  st.burst_period = sim::Duration::zero();
-  account_slices(st, period,
-                 static_cast<std::uint64_t>(
-                     (platform_.engine().now() - st.slice_start).ps() /
-                     period.ps()));
+  // A run that completed nothing (the loop's next iteration ties with
+  // another core's, or comes after the next foreign key) leaves the tick
+  // to the queue, where it costs other dispatches nothing; on_tick() keys
+  // the next one again.
+  if (done == 0) timer.hand_back_nonsecure(core);
 }
 
 // begin_next_action() for a cycle thread with nothing left to resume,

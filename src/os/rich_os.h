@@ -72,9 +72,6 @@ class RichOs final : public hw::WorldListener,
 
   hw::Platform& platform() { return platform_; }
   const KernelImage& kernel_image() const { return *image_; }
-  const std::shared_ptr<const KernelImage>& kernel_image_ptr() const {
-    return image_;
-  }
   const OsConfig& config() const { return config_; }
 
   // Registers a thread; the OS owns it. Returns a non-owning handle valid
@@ -125,9 +122,6 @@ class RichOs final : public hw::WorldListener,
     enum class Keyed : std::uint8_t { kNone, kWake, kCompletion };
     Keyed keyed = Keyed::kNone;
     Thread* sleeper = nullptr;
-    // A loop's iteration cost while its iterations complete in place;
-    // zero otherwise.
-    sim::Duration burst_period;
   };
 
   CpuState& cpu(hw::CoreId core) { return cpus_.at(static_cast<std::size_t>(core)); }
@@ -158,22 +152,19 @@ class RichOs final : public hw::WorldListener,
   // Cycle fast path (DESIGN.md §19).
   bool fast_path_open(hw::CoreId core) const;
   bool can_fast_forward(hw::CoreId core, const Thread& thread) const;
-  // True when the core's tick would only keep books: it runs an additive
-  // loop on the fast path, with no tick hook, online and in the normal
-  // world. Its tick is then keyed, and its loop's runs complete it in
-  // place.
+  // True when the core's tick would only keep books: it runs a loop on
+  // the fast path, with no tick hook, online and in the normal world. Its
+  // tick is then keyed, and its loop's runs complete it in place.
   bool tick_keeps_books(hw::CoreId core) const;
   void arm_keyed(hw::CoreId core, CpuState::Keyed kind, sim::Time when);
-  // Hands the core's keyed action, if any, back to the queue under its
-  // key, after settle_burst(); every event-path entry that touches the
-  // core calls this first.
+  // Hands the core's keyed action and keyed tick, if any, back to the
+  // queue under their keys; every event-path entry that touches the core
+  // calls this first.
   void hand_back(hw::CoreId core);
   void run_keyed_action(std::uint32_t core) override;
   void fast_wake(hw::CoreId core);
   void fast_complete(hw::CoreId core);
   void complete_loop_in_place(hw::CoreId core, Thread* t);
-  // Ends a burst, folding its deferred accounting up to the clock.
-  void settle_burst(hw::CoreId core);
   void begin_cycle_step(hw::CoreId core, Thread* thread);
 
   hw::Platform& platform_;

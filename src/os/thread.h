@@ -118,16 +118,15 @@ class Thread {
     }
     return SleepForAction{step.duration};
   }
-  // Runs when a compute of the cycle completes. A loop's rounds may run in
-  // a burst (DESIGN.md §19), which charges the thread's cpu_time() and
-  // vruntime_s() only after them, so a loop's round must not read those.
-  virtual void cycle_round(OsContext&) {}
-  // An additive round: a loop whose round only counts overrides both, and
-  // cycle_rounds(ctx, n) then does what n cycle_round() calls would, the
-  // last ending at ctx.now. RichOs then completes the loop's bursts by
-  // arithmetic (DESIGN.md §19).
-  virtual bool cycle_additive() const { return false; }
-  virtual void cycle_rounds(OsContext&, std::uint64_t) {}
+  // Runs when `rounds` computes of the cycle have completed back to back,
+  // the last ending at ctx.now. A duty cycle always gets 1; a loop gets
+  // the count its burst completed (1 outside a burst, DESIGN.md §19). So a
+  // loop's round is additive: it does what `rounds` single rounds would,
+  // and must not read the clock per round, touch the scheduler or the
+  // queue, change cycle_diverted() or cycle_parked(), or read its own
+  // thread's cpu_time() or vruntime_s(). A loop step that must do more
+  // diverts through cycle_diverted() instead.
+  virtual void cycle_round(OsContext&, std::uint64_t /*rounds*/) {}
   virtual bool cycle_parked() const { return false; }
   // True when a loop's next step is not the cycle's; RichOs then asks
   // next_action() for it.
@@ -151,7 +150,7 @@ class Thread {
   }
   bool cycle_loops() const { return cycle_.has_value() && !cycle_->sleep; }
   std::function<void(OsContext&)> cycle_round_callback() {
-    return [this](OsContext& ctx) { cycle_round(ctx); };
+    return [this](OsContext& ctx) { cycle_round(ctx, 1); };
   }
 
   std::string name_;
@@ -166,7 +165,6 @@ class Thread {
   double vruntime_s_ = 0.0;          // CFS virtual runtime, seconds
   sim::Duration remaining_compute_;  // unfinished part of current compute
   std::function<void(OsContext&)> pending_on_complete_;
-  sim::Time last_dispatch_;          // when it last got the CPU
   sim::Duration ran_in_slice_;       // time on CPU since last enqueue
   sim::Duration cpu_time_;
   std::uint64_t enqueue_seq_ = 0;    // FIFO order within RT priority

@@ -127,7 +127,9 @@ class Engine {
   // same-picosecond ties alike. step(), run_until's limit and
   // request_stop() treat armed actions like queue events. A disarmed key
   // can go back to the queue through schedule_keyed().
-  // RichOs runs duty-cycle threads this way.
+  // RichOs runs both cycle forms this way (a duty cycle's wake-ups and
+  // completions, a loop's completions), and hw::GenericTimer a core's
+  // non-secure tick while that tick only keeps books.
   struct Key {
     Time when;
     std::uint64_t seq = 0;
@@ -155,20 +157,24 @@ class Engine {
   // Completes, without returning to the run loop, the further actions of
   // `slot` that would each end `period` after the previous one, starting
   // from now(), strictly before in_place_horizon(). Every pending key was
-  // reserved before them, so on a tie that key dispatches first. Before
-  // each one it asks the owner's `ready()`; then the completion takes the
-  // seq its arm() would have reserved, moves the clock, makes the keyed
-  // dispatch's flight commit and calls `round(when)`. The burst stops when
-  // ready() is false, or after a round that requests a stop, reserves a
-  // seq, or schedules or cancels an event. Returns the number completed;
-  // keyed_fired(), keyed_in_place() and the enclosing run's return value
-  // count them. Only the action being dispatched may call this, with its
-  // slot idle; anything else throws std::logic_error.
+  // reserved before them, so on a tie that key dispatches first. The rounds
+  // are additive: every one that fits completes in one batch. Before each
+  // batch it asks the owner's `ready()`; then the batch's n rounds take the
+  // seqs their arm() calls would have reserved, the clock moves n periods,
+  // the n keyed dispatch flight commits are written (in a tight loop, only
+  // while a recorder is installed), and `rounds(n)` runs once, with the
+  // clock at the last one's end. The run stops when ready() is false, or
+  // after a batch that requests a stop, reserves a seq, or schedules or
+  // cancels an event. Returns the number completed; keyed_fired(),
+  // keyed_in_place() and the enclosing run's return value count them. Only
+  // the action being dispatched may call this, with its slot idle;
+  // anything else throws std::logic_error.
   //
   // The slots in `joined` (other slots, armed or idle) join the run: they
   // do not bound the horizon, and whenever a joined slot's key comes
   // before the next round by (when, seq), the run completes it in place
-  // first. The next round's seq is reserved before that, where its arm()
+  // first, so a batch's rounds after its first end before the next joined
+  // key. The next round's seq is reserved before that, where its arm()
   // would have been, then the run disarms the slot, moves the clock to
   // its key, makes the dispatch commit and calls `join(slot)`, which does
   // that action's work and may re-arm the slot; keyed_fired() and
@@ -177,25 +183,11 @@ class Engine {
   // joined action may reserve seqs but must not pull the horizon in
   // before the round it precedes; if it does, the run throws
   // std::logic_error.
-  template <typename Ready, typename Round, typename Join = NoJoin>
-  std::uint64_t complete_in_place(std::uint32_t slot, Duration period,
-                                  Ready&& ready, Round&& round,
-                                  std::span<const std::uint32_t> joined = {},
-                                  Join&& join = {}) {
-    return run_in_place<false>(slot, period, ready, round, joined, join);
-  }
-  // The counted form, for an additive round: the same completions, under
-  // the same rules, but every round that fits before the horizon and the
-  // next joined key completes at once. The clock moves n periods and the
-  // seq n, the n flight commits are written in a tight loop only while a
-  // recorder is installed, and `rounds(n)` runs once, with the clock at
-  // the last one's end. ready() is asked before each such batch.
   template <typename Ready, typename Rounds, typename Join = NoJoin>
-  std::uint64_t complete_rounds_in_place(
-      std::uint32_t slot, Duration period, Ready&& ready, Rounds&& rounds,
-      std::span<const std::uint32_t> joined = {}, Join&& join = {}) {
-    return run_in_place<true>(slot, period, ready, rounds, joined, join);
-  }
+  std::uint64_t complete_in_place(std::uint32_t slot, Duration period,
+                                  Ready&& ready, Rounds&& rounds,
+                                  std::span<const std::uint32_t> joined = {},
+                                  Join&& join = {});
 
   // Queued events only; armed keyed actions are not counted.
   std::size_t pending_count() const { return pool_->pending(); }
@@ -280,13 +272,6 @@ class Engine {
                                                Time now);
   [[noreturn]] static void broken_joined_action(std::uint32_t slot,
                                                  Time now);
-  // Both forms of complete_in_place(): one round at a time, or
-  // (kCounted) every round that fits at once.
-  template <bool kCounted, typename Ready, typename Round, typename Join>
-  std::uint64_t run_in_place(std::uint32_t slot, Duration period,
-                             Ready& ready, Round& round,
-                             std::span<const std::uint32_t> joined,
-                             Join& join);
   // Marks `joined` for the length of an in-place run (also when it
   // throws).
   class JoinScope;
@@ -371,11 +356,11 @@ class Engine::JoinScope {
   const std::span<const std::uint32_t> joined_;
 };
 
-template <bool kCounted, typename Ready, typename Round, typename Join>
-std::uint64_t Engine::run_in_place(std::uint32_t slot, Duration period,
-                                   Ready& ready, Round& round,
-                                   std::span<const std::uint32_t> joined,
-                                   Join& join) {
+template <typename Ready, typename Rounds, typename Join>
+std::uint64_t Engine::complete_in_place(std::uint32_t slot, Duration period,
+                                        Ready&& ready, Rounds&& rounds,
+                                        std::span<const std::uint32_t> joined,
+                                        Join&& join) {
   if (slot != run_.dispatching || keyed_[slot].armed) {
     broken_in_place_use(slot, run_.dispatching, now_);
   }
@@ -432,18 +417,16 @@ std::uint64_t Engine::run_in_place(std::uint32_t slot, Duration period,
       continue;
     }
     // The rounds that end strictly before the horizon and, after the
-    // first, before the next joined key: the next one, or all of them.
-    // Only the first can hold a seq older than that key's.
+    // first, before the next joined key. Only the first can hold a seq
+    // older than that key's.
+    const Time bound = first_joined != nullptr
+                           ? std::min(horizon, first_joined->when)
+                           : horizon;
     std::uint64_t n = 1;
-    if constexpr (kCounted) {
-      const Time bound = first_joined != nullptr
-                             ? std::min(horizon, first_joined->when)
-                             : horizon;
-      if (bound > next) {
-        n = static_cast<std::uint64_t>((bound - next).ps() - 1) /
-                static_cast<std::uint64_t>(period.ps()) +
-            1;
-      }
+    if (bound > next) {
+      n = static_cast<std::uint64_t>((bound - next).ps() - 1) /
+              static_cast<std::uint64_t>(period.ps()) +
+          1;
     }
     if (!reserved) reserved_seq = next_seq_++;
     reserved = false;
@@ -459,12 +442,8 @@ std::uint64_t Engine::run_in_place(std::uint32_t slot, Duration period,
     now_ = next + period * (n - 1);
     next_seq_ = rest + (n - 1);
     done += n;
-    if constexpr (kCounted) {
-      round(n);
-    } else {
-      round(now_);
-    }
-    // A round that took a seq or touched the queue may have moved the
+    rounds(n);
+    // A batch that took a seq or touched the queue may have moved the
     // horizon.
     if (stop_requested_ || next_seq_ != rest + (n - 1) ||
         pool_->allocated() != allocated ||

@@ -51,10 +51,8 @@ class WorkloadThread final : public os::Thread {
   void add_penalty(sim::Duration penalty) { pending_penalty_ += penalty; }
 
  private:
-  void cycle_round(os::OsContext&) override { ++iterations_; }
-  bool cycle_additive() const override { return true; }
-  void cycle_rounds(os::OsContext&, std::uint64_t n) override {
-    iterations_ += n;
+  void cycle_round(os::OsContext&, std::uint64_t rounds) override {
+    iterations_ += rounds;
   }
   bool cycle_diverted() const override {
     return stop_requested_ || pending_penalty_ > sim::Duration::zero();

@@ -374,61 +374,6 @@ TEST(CycleFastForward, QueueEventsAtCompletionPicosecondsDispatchFirst) {
   EXPECT_GT(fast.engine().keyed_in_place(), 0u);
 }
 
-// A loop whose 150th round adds a CFS thread pinned to the loop's own core:
-// the scheduler reads the loop's accounting (the new thread's vruntime
-// clamp, the wake-up preemption check) in the middle of what is a burst on
-// the fast path.
-class SpawningLoop final : public os::Thread {
- public:
-  SpawningLoop() : Thread("spawning-loop") {
-    declare_cycle({Duration::from_us(40)});
-  }
-  os::Action next_action(os::OsContext&) override { return cycle_action(); }
-  std::uint64_t iterations = 0;
-
- private:
-  void cycle_round(os::OsContext& ctx) override {
-    if (++iterations != 150) return;
-    int computes = 0;
-    auto hog = std::make_unique<os::FunctionThread>(
-        "hog", [computes](os::OsContext&) mutable -> os::Action {
-          if (++computes > 3) return os::ExitAction{};
-          return os::ComputeAction{Duration::from_ms(1), nullptr};
-        });
-    hog->pin_to_core(ctx.core);
-    ctx.os.add_thread(std::move(hog));
-  }
-};
-
-struct SpawnRun {
-  explicit SpawnRun(CyclePath path) : flight(ProberRun::options()) {
-    scenario::ScenarioConfig config;
-    config.os.cycle_path = path;
-    system = std::make_unique<scenario::Scenario>(config);
-    loop = static_cast<SpawningLoop*>(
-        system->os().add_thread(std::make_unique<SpawningLoop>()));
-  }
-  sim::Engine& engine() { return system->engine(); }
-  std::string fingerprint() {
-    return satin::fingerprint(*system, flight, metrics,
-                              "iterations=" + std::to_string(loop->iterations));
-  }
-  obs::FlightRecorder flight;
-  obs::MetricsRegistry metrics;
-  std::unique_ptr<scenario::Scenario> system;
-  SpawningLoop* loop = nullptr;
-};
-
-TEST(CycleFastForward, ARoundThatEntersTheSchedulerMidBurstSeesItsAccounting) {
-  SpawnRun oracle(CyclePath::kEventPerRound);
-  SpawnRun fast(CyclePath::kFastForward);
-  expect_identical_runs(oracle, fast, [](SpawnRun& run, int stage) {
-    run.system->run_for(stage == 0 ? Duration::from_ms(5) : Duration::from_ms(2));
-    return stage < 10;
-  });
-  EXPECT_GT(fast.engine().keyed_in_place(), 100u);
-}
-
 TEST(CycleFastForward, StopAndPenaltyWhileACompletionIsArmed) {
   // The harness adds a penalty and requests a stop between engine runs;
   // each lands inside an iteration, whose completion then diverts the

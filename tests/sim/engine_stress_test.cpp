@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <iterator>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -140,23 +141,27 @@ TEST(EngineStress, SelfCancellationInsideOwnCallbackIsBenign) {
 
 // Seeded random traffic checked against a test-side reference of the
 // engine's (when, seq) order. The test mirrors the engine's seq counter
-// (schedule_at, reserve_seq and every in-place completion take one;
+// (schedule_at, reserve_seq and every round completed in place take one;
 // schedule_keyed takes none), so it knows the key of every queued event
 // and armed keyed action, and keeps the live ones in a sorted set. Every
-// dispatch must be the set's minimum, every completion in place must come
-// strictly before it, and the flight stream's kDispatch records must be
-// exactly the dispatches the test saw, in order.
+// dispatch, a joined slot's completion in place included, must be the
+// set's minimum, every round completed in place must come strictly before
+// it, and the flight stream's kDispatch records must be exactly the
+// dispatches the test saw, in order.
 class ReferenceTraffic : public KeyedActionOwner {
  public:
   using Key = std::pair<std::int64_t, std::uint64_t>;  // (when ps, seq)
 
   explicit ReferenceTraffic(std::uint64_t seed) : rng_(seed) {
-    for (std::uint32_t tag = 0; tag < 4; ++tag) {
-      // Slot 3 is a loop: each dispatch completes further iterations in
-      // place, the way RichOs runs a lone mini-UnixBench loop.
-      slots_.push_back(Slot{engine.add_keyed_slot(this, tag),
-                            tag == 3 ? Duration::from_us(3 + 7 * (seed % 3))
-                                     : Duration::zero()});
+    // Slot 3 is a loop: each dispatch completes further rounds in place,
+    // the way RichOs runs a lone mini-UnixBench loop. On even seeds slot 4
+    // is its core's tick, which joins those runs.
+    const Duration period = Duration::from_us(3 + 7 * (seed % 3));
+    for (std::uint32_t tag = 0; tag < (seed % 2 == 0 ? 5u : 4u); ++tag) {
+      const Kind kind =
+          tag == 3 ? Kind::kLoop : tag == 4 ? Kind::kTick : Kind::kPlain;
+      slots_.push_back(Slot{engine.add_keyed_slot(this, tag), kind,
+                            kind == Kind::kTick ? period * 4 : period});
     }
   }
 
@@ -199,13 +204,21 @@ class ReferenceTraffic : public KeyedActionOwner {
   std::set<Key> live;
   std::set<Key> cancelled;
   std::vector<Key> dispatched;
-  std::uint64_t in_place = 0;
+  std::uint64_t in_place = 0;  // rounds and joined ticks
+  std::uint64_t joined = 0;    // joined ticks
   int handed_back = 0;
+  bool has_tick() const { return slots_.size() > 4; }
 
  private:
+  // A plain slot is armed at random. A loop re-arms a period after each
+  // dispatch and completes its further rounds in place; a tick re-arms a
+  // period after each run and does nothing else, whether dispatched or
+  // joined to the loop's run.
+  enum class Kind { kPlain, kLoop, kTick };
   struct Slot {
     std::uint32_t id;
-    Duration period;  // nonzero: a loop that completes in place
+    Kind kind;
+    Duration period;  // a loop's round or a tick's
     bool armed = false;
     Key key{};
   };
@@ -219,23 +232,55 @@ class ReferenceTraffic : public KeyedActionOwner {
     EXPECT_TRUE(slot.armed);
     slot.armed = false;
     dispatch(slot.key);
-    if (slot.period > Duration::zero()) {
-      engine.complete_in_place(
-          slot.id, slot.period, [this] { return budget_ > 0; },
-          [this](Time when) {
-            const Key key{when.ps(), seq_++};
-            EXPECT_EQ(engine.now(), when);
-            EXPECT_TRUE(live.empty() || key < *live.begin());
-            dispatched.push_back(key);
-            ++in_place;
-          });
+    if (slot.kind == Kind::kTick) {
+      tick(slot);
+      return;
     }
+    if (slot.kind == Kind::kLoop) complete_in_place(slot);
     act();
     if (budget_ > 0 && !slot.armed &&
-        (slot.period > Duration::zero() || rng_.bernoulli(0.5))) {
-      arm(slot, engine.now() + (slot.period > Duration::zero() ? slot.period
-                                                               : delay()));
+        (slot.kind == Kind::kLoop || rng_.bernoulli(0.5))) {
+      arm(slot, engine.now() +
+                    (slot.kind == Kind::kLoop ? slot.period : delay()));
     }
+  }
+
+  void tick(Slot& slot) {
+    if (budget_ > 0) arm(slot, engine.now() + slot.period);
+  }
+
+  // The loop's in-place run, with the tick joined. The engine reserves
+  // the next round's seq before the first joined tick that precedes it.
+  void complete_in_place(Slot& loop) {
+    const std::uint32_t tick_slot = has_tick() ? slots_[4].id : 0;
+    bool reserved = false;  // the next round's seq, by a joined tick
+    std::uint64_t round_seq = 0;
+    in_place += engine.complete_in_place(
+        loop.id, loop.period, [this] { return budget_ > 0; },
+        [&](std::uint64_t n) {
+          for (std::uint64_t i = n; i-- > 0;) {
+            const Key key{(engine.now() - loop.period * i).ps(),
+                          reserved ? round_seq : seq_++};
+            reserved = false;
+            EXPECT_TRUE(live.empty() || key < *live.begin());
+            dispatched.push_back(key);
+          }
+        },
+        std::span<const std::uint32_t>(&tick_slot, has_tick() ? 1 : 0),
+        [&](std::uint32_t id) {
+          if (!reserved) {
+            reserved = true;
+            round_seq = seq_++;
+          }
+          Slot& slot = slots_[4];
+          EXPECT_EQ(id, slot.id);
+          EXPECT_TRUE(slot.armed);
+          slot.armed = false;
+          dispatch(slot.key);
+          ++joined;
+          tick(slot);
+        });
+    EXPECT_FALSE(reserved);
   }
 
   void dispatch(const Key& key) {
@@ -373,6 +418,7 @@ TEST(EngineStress, DispatchOrderMatchesASortedReference) {
     EXPECT_EQ(engine.keyed_in_place(), traffic.in_place);
     // The traffic reached every path it is meant to check.
     EXPECT_GT(traffic.in_place, 0u);
+    EXPECT_EQ(traffic.joined > 0, traffic.has_tick());
     EXPECT_GT(traffic.handed_back, 0);
     EXPECT_GT(traffic.cancelled.size(), 100u);
     EXPECT_GT(engine.compactions(), 0u);

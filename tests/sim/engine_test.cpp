@@ -489,9 +489,8 @@ TEST(EngineKeyed, ArmRejectsPastUnreservedOrDoubleKeys) {
 // --- In-place completions ------------------------------------------------
 
 // A lone loop on one slot, run the way RichOs runs one: each dispatch
-// completes in place every further iteration that fits, one by one or
-// (`counted`) all at once, then arms the next one `period` later. Records
-// every iteration's end.
+// completes in place, in batches, every further iteration that fits, then
+// arms the next one `period` later. Records every iteration's end.
 struct LoopOwner : KeyedActionOwner {
   LoopOwner(Engine& e, Duration p)
       : engine(e), period(p), slot(e.add_keyed_slot(this, 0)) {}
@@ -501,19 +500,13 @@ struct LoopOwner : KeyedActionOwner {
     if (in_action) in_action();
     if (stop_in_action) engine.request_stop();
     horizons.push_back(engine.in_place_horizon());
-    const auto ready = [] { return true; };
-    if (counted) {
-      in_place += engine.complete_rounds_in_place(
-          slot, period, ready, [this](std::uint64_t n) {
+    if (in_place) {
+      completed += engine.complete_in_place(
+          slot, period, [] { return true; }, [this](std::uint64_t n) {
             for (std::uint64_t i = n; i-- > 0;) {
               ends.push_back(engine.now() - period * i);
             }
-          });
-    } else {
-      in_place += engine.complete_in_place(
-          slot, period, ready, [this](Time when) {
-            ends.push_back(when);
-            if (ends.size() == stop_after) engine.request_stop();
+            if (stop_in_batch) engine.request_stop();
           });
     }
     engine.arm(slot, {engine.now() + period, engine.reserve_seq()});
@@ -528,9 +521,9 @@ struct LoopOwner : KeyedActionOwner {
   std::uint32_t slot;
   std::vector<Time> ends;
   std::vector<Time> horizons;
-  std::uint64_t in_place = 0;
-  std::size_t stop_after = 0;  // a round requests a stop at this many ends
-  bool counted = false;
+  std::uint64_t completed = 0;  // by the in-place runs
+  bool in_place = true;         // false: every iteration is dispatched
+  bool stop_in_batch = false;   // each batch requests a stop
   bool stop_in_action = false;
   std::function<void()> in_action;  // runs in each dispatch, before the burst
 };
@@ -565,7 +558,7 @@ TEST(EngineKeyed, InPlaceCompletionsStopAtTheInclusiveRunLimit) {
     engine.run_until(limit);
     const int last = limit == Time::from_us(40) ? 4 : 3;
     EXPECT_EQ(loop.ends, every(Time::from_us(10), 1, last)) << limit.ps();
-    EXPECT_EQ(loop.in_place, static_cast<std::uint64_t>(last - 1));
+    EXPECT_EQ(loop.completed, static_cast<std::uint64_t>(last - 1));
     EXPECT_EQ(engine.now(), limit);
   }
 }
@@ -586,15 +579,22 @@ TEST(EngineKeyed, StepNeverCompletesInPlace) {
 TEST(EngineKeyed, AStopRequestedInTheBurstEndsIt) {
   Engine engine;
   LoopOwner loop(engine, Time::from_us(10));
-  loop.stop_after = 3;
+  // Bounds the first batch to 20 and 30 µs; the batch requests the stop,
+  // so the run ends before the event.
+  bool fired = false;
+  engine.schedule_at(Time::from_us(35), [&] { fired = true; });
+  loop.stop_in_batch = true;
   loop.start();
   EXPECT_EQ(engine.run_until(Time::from_ms(1)), 3u);
   EXPECT_EQ(loop.ends, every(Time::from_us(10), 1, 3));
   EXPECT_EQ(engine.now(), Time::from_us(30));
+  EXPECT_FALSE(fired);
   // A stop the action requests before its burst leaves nothing to
-  // complete in place.
+  // complete in place: the next run dispatches the event and 40 µs.
+  loop.stop_in_batch = false;
   loop.stop_in_action = true;
-  EXPECT_EQ(engine.run_until(Time::from_ms(1)), 1u);
+  EXPECT_EQ(engine.run_until(Time::from_ms(1)), 2u);
+  EXPECT_TRUE(fired);
   EXPECT_EQ(loop.horizons.back(), Time::from_us(40));
   EXPECT_EQ(loop.ends, every(Time::from_us(10), 1, 4));
 }
@@ -655,7 +655,7 @@ TEST(EngineKeyed, InPlaceCompletionOutsideItsDispatchThrows) {
   LoopOwner loop(engine, Time::from_us(10));
   const auto complete = [&] {
     engine.complete_in_place(
-        loop.slot, loop.period, [] { return true; }, [](Time) {});
+        loop.slot, loop.period, [] { return true; }, [](std::uint64_t) {});
   };
   EXPECT_THROW(complete(), std::logic_error);  // outside any run
   bool threw = false;
@@ -723,43 +723,46 @@ struct Recording {
   obs::FlightRecorder flight;
 };
 
-TEST(EngineKeyed, ACountedRunWritesThePerRoundRunsCommits) {
-  // Queued events at uneven times bound the bursts, so several runs of
-  // each length happen; both forms must commit the same (when, seq)
-  // stream and complete the same iterations.
-  std::vector<std::uint64_t> chains, commits;
+TEST(EngineKeyed, AnInPlaceRunWritesTheDispatchedRoundsCommits) {
+  // Queued events at uneven times bound the runs, so batches of several
+  // lengths happen; they must commit the same (when, seq) stream and
+  // complete the same iterations as the loop dispatched round by round.
+  std::vector<std::uint64_t> chains, commits, keyed;
   std::vector<std::vector<Time>> ends;
-  for (const bool counted : {false, true}) {
+  for (const bool in_place : {false, true}) {
     Engine engine;
     const Recording recording;
     LoopOwner loop(engine, Time::from_us(10));
-    loop.counted = counted;
+    loop.in_place = in_place;
     for (const int us : {37, 38, 95, 241, 242, 600}) {
       engine.schedule_at(Time::from_us(us), [] {});
     }
     loop.start();
     engine.run_until(Time::from_ms(1));
-    EXPECT_GT(loop.in_place, 80u) << counted;
+    EXPECT_EQ(engine.keyed_in_place(), loop.completed) << in_place;
+    EXPECT_EQ(loop.completed > 80u, in_place) << loop.completed;
     chains.push_back(recording.flight.chain_hash());
     commits.push_back(recording.flight.commits());
+    keyed.push_back(engine.keyed_fired());
     ends.push_back(loop.ends);
   }
   EXPECT_EQ(chains[1], chains[0]);
   EXPECT_EQ(commits[1], commits[0]);
+  EXPECT_EQ(keyed[1], keyed[0]);
   EXPECT_EQ(ends[1], ends[0]);
+  EXPECT_EQ(ends[0], every(Time::from_us(10), 1, 100));
 }
 
 // A loop and its core's tick, the way RichOs runs a lone loop core whose
 // tick only keeps books: each dispatch of the loop completes its further
-// rounds in place, counted or one by one, with the tick's slot joined to
-// the run; the tick re-arms itself `tick_period` after it runs, whether
-// dispatched or joined. Logs every round's end ('L') and tick ('T').
+// rounds in place, with the tick's slot joined to the run; the tick
+// re-arms itself `tick_period` after it runs, whether dispatched or
+// joined. Logs every round's end ('L') and tick ('T').
 struct TickedLoop : KeyedActionOwner {
-  TickedLoop(Engine& e, Duration p, Duration q, bool counted)
+  TickedLoop(Engine& e, Duration p, Duration q)
       : engine(e),
         period(p),
         tick_period(q),
-        counted(counted),
         loop(e.add_keyed_slot(this, 0)),
         tick(e.add_keyed_slot(this, 1)) {}
   // Arms the first tick, then the first round.
@@ -778,21 +781,14 @@ struct TickedLoop : KeyedActionOwner {
       return;
     }
     const std::uint32_t joined[] = {tick};
-    const auto ready = [] { return true; };
-    const auto join = [this](std::uint32_t) { on_tick(); };
-    returned.push_back(
-        counted ? engine.complete_rounds_in_place(
-                      loop, period, ready,
-                      [this](std::uint64_t n) {
-                        for (std::uint64_t i = n; i-- > 0;) {
-                          log.emplace_back('L', engine.now() - period * i);
-                        }
-                      },
-                      joined, join)
-                : engine.complete_in_place(
-                      loop, period, ready,
-                      [this](Time when) { log.emplace_back('L', when); },
-                      joined, join));
+    returned.push_back(engine.complete_in_place(
+        loop, period, [] { return true; },
+        [this](std::uint64_t n) {
+          for (std::uint64_t i = n; i-- > 0;) {
+            log.emplace_back('L', engine.now() - period * i);
+          }
+        },
+        joined, [this](std::uint32_t) { on_tick(); }));
     engine.arm(loop, {engine.now() + period, engine.reserve_seq()});
   }
   void on_tick() {
@@ -811,7 +807,6 @@ struct TickedLoop : KeyedActionOwner {
   Engine& engine;
   Duration period;
   Duration tick_period;
-  bool counted;
   std::uint32_t loop;
   std::uint32_t tick;
   bool in_place = true;  // false: every round and tick is dispatched
@@ -823,10 +818,9 @@ struct TickedLoop : KeyedActionOwner {
 // Runs a TickedLoop to `limit`, and again with every round and tick
 // dispatched one by one, each under a flight recorder.
 struct TickedRuns {
-  TickedRuns(Duration period, Duration tick_period, bool counted,
-             Time limit)
-      : fast(fast_engine, period, tick_period, counted),
-        stepped(stepped_engine, period, tick_period, counted) {
+  TickedRuns(Duration period, Duration tick_period, Time limit)
+      : fast(fast_engine, period, tick_period),
+        stepped(stepped_engine, period, tick_period) {
     stepped.in_place = false;
     for (auto [loop, chain] : {std::pair{&fast, &fast_chain},
                                std::pair{&stepped, &stepped_chain}}) {
@@ -858,20 +852,15 @@ TEST(EngineKeyed, ATiedTickAndRoundRunInSeqOrderInPlace) {
                              Time::from_us(40), "TL"},
                         Case{Time::from_us(50), Time::from_us(20),
                              Time::from_us(100), "LT"}}) {
-    for (const bool counted : {false, true}) {
-      const TickedRuns runs(c.period, c.tick_period, counted,
-                            Time::from_us(400));
-      const std::string label = std::string(c.order) +
-                                (counted ? " counted" : " per round");
-      EXPECT_EQ(runs.stepped.order_at(c.tie), c.order) << label;
-      EXPECT_EQ(runs.fast.log, runs.stepped.log) << label;
-      EXPECT_EQ(runs.fast_chain, runs.stepped_chain) << label;
-      EXPECT_EQ(runs.fast_engine.now(), runs.stepped_engine.now()) << label;
-      EXPECT_GT(runs.fast_engine.keyed_in_place(), 10u) << label;
-      EXPECT_EQ(runs.fast_engine.keyed_fired(),
-                runs.stepped_engine.keyed_fired())
-          << label;
-    }
+    const TickedRuns runs(c.period, c.tick_period, Time::from_us(400));
+    EXPECT_EQ(runs.stepped.order_at(c.tie), c.order) << c.order;
+    EXPECT_EQ(runs.fast.log, runs.stepped.log) << c.order;
+    EXPECT_EQ(runs.fast_chain, runs.stepped_chain) << c.order;
+    EXPECT_EQ(runs.fast_engine.now(), runs.stepped_engine.now()) << c.order;
+    EXPECT_GT(runs.fast_engine.keyed_in_place(), 10u) << c.order;
+    EXPECT_EQ(runs.fast_engine.keyed_fired(),
+              runs.stepped_engine.keyed_fired())
+        << c.order;
   }
 }
 
@@ -879,21 +868,16 @@ TEST(EngineKeyed, ARunWhoseOwnSlotIsDueFirstStillMakesProgress) {
   // Horizon deadlock: the joined tick is due before every next round.
   // Counted in the horizon it would end each run at once; joined, one
   // dispatch of the loop runs to the limit.
-  for (const bool counted : {false, true}) {
-    const TickedRuns runs(Time::from_us(50), Time::from_us(20), counted,
-                          Time::from_ms(1));
-    EXPECT_EQ(runs.fast.log, runs.stepped.log) << counted;
-    EXPECT_EQ(runs.fast_chain, runs.stepped_chain) << counted;
-    // Dispatched: the ticks at 20 and 40 µs, the round at 50 µs and,
-    // after the run's last round at 1 ms, the tick tied with it.
-    ASSERT_EQ(runs.fast.returned.size(), 1u) << counted;
-    EXPECT_EQ(runs.fast.returned.front(), runs.fast.log.size() - 4)
-        << counted;
-    EXPECT_EQ(runs.fast_engine.keyed_fired() -
-                  runs.fast_engine.keyed_in_place(),
-              4u)
-        << counted;
-  }
+  const TickedRuns runs(Time::from_us(50), Time::from_us(20),
+                        Time::from_ms(1));
+  EXPECT_EQ(runs.fast.log, runs.stepped.log);
+  EXPECT_EQ(runs.fast_chain, runs.stepped_chain);
+  // Dispatched: the ticks at 20 and 40 µs, the round at 50 µs and, after
+  // the run's last round at 1 ms, the tick tied with it.
+  ASSERT_EQ(runs.fast.returned.size(), 1u);
+  EXPECT_EQ(runs.fast.returned.front(), runs.fast.log.size() - 4);
+  EXPECT_EQ(
+      runs.fast_engine.keyed_fired() - runs.fast_engine.keyed_in_place(), 4u);
 }
 
 TEST(EngineKeyed, AJoinedActionThatPullsTheHorizonInThrows) {
@@ -901,7 +885,7 @@ TEST(EngineKeyed, AJoinedActionThatPullsTheHorizonInThrows) {
   // before the round it precedes breaks the run. Dispatched, the same
   // action is fine.
   Engine engine;
-  TickedLoop loop(engine, Time::from_us(50), Time::from_us(20), true);
+  TickedLoop loop(engine, Time::from_us(50), Time::from_us(20));
   loop.in_tick = [&engine] {
     engine.schedule_at(engine.now() + Duration::from_ps(1), [] {});
   };
