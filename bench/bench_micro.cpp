@@ -34,19 +34,23 @@
 // event-churn benches can report allocs_per_event. The PR-5 engine
 // contract is that the steady-state number is exactly 0 (slab-pooled
 // event states, inline callbacks, retained queue storage) and CI gates
-// on the reported counter.
+// on the reported counter. The shims also sum the bytes requested, which
+// BM_ScenarioBoot reports per boot.
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t alignment) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::aligned_alloc(alignment, size)) return p;
   throw std::bad_alloc();
 }
@@ -517,35 +521,43 @@ BENCHMARK(BM_WorkloadLoop)
 
 // One trial's boot set-up in steady state: a booted default Scenario plus
 // SATIN's boot-state authorization. Every trial shares the process-wide
-// kernel image and pristine digest chains (DESIGN.md §20), so once the
+// kernel image and pristine area digests (DESIGN.md §20), so once the
 // warm-up boot has built them no boot copies image bytes or builds a
-// chain. A checker left without the shared base hashes every area itself,
-// which counts as one chain per area. CI fails unless both counters are 0.
+// digest. A checker left without the shared base hashes every area
+// itself, which counts as one digest per area. CI fails unless both
+// counters are 0, and bounds heap_bytes_per_boot, the bytes a boot asks
+// the heap for.
 void BM_ScenarioBoot(benchmark::State& state) {
-  std::uint64_t unshared_chains = 0;
-  const auto boot = [&unshared_chains] {
+  std::uint64_t unshared_digests = 0;
+  const auto boot = [&unshared_digests] {
     satin::scenario::Scenario system;
     satin::core::Satin satin(system.platform(), system.kernel(),
                              system.tsp(), {});
     satin.checker().authorize_boot_state();
     auto base = satin.checker().introspector().digest_cache().pristine_base();
-    if (base == nullptr) unshared_chains += satin.checker().areas().size();
+    if (base == nullptr) unshared_digests += satin.checker().areas().size();
     return base;
   };
-  const auto base = boot();  // warm-up: builds the image and the chains
+  const auto base = boot();  // warm-up: builds the image and the digests
   const std::uint64_t copied = satin::os::KernelImage::copied_install_bytes();
-  const std::uint64_t chains = base != nullptr ? base->chains_built() : 0;
-  unshared_chains = 0;
+  const std::uint64_t digests = base != nullptr ? base->digests_built() : 0;
+  const std::uint64_t heap_bytes =
+      g_alloc_bytes.load(std::memory_order_relaxed);
+  unshared_digests = 0;
   for (auto _ : state) benchmark::DoNotOptimize(boot());
   const auto boots = static_cast<double>(state.iterations());
+  state.counters["heap_bytes_per_boot"] =
+      static_cast<double>(g_alloc_bytes.load(std::memory_order_relaxed) -
+                          heap_bytes) /
+      boots;
   state.counters["image_bytes_copied_per_boot"] =
       static_cast<double>(satin::os::KernelImage::copied_install_bytes() -
                           copied) /
       boots;
-  state.counters["chains_built_per_boot"] =
-      static_cast<double>((base != nullptr ? base->chains_built() - chains
+  state.counters["digests_built_per_boot"] =
+      static_cast<double>((base != nullptr ? base->digests_built() - digests
                                            : 0) +
-                          unshared_chains) /
+                          unshared_digests) /
       boots;
 }
 BENCHMARK(BM_ScenarioBoot)->Unit(benchmark::kMicrosecond);
@@ -574,14 +586,13 @@ void BM_ScanBeginFinish(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanBeginFinish);
 
-// --- Incremental digest cache ------------------------------------------
+// --- Digest cache --------------------------------------------------------
 //
-// Three regimes over a kernel-area-sized window (876,616 B, the largest
-// Table-I area): cold (every chunk missed), warm all-clean (the O(1)
-// generation fast path) and warm with K dirty chunks (re-hash K chunks +
-// the cascaded suffix, resume across the clean prefix). The
-// bytes_hashed_per_round counter reports how much real hashing each
-// round did — the quantity the cache exists to shrink.
+// Two regimes over a kernel-area-sized window (876,616 B, the largest
+// Table-I area): cold (the area hashed whole) and warm all-clean (the
+// O(1) generation fast path). The bytes_hashed_per_round counter reports
+// how much real hashing each round did — the quantity the cache exists to
+// shrink.
 
 constexpr std::size_t kCacheWindow = 876'616;
 
@@ -626,38 +637,6 @@ void BM_DigestCacheWarmClean(benchmark::State& state) {
                  : 0.0;
 }
 BENCHMARK(BM_DigestCacheWarmClean);
-
-// range(0) = K dirty chunks per round, spread across the window.
-void BM_DigestCacheWarmDirty(benchmark::State& state) {
-  satin::hw::Memory memory(kCacheWindow);
-  memory.poke(0, make_buffer(kCacheWindow));
-  const auto view = memory.bytes();
-  satin::secure::DigestCache cache(satin::secure::HashKind::kDjb2, true);
-  (void)cache.round_digest(memory, 0, view, true);
-  const auto dirty = static_cast<std::size_t>(state.range(0));
-  const std::size_t chunks = kCacheWindow / satin::hw::Memory::kChunkBytes;
-  satin::sim::Rng rng(7);
-  std::vector<std::uint8_t> one_byte{0};
-  std::uint64_t rounds = 0, bytes_hashed = 0;
-  for (auto _ : state) {
-    for (std::size_t k = 0; k < dirty; ++k) {
-      const auto chunk = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<int>(chunks) - 1));
-      one_byte[0] = static_cast<std::uint8_t>(rng.next_u64());
-      memory.poke(chunk * satin::hw::Memory::kChunkBytes, one_byte);
-    }
-    const auto out = cache.round_digest(memory, 0, view, true);
-    benchmark::DoNotOptimize(out.digest);
-    ++rounds;
-    bytes_hashed += out.bytes_hashed;
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kCacheWindow));
-  state.counters["bytes_hashed_per_round"] =
-      rounds > 0 ? static_cast<double>(bytes_hashed) / static_cast<double>(rounds)
-                 : 0.0;
-}
-BENCHMARK(BM_DigestCacheWarmDirty)->Arg(1)->Arg(8)->Arg(64);
 
 }  // namespace
 

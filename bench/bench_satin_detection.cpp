@@ -41,19 +41,18 @@ void print_clean_rows(satin::scenario::Scenario& system,
   bench::sci_row("simulated duration (s)", {system.now().sec()});
   // Shadow mode keeps this bookkeeping identical with the cache off
   // (core::SatinConfig::shadow_digest_cache), so these rows are the same
-  // in both modes. The pristine-base serve path counts served chunks as
-  // misses for the same reason, so they are what hashing every chunk
-  // would print.
+  // in both modes. The pristine-base serve path counts a served area's
+  // chunks as misses for the same reason, so they are what hashing the
+  // area would print.
   bench::subheading("digest cache");
   bench::text_row("chunk hits", std::to_string(stats.hits));
   bench::text_row("chunk misses", std::to_string(stats.misses));
-  bench::text_row("chunk invalidations", std::to_string(stats.invalidations));
   bench::text_row("bypasses", std::to_string(stats.bypasses));
   bench::text_row("bytes hashed", std::to_string(stats.bytes_hashed));
   bench::text_row("bytes skipped", std::to_string(stats.bytes_skipped));
 }
 
-// --clean-rounds=N: a hash-dominated workload for the incremental digest
+// --clean-rounds=N: a hash-dominated workload for the digest
 // cache. SATIN runs alone (no attacker, no workload churn) with a brisk
 // tp, so almost every round re-hashes a byte-identical area: exactly the
 // mostly-clean steady state §VI-B1's long runs spend their time in. With

@@ -37,13 +37,6 @@ class JsonValue {
   int line() const { return line_; }
   int col() const { return col_; }
 
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-
   // Typed accessors; throw JsonError (with this value's position) on a
   // kind mismatch. `where` names the value in the message, e.g.
   // "platform.num_little".

@@ -14,13 +14,17 @@
 //                                           appended to the journal
 //                                           verbatim after validation
 //
-// Durability order inside the worker is load-bearing: per-trial obs
-// artifacts (metrics snapshot, flight file) are persisted BEFORE the "R"
-// line is sent, so a journal-recorded trial always has its artifacts on
-// disk — a crash between the two costs a re-run, never a half-merged
-// aggregate. The worker exits via _exit() on every path: flushing stdio
-// buffers or running destructors inherited from the supervisor would
-// corrupt the parent's files.
+// Order inside the worker is load-bearing: per-trial obs artifacts
+// (metrics snapshot, flight file) are written and closed BEFORE the "R"
+// line is sent, so after a process crash — of the worker or of the
+// supervisor — a journal-recorded trial always has its artifacts: a crash
+// between the two costs a re-run, never a half-merged aggregate. That
+// holds across process crashes only. Neither artifact is fsync'd (only
+// the supervisor's journal append is), so after a power cut a journalled
+// trial can lack its artifact, and the merge reports it as a gap in
+// campaign.artifacts_missing. The worker exits via _exit() on every path:
+// flushing stdio buffers or running destructors inherited from the
+// supervisor would corrupt the parent's files.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "core/integrity_checker.h"
 
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -13,7 +14,7 @@ namespace satin::core {
 
 namespace {
 
-// The pristine digest chains of the process-wide default kernel image,
+// The pristine area digests of the process-wide default kernel image,
 // shared by every checker on that image in every thread (DESIGN.md §20).
 const std::shared_ptr<secure::PristineBase>& default_pristine_base() {
   static const std::shared_ptr<secure::PristineBase> base = [] {
@@ -43,15 +44,10 @@ IntegrityChecker::IntegrityChecker(hw::Platform& platform,
   if (areas_.empty()) {
     throw std::invalid_argument("IntegrityChecker: no areas");
   }
-  // Register the area set with the introspector so its incremental digest
-  // cache pre-sizes one chunk table per area before the first round.
-  for (const Area& area : areas_) {
-    introspector_.register_area(area.offset, area.size);
-  }
   // A checker on the default image attaches the process's pristine digest
-  // base, so clean-round chunk states are computed once per process
+  // base, so the digests of untouched areas are computed once per process
   // instead of once per trial. Identity-neutral: the cache only serves
-  // chunks still provably holding the installed bytes, with the same
+  // areas still provably holding the installed bytes, with the same
   // counters and digests as hashing them (secure/pristine_base.h).
   if (&image_ == os::default_kernel_image().get()) {
     introspector_.digest_cache().set_pristine_base(default_pristine_base());
@@ -66,20 +62,16 @@ void IntegrityChecker::authorize_boot_state() {
   const auto& base = introspector_.digest_cache().pristine_base();
   for (const Area& area : areas_) {
     // With the pristine base attached the per-area reference digest is the
-    // chain's final state — hash_resume's exact-chaining identity makes it
-    // bit-equal to digest_reference over the same slice, and the chains
-    // computed here are the ones clean rounds resume from later.
-    const secure::PristineBase::AreaChain* chain =
-        base != nullptr
-            ? base->area_chain(introspector_.hash_kind(), area.offset,
-                               area.size,
-                               introspector_.digest_cache().chunk_bytes())
-            : nullptr;
+    // base's memoized digest: hash_bytes over the same slice, and the
+    // digest that later rounds over the untouched area are served.
+    const std::optional<std::uint64_t> shared =
+        base != nullptr ? base->area_digest(introspector_.hash_kind(),
+                                            area.offset, area.size)
+                        : std::nullopt;
     const std::span<const std::uint8_t> slice(pristine.data() + area.offset,
                                               area.size);
     store_.authorize("area/" + std::to_string(area.index),
-                     chain != nullptr ? chain->digest
-                                      : introspector_.digest_reference(slice));
+                     shared ? *shared : introspector_.digest_reference(slice));
   }
   authorized_ = true;
 }

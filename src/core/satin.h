@@ -75,7 +75,7 @@ struct SatinConfig {
   // One whole-kernel area regardless of the race bound (PKM baseline).
   bool whole_kernel_single_area = false;
   ResilienceConfig resilience;
-  // Runs the introspector's incremental digest cache in shadow mode: a
+  // Runs the introspector's digest cache in shadow mode: a
   // full re-hash every round, the oracle the cache is held to
   // (secure/digest_cache.h). Bit-identical by contract; like
   // os::OsConfig::cycle_path, not a campaign spec key and set only by

@@ -39,7 +39,6 @@ void InterruptController::raise(CoreId core, IrqId irq) {
   // in-flight secure stay still drains its pended IRQs at exit — power-off
   // takes effect for newly raised interrupts.)
   if (!target.online()) {
-    ++dropped_irqs_;
     SATIN_FLIGHT_RECORD(obs::FlightKind::kCoreState, engine_.now(), 0, core,
                         obs::core_state_payload(
                             obs::FlightCoreState::kIrqDroppedOffline,
@@ -53,7 +52,6 @@ void InterruptController::raise(CoreId core, IrqId irq) {
   // the CPU interface.
   if (fault_hooks_ != nullptr && group == IrqGroup::kSecure &&
       fault_hooks_->drop_secure_irq(core, irq)) {
-    ++dropped_irqs_;
     SATIN_METRIC_INC("hw.irqs_lost");
     SATIN_LOG(kDebug) << "gic: secure irq " << static_cast<int>(irq)
                       << " to core " << core << " lost (fault)";

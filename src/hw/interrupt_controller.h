@@ -55,9 +55,6 @@ class InterruptController : public WorldListener {
   // Fault-injection seam: consulted before routing secure-group IRQs.
   void set_fault_hooks(FaultHooks* hooks) { fault_hooks_ = hooks; }
 
-  // IRQs swallowed by the seam plus IRQs dropped at offline cores.
-  std::uint64_t dropped_irqs() const { return dropped_irqs_; }
-
   // WorldListener: drains pended interrupts at secure exit.
   void on_secure_entry(CoreId core, sim::Time when) override;
   void on_secure_exit(CoreId core, sim::Time when) override;
@@ -68,7 +65,6 @@ class InterruptController : public WorldListener {
   sim::Engine& engine_;
   std::vector<Core*> cores_;
   FaultHooks* fault_hooks_ = nullptr;
-  std::uint64_t dropped_irqs_ = 0;
   std::map<IrqId, IrqGroup> groups_;
   Handler secure_handler_;
   Handler nonsecure_handler_;

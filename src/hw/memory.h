@@ -36,7 +36,7 @@ class Memory {
   // Dirty-tracking granule: every mutation (timed write, untimed poke,
   // fault-injected view corruption) bumps a monotonic generation counter
   // on each kChunkBytes-aligned chunk it touches. The secure world's
-  // incremental digest cache keys per-chunk work on these generations.
+  // digest cache decides per area on these generations.
   static constexpr std::size_t kChunkBytes = 256;
 
   explicit Memory(std::size_t size);

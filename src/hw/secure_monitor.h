@@ -67,8 +67,6 @@ class SecureMonitor {
   // GIC-facing entry point for secure-group interrupts.
   void on_secure_irq(CoreId core, IrqId irq);
 
-  // Last sampled one-way switch duration (diagnostics / benches).
-  sim::Duration last_switch_duration() const { return last_switch_; }
   std::uint64_t world_switches() const { return switches_; }
 
   // Fault-injection seam: consulted before entering the secure world.
@@ -77,14 +75,9 @@ class SecureMonitor {
   // Secure entries aborted by an installed FaultHooks.
   std::uint64_t failed_entries() const { return failed_entries_; }
 
-  // Successful secure-world entries (ordinal carried by the flight
-  // recorder's kWorldEnter/kWorldExit records).
-  std::uint64_t sessions_entered() const { return sessions_; }
-
   sim::Duration sample_switch() {
-    last_switch_ = timing_.sample_switch(rng_);
     ++switches_;
-    return last_switch_;
+    return timing_.sample_switch(rng_);
   }
 
  private:
@@ -97,10 +90,11 @@ class SecureMonitor {
   std::vector<Core*> cores_;
   FaultHooks* fault_hooks_ = nullptr;
   std::uint64_t failed_entries_ = 0;
+  // Successful secure-world entries: the ordinal the flight recorder's
+  // kWorldEnter/kWorldExit records carry.
   std::uint64_t sessions_ = 0;
   std::uint64_t exits_ = 0;
   SecurePayload payload_;
-  sim::Duration last_switch_;
   std::uint64_t switches_ = 0;
 };
 

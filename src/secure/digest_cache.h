@@ -1,20 +1,19 @@
-// Incremental digest cache for the secure-world introspection hot path.
+// Digest cache for the secure-world introspection hot path.
 //
 // The paper's workloads run thousands of introspection rounds over kernel
 // areas that are almost never modified between rounds: the common case is
 // a clean re-hash of byte-identical text/syscall-table bytes. This cache
-// makes repeated rounds O(dirty bytes) in *host* time while leaving
-// *simulated* time and every digest bit-identical to the byte reference:
+// decides per area, in *host* time, while leaving *simulated* time and
+// every digest bit-identical to hashing the observed bytes:
 //
 //  * hw::Memory stamps a monotonic write-generation on every 256-byte
 //    chunk a write/poke (or fault glitch) touches;
-//  * per (area, chunk) we memoize the streaming hash state entering and
-//    leaving the chunk (hash_resume: H(a‖b) = resume(H(a), b), exact for
-//    djb2/sdbm/FNV-1a) keyed by the chunk's generation;
-//  * a round re-hashes only chunks whose generation moved (or whose
-//    incoming state shifted because an earlier chunk changed) and resumes
-//    across the clean ones; an all-clean round is O(1) via the global
-//    write-generation counter.
+//  * an area whose generation has not moved since its last scan reuses
+//    that scan's digest — O(1) when the global write-generation has not
+//    moved either;
+//  * any other area takes its digest from the shared pristine base when
+//    it lies inside the installed image and no chunk of it was written
+//    since boot (secure/pristine_base.h), and is hashed whole otherwise.
 //
 // TOCTTOU and fault semantics are untouched by construction: a scan that
 // was raced by a timed write or glitched by a fault hook materializes a
@@ -23,11 +22,13 @@
 // the generations describe. Simulated scan time is charged in full by the
 // Introspector regardless of cache hits.
 //
+// Counters keep per-chunk units: a reused area counts its chunks as hits,
+// a served or hashed area counts them as misses and its bytes as hashed.
+//
 // A cache constructed with enabled = false (or switched by set_enabled,
 // as core::SatinConfig::shadow_digest_cache does) runs in *shadow mode*:
-// the full bookkeeping still runs — so hit/miss/invalidation counters and
-// digest_cache flight records stay bit-identical to the enabled run — but
-// the returned
+// the full bookkeeping still runs — so hit/miss counters and digest_cache
+// flight records stay bit-identical to the enabled run — but the returned
 // digest is an independent full re-hash of the observed view, i.e.
 // exactly the pre-cache behavior. Shadow mode is the oracle of the tests:
 // digest_cache_test holds the two modes to identical round outcomes, and
@@ -37,11 +38,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <utility>
-#include <vector>
-
-#include <memory>
 
 #include "hw/memory.h"
 #include "secure/hash.h"
@@ -57,10 +56,9 @@ class DigestCache {
   // printed/traced without breaking the on-vs-off identity contract.
   struct RoundOutcome {
     std::uint64_t digest = 0;
-    std::uint64_t chunk_hits = 0;           // chunks resumed from cache
-    std::uint64_t chunk_misses = 0;         // chunks (re)hashed
-    std::uint64_t chunk_invalidations = 0;  // misses caused by a dirty gen
-    std::uint64_t bytes_hashed = 0;   // logical: what an enabled run hashes
+    std::uint64_t chunk_hits = 0;    // chunks of a reused area
+    std::uint64_t chunk_misses = 0;  // chunks of a served or hashed area
+    std::uint64_t bytes_hashed = 0;  // logical: what an enabled run hashes
     std::uint64_t bytes_skipped = 0;
     bool bypassed = false;  // raced/faulted view: cache not consulted
   };
@@ -70,24 +68,17 @@ class DigestCache {
     std::uint64_t rounds = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t invalidations = 0;
     std::uint64_t bypasses = 0;
     std::uint64_t bytes_hashed = 0;
     std::uint64_t bytes_skipped = 0;
   };
 
-  explicit DigestCache(HashKind kind, bool enabled = true,
-                       std::size_t chunk_bytes = hw::Memory::kChunkBytes);
+  explicit DigestCache(HashKind kind, bool enabled = true)
+      : kind_(kind), enabled_(enabled) {}
 
   HashKind kind() const { return kind_; }
   bool enabled() const { return enabled_; }
   void set_enabled(bool enabled) { enabled_ = enabled; }
-  std::size_t chunk_bytes() const { return chunk_bytes_; }
-
-  // Pre-sizes the chunk table for an area (optional; round_digest creates
-  // tables on demand). IntegrityChecker registers every area at boot.
-  void register_area(std::size_t offset, std::size_t length);
-  std::size_t area_count() const { return areas_.size(); }
 
   // Digest of `view`, the bytes a finished scan observed over
   // [offset, offset + view.size()) of `mem`. `trusted_view` must be false
@@ -103,43 +94,32 @@ class DigestCache {
 
   // Attaches the process-wide pristine-image digest base (see
   // secure/pristine_base.h); IntegrityChecker does so for every checker
-  // on the default kernel image, on every path. Chunks that provably
-  // still hold the installed image bytes take their resume states from
-  // the base instead of re-hashing — counters, cache entries and digests
-  // are identical by construction, so this is pure host-time savings and
-  // is active in both enabled and shadow mode. nullptr (the default)
-  // disables it.
+  // on the default kernel image, on every path. Areas that provably
+  // still hold the installed image bytes take their digest from the base
+  // instead of re-hashing — counters and digests are identical by
+  // construction, so this is pure host-time savings and is active in both
+  // enabled and shadow mode. nullptr (the default) disables it.
   void set_pristine_base(std::shared_ptr<PristineBase> base) {
     base_ = std::move(base);
   }
   const std::shared_ptr<PristineBase>& pristine_base() const { return base_; }
 
-  // Chunks whose resume states were served from the pristine base
+  // Chunks of the areas whose digest was served from the pristine base
   // (diagnostic only — deliberately outside Stats: served chunks count as
   // misses, so every printed counter is what hashing them would print).
   std::uint64_t base_served_chunks() const { return base_served_; }
 
  private:
-  struct ChunkEntry {
-    std::uint64_t gen = 0;        // hw::Memory generation when computed
-    std::uint64_t state_in = 0;   // hash state entering this chunk
-    std::uint64_t state_out = 0;  // state after absorbing the chunk
-    bool computed = false;
-  };
   struct AreaCache {
-    std::vector<ChunkEntry> chunks;
     std::uint64_t area_gen = 0;    // generation(offset, length) last round
     std::uint64_t global_gen = 0;  // write_generation() last round
     std::uint64_t digest = 0;
-    bool valid = false;
   };
 
-  AreaCache& area_for(std::size_t offset, std::size_t length);
   void account(const RoundOutcome& out);
 
   HashKind kind_;
   bool enabled_;
-  std::size_t chunk_bytes_;
   std::map<std::pair<std::size_t, std::size_t>, AreaCache> areas_;
   Stats stats_;
   std::shared_ptr<PristineBase> base_;

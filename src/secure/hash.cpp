@@ -85,23 +85,12 @@ std::uint64_t hash_sdbm(std::span<const std::uint8_t> data) {
   return hash_poly<kPow65599>(0, data);
 }
 
-std::uint64_t hash_djb2_resume(std::uint64_t state,
-                               std::span<const std::uint8_t> data) {
-  return hash_poly<kPow33>(state, data);
-}
-
-std::uint64_t hash_sdbm_resume(std::uint64_t state,
-                               std::span<const std::uint8_t> data) {
-  return hash_poly<kPow65599>(state, data);
-}
-
-std::uint64_t hash_fnv1a_resume(std::uint64_t state,
-                                std::span<const std::uint8_t> data) {
+std::uint64_t hash_fnv1a(std::span<const std::uint8_t> data) {
   // FNV-1a interleaves xor and multiply, so the steps don't collapse into
   // one polynomial; an 8-wide unroll still removes the loop overhead and
   // keeps one word of input in flight per iteration.
   constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t hash = state;
+  std::uint64_t hash = 14695981039346656037ull;
   const std::uint8_t* d = data.data();
   std::size_t n = data.size();
   while (n >= 8) {
@@ -120,10 +109,6 @@ std::uint64_t hash_fnv1a_resume(std::uint64_t state,
   return hash;
 }
 
-std::uint64_t hash_fnv1a(std::span<const std::uint8_t> data) {
-  return hash_fnv1a_resume(14695981039346656037ull, data);
-}
-
 std::uint64_t hash_bytes(HashKind kind, std::span<const std::uint8_t> data) {
   switch (kind) {
     case HashKind::kDjb2:
@@ -132,31 +117,6 @@ std::uint64_t hash_bytes(HashKind kind, std::span<const std::uint8_t> data) {
       return hash_sdbm(data);
     case HashKind::kFnv1a:
       return hash_fnv1a(data);
-  }
-  return 0;
-}
-
-std::uint64_t hash_seed(HashKind kind) {
-  switch (kind) {
-    case HashKind::kDjb2:
-      return 5381;
-    case HashKind::kSdbm:
-      return 0;
-    case HashKind::kFnv1a:
-      return 14695981039346656037ull;
-  }
-  return 0;
-}
-
-std::uint64_t hash_resume(HashKind kind, std::uint64_t state,
-                          std::span<const std::uint8_t> data) {
-  switch (kind) {
-    case HashKind::kDjb2:
-      return hash_djb2_resume(state, data);
-    case HashKind::kSdbm:
-      return hash_sdbm_resume(state, data);
-    case HashKind::kFnv1a:
-      return hash_fnv1a_resume(state, data);
   }
   return 0;
 }

@@ -31,25 +31,4 @@ std::uint64_t hash_fnv1a_reference(std::span<const std::uint8_t> data);
 
 std::uint64_t hash_bytes(HashKind kind, std::span<const std::uint8_t> data);
 
-// --- Streaming-resumable formulation -----------------------------------
-// All three hashes consume input strictly left to right through a single
-// 64-bit state, so each supports seeded continuation *exactly*:
-//
-//     hash_bytes(kind, a‖b) == hash_resume(kind, hash_bytes(kind, a), b)
-//
-// (djb2/sdbm are the polynomial fold h' = h*m + c; FNV-1a interleaves
-// xor/multiply — still one word of running state). The incremental digest
-// cache (secure/digest_cache.h) splits an area into chunks and resumes
-// across the clean ones; a randomized differential test holds the split
-// digests bit-identical to the whole-buffer references.
-std::uint64_t hash_seed(HashKind kind);  // state of the empty input
-std::uint64_t hash_djb2_resume(std::uint64_t state,
-                               std::span<const std::uint8_t> data);
-std::uint64_t hash_sdbm_resume(std::uint64_t state,
-                               std::span<const std::uint8_t> data);
-std::uint64_t hash_fnv1a_resume(std::uint64_t state,
-                                std::span<const std::uint8_t> data);
-std::uint64_t hash_resume(HashKind kind, std::uint64_t state,
-                          std::span<const std::uint8_t> data);
-
 }  // namespace satin::secure

@@ -83,8 +83,6 @@ void Introspector::scan_async(hw::CoreId core, std::size_t offset,
                         : obs::FlightCacheOutcome::kPartial));
         SATIN_METRIC_ADD("digest_cache.hits", cached.chunk_hits);
         SATIN_METRIC_ADD("digest_cache.misses", cached.chunk_misses);
-        SATIN_METRIC_ADD("digest_cache.invalidations",
-                         cached.chunk_invalidations);
         SATIN_METRIC_ADD("digest_cache.bytes_hashed", cached.bytes_hashed);
         SATIN_METRIC_ADD("digest_cache.bytes_skipped", cached.bytes_skipped);
         if (cached.bypassed) SATIN_METRIC_INC("digest_cache.bypasses");

@@ -59,13 +59,7 @@ class Introspector {
 
   std::uint64_t scans_completed() const { return scans_; }
 
-  // Pre-sizes the incremental digest cache for an area about to be scanned
-  // repeatedly (IntegrityChecker registers its whole area set at boot).
-  void register_area(std::size_t offset, std::size_t length) {
-    cache_.register_area(offset, length);
-  }
-
-  // The incremental digest cache behind scan_async (host-time fast path;
+  // The digest cache behind scan_async (host-time fast path;
   // digests, simulated time and TOCTTOU semantics are unaffected by it —
   // see secure/digest_cache.h).
   DigestCache& digest_cache() { return cache_; }

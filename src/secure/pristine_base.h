@@ -1,35 +1,32 @@
-// Shared pristine-image digest chains.
+// Shared pristine-image area digests.
 //
-// Every trial's first introspection rounds hash the same bytes: the
-// freshly installed kernel image, chunk by chunk, under the same hash
-// kind. Every trial boots the one process-wide default image
-// (os::default_kernel_image, DESIGN.md §20), so the streaming per-chunk
-// hash states — state entering each 256-byte chunk and state after
-// absorbing it — are also identical across trials and are computed once
-// per process.
+// Every trial's first introspection round of an area hashes the same
+// bytes: that area of the freshly installed kernel image, under the same
+// hash kind. Every trial boots the one process-wide default image
+// (os::default_kernel_image, DESIGN.md §20), so each area's digest over
+// those bytes is also identical across trials and is computed once per
+// process.
 //
 // A PristineBase owns (via an aliasing shared_ptr) a view of the pristine
-// image bytes and lazily memoizes, per (hash kind, area, chunk size), the
-// exact chain the DigestCache's chunk walk would produce over those
-// bytes. The DigestCache consults it ONLY for chunks that provably still
-// hold the installed bytes: trusted (zero-copy) view, chunk generation
-// unchanged since hw::Memory::stamp_baseline() at boot, and the incoming
-// hash state equal to the chain's — in which case serving state_out is
-// bit-for-bit the hash_resume result, and the round's counters, cache
-// entries and digest are untouched by construction. Anything dirtied,
-// raced or faulted falls back to real hashing.
+// image bytes and lazily memoizes, per (hash kind, area), hash_bytes over
+// that area. The DigestCache consults it ONLY for areas that provably
+// still hold the installed bytes: trusted (zero-copy) view, and no chunk
+// of the area written since hw::Memory::stamp_baseline() at boot — in
+// which case the memoized digest is bit-for-bit what hashing the view
+// gives, and the round's counters and digest are untouched by
+// construction. Anything dirtied, raced or faulted is hashed.
 //
-// Thread-safe: trials on several threads share one base. A chain, once
-// published, is immutable and never moves.
+// Thread-safe: trials on several threads share one base.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <tuple>
-#include <vector>
+#include <utility>
 
 #include "secure/hash.h"
 
@@ -46,29 +43,22 @@ class PristineBase {
 
   std::size_t size() const { return bytes_.size(); }
 
-  // The streaming-hash chain over one area of the pristine bytes:
-  // state_in[k] enters chunk k, state_out[k] leaves it, digest is the
-  // final state (== hash_bytes over the whole area). Computed on first
-  // request, shared afterwards. Returns nullptr when the area is not
-  // fully inside the pristine bytes.
-  struct AreaChain {
-    std::vector<std::uint64_t> state_in;
-    std::vector<std::uint64_t> state_out;
-    std::uint64_t digest = 0;
-  };
-  const AreaChain* area_chain(HashKind kind, std::size_t offset,
-                              std::size_t length, std::size_t chunk_bytes);
+  // hash_bytes over [offset, offset + length) of the pristine bytes,
+  // computed on first request and shared afterwards. Empty when the area
+  // is not fully inside the pristine bytes.
+  std::optional<std::uint64_t> area_digest(HashKind kind, std::size_t offset,
+                                           std::size_t length);
 
-  // Chains memoized so far (diagnostic: a steady-state boot adds 0).
-  std::uint64_t chains_built() const;
+  // Area digests memoized so far (diagnostic: a steady-state boot adds 0).
+  std::uint64_t digests_built() const;
 
  private:
-  using Key = std::tuple<int, std::size_t, std::size_t, std::size_t>;
+  using Key = std::tuple<HashKind, std::size_t, std::size_t>;
 
   std::shared_ptr<const void> owner_;
   std::span<const std::uint8_t> bytes_;
-  mutable std::mutex mutex_;  // guards chains_
-  std::map<Key, AreaChain> chains_;
+  mutable std::mutex mutex_;  // guards digests_
+  std::map<Key, std::uint64_t> digests_;
 };
 
 }  // namespace satin::secure

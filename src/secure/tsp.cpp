@@ -6,7 +6,6 @@ void TestSecurePayload::install_timer_service(TimerService service) {
   service_ = std::move(service);
   platform_.monitor().set_secure_timer_payload(
       [this](std::shared_ptr<hw::SecureSession> session) {
-        ++sessions_;
         if (service_) {
           service_(std::move(session));
         } else {

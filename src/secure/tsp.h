@@ -26,12 +26,9 @@ class TestSecurePayload {
   // measure the bare Ts_switch).
   void install_timer_service(TimerService service);
 
-  std::uint64_t sessions_served() const { return sessions_; }
-
  private:
   hw::Platform& platform_;
   TimerService service_;
-  std::uint64_t sessions_ = 0;
 };
 
 }  // namespace satin::secure

@@ -725,8 +725,7 @@ struct CleanRounds {
 std::string stats_text(const secure::DigestCache::Stats& s) {
   std::ostringstream out;
   out << "rounds=" << s.rounds << " hits=" << s.hits << " misses=" << s.misses
-      << " invalidations=" << s.invalidations << " bypasses=" << s.bypasses
-      << " bytes_hashed=" << s.bytes_hashed
+      << " bypasses=" << s.bypasses << " bytes_hashed=" << s.bytes_hashed
       << " bytes_skipped=" << s.bytes_skipped;
   return out.str();
 }

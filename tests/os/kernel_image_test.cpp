@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -143,8 +144,8 @@ TEST(KernelImage, ScenariosOnEveryPathShareOneImage) {
 
 // Four TrialRunner threads boot Scenarios and authorize SATIN at once
 // (the thread-sanitizer job runs this): all share one image and one
-// pristine base, and boot-time authorization never rebuilds a chain after
-// the first trial built it.
+// pristine base, and boot-time authorization never rebuilds a digest
+// after the first trial built it.
 TEST(KernelImage, TrialRunnerThreadsShareOneImageAndPristineBase) {
   struct Seen {
     const KernelImage* image = nullptr;
@@ -167,32 +168,30 @@ TEST(KernelImage, TrialRunnerThreadsShareOneImageAndPristineBase) {
     out.base = base.get();
     if (base != nullptr) {
       const core::Area& first = satin.checker().areas()[0];
-      out.first_digest = base->area_chain(secure::HashKind::kDjb2,
-                                          first.offset, first.size,
-                                          hw::Memory::kChunkBytes)
-                             ->digest;
+      out.first_digest =
+          *base->area_digest(secure::HashKind::kDjb2, first.offset, first.size);
     }
     return out;
   });
   ASSERT_EQ(seen.size(), 8u);
   ASSERT_NE(seen[0].base, nullptr);
-  const std::uint64_t chains = seen[0].base->chains_built();
-  EXPECT_GT(chains, 0u);
+  const std::uint64_t digests = seen[0].base->digests_built();
+  EXPECT_GT(digests, 0u);
   for (const Seen& trial : seen) {
     EXPECT_EQ(trial.image, default_kernel_image().get());
     EXPECT_EQ(trial.base, seen[0].base);
     EXPECT_EQ(trial.first_digest, seen[0].first_digest);
   }
-  // One chain per (hash kind, area, chunk size), however many trials.
+  // One digest per (hash kind, area), however many trials.
   scenario::Scenario s;
   core::Satin satin(s.platform(), s.kernel(), s.tsp(), {});
   satin.checker().authorize_boot_state();
-  EXPECT_EQ(seen[0].base->chains_built(), chains);
+  EXPECT_EQ(seen[0].base->digests_built(), digests);
 }
 
-// A default-path trial really serves clean chunks from the shared base,
-// so the sharing cannot silently turn off; a checker on a one-off image
-// gets no base.
+// A default-path trial really serves untouched areas from the shared
+// base, so the sharing cannot silently turn off; a checker on a one-off
+// image gets no base.
 TEST(KernelImage, DefaultPathTrialServesChunksFromThePristineBase) {
   scenario::Scenario s;
   core::SatinConfig config;
@@ -211,12 +210,9 @@ TEST(KernelImage, DefaultPathTrialServesChunksFromThePristineBase) {
             nullptr);
 }
 
-// The pristine digest base memoizes the streaming chunk-hash chain over
+// The pristine digest base memoizes one digest per (hash kind, area) over
 // the shared image. Serving from it must be bit-for-bit what hashing the
-// bytes produces: digest == hash_bytes over the area, every state_out ==
-// hash_resume(state_in, chunk), states chained end to end — over SATIN's
-// real default area set, ragged last chunks included, under every hash.
-
+// bytes produces — over SATIN's real default area set, under every hash.
 TEST(KernelImage, PristineBaseChainsMatchDirectHashing) {
   const auto& image = default_kernel_image();
   secure::PristineBase base(image,
@@ -227,46 +223,25 @@ TEST(KernelImage, PristineBaseChainsMatchDirectHashing) {
   const core::Satin satin(s.platform(), s.kernel(), s.tsp(), {});
   const std::vector<core::Area>& areas = satin.checker().areas();
   ASSERT_GT(areas.size(), 1u);
-  const std::size_t kChunk = hw::Memory::kChunkBytes;
-  bool ragged = false;
-  for (const core::Area& a : areas) ragged |= a.size % kChunk != 0;
-  ASSERT_TRUE(ragged) << "no area ends in a partial chunk";
-
   for (const secure::HashKind kind :
        {secure::HashKind::kDjb2, secure::HashKind::kSdbm,
         secure::HashKind::kFnv1a}) {
     for (const core::Area& a : areas) {
       const std::span<const std::uint8_t> area(image->bytes().data() + a.offset,
                                                a.size);
-      const secure::PristineBase::AreaChain* chain =
-          base.area_chain(kind, a.offset, a.size, kChunk);
-      ASSERT_NE(chain, nullptr) << secure::to_string(kind) << " " << a.label;
-      const std::size_t chunks = (a.size + kChunk - 1) / kChunk;
-      ASSERT_EQ(chain->state_in.size(), chunks);
-      ASSERT_EQ(chain->state_out.size(), chunks);
-      EXPECT_EQ(chain->state_in[0], secure::hash_seed(kind));
-      for (std::size_t k = 0; k < chunks; ++k) {
-        const std::size_t len = std::min(kChunk, a.size - k * kChunk);
-        ASSERT_EQ(chain->state_out[k],
-                  secure::hash_resume(kind, chain->state_in[k],
-                                      area.subspan(k * kChunk, len)))
-            << secure::to_string(kind) << " " << a.label << " chunk " << k;
-        if (k > 0) {
-          ASSERT_EQ(chain->state_in[k], chain->state_out[k - 1]);
-        }
-      }
-      EXPECT_EQ(chain->digest, chain->state_out.back());
-      EXPECT_EQ(chain->digest, secure::hash_bytes(kind, area))
+      const std::optional<std::uint64_t> digest =
+          base.area_digest(kind, a.offset, a.size);
+      ASSERT_TRUE(digest.has_value())
           << secure::to_string(kind) << " " << a.label;
-      // Memoized: the second request serves the same chain object.
-      EXPECT_EQ(base.area_chain(kind, a.offset, a.size, kChunk), chain);
+      EXPECT_EQ(*digest, secure::hash_bytes(kind, area))
+          << secure::to_string(kind) << " " << a.label;
+      // Memoized: the second request builds nothing.
+      const std::uint64_t built = base.digests_built();
+      EXPECT_EQ(base.area_digest(kind, a.offset, a.size), digest);
+      EXPECT_EQ(base.digests_built(), built);
     }
   }
-  EXPECT_EQ(base.chains_built(), 3 * areas.size());
-  // Areas leaving the pristine bytes are refused, not clamped.
-  EXPECT_EQ(base.area_chain(secure::HashKind::kDjb2, image->size() - kChunk,
-                            2 * kChunk, kChunk),
-            nullptr);
+  EXPECT_EQ(base.digests_built(), 3 * areas.size());
 }
 
 // Installing the default image maps its pages and copies nothing through

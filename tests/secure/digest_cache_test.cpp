@@ -1,15 +1,18 @@
-// The incremental digest cache: exactness against the byte reference,
-// generation-driven invalidation, shadow-mode identity and the bypass
-// rule for untrusted (raced/faulted) views.
+// The digest cache: exactness against the byte reference, per-area
+// generation-driven reuse, the pristine base's serve rule on a booted
+// Scenario, shadow-mode identity and the bypass rule for untrusted
+// (raced/faulted) views.
 #include "secure/digest_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
+#include "core/satin.h"
+#include "scenario/scenario.h"
 #include "secure/hash.h"
+#include "secure/pristine_base.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 
@@ -41,7 +44,6 @@ TEST(DigestCache, ColdRoundMissesEveryChunkAndMatchesReference) {
     EXPECT_FALSE(out.bypassed);
     EXPECT_EQ(out.chunk_hits, 0u);
     EXPECT_EQ(out.chunk_misses, 4u);
-    EXPECT_EQ(out.chunk_invalidations, 0u);
     EXPECT_EQ(out.bytes_hashed, 1000u);
     EXPECT_EQ(out.bytes_skipped, 0u);
     EXPECT_EQ(out.digest, hash_bytes(kind, window(mem, 0, 1000)))
@@ -70,19 +72,22 @@ TEST(DigestCache, DirtyChunkInvalidatesItselfAndCascadesTheSuffix) {
   scribble(mem, 11);
   DigestCache cache(HashKind::kDjb2, true);
   (void)cache.round_digest(mem, 0, window(mem, 0, 1024), true);
-  // Flip one byte in chunk 1: its generation moves, and because its bytes
-  // (hence its outgoing state) change, chunks 2 and 3 see a different
-  // incoming state and re-hash too. Chunk 0 alone survives.
+  // Flip one byte in chunk 1: the area's generation moves, so the whole
+  // area is hashed again — the clean chunk 0 before it as well as the
+  // suffix after it — and every chunk counts as a miss.
   std::vector<std::uint8_t> flip{
       static_cast<std::uint8_t>(mem.read(300) ^ 0xFF)};
   mem.poke(300, flip);
   const auto out = cache.round_digest(mem, 0, window(mem, 0, 1024), true);
-  EXPECT_EQ(out.chunk_hits, 1u);
-  EXPECT_EQ(out.chunk_misses, 3u);
-  EXPECT_EQ(out.chunk_invalidations, 1u);  // only the gen-dirty chunk
-  EXPECT_EQ(out.bytes_hashed, 768u);
-  EXPECT_EQ(out.bytes_skipped, 256u);
+  EXPECT_EQ(out.chunk_hits, 0u);
+  EXPECT_EQ(out.chunk_misses, 4u);
+  EXPECT_EQ(out.bytes_hashed, 1024u);
+  EXPECT_EQ(out.bytes_skipped, 0u);
   EXPECT_EQ(out.digest, hash_bytes(HashKind::kDjb2, window(mem, 0, 1024)));
+  // The new digest is cached: the next round reuses it.
+  const auto warm = cache.round_digest(mem, 0, window(mem, 0, 1024), true);
+  EXPECT_EQ(warm.chunk_hits, 4u);
+  EXPECT_EQ(warm.digest, out.digest);
 }
 
 TEST(DigestCache, RewritingIdenticalBytesRecachesOnlyThatChunk) {
@@ -90,16 +95,17 @@ TEST(DigestCache, RewritingIdenticalBytesRecachesOnlyThatChunk) {
   scribble(mem, 13);
   DigestCache cache(HashKind::kSdbm, true);
   const auto cold = cache.round_digest(mem, 0, window(mem, 0, 1024), true);
-  // Rewrite chunk 1 with its own bytes: the generation moves (forcing a
-  // re-hash of that chunk) but its outgoing state is unchanged, so the
-  // suffix chunks still hit — the cascade stops where the states re-join.
+  // Rewrite chunk 1 with its own bytes: the generation moves, so the area
+  // is hashed whole again, to the digest it had. The cache keys on
+  // generations, never on bytes, so an identical rewrite costs the same
+  // as a real one.
   std::vector<std::uint8_t> same(window(mem, 256, 256).begin(),
                                  window(mem, 256, 256).end());
   mem.poke(256, same);
   const auto out = cache.round_digest(mem, 0, window(mem, 0, 1024), true);
-  EXPECT_EQ(out.chunk_hits, 3u);
-  EXPECT_EQ(out.chunk_misses, 1u);
-  EXPECT_EQ(out.chunk_invalidations, 1u);
+  EXPECT_EQ(out.chunk_hits, 0u);
+  EXPECT_EQ(out.chunk_misses, 4u);
+  EXPECT_EQ(out.bytes_hashed, 1024u);
   EXPECT_EQ(out.digest, cold.digest);
 }
 
@@ -178,7 +184,6 @@ TEST(DigestCache, ShadowModeKeepsCountersAndDigestsIdentical) {
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.chunk_hits, b.chunk_hits);
     EXPECT_EQ(a.chunk_misses, b.chunk_misses);
-    EXPECT_EQ(a.chunk_invalidations, b.chunk_invalidations);
     EXPECT_EQ(a.bytes_hashed, b.bytes_hashed);
     EXPECT_EQ(a.bytes_skipped, b.bytes_skipped);
     EXPECT_EQ(a.bypassed, b.bypassed);
@@ -188,7 +193,7 @@ TEST(DigestCache, ShadowModeKeepsCountersAndDigestsIdentical) {
   std::vector<std::uint8_t> poke_bytes{0x77};
   mem_on.poke(600, poke_bytes);
   mem_off.poke(600, poke_bytes);
-  step(0, 1024, true);   // partial invalidation
+  step(0, 1024, true);   // dirty area, hashed whole
   step(0, 512, true);    // second (sub-)area, cold
   step(0, 1024, false);  // bypass
   EXPECT_EQ(on.stats().hits, off.stats().hits);
@@ -196,18 +201,87 @@ TEST(DigestCache, ShadowModeKeepsCountersAndDigestsIdentical) {
   EXPECT_EQ(on.stats().bypasses, off.stats().bypasses);
 }
 
-TEST(DigestCache, RegisterAreaPresizesTables) {
-  hw::Memory mem(4096);
-  DigestCache cache(HashKind::kFnv1a, true);
-  EXPECT_EQ(cache.area_count(), 0u);
-  cache.register_area(0, 1024);
-  cache.register_area(1024, 512);
-  cache.register_area(0, 1024);  // idempotent
-  EXPECT_EQ(cache.area_count(), 2u);
+// A booted default Scenario with SATIN's checker on it, not started: its
+// digest cache has the process's pristine base attached, and the boot has
+// stamped the memory's baseline right after installing the image.
+struct BootedChecker {
+  scenario::Scenario system;
+  core::Satin satin{system.platform(), system.kernel(), system.tsp(), {}};
+
+  DigestCache& cache() {
+    return satin.checker().introspector().digest_cache();
+  }
+  hw::Memory& memory() { return system.platform().memory(); }
+  // A trusted scan of [offset, offset + length), as scan_async finishes
+  // one that no write raced.
+  DigestCache::RoundOutcome scan(std::size_t offset, std::size_t length) {
+    return cache().round_digest(memory(), offset,
+                                window(memory(), offset, length), true);
+  }
+};
+
+constexpr std::size_t kChunk = hw::Memory::kChunkBytes;
+
+TEST(DigestCache, UntouchedAreaIsServedFromThePristineBase) {
+  BootedChecker booted;
+  ASSERT_NE(booted.cache().pristine_base(), nullptr);
+  const core::Area& a = booted.satin.checker().areas()[0];
+  const std::uint64_t chunks = (a.size + kChunk - 1) / kChunk;
+  const auto out = booted.scan(a.offset, a.size);
+  EXPECT_EQ(booted.cache().base_served_chunks(), chunks);
+  // Served counts as hashed.
+  EXPECT_EQ(out.chunk_misses, chunks);
+  EXPECT_EQ(out.bytes_hashed, a.size);
+  EXPECT_EQ(out.digest, hash_bytes(booted.cache().kind(),
+                                   window(booted.memory(), a.offset, a.size)));
 }
 
-TEST(DigestCache, ZeroChunkSizeIsRejected) {
-  EXPECT_THROW(DigestCache(HashKind::kDjb2, true, 0), std::invalid_argument);
+TEST(DigestCache, AreaWrittenSinceBootIsHashedWhole) {
+  BootedChecker booted;
+  const core::Area& a = booted.satin.checker().areas()[0];
+  ASSERT_GT(a.size, 2 * kChunk);
+  hw::Memory& mem = booted.memory();
+  const auto pristine = booted.scan(a.offset, a.size);
+  const std::uint64_t served = booted.cache().base_served_chunks();
+  ASSERT_GT(served, 0u);
+  // Rewrite the area's second chunk with its own bytes: they are still
+  // the installed bytes, but the chunk's generation has passed the
+  // baseline, so the base no longer vouches for the area.
+  const auto chunk = window(mem, a.offset + kChunk, kChunk);
+  mem.poke(a.offset + kChunk, std::vector<std::uint8_t>(chunk.begin(),
+                                                        chunk.end()));
+  const auto rewritten = booted.scan(a.offset, a.size);
+  EXPECT_EQ(booted.cache().base_served_chunks(), served);
+  EXPECT_EQ(rewritten.chunk_misses, pristine.chunk_misses);
+  EXPECT_EQ(rewritten.bytes_hashed, a.size);
+  EXPECT_EQ(rewritten.digest, pristine.digest);
+  // A one-byte tamper changes the digest to that of the tampered bytes.
+  const std::size_t at = a.offset + a.size / 2;
+  mem.poke(at, std::vector<std::uint8_t>{
+                   static_cast<std::uint8_t>(mem.read(at) ^ 0x01)});
+  const auto tampered = booted.scan(a.offset, a.size);
+  EXPECT_EQ(booted.cache().base_served_chunks(), served);
+  EXPECT_NE(tampered.digest, pristine.digest);
+  EXPECT_EQ(tampered.digest,
+            hash_bytes(booted.cache().kind(), window(mem, a.offset, a.size)));
+}
+
+TEST(DigestCache, PristineBaseRefusesAnAreaLeavingTheImage) {
+  BootedChecker booted;
+  PristineBase& base = *booted.cache().pristine_base();
+  const std::size_t end = base.size();
+  ASSERT_LT(end + kChunk, booted.memory().size());
+  const HashKind kind = booted.cache().kind();
+  EXPECT_TRUE(base.area_digest(kind, end - kChunk, kChunk).has_value());
+  EXPECT_FALSE(base.area_digest(kind, end - kChunk, 2 * kChunk).has_value());
+  EXPECT_FALSE(base.area_digest(kind, end + 1, 0).has_value());
+  // So a scan across the image's end is hashed, although nothing was
+  // written there since boot.
+  const auto out = booted.scan(end - kChunk, 2 * kChunk);
+  EXPECT_EQ(booted.cache().base_served_chunks(), 0u);
+  EXPECT_EQ(out.bytes_hashed, 2 * kChunk);
+  EXPECT_EQ(out.digest, hash_bytes(kind, window(booted.memory(), end - kChunk,
+                                                2 * kChunk)));
 }
 
 // Property sweep: random pokes between rounds, every round's digest must

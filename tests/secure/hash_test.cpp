@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "sim/rng.h"
 
@@ -92,76 +93,6 @@ TEST(Hash, KindNames) {
   EXPECT_STREQ(to_string(HashKind::kDjb2), "djb2");
   EXPECT_STREQ(to_string(HashKind::kSdbm), "sdbm");
   EXPECT_STREQ(to_string(HashKind::kFnv1a), "fnv1a");
-}
-
-constexpr HashKind kAllKinds[] = {HashKind::kDjb2, HashKind::kSdbm,
-                                  HashKind::kFnv1a};
-
-TEST(Hash, SeedIsDigestOfEmptyInput) {
-  for (HashKind kind : kAllKinds) {
-    EXPECT_EQ(hash_seed(kind), hash_bytes(kind, {})) << to_string(kind);
-    // Resuming with nothing is the identity.
-    EXPECT_EQ(hash_resume(kind, 0xDEADBEEFull, {}), 0xDEADBEEFull);
-  }
-}
-
-TEST(Hash, ResumeMatchesWholeOnOneSplit) {
-  const auto data = ascii("the quick brown fox jumps over the lazy dog");
-  for (HashKind kind : kAllKinds) {
-    const std::uint64_t whole = hash_bytes(kind, data);
-    for (std::size_t cut = 0; cut <= data.size(); ++cut) {
-      const std::span<const std::uint8_t> a(data.data(), cut);
-      const std::span<const std::uint8_t> b(data.data() + cut,
-                                            data.size() - cut);
-      EXPECT_EQ(hash_resume(kind, hash_bytes(kind, a), b), whole)
-          << to_string(kind) << " cut=" << cut;
-    }
-  }
-}
-
-// The digest cache's algebra: H(c0‖c1‖...‖cK) folded chunk by chunk from
-// the seed must equal the whole-buffer digest, for every kind, any number
-// of segments and any (randomized) split points — including empty
-// segments and splits off word boundaries.
-TEST(Hash, ResumableFoldMatchesReferencesOnRandomSplits) {
-  sim::Rng rng(0x5EED5);
-  for (int round = 0; round < 200; ++round) {
-    const auto size = static_cast<std::size_t>(rng.uniform_int(0, 2000));
-    std::vector<std::uint8_t> data(size);
-    for (auto& b : data) {
-      b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    }
-    const int cuts = static_cast<int>(rng.uniform_int(0, 6));
-    std::vector<std::size_t> bounds{0, size};
-    for (int i = 0; i < cuts; ++i) {
-      bounds.push_back(
-          static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(size))));
-    }
-    std::sort(bounds.begin(), bounds.end());
-    for (HashKind kind : kAllKinds) {
-      std::uint64_t state = hash_seed(kind);
-      for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
-        state = hash_resume(
-            kind, state,
-            std::span<const std::uint8_t>(data.data() + bounds[i],
-                                          bounds[i + 1] - bounds[i]));
-      }
-      ASSERT_EQ(state, hash_bytes(kind, data))
-          << to_string(kind) << " size=" << size << " segments="
-          << bounds.size() - 1;
-    }
-  }
-}
-
-TEST(Hash, PerKindResumeMatchesDispatcher) {
-  const auto a = ascii("satin-");
-  const auto b = ascii("resume");
-  EXPECT_EQ(hash_djb2_resume(hash_djb2(a), b),
-            hash_resume(HashKind::kDjb2, hash_djb2(a), b));
-  EXPECT_EQ(hash_sdbm_resume(hash_sdbm(a), b),
-            hash_resume(HashKind::kSdbm, hash_sdbm(a), b));
-  EXPECT_EQ(hash_fnv1a_resume(hash_fnv1a(a), b),
-            hash_resume(HashKind::kFnv1a, hash_fnv1a(a), b));
 }
 
 }  // namespace

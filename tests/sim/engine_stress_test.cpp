@@ -166,8 +166,13 @@ class ReferenceTraffic : public KeyedActionOwner {
   }
 
   void run(int rounds) {
-    obs::FlightRecorder flight;
-    obs::install_flight(&flight);
+    // Installed for the run and uninstalled on every way out of it, so an
+    // engine that throws leaves no dead recorder behind for the next test.
+    struct Recording {
+      Recording() { obs::install_flight(&flight); }
+      ~Recording() { obs::install_flight(nullptr); }
+      obs::FlightRecorder flight;
+    } recording;
     for (int i = 0; i < 40; ++i) act();
     for (int r = 0; r < rounds; ++r) {
       act();
@@ -190,9 +195,8 @@ class ReferenceTraffic : public KeyedActionOwner {
     // Drain: no new traffic, no re-arms, no bursts.
     budget_ = 0;
     engine.run_all();
-    obs::install_flight(nullptr);
     std::vector<Key> recorded;
-    for (const obs::FlightRecord& r : flight.snapshot()) {
+    for (const obs::FlightRecord& r : recording.flight.snapshot()) {
       if (r.kind == static_cast<std::uint16_t>(obs::FlightKind::kDispatch)) {
         recorded.emplace_back(r.t_ps, r.seq);
       }
