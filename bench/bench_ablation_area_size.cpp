@@ -8,6 +8,8 @@
 // over --jobs=J workers); the crossover should straddle the closed-form
 // bound. Every trial keeps the default platform seed — the sweep is a
 // paired comparison across partitionings, not a seed study.
+#include <climits>
+
 #include "bench/common.h"
 #include "core/race_model.h"
 #include "os/system_map.h"
@@ -28,9 +30,10 @@ struct AblationRow {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  const int jobs = satin::sim::TrialRunner::jobs_from_flag(
+      satin::obs::take_whole_number(argc, argv, "jobs", 0, INT_MAX));
   if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
-  const int jobs = obs.jobs(/*fallback=*/1);
   const std::size_t bound =
       core::max_safe_area_bytes(core::worst_case_params(hw::TimingParams{}));
   bench::heading("Ablation: area size vs TZ-Evader detection");

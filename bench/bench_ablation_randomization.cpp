@@ -9,6 +9,8 @@
 // The two oracle duels and the two threshold periods each run as an
 // independent trial over --jobs=J workers; seeds are fixed per trial, so
 // the output is bit-identical for any J.
+#include <climits>
+
 #include "attack/predictor.h"
 #include "attack/threshold_sampler.h"
 #include "bench/common.h"
@@ -55,9 +57,10 @@ struct ThresholdRow {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  const int jobs = satin::sim::TrialRunner::jobs_from_flag(
+      satin::obs::take_whole_number(argc, argv, "jobs", 0, INT_MAX));
   if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
-  const int jobs = obs.jobs(/*fallback=*/1);
   bench::heading("Ablation: randomization knobs");
 
   sim::TrialRunnerOptions options;

@@ -7,6 +7,8 @@
 // One trial per period, fanned over --jobs=J workers: each trial samples
 // its own ThresholdSampler seeded from (root seed, period index), so the
 // table is bit-identical for any J.
+#include <climits>
+
 #include "attack/threshold_sampler.h"
 #include "bench/common.h"
 #include "sim/parallel.h"
@@ -23,10 +25,11 @@ struct PeriodRow {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  const int jobs = satin::sim::TrialRunner::jobs_from_flag(
+      satin::obs::take_whole_number(argc, argv, "jobs", 0, INT_MAX));
   if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
   hw::TimingParams timing;
-  const int jobs = obs.jobs(/*fallback=*/1);
   const double periods[] = {8.0, 16.0, 30.0, 120.0, 300.0};
   constexpr std::size_t kPeriods = sizeof(periods) / sizeof(periods[0]);
 

@@ -9,6 +9,7 @@
 //
 // Monte-Carlo batches and duels fan out over --jobs=J workers through
 // sim::TrialRunner; the printed rows are bit-identical for any J.
+#include <climits>
 #include <string>
 #include <vector>
 
@@ -112,10 +113,11 @@ int mc_escapes(std::uint64_t seed, int draws,
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  const int jobs = satin::sim::TrialRunner::jobs_from_flag(
+      satin::obs::take_whole_number(argc, argv, "jobs", 0, INT_MAX));
   if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
   hw::TimingParams timing;
-  const int jobs = obs.jobs(/*fallback=*/1);
 
   bench::heading("Race-condition analysis (Eq. 1 / Eq. 2, §IV-C)");
   const core::RaceParams worst = core::worst_case_params(timing);

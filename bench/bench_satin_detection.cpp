@@ -12,6 +12,7 @@
 // paper-baseline platform seed (its rows below match the single-run bench
 // of record); the extra replicas feed the seed-stability summary.
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -86,6 +87,8 @@ int main(int argc, char** argv) {
   // --clean-rounds=N runs the clean-rounds workload instead of the duel.
   const std::optional<unsigned long long> clean_rounds =
       obs::take_whole_number(argc, argv, "clean-rounds", 1, UINT64_MAX);
+  const int jobs = sim::TrialRunner::jobs_from_flag(
+      obs::take_whole_number(argc, argv, "jobs", 0, INT_MAX));
   if (obs::reject_unconsumed_args(argc, argv)) return 2;
   if (clean_rounds) return run_clean_rounds(*clean_rounds);
   constexpr std::size_t kReplicas = 3;
@@ -98,7 +101,7 @@ int main(int argc, char** argv) {
       "each)...\n",
       kReplicas);
   sim::TrialRunnerOptions options;
-  options.jobs = obs.jobs(/*fallback=*/1);
+  options.jobs = jobs;
   sim::TrialRunner runner(options);
   const std::vector<scenario::DuelReport> reports = runner.run_collect(
       kReplicas, [&duel](const sim::TrialContext& ctx) {

@@ -11,6 +11,8 @@
 // --jobs=J workers. Per-period samplers draw from forks of the trial
 // seed, so every row depends only on (root seed, period) — bit-identical
 // output for any J.
+#include <climits>
+
 #include "attack/prober.h"
 #include "attack/threshold_sampler.h"
 #include "bench/common.h"
@@ -45,10 +47,11 @@ struct PeriodStats {
 
 int main(int argc, char** argv) {
   satin::bench::ObsGuard obs(argc, argv);
+  const int jobs = satin::sim::TrialRunner::jobs_from_flag(
+      satin::obs::take_whole_number(argc, argv, "jobs", 0, INT_MAX));
   if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   using namespace satin;
   hw::TimingParams timing;
-  const int jobs = obs.jobs(/*fallback=*/1);
 
   sim::TrialRunnerOptions options;
   options.jobs = jobs;

@@ -9,6 +9,7 @@
 //   $ ./examples/evasion_attack [-v] [--flight=out.flt] [--faults=<spec>]
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "core/satin.h"
 #include "fault/injector.h"
@@ -21,12 +22,12 @@ int main(int argc, char** argv) {
 
   scenario::Scenario system;
   obs::ObsSession obs(argc, argv);
+  const std::string faults = obs::take_flag(argc, argv, "faults");
   const bool verbose = argc > 1 && std::strcmp(argv[1], "-v") == 0;
   if (satin::obs::reject_unconsumed_args(argc, argv, verbose ? 2 : 1)) {
     return 2;
   }
-  const auto injector =
-      fault::install_from_spec(system.platform(), obs.faults_spec());
+  const auto injector = fault::install_from_spec(system.platform(), faults);
   if (verbose) sim::set_log_level(sim::LogLevel::kInfo);
   scenario::DuelConfig duel;
   duel.satin = core::make_pkm_baseline_config(/*period_s=*/4.0,

@@ -17,6 +17,7 @@
 // --replicas=N repeats the duel under N storms (replica 0 is the storm of
 // record; later replicas re-seed the storm and the platform), fanned over
 // --jobs=J workers.
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -54,15 +55,16 @@ int main(int argc, char** argv) {
   using namespace satin;
 
   obs::ObsSession obs(argc, argv);
+  const std::string faults = obs::take_flag(argc, argv, "faults");
+  const auto jobs = obs::take_whole_number(argc, argv, "jobs", 0, INT_MAX);
   const std::size_t replicas =
       obs::take_whole_number(argc, argv, "replicas", 1, SIZE_MAX).value_or(1);
   const bool verbose = argc > 1 && std::strcmp(argv[1], "-v") == 0;
   if (obs::reject_unconsumed_args(argc, argv, verbose ? 2 : 1)) return 2;
   if (verbose) sim::set_log_level(sim::LogLevel::kInfo);
-  const bool custom_spec = obs.faults_requested();
-  const std::string spec0 = custom_spec
-                                ? obs.faults_spec()
-                                : "seed=9," + std::string(kDefaultStormBody);
+  const bool custom_spec = !faults.empty();
+  const std::string spec0 =
+      custom_spec ? faults : "seed=9," + std::string(kDefaultStormBody);
 
   scenario::DuelConfig duel;
   duel.satin.tgoal_s = 57.0;  // tp = 3 s
@@ -84,7 +86,7 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   sim::TrialRunnerOptions options;
-  options.jobs = obs.jobs(/*fallback=*/1);
+  options.jobs = sim::TrialRunner::jobs_from_flag(jobs);
   sim::TrialRunner runner(options);
   const std::vector<ReplicaOutcome> outcomes = runner.run_collect(
       replicas, [&](const sim::TrialContext& ctx) {

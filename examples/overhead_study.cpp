@@ -9,6 +9,7 @@
 //
 //   $ ./examples/overhead_study [--jobs=2] [--flight=out.flt]
 //                               [--faults=<spec>]
+#include <climits>
 #include <cstdio>
 #include <string>
 
@@ -50,14 +51,16 @@ int main(int argc, char** argv) {
   // trial (merge order: baseline, then SATIN — the trial submission
   // order); `satin_flightool chrome` draws each as its own process.
   obs::ObsSession obs(argc, argv);
+  const std::string faults = obs::take_flag(argc, argv, "faults");
+  const auto jobs = obs::take_whole_number(argc, argv, "jobs", 0, INT_MAX);
   if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   std::printf("running mini-UnixBench twice (without / with SATIN)...\n\n");
   sim::TrialRunnerOptions options;
-  options.jobs = obs.jobs(/*fallback=*/1);
+  options.jobs = sim::TrialRunner::jobs_from_flag(jobs);
   sim::TrialRunner runner(options);
   const auto passes = runner.run_collect(
-      std::size_t{2}, [&obs](const sim::TrialContext& ctx) {
-        return run(/*with_satin=*/ctx.index == 1, obs.faults_spec());
+      std::size_t{2}, [&faults](const sim::TrialContext& ctx) {
+        return run(/*with_satin=*/ctx.index == 1, faults);
       });
   const auto rows = workload::compare_runs(passes[0], passes[1]);
   std::printf("%-20s %14s %14s %10s\n", "program", "baseline", "with SATIN",

@@ -6,6 +6,7 @@
 //                           [--faults=<spec>]
 //   $ ./tools/satin_flightool chrome out.flt > out.json   # Perfetto view
 #include <cstdio>
+#include <string>
 
 #include "attack/rootkit.h"
 #include "core/satin.h"
@@ -21,9 +22,9 @@ int main(int argc, char** argv) {
   //    generic timers, GIC, physical memory, booted lsk-4.4-like kernel.
   scenario::Scenario system;
   obs::ObsSession obs(argc, argv);
+  const std::string faults = obs::take_flag(argc, argv, "faults");
   if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
-  const auto injector =
-      fault::install_from_spec(system.platform(), obs.faults_spec());
+  const auto injector = fault::install_from_spec(system.platform(), faults);
   std::printf("booted: %d cores, %zu-byte kernel, %d System.map regions\n",
               system.platform().num_cores(), system.kernel().size(),
               system.kernel().map().region_count());

@@ -9,6 +9,7 @@
 //   $ ./examples/satin_defense [-v] [--flight=out.flt] [--faults=<spec>]
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "fault/injector.h"
 #include "obs/session.h"
@@ -20,12 +21,12 @@ int main(int argc, char** argv) {
 
   scenario::Scenario system;
   obs::ObsSession obs(argc, argv);
+  const std::string faults = obs::take_flag(argc, argv, "faults");
   const bool verbose = argc > 1 && std::strcmp(argv[1], "-v") == 0;
   if (satin::obs::reject_unconsumed_args(argc, argv, verbose ? 2 : 1)) {
     return 2;
   }
-  const auto injector =
-      fault::install_from_spec(system.platform(), obs.faults_spec());
+  const auto injector = fault::install_from_spec(system.platform(), faults);
   if (verbose) sim::set_log_level(sim::LogLevel::kInfo);
   scenario::DuelConfig duel;
   duel.satin.tgoal_s = 57.0;  // tp = 3 s for a brisk demo

@@ -78,8 +78,6 @@ KProber::KProber(os::RichOs& os, KProberConfig config)
       static_cast<int>(probed_.size()), os_.platform().config().draw_mode);
 }
 
-int KProber::slot_of(hw::CoreId core) const { return core; }
-
 void KProber::deploy() {
   if (deployed_) throw std::logic_error("KProber::deploy: already deployed");
   deployed_ = true;
@@ -144,17 +142,17 @@ void KProber::probe_round(hw::CoreId self, sim::Time now, bool report) {
   if (!deployed_) return;
   ++rounds_;
   SATIN_METRIC_INC("attack.probe_rounds");
-  if (report) buffer_->report(slot_of(self), now);
+  // The shared buffer has one slot per core, indexed by core id.
+  if (report) buffer_->report(self, now);
   for (hw::CoreId core : probed_) {
     if (core == self) continue;
-    const int slot = slot_of(core);
-    if (!buffer_->ever_reported(slot)) continue;
-    const sim::Duration staleness = buffer_->observed_staleness(slot, now);
+    if (!buffer_->ever_reported(core)) continue;
+    const sim::Duration staleness = buffer_->observed_staleness(core, now);
     SATIN_METRIC_OBSERVE("attack.staleness_s", staleness.sec());
     if (config_.staleness_observer) {
       config_.staleness_observer(core, staleness.sec());
     }
-    auto flagged = flagged_.begin() + slot;
+    auto flagged = flagged_.begin() + core;
     if (staleness.sec() > config_.threshold_s) {
       if (!*flagged) {
         *flagged = true;

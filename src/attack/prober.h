@@ -90,8 +90,6 @@ class KProber {
   void probe_round(hw::CoreId self, sim::Time now, bool report);
 
  private:
-  int slot_of(hw::CoreId core) const;
-
   os::RichOs& os_;
   KProberConfig config_;
   std::vector<hw::CoreId> probed_;

@@ -35,8 +35,6 @@ class SharedTimeBuffer {
                    sim::Rng rng, double reads_per_second, int probed_cores,
                    sim::DrawMode mode = sim::DrawMode::kBatched);
 
-  int num_slots() const { return static_cast<int>(last_report_.size()); }
-
   // Time Reporter: slot's owner writes the current shared-counter value.
   void report(int slot, sim::Time now) {
     last_report_[static_cast<std::size_t>(slot)] = now;

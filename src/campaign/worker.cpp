@@ -113,8 +113,9 @@ void worker_main(const WorkerContext& ctx) {
       }
     }
 
-    // Artifacts first, result record second: "in the journal" must imply
-    // "artifacts durable".
+    // Artifacts first, result record second: after a process crash, "in
+    // the journal" implies "artifacts written" (not after a power cut:
+    // neither artifact is fsync'd; see worker.h).
     if (flight != nullptr && !flight->close()) _exit(4);
     std::string error;
     if (!metrics.save_binary(trial_metrics_path(ctx.artifacts_dir, index),

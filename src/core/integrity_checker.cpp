@@ -47,8 +47,8 @@ IntegrityChecker::IntegrityChecker(hw::Platform& platform,
   // A checker on the default image attaches the process's pristine digest
   // base, so the digests of untouched areas are computed once per process
   // instead of once per trial. Identity-neutral: the cache only serves
-  // areas still provably holding the installed bytes, with the same
-  // counters and digests as hashing them (secure/pristine_base.h).
+  // areas still provably holding the installed bytes, with the digests
+  // hashing them gives (secure/pristine_base.h).
   if (&image_ == os::default_kernel_image().get()) {
     introspector_.digest_cache().set_pristine_base(default_pristine_base());
   }

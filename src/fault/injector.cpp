@@ -111,9 +111,10 @@ bool FaultInjector::fail_secure_entry(hw::CoreId core) {
   return false;
 }
 
-void FaultInjector::corrupt_scan_view(sim::Time scan_start, std::size_t,
-                                      std::vector<std::uint8_t>& view) {
-  if (view.empty()) return;
+std::vector<hw::BitFlip> FaultInjector::scan_flips(sim::Time scan_start,
+                                                   std::size_t length) {
+  std::vector<hw::BitFlip> flips;
+  if (length == 0) return flips;
   for (const FaultSpec& spec : plan_.faults) {
     // Bit flips hit whatever scan is in flight; core targeting does not
     // apply (the memory system has no notion of the scanning core).
@@ -122,12 +123,14 @@ void FaultInjector::corrupt_scan_view(sim::Time scan_start, std::size_t,
     }
     if (!rng_.bernoulli(spec.probability)) continue;
     for (int i = 0; i < spec.flips; ++i) {
-      const std::size_t pos = rng_.index(view.size());
-      view[pos] ^= static_cast<std::uint8_t>(1u << rng_.index(8));
+      const std::size_t pos = rng_.index(length);
+      flips.push_back(
+          {pos, static_cast<std::uint8_t>(1u << rng_.index(8))});
     }
     note(FaultKind::kBitFlip, kAnyCore);
     SATIN_METRIC_ADD("fault.bits_flipped", spec.flips);
   }
+  return flips;
 }
 
 void FaultInjector::schedule_offline_window(const FaultSpec& spec) {

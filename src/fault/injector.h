@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "fault/plan.h"
 #include "hw/fault_hooks.h"
@@ -50,8 +51,8 @@ class FaultInjector final : public hw::FaultHooks {
                                            sim::Time compare_value) override;
   bool drop_secure_irq(hw::CoreId core, hw::IrqId irq) override;
   bool fail_secure_entry(hw::CoreId core) override;
-  void corrupt_scan_view(sim::Time scan_start, std::size_t offset,
-                         std::vector<std::uint8_t>& view) override;
+  std::vector<hw::BitFlip> scan_flips(sim::Time scan_start,
+                                      std::size_t length) override;
 
  private:
   void note(FaultKind kind, int core);

@@ -10,6 +10,7 @@
 // this interface from a seeded plan.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +24,15 @@ namespace satin::hw {
 struct TimerFaultDecision {
   bool drop = false;
   sim::Duration drift = sim::Duration::zero();
+};
+
+// One transient read glitch: the scan observes the byte at `pos` (from
+// the scan's first byte) XORed with `mask`.
+struct BitFlip {
+  std::size_t pos = 0;
+  std::uint8_t mask = 0;
+
+  friend bool operator==(const BitFlip&, const BitFlip&) = default;
 };
 
 class FaultHooks {
@@ -46,11 +56,12 @@ class FaultHooks {
   // core never leaves the normal world and the round is lost.
   virtual bool fail_secure_entry(CoreId core) = 0;
 
-  // Memory consults when a linear scan registers its view; the hook may
-  // flip bits in `view` to model a transient read glitch. Physical memory
-  // itself is untouched — a re-read observes clean bytes.
-  virtual void corrupt_scan_view(sim::Time scan_start, std::size_t offset,
-                                 std::vector<std::uint8_t>& view) = 0;
+  // Memory consults when a linear scan of `length` bytes registers; the
+  // hook returns the bits a transient read glitch flips in what that scan
+  // observes, in order (empty when it flips none). Physical memory itself
+  // is untouched — a re-read observes clean bytes.
+  virtual std::vector<BitFlip> scan_flips(sim::Time scan_start,
+                                          std::size_t length) = 0;
 };
 
 }  // namespace satin::hw

@@ -16,8 +16,6 @@
 namespace satin::hw {
 
 namespace {
-constexpr std::size_t kChunksPerSuper = 64;
-
 std::size_t page_bytes() {
   static const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   return page;
@@ -48,9 +46,7 @@ Memory::Memory(std::size_t size)
     : size_(size),
       map_bytes_(round_up_to_page(size) + page_bytes()),
       data_(map_zeroed(size_, map_bytes_)),
-      chunk_gen_((size + kChunkBytes - 1) / kChunkBytes, 0),
-      super_gen_((chunk_gen_.size() + kChunksPerSuper - 1) / kChunksPerSuper,
-                 0) {}
+      written_((size + kChunkBytes - 1) / kChunkBytes, false) {}
 
 Memory::~Memory() { ::munmap(data_, map_bytes_); }
 
@@ -72,44 +68,33 @@ void Memory::check_range(const char* what, std::size_t offset,
   }
 }
 
-void Memory::bump_generations(std::size_t offset, std::size_t length) {
+void Memory::mark_written(std::size_t offset, std::size_t length) {
   if (length == 0) return;
-  ++generation_;
-  const std::size_t first = offset / kChunkBytes;
-  const std::size_t last = (offset + length - 1) / kChunkBytes;
-  for (std::size_t c = first; c <= last; ++c) {
-    chunk_gen_[c] = generation_;
-    super_gen_[c / kChunksPerSuper] = generation_;
-  }
+  mutated_ = true;
+  // std::fill sets a vector<bool> range a word at a time: an image
+  // install marks ~46,500 chunks.
+  const auto chunk = [this](std::size_t c) {
+    return written_.begin() + static_cast<std::ptrdiff_t>(c);
+  };
+  std::fill(chunk(offset / kChunkBytes),
+            chunk((offset + length - 1) / kChunkBytes + 1), true);
 }
 
-std::uint64_t Memory::generation(std::size_t offset,
-                                 std::size_t length) const {
-  check_range("generation", offset, length);
-  if (length == 0) return 0;
-  if (offset == 0 && length == size_) return generation_;
-  const std::size_t first = offset / kChunkBytes;
+void Memory::stamp_baseline() {
+  std::fill(written_.begin(), written_.end(), false);
+  baseline_stamped_ = true;
+}
+
+bool Memory::untouched_since_baseline(std::size_t offset,
+                                      std::size_t length) const {
+  check_range("untouched_since_baseline", offset, length);
+  if (!baseline_stamped_) return false;
+  if (length == 0) return true;
   const std::size_t last = (offset + length - 1) / kChunkBytes;
-  std::uint64_t max_gen = 0;
-  std::size_t c = first;
-  while (c <= last) {
-    const std::size_t super = c / kChunksPerSuper;
-    const std::size_t super_first = super * kChunksPerSuper;
-    const std::size_t super_last = super_first + kChunksPerSuper - 1;
-    if (c == super_first && super_last <= last) {
-      // Whole superchunk inside the range: one load covers 64 chunks.
-      max_gen = std::max(max_gen, super_gen_[super]);
-      c = super_last + 1;
-      continue;
-    }
-    const std::size_t stop = std::min(last, super_last);
-    if (super_gen_[super] > max_gen) {
-      // Only worth walking chunks when the superchunk could raise the max.
-      for (; c <= stop; ++c) max_gen = std::max(max_gen, chunk_gen_[c]);
-    }
-    c = stop + 1;
+  for (std::size_t c = offset / kChunkBytes; c <= last; ++c) {
+    if (written_[c]) return false;
   }
-  return max_gen;
+  return true;
 }
 
 void Memory::materialize_overlapping(std::size_t offset, std::size_t length) {
@@ -129,7 +114,7 @@ void Memory::poke(std::size_t offset, std::span<const std::uint8_t> data) {
   // anchored at scan start); give overlapped scans their private view
   // before the backing bytes move under them.
   materialize_overlapping(offset, data.size());
-  bump_generations(offset, data.size());
+  mark_written(offset, data.size());
   std::copy(data.begin(), data.end(), data_ + offset);
 }
 
@@ -138,10 +123,10 @@ bool Memory::install_image(std::span<const std::uint8_t> image, int fd) {
   const std::size_t mapped = image.size() / page_bytes() * page_bytes();
   // Mapping replaces pages wholesale, so it is exact only over pages that
   // still read as zero and that no in-flight scan window references.
-  if (fd >= 0 && mapped > 0 && generation_ == 0 && scans_.empty()) {
+  if (fd >= 0 && mapped > 0 && !mutated_ && scans_.empty()) {
     if (::mmap(data_, mapped, PROT_READ | PROT_WRITE,
                MAP_PRIVATE | MAP_FIXED, fd, 0) != MAP_FAILED) {
-      bump_generations(0, image.size());
+      mark_written(0, image.size());
       std::memcpy(data_ + mapped, image.data() + mapped,
                   image.size() - mapped);
       return true;
@@ -162,7 +147,7 @@ void Memory::write(sim::Time now, std::size_t offset,
   check_range("write", offset, data.size());
   ++write_count_;
   materialize_overlapping(offset, data.size());
-  bump_generations(offset, data.size());
+  mark_written(offset, data.size());
   for (ActiveScan& scan : scans_) {
     const std::size_t scan_end = scan.offset + scan.length;
     const std::size_t lo = std::max(offset, scan.offset);
@@ -208,29 +193,17 @@ Memory::ScanToken Memory::begin_scan(sim::Time start, std::size_t offset,
   scan.offset = offset;
   scan.length = length;
   scan.per_byte_ps = per_byte_ps;
-  // Copy-on-first-overlap: the private view is deferred until a write or
-  // poke actually touches the window. Fault hooks force it immediately —
-  // a transient read glitch corrupts what this scan observes, never the
-  // backing bytes, and racing writes still apply on top of the (possibly
-  // corrupted) view deterministically.
+  // Copy-on-first-overlap: the private view is deferred until a glitch
+  // flips one of its bits or a write or poke touches the window. A
+  // transient read glitch corrupts what this scan observes, never the
+  // backing bytes, and racing writes still apply on top of the glitched
+  // view deterministically.
   if (fault_hooks_ != nullptr) {
-    scan.view.assign(data_ + offset, data_ + offset + length);
-    scan.materialized = true;
-    fault_hooks_->corrupt_scan_view(start, offset, scan.view);
-    // A glitched view never enters the digest cache (it is materialized,
-    // hence bypassed), but mark the flipped chunks dirty anyway so any
-    // cached digest covering them is conservatively recomputed from the
-    // (clean) backing bytes on the next round.
-    for (std::size_t i = 0; i < length;) {
-      const std::size_t chunk_end =
-          std::min(length, ((offset + i) / kChunkBytes + 1) * kChunkBytes -
-                               offset);
-      if (!std::equal(scan.view.begin() + static_cast<std::ptrdiff_t>(i),
-                      scan.view.begin() + static_cast<std::ptrdiff_t>(chunk_end),
-                      data_ + offset + i)) {
-        bump_generations(offset + i, chunk_end - i);
-      }
-      i = chunk_end;
+    const std::vector<BitFlip> flips = fault_hooks_->scan_flips(start, length);
+    if (!flips.empty()) {
+      scan.view.assign(data_ + offset, data_ + offset + length);
+      scan.materialized = true;
+      for (const BitFlip& flip : flips) scan.view.at(flip.pos) ^= flip.mask;
     }
   }
   scans_.push_back(std::move(scan));

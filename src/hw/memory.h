@@ -33,10 +33,10 @@ namespace satin::hw {
 
 class Memory {
  public:
-  // Dirty-tracking granule: every mutation (timed write, untimed poke,
-  // fault-injected view corruption) bumps a monotonic generation counter
-  // on each kChunkBytes-aligned chunk it touches. The secure world's
-  // digest cache decides per area on these generations.
+  // Dirty-tracking granule: every mutation (timed write, untimed poke)
+  // marks each kChunkBytes-aligned chunk it touches as written since the
+  // boot baseline. The secure world's digest cache serves an area from
+  // the pristine image only while none of its chunks is marked.
   static constexpr std::size_t kChunkBytes = 256;
 
   explicit Memory(std::size_t size);
@@ -51,7 +51,7 @@ class Memory {
   std::uint8_t read(std::size_t offset) const;
   void poke(std::size_t offset, std::span<const std::uint8_t> data);
 
-  // Trusted-boot install: leaves exactly the bytes and generations that
+  // Trusted-boot install: leaves exactly the bytes and marks that
   // poke(0, image) leaves. When `fd` is a file whose first image.size()
   // bytes are `image`, this memory was never mutated and no scan is
   // active, the image's whole pages are mapped copy-on-write (MAP_PRIVATE)
@@ -79,10 +79,11 @@ class Memory {
   };
 
   // What a finished scan observed. When no timed write overlapped the
-  // scan window (the overwhelmingly common case in the benches) this is a
-  // zero-copy window into physical memory, valid until the next mutation
-  // (write/poke) or scan registration — hash it immediately. When a write
-  // did race the cursor, it owns the materialized private view.
+  // scan window and no fault glitch flipped a bit of it (the
+  // overwhelmingly common case in the benches) this is a zero-copy window
+  // into physical memory, valid until the next mutation (write/poke) or
+  // scan registration — hash it immediately. Otherwise it owns the
+  // materialized private view.
   class ScanView {
    public:
     ScanView() = default;
@@ -106,7 +107,8 @@ class Memory {
     std::uint8_t operator[](std::size_t i) const { return span_[i]; }
     auto begin() const { return span_.begin(); }
     auto end() const { return span_.end(); }
-    // True when the scan raced a write and owns a private copy.
+    // True when the scan raced a write or took a glitch and owns a
+    // private copy.
     bool owned() const { return !storage_.empty(); }
 
     std::vector<std::uint8_t> to_vector() const {
@@ -138,8 +140,9 @@ class Memory {
 
   // Ends the scan and returns the bytes as the scanner observed them.
   // Copy-on-first-overlap: the view is only materialized (full-window
-  // copy) the moment a timed write or poke first overlaps the window; a
-  // scan nothing raced reads physical memory directly, copy-free.
+  // copy) when a fault glitch flips one of its bits or the moment a timed
+  // write or poke first overlaps the window; a scan nothing raced or
+  // glitched reads physical memory directly, copy-free.
   ScanView finish_scan(ScanToken token);
 
   // Drops a scan without reading the result (e.g. aborted introspection).
@@ -150,38 +153,22 @@ class Memory {
   // Total timed writes observed (diagnostics).
   std::uint64_t write_count() const { return write_count_; }
 
-  // --- Write-generation dirty tracking ---------------------------------
-  // Global mutation counter, O(1): bumped once per write/poke (and per
-  // fault-corrupted scan view). Equal counters across two instants mean
-  // no byte anywhere changed in between — the digest cache's cheapest
-  // all-clean check.
-  std::uint64_t write_generation() const { return generation_; }
+  // --- Dirty tracking since the boot baseline ---------------------------
+  // Clears every chunk's written-since-baseline mark: the bytes now in
+  // memory are the pristine post-boot state. A chunk no write or poke has
+  // marked since still holds exactly the bytes the kernel image installed
+  // — the precondition for serving its digest from a shared
+  // pristine-image cache.
+  void stamp_baseline();
 
-  // Marks the current mutation state as the pristine post-boot baseline.
-  // Chunks whose generation never exceeds this value afterwards still hold
-  // exactly the bytes the kernel image installed — the precondition for
-  // serving their digests from a shared pristine-image cache.
-  void stamp_baseline() { baseline_gen_ = generation_; }
+  // True when stamp_baseline() has run and no write or poke since has
+  // touched a chunk overlapping [offset, offset+length); false before the
+  // first stamp. One bit test per chunk.
+  bool untouched_since_baseline(std::size_t offset, std::size_t length) const;
 
-  // Generation captured by the last stamp_baseline() (0 = never stamped).
-  std::uint64_t baseline_generation() const { return baseline_gen_; }
-
-  std::size_t chunk_count() const { return chunk_gen_.size(); }
-
-  // Generation of one chunk (0 = never mutated), O(1).
-  std::uint64_t chunk_generation(std::size_t chunk) const {
-    return chunk_gen_.at(chunk);
-  }
-
-  // Max generation over the chunks overlapping [offset, offset+length):
-  // the aggregate freshness key for a range. O(1) for the full range and
-  // for the unchanged-global fast path callers use; otherwise one load
-  // per 64-chunk superchunk (plus edge chunks) — ~16 KiB per load.
-  std::uint64_t generation(std::size_t offset, std::size_t length) const;
-
-  // Fault-injection seam: consulted as each scan registers its view; may
-  // flip bits in what the scanner will observe (transient read glitch —
-  // the backing bytes stay intact, so a re-read comes back clean).
+  // Fault-injection seam: consulted as each scan registers; may flip bits
+  // in what the scanner will observe (transient read glitch — the backing
+  // bytes stay intact and unmarked, so a re-read comes back clean).
   void set_fault_hooks(FaultHooks* hooks) { fault_hooks_ = hooks; }
 
  private:
@@ -191,9 +178,8 @@ class Memory {
     std::size_t offset;
     std::size_t length;
     double per_byte_ps;
-    // Bytes as the scanner sees them; empty until the first overlapping
-    // mutation snapshots the window (fault hooks materialize eagerly so
-    // glitches land on a private view).
+    // Bytes as the scanner sees them; empty until a glitch flips a bit of
+    // the window or the first overlapping mutation snapshots it.
     std::vector<std::uint8_t> view;
     bool materialized = false;
   };
@@ -208,9 +194,8 @@ class Memory {
   void check_range(const char* what, std::size_t offset,
                    std::size_t length) const;
 
-  // Marks every chunk overlapping [offset, offset+length) dirty under a
-  // freshly bumped global generation.
-  void bump_generations(std::size_t offset, std::size_t length);
+  // Marks every chunk overlapping [offset, offset+length) written.
+  void mark_written(std::size_t offset, std::size_t length);
 
   // The mapping: size_ usable bytes rounded up to whole pages, then one
   // PROT_NONE guard page; map_bytes_ covers both and is what the
@@ -223,12 +208,9 @@ class Memory {
   std::list<ActiveScan> scans_;
   std::uint64_t next_scan_id_ = 1;
   std::uint64_t write_count_ = 0;
-  // Dirty tracking: per-chunk generations with a 64-chunk superchunk max
-  // level so range queries skip clean regions 16 KiB at a time.
-  std::uint64_t generation_ = 0;
-  std::uint64_t baseline_gen_ = 0;
-  std::vector<std::uint64_t> chunk_gen_;
-  std::vector<std::uint64_t> super_gen_;
+  bool mutated_ = false;  // any write or poke yet: install_image copies
+  bool baseline_stamped_ = false;
+  std::vector<bool> written_;  // per chunk: written since the baseline
 };
 
 }  // namespace satin::hw

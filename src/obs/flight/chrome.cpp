@@ -29,7 +29,7 @@ double seconds(std::uint64_t ps) {
 }
 
 constexpr const char* kCacheOutcome[] = {
-    "digest_cache_clean", "digest_cache_partial", "digest_cache_bypass",
+    "digest_cache_served", "digest_cache_hashed", "digest_cache_bypass",
     "digest_cache"};
 
 // By FlightCoreState code; the last entry draws unknown codes.

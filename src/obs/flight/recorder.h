@@ -82,9 +82,9 @@ inline constexpr std::size_t kFlightKindCount = 20;
 
 // kDigestCache payload, low two bits: how a scan's digest was served.
 enum class FlightCacheOutcome : std::uint8_t {
-  kClean = 0,    // every chunk from the cache
-  kPartial = 1,  // some chunks re-hashed
-  kBypass = 2,   // a raced or glitched view, hashed in full
+  kServed = 0,  // an untouched area, served from the pristine base
+  kHashed = 1,  // a trusted view the base did not serve, hashed
+  kBypass = 2,  // a raced or glitched view, hashed
 };
 
 // kCoreState payload, low byte.

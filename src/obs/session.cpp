@@ -15,7 +15,6 @@
 #include <sys/stat.h>
 
 #include "sim/engine.h"
-#include "sim/parallel.h"
 
 namespace satin::obs {
 
@@ -209,16 +208,9 @@ bool take_bool_flag(int& argc, char** argv, const char* key) {
 
 }  // namespace
 
-int ObsSession::jobs(int fallback) const {
-  if (jobs_ < 0) return fallback;
-  if (jobs_ == 0) return sim::TrialRunner::hardware_jobs();
-  return jobs_;
-}
-
 ObsSession::ObsSession(int& argc, char** argv) {
   metrics_path_ = take_flag(argc, argv, "metrics", malformed_metrics);
   metrics_stable_ = take_bool_flag(argc, argv, "metrics-stable");
-  faults_spec_ = take_flag(argc, argv, "faults");
   // --flight=path[,ring=N]: path of the binary recording, optionally a
   // ring capacity (keep only the newest N records; 0/absent = spill the
   // full stream to disk in bounded-memory chunks).
@@ -231,10 +223,6 @@ ObsSession::ObsSession(int& argc, char** argv) {
     flight_spec.resize(comma);
   }
   flight_path_ = flight_spec;
-  // --jobs=0 is meaningful: one worker per hardware thread.
-  if (const auto jobs = take_whole_number(argc, argv, "jobs", 0, INT_MAX)) {
-    jobs_ = static_cast<int>(*jobs);
-  }
   if (!metrics_path_.empty()) {
     registry_ = std::make_unique<MetricsRegistry>();
     install_metrics(registry_.get());

@@ -41,17 +41,14 @@ void snapshot_engine_metrics(const sim::Engine& engine,
 
 class ObsSession {
  public:
-  // Consumes --metrics= / --metrics-stable / --faults= / --jobs= /
-  // --flight= from argv (argc is rewritten). When no flag is
-  // present the session installs nothing and costs nothing. The faults
-  // spec is only stripped and stored — the obs layer knows nothing about
-  // fault injection; pass faults_spec() to fault::install_from_spec() to
-  // arm it. --jobs is likewise only parsed and stored, for
-  // sim::TrialRunner: J worker threads, 0 = one per hardware thread,
-  // absent = the caller's fallback (typically 1). --flight=path[,ring=N]
-  // records the engine's event-commit stream to a binary flight recording
-  // (spill mode by default; ring=N keeps only the newest N records).
-  // A --jobs or ring= value that is not a whole number in range, and a
+  // Consumes --metrics= / --metrics-stable / --flight= from argv (argc is
+  // rewritten) and nothing else: a program takes its own flags (such as
+  // --jobs= or --faults=) with take_flag/take_whole_number, and
+  // reject_unconsumed_args names any flag it does not read. When no flag
+  // is present the session installs nothing and costs nothing.
+  // --flight=path[,ring=N] records the engine's event-commit stream to a
+  // binary flight recording (spill mode by default; ring=N keeps only the
+  // newest N records). A ring= value that is not a whole number, and a
   // --metrics or --flight file that cannot be opened for writing, is
   // reported, naming the flag, and left in argv, so the caller's
   // reject_unconsumed_args() check fails the run before it simulates
@@ -67,12 +64,7 @@ class ObsSession {
   bool metrics_enabled() const { return registry_ != nullptr; }
   bool flight_enabled() const { return flight_ != nullptr; }
   bool metrics_stable() const { return metrics_stable_; }
-  bool faults_requested() const { return !faults_spec_.empty(); }
-  // Parsed --jobs value; `fallback` when the flag was absent, one worker
-  // per hardware thread when it was --jobs=0.
-  int jobs(int fallback = 1) const;
   const std::string& metrics_path() const { return metrics_path_; }
-  const std::string& faults_spec() const { return faults_spec_; }
   const std::string& flight_path() const { return flight_path_; }
 
   MetricsRegistry* registry() { return registry_.get(); }
@@ -86,9 +78,7 @@ class ObsSession {
 
  private:
   std::string metrics_path_;
-  std::string faults_spec_;
   std::string flight_path_;
-  int jobs_ = -1;                // -1 = flag absent
   bool metrics_stable_ = false;
   std::unique_ptr<MetricsRegistry> registry_;
   std::unique_ptr<FlightRecorder> flight_;

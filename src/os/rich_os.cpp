@@ -66,8 +66,8 @@ void RichOs::boot() {
   if (booted_) throw std::logic_error("RichOs::boot called twice");
   booted_ = true;
   image_->install(platform_.memory());
-  // install() pokes every image byte, so each covered chunk's generation is
-  // now >= 1; stamp this as the pristine baseline for digest sharing.
+  // Memory now holds exactly the installed image: stamp it as the pristine
+  // baseline for digest sharing.
   platform_.memory().stamp_baseline();
   for (int c = 0; c < platform_.num_cores(); ++c) {
     platform_.core(c).add_world_listener(this);

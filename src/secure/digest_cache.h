@@ -1,34 +1,33 @@
 // Digest cache for the secure-world introspection hot path.
 //
 // The paper's workloads run thousands of introspection rounds over kernel
-// areas that are almost never modified between rounds: the common case is
-// a clean re-hash of byte-identical text/syscall-table bytes. This cache
-// decides per area, in *host* time, while leaving *simulated* time and
-// every digest bit-identical to hashing the observed bytes:
+// areas that are almost never modified: the common case is a hash of
+// byte-identical text/syscall-table bytes, the ones trusted boot
+// installed. This cache answers such rounds in *host* time, while leaving
+// *simulated* time and every digest bit-identical to hashing the observed
+// bytes. One rule:
 //
-//  * hw::Memory stamps a monotonic write-generation on every 256-byte
-//    chunk a write/poke (or fault glitch) touches;
-//  * an area whose generation has not moved since its last scan reuses
-//    that scan's digest — O(1) when the global write-generation has not
-//    moved either;
-//  * any other area takes its digest from the shared pristine base when
-//    it lies inside the installed image and no chunk of it was written
-//    since boot (secure/pristine_base.h), and is hashed whole otherwise.
+//  * a trusted view of an area that hw::Memory reports untouched since the
+//    boot baseline (no write or poke on any of its 256-byte chunks since
+//    stamp_baseline()) takes its digest from the shared pristine base
+//    (secure/pristine_base.h) when the base covers the area: *served*;
+//  * every other view is hashed: *hashed* when trusted, *bypass* when the
+//    scan was raced by a timed write or glitched by a fault hook.
 //
-// TOCTTOU and fault semantics are untouched by construction: a scan that
-// was raced by a timed write or glitched by a fault hook materializes a
-// private view (hw::Memory copy-on-first-overlap), and any materialized
-// view bypasses the cache entirely — its bytes are not the backing bytes
-// the generations describe. Simulated scan time is charged in full by the
-// Introspector regardless of cache hits.
+// TOCTTOU and fault semantics are untouched by construction: a raced or
+// glitched scan materializes a private view (hw::Memory
+// copy-on-first-overlap), and a materialized view is never served — its
+// bytes are not the backing bytes the baseline marks describe. Simulated
+// scan time is charged in full by the Introspector whatever the outcome.
 //
-// Counters keep per-chunk units: a reused area counts its chunks as hits,
-// a served or hashed area counts them as misses and its bytes as hashed.
+// Counters say what the cache did: `hits` and `bytes_skipped` count the
+// chunks and bytes served, `misses` the chunks of trusted areas hashed,
+// and `bytes_hashed` the bytes hashed, bypasses included.
 //
 // A cache constructed with enabled = false (or switched by set_enabled,
 // as core::SatinConfig::shadow_digest_cache does) runs in *shadow mode*:
-// the full bookkeeping still runs — so hit/miss counters and digest_cache
-// flight records stay bit-identical to the enabled run — but the returned
+// the full bookkeeping still runs — so counters and digest_cache flight
+// records stay bit-identical to the enabled run — but the returned
 // digest is an independent full re-hash of the observed view, i.e.
 // exactly the pre-cache behavior. Shadow mode is the oracle of the tests:
 // digest_cache_test holds the two modes to identical round outcomes, and
@@ -37,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <utility>
@@ -56,11 +54,11 @@ class DigestCache {
   // printed/traced without breaking the on-vs-off identity contract.
   struct RoundOutcome {
     std::uint64_t digest = 0;
-    std::uint64_t chunk_hits = 0;    // chunks of a reused area
-    std::uint64_t chunk_misses = 0;  // chunks of a served or hashed area
-    std::uint64_t bytes_hashed = 0;  // logical: what an enabled run hashes
-    std::uint64_t bytes_skipped = 0;
-    bool bypassed = false;  // raced/faulted view: cache not consulted
+    std::uint64_t chunk_hits = 0;    // chunks of a served area
+    std::uint64_t chunk_misses = 0;  // chunks of a hashed trusted area
+    std::uint64_t bytes_hashed = 0;  // what an enabled run hashes
+    std::uint64_t bytes_skipped = 0;  // what an enabled run serves
+    bool bypassed = false;  // raced/glitched view: hashed, never served
   };
 
   // Cumulative totals across rounds (same counting rules as RoundOutcome).
@@ -83,9 +81,8 @@ class DigestCache {
   // Digest of `view`, the bytes a finished scan observed over
   // [offset, offset + view.size()) of `mem`. `trusted_view` must be false
   // when the scan materialized a private view (raced write or fault
-  // glitch): those bytes are not the backing bytes the generations
-  // describe, so the round is fully re-hashed and the cache is neither
-  // consulted nor updated.
+  // glitch): those bytes are not the backing bytes the baseline marks
+  // describe, so the round is hashed and never served.
   RoundOutcome round_digest(const hw::Memory& mem, std::size_t offset,
                             std::span<const std::uint8_t> view,
                             bool trusted_view);
@@ -96,34 +93,20 @@ class DigestCache {
   // secure/pristine_base.h); IntegrityChecker does so for every checker
   // on the default kernel image, on every path. Areas that provably
   // still hold the installed image bytes take their digest from the base
-  // instead of re-hashing — counters and digests are identical by
-  // construction, so this is pure host-time savings and is active in both
-  // enabled and shadow mode. nullptr (the default) disables it.
+  // instead of re-hashing — digests are identical by construction, so
+  // this is pure host-time savings. The served/hashed decision is the
+  // same in enabled and shadow mode. nullptr (the default) serves
+  // nothing: every trusted round is hashed.
   void set_pristine_base(std::shared_ptr<PristineBase> base) {
     base_ = std::move(base);
   }
   const std::shared_ptr<PristineBase>& pristine_base() const { return base_; }
 
-  // Chunks of the areas whose digest was served from the pristine base
-  // (diagnostic only — deliberately outside Stats: served chunks count as
-  // misses, so every printed counter is what hashing them would print).
-  std::uint64_t base_served_chunks() const { return base_served_; }
-
  private:
-  struct AreaCache {
-    std::uint64_t area_gen = 0;    // generation(offset, length) last round
-    std::uint64_t global_gen = 0;  // write_generation() last round
-    std::uint64_t digest = 0;
-  };
-
-  void account(const RoundOutcome& out);
-
   HashKind kind_;
   bool enabled_;
-  std::map<std::pair<std::size_t, std::size_t>, AreaCache> areas_;
   Stats stats_;
   std::shared_ptr<PristineBase> base_;
-  std::uint64_t base_served_ = 0;
 };
 
 }  // namespace satin::secure

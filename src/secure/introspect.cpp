@@ -52,9 +52,9 @@ void Introspector::scan_async(hw::CoreId core, std::size_t offset,
         // Zero-copy on the common no-race path: the view is a window into
         // physical memory, hashed before anything else can mutate it. A
         // materialized (owned) view means a timed write raced the cursor
-        // or a fault hook glitched the observed bytes — those rounds
-        // bypass the incremental cache and re-hash in full, so detection
-        // semantics never depend on cache state.
+        // or a fault hook flipped a bit the scan observed — those rounds
+        // bypass the digest cache and are hashed, so detection semantics
+        // never depend on cache state.
         const auto seen = platform_.memory().finish_scan(token);
         const auto cached = cache_.round_digest(platform_.memory(), offset,
                                                 seen.bytes(), !seen.owned());
@@ -78,9 +78,9 @@ void Introspector::scan_async(hw::CoreId core, std::size_t offset,
             (static_cast<std::uint64_t>(cached.bytes_hashed) << 2) |
                 static_cast<std::uint64_t>(
                     cached.bypassed ? obs::FlightCacheOutcome::kBypass
-                    : cached.chunk_misses == 0
-                        ? obs::FlightCacheOutcome::kClean
-                        : obs::FlightCacheOutcome::kPartial));
+                    : cached.chunk_hits > 0
+                        ? obs::FlightCacheOutcome::kServed
+                        : obs::FlightCacheOutcome::kHashed));
         SATIN_METRIC_ADD("digest_cache.hits", cached.chunk_hits);
         SATIN_METRIC_ADD("digest_cache.misses", cached.chunk_misses);
         SATIN_METRIC_ADD("digest_cache.bytes_hashed", cached.bytes_hashed);
@@ -88,8 +88,6 @@ void Introspector::scan_async(hw::CoreId core, std::size_t offset,
         if (cached.bypassed) SATIN_METRIC_INC("digest_cache.bypasses");
         SATIN_METRIC_INC("introspect.scans");
         SATIN_METRIC_ADD("introspect.bytes_scanned", length);
-        SATIN_METRIC_OBSERVE("introspect.scan_s",
-                             (result.scan_end - start).sec());
         SATIN_METRIC_DIGEST_OBSERVE("introspect.scan_s",
                                     (result.scan_end - start).sec());
         done(result);

@@ -13,8 +13,9 @@
 // still hold the installed bytes: trusted (zero-copy) view, and no chunk
 // of the area written since hw::Memory::stamp_baseline() at boot — in
 // which case the memoized digest is bit-for-bit what hashing the view
-// gives, and the round's counters and digest are untouched by
-// construction. Anything dirtied, raced or faulted is hashed.
+// gives, and the round's digest is untouched by construction. Anything
+// written, raced or glitched is hashed, and so is an area that is not
+// fully inside the image (area_digest's own bounds check).
 //
 // Thread-safe: trials on several threads share one base.
 #pragma once

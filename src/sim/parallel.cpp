@@ -35,6 +35,12 @@ int TrialRunner::hardware_jobs() {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
+int TrialRunner::jobs_from_flag(std::optional<unsigned long long> flag,
+                                int fallback) {
+  if (!flag) return fallback;
+  return *flag == 0 ? hardware_jobs() : static_cast<int>(*flag);
+}
+
 int TrialRunner::jobs_for(std::size_t trials) const {
   int jobs = options_.jobs > 0 ? options_.jobs : hardware_jobs();
   if (static_cast<std::size_t>(jobs) > trials) {

@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -81,8 +82,6 @@ class TrialRunner {
   // Workers actually used by run() for `trials` trials.
   int jobs_for(std::size_t trials) const;
   int jobs() const { return options_.jobs; }
-  std::uint64_t root_seed() const { return options_.root_seed; }
-  const TrialSeedSeq& seeds() const { return seeds_; }
 
   // Runs fn once per trial index in [0, trials). fn must not touch state
   // shared with other trials; everything it needs is derived from ctx.
@@ -113,6 +112,11 @@ class TrialRunner {
 
   // One worker per hardware thread (>= 1).
   static int hardware_jobs();
+
+  // Workers a program's --jobs=N flag asks for: N, one per hardware
+  // thread for N = 0, and `fallback` when the flag is absent.
+  static int jobs_from_flag(std::optional<unsigned long long> flag,
+                            int fallback = 1);
 
  private:
   TrialRunnerOptions options_;

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 #include <vector>
 
 #include "core/satin.h"
+#include "hw/platform.h"
+#include "obs/metrics.h"
 #include "scenario/scenario.h"
 
 namespace satin::fault {
@@ -205,6 +208,109 @@ TEST(FaultInjector, BitFlipsHitTheViewNotTheKernel) {
   EXPECT_GT(satin.rounds(), 20u);
   EXPECT_EQ(satin.checker().alarms().size(), in_window)
       << "a flip leaked into the backing kernel bytes";
+}
+
+// The bit flips one seeded plan draws for a fixed series of scans, as
+// recorded from the injector before it returned flips instead of applying
+// them to a copied view (that injector's flips, read back as the bytes
+// that differ from an all-zero view; no two flips of one scan collided).
+// Two overlapping windows; the first triggers with p = 0.5.
+constexpr const char* kRecordedFlipPlan =
+    "seed=7,bitflip@1s+8s:p=0.5:flips=3,bitflip@5s+10s:flips=2";
+
+struct RecordedScan {
+  double start_s;
+  std::size_t length;
+  std::vector<hw::BitFlip> flips;  // sorted by position
+};
+
+const std::vector<RecordedScan>& recorded_scans() {
+  static const std::vector<RecordedScan> scans = {
+      {0.5, 4096, {}},
+      {1.0, 4096, {}},
+      {2.0, 1000, {}},
+      {3.0, 65536, {{3610, 0x40}, {58452, 0x02}, {59028, 0x04}}},
+      {4.0, 300, {}},
+      {5.0, 4096, {{1627, 0x04}, {3408, 0x04}}},
+      {6.0, 1000, {{620, 0x04}, {866, 0x04}}},
+      {7.0, 65536,
+       {{2192, 0x01}, {11057, 0x04}, {17750, 0x20}, {21688, 0x20},
+        {32772, 0x01}}},
+      {8.0, 300, {{12, 0x10}, {83, 0x02}, {178, 0x04}, {235, 0x02},
+                  {269, 0x20}}},
+      {9.0, 4096, {{517, 0x20}, {3955, 0x02}}},
+      {12.0, 1000, {{296, 0x01}, {561, 0x20}}},
+      {16.0, 4096, {}},
+  };
+  return scans;
+}
+
+TEST(FaultInjector, SeededBitFlipsMatchTheRecordedDraws) {
+  hw::Platform platform;
+  obs::MetricsRegistry registry;
+  obs::install_metrics(&registry);
+  FaultInjector injector(platform, FaultPlan::parse(kRecordedFlipPlan));
+  for (const RecordedScan& scan : recorded_scans()) {
+    std::vector<hw::BitFlip> flips =
+        injector.scan_flips(Time::from_sec_f(scan.start_s), scan.length);
+    std::sort(flips.begin(), flips.end(),
+              [](const hw::BitFlip& a, const hw::BitFlip& b) {
+                return a.pos < b.pos;
+              });
+    EXPECT_EQ(flips, scan.flips) << "scan at " << scan.start_s << " s";
+  }
+  obs::install_metrics(nullptr);
+  EXPECT_EQ(injector.injected(FaultKind::kBitFlip), 9u);
+  const obs::Counter* bits = registry.find_counter("fault.bits_flipped");
+  ASSERT_NE(bits, nullptr);
+  EXPECT_EQ(bits->value(), 21u);
+}
+
+TEST(FaultInjector, OnlyAFlippedScanIsOwned) {
+  // The same draws through the memory seam: a scan the draw flips nothing
+  // in stays a zero-copy window; a flipped one owns a private view that
+  // differs from the backing bytes in exactly the drawn bits.
+  hw::Platform platform;
+  hw::Memory& mem = platform.memory();
+  std::vector<std::uint8_t> pattern(65536);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  mem.poke(0, pattern);
+  FaultInjector injector(platform, FaultPlan::parse(kRecordedFlipPlan));
+  injector.arm();
+  for (const RecordedScan& scan : recorded_scans()) {
+    const auto token =
+        mem.begin_scan(Time::from_sec_f(scan.start_s), 0, scan.length, 1000.0);
+    const auto view = mem.finish_scan(token);
+    EXPECT_EQ(view.owned(), !scan.flips.empty()) << scan.start_s;
+    std::vector<std::uint8_t> want(pattern.begin(),
+                                   pattern.begin() + scan.length);
+    for (const hw::BitFlip& flip : scan.flips) want[flip.pos] ^= flip.mask;
+    EXPECT_EQ(view.to_vector(), want) << scan.start_s;
+  }
+  EXPECT_TRUE(std::equal(pattern.begin(), pattern.end(), mem.bytes().begin()));
+}
+
+TEST(FaultInjector, ScanWithoutAFlipIsServedFromTheBase) {
+  // Under an armed bit-flip plan whose draws flip nothing, every scan is
+  // a trusted zero-copy view of untouched kernel bytes, so the digest
+  // cache serves it from the pristine base and bypasses none.
+  scenario::Scenario s;
+  const auto injector =
+      install_from_spec(s.platform(), "bitflip@0s+1000s:p=0");
+  core::SatinConfig config;
+  config.tp_s = 0.5;
+  core::Satin satin(s.platform(), s.kernel(), s.tsp(), config);
+  satin.start();
+  s.run_for(Duration::from_sec(10));
+  ASSERT_GT(satin.rounds(), 5u);
+  EXPECT_EQ(injector->injected(FaultKind::kBitFlip), 0u);
+  const auto& stats = satin.checker().introspector().digest_cache().stats();
+  EXPECT_EQ(stats.bypasses, 0u);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_EQ(stats.bytes_hashed, 0u);
+  EXPECT_TRUE(satin.checker().alarms().empty());
 }
 
 }  // namespace

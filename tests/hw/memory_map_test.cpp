@@ -1,13 +1,14 @@
 // Copy-on-write image install: Memory::install_image maps whole pages of a
 // file MAP_PRIVATE instead of copying them. Every observable — bytes,
-// generations, scans, races, fault glitches — must match the copying
-// install (poke(0, image)), and no install may leak a mapping.
+// written-since-baseline marks, scans, races, fault glitches — must match
+// the copying install (poke(0, image)), and no install may leak a mapping.
 #include "hw/memory.h"
 
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <fstream>
@@ -56,26 +57,20 @@ std::vector<std::uint8_t> snapshot(const Memory& mem) {
   return {mem.bytes().begin(), mem.bytes().end()};
 }
 
+// Which chunks are still untouched since the baseline.
+std::vector<bool> untouched_chunks(const Memory& mem) {
+  std::vector<bool> out;
+  for (std::size_t off = 0; off < mem.size(); off += Memory::kChunkBytes) {
+    out.push_back(mem.untouched_since_baseline(
+        off, std::min(Memory::kChunkBytes, mem.size() - off)));
+  }
+  return out;
+}
+
 void expect_same_state(const Memory& mapped, const Memory& copied) {
   ASSERT_EQ(mapped.size(), copied.size());
   EXPECT_EQ(snapshot(mapped), snapshot(copied));
-  EXPECT_EQ(mapped.write_generation(), copied.write_generation());
-  EXPECT_EQ(mapped.baseline_generation(), copied.baseline_generation());
-  ASSERT_EQ(mapped.chunk_count(), copied.chunk_count());
-  for (std::size_t c = 0; c < mapped.chunk_count(); ++c) {
-    ASSERT_EQ(mapped.chunk_generation(c), copied.chunk_generation(c))
-        << "chunk " << c;
-  }
-  // Superchunk maxima: 64-chunk-aligned ranges and ragged ones.
-  for (std::size_t off = 0; off < mapped.size();
-       off += 61 * Memory::kChunkBytes) {
-    const std::size_t len = std::min(mapped.size() - off,
-                                     std::size_t{130} * Memory::kChunkBytes);
-    EXPECT_EQ(mapped.generation(off, len), copied.generation(off, len))
-        << "range " << off << "+" << len;
-  }
-  EXPECT_EQ(mapped.generation(0, mapped.size()),
-            copied.generation(0, copied.size()));
+  EXPECT_EQ(untouched_chunks(mapped), untouched_chunks(copied));
 }
 
 // Lines of /proc/self/maps that map the test's memfd. A sanitizer's own
@@ -119,9 +114,16 @@ TEST(MemoryMap, MappedInstallMatchesTheCopyingInstall) {
   for (std::size_t i = image.size(); i < size; ++i) {
     ASSERT_EQ(mapped.read(i), 0) << i;
   }
-  mapped.stamp_baseline();
-  copied.stamp_baseline();
+  // After a baseline and a poke of the memory's last byte, the marks
+  // agree too.
+  const std::vector<std::uint8_t> mark = {0x5A};
+  for (Memory* mem : {&mapped, &copied}) {
+    mem->stamp_baseline();
+    mem->poke(size - 1, mark);
+  }
   expect_same_state(mapped, copied);
+  EXPECT_FALSE(mapped.untouched_since_baseline(size - 1, 1));
+  EXPECT_TRUE(mapped.untouched_since_baseline(0, image.size()));
 }
 
 TEST(MemoryMap, TwoMemoriesFromOneFileAreIsolated) {
@@ -189,11 +191,9 @@ class FlipByte final : public FaultHooks {
   }
   bool drop_secure_irq(CoreId, IrqId) override { return false; }
   bool fail_secure_entry(CoreId) override { return false; }
-  void corrupt_scan_view(sim::Time, std::size_t offset,
-                         std::vector<std::uint8_t>& view) override {
-    if (pos_ >= offset && pos_ < offset + view.size()) {
-      view[pos_ - offset] ^= 0x01;
-    }
+  std::vector<BitFlip> scan_flips(sim::Time, std::size_t length) override {
+    if (pos_ >= length) return {};
+    return {{pos_, 0x01}};
   }
 
  private:
@@ -209,12 +209,15 @@ TEST(MemoryMap, FaultHookGlitchOverMappedPagesLeavesThemIntact) {
   copied.poke(0, image);
   FlipByte hooks(kPage + 3);
   for (Memory* mem : {&mapped, &copied}) {
+    mem->stamp_baseline();
     mem->set_fault_hooks(&hooks);
     auto token = mem->begin_scan(sim::Time::zero(), 0, 2 * kPage, 1000.0);
     const auto view = mem->finish_scan(token);
     EXPECT_TRUE(view.owned());
     EXPECT_EQ(view[kPage + 3], image[kPage + 3] ^ 0x01);
     EXPECT_EQ(mem->read(kPage + 3), image[kPage + 3]);
+    // The glitch marks nothing: the bytes are still the installed ones.
+    EXPECT_TRUE(mem->untouched_since_baseline(0, mem->size()));
     mem->set_fault_hooks(nullptr);
   }
   expect_same_state(mapped, copied);

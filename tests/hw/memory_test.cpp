@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace satin::hw {
 namespace {
@@ -66,6 +68,7 @@ TEST(Memory, PokeOutOfRangeMessageNamesOffsetAndSize) {
 
 TEST(Memory, WriteOutOfRangeMessageNamesOffsetAndSize) {
   Memory mem(100);
+  mem.stamp_baseline();
   try {
     mem.write(sim::Time::zero(), 101, bytes({1}));
     FAIL() << "write past the end did not throw";
@@ -86,8 +89,8 @@ TEST(Memory, WriteOutOfRangeMessageNamesOffsetAndSize) {
   EXPECT_THROW(mem.poke(SIZE_MAX - 1, bytes({1, 2, 3})), std::out_of_range);
   EXPECT_THROW(mem.write(sim::Time::zero(), SIZE_MAX, bytes({1})),
                std::out_of_range);
-  // Nothing was written and no generation moved by any rejected call.
-  EXPECT_EQ(mem.write_generation(), 0u);
+  // Nothing was written and no chunk marked by any rejected call.
+  EXPECT_TRUE(mem.untouched_since_baseline(0, 100));
   EXPECT_EQ(mem.write_count(), 0u);
 }
 
@@ -311,74 +314,74 @@ TEST(Memory, ZeroCopyViewTracksSubsequentMutation) {
   EXPECT_EQ(view[0], 0xFF);  // window, not snapshot
 }
 
-// --- Write-generation dirty tracking -----------------------------------
+// --- Dirty tracking since the boot baseline ----------------------------
 
-TEST(Memory, FreshMemoryHasZeroGenerations) {
+TEST(Memory, NothingIsUntouchedBeforeTheBaseline) {
   Memory mem(1000);  // 4 chunks: 256+256+256+232
-  EXPECT_EQ(mem.write_generation(), 0u);
-  EXPECT_EQ(mem.chunk_count(), 4u);
-  for (std::size_t c = 0; c < mem.chunk_count(); ++c) {
-    EXPECT_EQ(mem.chunk_generation(c), 0u) << c;
+  EXPECT_FALSE(mem.untouched_since_baseline(0, 1000));
+  EXPECT_FALSE(mem.untouched_since_baseline(300, 10));
+  EXPECT_FALSE(mem.untouched_since_baseline(0, 0));
+  mem.stamp_baseline();
+  EXPECT_TRUE(mem.untouched_since_baseline(0, 1000));
+  EXPECT_TRUE(mem.untouched_since_baseline(300, 10));
+  EXPECT_TRUE(mem.untouched_since_baseline(999, 1));
+  EXPECT_THROW((void)mem.untouched_since_baseline(999, 2), std::out_of_range);
+}
+
+// Which of the first `chunks` chunks are still untouched.
+std::vector<bool> untouched_chunks(const Memory& mem, std::size_t chunks) {
+  std::vector<bool> out;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    out.push_back(mem.untouched_since_baseline(c * Memory::kChunkBytes,
+                                               Memory::kChunkBytes));
   }
-  EXPECT_EQ(mem.generation(0, 1000), 0u);
-  EXPECT_EQ(mem.generation(300, 10), 0u);
+  return out;
 }
 
 TEST(Memory, PokeBumpsOnlyTouchedChunks) {
   Memory mem(1024);  // chunks 0..3
+  mem.poke(0, bytes({0x11}));  // before the baseline: cleared by it
+  mem.stamp_baseline();
   mem.poke(300, bytes({0xAA}));  // chunk 1
-  EXPECT_EQ(mem.write_generation(), 1u);
-  EXPECT_EQ(mem.chunk_generation(0), 0u);
-  EXPECT_EQ(mem.chunk_generation(1), 1u);
-  EXPECT_EQ(mem.chunk_generation(2), 0u);
-  EXPECT_EQ(mem.chunk_generation(3), 0u);
-  // Range queries see the max over the overlapped chunks.
-  EXPECT_EQ(mem.generation(0, 256), 0u);
-  EXPECT_EQ(mem.generation(256, 256), 1u);
-  EXPECT_EQ(mem.generation(300, 1), 1u);
-  EXPECT_EQ(mem.generation(0, 1024), 1u);
+  EXPECT_EQ(untouched_chunks(mem, 4),
+            (std::vector<bool>{true, false, true, true}));
+  // A range is untouched only when every chunk it overlaps is.
+  EXPECT_TRUE(mem.untouched_since_baseline(0, 256));
+  EXPECT_FALSE(mem.untouched_since_baseline(255, 2));
+  EXPECT_FALSE(mem.untouched_since_baseline(300, 1));
+  EXPECT_TRUE(mem.untouched_since_baseline(512, 512));
+  EXPECT_FALSE(mem.untouched_since_baseline(0, 1024));
+  // A new baseline clears the mark.
+  mem.stamp_baseline();
+  EXPECT_TRUE(mem.untouched_since_baseline(0, 1024));
 }
 
 TEST(Memory, WriteSpanningChunkBoundaryBumpsBothChunks) {
   Memory mem(1024);
+  mem.stamp_baseline();
   // 4 bytes at 254..257 straddle the chunk 0 / chunk 1 boundary.
   mem.write(sim::Time::zero(), 254, bytes({1, 2, 3, 4}));
-  EXPECT_EQ(mem.write_generation(), 1u);
-  EXPECT_EQ(mem.chunk_generation(0), 1u);
-  EXPECT_EQ(mem.chunk_generation(1), 1u);
-  EXPECT_EQ(mem.chunk_generation(2), 0u);
+  EXPECT_EQ(untouched_chunks(mem, 4),
+            (std::vector<bool>{false, false, true, true}));
 }
 
-TEST(Memory, GenerationIsMonotonicAndRangeTakesTheMax) {
-  Memory mem(1024);
-  mem.poke(0, bytes({1}));                      // gen 1, chunk 0
-  mem.write(sim::Time::zero(), 900, bytes({2}));  // gen 2, chunk 3
-  mem.poke(10, bytes({3}));                     // gen 3, chunk 0 again
-  EXPECT_EQ(mem.write_generation(), 3u);
-  EXPECT_EQ(mem.chunk_generation(0), 3u);
-  EXPECT_EQ(mem.chunk_generation(3), 2u);
-  EXPECT_EQ(mem.generation(0, 256), 3u);
-  EXPECT_EQ(mem.generation(768, 256), 2u);
-  EXPECT_EQ(mem.generation(256, 512), 0u);  // untouched middle
-  EXPECT_EQ(mem.generation(0, 1024), 3u);
-}
-
-TEST(Memory, RangeGenerationCoversLargeSpansWithSuperchunks) {
-  // > 64 chunks so the superchunk-skipping walk actually runs; a single
-  // dirty chunk deep inside must still surface through the range max.
+TEST(Memory, UntouchedRangeQueryCoversLargeSpans) {
+  // One written chunk deep inside a 200-chunk memory must surface through
+  // every range that overlaps it, and through none that does not.
   constexpr std::size_t kSize = 200 * Memory::kChunkBytes;
   Memory mem(kSize);
+  mem.stamp_baseline();
   mem.poke(130 * Memory::kChunkBytes + 7, bytes({0xEE}));
-  EXPECT_EQ(mem.generation(0, kSize), 1u);
-  EXPECT_EQ(mem.generation(0, 130 * Memory::kChunkBytes), 0u);
-  EXPECT_EQ(mem.generation(130 * Memory::kChunkBytes, Memory::kChunkBytes),
-            1u);
-  EXPECT_EQ(mem.generation(131 * Memory::kChunkBytes, 60 * Memory::kChunkBytes),
-            0u);
+  EXPECT_FALSE(mem.untouched_since_baseline(0, kSize));
+  EXPECT_TRUE(mem.untouched_since_baseline(0, 130 * Memory::kChunkBytes));
+  EXPECT_FALSE(mem.untouched_since_baseline(130 * Memory::kChunkBytes,
+                                            Memory::kChunkBytes));
+  EXPECT_TRUE(mem.untouched_since_baseline(131 * Memory::kChunkBytes,
+                                           69 * Memory::kChunkBytes));
 }
 
 namespace {
-// Flips one bit of one byte in the first scan view it sees; inert after.
+// Flips one bit of one byte in the first scan it sees; inert after.
 class FlipOneByteHooks : public FaultHooks {
  public:
   explicit FlipOneByteHooks(std::size_t pos) : pos_(pos) {}
@@ -387,50 +390,69 @@ class FlipOneByteHooks : public FaultHooks {
   }
   bool drop_secure_irq(CoreId, IrqId) override { return false; }
   bool fail_secure_entry(CoreId) override { return false; }
-  void corrupt_scan_view(sim::Time, std::size_t offset,
-                         std::vector<std::uint8_t>& view) override {
-    if (armed_ && pos_ >= offset && pos_ - offset < view.size()) {
-      view[pos_ - offset] ^= 0x01;
-      armed_ = false;
-    }
+  std::vector<BitFlip> scan_flips(sim::Time, std::size_t length) override {
+    ++consulted_;
+    if (!armed_ || pos_ >= length) return {};
+    armed_ = false;
+    return {{pos_, 0x01}};
   }
+  int consulted() const { return consulted_; }
 
  private:
   std::size_t pos_;
   bool armed_ = true;
+  int consulted_ = 0;
 };
 }  // namespace
 
-TEST(Memory, FaultFlippedScanViewBumpsTheGlitchedChunkOnly) {
+TEST(Memory, FaultFlippedScanViewMarksNothing) {
   Memory mem(1024);
+  mem.stamp_baseline();
   FlipOneByteHooks hooks(600);  // chunk 2
   mem.set_fault_hooks(&hooks);
   auto token = mem.begin_scan(sim::Time::zero(), 0, 1024, 1000.0);
-  // The glitch dirtied chunk 2's generation even though physical memory
-  // is untouched — the digest cache must not serve a stale "clean" digest
-  // for a window a glitch corrupted.
-  EXPECT_EQ(mem.write_generation(), 1u);
-  EXPECT_EQ(mem.chunk_generation(0), 0u);
-  EXPECT_EQ(mem.chunk_generation(1), 0u);
-  EXPECT_EQ(mem.chunk_generation(2), 1u);
-  EXPECT_EQ(mem.chunk_generation(3), 0u);
   const auto view = mem.finish_scan(token);
-  EXPECT_TRUE(view.owned());  // glitches land on a private view
-  EXPECT_EQ(view[600], 0x01);
-  EXPECT_EQ(mem.read(600), 0x00);  // backing bytes intact
+  // The glitch lands on a private view, with exactly that bit flipped...
+  EXPECT_TRUE(view.owned());
+  std::vector<std::uint8_t> want(1024, 0x00);
+  want[600] = 0x01;
+  EXPECT_EQ(view, want);
+  // ...while the backing bytes stay intact and unmarked: a later clean
+  // scan of them may be served from the pristine image again.
+  EXPECT_EQ(mem.read(600), 0x00);
+  EXPECT_TRUE(mem.untouched_since_baseline(0, 1024));
 }
 
 TEST(Memory, UnchangedScanViewUnderHooksBumpsNothing) {
   Memory mem(1024);
+  mem.stamp_baseline();
   FlipOneByteHooks hooks(600);
   mem.set_fault_hooks(&hooks);
   // First scan consumes the one armed flip; the second runs with hooks
-  // installed but no corruption and must leave the generations alone.
+  // installed but no flip: it stays a zero-copy window and marks nothing.
   mem.cancel_scan(mem.begin_scan(sim::Time::zero(), 0, 1024, 1000.0));
-  const std::uint64_t gen = mem.write_generation();
   auto token = mem.begin_scan(sim::Time::zero(), 0, 1024, 1000.0);
-  EXPECT_EQ(mem.write_generation(), gen);
-  (void)mem.finish_scan(token);
+  const auto view = mem.finish_scan(token);
+  EXPECT_EQ(hooks.consulted(), 2);
+  EXPECT_FALSE(view.owned());
+  EXPECT_EQ(view.bytes().data(), mem.bytes().data());
+  EXPECT_TRUE(mem.untouched_since_baseline(0, 1024));
+}
+
+TEST(Memory, GlitchedViewStillResolvesRacingWrites) {
+  // The glitch materializes the view at scan start; a write racing the
+  // cursor then lands on top of the glitched bytes, and one behind the
+  // cursor does not.
+  Memory mem(1024);
+  FlipOneByteHooks hooks(10);
+  mem.set_fault_hooks(&hooks);
+  auto token = mem.begin_scan(sim::Time::zero(), 0, 1024, 1000.0);
+  mem.write(sim::Time::from_ps(5'000), 10, bytes({0xF0}));  // ahead
+  mem.write(sim::Time::from_ps(5'000), 2, bytes({0x0F}));   // behind
+  const auto view = mem.finish_scan(token);
+  EXPECT_TRUE(view.owned());
+  EXPECT_EQ(view[10], 0xF0);
+  EXPECT_EQ(view[2], 0x00);
 }
 
 TEST(Memory, FractionalPerByteSpeed) {

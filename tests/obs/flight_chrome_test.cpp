@@ -84,7 +84,10 @@ void every_kind(FlightRecorder& r) {
   record(r, FlightKind::kWorldEnter, 1'000'000, 1, 2'000);
   record(r, FlightKind::kScanStart, 2'000'000, 1, 0);
   record(r, FlightKind::kScanEnd, 3'000'000, 1, 0xD16E57);
+  // The three digest-cache outcomes: served, hashed, bypass.
+  record(r, FlightKind::kDigestCache, 3'000'000, 1, 0u);
   record(r, FlightKind::kDigestCache, 3'000'000, 1, (4096u << 2) | 1u);
+  record(r, FlightKind::kDigestCache, 3'000'000, 1, (512u << 2) | 2u);
   record(r, FlightKind::kRetry, 3'000'000, 1, 14);
   record(r, FlightKind::kAlarm, 3'000'000, 1, (14u << 1) | 1u);
   record(r, FlightKind::kAlarm, 3'000'000, 1, 14u << 1);
@@ -132,8 +135,12 @@ TEST(FlightChrome, EachKindMapsToItsEventOnItsTrack) {
       event("world_switch_in", "hw", 'E', "1.002000", 4),
       event("scan", "secure", 'B', "2.000000", 4),
       event("scan", "secure", 'E', "3.000000", 4),
-      event("digest_cache_partial", "secure", 'i', "3.000000", 4,
+      event("digest_cache_served", "secure", 'i', "3.000000", 4,
+            "\"bytes_hashed\":0"),
+      event("digest_cache_hashed", "secure", 'i', "3.000000", 4,
             "\"bytes_hashed\":4096"),
+      event("digest_cache_bypass", "secure", 'i', "3.000000", 4,
+            "\"bytes_hashed\":512"),
       event("retry", "integrity", 'i', "3.000000", 4, "\"area\":14"),
       event("transient_alarm", "integrity", 'i', "3.000000", 4, "\"area\":14"),
       event("alarm", "integrity", 'i', "3.000000", 4, "\"area\":14"),

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
@@ -10,6 +11,7 @@
 
 #include "obs/flight/audit.h"
 #include "sim/engine.h"
+#include "sim/parallel.h"
 
 namespace satin::obs {
 namespace {
@@ -228,11 +230,21 @@ TEST(ObsSessionTest, MetricsStableDropsVolatileGauges) {
 }
 
 TEST(ObsSessionTest, MalformedJobsIsLeftForTheUnconsumedArgumentCheck) {
+  // A program that reads --jobs takes it itself, as the benches do.
+  auto take_jobs = [](Argv& argv) {
+    return sim::TrialRunner::jobs_from_flag(
+        take_whole_number(argv.argc, argv.ptrs.data(), "jobs", 0, INT_MAX),
+        /*fallback=*/5);
+  };
   {
     Argv argv({"prog", "--jobs=3", "-x"});
     ObsSession session(argv.argc, argv.ptrs.data());
-    EXPECT_EQ(session.jobs(/*fallback=*/5), 3);
+    EXPECT_EQ(take_jobs(argv), 3);
     ASSERT_EQ(argv.argc, 2);
+    Argv zero({"prog", "--jobs=0"});
+    EXPECT_EQ(take_jobs(zero), sim::TrialRunner::hardware_jobs());
+    Argv absent({"prog"});
+    EXPECT_EQ(take_jobs(absent), 5);
   }
   // std::atoi would read these as 0 or 4, and --jobs=0 means one worker
   // per hardware thread. Each is reported and left in argv, so the
@@ -241,11 +253,11 @@ TEST(ObsSessionTest, MalformedJobsIsLeftForTheUnconsumedArgumentCheck) {
   for (const std::string value : {"four", "4x", "-2", " 4", ""}) {
     const std::string flag = "--jobs=" + value;
     Argv argv({"prog", flag});
-    testing::internal::CaptureStderr();
     ObsSession session(argv.argc, argv.ptrs.data());
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(take_jobs(argv), 5) << value;
     const std::string warning = testing::internal::GetCapturedStderr();
     EXPECT_NE(warning.find(flag), std::string::npos) << warning;
-    EXPECT_EQ(session.jobs(/*fallback=*/5), 5) << value;
     ASSERT_EQ(argv.argc, 2) << value;
     EXPECT_EQ(argv.ptrs[1], flag);
     testing::internal::CaptureStderr();
@@ -284,11 +296,14 @@ TEST(ObsSessionTest, RetiredAndUnknownFlagsAreLeftForTheCaller) {
   // names them.
   // --trace belonged to the retired trace recorder; --flight= records
   // every event it did.
+  // --jobs and --faults are the program's own flags: one that does not
+  // read them names them too.
   for (const std::string flag :
-       {"--batch=8", "--fused=off", "--trace=t.json", "--bogus"}) {
-    Argv argv({"/path/to/bench", "--jobs=2", flag});
+       {"--batch=8", "--fused=off", "--trace=t.json", "--bogus", "--jobs=2",
+        "--faults=seed=1,bitflip@0s+1s:p=1"}) {
+    Argv argv({"/path/to/bench", "--metrics-stable", flag});
     ObsSession session(argv.argc, argv.ptrs.data());
-    EXPECT_EQ(session.jobs(), 2) << flag;
+    EXPECT_TRUE(session.metrics_stable()) << flag;
     ASSERT_EQ(argv.argc, 2) << flag;
     testing::internal::CaptureStderr();
     EXPECT_TRUE(reject_unconsumed_args(argv.argc, argv.ptrs.data()));

@@ -1,12 +1,14 @@
-// The digest cache: exactness against the byte reference, per-area
-// generation-driven reuse, the pristine base's serve rule on a booted
-// Scenario, shadow-mode identity and the bypass rule for untrusted
-// (raced/faulted) views.
+// The digest cache: exactness against the byte reference, the one serve
+// rule (a trusted view of an area untouched since the boot baseline takes
+// the pristine base's digest) on a booted Scenario, the counters of the
+// served, hashed and bypass cases, shadow-mode identity and the bypass
+// rule for untrusted (raced/glitched) views.
 #include "secure/digest_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/satin.h"
@@ -21,6 +23,7 @@ namespace {
 
 constexpr HashKind kAllKinds[] = {HashKind::kDjb2, HashKind::kSdbm,
                                   HashKind::kFnv1a};
+constexpr std::size_t kChunk = hw::Memory::kChunkBytes;
 
 // Fills memory with a deterministic pseudo-random pattern via poke.
 void scribble(hw::Memory& mem, std::uint64_t seed) {
@@ -33,6 +36,10 @@ void scribble(hw::Memory& mem, std::uint64_t seed) {
 std::span<const std::uint8_t> window(const hw::Memory& mem, std::size_t offset,
                                      std::size_t length) {
   return mem.bytes().subspan(offset, length);
+}
+
+std::uint64_t chunks_of(std::size_t length) {
+  return (length + kChunk - 1) / kChunk;
 }
 
 TEST(DigestCache, ColdRoundMissesEveryChunkAndMatchesReference) {
@@ -51,154 +58,22 @@ TEST(DigestCache, ColdRoundMissesEveryChunkAndMatchesReference) {
   }
 }
 
-TEST(DigestCache, WarmCleanRoundIsAllHits) {
-  hw::Memory mem(1024);
-  scribble(mem, 7);
-  DigestCache cache(HashKind::kFnv1a, true);
-  const auto cold = cache.round_digest(mem, 0, window(mem, 0, 1024), true);
-  const auto warm = cache.round_digest(mem, 0, window(mem, 0, 1024), true);
-  EXPECT_EQ(warm.chunk_hits, 4u);
-  EXPECT_EQ(warm.chunk_misses, 0u);
-  EXPECT_EQ(warm.bytes_skipped, 1024u);
-  EXPECT_EQ(warm.bytes_hashed, 0u);
-  EXPECT_EQ(warm.digest, cold.digest);
-  EXPECT_EQ(cache.stats().rounds, 2u);
-  EXPECT_EQ(cache.stats().hits, 4u);
-  EXPECT_EQ(cache.stats().misses, 4u);
-}
-
-TEST(DigestCache, DirtyChunkInvalidatesItselfAndCascadesTheSuffix) {
-  hw::Memory mem(1024);
-  scribble(mem, 11);
-  DigestCache cache(HashKind::kDjb2, true);
-  (void)cache.round_digest(mem, 0, window(mem, 0, 1024), true);
-  // Flip one byte in chunk 1: the area's generation moves, so the whole
-  // area is hashed again — the clean chunk 0 before it as well as the
-  // suffix after it — and every chunk counts as a miss.
-  std::vector<std::uint8_t> flip{
-      static_cast<std::uint8_t>(mem.read(300) ^ 0xFF)};
-  mem.poke(300, flip);
-  const auto out = cache.round_digest(mem, 0, window(mem, 0, 1024), true);
-  EXPECT_EQ(out.chunk_hits, 0u);
-  EXPECT_EQ(out.chunk_misses, 4u);
-  EXPECT_EQ(out.bytes_hashed, 1024u);
-  EXPECT_EQ(out.bytes_skipped, 0u);
-  EXPECT_EQ(out.digest, hash_bytes(HashKind::kDjb2, window(mem, 0, 1024)));
-  // The new digest is cached: the next round reuses it.
-  const auto warm = cache.round_digest(mem, 0, window(mem, 0, 1024), true);
-  EXPECT_EQ(warm.chunk_hits, 4u);
-  EXPECT_EQ(warm.digest, out.digest);
-}
-
-TEST(DigestCache, RewritingIdenticalBytesRecachesOnlyThatChunk) {
-  hw::Memory mem(1024);
-  scribble(mem, 13);
-  DigestCache cache(HashKind::kSdbm, true);
-  const auto cold = cache.round_digest(mem, 0, window(mem, 0, 1024), true);
-  // Rewrite chunk 1 with its own bytes: the generation moves, so the area
-  // is hashed whole again, to the digest it had. The cache keys on
-  // generations, never on bytes, so an identical rewrite costs the same
-  // as a real one.
-  std::vector<std::uint8_t> same(window(mem, 256, 256).begin(),
-                                 window(mem, 256, 256).end());
-  mem.poke(256, same);
-  const auto out = cache.round_digest(mem, 0, window(mem, 0, 1024), true);
-  EXPECT_EQ(out.chunk_hits, 0u);
-  EXPECT_EQ(out.chunk_misses, 4u);
-  EXPECT_EQ(out.bytes_hashed, 1024u);
-  EXPECT_EQ(out.digest, cold.digest);
-}
-
-TEST(DigestCache, WritesOutsideTheAreaKeepTheFastPath) {
-  hw::Memory mem(2048);
-  scribble(mem, 17);
-  DigestCache cache(HashKind::kFnv1a, true);
-  (void)cache.round_digest(mem, 0, window(mem, 0, 512), true);
-  mem.poke(1024, std::vector<std::uint8_t>{0xEE});  // outside [0, 512)
-  const auto out = cache.round_digest(mem, 0, window(mem, 0, 512), true);
-  // Global generation moved, but the area's range-max did not: the round
-  // is served from the cached area digest without a chunk walk.
-  EXPECT_EQ(out.chunk_hits, 2u);
-  EXPECT_EQ(out.bytes_skipped, 512u);
-  EXPECT_EQ(out.digest, hash_bytes(HashKind::kFnv1a, window(mem, 0, 512)));
-}
-
 TEST(DigestCache, SubAreaAtNonZeroOffsetHashesItsOwnWindow) {
+  // No pristine base: every trusted round is hashed, over its own window.
   hw::Memory mem(2048);
   scribble(mem, 19);
+  mem.stamp_baseline();
   DigestCache cache(HashKind::kDjb2, true);
   const auto out = cache.round_digest(mem, 768, window(mem, 768, 600), true);
   EXPECT_EQ(out.digest, hash_bytes(HashKind::kDjb2, window(mem, 768, 600)));
-  const auto warm = cache.round_digest(mem, 768, window(mem, 768, 600), true);
-  EXPECT_EQ(warm.chunk_misses, 0u);
-  EXPECT_EQ(warm.digest, out.digest);
-  // Dirtying the window from outside the cache's view of the world (an
-  // ordinary timed write) is still caught via the generations.
+  EXPECT_EQ(out.chunk_misses, chunks_of(600));  // counted by length
+  const auto again = cache.round_digest(mem, 768, window(mem, 768, 600), true);
+  EXPECT_EQ(again.chunk_hits, 0u);
+  EXPECT_EQ(again.bytes_hashed, 600u);
+  EXPECT_EQ(again.digest, out.digest);
   mem.write(sim::Time::zero(), 800, std::vector<std::uint8_t>{0x5A});
   const auto redo = cache.round_digest(mem, 768, window(mem, 768, 600), true);
-  EXPECT_GT(redo.chunk_misses, 0u);
   EXPECT_EQ(redo.digest, hash_bytes(HashKind::kDjb2, window(mem, 768, 600)));
-}
-
-TEST(DigestCache, UntrustedViewBypassesAndDoesNotPolluteTheCache) {
-  hw::Memory mem(1024);
-  scribble(mem, 23);
-  DigestCache cache(HashKind::kFnv1a, true);
-  const auto cold = cache.round_digest(mem, 0, window(mem, 0, 1024), true);
-  // A materialized (raced/faulted) view with different bytes: hashed in
-  // full, counted as a bypass, and the cache must not learn from it.
-  std::vector<std::uint8_t> raced(window(mem, 0, 1024).begin(),
-                                  window(mem, 0, 1024).end());
-  raced[512] ^= 0x01;
-  const auto bypass = cache.round_digest(mem, 0, raced, false);
-  EXPECT_TRUE(bypass.bypassed);
-  EXPECT_EQ(bypass.chunk_hits, 0u);
-  EXPECT_EQ(bypass.chunk_misses, 0u);
-  EXPECT_EQ(bypass.bytes_hashed, 1024u);
-  EXPECT_EQ(bypass.digest, hash_bytes(HashKind::kFnv1a, raced));
-  EXPECT_NE(bypass.digest, cold.digest);
-  EXPECT_EQ(cache.stats().bypasses, 1u);
-  // The next trusted round still serves the pristine digest from cache.
-  const auto after = cache.round_digest(mem, 0, window(mem, 0, 1024), true);
-  EXPECT_EQ(after.chunk_misses, 0u);
-  EXPECT_EQ(after.digest, cold.digest);
-}
-
-TEST(DigestCache, ShadowModeKeepsCountersAndDigestsIdentical) {
-  // Two memories with identical histories, one enabled cache, one shadow
-  // (the oracle core::SatinConfig::shadow_digest_cache selects). Every
-  // round outcome must agree bit for bit — the on-vs-off identity the
-  // oracle sweep test enforces end to end.
-  hw::Memory mem_on(1024), mem_off(1024);
-  scribble(mem_on, 29);
-  scribble(mem_off, 29);
-  DigestCache on(HashKind::kDjb2, true);
-  DigestCache off(HashKind::kDjb2, false);
-  EXPECT_TRUE(on.enabled());
-  EXPECT_FALSE(off.enabled());
-  auto step = [&](std::size_t offset, std::size_t length, bool trusted) {
-    const auto a = on.round_digest(mem_on, offset,
-                                   window(mem_on, offset, length), trusted);
-    const auto b = off.round_digest(mem_off, offset,
-                                    window(mem_off, offset, length), trusted);
-    EXPECT_EQ(a.digest, b.digest);
-    EXPECT_EQ(a.chunk_hits, b.chunk_hits);
-    EXPECT_EQ(a.chunk_misses, b.chunk_misses);
-    EXPECT_EQ(a.bytes_hashed, b.bytes_hashed);
-    EXPECT_EQ(a.bytes_skipped, b.bytes_skipped);
-    EXPECT_EQ(a.bypassed, b.bypassed);
-  };
-  step(0, 1024, true);   // cold
-  step(0, 1024, true);   // warm fast path
-  std::vector<std::uint8_t> poke_bytes{0x77};
-  mem_on.poke(600, poke_bytes);
-  mem_off.poke(600, poke_bytes);
-  step(0, 1024, true);   // dirty area, hashed whole
-  step(0, 512, true);    // second (sub-)area, cold
-  step(0, 1024, false);  // bypass
-  EXPECT_EQ(on.stats().hits, off.stats().hits);
-  EXPECT_EQ(on.stats().misses, off.stats().misses);
-  EXPECT_EQ(on.stats().bypasses, off.stats().bypasses);
 }
 
 // A booted default Scenario with SATIN's checker on it, not started: its
@@ -212,55 +87,213 @@ struct BootedChecker {
     return satin.checker().introspector().digest_cache();
   }
   hw::Memory& memory() { return system.platform().memory(); }
-  // A trusted scan of [offset, offset + length), as scan_async finishes
-  // one that no write raced.
-  DigestCache::RoundOutcome scan(std::size_t offset, std::size_t length) {
+  const core::Area& area(std::size_t i) {
+    return satin.checker().areas().at(i);
+  }
+  // A scan of [offset, offset + length), as scan_async finishes one:
+  // trusted when no write raced it and no glitch flipped it.
+  DigestCache::RoundOutcome scan(std::size_t offset, std::size_t length,
+                                 bool trusted = true) {
     return cache().round_digest(memory(), offset,
-                                window(memory(), offset, length), true);
+                                window(memory(), offset, length), trusted);
+  }
+  // Pokes the byte at `at` with its own value XOR `mask`.
+  void flip(std::size_t at, std::uint8_t mask = 0x01) {
+    memory().poke(at, std::vector<std::uint8_t>{static_cast<std::uint8_t>(
+                          memory().read(at) ^ mask)});
   }
 };
 
-constexpr std::size_t kChunk = hw::Memory::kChunkBytes;
+TEST(DigestCache, ServedHashedAndBypassRoundsSetTheirCounters) {
+  for (const bool enabled : {true, false}) {
+    BootedChecker booted;
+    booted.cache().set_enabled(enabled);
+    const core::Area& a = booted.area(0);
+    const std::uint64_t chunks = chunks_of(a.size);
+    const HashKind kind = booted.cache().kind();
+
+    // Served: an untouched area, from the base.
+    const auto served = booted.scan(a.offset, a.size);
+    EXPECT_FALSE(served.bypassed);
+    EXPECT_EQ(served.chunk_hits, chunks);
+    EXPECT_EQ(served.chunk_misses, 0u);
+    EXPECT_EQ(served.bytes_hashed, 0u);
+    EXPECT_EQ(served.bytes_skipped, a.size);
+    EXPECT_EQ(served.digest,
+              hash_bytes(kind, window(booted.memory(), a.offset, a.size)));
+
+    // Hashed: the same area once one of its bytes was written.
+    booted.flip(a.offset + a.size - 1);
+    const auto hashed = booted.scan(a.offset, a.size);
+    EXPECT_FALSE(hashed.bypassed);
+    EXPECT_EQ(hashed.chunk_hits, 0u);
+    EXPECT_EQ(hashed.chunk_misses, chunks);
+    EXPECT_EQ(hashed.bytes_hashed, a.size);
+    EXPECT_EQ(hashed.bytes_skipped, 0u);
+    EXPECT_EQ(hashed.digest,
+              hash_bytes(kind, window(booted.memory(), a.offset, a.size)));
+
+    // Bypass: an untrusted view of an untouched area is hashed, not
+    // served, and its chunks count neither way.
+    const core::Area& b = booted.area(1);
+    const auto bypass = booted.scan(b.offset, b.size, /*trusted=*/false);
+    EXPECT_TRUE(bypass.bypassed);
+    EXPECT_EQ(bypass.chunk_hits, 0u);
+    EXPECT_EQ(bypass.chunk_misses, 0u);
+    EXPECT_EQ(bypass.bytes_hashed, b.size);
+    EXPECT_EQ(bypass.bytes_skipped, 0u);
+
+    const DigestCache::Stats& stats = booted.cache().stats();
+    EXPECT_EQ(stats.rounds, 3u) << enabled;
+    EXPECT_EQ(stats.hits, chunks);
+    EXPECT_EQ(stats.misses, chunks);
+    EXPECT_EQ(stats.bypasses, 1u);
+    EXPECT_EQ(stats.bytes_hashed, a.size + b.size);
+    EXPECT_EQ(stats.bytes_skipped, a.size);
+  }
+}
+
+TEST(DigestCache, WarmCleanRoundIsAllHits) {
+  BootedChecker booted;
+  const core::Area& a = booted.area(0);
+  const auto cold = booted.scan(a.offset, a.size);
+  const auto warm = booted.scan(a.offset, a.size);
+  EXPECT_EQ(warm.chunk_hits, chunks_of(a.size));
+  EXPECT_EQ(warm.chunk_misses, 0u);
+  EXPECT_EQ(warm.bytes_skipped, a.size);
+  EXPECT_EQ(warm.bytes_hashed, 0u);
+  EXPECT_EQ(warm.digest, cold.digest);
+  EXPECT_EQ(booted.cache().stats().rounds, 2u);
+  EXPECT_EQ(booted.cache().stats().hits, 2 * chunks_of(a.size));
+  EXPECT_EQ(booted.cache().stats().misses, 0u);
+}
+
+TEST(DigestCache, DirtyChunkInvalidatesItselfAndCascadesTheSuffix) {
+  BootedChecker booted;
+  const core::Area& a = booted.area(0);
+  ASSERT_GT(a.size, 2 * kChunk);
+  (void)booted.scan(a.offset, a.size);
+  // Flip one byte in the area's second chunk: the whole area is hashed —
+  // the clean chunk before it as well as the suffix after it — and every
+  // chunk counts as a miss, in this round and every later one.
+  booted.flip(a.offset + kChunk + 3, 0xFF);
+  for (int round = 0; round < 2; ++round) {
+    const auto out = booted.scan(a.offset, a.size);
+    EXPECT_EQ(out.chunk_hits, 0u) << round;
+    EXPECT_EQ(out.chunk_misses, chunks_of(a.size)) << round;
+    EXPECT_EQ(out.bytes_hashed, a.size) << round;
+    EXPECT_EQ(out.digest,
+              hash_bytes(booted.cache().kind(),
+                         window(booted.memory(), a.offset, a.size)))
+        << round;
+  }
+}
+
+TEST(DigestCache, WritesOutsideTheAreaKeepTheFastPath) {
+  BootedChecker booted;
+  const core::Area& a = booted.area(0);
+  const core::Area& b = booted.area(1);
+  const auto before = booted.scan(a.offset, a.size);
+  booted.flip(b.offset + b.size / 2);  // another area's chunk
+  const auto out = booted.scan(a.offset, a.size);
+  EXPECT_EQ(out.chunk_hits, chunks_of(a.size));
+  EXPECT_EQ(out.bytes_skipped, a.size);
+  EXPECT_EQ(out.digest, before.digest);
+  EXPECT_EQ(booted.scan(b.offset, b.size).chunk_hits, 0u);
+}
+
+TEST(DigestCache, UntrustedViewBypassesAndDoesNotPolluteTheCache) {
+  BootedChecker booted;
+  const core::Area& a = booted.area(0);
+  const auto cold = booted.scan(a.offset, a.size);
+  // A materialized (raced/glitched) view with different bytes: hashed,
+  // counted as a bypass, and nothing is learned from it.
+  const auto pristine = window(booted.memory(), a.offset, a.size);
+  std::vector<std::uint8_t> raced(pristine.begin(), pristine.end());
+  raced[a.size / 2] ^= 0x01;
+  const auto bypass =
+      booted.cache().round_digest(booted.memory(), a.offset, raced, false);
+  EXPECT_TRUE(bypass.bypassed);
+  EXPECT_EQ(bypass.chunk_hits, 0u);
+  EXPECT_EQ(bypass.chunk_misses, 0u);
+  EXPECT_EQ(bypass.bytes_hashed, a.size);
+  EXPECT_EQ(bypass.digest, hash_bytes(booted.cache().kind(), raced));
+  EXPECT_NE(bypass.digest, cold.digest);
+  EXPECT_EQ(booted.cache().stats().bypasses, 1u);
+  // The next trusted round is served the pristine digest again.
+  const auto after = booted.scan(a.offset, a.size);
+  EXPECT_EQ(after.chunk_misses, 0u);
+  EXPECT_EQ(after.digest, cold.digest);
+}
+
+TEST(DigestCache, ShadowModeKeepsCountersAndDigestsIdentical) {
+  // Two booted checkers with identical histories, one enabled cache, one
+  // shadow (the oracle core::SatinConfig::shadow_digest_cache selects).
+  // Every round outcome must agree bit for bit — the on-vs-off identity
+  // the oracle sweep test enforces end to end.
+  BootedChecker on, off;
+  off.cache().set_enabled(false);
+  EXPECT_TRUE(on.cache().enabled());
+  EXPECT_FALSE(off.cache().enabled());
+  const core::Area& a = on.area(0);
+  const std::size_t end = on.cache().pristine_base()->size();
+  auto step = [&](std::size_t offset, std::size_t length, bool trusted) {
+    const auto x = on.scan(offset, length, trusted);
+    const auto y = off.scan(offset, length, trusted);
+    EXPECT_EQ(x.digest, y.digest);
+    EXPECT_EQ(x.chunk_hits, y.chunk_hits);
+    EXPECT_EQ(x.chunk_misses, y.chunk_misses);
+    EXPECT_EQ(x.bytes_hashed, y.bytes_hashed);
+    EXPECT_EQ(x.bytes_skipped, y.bytes_skipped);
+    EXPECT_EQ(x.bypassed, y.bypassed);
+  };
+  step(a.offset, a.size, true);   // served
+  step(a.offset, a.size, false);  // bypass
+  on.flip(a.offset + 5);
+  off.flip(a.offset + 5);
+  step(a.offset, a.size, true);          // written since boot: hashed
+  step(end - kChunk, 2 * kChunk, true);  // leaves the image: hashed
+  EXPECT_EQ(on.cache().stats().hits, off.cache().stats().hits);
+  EXPECT_EQ(on.cache().stats().misses, off.cache().stats().misses);
+  EXPECT_EQ(on.cache().stats().bypasses, off.cache().stats().bypasses);
+  EXPECT_EQ(on.cache().stats().bytes_hashed, off.cache().stats().bytes_hashed);
+  EXPECT_EQ(on.cache().stats().bytes_skipped,
+            off.cache().stats().bytes_skipped);
+}
 
 TEST(DigestCache, UntouchedAreaIsServedFromThePristineBase) {
   BootedChecker booted;
   ASSERT_NE(booted.cache().pristine_base(), nullptr);
-  const core::Area& a = booted.satin.checker().areas()[0];
-  const std::uint64_t chunks = (a.size + kChunk - 1) / kChunk;
+  const core::Area& a = booted.area(0);
   const auto out = booted.scan(a.offset, a.size);
-  EXPECT_EQ(booted.cache().base_served_chunks(), chunks);
-  // Served counts as hashed.
-  EXPECT_EQ(out.chunk_misses, chunks);
-  EXPECT_EQ(out.bytes_hashed, a.size);
+  EXPECT_EQ(out.chunk_hits, chunks_of(a.size));
+  EXPECT_EQ(out.bytes_hashed, 0u);
   EXPECT_EQ(out.digest, hash_bytes(booted.cache().kind(),
                                    window(booted.memory(), a.offset, a.size)));
 }
 
 TEST(DigestCache, AreaWrittenSinceBootIsHashedWhole) {
   BootedChecker booted;
-  const core::Area& a = booted.satin.checker().areas()[0];
+  const core::Area& a = booted.area(0);
   ASSERT_GT(a.size, 2 * kChunk);
   hw::Memory& mem = booted.memory();
   const auto pristine = booted.scan(a.offset, a.size);
-  const std::uint64_t served = booted.cache().base_served_chunks();
-  ASSERT_GT(served, 0u);
+  ASSERT_GT(pristine.chunk_hits, 0u);
   // Rewrite the area's second chunk with its own bytes: they are still
-  // the installed bytes, but the chunk's generation has passed the
+  // the installed bytes, but the chunk is marked written since the
   // baseline, so the base no longer vouches for the area.
   const auto chunk = window(mem, a.offset + kChunk, kChunk);
   mem.poke(a.offset + kChunk, std::vector<std::uint8_t>(chunk.begin(),
                                                         chunk.end()));
   const auto rewritten = booted.scan(a.offset, a.size);
-  EXPECT_EQ(booted.cache().base_served_chunks(), served);
-  EXPECT_EQ(rewritten.chunk_misses, pristine.chunk_misses);
+  EXPECT_EQ(rewritten.chunk_hits, 0u);
+  EXPECT_EQ(rewritten.chunk_misses, chunks_of(a.size));
   EXPECT_EQ(rewritten.bytes_hashed, a.size);
   EXPECT_EQ(rewritten.digest, pristine.digest);
   // A one-byte tamper changes the digest to that of the tampered bytes.
-  const std::size_t at = a.offset + a.size / 2;
-  mem.poke(at, std::vector<std::uint8_t>{
-                   static_cast<std::uint8_t>(mem.read(at) ^ 0x01)});
+  booted.flip(a.offset + a.size / 2);
   const auto tampered = booted.scan(a.offset, a.size);
-  EXPECT_EQ(booted.cache().base_served_chunks(), served);
+  EXPECT_EQ(tampered.chunk_hits, 0u);
   EXPECT_NE(tampered.digest, pristine.digest);
   EXPECT_EQ(tampered.digest,
             hash_bytes(booted.cache().kind(), window(mem, a.offset, a.size)));
@@ -277,35 +310,45 @@ TEST(DigestCache, PristineBaseRefusesAnAreaLeavingTheImage) {
   EXPECT_FALSE(base.area_digest(kind, end + 1, 0).has_value());
   // So a scan across the image's end is hashed, although nothing was
   // written there since boot.
+  ASSERT_TRUE(booted.memory().untouched_since_baseline(end - kChunk,
+                                                       2 * kChunk));
   const auto out = booted.scan(end - kChunk, 2 * kChunk);
-  EXPECT_EQ(booted.cache().base_served_chunks(), 0u);
+  EXPECT_EQ(booted.cache().stats().hits, 0u);
   EXPECT_EQ(out.bytes_hashed, 2 * kChunk);
   EXPECT_EQ(out.digest, hash_bytes(kind, window(booted.memory(), end - kChunk,
                                                 2 * kChunk)));
 }
 
-// Property sweep: random pokes between rounds, every round's digest must
-// equal the byte reference for all kinds. This is the cache's whole
+// Property sweep: three areas over a pristine base, random pokes between
+// rounds; every round's digest must equal the byte reference for all
+// kinds, whether it was served or hashed. This is the cache's whole
 // contract in one loop.
 TEST(DigestCache, RandomizedRoundsAlwaysMatchTheByteReference) {
   for (HashKind kind : kAllKinds) {
     hw::Memory mem(3000);
     scribble(mem, 0xCAFE);
+    mem.stamp_baseline();
+    const auto pristine = std::make_shared<std::vector<std::uint8_t>>(
+        mem.bytes().begin(), mem.bytes().end());
     DigestCache cache(kind, true);
+    cache.set_pristine_base(std::make_shared<PristineBase>(
+        pristine, std::span<const std::uint8_t>(*pristine)));
     sim::Rng rng(0xBEEF);
     for (int round = 0; round < 50; ++round) {
-      const int pokes = static_cast<int>(rng.uniform_int(0, 3));
-      for (int p = 0; p < pokes; ++p) {
+      if (rng.uniform_int(0, 7) == 0) {
         const auto at = static_cast<std::size_t>(rng.uniform_int(0, 2999));
         std::vector<std::uint8_t> b{
             static_cast<std::uint8_t>(rng.uniform_int(0, 255))};
         mem.poke(at, b);
       }
-      const auto out = cache.round_digest(mem, 0, window(mem, 0, 3000), true);
-      ASSERT_EQ(out.digest, hash_bytes(kind, window(mem, 0, 3000)))
+      const auto offset = static_cast<std::size_t>(rng.uniform_int(0, 2)) * 1000;
+      const auto out =
+          cache.round_digest(mem, offset, window(mem, offset, 1000), true);
+      ASSERT_EQ(out.digest, hash_bytes(kind, window(mem, offset, 1000)))
           << to_string(kind) << " round=" << round;
     }
-    EXPECT_GT(cache.stats().hits, 0u);
+    EXPECT_GT(cache.stats().hits, 0u) << to_string(kind);
+    EXPECT_GT(cache.stats().misses, 0u) << to_string(kind);
   }
 }
 

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "hw/fault_hooks.h"
 #include "secure/authorized_store.h"
+#include "secure/pristine_base.h"
 
 namespace satin::secure {
 namespace {
@@ -121,22 +124,32 @@ TEST(Introspector, StrategyNames) {
 
 TEST(Introspector, RepeatedCleanScansHitTheCacheWithIdenticalDigests) {
   hw::Platform on_platform, off_platform;
-  std::vector<std::uint8_t> data(8192);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i * 13 + 1);
+  const auto data = std::make_shared<std::vector<std::uint8_t>>(8192);
+  for (std::size_t i = 0; i < data->size(); ++i) {
+    (*data)[i] = static_cast<std::uint8_t>(i * 13 + 1);
   }
-  on_platform.memory().poke(0, data);
-  off_platform.memory().poke(0, data);
+  // Booted as RichOs boots: install, stamp the baseline, attach a base
+  // over the installed bytes.
+  const auto base = std::make_shared<PristineBase>(
+      data, std::span<const std::uint8_t>(*data));
+  for (hw::Platform* platform : {&on_platform, &off_platform}) {
+    platform->memory().poke(0, *data);
+    platform->memory().stamp_baseline();
+  }
   Introspector on(on_platform), off(off_platform);
+  on.digest_cache().set_pristine_base(base);
+  off.digest_cache().set_pristine_base(base);
   off.digest_cache().set_enabled(false);
-  const std::uint64_t reference = on.digest_reference(data);
+  const std::uint64_t reference = on.digest_reference(*data);
   for (int round = 0; round < 3; ++round) {
-    EXPECT_EQ(scan_once(on_platform, on, 0, data.size()), reference) << round;
-    EXPECT_EQ(scan_once(off_platform, off, 0, data.size()), reference) << round;
+    EXPECT_EQ(scan_once(on_platform, on, 0, data->size()), reference) << round;
+    EXPECT_EQ(scan_once(off_platform, off, 0, data->size()), reference)
+        << round;
   }
-  // Warm rounds were served from the cache — and the shadow (off) cache
+  // Every round was served from the base — and the shadow (off) cache
   // did the identical bookkeeping, as the CI on-vs-off gate expects.
-  EXPECT_GT(on.digest_cache().stats().hits, 0u);
+  EXPECT_EQ(on.digest_cache().stats().hits, 3 * 8192u / hw::Memory::kChunkBytes);
+  EXPECT_EQ(on.digest_cache().stats().bytes_hashed, 0u);
   EXPECT_EQ(on.digest_cache().stats().hits, off.digest_cache().stats().hits);
   EXPECT_EQ(on.digest_cache().stats().misses,
             off.digest_cache().stats().misses);
@@ -194,12 +207,10 @@ class GlitchOnceHooks : public hw::FaultHooks {
   }
   bool drop_secure_irq(hw::CoreId, hw::IrqId) override { return false; }
   bool fail_secure_entry(hw::CoreId) override { return false; }
-  void corrupt_scan_view(sim::Time, std::size_t offset,
-                         std::vector<std::uint8_t>& view) override {
-    if (armed_ && pos_ >= offset && pos_ - offset < view.size()) {
-      view[pos_ - offset] ^= 0x01;
-      armed_ = false;
-    }
+  std::vector<hw::BitFlip> scan_flips(sim::Time, std::size_t length) override {
+    if (!armed_ || pos_ >= length) return {};
+    armed_ = false;
+    return {{pos_, 0x01}};
   }
 
  private:

@@ -134,9 +134,7 @@ int cmd_validate(const char* spec_path) {
   return 0;
 }
 
-// `jobs` is the --jobs= text, which main() takes before ObsSession,
-// whose --jobs range is wider than the campaign's.
-int cmd_run(int argc, char** argv, bool resume, const std::string& jobs) {
+int cmd_run(int argc, char** argv, bool resume) {
   using satin::obs::take_whole_number;
   CampaignOptions options;
   options.require_existing_journal = resume;
@@ -159,20 +157,10 @@ int cmd_run(int argc, char** argv, bool resume, const std::string& jobs) {
                                        UINT64_MAX)) {
     options.chaos_supervisor_kill_after = *n;
   }
-  if (!jobs.empty()) {
-    const auto n = satin::obs::parse_whole_number(jobs, 0, 256);
-    if (!n) {
-      std::fprintf(stderr,
-                   "satin_campaign: --jobs=%s: want a whole number in "
-                   "[0, 256]\n",
-                   jobs.c_str());
-      return 2;
-    }
-    // --jobs=0 asks for one worker per hardware thread; CampaignOptions
-    // reads 0 as "take the spec's value".
-    options.jobs = *n == 0 ? satin::sim::TrialRunner::hardware_jobs()
-                           : static_cast<int>(*n);
-  }
+  // --jobs=0 asks for one worker per hardware thread; CampaignOptions
+  // reads 0 (the flag absent) as "take the spec's value".
+  options.jobs = satin::sim::TrialRunner::jobs_from_flag(
+      take_whole_number(argc, argv, "jobs", 0, 256), /*fallback=*/0);
   if (!one_positional(argc, argv, 1)) return 2;
   const std::string spec_path = argv[1];
 
@@ -215,7 +203,6 @@ int cmd_run(int argc, char** argv, bool resume, const std::string& jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string jobs = satin::obs::take_flag(argc, argv, "jobs");
   // Installs --metrics= / --metrics-stable / --flight= sinks for this
   // (supervisor) thread; the campaign merges worker artifacts into them
   // in index order before the session flushes at exit.
@@ -227,7 +214,7 @@ int main(int argc, char** argv) {
     for (int i = 1; i + 1 < argc; ++i) argv[i] = argv[i + 1];
     --argc;
     argv[argc] = nullptr;
-    return cmd_run(argc, argv, cmd == "resume", jobs);
+    return cmd_run(argc, argv, cmd == "resume");
   }
   if (cmd == "status") {
     if (!one_positional(argc, argv, 2)) return 2;
