@@ -87,8 +87,12 @@ int main(int argc, char** argv) {
   // --clean-rounds=N runs the clean-rounds workload instead of the duel.
   const std::optional<unsigned long long> clean_rounds =
       obs::take_whole_number(argc, argv, "clean-rounds", 1, UINT64_MAX);
-  const int jobs = sim::TrialRunner::jobs_from_flag(
-      obs::take_whole_number(argc, argv, "jobs", 0, INT_MAX));
+  // --jobs=J fans the duel's replicas out. The clean-rounds run is one
+  // trial and does not read it, so there it is an unrecognized argument.
+  const int jobs =
+      clean_rounds ? 1
+                   : sim::TrialRunner::jobs_from_flag(obs::take_whole_number(
+                         argc, argv, "jobs", 0, INT_MAX));
   if (obs::reject_unconsumed_args(argc, argv)) return 2;
   if (clean_rounds) return run_clean_rounds(*clean_rounds);
   constexpr std::size_t kReplicas = 3;

@@ -12,8 +12,10 @@
 //   $ ./examples/fault_storm [-v] [--replicas=N] [--jobs=J]
 //                            [--flight=out.flt] [--faults=<spec>]
 //
-// Pass --faults= to replace the built-in storm (see src/fault/plan.h for
-// the spec grammar); --faults with an empty value runs fault-free.
+// Pass --faults=<spec> to replace the built-in storm (see src/fault/plan.h
+// for the spec grammar). An empty --faults= reads the same as no flag and
+// runs the built-in storm; --faults=seed=1, a plan with no fault spec,
+// runs fault-free.
 // --replicas=N repeats the duel under N storms (replica 0 is the storm of
 // record; later replicas re-seed the storm and the platform), fanned over
 // --jobs=J workers.

@@ -46,7 +46,7 @@ Memory::Memory(std::size_t size)
     : size_(size),
       map_bytes_(round_up_to_page(size) + page_bytes()),
       data_(map_zeroed(size_, map_bytes_)),
-      written_((size + kChunkBytes - 1) / kChunkBytes, false) {}
+      written_(((size + kChunkBytes - 1) / kChunkBytes + 63) / 64, 0) {}
 
 Memory::~Memory() { ::munmap(data_, map_bytes_); }
 
@@ -68,20 +68,36 @@ void Memory::check_range(const char* what, std::size_t offset,
   }
 }
 
+namespace {
+
+// Bits lo..hi (inclusive, 0..63) of a word.
+constexpr std::uint64_t bit_span(std::size_t lo, std::size_t hi) {
+  return (~std::uint64_t{0} >> (63 - hi)) & (~std::uint64_t{0} << lo);
+}
+
+}  // namespace
+
 void Memory::mark_written(std::size_t offset, std::size_t length) {
   if (length == 0) return;
   mutated_ = true;
-  // std::fill sets a vector<bool> range a word at a time: an image
-  // install marks ~46,500 chunks.
-  const auto chunk = [this](std::size_t c) {
-    return written_.begin() + static_cast<std::ptrdiff_t>(c);
-  };
-  std::fill(chunk(offset / kChunkBytes),
-            chunk((offset + length - 1) / kChunkBytes + 1), true);
+  // A word at a time: an image install marks ~46,500 chunks.
+  const std::size_t first = offset / kChunkBytes;
+  const std::size_t last = (offset + length - 1) / kChunkBytes;
+  const std::size_t w0 = first / 64;
+  const std::size_t w1 = last / 64;
+  if (w0 == w1) {
+    written_[w0] |= bit_span(first % 64, last % 64);
+    return;
+  }
+  written_[w0] |= bit_span(first % 64, 63);
+  std::fill(written_.begin() + static_cast<std::ptrdiff_t>(w0 + 1),
+            written_.begin() + static_cast<std::ptrdiff_t>(w1),
+            ~std::uint64_t{0});
+  written_[w1] |= bit_span(0, last % 64);
 }
 
 void Memory::stamp_baseline() {
-  std::fill(written_.begin(), written_.end(), false);
+  std::fill(written_.begin(), written_.end(), 0);
   baseline_stamped_ = true;
 }
 
@@ -90,11 +106,17 @@ bool Memory::untouched_since_baseline(std::size_t offset,
   check_range("untouched_since_baseline", offset, length);
   if (!baseline_stamped_) return false;
   if (length == 0) return true;
+  // 64 chunk marks per step.
+  const std::size_t first = offset / kChunkBytes;
   const std::size_t last = (offset + length - 1) / kChunkBytes;
-  for (std::size_t c = offset / kChunkBytes; c <= last; ++c) {
-    if (written_[c]) return false;
+  const std::size_t w0 = first / 64;
+  const std::size_t w1 = last / 64;
+  if (w0 == w1) return (written_[w0] & bit_span(first % 64, last % 64)) == 0;
+  if ((written_[w0] & bit_span(first % 64, 63)) != 0) return false;
+  for (std::size_t w = w0 + 1; w < w1; ++w) {
+    if (written_[w] != 0) return false;
   }
-  return true;
+  return (written_[w1] & bit_span(0, last % 64)) == 0;
 }
 
 void Memory::materialize_overlapping(std::size_t offset, std::size_t length) {

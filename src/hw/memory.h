@@ -163,7 +163,7 @@ class Memory {
 
   // True when stamp_baseline() has run and no write or poke since has
   // touched a chunk overlapping [offset, offset+length); false before the
-  // first stamp. One bit test per chunk.
+  // first stamp. Tests 64 chunk marks a step.
   bool untouched_since_baseline(std::size_t offset, std::size_t length) const;
 
   // Fault-injection seam: consulted as each scan registers; may flip bits
@@ -210,7 +210,8 @@ class Memory {
   std::uint64_t write_count_ = 0;
   bool mutated_ = false;  // any write or poke yet: install_image copies
   bool baseline_stamped_ = false;
-  std::vector<bool> written_;  // per chunk: written since the baseline
+  // Per chunk, one bit: written since the baseline; 64 chunks a word.
+  std::vector<std::uint64_t> written_;
 };
 
 }  // namespace satin::hw

@@ -9,6 +9,7 @@
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
 #include "sim/log.h"
+#include "sim/repeated_add.h"
 
 namespace satin::os {
 
@@ -51,6 +52,15 @@ RichOs::RichOs(hw::Platform& platform,
     cpu(c).keyed_slot = platform.engine().add_keyed_slot(
         this, static_cast<std::uint32_t>(c));
   }
+  for (int c = 0; c < platform.num_cores(); ++c) {
+    for (const auto& [slot, owner] :
+         {std::pair{cpu(c).keyed_slot, c},
+          std::pair{platform.timer().nonsecure_slot(c), c | kTickSlot}}) {
+      if (slot >= slot_core_.size()) slot_core_.resize(slot + 1, kNoCore);
+      slot_core_[slot] = owner;
+    }
+  }
+  joined_.reserve(2 * cpus_.size());
 }
 
 RichOs::~RichOs() {
@@ -244,7 +254,7 @@ void RichOs::begin_next_action(hw::CoreId core) {
   // loop never sleeps, so placement never runs for it and no pinning is
   // needed.
   if (t->cycle_loops() && fast_path_open(core) && !t->cycle_diverted()) {
-    begin_cycle_step(core, t);
+    arm_keyed(core, begin_cycle_step(core, t));
     return;
   }
 
@@ -262,13 +272,15 @@ void RichOs::begin_next_action(hw::CoreId core) {
   st.last_thread = t;
 
   if (auto* sleep_for = std::get_if<SleepForAction>(&action)) {
-    sleep_thread(core, t, engine.now() + sleep_for->duration);
+    arm_keyed(core,
+              sleep_thread(core, t, engine.now() + sleep_for->duration));
     return;
   }
   if (auto* sleep_until = std::get_if<SleepUntilAction>(&action)) {
-    sleep_thread(core, t,
-                 sleep_until->until > engine.now() ? sleep_until->until
-                                                   : engine.now());
+    arm_keyed(core, sleep_thread(core, t,
+                                 sleep_until->until > engine.now()
+                                     ? sleep_until->until
+                                     : engine.now()));
     return;
   }
   if (std::get_if<YieldAction>(&action) != nullptr) {
@@ -286,18 +298,24 @@ void RichOs::begin_next_action(hw::CoreId core) {
   dispatch(core);
 }
 
-void RichOs::sleep_thread(hw::CoreId core, Thread* t, sim::Time wake) {
-  CpuState& st = cpu(core);
+[[gnu::always_inline]] inline RichOs::Pending RichOs::sleep_thread(
+    hw::CoreId core, Thread* t, sim::Time wake) {
+  CpuState& st = cpus_[static_cast<std::size_t>(core)];
   t->state_ = ThreadState::kSleeping;
   st.current = nullptr;
   if (can_fast_forward(core, *t)) {
     // A clean sleep: the core (re)joins the fast path. With nothing
     // queued, dispatch() would only mark the core idle.
     st.sleeper = t;
-    arm_keyed(core, CpuState::Keyed::kWake, wake);
+    st.keyed = CpuState::Keyed::kWake;
     mark_idle(core, true);
-    return;
+    return wake;
   }
+  sleep_on_queue(core, t, wake);
+  return sim::Engine::kNoKey;
+}
+
+void RichOs::sleep_on_queue(hw::CoreId core, Thread* t, sim::Time wake) {
   platform_.engine().schedule_at(wake, [this, t] { wake_thread(t); });
   dispatch(core);
 }
@@ -308,8 +326,9 @@ void RichOs::wake_thread(Thread* t) {
 
 // `duration` becomes the thread's remaining compute; the core is busy for
 // it plus the context-switch tax when another thread ran last.
-void RichOs::open_compute(hw::CoreId core, Thread* t, sim::Duration duration) {
-  CpuState& st = cpu(core);
+inline void RichOs::open_compute(hw::CoreId core, Thread* t,
+                                 sim::Duration duration) {
+  CpuState& st = cpus_[static_cast<std::size_t>(core)];
   t->remaining_compute_ = duration;
   if (st.last_thread != t) {
     duration += config_.context_switch_cost;
@@ -373,22 +392,23 @@ void RichOs::account_current(hw::CoreId core) {
 
 // account_current() for `slices` back-to-back slices of `slice` each, the
 // last ending now: the integer charges fold into one product, the CFS
-// vruntime adds `slices` times in order, as that many calls would.
-void RichOs::account_slices(CpuState& st, sim::Duration slice,
-                            std::uint64_t slices) {
+// vruntime takes the bits of `slices` adds in order, as that many calls
+// would leave (sim::repeated_add).
+inline void RichOs::account_slices(CpuState& st, sim::Duration slice,
+                                   std::uint64_t slices) {
   Thread* t = st.current;
   if (slice > sim::Duration::zero()) {
     t->cpu_time_ += slice * slices;
     t->ran_in_slice_ += slice * slices;
     if (t->policy() == SchedPolicy::kCfs) {
-      for (std::uint64_t i = 0; i < slices; ++i) t->vruntime_s_ += slice.sec();
+      t->vruntime_s_ = sim::repeated_add(t->vruntime_s_, slice.sec(), slices);
     }
   }
   st.slice_start = platform_.engine().now();
 }
 
-void RichOs::mark_idle(hw::CoreId core, bool idle) {
-  CpuState& st = cpu(core);
+inline void RichOs::mark_idle(hw::CoreId core, bool idle) {
+  CpuState& st = cpus_[static_cast<std::size_t>(core)];
   const sim::Time now = platform_.engine().now();
   if (idle && !st.idle_accounting) {
     st.idle_accounting = true;
@@ -499,13 +519,13 @@ void RichOs::on_secure_exit(hw::CoreId core, sim::Time) {
 // the queue under the same key first. A duty-cycle core rejoins at its
 // next clean sleep, a loop core at its next compute.
 
-bool RichOs::fast_path_open(hw::CoreId core) const {
-  const CpuState& st = cpu(core);
+inline bool RichOs::fast_path_open(hw::CoreId core) const {
+  const CpuState& st = cpus_[static_cast<std::size_t>(core)];
   return config_.cycle_path == CyclePath::kFastForward && st.queue.empty() &&
          !st.frozen;
 }
 
-bool RichOs::can_fast_forward(hw::CoreId core, const Thread& t) const {
+inline bool RichOs::can_fast_forward(hw::CoreId core, const Thread& t) const {
   return t.cycle_.has_value() && t.pinned_ == core && fast_path_open(core);
 }
 
@@ -516,12 +536,10 @@ bool RichOs::tick_keeps_books(hw::CoreId core) const {
          t->cycle_loops() && hw_core.online() && !hw_core.in_secure_world();
 }
 
-void RichOs::arm_keyed(hw::CoreId core, CpuState::Keyed kind,
-                       sim::Time when) {
-  CpuState& st = cpu(core);
+inline void RichOs::arm_keyed(hw::CoreId core, Pending when) {
+  if (when == sim::Engine::kNoKey) return;
   sim::Engine& engine = platform_.engine();
-  st.keyed = kind;
-  engine.arm(st.keyed_slot, {when, engine.reserve_seq()});
+  engine.arm(cpu(core).keyed_slot, {when, engine.reserve_seq()});
 }
 
 void RichOs::hand_back(hw::CoreId core) {
@@ -546,108 +564,132 @@ void RichOs::hand_back(hw::CoreId core) {
 
 void RichOs::run_keyed_action(std::uint32_t tag) {
   const auto core = static_cast<hw::CoreId>(tag);
-  if (cpu(core).keyed == CpuState::Keyed::kWake) {
-    fast_wake(core);
-  } else {
-    fast_complete(core);
-  }
+  arm_keyed(core, run_keyed_step(core, 1));
+  run_in_place(core);
 }
 
-void RichOs::fast_wake(hw::CoreId core) {
-  CpuState& st = cpu(core);
+[[gnu::always_inline]] inline RichOs::Pending RichOs::run_keyed_step(
+    hw::CoreId core, std::uint64_t rounds) {
+  return cpus_[static_cast<std::size_t>(core)].keyed ==
+                 CpuState::Keyed::kWake
+             ? fast_wake(core)
+             : fast_complete(core, rounds);
+}
+
+[[gnu::always_inline]] inline RichOs::Pending RichOs::fast_wake(
+    hw::CoreId core) {
+  CpuState& st = cpus_[static_cast<std::size_t>(core)];
   Thread* t = st.sleeper;
   st.sleeper = nullptr;
   st.keyed = CpuState::Keyed::kNone;
-  if (!can_fast_forward(core, *t)) {
+  if (t->pinned_ != core) {
     // Re-pinned while asleep: the event path's wake-up, at the same
     // position, places it.
     wake_thread(t);
-    return;
+    return sim::Engine::kNoKey;
   }
-  // enqueue_thread() then dispatch() on an idle core: the thread would be
-  // queued and popped at once. A waking CFS thread's vruntime clamp has
+  // enqueue_thread() then dispatch() on the idle core: the thread would be
+  // queued and popped at once. The rest of the eligibility found at the
+  // sleep still holds, and the core has idled since: while a key is
+  // armed, only hand_back() queues a thread on the core or freezes it, and
+  // it takes the key back first. A waking CFS thread's vruntime clamp has
   // no reference here, with nothing queued or running.
+  const sim::Time now = platform_.engine().now();
   t->current_core_ = core;
   t->ran_in_slice_ = sim::Duration::zero();
   t->enqueue_seq_ = enqueue_counter_++;
-  mark_idle(core, false);
-  if (!st.tick_active) program_tick(core);
+  st.idle_accounting = false;
+  st.idle_total += now - st.idle_since;
   t->state_ = ThreadState::kRunning;
   st.current = t;
-  st.slice_start = platform_.engine().now();
-  begin_cycle_step(core, t);
+  st.slice_start = now;
+  if (!st.tick_active) program_tick(core);
+  return begin_cycle_step(core, t);
 }
 
-void RichOs::fast_complete(hw::CoreId core) {
-  CpuState& st = cpu(core);
+// finish_compute() for `rounds` back-to-back computes of the core's cycle,
+// the last ending now, with the round called directly. The slices fold:
+// the first began at slice_start (an in-place tick may have moved it into
+// that compute), the rest are a period each.
+[[gnu::always_inline]] inline RichOs::Pending RichOs::fast_complete(
+    hw::CoreId core, std::uint64_t rounds) {
+  CpuState& st = cpus_[static_cast<std::size_t>(core)];
   st.keyed = CpuState::Keyed::kNone;
   Thread* t = st.current;
   if (t == nullptr) {
     broken_invariant("compute completion fired with no running thread", core,
                      "last thread", st.last_thread, platform_.engine().now());
   }
-  // finish_compute() with the round called directly.
-  account_current(core);
-  t->remaining_compute_ = sim::Duration::zero();
-  OsContext ctx{*this, platform_.engine().now(), core};
-  t->cycle_round(ctx, 1);
-  if (st.current != t) return;
-  // A duty cycle sleeps next. A loop computes next, on this path only
-  // while the core stays eligible.
-  if (!t->cycle_loops()) {
-    begin_cycle_step(core, t);
-    return;
+  const sim::Time now = platform_.engine().now();
+  if (rounds == 1) {
+    account_slices(st, now - st.slice_start, 1);
+  } else {
+    const sim::Duration period = t->cycle_->compute;
+    account_slices(st, now - st.slice_start - period * (rounds - 1), 1);
+    account_slices(st, period, rounds - 1);
   }
-  complete_loop_in_place(core, t);
-  if (st.current == t) begin_next_action(core);
+  t->remaining_compute_ = sim::Duration::zero();
+  OsContext ctx{*this, now, core};
+  t->cycle_round(ctx, rounds);
+  if (st.current != t) return sim::Engine::kNoKey;
+  // A duty cycle sleeps next. A loop computes next, on this path only
+  // while the core stays eligible: begin_next_action()'s loop step, with
+  // nothing left to resume.
+  if (!t->cycle_loops() || (fast_path_open(core) && !t->cycle_diverted())) {
+    return begin_cycle_step(core, t);
+  }
+  begin_next_action(core);
+  return sim::Engine::kNoKey;
 }
 
-// The tail of fast_complete() for a loop: every further iteration that
-// would end before anything else could run completes in place, as a burst,
-// instead of being armed and dispatched one by one. Each is the iteration
-// begin_next_action() would take next, with the seq it would reserve,
-// completed as fast_complete() completes one: the dispatch commit, the
-// accounting and the round. The round is additive, so the engine completes
-// every iteration that fits at once.
-void RichOs::complete_loop_in_place(hw::CoreId core, Thread* t) {
+// Every keyed action that dispatch would run next, up to the engine's
+// in-place horizon, runs in place in the engine's order: every core's
+// wake-ups and completions, tied or not, and each keyed tick that keeps
+// books and that the GIC would deliver at once, with nothing to log. A
+// wake-up or a duty cycle's completion leaves its next key to the engine,
+// which re-arms the slot with the seq arm() would reserve; the dispatched
+// core's loop, if it runs one, completes in batches. Whatever changes a
+// core's eligibility enters through hand_back(), which takes its key out
+// of the run.
+void RichOs::run_in_place(hw::CoreId core) {
   CpuState& st = cpu(core);
-  // Only where begin_next_action() would take the loop's fast path, with
-  // nothing to resume and no context-switch tax.
-  if (t->remaining_compute_ > sim::Duration::zero() || st.last_thread != t ||
-      !fast_path_open(core)) {
-    return;
-  }
-  const sim::Duration period = t->cycle_->compute;
-  // The core's tick joins the run when it keeps books and the GIC would
-  // deliver it at once, with nothing to log.
   hw::GenericTimer& timer = platform_.timer();
-  const std::uint32_t tick = timer.nonsecure_slot(core);
-  const bool tick_joins = timer.nonsecure_keyed(core) &&
-                          tick_keeps_books(core) &&
-                          !sim::log_enabled(sim::LogLevel::kTrace);
+  const bool ticks_join = !sim::log_enabled(sim::LogLevel::kTrace);
+  joined_.clear();
+  for (int c = 0; c < platform_.num_cores(); ++c) {
+    if (c != core && cpu(c).keyed != CpuState::Keyed::kNone) {
+      joined_.push_back(cpu(c).keyed_slot);
+    }
+    if (ticks_join && timer.nonsecure_keyed(c) && tick_keeps_books(c)) {
+      joined_.push_back(timer.nonsecure_slot(c));
+    }
+  }
+  Thread* t = st.current;
+  const bool loops = st.keyed == CpuState::Keyed::kCompletion &&
+                     t->cycle_loops();
   const std::uint64_t done = platform_.engine().complete_in_place(
-      st.keyed_slot, period,
-      [t] { return !t->cycle_diverted() && !t->cycle_parked(); },
-      [this, core, t, period, &st](std::uint64_t n) {
-        // n slices, the last ending now; the first began where an
-        // in-place tick split it, or a period earlier.
-        const sim::Time now = platform_.engine().now();
-        account_slices(st, now - st.slice_start - period * (n - 1), 1);
-        account_slices(st, period, n - 1);
-        OsContext ctx{*this, now, core};
-        t->cycle_round(ctx, n);
+      st.keyed_slot, loops ? t->cycle_->compute : sim::Duration::zero(),
+      // Where begin_next_action() would arm the loop's next iteration a
+      // period on, with no context-switch tax.
+      [this, core, t, &st] {
+        return st.keyed == CpuState::Keyed::kCompletion && st.current == t &&
+               fast_path_open(core) && !t->cycle_diverted() &&
+               !t->cycle_parked();
       },
-      std::span<const std::uint32_t>(&tick, tick_joins ? 1 : 0),
-      // The queued tick's expiry, the GIC's delivery to a core in the
-      // normal world, and on_tick().
-      [this, core, &timer](std::uint32_t) {
-        timer.expire_nonsecure_in_place(core);
-        on_tick(core);
-      });
-  // A run that completed nothing (the loop's next iteration ties with
-  // another core's, or comes after the next foreign key) leaves the tick
-  // to the queue, where it costs other dispatches nothing; on_tick() keys
-  // the next one again.
+      [this, &timer](std::uint32_t slot, std::uint64_t rounds) -> Pending {
+        const std::int32_t owner = slot_core_[slot];
+        if ((owner & kTickSlot) == 0) return run_keyed_step(owner, rounds);
+        // The queued tick's expiry, the GIC's delivery to a core in the
+        // normal world, and on_tick(), which re-arms it.
+        const hw::CoreId c = owner & ~kTickSlot;
+        timer.expire_nonsecure_in_place(c);
+        on_tick(c);
+        return sim::Engine::kNoKey;
+      },
+      joined_);
+  // A run that ran nothing (the core's next key comes after a foreign
+  // one) leaves its tick to the queue, where it costs other dispatches
+  // nothing; on_tick() keys the next one again.
   if (done == 0) timer.hand_back_nonsecure(core);
 }
 
@@ -655,16 +697,17 @@ void RichOs::complete_loop_in_place(hw::CoreId core, Thread* t) {
 // taking the step straight from the declaration cycle_action() reads. A
 // compute step is reached only on a core found eligible: by fast_wake()
 // for a duty cycle, by begin_next_action() for a loop.
-void RichOs::begin_cycle_step(hw::CoreId core, Thread* t) {
-  CpuState& st = cpu(core);
+[[gnu::always_inline]] inline RichOs::Pending RichOs::begin_cycle_step(
+    hw::CoreId core, Thread* t) {
+  CpuState& st = cpus_[static_cast<std::size_t>(core)];
   const Thread::CycleStep step = t->next_cycle_step();
   if (!step.compute) {
     st.last_thread = t;
-    sleep_thread(core, t, platform_.engine().now() + step.duration);
-    return;
+    return sleep_thread(core, t, platform_.engine().now() + step.duration);
   }
   open_compute(core, t, step.duration);
-  arm_keyed(core, CpuState::Keyed::kCompletion, st.action_end);
+  st.keyed = CpuState::Keyed::kCompletion;
+  return st.action_end;
 }
 
 }  // namespace satin::os

@@ -146,7 +146,13 @@ class RichOs final : public hw::WorldListener,
   void mark_idle(hw::CoreId core, bool idle);
   void on_tick(hw::CoreId core);
   void program_tick(hw::CoreId core);
-  void sleep_thread(hw::CoreId core, Thread* thread, sim::Time wake);
+  // The keyed action a step leaves pending on the core's slot: its time,
+  // or sim::Engine::kNoKey when the step left the fast path. The caller
+  // arms it, or the engine's in-place run re-arms the slot (DESIGN.md §19).
+  using Pending = sim::Time;
+  Pending sleep_thread(hw::CoreId core, Thread* thread, sim::Time wake);
+  // sleep_thread() off the fast path: the wake-up is a queue event.
+  void sleep_on_queue(hw::CoreId core, Thread* thread, sim::Time wake);
   void wake_thread(Thread* thread);
 
   // Cycle fast path (DESIGN.md §19).
@@ -154,18 +160,23 @@ class RichOs final : public hw::WorldListener,
   bool can_fast_forward(hw::CoreId core, const Thread& thread) const;
   // True when the core's tick would only keep books: it runs a loop on
   // the fast path, with no tick hook, online and in the normal world. Its
-  // tick is then keyed, and its loop's runs complete it in place.
+  // tick is then keyed, and in-place runs complete it in place.
   bool tick_keeps_books(hw::CoreId core) const;
-  void arm_keyed(hw::CoreId core, CpuState::Keyed kind, sim::Time when);
+  void arm_keyed(hw::CoreId core, Pending when);
   // Hands the core's keyed action and keyed tick, if any, back to the
   // queue under their keys; every event-path entry that touches the core
   // calls this first.
   void hand_back(hw::CoreId core);
   void run_keyed_action(std::uint32_t core) override;
-  void fast_wake(hw::CoreId core);
-  void fast_complete(hw::CoreId core);
-  void complete_loop_in_place(hw::CoreId core, Thread* t);
-  void begin_cycle_step(hw::CoreId core, Thread* thread);
+  // The core's keyed action: its wake-up, or the completion of `rounds`
+  // back-to-back computes (more than one only in a loop's batch).
+  Pending run_keyed_step(hw::CoreId core, std::uint64_t rounds);
+  Pending fast_wake(hw::CoreId core);
+  Pending fast_complete(hw::CoreId core, std::uint64_t rounds);
+  // The tail of a dispatched keyed action: the engine's in-place run over
+  // every core's keyed action and every keyed tick that keeps books.
+  void run_in_place(hw::CoreId core);
+  Pending begin_cycle_step(hw::CoreId core, Thread* thread);
 
   hw::Platform& platform_;
   std::shared_ptr<const KernelImage> image_;
@@ -178,6 +189,12 @@ class RichOs final : public hw::WorldListener,
   int next_hook_id_ = 1;
   int next_tid_ = 1;
   std::uint64_t enqueue_counter_ = 0;
+  // Per engine slot: the core of a RichOs slot or of a non-secure timer
+  // slot (kTickSlot marks the latter), or kNoCore.
+  static constexpr std::int32_t kNoCore = -1;
+  static constexpr std::int32_t kTickSlot = 1 << 16;
+  std::vector<std::int32_t> slot_core_;
+  std::vector<std::uint32_t> joined_;  // run_in_place()'s participants
 };
 
 }  // namespace satin::os

@@ -45,10 +45,14 @@ class WallTimer {
 
 // Enters a run: sets its in-place end and clears the dispatching slot and
 // the in-place count, restoring the outer run's on the way out (also when
-// a callback throws).
+// a callback throws). An in-place run's participants are out of armed_,
+// so no run may start inside one of its actions.
 class Engine::RunScope {
  public:
   RunScope(Engine& engine, Time end) : engine_(engine), outer_(engine.run_) {
+    if (engine_.in_run_) {
+      throw std::logic_error("Engine: a run started inside an in-place run");
+    }
     engine_.run_ = Run{end};
   }
   ~RunScope() { engine_.run_ = outer_; }
@@ -69,13 +73,6 @@ void Engine::broken_in_place_use(std::uint32_t slot, std::uint32_t dispatching,
       (dispatching == kNoSlot ? std::string("no slot")
                               : "slot " + std::to_string(dispatching)) +
       ", t=" + now.to_string() + ")");
-}
-
-void Engine::broken_joined_action(std::uint32_t slot, Time now) {
-  throw std::logic_error(
-      "Engine: keyed slot " + std::to_string(slot) +
-      " joined an in-place run and pulled its horizon in before the next "
-      "round (t=" + now.to_string() + ")");
 }
 
 bool EventHandle::pending() const {
@@ -143,6 +140,7 @@ EventHandle Engine::enqueue(Time when, std::uint64_t seq, Callback cb) {
   s.when = when;
   s.queued = true;
   ++cb_inline_;
+  ++horizon_epoch_;
   queue_.push_back(QueueEntry{when, seq, index});
   std::push_heap(queue_.begin(), queue_.end(), std::greater<QueueEntry>());
   // Lazy compaction: once dead entries outnumber live ones (and the queue
@@ -159,47 +157,30 @@ std::uint32_t Engine::add_keyed_slot(KeyedActionOwner* owner,
                                      std::uint32_t tag) {
   keyed_.push_back(KeyedSlot{owner, tag, false});
   armed_.reserve(keyed_.size());
+  run_keys_.resize(keyed_.size());
   return static_cast<std::uint32_t>(keyed_.size() - 1);
 }
 
-void Engine::arm(std::uint32_t slot, Key key) {
-  KeyedSlot& s = keyed_.at(slot);
-  if (s.armed) broken_keyed_use("armed twice", slot, now_);
-  if (key.when < now_ || key.seq >= next_seq_) {
-    broken_keyed_use("armed with a past or unreserved key", slot, now_);
-  }
-  s.armed = true;
-  const QueueEntry entry{key.when, key.seq, slot};
-  auto at = armed_.end();
-  while (at != armed_.begin() && *(at - 1) > entry) --at;
-  armed_.insert(at, entry);
+void Engine::broken_arm(std::uint32_t slot, bool armed, Time now) {
+  broken_keyed_use(
+      armed ? "armed twice" : "armed with a past or unreserved key", slot,
+      now);
 }
 
 Engine::Key Engine::disarm(std::uint32_t slot) {
   KeyedSlot& s = keyed_.at(slot);
   if (!s.armed) broken_keyed_use("disarmed while idle", slot, now_);
   s.armed = false;
+  if (s.joined) {
+    const QueueEntry key = run_keys_.remove(slot);
+    return Key{key.when, key.seq};
+  }
   const auto at = std::find_if(
       armed_.begin(), armed_.end(),
       [slot](const QueueEntry& e) { return e.index == slot; });
   const Key key{at->when, at->seq};
   armed_.erase(at);
   return key;
-}
-
-Time Engine::in_place_horizon() {
-  pop_cancelled();
-  Time horizon = stop_requested_ ? now_ : run_.end;
-  if (!queue_.empty()) horizon = std::min(horizon, queue_.front().when);
-  for (const QueueEntry& e : armed_) {
-    if (!keyed_[e.index].joined) {
-      horizon = std::min(horizon, e.when);
-      break;
-    }
-  }
-  // Every pending key is at or after now(); only the end of a step() can
-  // fall before it.
-  return std::max(horizon, now_);
 }
 
 bool Engine::fire_next(Time limit) {

@@ -74,11 +74,6 @@ class KeyedActionOwner {
 };
 
 class Engine {
-  // What an in-place run without joined slots calls for them: nothing.
-  struct NoJoin {
-    void operator()(std::uint32_t) const {}
-  };
-
  public:
   // Construction installs this engine as the log-time source (the newest
   // engine wins); destruction uninstalls it if still current.
@@ -114,7 +109,10 @@ class Engine {
   // Callable from inside a callback: makes the enclosing run_* return once
   // the current event finishes. A request issued outside any run is inert:
   // step/run_until/run_all all clear it on entry.
-  void request_stop() { stop_requested_ = true; }
+  void request_stop() {
+    stop_requested_ = true;
+    ++horizon_epoch_;
+  }
   bool stop_requested() const { return stop_requested_; }
 
   // --- Keyed actions (DESIGN.md §19) --------------------------------------
@@ -134,60 +132,80 @@ class Engine {
     Time when;
     std::uint64_t seq = 0;
   };
+  // "No key": what an in-place run's action returns when it leaves its
+  // slot's re-arm to no one (below).
+  static constexpr Time kNoKey = Time::max();
   // Registers a slot whose actions call owner->run_keyed_action(tag).
   std::uint32_t add_keyed_slot(KeyedActionOwner* owner, std::uint32_t tag);
   // Consumes and returns the seq the next schedule_at() would take.
   std::uint64_t reserve_seq() { return next_seq_++; }
   // Arms an idle slot; the key must be reserved and not in the past.
-  void arm(std::uint32_t slot, Key key);
+  // Inline: every keyed action re-arms its slot.
+  void arm(std::uint32_t slot, Key key) {
+    KeyedSlot& s = keyed_.at(slot);
+    if (s.armed || key.when < now_ || key.seq >= next_seq_) {
+      broken_arm(slot, s.armed, now_);
+    }
+    s.armed = true;
+    if (s.joined) {
+      run_keys_.push(key.when, key.seq, slot);
+      return;
+    }
+    insert_armed({key.when, key.seq, slot});
+    ++horizon_epoch_;
+  }
   // Disarms an armed slot and returns its key.
   Key disarm(std::uint32_t slot);
   // schedule_at() under a key reserved earlier: the event takes exactly
   // the dispatch position the key names.
   EventHandle schedule_keyed(Key key, Callback cb);
 
-  // --- In-place completions (DESIGN.md §19) -------------------------------
-  // The earliest time at which anything other than the keyed action being
-  // dispatched could run: the earliest live queued event (cancelled
-  // entries on top of the queue are popped first, as the next dispatch
-  // would pop them), the earliest other armed slot not joined to the
-  // in-place run (below), and one picosecond past the run's inclusive
-  // limit. It is now() inside step() and once a stop is requested.
-  Time in_place_horizon();
-  // Completes, without returning to the run loop, the further actions of
-  // `slot` that would each end `period` after the previous one, starting
-  // from now(), strictly before in_place_horizon(). Every pending key was
-  // reserved before them, so on a tie that key dispatches first. The rounds
-  // are additive: every one that fits completes in one batch. Before each
-  // batch it asks the owner's `ready()`; then the batch's n rounds take the
-  // seqs their arm() calls would have reserved, the clock moves n periods,
-  // the n keyed dispatch flight commits are written (in a tight loop, only
-  // while a recorder is installed), and `rounds(n)` runs once, with the
-  // clock at the last one's end. The run stops when ready() is false, or
-  // after a batch that requests a stop, reserves a seq, or schedules or
-  // cancels an event. Returns the number completed; keyed_fired(),
-  // keyed_in_place() and the enclosing run's return value count them. Only
-  // the action being dispatched may call this, with its slot idle;
-  // anything else throws std::logic_error.
+  // --- In-place runs (DESIGN.md §19) ------------------------------------
+  // The earliest time at which anything outside the running in-place run
+  // (below) could run: the earliest live queued event (cancelled entries
+  // on top of the queue are popped first, as the next dispatch would pop
+  // them), the earliest armed slot that is not one of the run's
+  // participants, and one picosecond past the run's inclusive limit. It
+  // is now() inside step() and once a stop is requested.
+  Time in_place_horizon() { return std::max(horizon_key().when, now_); }
+  // Runs in place, without returning to the run loop, the keyed actions
+  // that dispatch would run next for as long as each belongs to one of the
+  // run's participants: `slot`, whose action is being dispatched and has
+  // usually re-armed it, and the `joined` slots, armed or idle. Their keys
+  // leave the armed list for the length of the run. The run takes them in
+  // (when, seq) order while the earliest comes before in_place_horizon()'s
+  // key, by full (when, seq) order, so a tie goes to the older seq as in
+  // dispatch. For each, it disarms the slot, moves the clock to the key,
+  // makes the dispatch commit (only while a recorder is installed) and
+  // calls `act(s, 1)`, which does that action's work. `act` returns the
+  // time of the slot's next action when the run is to re-arm the slot
+  // there, with the seq the action's own arm() would have reserved last,
+  // or kNoKey when the action armed the slot itself or left it idle.
+  // A participant armed inside the run keeps its key in the run; one
+  // disarmed leaves it. An action that schedules an event, arms a slot
+  // outside the run or requests a stop makes the run re-read the horizon:
+  // a key that comes first ends the run after that action, with every
+  // participant armed at the key the event path would have given it. (A
+  // cancel or a disarm only moves the horizon out; a run may end at a key
+  // that is gone, and the next dispatch goes on from there.)
+  // keyed_fired(), keyed_in_place() and the enclosing run's return value
+  // count the actions run.
   //
-  // The slots in `joined` (other slots, armed or idle) join the run: they
-  // do not bound the horizon, and whenever a joined slot's key comes
-  // before the next round by (when, seq), the run completes it in place
-  // first, so a batch's rounds after its first end before the next joined
-  // key. The next round's seq is reserved before that, where its arm()
-  // would have been, then the run disarms the slot, moves the clock to
-  // its key, makes the dispatch commit and calls `join(slot)`, which does
-  // that action's work and may re-arm the slot; keyed_fired() and
-  // keyed_in_place() count it. A run ends only after one of `slot`'s own
-  // rounds, so a joined key due before the horizon never stops it. A
-  // joined action may reserve seqs but must not pull the horizon in
-  // before the round it precedes; if it does, the run throws
-  // std::logic_error.
-  template <typename Ready, typename Rounds, typename Join = NoJoin>
+  // `slot`'s actions may be additive rounds that each end `period` after
+  // the previous one (a loop's iterations). Then, whenever `slot`'s key is
+  // the earliest and `ready()` holds, one batch completes that round and
+  // every further one that ends strictly before the horizon and the next
+  // participant's key; those are newer than every pending key. The n
+  // rounds take the seqs their arm() calls would have reserved, the clock
+  // moves to the last one's end, the n commits are written in a tight
+  // loop, and `act(slot, n)` runs once. A zero period makes every batch
+  // one action, as for a duty cycle. Only the action being dispatched may
+  // start a run, and no run, step() or in-place run may start inside one;
+  // anything else throws std::logic_error.
+  template <typename Ready, typename Act>
   std::uint64_t complete_in_place(std::uint32_t slot, Duration period,
-                                  Ready&& ready, Rounds&& rounds,
-                                  std::span<const std::uint32_t> joined = {},
-                                  Join&& join = {});
+                                  Ready&& ready, Act&& act,
+                                  std::span<const std::uint32_t> joined = {});
 
   // Queued events only; armed keyed actions are not counted.
   std::size_t pending_count() const { return pool_->pending(); }
@@ -249,7 +267,7 @@ class Engine {
     KeyedActionOwner* owner = nullptr;
     std::uint32_t tag = 0;
     bool armed = false;
-    bool joined = false;  // joined to the running in-place run
+    bool joined = false;  // a participant of the running in-place run
   };
 
   static constexpr std::uint32_t kNoSlot = ~0u;
@@ -270,11 +288,89 @@ class Engine {
   [[noreturn]] static void broken_in_place_use(std::uint32_t slot,
                                                std::uint32_t dispatching,
                                                Time now);
-  [[noreturn]] static void broken_joined_action(std::uint32_t slot,
-                                                 Time now);
-  // Marks `joined` for the length of an in-place run (also when it
-  // throws).
+  [[noreturn]] static void broken_arm(std::uint32_t slot, bool armed,
+                                      Time now);
+  // Inserts into armed_ in order, usually at the back.
+  void insert_armed(const QueueEntry& entry) {
+    auto at = armed_.end();
+    while (at != armed_.begin() && *(at - 1) > entry) --at;
+    armed_.insert(at, entry);
+  }
+  // The keys of an in-place run's participants, ascending from head to
+  // tail: the run takes the front, and a re-armed key, usually the latest,
+  // lands at the back. Sized per slot with kRunSlack to spare and
+  // compacted when the tail reaches the end, so nothing allocates.
+  class RunKeys {
+   public:
+    void resize(std::size_t slots) { keys_.resize(slots + kRunSlack); }
+    void clear() { head_ = tail_ = 0; }
+    bool empty() const { return head_ == tail_; }
+    const QueueEntry& front() const { return keys_[head_]; }
+    void pop() { ++head_; }
+    // Takes the fields one by one and stores them in place: a QueueEntry
+    // built on the stack and copied would stall on its own stores.
+    [[gnu::always_inline]] void push(Time when, std::uint64_t seq,
+                                     std::uint32_t slot) {
+      if (tail_ == keys_.size()) {
+        std::copy(keys_.begin() + static_cast<std::ptrdiff_t>(head_),
+                  keys_.begin() + static_cast<std::ptrdiff_t>(tail_),
+                  keys_.begin());
+        tail_ -= head_;
+        head_ = 0;
+      }
+      std::size_t at = tail_++;
+      for (; at > head_; --at) {
+        const QueueEntry& prev = keys_[at - 1];
+        if (prev.when < when || (prev.when == when && prev.seq < seq)) break;
+        keys_[at] = prev;
+      }
+      QueueEntry& e = keys_[at];
+      e.when = when;
+      e.seq = seq;
+      e.index = slot;
+    }
+    // Removes `slot`'s key and returns it; the slot must have one.
+    QueueEntry remove(std::uint32_t slot) {
+      std::size_t i = head_;
+      while (keys_[i].index != slot) ++i;
+      const QueueEntry key = keys_[i];
+      std::copy(keys_.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                keys_.begin() + static_cast<std::ptrdiff_t>(tail_),
+                keys_.begin() + static_cast<std::ptrdiff_t>(i));
+      --tail_;
+      return key;
+    }
+    // Calls `f` on every key left, in order, and empties.
+    template <typename F>
+    void drain(F&& f) {
+      for (std::size_t i = head_; i < tail_; ++i) f(keys_[i]);
+      clear();
+    }
+
+   private:
+    std::vector<QueueEntry> keys_;
+    std::size_t head_ = 0;
+    std::size_t tail_ = 0;
+  };
+  // Holds an in-place run's participants: marks them, moves their keys
+  // from armed_ into run_keys_ and, on the way out (also when an action
+  // throws), merges the keys left back into armed_.
   class JoinScope;
+
+  // The key before which the running in-place run may act: the earliest
+  // live queued event, the earliest armed slot (participants' keys are
+  // not in armed_ during a run) and {run end, 0}; {now, 0} once a stop is
+  // requested.
+  QueueEntry horizon_key() {
+    const QueueEntry h = queue_horizon_key();
+    return !armed_.empty() && h > armed_.front() ? armed_.front() : h;
+  }
+  // horizon_key() without the armed slots.
+  QueueEntry queue_horizon_key() {
+    pop_cancelled();
+    const QueueEntry end{stop_requested_ ? now_ : run_.end, 0, kNoSlot};
+    return !queue_.empty() && end > queue_.front() ? queue_.front() : end;
+  }
 
   EventHandle enqueue(Time when, std::uint64_t seq, Callback cb);
   bool fire_next(Time limit);
@@ -312,10 +408,19 @@ class Engine {
   // Keyed slots, a handful per engine (one per core of a RichOs). The
   // armed ones sit in armed_ as (when, seq, slot), ascending, so the
   // earliest is the front; a re-armed action is usually the latest and
-  // lands at the back. Capacity is reserved per slot, so arming never
+  // lands at the back. During an in-place run the participants' keys sit
+  // in run_keys_ instead. Capacity is reserved per slot, so arming never
   // allocates.
+  static constexpr std::size_t kRunSlack = 64;
   std::vector<KeyedSlot> keyed_;
   std::vector<QueueEntry> armed_;
+  RunKeys run_keys_;
+  bool in_run_ = false;  // an in-place run is active
+  // Bumped by whatever can pull an in-place run's horizon in: a scheduled
+  // event, an arm outside the run, a stop request. A cancel or a disarm
+  // only moves the horizon out, so a run may end at a key that is gone,
+  // and the next dispatch goes on from there.
+  std::uint64_t horizon_epoch_ = 0;
   std::uint64_t keyed_fired_ = 0;
 
   obs::QuantileDigest queue_depth_digest_;
@@ -337,15 +442,33 @@ class Engine::JoinScope {
  public:
   JoinScope(Engine& engine, std::uint32_t slot,
             std::span<const std::uint32_t> joined)
-      : engine_(engine), joined_(joined) {
+      : engine_(engine), slot_(slot), joined_(joined) {
     for (const std::uint32_t j : joined_) {
       if (j == slot || j >= engine_.keyed_.size()) {
         broken_in_place_use(j, slot, engine_.now_);
       }
     }
     for (const std::uint32_t j : joined_) engine_.keyed_[j].joined = true;
+    engine_.keyed_[slot].joined = true;
+    engine_.in_run_ = true;
+    engine_.run_keys_.clear();
+    std::size_t kept = 0;
+    for (const QueueEntry& e : engine_.armed_) {
+      if (engine_.keyed_[e.index].joined) {
+        engine_.run_keys_.push(e.when, e.seq, e.index);
+      } else {
+        engine_.armed_[kept++] = e;
+      }
+    }
+    engine_.armed_.erase(engine_.armed_.begin() +
+                             static_cast<std::ptrdiff_t>(kept),
+                         engine_.armed_.end());
   }
   ~JoinScope() {
+    engine_.run_keys_.drain(
+        [this](const QueueEntry& e) { engine_.insert_armed(e); });
+    engine_.in_run_ = false;
+    engine_.keyed_[slot_].joined = false;
     for (const std::uint32_t j : joined_) engine_.keyed_[j].joined = false;
   }
   JoinScope(const JoinScope&) = delete;
@@ -353,104 +476,86 @@ class Engine::JoinScope {
 
  private:
   Engine& engine_;
+  const std::uint32_t slot_;
   const std::span<const std::uint32_t> joined_;
 };
 
-template <typename Ready, typename Rounds, typename Join>
+template <typename Ready, typename Act>
 std::uint64_t Engine::complete_in_place(std::uint32_t slot, Duration period,
-                                        Ready&& ready, Rounds&& rounds,
-                                        std::span<const std::uint32_t> joined,
-                                        Join&& join) {
-  if (slot != run_.dispatching || keyed_[slot].armed) {
+                                        Ready&& ready, Act&& act,
+                                        std::span<const std::uint32_t> joined) {
+  if (slot != run_.dispatching || in_run_) {
     broken_in_place_use(slot, run_.dispatching, now_);
   }
-  Time next = now_ + period;  // the end of the next round
-  // Ties with another armed slot (six loops deployed at one instant), a
-  // stop and the run's end rule a run out without touching the queue.
-  if (period <= Duration::zero() || stop_requested_ || run_.end <= next) {
+  // Nothing can run in place unless the earliest armed slot participates
+  // and comes before the horizon: a stop, the run's end, a queued event or
+  // another slot rules a run out before any key moves.
+  if (armed_.empty()) return 0;
+  const QueueEntry first = armed_.front();
+  if (first.index != slot &&
+      std::find(joined.begin(), joined.end(), first.index) == joined.end()) {
     return 0;
   }
-  for (const QueueEntry& e : armed_) {
-    if (e.when > next) break;
-    if (std::find(joined.begin(), joined.end(), e.index) == joined.end()) {
-      return 0;
-    }
-  }
+  if (!(queue_horizon_key() > first)) return 0;
   const JoinScope scope(*this, slot, joined);
-  Time horizon = in_place_horizon();
-  std::size_t allocated = pool_->allocated();
-  std::size_t cancelled = pool_->cancelled_live();
+  obs::FlightRecorder* const flight = obs::flight();
+  QueueEntry horizon = horizon_key();
+  std::uint64_t epoch = horizon_epoch_;
+  const bool batches = period > Duration::zero();
   std::uint64_t done = 0;
-  // The next round's seq once a joined action before it has made it
-  // reserve one; otherwise it is next_seq_.
-  bool reserved = false;
-  std::uint64_t reserved_seq = 0;
-  while (next < horizon && (reserved || ready())) {
-    const QueueEntry* first_joined = nullptr;
-    if (!joined.empty()) {
-      for (const QueueEntry& e : armed_) {
-        if (keyed_[e.index].joined) {
-          first_joined = &e;
-          break;
-        }
-      }
+  while (!run_keys_.empty()) {
+    if (epoch != horizon_epoch_) {
+      horizon = horizon_key();
+      epoch = horizon_epoch_;
     }
-    const std::uint64_t seq = reserved ? reserved_seq : next_seq_;
-    if (first_joined != nullptr &&
-        QueueEntry{next, seq, slot} > *first_joined) {
-      if (!reserved) {
-        reserved = true;
-        reserved_seq = next_seq_++;
-      }
-      const QueueEntry key = *first_joined;
-      armed_.erase(armed_.begin() + (first_joined - armed_.data()));
-      keyed_[key.index].armed = false;
-      now_ = key.when;
-      ++done;
-      SATIN_FLIGHT_RECORD(obs::FlightKind::kDispatch, now_, key.seq,
-                          obs::kGlobalTrack, 0);
-      join(key.index);
-      horizon = in_place_horizon();
-      if (horizon <= next) broken_joined_action(key.index, now_);
-      allocated = pool_->allocated();
-      cancelled = pool_->cancelled_live();
-      continue;
-    }
-    // The rounds that end strictly before the horizon and, after the
-    // first, before the next joined key. Only the first can hold a seq
-    // older than that key's.
-    const Time bound = first_joined != nullptr
-                           ? std::min(horizon, first_joined->when)
-                           : horizon;
-    std::uint64_t n = 1;
-    if (bound > next) {
-      n = static_cast<std::uint64_t>((bound - next).ps() - 1) /
-              static_cast<std::uint64_t>(period.ps()) +
-          1;
-    }
-    if (!reserved) reserved_seq = next_seq_++;
-    reserved = false;
-    const std::uint64_t rest = next_seq_;  // the seqs of rounds 2..n
-    if (auto* flight = obs::flight()) {
-      flight->record(obs::FlightKind::kDispatch, next, reserved_seq,
-                     obs::kGlobalTrack, 0);
-      for (std::uint64_t i = 1; i < n; ++i) {
-        flight->record(obs::FlightKind::kDispatch, next + period * i,
-                       rest + i - 1, obs::kGlobalTrack, 0);
-      }
-    }
-    now_ = next + period * (n - 1);
-    next_seq_ = rest + (n - 1);
-    done += n;
-    rounds(n);
-    // A batch that took a seq or touched the queue may have moved the
-    // horizon.
-    if (stop_requested_ || next_seq_ != rest + (n - 1) ||
-        pool_->allocated() != allocated ||
-        pool_->cancelled_live() != cancelled) {
+    // The key's fields one by one, so none of them round-trips the stack.
+    const QueueEntry& front = run_keys_.front();
+    const Time when = front.when;
+    const std::uint64_t seq = front.seq;
+    const std::uint32_t index = front.index;
+    if (horizon.when < when || (horizon.when == when && horizon.seq <= seq)) {
       break;
     }
-    next = now_ + period;
+    run_keys_.pop();
+    keyed_[index].armed = false;
+    std::uint64_t n = 1;
+    if (batches && index == slot && ready()) {
+      // Rounds 2..n are newer than every pending key: each ends strictly
+      // before the horizon and the next participant's key.
+      Time bound = horizon.when;
+      if (!run_keys_.empty()) {
+        bound = std::min(bound, run_keys_.front().when);
+      }
+      const std::int64_t room = (bound - when).ps() - 1;
+      if (room >= period.ps()) {
+        n += static_cast<std::uint64_t>(room / period.ps());
+      }
+    }
+    if (flight != nullptr) {
+      flight->record(obs::FlightKind::kDispatch, when, seq, obs::kGlobalTrack,
+                     0);
+      // Rounds 2..n take the seqs their arm() calls would have reserved.
+      for (std::uint64_t i = 1; i < n; ++i) {
+        flight->record(obs::FlightKind::kDispatch, when + period * i,
+                       next_seq_ + i - 1, obs::kGlobalTrack, 0);
+      }
+    }
+    if (n == 1) {
+      now_ = when;
+    } else {
+      now_ = when + period * (n - 1);
+      next_seq_ += n - 1;
+    }
+    done += n;
+    const Time next = act(index, n);
+    if (next != kNoKey) {
+      // The re-arm the action left to the run, with the seq its arm()
+      // would have reserved.
+      KeyedSlot& s = keyed_[index];
+      if (s.armed || next < now_) broken_arm(index, s.armed, now_);
+      s.armed = true;
+      run_keys_.push(next, next_seq_++, index);
+    }
   }
   keyed_fired_ += done;
   keyed_in_place_ += done;

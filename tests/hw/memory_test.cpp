@@ -356,6 +356,60 @@ TEST(Memory, PokeBumpsOnlyTouchedChunks) {
   EXPECT_TRUE(mem.untouched_since_baseline(0, 1024));
 }
 
+TEST(Memory, BaselineQueryMatchesAPerChunkReferenceOverRandomMarks) {
+  // 300 chunks, the last one short: word boundaries fall at chunks 64,
+  // 128, 192 and 256, and the last word is partial. Random pokes mark
+  // chunks; every query must agree with a test over each chunk it
+  // overlaps, the first and last chunks and whole-memory ranges included.
+  const std::size_t size = 299 * Memory::kChunkBytes + 100;
+  const std::size_t chunks = 300;
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  const auto next = [&state](std::size_t bound) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return static_cast<std::size_t>(state % bound);
+  };
+  for (int round = 0; round < 40; ++round) {
+    Memory mem(size);
+    mem.stamp_baseline();
+    std::vector<bool> marked(chunks, false);
+    const int pokes = round % 8;  // from none to a handful
+    for (int i = 0; i < pokes; ++i) {
+      const std::size_t offset = next(size);
+      const std::size_t length =
+          1 + next(std::min<std::size_t>(size - offset,
+                                         70 * Memory::kChunkBytes));
+      mem.poke(offset, std::vector<std::uint8_t>(length, 0x5A));
+      for (std::size_t c = offset / Memory::kChunkBytes;
+           c <= (offset + length - 1) / Memory::kChunkBytes; ++c) {
+        marked[c] = true;
+      }
+    }
+    const auto reference = [&](std::size_t offset, std::size_t length) {
+      if (length == 0) return true;
+      for (std::size_t c = offset / Memory::kChunkBytes;
+           c <= (offset + length - 1) / Memory::kChunkBytes; ++c) {
+        if (marked[c]) return false;
+      }
+      return true;
+    };
+    std::vector<std::pair<std::size_t, std::size_t>> queries = {
+        {0, size}, {0, 1}, {size - 1, 1}, {0, 0}, {size, 0},
+        {63 * Memory::kChunkBytes, 2 * Memory::kChunkBytes},
+        {299 * Memory::kChunkBytes, 100}};
+    for (int q = 0; q < 200; ++q) {
+      const std::size_t offset = next(size + 1);
+      queries.emplace_back(offset, next(size - offset + 1));
+    }
+    for (const auto& [offset, length] : queries) {
+      EXPECT_EQ(mem.untouched_since_baseline(offset, length),
+                reference(offset, length))
+          << "round " << round << " [" << offset << ", +" << length << ")";
+    }
+  }
+}
+
 TEST(Memory, WriteSpanningChunkBoundaryBumpsBothChunks) {
   Memory mem(1024);
   mem.stamp_baseline();

@@ -23,6 +23,7 @@
 #include "core/satin.h"
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
+#include "scenario/experiments.h"
 #include "scenario/scenario.h"
 #include "sim/parallel.h"
 #include "workload/unixbench.h"
@@ -213,6 +214,56 @@ TEST(CycleFastForward, AnotherThreadOnTheCoreHandsTheActionBack) {
         run.system->run_for(Duration::from_us(1'700));
         return stage < 20;
       });
+}
+
+// KProber-II's six tied probers against SATIN and the TZ-Evader, the way
+// a duel trial runs them (§VI-B1), on one path. Every stay in the secure
+// world freezes a core mid-window; the other cores' probers flag it, and
+// the evader's recovery schedules queue events from inside the in-place
+// run that the flagging round runs in.
+struct DuelRun {
+  explicit DuelRun(CyclePath path) : flight(ProberRun::options()) {
+    scenario::ScenarioConfig config;
+    config.os.cycle_path = path;
+    system = std::make_unique<scenario::Scenario>(config);
+    scenario::DuelConfig duel;
+    duel.satin.tgoal_s = 1.9;  // a round every ~10 ms
+    trial = std::make_unique<scenario::DuelTrial>(*system, duel);
+  }
+  sim::Engine& engine() { return system->engine(); }
+  std::string fingerprint() {
+    return satin::fingerprint(*system, flight, metrics, "");
+  }
+
+  obs::FlightRecorder flight;
+  obs::MetricsRegistry metrics;
+  std::unique_ptr<scenario::Scenario> system;
+  std::unique_ptr<scenario::DuelTrial> trial;
+};
+
+TEST(CycleFastForward, TiedProbersFlagASecureStayInPlace) {
+  DuelRun oracle(CyclePath::kEventPerRound);
+  DuelRun fast(CyclePath::kFastForward);
+  // 7 ms chunks, so stays begin and end inside runs and at their edges.
+  expect_identical_runs(oracle, fast, [](DuelRun& run, int stage) {
+    run.trial->advance(Duration::from_ms(7));
+    return stage < 170;
+  });
+  scenario::DuelReport reports[2];
+  for (DuelRun* run : {&oracle, &fast}) {
+    const sim::TrialObsScope sinks(&run->metrics, &run->flight);
+    reports[run == &fast ? 1 : 0] = run->trial->finish();
+  }
+  EXPECT_EQ(fast.fingerprint(), oracle.fingerprint());
+  EXPECT_EQ(reports[1].prober_detections, reports[0].prober_detections);
+  EXPECT_EQ(reports[1].evasions_started, reports[0].evasions_started);
+  EXPECT_EQ(reports[1].rearms, reports[0].rearms);
+  EXPECT_GT(reports[0].rounds, 10u);
+  EXPECT_GT(reports[0].prober_detections, 0u);
+  EXPECT_GT(reports[0].evasions_started, 0u);
+  // The probers' actions run in place, tied or not.
+  EXPECT_GT(fast.engine().keyed_in_place(),
+            fast.engine().keyed_fired() * 9 / 10);
 }
 
 // --- Loops -----------------------------------------------------------------

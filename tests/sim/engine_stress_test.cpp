@@ -3,6 +3,7 @@
 // seed, and handle safety after events fire.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <iterator>
@@ -141,25 +142,33 @@ TEST(EngineStress, SelfCancellationInsideOwnCallbackIsBenign) {
 
 // Seeded random traffic checked against a test-side reference of the
 // engine's (when, seq) order. The test mirrors the engine's seq counter
-// (schedule_at, reserve_seq and every round completed in place take one;
-// schedule_keyed takes none), so it knows the key of every queued event
-// and armed keyed action, and keeps the live ones in a sorted set. Every
-// dispatch, a joined slot's completion in place included, must be the
-// set's minimum, every round completed in place must come strictly before
-// it, and the flight stream's kDispatch records must be exactly the
-// dispatches the test saw, in order.
+// (schedule_at, reserve_seq, every round completed in place and every
+// re-arm an in-place run makes take one; schedule_keyed takes none), so it
+// knows the key of every queued event and armed keyed action, and keeps
+// the live ones in a sorted set. Every dispatch, each action run in place
+// included, must be the set's minimum, every round a batch completes must
+// come strictly before it, and the flight stream's kDispatch records must
+// be exactly the dispatches the test saw, in order. Actions run in place
+// make random traffic too, which may pull the run's horizon in or take a
+// participant's key out of the run.
 class ReferenceTraffic : public KeyedActionOwner {
  public:
   using Key = std::pair<std::int64_t, std::uint64_t>;  // (when ps, seq)
 
   explicit ReferenceTraffic(std::uint64_t seed) : rng_(seed) {
-    // Slot 3 is a loop: each dispatch completes further rounds in place,
-    // the way RichOs runs a lone mini-UnixBench loop. On even seeds slot 4
-    // is its core's tick, which joins those runs.
+    // Slots 0-2 are plain. Slot 3 is a loop: each dispatch re-arms it and
+    // runs its further rounds in place, the way RichOs runs a lone
+    // mini-UnixBench loop. On even seeds its core's tick joins those runs.
+    // On seeds divisible by 3, three duty cycles deployed at one instant
+    // tie all run long and run each other's actions in place, the way
+    // RichOs runs KProber-II's prober cores.
     const Duration period = Duration::from_us(3 + 7 * (seed % 3));
-    for (std::uint32_t tag = 0; tag < (seed % 2 == 0 ? 5u : 4u); ++tag) {
-      const Kind kind =
-          tag == 3 ? Kind::kLoop : tag == 4 ? Kind::kTick : Kind::kPlain;
+    std::vector<Kind> kinds = {Kind::kPlain, Kind::kPlain, Kind::kPlain,
+                               Kind::kLoop};
+    if (seed % 2 == 0) kinds.push_back(Kind::kTick);
+    if (seed % 3 == 0) kinds.insert(kinds.end(), 3, Kind::kDuty);
+    for (std::uint32_t tag = 0; tag < kinds.size(); ++tag) {
+      const Kind kind = kinds[tag];
       slots_.push_back(Slot{engine.add_keyed_slot(this, tag), kind,
                             kind == Kind::kTick ? period * 4 : period});
     }
@@ -174,6 +183,11 @@ class ReferenceTraffic : public KeyedActionOwner {
       obs::FlightRecorder flight;
     } recording;
     for (int i = 0; i < 40; ++i) act();
+    // The duty cycles deploy at one instant.
+    const Time deploy = engine.now() + Duration::from_us(5);
+    for (Slot& slot : slots_) {
+      if (slot.kind == Kind::kDuty && !slot.armed) arm(slot, deploy);
+    }
     for (int r = 0; r < rounds; ++r) {
       act();
       const std::size_t before = dispatched.size();
@@ -208,28 +222,45 @@ class ReferenceTraffic : public KeyedActionOwner {
   std::set<Key> live;
   std::set<Key> cancelled;
   std::vector<Key> dispatched;
-  std::uint64_t in_place = 0;  // rounds and joined ticks
-  std::uint64_t joined = 0;    // joined ticks
+  std::uint64_t in_place = 0;  // actions and rounds run in place
+  std::uint64_t joined = 0;    // ticks run in place
+  std::uint64_t tied = 0;      // duty-cycle actions run in place
   int handed_back = 0;
-  bool has_tick() const { return slots_.size() > 4; }
+  bool has_tick() const {
+    return std::any_of(slots_.begin(), slots_.end(),
+                       [](const Slot& s) { return s.kind == Kind::kTick; });
+  }
+  bool has_cohort() const {
+    return std::any_of(slots_.begin(), slots_.end(),
+                       [](const Slot& s) { return s.kind == Kind::kDuty; });
+  }
 
  private:
   // A plain slot is armed at random. A loop re-arms a period after each
   // dispatch and completes its further rounds in place; a tick re-arms a
-  // period after each run and does nothing else, whether dispatched or
-  // joined to the loop's run.
-  enum class Kind { kPlain, kLoop, kTick };
+  // period after each run, whether dispatched or joined to the loop's run.
+  // A duty cycle alternates a 2 µs compute and a `period` sleep.
+  enum class Kind { kPlain, kLoop, kTick, kDuty };
   struct Slot {
     std::uint32_t id;
     Kind kind;
-    Duration period;  // a loop's round or a tick's
+    Duration period;  // a loop's round, a tick's, a duty cycle's sleep
     bool armed = false;
     Key key{};
+    bool computing = false;  // a duty cycle's next action is a completion
   };
   struct Scheduled {
     EventHandle handle;
     Key key;
   };
+
+  // When a duty cycle's next action is due after one at now().
+  Time next_step(Slot& slot) {
+    const Duration step =
+        slot.computing ? slot.period : Duration::from_us(2);
+    slot.computing = !slot.computing;
+    return engine.now() + step;
+  }
 
   void run_keyed_action(std::uint32_t tag) override {
     Slot& slot = slots_[tag];
@@ -240,12 +271,17 @@ class ReferenceTraffic : public KeyedActionOwner {
       tick(slot);
       return;
     }
-    if (slot.kind == Kind::kLoop) complete_in_place(slot);
+    if (slot.kind == Kind::kLoop || slot.kind == Kind::kDuty) {
+      if (budget_ > 0) {
+        arm(slot, slot.kind == Kind::kLoop ? engine.now() + slot.period
+                                           : next_step(slot));
+      }
+      complete_in_place(slot);
+    }
     act();
-    if (budget_ > 0 && !slot.armed &&
-        (slot.kind == Kind::kLoop || rng_.bernoulli(0.5))) {
-      arm(slot, engine.now() +
-                    (slot.kind == Kind::kLoop ? slot.period : delay()));
+    if (budget_ > 0 && !slot.armed && slot.kind == Kind::kPlain &&
+        rng_.bernoulli(0.5)) {
+      arm(slot, engine.now() + delay());
     }
   }
 
@@ -253,42 +289,63 @@ class ReferenceTraffic : public KeyedActionOwner {
     if (budget_ > 0) arm(slot, engine.now() + slot.period);
   }
 
-  // The loop's in-place run, with the tick joined. The engine reserves
-  // the next round's seq before the first joined tick that precedes it.
-  void complete_in_place(Slot& loop) {
-    const std::uint32_t tick_slot = has_tick() ? slots_[4].id : 0;
-    bool reserved = false;  // the next round's seq, by a joined tick
-    std::uint64_t round_seq = 0;
+  // The dispatched slot's in-place run: a loop's with the tick joined, a
+  // duty cycle's with the other duty cycles joined.
+  void complete_in_place(Slot& own) {
+    std::vector<std::uint32_t> joined_slots;
+    for (const Slot& s : slots_) {
+      if (s.id == own.id) continue;
+      if ((own.kind == Kind::kLoop && s.kind == Kind::kTick) ||
+          (own.kind == Kind::kDuty && s.kind == Kind::kDuty)) {
+        joined_slots.push_back(s.id);
+      }
+    }
     in_place += engine.complete_in_place(
-        loop.id, loop.period, [this] { return budget_ > 0; },
-        [&](std::uint64_t n) {
-          for (std::uint64_t i = n; i-- > 0;) {
-            const Key key{(engine.now() - loop.period * i).ps(),
-                          reserved ? round_seq : seq_++};
-            reserved = false;
+        own.id, own.kind == Kind::kLoop ? own.period : Duration::zero(),
+        [this] { return budget_ > 0; },
+        [&](std::uint32_t id, std::uint64_t n) {
+          Slot& slot = *std::find_if(
+              slots_.begin(), slots_.end(),
+              [id](const Slot& s) { return s.id == id; });
+          EXPECT_TRUE(slot.armed);
+          slot.armed = false;
+          EXPECT_TRUE(n == 1 || slot.kind == Kind::kLoop);
+          dispatch(slot.key, engine.now() - slot.period * (n - 1));
+          // A batch's rounds 2..n, which come before every live key.
+          for (std::uint64_t i = n - 1; i-- > 0;) {
+            const Key key{(engine.now() - slot.period * i).ps(), seq_++};
             EXPECT_TRUE(live.empty() || key < *live.begin());
             dispatched.push_back(key);
           }
-        },
-        std::span<const std::uint32_t>(&tick_slot, has_tick() ? 1 : 0),
-        [&](std::uint32_t id) {
-          if (!reserved) {
-            reserved = true;
-            round_seq = seq_++;
+          if (slot.kind == Kind::kTick) {
+            ++joined;
+            tick(slot);
+          } else if (slot.kind == Kind::kDuty) {
+            ++tied;
           }
-          Slot& slot = slots_[4];
-          EXPECT_EQ(id, slot.id);
-          EXPECT_TRUE(slot.armed);
-          slot.armed = false;
-          dispatch(slot.key);
-          ++joined;
-          tick(slot);
-        });
-    EXPECT_FALSE(reserved);
+          // Traffic from inside the run: events before the next key, arms
+          // outside the run, a participant's key disarmed, a stop.
+          if (rng_.bernoulli(0.05)) act();
+          if (slot.kind == Kind::kTick || slot.armed || budget_ == 0) {
+            return Engine::kNoKey;
+          }
+          // The run re-arms the slot with the next seq.
+          const Time next = slot.kind == Kind::kLoop
+                                ? engine.now() + slot.period
+                                : next_step(slot);
+          slot.key = {next.ps(), seq_++};
+          slot.armed = true;
+          live.insert(slot.key);
+          return next;
+        },
+        joined_slots);
   }
 
-  void dispatch(const Key& key) {
-    EXPECT_EQ(engine.now().ps(), key.first);
+  // A dispatch at `key`, which must end at `at` (now(), unless a batch
+  // moved the clock to its last round).
+  void dispatch(const Key& key) { dispatch(key, engine.now()); }
+  void dispatch(const Key& key, Time at) {
+    EXPECT_EQ(at.ps(), key.first);
     ASSERT_FALSE(live.empty()) << "dispatched " << key.first << "/"
                                << key.second << " with nothing live";
     EXPECT_EQ(*live.begin(), key);
@@ -410,7 +467,7 @@ class ReferenceTraffic : public KeyedActionOwner {
 };
 
 TEST(EngineStress, DispatchOrderMatchesASortedReference) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     SCOPED_TRACE(seed);
     ReferenceTraffic traffic(seed);
     traffic.run(1500);
@@ -423,6 +480,7 @@ TEST(EngineStress, DispatchOrderMatchesASortedReference) {
     // The traffic reached every path it is meant to check.
     EXPECT_GT(traffic.in_place, 0u);
     EXPECT_EQ(traffic.joined > 0, traffic.has_tick());
+    EXPECT_EQ(traffic.tied > 100, traffic.has_cohort());
     EXPECT_GT(traffic.handed_back, 0);
     EXPECT_GT(traffic.cancelled.size(), 100u);
     EXPECT_GT(engine.compactions(), 0u);

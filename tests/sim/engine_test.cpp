@@ -489,27 +489,33 @@ TEST(EngineKeyed, ArmRejectsPastUnreservedOrDoubleKeys) {
 // --- In-place completions ------------------------------------------------
 
 // A lone loop on one slot, run the way RichOs runs one: each dispatch
-// completes in place, in batches, every further iteration that fits, then
-// arms the next one `period` later. Records every iteration's end.
+// re-arms the next iteration `period` later, then completes in place, in
+// batches, every further iteration that fits. Records every iteration's
+// end.
 struct LoopOwner : KeyedActionOwner {
   LoopOwner(Engine& e, Duration p)
       : engine(e), period(p), slot(e.add_keyed_slot(this, 0)) {}
-  void start() { engine.arm(slot, {engine.now() + period, engine.reserve_seq()}); }
+  void start() { arm_next(); }
+  void arm_next() {
+    engine.arm(slot, {engine.now() + period, engine.reserve_seq()});
+  }
   void run_keyed_action(std::uint32_t) override {
     ends.push_back(engine.now());
     if (in_action) in_action();
     if (stop_in_action) engine.request_stop();
     horizons.push_back(engine.in_place_horizon());
+    arm_next();
     if (in_place) {
       completed += engine.complete_in_place(
-          slot, period, [] { return true; }, [this](std::uint64_t n) {
+          slot, period, [] { return true; },
+          [this](std::uint32_t, std::uint64_t n) {
             for (std::uint64_t i = n; i-- > 0;) {
               ends.push_back(engine.now() - period * i);
             }
             if (stop_in_batch) engine.request_stop();
+            return engine.now() + period;  // the run re-arms the slot
           });
     }
-    engine.arm(slot, {engine.now() + period, engine.reserve_seq()});
   }
   // Iterations ended before `t`.
   std::size_t ended_before(Time t) const {
@@ -525,7 +531,7 @@ struct LoopOwner : KeyedActionOwner {
   bool in_place = true;         // false: every iteration is dispatched
   bool stop_in_batch = false;   // each batch requests a stop
   bool stop_in_action = false;
-  std::function<void()> in_action;  // runs in each dispatch, before the burst
+  std::function<void()> in_action;  // runs in each dispatch, before the run
 };
 
 std::vector<Time> every(Duration period, int first, int last) {
@@ -655,7 +661,8 @@ TEST(EngineKeyed, InPlaceCompletionOutsideItsDispatchThrows) {
   LoopOwner loop(engine, Time::from_us(10));
   const auto complete = [&] {
     engine.complete_in_place(
-        loop.slot, loop.period, [] { return true; }, [](std::uint64_t) {});
+        loop.slot, loop.period, [] { return true; },
+        [](std::uint32_t, std::uint64_t) { return Engine::kNoKey; });
   };
   EXPECT_THROW(complete(), std::logic_error);  // outside any run
   bool threw = false;
@@ -754,10 +761,10 @@ TEST(EngineKeyed, AnInPlaceRunWritesTheDispatchedRoundsCommits) {
 }
 
 // A loop and its core's tick, the way RichOs runs a lone loop core whose
-// tick only keeps books: each dispatch of the loop completes its further
-// rounds in place, with the tick's slot joined to the run; the tick
-// re-arms itself `tick_period` after it runs, whether dispatched or
-// joined. Logs every round's end ('L') and tick ('T').
+// tick only keeps books: each dispatch of the loop re-arms it and
+// completes its further rounds in place, with the tick's slot joined to
+// the run; the tick re-arms itself `tick_period` after it runs, whether
+// dispatched or joined. Logs every round's end ('L') and tick ('T').
 struct TickedLoop : KeyedActionOwner {
   TickedLoop(Engine& e, Duration p, Duration q)
       : engine(e),
@@ -776,20 +783,22 @@ struct TickedLoop : KeyedActionOwner {
       return;
     }
     log.emplace_back('L', engine.now());
-    if (!in_place) {
-      engine.arm(loop, {engine.now() + period, engine.reserve_seq()});
-      return;
-    }
+    engine.arm(loop, {engine.now() + period, engine.reserve_seq()});
+    if (!in_place) return;
     const std::uint32_t joined[] = {tick};
     returned.push_back(engine.complete_in_place(
         loop, period, [] { return true; },
-        [this](std::uint64_t n) {
+        [this](std::uint32_t slot, std::uint64_t n) {
+          if (slot == tick) {
+            on_tick();  // re-arms the tick itself
+            return Engine::kNoKey;
+          }
           for (std::uint64_t i = n; i-- > 0;) {
             log.emplace_back('L', engine.now() - period * i);
           }
+          return engine.now() + period;
         },
-        joined, [this](std::uint32_t) { on_tick(); }));
-    engine.arm(loop, {engine.now() + period, engine.reserve_seq()});
+        joined));
   }
   void on_tick() {
     log.emplace_back('T', engine.now());
@@ -872,35 +881,249 @@ TEST(EngineKeyed, ARunWhoseOwnSlotIsDueFirstStillMakesProgress) {
                         Time::from_ms(1));
   EXPECT_EQ(runs.fast.log, runs.stepped.log);
   EXPECT_EQ(runs.fast_chain, runs.stepped_chain);
-  // Dispatched: the ticks at 20 and 40 µs, the round at 50 µs and, after
-  // the run's last round at 1 ms, the tick tied with it.
+  // Dispatched: the ticks at 20 and 40 µs and the round at 50 µs. The run
+  // completes the rest, the tick tied with its last round at 1 ms too.
   ASSERT_EQ(runs.fast.returned.size(), 1u);
-  EXPECT_EQ(runs.fast.returned.front(), runs.fast.log.size() - 4);
+  EXPECT_EQ(runs.fast.returned.front(), runs.fast.log.size() - 3);
   EXPECT_EQ(
-      runs.fast_engine.keyed_fired() - runs.fast_engine.keyed_in_place(), 4u);
+      runs.fast_engine.keyed_fired() - runs.fast_engine.keyed_in_place(), 3u);
 }
 
-TEST(EngineKeyed, AJoinedActionThatPullsTheHorizonInThrows) {
-  // A joined action must only keep books: one that schedules an event
-  // before the round it precedes breaks the run. Dispatched, the same
-  // action is fine.
-  Engine engine;
-  TickedLoop loop(engine, Time::from_us(50), Time::from_us(20));
-  loop.in_tick = [&engine] {
-    engine.schedule_at(engine.now() + Duration::from_ps(1), [] {});
-  };
-  loop.start();
-  try {
-    engine.run_until(Time::from_us(200));
-    ADD_FAILURE() << "no throw";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("pulled its horizon in"),
-              std::string::npos)
-        << e.what();
+// Disarms every slot of `engine` in `slots` and returns their keys.
+std::vector<std::pair<Time, std::uint64_t>> disarm_all(
+    Engine& engine, const std::vector<std::uint32_t>& slots) {
+  std::vector<std::pair<Time, std::uint64_t>> keys;
+  for (const std::uint32_t slot : slots) {
+    const Engine::Key key = engine.disarm(slot);
+    keys.emplace_back(key.when, key.seq);
   }
-  // Ticks at 20 and 40 µs dispatched, the one at 60 µs joined.
-  EXPECT_EQ(engine.now(), Time::from_us(60));
-  EXPECT_EQ(engine.events_fired(), 2u);
+  return keys;
 }
+
+TEST(EngineKeyed, AJoinedActionThatPullsTheHorizonInEndsTheRunAfterIt) {
+  // A joined tick schedules a queue event 1 ps on, before the round it
+  // precedes: the run ends after that tick, every slot armed at the key
+  // the event path gave it; the event dispatches, then the round, which
+  // starts the next run. Dispatched one by one, everything is the same.
+  std::vector<std::vector<std::pair<char, Time>>> logs;
+  std::vector<std::uint64_t> chains, fired, next_seqs;
+  std::vector<std::vector<std::pair<Time, std::uint64_t>>> keys;
+  for (const bool in_place : {false, true}) {
+    Engine engine;
+    TickedLoop loop(engine, Time::from_us(50), Time::from_us(20));
+    loop.in_place = in_place;
+    loop.in_tick = [&engine, &loop] {
+      engine.schedule_at(engine.now() + Duration::from_ps(1), [&loop] {
+        loop.log.emplace_back('E', loop.engine.now());
+      });
+    };
+    const Recording recording;
+    loop.start();
+    engine.run_until(Time::from_us(230));
+    if (in_place) {
+      // Runs from the rounds at 50, 100, 150 and 200 µs, each ended by
+      // the first tick it joined.
+      EXPECT_EQ(loop.returned, (std::vector<std::uint64_t>{1, 1, 1, 1}));
+    }
+    logs.push_back(loop.log);
+    chains.push_back(recording.flight.chain_hash());
+    fired.push_back(engine.keyed_fired() + engine.events_fired());
+    keys.push_back(disarm_all(engine, {loop.loop, loop.tick}));
+    next_seqs.push_back(engine.reserve_seq());
+  }
+  EXPECT_EQ(logs[1], logs[0]);
+  EXPECT_EQ(chains[1], chains[0]);
+  EXPECT_EQ(fired[1], fired[0]);
+  EXPECT_EQ(keys[1], keys[0]);
+  EXPECT_EQ(next_seqs[1], next_seqs[0]);
+}
+
+// Duty cycles on several slots, the way RichOs runs KProber-II's tied
+// prober cores: each member alternates a compute step and a sleep step,
+// and all deploy at one instant, so their actions tie in the same
+// picoseconds, ordered by seq. A dispatched action re-arms its member's
+// slot, then runs every other member joined; with `in_place` false every
+// action is dispatched. Logs every action as (member, time).
+struct Cohort : KeyedActionOwner {
+  struct Member {
+    Duration compute;
+    Duration sleep;
+    std::uint32_t slot = 0;
+    bool computing = false;
+  };
+  Cohort(Engine& e, std::vector<Member> m) : engine(e), members(std::move(m)) {
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      members[i].slot =
+          engine.add_keyed_slot(this, static_cast<std::uint32_t>(i));
+      slots.push_back(members[i].slot);
+    }
+  }
+  // Arms every member's first wake-up at `at`, in member order.
+  void start(Time at) {
+    for (const Member& m : members) {
+      engine.arm(m.slot, {at, engine.reserve_seq()});
+    }
+  }
+  // One action of member `tag`; returns when its next one is due.
+  Time step(std::uint32_t tag) {
+    Member& m = members[tag];
+    log.emplace_back(tag, engine.now());
+    if (in_step) in_step(tag);
+    const Duration next = m.computing ? m.sleep : m.compute;
+    m.computing = !m.computing;
+    return engine.now() + next;
+  }
+  void run_keyed_action(std::uint32_t tag) override {
+    engine.arm(members[tag].slot, {step(tag), engine.reserve_seq()});
+    if (!in_place) return;
+    std::vector<std::uint32_t> joined;
+    for (const std::uint32_t slot : slots) {
+      if (slot != members[tag].slot) joined.push_back(slot);
+    }
+    returned.push_back(engine.complete_in_place(
+        members[tag].slot, Duration::zero(), [] { return false; },
+        [this](std::uint32_t slot, std::uint64_t n) {
+          EXPECT_EQ(n, 1u);
+          return step(slot - slots.front());
+        },
+        joined));
+  }
+  // The members that act at `t`, in order.
+  std::string order_at(Time t) const {
+    std::string out;
+    for (const auto& [tag, when] : log) {
+      if (when == t) out += static_cast<char>('0' + tag);
+    }
+    return out;
+  }
+  Engine& engine;
+  std::vector<Member> members;
+  std::vector<std::uint32_t> slots;
+  bool in_place = true;
+  std::function<void(std::uint32_t)> in_step;
+  std::vector<std::pair<std::uint32_t, Time>> log;
+  std::vector<std::uint64_t> returned;  // by each in-place run
+};
+
+// Runs a Cohort to `limit` in place and dispatched one by one, each under
+// a flight recorder, and checks that the two agree.
+struct CohortRuns {
+  CohortRuns(const std::vector<Cohort::Member>& members, Time start,
+             Time limit)
+      : fast(fast_engine, members), stepped(stepped_engine, members) {
+    stepped.in_place = false;
+    for (auto [cohort, chain] : {std::pair{&fast, &fast_chain},
+                                 std::pair{&stepped, &stepped_chain}}) {
+      const Recording recording;
+      cohort->start(start);
+      cohort->engine.run_until(limit);
+      *chain = recording.flight.chain_hash();
+    }
+  }
+  void expect_agree() {
+    EXPECT_EQ(fast.log, stepped.log);
+    EXPECT_EQ(fast_chain, stepped_chain);
+    EXPECT_EQ(fast_engine.keyed_fired(), stepped_engine.keyed_fired());
+    EXPECT_EQ(fast_engine.now(), stepped_engine.now());
+    EXPECT_EQ(disarm_all(fast_engine, fast.slots),
+              disarm_all(stepped_engine, stepped.slots));
+  }
+  Engine fast_engine;
+  Engine stepped_engine;
+  Cohort fast;
+  Cohort stepped;
+  std::uint64_t fast_chain = 0;
+  std::uint64_t stepped_chain = 0;
+};
+
+TEST(EngineKeyed, TiedDutyCyclesRunInSeqOrderInPlace) {
+  // Same-producer reordering across three tied slots: all wake at 10 µs in
+  // member order, complete at 14, 12 and 13 µs, and each re-arms its next
+  // wake-up for 210 µs as it completes. So at 210 µs member 1 holds the
+  // oldest seq and member 0 the newest, and each member's key stays behind
+  // the older ones it was re-armed after.
+  CohortRuns runs({{Time::from_us(4), Time::from_us(196)},
+                   {Time::from_us(2), Time::from_us(198)},
+                   {Time::from_us(3), Time::from_us(197)}},
+                  Time::from_us(10), Time::from_ms(2));
+  EXPECT_EQ(runs.stepped.order_at(Time::from_us(10)), "012");
+  EXPECT_EQ(runs.stepped.order_at(Time::from_us(210)), "120");
+  // One dispatch runs the whole window and every later one.
+  EXPECT_EQ(runs.fast.returned.size(), 1u);
+  EXPECT_EQ(
+      runs.fast_engine.keyed_fired() - runs.fast_engine.keyed_in_place(), 1u);
+  runs.expect_agree();
+}
+
+TEST(EngineKeyed, JoinedSlotsDueBeforeTheDispatchedOneStillRun) {
+  // Horizon deadlock: member 0 dispatches first and sleeps 300 µs, so each
+  // of the three others is due before its next key, many times over.
+  // Counted in the horizon they would end the run at once; joined, that
+  // one dispatch runs them all to the limit.
+  CohortRuns runs({{Time::from_us(2), Time::from_us(300)},
+                   {Time::from_us(1), Time::from_us(50)},
+                   {Time::from_us(1), Time::from_us(60)},
+                   {Time::from_us(1), Time::from_us(70)}},
+                  Time::from_us(5), Time::from_ms(1));
+  ASSERT_EQ(runs.fast.returned.size(), 1u);
+  EXPECT_EQ(runs.fast.returned.front(), runs.fast.log.size() - 1);
+  EXPECT_GT(runs.fast.log.size(), 60u);
+  runs.expect_agree();
+}
+
+TEST(EngineKeyed, ATiedRunStopsAtForeignKeysAndResumesAfterThem) {
+  // Queued events at a tied window's picosecond (reserved before or after
+  // the cohort's keys), an armed slot of another owner, and a stop: each
+  // ends the run where dispatch would have run it.
+  for (const int variant : {0, 1, 2, 3}) {
+    std::vector<std::vector<std::pair<std::uint32_t, Time>>> logs;
+    std::vector<std::uint64_t> chains;
+    std::vector<std::vector<std::pair<Time, std::uint64_t>>> keys;
+    std::vector<std::string> order;
+    for (const bool in_place : {false, true}) {
+      Engine engine;
+      KeyedLog other(engine);
+      const std::uint32_t foreign = engine.add_keyed_slot(&other, 9);
+      Cohort cohort(engine, {{Time::from_us(2), Time::from_us(200)},
+                             {Time::from_us(2), Time::from_us(200)},
+                             {Time::from_us(2), Time::from_us(200)}});
+      cohort.in_place = in_place;
+      std::string seen;
+      const auto mark = [&seen, &cohort](char c) {
+        seen += c;
+        seen += std::to_string(cohort.log.size());
+      };
+      if (variant == 0) {
+        engine.schedule_at(Time::from_us(204), [&] { mark('E'); });
+      }
+      cohort.start(Time::from_us(2));
+      if (variant == 1) {
+        engine.schedule_at(Time::from_us(204), [&] { mark('E'); });
+      }
+      if (variant == 2) {
+        engine.arm(foreign, {Time::from_us(204), engine.reserve_seq()});
+      }
+      if (variant == 3) {
+        cohort.in_step = [&engine](std::uint32_t tag) {
+          if (tag == 1 && engine.now() == Time::from_us(204)) {
+            engine.request_stop();
+          }
+        };
+      }
+      const Recording recording;
+      engine.run_until(Time::from_us(700));
+      if (variant == 3) engine.run_until(Time::from_us(700));
+      logs.push_back(cohort.log);
+      chains.push_back(recording.flight.chain_hash());
+      keys.push_back(disarm_all(engine, cohort.slots));
+      order.push_back(seen + std::to_string(other.order.size()));
+    }
+    EXPECT_EQ(logs[1], logs[0]) << variant;
+    EXPECT_EQ(chains[1], chains[0]) << variant;
+    EXPECT_EQ(keys[1], keys[0]) << variant;
+    EXPECT_EQ(order[1], order[0]) << variant;
+  }
+}
+
 }  // namespace
 }  // namespace satin::sim
