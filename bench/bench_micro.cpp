@@ -288,7 +288,12 @@ constexpr double kDrawStddev = 3.5e-5;
 constexpr double kDrawLo = 0.95e-4;
 constexpr double kDrawHi = 2.6e-4;
 
+// range(1) selects the kernel flavor that twists and tempers: 0 forces
+// the base flavor, 1 runs the one draw_kernels() dispatches to. The label
+// names the flavor that ran, so a host without AVX2 shows "base" twice.
 void BM_MtBlockRefill(benchmark::State& state) {
+  namespace detail = satin::sim::detail;
+  detail::force_base_draw_kernels(state.range(1) == 0);
   satin::sim::Mt19937_64 engine(42);
   std::vector<std::uint64_t> block(
       static_cast<std::size_t>(state.range(0)));
@@ -305,8 +310,12 @@ void BM_MtBlockRefill(benchmark::State& state) {
   state.counters["allocs_per_draw"] =
       draws > 0 ? static_cast<double>(allocs) / static_cast<double>(draws)
                 : 0.0;
+  state.SetLabel(&detail::draw_kernels() == &detail::base_draw_kernels()
+                     ? "base"
+                     : "avx2");
+  detail::force_base_draw_kernels(false);
 }
-BENCHMARK(BM_MtBlockRefill)->Arg(312)->Arg(4096);
+BENCHMARK(BM_MtBlockRefill)->ArgsProduct({{312, 4096}, {0, 1}});
 
 void BM_MtPerCallDraw(benchmark::State& state) {
   satin::sim::Mt19937_64 engine(42);

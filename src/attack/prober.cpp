@@ -61,7 +61,7 @@ KProber::KProber(os::RichOs& os, KProberConfig config)
   if (probed_.empty()) {
     for (int c = 0; c < os_.platform().num_cores(); ++c) probed_.push_back(c);
   }
-  flagged_.assign(static_cast<std::size_t>(os_.platform().num_cores()), false);
+  flagged_.assign(static_cast<std::size_t>(os_.platform().num_cores()), 0);
   // Aggregate comparer read rate, for the spike-rate conversion.
   const double rounds_per_s =
       config_.mode == ProbeMode::kTimerInterrupt
@@ -135,7 +135,7 @@ void KProber::retract() {
 
 bool KProber::any_flagged() const {
   return std::any_of(flagged_.begin(), flagged_.end(),
-                     [](bool f) { return f; });
+                     [](std::uint8_t f) { return f != 0; });
 }
 
 void KProber::probe_round(hw::CoreId self, sim::Time now, bool report) {
@@ -152,10 +152,10 @@ void KProber::probe_round(hw::CoreId self, sim::Time now, bool report) {
     if (config_.staleness_observer) {
       config_.staleness_observer(core, staleness.sec());
     }
-    auto flagged = flagged_.begin() + core;
+    std::uint8_t& flagged = flagged_[static_cast<std::size_t>(core)];
     if (staleness.sec() > config_.threshold_s) {
-      if (!*flagged) {
-        *flagged = true;
+      if (flagged == 0) {
+        flagged = 1;
         ++detections_;
         // Payload carries the staleness in ps — integral, so the record is
         // bit-stable where a rounded seconds double would not be.
@@ -170,8 +170,8 @@ void KProber::probe_round(hw::CoreId self, sim::Time now, bool report) {
         if (on_detect_) on_detect_(core, now, staleness);
       }
     } else {
-      if (*flagged) {
-        *flagged = false;
+      if (flagged != 0) {
+        flagged = 0;
         SATIN_LOG(kDebug) << "kprober: core " << core << " reports again";
         if (on_clear_) on_clear_(core, now);
       } else {

@@ -96,7 +96,7 @@ class KProber {
   std::unique_ptr<SharedTimeBuffer> buffer_;
   DetectFn on_detect_;
   ClearFn on_clear_;
-  std::vector<bool> flagged_;
+  std::vector<std::uint8_t> flagged_;  // per core; bytes, not bits
   bool deployed_ = false;
   int tick_hook_id_ = 0;
   std::vector<std::uint8_t> saved_vector_bytes_;

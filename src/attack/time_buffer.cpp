@@ -18,6 +18,12 @@ sim::TruncatedNormalStream make_base_stream(
                                     mode);
 }
 
+// Checked before the slot vectors are sized from it.
+std::size_t checked_slots(int num_slots) {
+  if (num_slots <= 0) throw std::invalid_argument("SharedTimeBuffer: slots");
+  return static_cast<std::size_t>(num_slots);
+}
+
 }  // namespace
 
 SharedTimeBuffer::SharedTimeBuffer(int num_slots,
@@ -37,27 +43,17 @@ SharedTimeBuffer::SharedTimeBuffer(int num_slots,
                                     mode)),
       spike_gate_(rng.fork("bernoulli"), mode),
       spike_rng_(rng.fork("spike")),
-      last_report_(static_cast<std::size_t>(num_slots)),
-      reported_(static_cast<std::size_t>(num_slots), false) {
-  if (num_slots <= 0) throw std::invalid_argument("SharedTimeBuffer: slots");
+      last_report_(checked_slots(num_slots)),
+      reported_(checked_slots(num_slots), 0) {
   if (reads_per_second <= 0.0) {
     throw std::invalid_argument("SharedTimeBuffer: read rate");
   }
 }
 
-sim::Duration SharedTimeBuffer::observed_staleness(int slot, sim::Time now) {
-  const sim::Time reported = last_report_[static_cast<std::size_t>(slot)];
-  sim::Duration age = now >= reported ? now - reported : sim::Duration::zero();
-  // Routine visibility delay: small, always present. Use a fraction of the
-  // plateau model (the plateau also includes wake-phase geometry, which the
-  // event-driven prober exhibits organically through its real wake times).
-  double delay_s = 0.35 * base_stream_.next();
-  if (spike_gate_.next() < spike_prob_per_read_) {
-    ++spiked_reads_;
-    delay_s += std::min(model_.sample_spike_seconds(spike_rng_, probed_cores_),
-                        model_.event_spike_cap_s);
-  }
-  return age + sim::Duration::from_sec_f(delay_s);
+double SharedTimeBuffer::spike_s() {
+  ++spiked_reads_;
+  return std::min(model_.sample_spike_seconds(spike_rng_, probed_cores_),
+                  model_.event_spike_cap_s);
 }
 
 }  // namespace satin::attack

@@ -18,6 +18,7 @@
 // by contract.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "hw/timing_params.h"
@@ -38,12 +39,12 @@ class SharedTimeBuffer {
   // Time Reporter: slot's owner writes the current shared-counter value.
   void report(int slot, sim::Time now) {
     last_report_[static_cast<std::size_t>(slot)] = now;
-    reported_[static_cast<std::size_t>(slot)] = true;
+    reported_[static_cast<std::size_t>(slot)] = 1;
     ++reports_;
   }
 
   bool ever_reported(int slot) const {
-    return reported_[static_cast<std::size_t>(slot)];
+    return reported_[static_cast<std::size_t>(slot)] != 0;
   }
   sim::Time last_report(int slot) const {
     return last_report_[static_cast<std::size_t>(slot)];
@@ -51,13 +52,28 @@ class SharedTimeBuffer {
 
   // Time Comparer: how old slot's report *appears* from another core,
   // including the sampled visibility delay. A frozen reporter's staleness
-  // grows without bound — that is the detection signal.
-  sim::Duration observed_staleness(int slot, sim::Time now);
+  // grows without bound — that is the detection signal. Inline: every
+  // comparer read of every probe round lands here.
+  sim::Duration observed_staleness(int slot, sim::Time now) {
+    const sim::Time reported = last_report_[static_cast<std::size_t>(slot)];
+    const sim::Duration age =
+        now >= reported ? now - reported : sim::Duration::zero();
+    // Routine visibility delay: small, always present. Use a fraction of
+    // the plateau model (the plateau also includes wake-phase geometry,
+    // which the event-driven prober exhibits organically through its real
+    // wake times).
+    double delay_s = 0.35 * base_stream_.next();
+    if (spike_gate_.next() < spike_prob_per_read_) delay_s += spike_s();
+    return age + sim::Duration::from_sec_f(delay_s);
+  }
 
   std::uint64_t reports() const { return reports_; }
   std::uint64_t spiked_reads() const { return spiked_reads_; }
 
  private:
+  // The rare spike a read adds (counts it); out of line.
+  double spike_s();
+
   hw::CrossCoreDelayModel model_;
   double spike_prob_per_read_;
   int probed_cores_;
@@ -69,7 +85,7 @@ class SharedTimeBuffer {
   // Spike magnitudes are ~5e-6 per read: never worth batching.
   sim::Rng spike_rng_;
   std::vector<sim::Time> last_report_;
-  std::vector<bool> reported_;
+  std::vector<std::uint8_t> reported_;  // bytes: one load per read
   std::uint64_t reports_ = 0;
   std::uint64_t spiked_reads_ = 0;
 };

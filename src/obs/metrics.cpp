@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -26,16 +27,34 @@ Histogram::Histogram(std::vector<double> upper_bounds)
   if (bounds_.empty()) {
     throw std::invalid_argument("Histogram: no buckets");
   }
+  // NaN defeats the sortedness check below, and the binade table needs
+  // finite bounds.
+  if (!std::all_of(bounds_.begin(), bounds_.end(),
+                   [](double b) { return std::isfinite(b); })) {
+    throw std::invalid_argument("Histogram: bounds must be finite");
+  }
   if (!std::is_sorted(bounds_.begin(), bounds_.end()) ||
       std::adjacent_find(bounds_.begin(), bounds_.end()) != bounds_.end()) {
     throw std::invalid_argument("Histogram: bounds must strictly increase");
   }
-}
-
-void Histogram::observe(double value) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-  acc_.add(value);
+  if (!std::isnormal(bounds_.front()) || bounds_.front() < 0.0) return;
+  const auto binade_of = [](double b) {
+    return std::bit_cast<std::uint64_t>(b) >> 52;
+  };
+  first_binade_ = binade_of(bounds_.front());
+  binades_.resize(binade_of(bounds_.back()) - first_binade_ + 1);
+  std::size_t next = 0;  // bounds below the current binade
+  for (std::size_t j = 0; j < binades_.size(); ++j) {
+    Binade& b = binades_[j];
+    b = {std::numeric_limits<double>::infinity(), next};
+    if (binade_of(bounds_[next]) != first_binade_ + j) continue;
+    b.bound = bounds_[next++];
+    if (next < bounds_.size() &&
+        binade_of(bounds_[next]) == first_binade_ + j) {
+      binades_.clear();  // two bounds in one binade: search instead
+      return;
+    }
+  }
 }
 
 std::vector<double> Histogram::default_time_buckets() {

@@ -14,6 +14,8 @@
 // pointer into its own name-keyed maps.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -70,9 +72,33 @@ class Gauge {
 // moments (count/mean/min/max/stddev) ride on sim::Accumulator.
 class Histogram {
  public:
+  // Bounds must be finite and strictly increasing (throws otherwise).
   explicit Histogram(std::vector<double> upper_bounds);
 
-  void observe(double value);
+  // Inline: attack.staleness_s observes every cross-core read.
+  void observe(double value) {
+    ++counts_[bucket(value)];
+    acc_.add(value);
+  }
+
+  // The bucket observe(value) counts into: std::lower_bound's index over
+  // upper_bounds(), for every double (NaN lands in bucket 0, as there).
+  // One binade-table lookup and one compare when the bounds have a table;
+  // lower_bound itself otherwise.
+  std::size_t bucket(double value) const {
+    if (binades_.empty()) {
+      return static_cast<std::size_t>(
+          std::lower_bound(bounds_.begin(), bounds_.end(), value) -
+          bounds_.begin());
+    }
+    // NaN and everything at or below the first bound; then the overflow.
+    if (!(value > bounds_.front())) return 0;
+    if (value > bounds_.back()) return bounds_.size();
+    // A positive normal value here: its biased exponent names its binade.
+    const Binade& b =
+        binades_[(std::bit_cast<std::uint64_t>(value) >> 52) - first_binade_];
+    return b.first + static_cast<std::size_t>(value > b.bound);
+  }
 
   const std::vector<double>& upper_bounds() const { return bounds_; }
   // counts()[i] holds observations <= upper_bounds()[i] (and greater than
@@ -94,8 +120,21 @@ class Histogram {
   static std::vector<double> default_time_buckets();
 
  private:
-  std::vector<double> bounds_;   // strictly increasing
+  // One binade [2^e, 2^(e+1)): `first` bounds lie below it, and it holds
+  // at most the one bound `bound` (+inf when it holds none), so a value in
+  // it belongs to bucket first + (value > bound).
+  struct Binade {
+    double bound;
+    std::size_t first;
+  };
+
+  std::vector<double> bounds_;   // finite, strictly increasing
   std::vector<std::uint64_t> counts_;  // bounds_.size() + 1 (overflow)
+  // One entry per binade from the first bound's to the last's, built when
+  // every bound is a positive normal and no binade holds two; empty
+  // otherwise, and bucket() then searches.
+  std::vector<Binade> binades_;
+  std::uint64_t first_binade_ = 0;  // biased exponent of binades_[0]
   sim::Accumulator acc_;
 };
 

@@ -10,48 +10,21 @@
 namespace satin::sim {
 
 void Mt19937_64::refill() {
-  constexpr std::uint64_t kUpperMask = 0xFFFFFFFF80000000ull;
-  constexpr std::uint64_t kLowerMask = 0x7FFFFFFFull;
-  constexpr std::uint64_t kMatrixA = 0xB5026F5AA96619E9ull;
-  // The standard twist, split into two dependence-free passes plus the
-  // wrap-around word so the vectorizer can run both loops wide. The
-  // branchless (word & 1) * kMatrixA is value-identical to the spec's
-  // conditional xor.
-  for (unsigned k = 0; k < kStateSize - kMid; ++k) {
-    const std::uint64_t y =
-        (state_[k] & kUpperMask) | (state_[k + 1] & kLowerMask);
-    state_[k] = state_[k + kMid] ^ (y >> 1) ^ ((state_[k + 1] & 1) * kMatrixA);
-  }
-  for (unsigned k = kStateSize - kMid; k < kStateSize - 1; ++k) {
-    const std::uint64_t y =
-        (state_[k] & kUpperMask) | (state_[k + 1] & kLowerMask);
-    state_[k] =
-        state_[k - (kStateSize - kMid)] ^ (y >> 1) ^
-        ((state_[k + 1] & 1) * kMatrixA);
-  }
-  const std::uint64_t y =
-      (state_[kStateSize - 1] & kUpperMask) | (state_[0] & kLowerMask);
-  state_[kStateSize - 1] =
-      state_[kMid - 1] ^ (y >> 1) ^ ((state_[0] & 1) * kMatrixA);
+  detail::draw_kernels().twist(state_);
   next_ = 0;
 }
 
 void Mt19937_64::generate_block(result_type* out, std::size_t n) {
+  const detail::DrawKernels& k = detail::draw_kernels();
   std::size_t done = 0;
   while (done < n) {
-    if (next_ >= kStateSize) refill();
+    if (next_ >= kStateSize) {
+      k.twist(state_);
+      next_ = 0;
+    }
     const std::size_t run =
         std::min<std::size_t>(n - done, kStateSize - next_);
-    const result_type* src = state_ + next_;
-    // Pure bit ops over a contiguous run: vectorizes at this TU's -O3.
-    for (std::size_t j = 0; j < run; ++j) {
-      result_type y = src[j];
-      y ^= (y >> 29) & 0x5555555555555555ull;
-      y ^= (y << 17) & 0x71D67FFFEDA60000ull;
-      y ^= (y << 37) & 0xFFF7EEE000000000ull;
-      y ^= y >> 43;
-      out[done + j] = y;
-    }
+    k.temper(state_ + next_, out + done, run);
     next_ += static_cast<unsigned>(run);
     done += run;
   }
@@ -80,6 +53,9 @@ namespace {
 
 const DrawKernels* pick_kernels() {
 #if defined(SATIN_KERNELS_HAVE_AVX2)
+  // Idempotent; makes the query valid even from a static initializer
+  // that draws before libgcc's own constructor has run.
+  __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) return &avx2::kKernels;
 #endif
   return &base::kKernels;

@@ -16,8 +16,8 @@
 //   2. Speed. Jitter draws dominate the long benches (~672M truncated
 //      normals in one bench_satin_detection run); the inline fast path
 //      drops the per-call distribution-object and generate_canonical
-//      machinery, and the twist loop compiles in one TU where it can be
-//      vectorized.
+//      machinery, and the twist and tempering run in the dispatched draw
+//      kernels, four lanes wide on an AVX2 CPU.
 // tests/sim/rng_test.cpp locks every method to its std:: reference,
 // draw for draw, so any divergence fails loudly.
 #pragma once
@@ -67,18 +67,17 @@ class Mt19937_64 {
   }
 
   // Writes the next n draws — the exact sequence n calls of operator()
-  // would yield — produced run-wise over the state buffer so the
-  // tempering loop vectorizes (rng.cpp compiles it at -O3). The batched
-  // draw pipeline's bottom layer.
+  // would yield — tempered run-wise over the state buffer by the
+  // dispatched draw kernels. The batched draw pipeline's bottom layer.
   void generate_block(result_type* out, std::size_t n);
 
  private:
   static constexpr unsigned kStateSize = 312;
   static constexpr unsigned kMid = 156;
 
-  // Out of line on purpose: runs once per 312 draws, and rng.cpp compiles
-  // it with the vectorizer on (the twist was the hottest single function
-  // in bench_satin_detection's profile).
+  // Out of line on purpose: runs once per 312 draws, through the
+  // dispatched draw kernels' twist (the twist was the hottest single
+  // function in bench_satin_detection's profile).
   void refill();
 
   result_type state_[kStateSize];
@@ -228,8 +227,14 @@ inline constexpr std::size_t kKernelChunkPairs = 512;
 
 // One compiled flavor of the block kernels (sim/rng_kernels.inc). The
 // base flavor uses the project ISA; wider flavors are the same source
-// compiled with vector extensions enabled, selected at runtime.
+// compiled with vector extensions enabled, selected at runtime. Every
+// engine's twist runs here, so every Rng draws through the dispatch.
 struct DrawKernels {
+  // Mt19937_64's twist: regenerates its 312-word state in place.
+  void (*twist)(std::uint64_t* state);
+  // Mt19937_64's tempering of n consecutive state words into n draws.
+  void (*temper)(const std::uint64_t* state, std::uint64_t* out,
+                 std::size_t n);
   // Fills out[0..n) with canonical [0,1) draws, one engine draw each.
   void (*canonical_block)(Mt19937_64& eng, double* out, std::size_t n);
   // Consumes `pairs` canonical pairs and appends, at out[count..], the

@@ -6,20 +6,6 @@
 
 namespace satin::sim {
 
-void Accumulator::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
 void Accumulator::merge(const Accumulator& other) {
   if (other.count_ == 0) return;
   if (count_ == 0) {

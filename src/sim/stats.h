@@ -5,6 +5,7 @@
 // (Fig. 7). These helpers compute exactly those shapes.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -14,7 +15,20 @@ namespace satin::sim {
 // Streaming accumulator: count, mean (Welford), min, max, variance.
 class Accumulator {
  public:
-  void add(double x);
+  // Inline: the attack.staleness_s histogram adds every cross-core read.
+  void add(double x) {
+    if (count_ == 0) {
+      min_ = max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++count_;
+    sum_ += x;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+  }
 
   // Combines another accumulator into this one (Chan et al. parallel
   // Welford). The result depends only on the two operands and their

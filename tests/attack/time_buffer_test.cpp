@@ -115,6 +115,9 @@ TEST(SharedTimeBuffer, Validation) {
   const auto m = model();
   EXPECT_THROW(SharedTimeBuffer(0, m, sim::Rng(1), 1000.0, 6),
                std::invalid_argument);
+  // Checked before the slot vectors are sized, so not a length_error.
+  EXPECT_THROW(SharedTimeBuffer(-1, m, sim::Rng(1), 1000.0, 6),
+               std::invalid_argument);
   EXPECT_THROW(SharedTimeBuffer(6, m, sim::Rng(1), 0.0, 6),
                std::invalid_argument);
 }

@@ -5,7 +5,13 @@
 // and digest state verbatim.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 
 #include <unistd.h>
@@ -103,6 +109,49 @@ TEST(MetricsIo, CorruptFileNeverHalfApplies) {
     const std::string before = target.to_json(true);
     EXPECT_FALSE(target.load_merge_binary(path, &error)) << "keep=" << keep;
     EXPECT_EQ(target.to_json(true), before) << "keep=" << keep;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(MetricsIo, NonFiniteHistogramBoundIsRejected) {
+  // A file whose histogram carries a NaN or infinite bound is corrupt: it
+  // fails whole and leaves the registry as it was.
+  const std::string path = temp_path("nan_bound");
+  MetricsRegistry original;
+  original.histogram("h.lat", {0.5, 1.75, 3.0}).observe(1.0);
+  std::string error;
+  ASSERT_TRUE(original.save_binary(path, &error)) << error;
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  auto le_bytes = [](double v) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+    std::string out;
+    for (int i = 0; i < 8; ++i) out += static_cast<char>(bits >> (8 * i));
+    return out;
+  };
+  const std::string bound = le_bytes(1.75);
+  const std::size_t at = bytes.find(bound);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(bound, at + 1), std::string::npos);
+
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::string patched = bytes;
+    patched.replace(at, 8, le_bytes(bad));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+    }
+    MetricsRegistry target;
+    target.counter("pre.existing").inc(7);
+    target.histogram("h.lat").observe(2.0);
+    const std::string before = target.to_json(true);
+    EXPECT_FALSE(target.load_merge_binary(path, &error)) << bad;
+    EXPECT_NE(error.find("finite"), std::string::npos) << error;
+    EXPECT_EQ(target.to_json(true), before) << bad;
   }
   std::remove(path.c_str());
 }

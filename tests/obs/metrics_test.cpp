@@ -3,12 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace satin::obs {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(JsonEscapeTest, EscapesSpecialCharacters) {
   EXPECT_EQ(json_escape("plain"), "plain");
@@ -51,6 +59,158 @@ TEST(HistogramTest, RejectsEmptyOrNonIncreasingBounds) {
   EXPECT_THROW(Histogram({}), std::invalid_argument);
   EXPECT_THROW(Histogram({1.0, 1.0}), std::invalid_argument);
   EXPECT_THROW(Histogram({2.0, 1.0}), std::invalid_argument);
+  // Non-finite bounds: NaN slips past a sortedness check made with <.
+  EXPECT_THROW(Histogram({kNaN}), std::invalid_argument);
+  EXPECT_THROW(Histogram({1.0, kNaN, 3.0}), std::invalid_argument);
+  EXPECT_THROW(Histogram({1.0, kInf}), std::invalid_argument);
+  EXPECT_THROW(Histogram({-kInf, 1.0}), std::invalid_argument);
+}
+
+// The values a bucket lookup must agree with lower_bound on: the bounds
+// and their neighbours, binade edges, zeros, subnormals, infinities, NaNs
+// of both signs, negatives, and a spread of random doubles.
+std::vector<double> adversarial_values(const std::vector<double>& bounds) {
+  std::vector<double> v = {kNaN,
+                           -kNaN,
+                           0.0,
+                           -0.0,
+                           kInf,
+                           -kInf,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::min() / 3.0,
+                           std::numeric_limits<double>::min(),
+                           std::numeric_limits<double>::max(),
+                           -std::numeric_limits<double>::max(),
+                           -1.0,
+                           1.0};
+  for (const double b : bounds) {
+    for (const double x : {b, -b, 2.0 * b, 0.5 * b}) {
+      v.push_back(x);
+      v.push_back(std::nextafter(x, kInf));
+      v.push_back(std::nextafter(x, -kInf));
+    }
+    // The edges of the bound's binade.
+    const double low = std::exp2(std::floor(std::log2(b)));
+    for (const double x : {low, 2.0 * low}) {
+      v.push_back(x);
+      v.push_back(std::nextafter(x, kInf));
+      v.push_back(std::nextafter(x, -kInf));
+    }
+  }
+  std::mt19937_64 gen(17);
+  for (int i = 0; i < 20000; ++i) {
+    const double x = std::bit_cast<double>(gen());
+    if (!std::isnan(x)) v.push_back(x);  // NaNs are covered above
+  }
+  return v;
+}
+
+std::size_t reference_bucket(const std::vector<double>& bounds, double x) {
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), x) - bounds.begin());
+}
+
+TEST(HistogramTest, BucketLookupMatchesLowerBoundForEveryDouble) {
+  const std::vector<std::vector<double>> sets = {
+      Histogram::default_time_buckets(),
+      {1.0},                // one bound
+      {1.0, 1.5, 8.0},      // 1 and 1.5 share a binade: searched
+      {0.75, 1.0, 3.5},     // adjacent binades, one bound each
+      {1e-300, 1e300},      // a table spanning ~2000 binades
+      {-2.0, 0.0, 2.0},     // non-positive bounds: searched
+      {std::numeric_limits<double>::denorm_min(), 1.0},  // subnormal bound
+      {std::numeric_limits<double>::min(),
+       std::numeric_limits<double>::max()},
+  };
+  for (const auto& bounds : sets) {
+    const Histogram h(bounds);
+    for (const double x : adversarial_values(bounds)) {
+      ASSERT_EQ(h.bucket(x), reference_bucket(bounds, x))
+          << "value " << x << " (0x" << std::hex
+          << std::bit_cast<std::uint64_t>(x) << std::dec << "), bounds "
+          << bounds.front() << ".." << bounds.back();
+    }
+  }
+}
+
+// The moments fold as it was before it went inline: an out-of-line
+// Welford update, operation for operation.
+struct ReferenceMoments {
+  std::uint64_t count = 0;
+  double mean = 0.0, m2 = 0.0, min = 0.0, max = 0.0, sum = 0.0;
+
+  [[gnu::noinline]] void add(double x) {
+    if (count == 0) {
+      min = max = x;
+    } else {
+      min = std::min(min, x);
+      max = std::max(max, x);
+    }
+    ++count;
+    sum += x;
+    const double delta = x - mean;
+    mean += delta / static_cast<double>(count);
+    m2 += delta * (x - mean);
+  }
+};
+
+// Bit equality, except that any two NaNs match: a NaN's payload after
+// NaN + NaN is whichever operand the compiler put first in a commutative
+// add, which neither fold pins.
+::testing::AssertionResult SameDouble(const char* what, double want,
+                                      double got) {
+  if (std::bit_cast<std::uint64_t>(want) == std::bit_cast<std::uint64_t>(got) ||
+      (std::isnan(want) && std::isnan(got))) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << what << ": want " << want
+                                       << ", got " << got;
+}
+
+void ExpectFoldMatchesReference(const std::vector<double>& values) {
+  const std::vector<double> bounds = Histogram::default_time_buckets();
+  Histogram h(bounds);
+  std::vector<std::uint64_t> counts(bounds.size() + 1, 0);
+  ReferenceMoments ref;
+  for (const double x : values) {
+    h.observe(x);
+    ++counts[reference_bucket(bounds, x)];
+    ref.add(x);
+  }
+  EXPECT_EQ(h.counts(), counts);
+  const sim::Accumulator::State s = h.moments().state();
+  EXPECT_EQ(s.count, ref.count);
+  EXPECT_TRUE(SameDouble("mean", ref.mean, s.mean));
+  EXPECT_TRUE(SameDouble("m2", ref.m2, s.m2));
+  EXPECT_TRUE(SameDouble("min", ref.min, s.min));
+  EXPECT_TRUE(SameDouble("max", ref.max, s.max));
+  EXPECT_TRUE(SameDouble("sum", ref.sum, s.sum));
+}
+
+TEST(HistogramTest, ObserveFoldMatchesLowerBoundAndOutOfLineWelford) {
+  // Staleness-like reads: a ~0.35 * 155 us visibility delay on a report
+  // up to 200 us old, with a rare millisecond spike.
+  std::mt19937_64 gen(23);
+  std::normal_distribution<double> delay(0.35 * 1.55e-4, 0.35 * 3.5e-5);
+  std::uniform_real_distribution<double> age(0.0, 2.0e-4);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<double> reads;
+  for (int i = 0; i < 200000; ++i) {
+    double x = age(gen) + std::max(0.0, delay(gen));
+    if (unit(gen) < 1e-3) x += 1.3e-3 * unit(gen);
+    reads.push_back(x);
+  }
+  ExpectFoldMatchesReference(reads);
+  // Adversarial values: those small enough that no field overflows (so
+  // every field stays finite and is compared bit for bit), then all.
+  std::vector<double> finite;
+  for (const double x : adversarial_values(Histogram::default_time_buckets())) {
+    if (std::abs(x) < 1e150) finite.push_back(x);
+  }
+  ExpectFoldMatchesReference(finite);
+  ExpectFoldMatchesReference(
+      adversarial_values(Histogram::default_time_buckets()));
 }
 
 TEST(HistogramTest, DefaultTimeBucketsCoverPaperTimescales) {

@@ -2,12 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <random>
 #include <set>
 
 namespace satin::sim {
 namespace {
+
+// Forces the base kernel flavor (or keeps CPU dispatch) for one scope, and
+// restores CPU dispatch on the way out, also out of a failed ASSERT.
+class KernelFlavor {
+ public:
+  explicit KernelFlavor(bool base) { detail::force_base_draw_kernels(base); }
+  ~KernelFlavor() { detail::force_base_draw_kernels(false); }
+  KernelFlavor(const KernelFlavor&) = delete;
+  KernelFlavor& operator=(const KernelFlavor&) = delete;
+};
+
+const char* flavor_name(bool base) { return base ? "base" : "dispatched"; }
 
 // Bit-level equality: the draw path promises to replicate the libstdc++
 // facilities it replaced exactly, not merely approximately.
@@ -163,14 +176,20 @@ double ref_lognormal(std::mt19937_64& eng, double mu, double sigma) {
 }
 
 TEST(RngDifferential, EngineStreamMatchesStdMt19937_64) {
-  // 100k draws crosses the 312-word twist boundary hundreds of times.
-  for (const std::uint64_t seed :
-       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
-        std::uint64_t{0xDEADBEEFCAFEBABEull}, ~std::uint64_t{0}}) {
-    std::mt19937_64 ref(seed);
-    Mt19937_64 ours(seed);
-    for (int i = 0; i < 100000; ++i) {
-      ASSERT_EQ(ref(), ours()) << "seed " << seed << " draw " << i;
+  // The twist runs in the dispatched kernel flavor, so the stream is
+  // checked under it and under the forced base flavor: five seeds of 400k
+  // draws each, 2M per flavor, crossing the 312-word twist ~6,400 times.
+  for (const bool base : {false, true}) {
+    const KernelFlavor flavor(base);
+    for (const std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+          std::uint64_t{0xDEADBEEFCAFEBABEull}, ~std::uint64_t{0}}) {
+      std::mt19937_64 ref(seed);
+      Mt19937_64 ours(seed);
+      for (int i = 0; i < 400000; ++i) {
+        ASSERT_EQ(ref(), ours()) << flavor_name(base) << " flavor, seed "
+                                 << seed << " draw " << i;
+      }
     }
   }
 }
@@ -377,32 +396,53 @@ TEST(RngBatched, TruncatedNormalNearClampBoundaryMatchesScalar) {
 TEST(RngBatched, DispatchedKernelsMatchBaseFlavor) {
   // On hosts where draw_kernels() resolves to a wider ISA flavor, this is
   // the cross-ISA bit-identity check; where it resolves to base it is a
-  // tautology, and the real check runs on the wide CI host.
-  std::vector<double> wide, base;
-  {
+  // tautology, and the real check runs on the wide CI host. Besides the
+  // two streams it covers the engine's own twist and tempering: per-call
+  // draws and blocks of every length from 1022 down to 973.
+  const auto draw = [] {
+    std::vector<std::uint64_t> bits;
     TruncatedNormalStream s(Rng(67), 1.55e-4, 3.5e-5, 0.95e-4, 2.6e-4,
                             DrawMode::kBatched);
     CanonicalStream c(Rng(71), DrawMode::kBatched);
+    Mt19937_64 e(83);
     for (int i = 0; i < 30000; ++i) {
-      wide.push_back(s.next());
-      wide.push_back(c.next());
+      bits.push_back(std::bit_cast<std::uint64_t>(s.next()));
+      bits.push_back(std::bit_cast<std::uint64_t>(c.next()));
+      bits.push_back(e());
     }
-  }
-  detail::force_base_draw_kernels(true);
+    std::vector<std::uint64_t> block(1022);
+    for (std::size_t n = block.size(); n > 972; --n) {
+      e.generate_block(block.data(), n);
+      bits.insert(bits.end(), block.begin(), block.begin() + n);
+    }
+    return bits;
+  };
+  const std::vector<std::uint64_t> wide = draw();
+  std::vector<std::uint64_t> base;
   {
-    TruncatedNormalStream s(Rng(67), 1.55e-4, 3.5e-5, 0.95e-4, 2.6e-4,
-                            DrawMode::kBatched);
-    CanonicalStream c(Rng(71), DrawMode::kBatched);
-    for (int i = 0; i < 30000; ++i) {
-      base.push_back(s.next());
-      base.push_back(c.next());
-    }
+    const KernelFlavor flavor(true);
+    base = draw();
   }
-  detail::force_base_draw_kernels(false);
   ASSERT_EQ(wide.size(), base.size());
   for (std::size_t i = 0; i < wide.size(); ++i) {
-    ASSERT_TRUE(BitsEqual(wide[i], base[i])) << "draw " << i;
+    ASSERT_EQ(wide[i], base[i]) << "draw " << i;
   }
+}
+
+TEST(RngBatched, DispatchPicksAvx2ExactlyWhenTheCpuHasIt) {
+  // A silent fallback to the base flavor would keep every output
+  // identical, so no identity test could catch it; this one does.
+#if defined(SATIN_KERNELS_HAVE_AVX2)
+  const bool avx2 = __builtin_cpu_supports("avx2");
+#else
+  const bool avx2 = false;
+#endif
+  EXPECT_EQ(&detail::draw_kernels() != &detail::base_draw_kernels(), avx2);
+  {
+    const KernelFlavor flavor(true);
+    EXPECT_EQ(&detail::draw_kernels(), &detail::base_draw_kernels());
+  }
+  EXPECT_EQ(&detail::draw_kernels() != &detail::base_draw_kernels(), avx2);
 }
 
 TEST(RngBatched, ScalarStreamLeavesEngineIdenticalToDirectCalls) {
@@ -419,19 +459,40 @@ TEST(RngBatched, ScalarStreamLeavesEngineIdenticalToDirectCalls) {
 }
 
 TEST(RngBatched, EngineGenerateBlockMatchesPerCallDraws) {
-  Mt19937_64 a(79), b(79);
-  std::vector<std::uint64_t> block(10007);  // prime: ragged twist overlap
-  a.generate_block(block.data(), block.size());
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    ASSERT_EQ(block[i], b()) << "draw " << i;
+  // Under each kernel flavor: engine a draws in blocks, engine b per call,
+  // and both must equal std::mt19937_64.
+  for (const bool base : {false, true}) {
+    const KernelFlavor flavor(base);
+    Mt19937_64 a(79), b(79);
+    std::mt19937_64 ref(79);
+    std::vector<std::uint64_t> block(10007);  // prime: ragged twist overlap
+    a.generate_block(block.data(), block.size());
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      const std::uint64_t want = ref();
+      ASSERT_EQ(block[i], want) << flavor_name(base) << " draw " << i;
+      ASSERT_EQ(b(), want) << flavor_name(base) << " draw " << i;
+    }
+    // Mixed consumption on one engine: odd block lengths that start and
+    // end at shifting offsets of the twist, with 0-2 per-call draws
+    // between blocks.
+    const std::size_t lengths[] = {1, 3, 311, 312, 313, 625, 7, 1249};
+    for (std::size_t round = 0; round < 600; ++round) {
+      block.resize(lengths[round % 8] + round % 5);
+      a.generate_block(block.data(), block.size());
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        const std::uint64_t want = ref();
+        ASSERT_EQ(block[i], want)
+            << flavor_name(base) << " round " << round << " draw " << i;
+        ASSERT_EQ(b(), want);
+      }
+      for (std::size_t k = 0; k < round % 3; ++k) {
+        const std::uint64_t want = ref();
+        ASSERT_EQ(a(), want) << flavor_name(base) << " round " << round;
+        ASSERT_EQ(b(), want);
+      }
+    }
+    ASSERT_EQ(a(), ref());
   }
-  // Mixed consumption: alternate blocks and single draws on one engine.
-  std::vector<std::uint64_t> tail(313);
-  a.generate_block(tail.data(), tail.size());
-  for (std::size_t i = 0; i < tail.size(); ++i) {
-    ASSERT_EQ(tail[i], b()) << "tail draw " << i;
-  }
-  ASSERT_EQ(a(), b());
 }
 
 }  // namespace
