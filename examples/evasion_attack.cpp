@@ -4,18 +4,17 @@
 // at randomized times — the strongest pre-SATIN configuration. TZ-Evader
 // senses every secure-world entry through the core-availability side
 // channel and hides its traces while the scan is still crawling toward
-// them. Run with -v for the play-by-play narration.
+// them. Record the play-by-play with --flight= and draw it with
+// `satin_flightool chrome` (or list it with `satin_flightool dump`).
 //
-//   $ ./examples/evasion_attack [-v] [--flight=out.flt] [--faults=<spec>]
+//   $ ./examples/evasion_attack [--flight=out.flt] [--faults=<spec>]
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/satin.h"
 #include "fault/injector.h"
 #include "obs/session.h"
 #include "scenario/experiments.h"
-#include "sim/log.h"
 
 int main(int argc, char** argv) {
   using namespace satin;
@@ -23,12 +22,8 @@ int main(int argc, char** argv) {
   scenario::Scenario system;
   obs::ObsSession obs(argc, argv);
   const std::string faults = obs::take_flag(argc, argv, "faults");
-  const bool verbose = argc > 1 && std::strcmp(argv[1], "-v") == 0;
-  if (satin::obs::reject_unconsumed_args(argc, argv, verbose ? 2 : 1)) {
-    return 2;
-  }
+  if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   const auto injector = fault::install_from_spec(system.platform(), faults);
-  if (verbose) sim::set_log_level(sim::LogLevel::kInfo);
   scenario::DuelConfig duel;
   duel.satin = core::make_pkm_baseline_config(/*period_s=*/4.0,
                                               /*random_core=*/true,

@@ -9,8 +9,12 @@
 // (confirmed tamper), every injected bit-flip classifies transient, and
 // no benign area is ever confirmed tampered.
 //
-//   $ ./examples/fault_storm [-v] [--replicas=N] [--jobs=J]
+//   $ ./examples/fault_storm [--replicas=N] [--jobs=J]
 //                            [--flight=out.flt] [--faults=<spec>]
+//
+// Every fault, alarm, watchdog re-arm and core drop is a flight record:
+// draw a --flight= recording with `satin_flightool chrome` (or list it
+// with `satin_flightool dump`).
 //
 // Pass --faults=<spec> to replace the built-in storm (see src/fault/plan.h
 // for the spec grammar). An empty --faults= reads the same as no flag and
@@ -22,13 +26,11 @@
 #include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "fault/injector.h"
 #include "obs/session.h"
 #include "scenario/experiments.h"
-#include "sim/log.h"
 #include "sim/parallel.h"
 
 namespace {
@@ -61,9 +63,7 @@ int main(int argc, char** argv) {
   const auto jobs = obs::take_whole_number(argc, argv, "jobs", 0, INT_MAX);
   const std::size_t replicas =
       obs::take_whole_number(argc, argv, "replicas", 1, SIZE_MAX).value_or(1);
-  const bool verbose = argc > 1 && std::strcmp(argv[1], "-v") == 0;
-  if (obs::reject_unconsumed_args(argc, argv, verbose ? 2 : 1)) return 2;
-  if (verbose) sim::set_log_level(sim::LogLevel::kInfo);
+  if (obs::reject_unconsumed_args(argc, argv)) return 2;
   const bool custom_spec = !faults.empty();
   const std::string spec0 =
       custom_spec ? faults : "seed=9," + std::string(kDefaultStormBody);

@@ -4,17 +4,16 @@
 // Every wake-up scans one sub-bound area on a randomly assigned core at a
 // randomized time. The evader still notices each entry — but by the time
 // its recovery finishes (~8 ms), the area containing its traces has been
-// fully hashed. Run with -v for the narration.
+// fully hashed. Record the play-by-play with --flight= and draw it with
+// `satin_flightool chrome` (or list it with `satin_flightool dump`).
 //
-//   $ ./examples/satin_defense [-v] [--flight=out.flt] [--faults=<spec>]
+//   $ ./examples/satin_defense [--flight=out.flt] [--faults=<spec>]
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "fault/injector.h"
 #include "obs/session.h"
 #include "scenario/experiments.h"
-#include "sim/log.h"
 
 int main(int argc, char** argv) {
   using namespace satin;
@@ -22,12 +21,8 @@ int main(int argc, char** argv) {
   scenario::Scenario system;
   obs::ObsSession obs(argc, argv);
   const std::string faults = obs::take_flag(argc, argv, "faults");
-  const bool verbose = argc > 1 && std::strcmp(argv[1], "-v") == 0;
-  if (satin::obs::reject_unconsumed_args(argc, argv, verbose ? 2 : 1)) {
-    return 2;
-  }
+  if (satin::obs::reject_unconsumed_args(argc, argv)) return 2;
   const auto injector = fault::install_from_spec(system.platform(), faults);
-  if (verbose) sim::set_log_level(sim::LogLevel::kInfo);
   scenario::DuelConfig duel;
   duel.satin.tgoal_s = 57.0;  // tp = 3 s for a brisk demo
   duel.rounds_target = 57;    // three full kernel cycles

@@ -4,7 +4,6 @@
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "sim/log.h"
 
 namespace satin::attack {
 
@@ -54,8 +53,6 @@ void TzEvader::on_detect(hw::CoreId core, sim::Time when,
   SATIN_FLIGHT_RECORD(obs::FlightKind::kEvasion, when, evasions_ - 1, core,
                       static_cast<std::uint64_t>(staleness.ps()));
   SATIN_METRIC_INC("attack.evasions");
-  SATIN_LOG(kInfo) << "tz-evader: hiding traces (core " << core
-                   << " flagged at " << when.to_string() << ")";
   // The recovery may outlive a short introspection round; re-arm once it
   // completes if the coast has cleared meanwhile.
   rootkit_.begin_recovery(cleanup_core_type(core), [this] { try_rearm(); });
@@ -81,8 +78,6 @@ void TzEvader::try_rearm() {
                             os_.platform().engine().now(), rearms_ - 1,
                             obs::kGlobalTrack, 0);
         SATIN_METRIC_INC("attack.rearms");
-        SATIN_LOG(kInfo) << "tz-evader: re-armed at "
-                         << os_.platform().engine().now().to_string();
       });
 }
 

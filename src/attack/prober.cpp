@@ -5,7 +5,6 @@
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "sim/log.h"
 
 namespace satin::attack {
 
@@ -164,15 +163,11 @@ void KProber::probe_round(hw::CoreId self, sim::Time now, bool report) {
         SATIN_METRIC_INC("attack.detections");
         SATIN_METRIC_DIGEST_OBSERVE("attack.detection_staleness_s",
                                     staleness.sec());
-        SATIN_LOG(kDebug) << "kprober: core " << core
-                          << " looks secure-world-held (staleness "
-                          << staleness.to_string() << ")";
         if (on_detect_) on_detect_(core, now, staleness);
       }
     } else {
       if (flagged != 0) {
         flagged = 0;
-        SATIN_LOG(kDebug) << "kprober: core " << core << " reports again";
         if (on_clear_) on_clear_(core, now);
       } else {
         max_benign_s_ = std::max(max_benign_s_, staleness.sec());

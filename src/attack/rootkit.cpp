@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "os/system_map.h"
-#include "sim/log.h"
 
 namespace satin::attack {
 
@@ -51,8 +50,6 @@ void Rootkit::install() {
   }
   installed_ = true;
   ++installs_;
-  SATIN_LOG(kDebug) << "rootkit: installed " << trace_bytes()
-                    << " malicious bytes at " << now.to_string();
 }
 
 void Rootkit::begin_recovery(hw::CoreType type, std::function<void()> done) {
@@ -89,8 +86,6 @@ void Rootkit::begin_recovery(hw::CoreType type, std::function<void()> done) {
           recovering_ = false;
           installed_ = false;
           ++recoveries_;
-          SATIN_LOG(kDebug) << "rootkit: traces removed at "
-                            << os_.platform().engine().now().to_string();
           if (done) done();
         }
       });

@@ -1,10 +1,12 @@
 #include "campaign/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 namespace satin::campaign {
 
@@ -31,19 +33,32 @@ double JsonValue::as_number(const std::string& where) const {
   return number_;
 }
 
-std::int64_t JsonValue::as_int(const std::string& where) const {
+template <typename Int>
+Int JsonValue::as_integer(const std::string& where,
+                          const char* expected) const {
   const double v = as_number(where);
-  if (std::nearbyint(v) != v || v < -9.2233720368547758e18 ||
-      v > 9.2233720368547758e18) {
-    fail(where + ": expected an integer");
+  Int out = 0;
+  const char* last = string_.data() + string_.size();
+  const auto [end, ec] = std::from_chars(string_.data(), last, out);
+  if (ec == std::errc() && end == last) return out;
+  if (ec == std::errc::result_out_of_range) {
+    fail(where + ": " + string_ + " is out of range");
   }
-  return static_cast<std::int64_t>(v);
+  // A fraction, an exponent, or a '-' an unsigned read refuses: the
+  // double holds every integer up to 2^53 exactly.
+  if (std::nearbyint(v) != v || std::fabs(v) > 0x1p53 ||
+      (std::is_unsigned_v<Int> && v < 0.0)) {
+    fail(where + ": expected " + expected);
+  }
+  return static_cast<Int>(v);
+}
+
+std::int64_t JsonValue::as_int(const std::string& where) const {
+  return as_integer<std::int64_t>(where, "an integer");
 }
 
 std::uint64_t JsonValue::as_uint(const std::string& where) const {
-  const std::int64_t v = as_int(where);
-  if (v < 0) fail(where + ": expected a non-negative integer");
-  return static_cast<std::uint64_t>(v);
+  return as_integer<std::uint64_t>(where, "a non-negative integer");
 }
 
 const std::string& JsonValue::as_string(const std::string& where) const {
@@ -182,7 +197,7 @@ class JsonParser {
     if (c == '-' || (c >= '0' && c <= '9')) {
       JsonValue v = make_value(line, col);
       v.kind_ = JsonValue::Kind::kNumber;
-      v.number_ = parse_number();
+      v.number_ = parse_number(v.string_);
       return v;
     }
     fail(std::string("unexpected character '") + c + "'");
@@ -197,7 +212,7 @@ class JsonParser {
     }
   }
 
-  double parse_number() {
+  double parse_number(std::string& token) {
     const std::size_t start = pos_;
     if (!at_end() && peek() == '-') advance();
     while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) {
@@ -216,7 +231,7 @@ class JsonParser {
         advance();
       }
     }
-    const std::string token = text_.substr(start, pos_ - start);
+    token = text_.substr(start, pos_ - start);
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end == token.c_str() || *end != '\0') {

@@ -39,7 +39,10 @@ class JsonValue {
 
   // Typed accessors; throw JsonError (with this value's position) on a
   // kind mismatch. `where` names the value in the message, e.g.
-  // "platform.num_little".
+  // "platform.num_little". as_int and as_uint convert an integer literal
+  // exactly over the full 64-bit range and name one outside it; a literal
+  // with a fraction or an exponent ("8.0") converts when its value is an
+  // integer of magnitude at most 2^53.
   bool as_bool(const std::string& where) const;
   double as_number(const std::string& where) const;
   std::int64_t as_int(const std::string& where) const;
@@ -64,10 +67,13 @@ class JsonValue {
  private:
   friend class JsonParser;
 
+  template <typename Int>
+  Int as_integer(const std::string& where, const char* expected) const;
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0.0;
-  std::string string_;
+  std::string string_;  // a string's text, or a number's literal token
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
   int line_ = 0;

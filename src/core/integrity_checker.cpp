@@ -8,7 +8,6 @@
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
 #include "secure/pristine_base.h"
-#include "sim/log.h"
 
 namespace satin::core {
 
@@ -106,9 +105,6 @@ void IntegrityChecker::run_attempt(
           SATIN_METRIC_INC("satin.retries");
           SATIN_FLIGHT_RECORD(obs::FlightKind::kRetry, scan.scan_end, retries_,
                               core, static_cast<std::uint64_t>(area));
-          SATIN_LOG(kDebug) << "integrity: mismatch on area " << area
-                            << ", rescan " << (attempt + 1) << "/"
-                            << max_retries_;
           run_attempt(core, area, attempt + 1, std::move(done));
           return;
         }
@@ -143,12 +139,8 @@ void IntegrityChecker::run_attempt(
           if (kind == AlarmKind::kTransient) {
             ++transient_alarms_;
             SATIN_METRIC_INC("satin.transient_alarms");
-            SATIN_LOG(kInfo) << "integrity: transient alarm on area " << area
-                             << " cleared after " << attempt << " rescan(s)";
           } else {
             ++confirmed_alarms_;
-            SATIN_LOG(kInfo) << "integrity: ALARM area " << area << " on core "
-                             << core << " at " << scan.scan_end.to_string();
           }
         }
         done(outcome);

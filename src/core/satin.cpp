@@ -4,7 +4,6 @@
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "sim/log.h"
 
 namespace satin::core {
 
@@ -88,8 +87,6 @@ void Satin::start() {
         now + tp_ * config_.resilience.watchdog_period_tp,
         [this] { watchdog_tick(); });
   }
-  SATIN_LOG(kInfo) << "satin: started, m=" << area_count()
-                   << " areas, tp=" << tp_.to_string();
 }
 
 void Satin::stop() {
@@ -124,8 +121,6 @@ void Satin::on_session(std::shared_ptr<hw::SecureSession> session) {
   SATIN_FLIGHT_RECORD(obs::FlightKind::kRound, platform_.engine().now(),
                       round - 1, core, static_cast<std::uint64_t>(area));
   SATIN_METRIC_INC("satin.rounds");
-  SATIN_LOG(kDebug) << "satin: round " << round << " scans area " << area
-                    << " on core " << core;
   checker_.check_area_async(
       core, area, [this, session = std::move(session), round,
                    area](const CheckOutcome& outcome) {
@@ -190,8 +185,6 @@ void Satin::watchdog_tick() {
         SATIN_FLIGHT_RECORD(obs::FlightKind::kCoreState, now, 0, c,
                             obs::core_state_payload(
                                 obs::FlightCoreState::kSatinDropped));
-        SATIN_LOG(kInfo) << "satin: core " << c
-                         << " offline, redistributing its rounds";
       }
       continue;
     }
@@ -208,7 +201,6 @@ void Satin::watchdog_tick() {
       SATIN_FLIGHT_RECORD(obs::FlightKind::kCoreState, now, 0, c,
                           obs::core_state_payload(
                               obs::FlightCoreState::kSatinResorbed));
-      SATIN_LOG(kInfo) << "satin: core " << c << " back online, resorbed";
       continue;
     }
     if (core.in_secure_world()) continue;  // a round is in flight
@@ -224,7 +216,6 @@ void Satin::watchdog_tick() {
       SATIN_FLIGHT_RECORD(obs::FlightKind::kCoreState, now, 0, c,
                           obs::core_state_payload(
                               obs::FlightCoreState::kWatchdogRearm));
-      SATIN_LOG(kInfo) << "satin: watchdog re-arms overdue core " << c;
     }
   }
   platform_.engine().schedule_at(

@@ -4,7 +4,6 @@
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "sim/log.h"
 
 namespace satin::fault {
 
@@ -31,7 +30,6 @@ void FaultInjector::arm() {
         break;  // seam-driven kinds need no scheduling
     }
   }
-  SATIN_LOG(kInfo) << "fault: armed plan " << plan_.to_string();
 }
 
 void FaultInjector::disarm() {
@@ -57,8 +55,6 @@ void FaultInjector::note(FaultKind kind, int core) {
   if (obs::MetricsRegistry* metrics = obs::metrics()) {
     metrics->counter(std::string("fault.") + to_string(kind)).inc();
   }
-  SATIN_LOG(kDebug) << "fault: inject " << to_string(kind)
-                    << (core >= 0 ? " on core " + std::to_string(core) : "");
 }
 
 bool FaultInjector::triggers(const FaultSpec& spec, FaultKind kind,

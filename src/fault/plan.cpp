@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -177,7 +178,13 @@ std::string FaultSpec::to_string() const {
       << format_duration(start - sim::Time::zero()) << "+"
       << format_duration(duration);
   if (core != kAnyCore) out << ":core=" << core;
-  if (probability != 1.0) out << ":p=" << probability;
+  if (probability != 1.0) {
+    // The shortest form that reads back as the same double: a stream's
+    // default six digits would round p=0.123456789 to 0.123457.
+    char buf[32];
+    const auto printed = std::to_chars(buf, buf + sizeof(buf), probability);
+    out << ":p=" << std::string(buf, printed.ptr);
+  }
   if (kind == FaultKind::kTimerDrift) {
     out << ":drift=" << format_duration(drift);
   }

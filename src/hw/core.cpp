@@ -6,7 +6,6 @@
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "sim/log.h"
 
 namespace satin::hw {
 
@@ -43,8 +42,6 @@ void Core::set_online(bool online, sim::Time when) {
   } else {
     SATIN_METRIC_INC("hw.core_offline");
   }
-  SATIN_LOG(kInfo) << name() << (online ? " comes online" : " goes offline")
-                   << " at " << when.to_string();
 }
 
 std::string Core::name() const {
@@ -70,8 +67,6 @@ void Core::enter_secure(sim::Time when) {
   secure_entry_time_ = when;
   ++secure_entries_;
   SATIN_METRIC_INC("hw.secure_entries");
-  SATIN_LOG(kDebug) << name() << " enters secure world at "
-                    << when.to_string();
   for (WorldListener* l : listeners_) l->on_secure_entry(id_, when);
 }
 
@@ -83,8 +78,6 @@ void Core::exit_secure(sim::Time when) {
   world_ = World::kNormal;
   secure_total_ += when - secure_entry_time_;
   SATIN_METRIC_OBSERVE("hw.secure_stay_s", (when - secure_entry_time_).sec());
-  SATIN_LOG(kDebug) << name() << " returns to normal world at "
-                    << when.to_string();
   notifying_exit_ = true;
   for (WorldListener* l : listeners_) l->on_secure_exit(id_, when);
   notifying_exit_ = false;

@@ -4,7 +4,6 @@
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "sim/log.h"
 
 namespace satin::hw {
 
@@ -44,8 +43,6 @@ void InterruptController::raise(CoreId core, IrqId irq) {
                             obs::FlightCoreState::kIrqDroppedOffline,
                             static_cast<std::uint64_t>(irq)));
     SATIN_METRIC_INC("hw.irqs_dropped_offline");
-    SATIN_LOG(kDebug) << "gic: drop irq " << static_cast<int>(irq)
-                      << " to offline core " << core;
     return;
   }
   // Fault seam: a secure-group IRQ can be lost between the distributor and
@@ -53,8 +50,6 @@ void InterruptController::raise(CoreId core, IrqId irq) {
   if (fault_hooks_ != nullptr && group == IrqGroup::kSecure &&
       fault_hooks_->drop_secure_irq(core, irq)) {
     SATIN_METRIC_INC("hw.irqs_lost");
-    SATIN_LOG(kDebug) << "gic: secure irq " << static_cast<int>(irq)
-                      << " to core " << core << " lost (fault)";
     return;
   }
   const bool core_secure = target.in_secure_world();
@@ -97,10 +92,6 @@ void InterruptController::on_secure_exit(CoreId core, sim::Time) {
 }
 
 void InterruptController::deliver(CoreId core, IrqId irq, IrqGroup group) {
-  SATIN_LOG(kTrace) << "gic: deliver irq " << static_cast<int>(irq)
-                    << " to core " << core << " ("
-                    << (group == IrqGroup::kSecure ? "secure" : "non-secure")
-                    << ")";
   if (group == IrqGroup::kSecure) {
     if (secure_handler_) secure_handler_(core, irq);
   } else {

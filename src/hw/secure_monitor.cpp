@@ -1,10 +1,10 @@
 #include "hw/secure_monitor.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "sim/log.h"
 
 namespace satin::hw {
 
@@ -25,9 +25,9 @@ SecureMonitor::SecureMonitor(sim::Engine& engine, sim::Rng& rng,
 
 void SecureMonitor::on_secure_irq(CoreId core_id, IrqId irq) {
   if (irq != IrqId::kSecurePhysTimer) {
-    SATIN_LOG(kWarn) << "monitor: unhandled secure irq "
-                     << static_cast<int>(irq);
-    return;
+    throw std::logic_error("SecureMonitor: unhandled secure irq " +
+                           std::to_string(static_cast<int>(irq)) +
+                           " on core " + std::to_string(core_id));
   }
   Core& core = *cores_.at(static_cast<std::size_t>(core_id));
   if (core.in_secure_world()) {
@@ -41,8 +41,6 @@ void SecureMonitor::on_secure_irq(CoreId core_id, IrqId irq) {
   if (fault_hooks_ != nullptr && fault_hooks_->fail_secure_entry(core_id)) {
     ++failed_entries_;
     SATIN_METRIC_INC("hw.secure_entry_failures");
-    SATIN_LOG(kInfo) << "monitor: secure entry on core " << core_id
-                     << " failed (fault)";
     return;
   }
   const sim::Time entry = engine_.now();

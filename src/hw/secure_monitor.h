@@ -64,7 +64,9 @@ class SecureMonitor {
     payload_ = std::move(payload);
   }
 
-  // GIC-facing entry point for secure-group interrupts.
+  // GIC-facing entry point for secure-group interrupts. The secure timer
+  // is the only one the monitor serves: any other has no handler, and
+  // throws std::logic_error naming the IRQ and the core.
   void on_secure_irq(CoreId core, IrqId irq);
 
   std::uint64_t world_switches() const { return switches_; }

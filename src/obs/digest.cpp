@@ -11,6 +11,17 @@ void QuantileDigest::restore(const std::vector<std::uint64_t>& buckets,
   if (buckets.size() != kBuckets) {
     throw std::invalid_argument("QuantileDigest::restore: bucket count");
   }
+  // observe() counts each value in one bin, so the bins add up to the
+  // count without passing 2^64.
+  std::uint64_t binned = underflow;
+  bool wrapped = __builtin_add_overflow(binned, overflow, &binned);
+  for (std::uint64_t n : buckets) {
+    wrapped |= __builtin_add_overflow(binned, n, &binned);
+  }
+  if (wrapped || binned != count) {
+    throw std::invalid_argument(
+        "QuantileDigest::restore: count does not match the bins");
+  }
   buckets_ = buckets;
   underflow_ = underflow;
   overflow_ = overflow;

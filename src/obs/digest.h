@@ -86,7 +86,8 @@ class QuantileDigest {
 
   // Exact-state restore for binary (de)serialization across process
   // boundaries; a restored digest merges bit-identically to the original.
-  // `buckets` must have exactly kBuckets entries (throws otherwise).
+  // `buckets` must have exactly kBuckets entries, and with `underflow` and
+  // `overflow` add up to `count` (throws otherwise).
   void restore(const std::vector<std::uint64_t>& buckets,
                std::uint64_t underflow, std::uint64_t overflow,
                std::uint64_t count, double min, double max);

@@ -154,6 +154,16 @@ void Histogram::restore(const std::vector<std::uint64_t>& counts,
   if (counts.size() != counts_.size()) {
     throw std::invalid_argument("Histogram::restore: bucket count");
   }
+  // observe() counts each value in one bucket and in the moments.
+  std::uint64_t total = 0;
+  bool wrapped = false;
+  for (std::uint64_t n : counts) {
+    wrapped |= __builtin_add_overflow(total, n, &total);
+  }
+  if (wrapped || total != moments.count) {
+    throw std::invalid_argument(
+        "Histogram::restore: moment count does not match the bucket counts");
+  }
   counts_ = counts;
   acc_.restore(moments);
 }

@@ -111,7 +111,8 @@ class Histogram {
   void merge_from(const Histogram& other);
 
   // Exact-state restore for binary (de)serialization; `counts` must have
-  // upper_bounds().size() + 1 entries (throws otherwise).
+  // upper_bounds().size() + 1 entries that add up to `moments.count`
+  // (throws otherwise).
   void restore(const std::vector<std::uint64_t>& counts,
                const sim::Accumulator::State& moments);
 

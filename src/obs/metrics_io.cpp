@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -93,6 +94,25 @@ class Reader {
     }
     return true;
   }
+  // Starts a section: returns its entry count (0 once reading has
+  // failed) and forgets the names of the section before.
+  std::uint64_t section() {
+    last_name_.reset();
+    std::uint64_t n = 0;
+    if (u64(n) && n > kMaxEntries) fail("section entry count out of range");
+    return ok_ ? n : 0;
+  }
+  // Reads an entry's name. The writer emits every section from a
+  // std::map, so names strictly increase: a repeat would otherwise merge
+  // into its twin unnoticed.
+  bool name(std::string& s) {
+    if (!str(s)) return false;
+    if (last_name_ && !(*last_name_ < s)) {
+      return fail("name '" + s + "' repeated or out of order");
+    }
+    last_name_ = s;
+    return true;
+  }
   bool at_end() const { return pos_ == bytes_.size(); }
 
   bool fail(const std::string& message) {
@@ -116,6 +136,7 @@ class Reader {
   std::string* error_;
   std::size_t pos_ = 0;
   bool ok_ = true;
+  std::optional<std::string> last_name_;
 };
 
 bool set_error(std::string* error, const std::string& message) {
@@ -221,61 +242,53 @@ bool MetricsRegistry::load_merge_binary(const std::string& path,
   // Parse into a scratch registry first: a truncated or corrupt file must
   // reject whole, never merge half its sections.
   MetricsRegistry scratch;
-  std::uint64_t count = 0;
 
-  if (!r.u64(count) || count > kMaxEntries) {
-    return set_error(error, path + ": corrupt counter section");
-  }
+  std::uint64_t count = r.section();
   for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
     std::string name;
     std::uint64_t value = 0;
-    if (r.str(name) && r.u64(value)) scratch.counter(name).inc(value);
+    if (r.name(name) && r.u64(value)) scratch.counter(name).inc(value);
   }
 
-  if (!r.u64(count) || count > kMaxEntries) {
-    return set_error(error, path + ": corrupt gauge section");
-  }
+  count = r.section();
   for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
     std::string name;
     double value = 0.0;
     std::uint8_t is_volatile = 0;
-    if (r.str(name) && r.f64(value) && r.u8(is_volatile)) {
+    if (r.name(name) && r.f64(value) && r.u8(is_volatile)) {
       Gauge& g = scratch.gauge(name);
       g.set(value);
       if (is_volatile != 0) g.mark_volatile();
     }
   }
 
-  if (!r.u64(count) || count > kMaxEntries) {
-    return set_error(error, path + ": corrupt digest section");
-  }
+  count = r.section();
   for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
     std::string name;
     std::uint64_t total = 0, underflow = 0, overflow = 0, buckets = 0;
     double min = 0.0, max = 0.0;
     std::vector<std::uint64_t> bucket_counts;
-    if (r.str(name) && r.u64(total) && r.f64(min) && r.f64(max) &&
+    if (r.name(name) && r.u64(total) && r.f64(min) && r.f64(max) &&
         r.u64(underflow) && r.u64(overflow) && r.u64(buckets) &&
         r.vec_u64(bucket_counts, buckets)) {
-      if (bucket_counts.size() != QuantileDigest::kBuckets) {
-        r.fail("digest bucket grid mismatch");
+      try {
+        scratch.digest(name).restore(bucket_counts, underflow, overflow,
+                                     total, min, max);
+      } catch (const std::exception& e) {
+        r.fail(name + ": " + e.what());
         break;
       }
-      scratch.digest(name).restore(bucket_counts, underflow, overflow, total,
-                                   min, max);
     }
   }
 
-  if (!r.u64(count) || count > kMaxEntries) {
-    return set_error(error, path + ": corrupt histogram section");
-  }
+  count = r.section();
   for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
     std::string name;
     std::uint64_t bounds_n = 0, counts_n = 0;
     std::vector<double> bounds;
     std::vector<std::uint64_t> bucket_counts;
     sim::Accumulator::State s;
-    if (r.str(name) && r.u64(bounds_n) && r.vec_f64(bounds, bounds_n) &&
+    if (r.name(name) && r.u64(bounds_n) && r.vec_f64(bounds, bounds_n) &&
         r.u64(counts_n) && r.vec_u64(bucket_counts, counts_n) &&
         r.u64(s.count) && r.f64(s.mean) && r.f64(s.m2) && r.f64(s.min) &&
         r.f64(s.max) && r.f64(s.sum)) {
@@ -286,7 +299,7 @@ bool MetricsRegistry::load_merge_binary(const std::string& path,
       try {
         scratch.histogram(name, bounds).restore(bucket_counts, s);
       } catch (const std::exception& e) {
-        r.fail(e.what());
+        r.fail(name + ": " + e.what());
         break;
       }
     }

@@ -8,7 +8,6 @@
 
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
-#include "sim/log.h"
 #include "sim/repeated_add.h"
 
 namespace satin::os {
@@ -645,22 +644,20 @@ void RichOs::run_keyed_action(std::uint32_t tag) {
 // Every keyed action that dispatch would run next, up to the engine's
 // in-place horizon, runs in place in the engine's order: every core's
 // wake-ups and completions, tied or not, and each keyed tick that keeps
-// books and that the GIC would deliver at once, with nothing to log. A
-// wake-up or a duty cycle's completion leaves its next key to the engine,
-// which re-arms the slot with the seq arm() would reserve; the dispatched
-// core's loop, if it runs one, completes in batches. Whatever changes a
-// core's eligibility enters through hand_back(), which takes its key out
-// of the run.
+// books and that the GIC would deliver at once. A wake-up or a duty
+// cycle's completion leaves its next key to the engine, which re-arms the
+// slot with the seq arm() would reserve; the dispatched core's loop, if it
+// runs one, completes in batches. Whatever changes a core's eligibility
+// enters through hand_back(), which takes its key out of the run.
 void RichOs::run_in_place(hw::CoreId core) {
   CpuState& st = cpu(core);
   hw::GenericTimer& timer = platform_.timer();
-  const bool ticks_join = !sim::log_enabled(sim::LogLevel::kTrace);
   joined_.clear();
   for (int c = 0; c < platform_.num_cores(); ++c) {
     if (c != core && cpu(c).keyed != CpuState::Keyed::kNone) {
       joined_.push_back(cpu(c).keyed_slot);
     }
-    if (ticks_join && timer.nonsecure_keyed(c) && tick_keeps_books(c)) {
+    if (timer.nonsecure_keyed(c) && tick_keeps_books(c)) {
       joined_.push_back(timer.nonsecure_slot(c));
     }
   }

@@ -8,15 +8,10 @@
 #include <utility>
 
 #include "obs/flight/recorder.h"
-#include "sim/log.h"
 
 namespace satin::sim {
 
 namespace {
-
-Time engine_log_clock(const void* ctx) {
-  return static_cast<const Engine*>(ctx)->now();
-}
 
 // Accumulates host wall time spent inside a run_* call onto `sink`.
 class WallTimer {
@@ -90,10 +85,7 @@ Time EventHandle::when() const {
              : Time::zero();
 }
 
-Engine::Engine() { set_log_clock(&engine_log_clock, this); }
-
 Engine::~Engine() {
-  if (log_clock_ctx() == this) set_log_clock(nullptr, nullptr);
   // Release every still-queued state so callback captures die with the
   // engine. Handles that outlive the engine go stale via the generation
   // bump and keep only the pool's bookkeeping alive through their shared

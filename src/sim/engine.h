@@ -75,9 +75,7 @@ class KeyedActionOwner {
 
 class Engine {
  public:
-  // Construction installs this engine as the log-time source (the newest
-  // engine wins); destruction uninstalls it if still current.
-  Engine();
+  Engine() = default;
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;

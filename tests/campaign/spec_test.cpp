@@ -130,6 +130,39 @@ TEST(CampaignSpec, OutOfRangeBatchIsAnError) {
   parse_error(R"({"trials": 1, "batch": "eight"})");
 }
 
+TEST(CampaignSpec, IntegerLiteralsConvertExactly) {
+  const auto seed = [](const std::string& literal) {
+    return parse_campaign_spec(
+               R"({"trials": 1, "root_seed": )" + literal + "}", "spec.json")
+        .root_seed;
+  };
+  // A double holds neither 2^53 + 1 nor INT64_MAX: the first would round
+  // to 2^53, the second to 2^63.
+  EXPECT_EQ(seed("9007199254740993"), 9007199254740993u);
+  EXPECT_EQ(seed("9223372036854775807"), 9223372036854775807u);
+  EXPECT_EQ(seed("18446744073709551615"), 18446744073709551615u);
+  // A fraction or an exponent still reads when the value is an integer.
+  EXPECT_EQ(seed("8.0"), 8u);
+  EXPECT_EQ(seed("2e3"), 2000u);
+  parse_error(R"({"trials": 1, "root_seed": 8.5})");
+  parse_error(R"({"trials": 1, "root_seed": -1})");
+}
+
+TEST(CampaignSpec, OutOfRangeIntegerLiteralIsPositioned) {
+  const std::string seed =
+      parse_error("{\"trials\": 1,\n \"root_seed\": 18446744073709551616}");
+  EXPECT_NE(seed.find("spec.json:2:"), std::string::npos) << seed;
+  EXPECT_NE(seed.find("root_seed: 18446744073709551616 is out of range"),
+            std::string::npos)
+      << seed;
+  const std::string jobs =
+      parse_error("{\"trials\": 1,\n\n \"jobs\": 9223372036854775808}");
+  EXPECT_NE(jobs.find("spec.json:3:"), std::string::npos) << jobs;
+  EXPECT_NE(jobs.find("jobs: 9223372036854775808 is out of range"),
+            std::string::npos)
+      << jobs;
+}
+
 TEST(CampaignSpec, ContentHashCoversResultShapingFields) {
   const CampaignSpec a = parse_campaign_spec(R"({"trials": 4})", "a");
   CampaignSpec b = a;

@@ -72,16 +72,29 @@ TEST(FaultPlan, WindowContainsAndTargets) {
 }
 
 TEST(FaultPlan, RoundTripsThroughToString) {
+  // Field values, not strings, are compared: two strings printed with the
+  // same rounding would agree while p lost its last digits.
   const char* spec =
       "seed=7,timer-misfire@10s+30s:p=0.5,bitflip@5s+60s:flips=2,"
       "core-off@20s+15s:core=1,timer-drift@1s+2s:drift=800ms,"
-      "irq-spurious@3s+4s:period=250ms";
+      "irq-spurious@3s+4s:period=250ms,irq-lost@2s+5s:p=0.123456789";
   const FaultPlan plan = FaultPlan::parse(spec);
+  ASSERT_EQ(plan.faults.size(), 6u);
+  EXPECT_EQ(plan.faults[5].probability, 0.123456789);
   const FaultPlan reparsed = FaultPlan::parse(plan.to_string());
   EXPECT_EQ(reparsed.seed, plan.seed);
   ASSERT_EQ(reparsed.faults.size(), plan.faults.size());
   for (std::size_t i = 0; i < plan.faults.size(); ++i) {
-    EXPECT_EQ(reparsed.faults[i].to_string(), plan.faults[i].to_string());
+    const FaultSpec& want = plan.faults[i];
+    const FaultSpec& got = reparsed.faults[i];
+    EXPECT_EQ(got.kind, want.kind) << i;
+    EXPECT_EQ(got.start, want.start) << i;
+    EXPECT_EQ(got.duration, want.duration) << i;
+    EXPECT_EQ(got.core, want.core) << i;
+    EXPECT_EQ(got.probability, want.probability) << i;
+    EXPECT_EQ(got.drift, want.drift) << i;
+    EXPECT_EQ(got.period, want.period) << i;
+    EXPECT_EQ(got.flips, want.flips) << i;
   }
 }
 

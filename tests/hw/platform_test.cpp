@@ -178,6 +178,18 @@ TEST(SecureMonitor, IndependentCoresEnterIndependently) {
   EXPECT_FALSE(p.core(4).in_secure_world());
 }
 
+TEST(SecureMonitor, SecureIrqWithoutAHandlerThrows) {
+  // The monitor serves only the secure timer: another secure-group IRQ is
+  // a routing error, named with its IRQ and its core, not skipped.
+  Platform p;
+  p.gic().configure_group(IrqId::kSoftwareGenerated, IrqGroup::kSecure);
+  const std::string what =
+      logic_error_of([&] { p.gic().raise(2, IrqId::kSoftwareGenerated); });
+  EXPECT_NE(what.find("unhandled secure irq 8 on core 2"), std::string::npos)
+      << what;
+  EXPECT_EQ(p.core(2).secure_entries(), 0u);
+}
+
 TEST(GenericTimer, ReprogramReplacesPendingExpiry) {
   Platform p;
   int fired = 0;

@@ -113,24 +113,47 @@ TEST(MetricsIo, CorruptFileNeverHalfApplies) {
   std::remove(path.c_str());
 }
 
+std::string le_u64(std::uint64_t v) {
+  std::string out;
+  for (int i = 0; i < 8; ++i) out += static_cast<char>(v >> (8 * i));
+  return out;
+}
+
+std::string saved_bytes(const MetricsRegistry& registry,
+                        const std::string& path) {
+  std::string error;
+  EXPECT_TRUE(registry.save_binary(path, &error)) << error;
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Writes `bytes` to `path` and loads them into a registry that already
+// holds a counter: the load must fail whole and leave that registry as it
+// was. Returns the error.
+std::string expect_rejected(const std::string& path, const std::string& bytes) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  MetricsRegistry target;
+  target.counter("c.a").inc(7);
+  const std::string before = target.to_json(true);
+  std::string error;
+  EXPECT_FALSE(target.load_merge_binary(path, &error));
+  EXPECT_EQ(target.to_json(true), before);
+  std::remove(path.c_str());
+  return error;
+}
+
 TEST(MetricsIo, NonFiniteHistogramBoundIsRejected) {
   // A file whose histogram carries a NaN or infinite bound is corrupt: it
   // fails whole and leaves the registry as it was.
   const std::string path = temp_path("nan_bound");
   MetricsRegistry original;
   original.histogram("h.lat", {0.5, 1.75, 3.0}).observe(1.0);
-  std::string error;
-  ASSERT_TRUE(original.save_binary(path, &error)) << error;
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
+  const std::string bytes = saved_bytes(original, path);
   auto le_bytes = [](double v) {
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-    std::string out;
-    for (int i = 0; i < 8; ++i) out += static_cast<char>(bits >> (8 * i));
-    return out;
+    return le_u64(std::bit_cast<std::uint64_t>(v));
   };
   const std::string bound = le_bytes(1.75);
   const std::size_t at = bytes.find(bound);
@@ -149,11 +172,60 @@ TEST(MetricsIo, NonFiniteHistogramBoundIsRejected) {
     target.counter("pre.existing").inc(7);
     target.histogram("h.lat").observe(2.0);
     const std::string before = target.to_json(true);
+    std::string error;
     EXPECT_FALSE(target.load_merge_binary(path, &error)) << bad;
     EXPECT_NE(error.find("finite"), std::string::npos) << error;
     EXPECT_EQ(target.to_json(true), before) << bad;
   }
   std::remove(path.c_str());
+}
+
+TEST(MetricsIo, RepeatedOrUnsortedNameIsRejected) {
+  // The writer emits each section from a std::map. Renaming c.b to c.a
+  // would otherwise merge both counters into one that reads 2 + 5.
+  const std::string path = temp_path("names");
+  MetricsRegistry original;
+  original.counter("c.a").inc(2);
+  original.counter("c.b").inc(5);
+  const std::string bytes = saved_bytes(original, path);
+  const std::size_t at = bytes.find("c.b");
+  ASSERT_NE(at, std::string::npos);
+  for (const char* rename : {"c.a", "c.0"}) {
+    std::string patched = bytes;
+    patched.replace(at, 3, rename);
+    const std::string error = expect_rejected(path, patched);
+    const std::string want =
+        std::string("'") + rename + "' repeated or out of order";
+    EXPECT_NE(error.find(want), std::string::npos) << error;
+  }
+}
+
+TEST(MetricsIo, DigestCountMustMatchItsBuckets) {
+  const std::string path = temp_path("digest_count");
+  MetricsRegistry original;
+  original.digest("d.lat").observe(1.0);
+  std::string bytes = saved_bytes(original, path);
+  // The digest's count follows its name.
+  const std::size_t count_at = bytes.find("d.lat") + 5;
+  ASSERT_EQ(bytes.substr(count_at, 8), le_u64(1));
+  bytes.replace(count_at, 8, le_u64(10));
+  const std::string error = expect_rejected(path, bytes);
+  EXPECT_NE(error.find("count does not match"), std::string::npos) << error;
+}
+
+TEST(MetricsIo, HistogramMomentCountMustMatchItsBuckets) {
+  const std::string path = temp_path("histogram_count");
+  MetricsRegistry original;
+  original.histogram("h.lat", {0.5, 1.75, 3.0}).observe(1.0);
+  std::string bytes = saved_bytes(original, path);
+  // After the name: three bounds and four bucket counts, each list led by
+  // its length, then the moments' count.
+  const std::size_t count_at = bytes.find("h.lat") + 5 + 8 + 3 * 8 + 8 + 4 * 8;
+  ASSERT_EQ(bytes.substr(count_at, 8), le_u64(1));
+  bytes.replace(count_at, 8, le_u64(9));
+  const std::string error = expect_rejected(path, bytes);
+  EXPECT_NE(error.find("moment count does not match"), std::string::npos)
+      << error;
 }
 
 TEST(MetricsIo, BadMagicIsRejected) {
