@@ -5,6 +5,8 @@
 
 #include <unistd.h>
 
+#include "obs/file_io.h"
+
 namespace satin::campaign {
 
 namespace {
@@ -75,24 +77,6 @@ bool set_error(std::string* error, const std::string& message) {
   return false;
 }
 
-// Reads the whole file; returns false only on I/O errors (a missing file
-// is reported via `exists`).
-bool slurp(const std::string& path, std::string& out, bool& exists) {
-  out.clear();
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    exists = false;
-    return true;
-  }
-  exists = true;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
 bool flush_and_sync(std::FILE* f) {
   return std::fflush(f) == 0 && fsync(fileno(f)) == 0;
 }
@@ -117,10 +101,8 @@ bool CampaignJournal::open(const std::string& path, const CampaignSpec& spec,
   path_ = path;
 
   std::string text;
-  bool exists = false;
-  if (!slurp(path, text, exists)) {
-    return set_error(error, path + ": read error");
-  }
+  const bool exists = ::access(path.c_str(), F_OK) == 0;
+  if (exists && !obs::read_file(path, text, error)) return false;
 
   const std::string expected_header =
       header_line(spec.content_hash(), spec.trials, spec.root_seed);
@@ -185,12 +167,11 @@ bool CampaignJournal::append(const TrialResult& result) {
 bool CampaignJournal::read_status(const std::string& path, Status& out,
                                   std::string* error) {
   out = Status{};
-  std::string text;
-  bool exists = false;
-  if (!slurp(path, text, exists)) {
-    return set_error(error, path + ": read error");
+  if (::access(path.c_str(), F_OK) != 0) {
+    return set_error(error, path + ": no such journal");
   }
-  if (!exists) return set_error(error, path + ": no such journal");
+  std::string text;
+  if (!obs::read_file(path, text, error)) return false;
   if (text.empty()) return set_error(error, path + ": empty journal");
   std::map<std::uint64_t, TrialResult> completed;
   if (!replay(text, out, completed)) {

@@ -66,12 +66,6 @@ const std::string& JsonValue::as_string(const std::string& where) const {
   return string_;
 }
 
-const std::vector<JsonValue>& JsonValue::as_array(
-    const std::string& where) const {
-  if (kind_ != Kind::kArray) fail(where + ": expected an array");
-  return array_;
-}
-
 const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members(
     const std::string& where) const {
   if (kind_ != Kind::kObject) fail(where + ": expected an object");
@@ -347,7 +341,7 @@ class JsonParser {
       return v;
     }
     for (;;) {
-      v.array_.push_back(parse_value(depth + 1));
+      parse_value(depth + 1);  // checked, not kept: no spec key is a list
       skip_whitespace();
       if (at_end()) fail("unterminated array");
       if (peek() == ',') {
@@ -368,25 +362,6 @@ class JsonParser {
 
 JsonValue parse_json(const std::string& text, const std::string& source) {
   return JsonParser(text, source).parse();
-}
-
-JsonValue parse_json_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw JsonError(path + ": cannot open");
-  }
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    throw JsonError(path + ": read error");
-  }
-  return parse_json(text, path);
 }
 
 }  // namespace satin::campaign

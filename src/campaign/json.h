@@ -15,8 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -33,10 +31,6 @@ class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  Kind kind() const { return kind_; }
-  int line() const { return line_; }
-  int col() const { return col_; }
-
   // Typed accessors; throw JsonError (with this value's position) on a
   // kind mismatch. `where` names the value in the message, e.g.
   // "platform.num_little". as_int and as_uint convert an integer literal
@@ -48,12 +42,10 @@ class JsonValue {
   std::int64_t as_int(const std::string& where) const;
   std::uint64_t as_uint(const std::string& where) const;
   const std::string& as_string(const std::string& where) const;
-  const std::vector<JsonValue>& as_array(const std::string& where) const;
 
   // Object navigation. Members preserve source order for error reporting;
   // find() is by key. Null when absent.
   const JsonValue* find(const std::string& key) const;
-  bool has(const std::string& key) const { return find(key) != nullptr; }
   const std::vector<std::pair<std::string, JsonValue>>& members(
       const std::string& where) const;
 
@@ -74,7 +66,6 @@ class JsonValue {
   bool bool_ = false;
   double number_ = 0.0;
   std::string string_;  // a string's text, or a number's literal token
-  std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
   int line_ = 0;
   int col_ = 0;
@@ -85,8 +76,5 @@ class JsonValue {
 // Parses `text`; `source` labels diagnostics (a file path or "<spec>").
 // Throws JsonError on any syntax problem, naming line and column.
 JsonValue parse_json(const std::string& text, const std::string& source);
-
-// Reads and parses a file; throws JsonError if unreadable.
-JsonValue parse_json_file(const std::string& path);
 
 }  // namespace satin::campaign

@@ -1,9 +1,9 @@
 #include "campaign/spec.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "fault/plan.h"
+#include "obs/file_io.h"
 #include "sim/fnv1a.h"
 
 namespace satin::campaign {
@@ -210,21 +210,8 @@ CampaignSpec parse_campaign_spec(const std::string& text,
 }
 
 CampaignSpec load_campaign_spec(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw JsonError(path + ": cannot open");
-  }
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    throw JsonError(path + ": read error");
-  }
+  std::string text, error;
+  if (!obs::read_file(path, text, &error)) throw JsonError(error);
   return parse_campaign_spec(text, path);
 }
 

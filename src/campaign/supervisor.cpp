@@ -12,6 +12,8 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 #include <poll.h>
 #include <sys/stat.h>
@@ -21,6 +23,7 @@
 
 #include "campaign/trial.h"
 #include "campaign/worker.h"
+#include "obs/file_io.h"
 #include "obs/flight/audit.h"
 #include "obs/flight/recorder.h"
 #include "obs/metrics.h"
@@ -77,7 +80,7 @@ std::string format_campaign_stats(
   std::string out = "{\n";
   char buf[192];
   out += "  \"schema\": \"satin-campaign-stats/1\",\n";
-  out += "  \"name\": \"" + spec.name + "\",\n";
+  out += "  \"name\": \"" + obs::json_escape(spec.name) + "\",\n";
   std::snprintf(buf, sizeof(buf), "  \"spec_hash\": \"%016" PRIx64 "\",\n",
                 spec.content_hash());
   out += buf;
@@ -98,67 +101,52 @@ std::string format_campaign_stats(
   out += "],\n";
 
   // Aggregates fold in index order (std::map iteration), so any schedule
-  // that completed the same trial set writes the same bytes.
-  std::uint64_t rounds = 0, alarms = 0, cycles = 0, tar = 0, taa = 0;
-  std::uint64_t stays = 0, det = 0, fp = 0, fn = 0, ev = 0, rearms = 0;
-  std::uint64_t conf = 0, trans = 0, benign = 0, wdog = 0, sretry = 0;
-  std::uint64_t injected = 0, always_caught = 0;
-  double sim_seconds = 0.0, gap_sum = 0.0;
-  std::uint64_t gap_count = 0;
-  for (const auto& [index, r] : completed) {
+  // that completed the same trial set writes the same bytes. Every field
+  // visit_trial_fields gives a stats name is one sum: the integer sums in
+  // field order, then the always-caught count, then the double sums.
+  struct Sum {
+    const char* name;
+    bool seconds;  // a double sum
+    std::uint64_t count = 0;
+    double total = 0.0;
+  };
+  std::vector<Sum> sums;
+  TrialResult blank;
+  visit_trial_fields(blank, [&sums](const char*, const char* stats,
+                                    auto&& value) {
+    using T = std::decay_t<decltype(value)>;
+    if (stats != nullptr) sums.push_back({stats, std::is_same_v<T, double>});
+  });
+  std::uint64_t always_caught = 0, gap_count = 0;
+  double gap_sum = 0.0;
+  for (auto [index, r] : completed) {
     (void)index;
-    const scenario::DuelReport& d = r.report;
-    rounds += d.rounds;
-    alarms += d.alarms;
-    cycles += d.full_cycles;
-    tar += d.target_area_rounds;
-    taa += d.target_area_alarms;
-    stays += d.secure_stays;
-    det += d.prober_detections;
-    fp += d.false_positives;
-    fn += d.false_negatives;
-    ev += d.evasions_started;
-    rearms += d.rearms;
-    conf += d.confirmed_alarms;
-    trans += d.transient_alarms;
-    benign += d.benign_confirmed_alarms;
-    wdog += d.watchdog_fires;
-    sretry += d.scan_retries;
-    injected += r.faults_injected;
-    if (d.satin_always_caught()) ++always_caught;
-    sim_seconds += d.sim_seconds;
-    if (d.avg_target_gap_s > 0.0) {
-      gap_sum += d.avg_target_gap_s;
+    auto sum = sums.begin();
+    visit_trial_fields(r, [&sum](const char*, const char* stats,
+                                 auto&& value) {
+      using T = std::decay_t<decltype(value)>;
+      if (stats == nullptr) return;
+      if constexpr (std::is_same_v<T, double>) sum->total += value;
+      if constexpr (std::is_same_v<T, std::uint64_t>) sum->count += value;
+      ++sum;
+    });
+    if (r.report.satin_always_caught()) ++always_caught;
+    if (r.report.avg_target_gap_s > 0.0) {
+      gap_sum += r.report.avg_target_gap_s;
       ++gap_count;
     }
   }
   out += "  \"aggregate\": {\n";
-  const auto field_u64 = [&out](const char* key, std::uint64_t v,
-                                bool last = false) {
-    char line[96];
-    std::snprintf(line, sizeof(line), "    \"%s\": %" PRIu64 "%s\n", key, v,
-                  last ? "" : ",");
-    out += line;
+  const auto line = [&out](const char* key, const std::string& value) {
+    out += std::string("    \"") + key + "\": " + value + ",\n";
   };
-  field_u64("rounds", rounds);
-  field_u64("alarms", alarms);
-  field_u64("full_cycles", cycles);
-  field_u64("target_area_rounds", tar);
-  field_u64("target_area_alarms", taa);
-  field_u64("secure_stays", stays);
-  field_u64("prober_detections", det);
-  field_u64("false_positives", fp);
-  field_u64("false_negatives", fn);
-  field_u64("evasions_started", ev);
-  field_u64("rearms", rearms);
-  field_u64("confirmed_alarms", conf);
-  field_u64("transient_alarms", trans);
-  field_u64("benign_confirmed_alarms", benign);
-  field_u64("watchdog_fires", wdog);
-  field_u64("scan_retries", sretry);
-  field_u64("faults_injected", injected);
-  field_u64("always_caught_trials", always_caught);
-  out += "    \"sim_seconds_total\": " + format_double17(sim_seconds) + ",\n";
+  for (const Sum& sum : sums) {
+    if (!sum.seconds) line(sum.name, std::to_string(sum.count));
+  }
+  line("always_caught_trials", std::to_string(always_caught));
+  for (const Sum& sum : sums) {
+    if (sum.seconds) line(sum.name, format_double17(sum.total));
+  }
   out += "    \"avg_target_gap_s_mean\": " +
          format_double17(gap_count > 0
                              ? gap_sum / static_cast<double>(gap_count)
@@ -186,41 +174,6 @@ std::string format_campaign_stats(
   return out;
 }
 
-bool write_campaign_stats(const std::string& path, const std::string& body,
-                          std::string* error) {
-  // The atomic temp+rename dance would silently REPLACE a device node or
-  // socket (`--out=/dev/null` turning /dev/null into a regular file is
-  // the classic casualty) — refuse instead.
-  struct stat st{};
-  if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
-    if (error != nullptr) {
-      *error = path + ": refusing to replace non-regular file";
-    }
-    return false;
-  }
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    if (error != nullptr) *error = tmp + ": cannot open for write";
-    return false;
-  }
-  const bool write_ok =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool flush_ok = std::fflush(f) == 0 && fsync(fileno(f)) == 0;
-  const bool close_ok = std::fclose(f) == 0;
-  if (!write_ok || !flush_ok || !close_ok) {
-    std::remove(tmp.c_str());
-    if (error != nullptr) *error = tmp + ": write failed";
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    if (error != nullptr) *error = path + ": rename failed";
-    return false;
-  }
-  return true;
-}
-
 namespace {
 
 class Supervisor {
@@ -244,6 +197,14 @@ class Supervisor {
       outcome.error = "no journal path";
       return outcome;
     }
+    // A stats path the final write would refuse fails here, before the
+    // journal exists and any trial runs.
+    std::string error;
+    if (!options_.stats_path.empty() &&
+        !obs::check_replaceable(options_.stats_path, &error)) {
+      outcome.error = error;
+      return outcome;
+    }
     if (options_.require_existing_journal) {
       struct stat st{};
       if (::stat(options_.journal_path.c_str(), &st) != 0) {
@@ -253,7 +214,6 @@ class Supervisor {
       }
     }
 
-    std::string error;
     if (!journal_.open(options_.journal_path, spec_, &error)) {
       outcome.error = error;
       return outcome;
@@ -294,13 +254,14 @@ class Supervisor {
     outcome.degraded = !outcome.failed_trials.empty();
     outcome.completed = journal_.completed().size();
 
-    merge_artifacts(outcome);
+    merge_artifacts();
     publish_metrics(outcome);
 
     if (!options_.stats_path.empty()) {
       const std::string body =
           format_campaign_stats(spec_, outcome, journal_.completed());
-      if (!write_campaign_stats(options_.stats_path, body, &error)) {
+      if (!obs::replace_file(options_.stats_path, body, /*sync=*/true,
+                             &error)) {
         outcome.error = error;
         return outcome;
       }
@@ -594,8 +555,7 @@ class Supervisor {
   // in strict index order — the cross-process twin of TrialRunner's
   // submission-order merge, and the reason a campaign's --metrics and
   // --flight outputs are byte-identical for any schedule.
-  void merge_artifacts(CampaignOutcome& outcome) {
-    (void)outcome;
+  void merge_artifacts() {
     obs::MetricsRegistry* session_metrics = obs::metrics();
     obs::FlightRecorder* session_flight = obs::flight();
     if ((session_metrics == nullptr && session_flight == nullptr) ||
@@ -614,24 +574,12 @@ class Supervisor {
         }
       }
       if (session_flight != nullptr) {
-        // Streamed in, like TrialRunner's spilled trials: the reader checks
-        // the file's framing before the first record, so a damaged
-        // artifact is a gap, never half a trial.
-        const std::string path = trial_flight_path(artifacts_dir_, index);
-        obs::FlightReader reader;
-        if (!reader.open(path) || !reader.has_footer()) {
-          const std::string why =
-              reader.error().empty() ? path + ": no footer" : reader.error();
-          std::fprintf(stderr, "campaign: %s (flight gap)\n", why.c_str());
-          ++artifacts_missing_;
-          continue;
-        }
-        session_flight->append_trial(
-            index, seeds.seed_for(index), reader.totals(),
-            [&reader](obs::FlightRecord& rec) { return reader.next(rec); });
-        if (!reader.error().empty()) {
-          std::fprintf(stderr, "campaign: %s (flight gap)\n",
-                       reader.error().c_str());
+        std::string error;
+        if (!obs::append_trial_file(*session_flight, index,
+                                    seeds.seed_for(index),
+                                    trial_flight_path(artifacts_dir_, index),
+                                    error)) {
+          std::fprintf(stderr, "campaign: %s (flight gap)\n", error.c_str());
           ++artifacts_missing_;
         }
       }

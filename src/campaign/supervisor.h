@@ -87,13 +87,12 @@ struct CampaignOutcome {
 CampaignOutcome run_campaign(const CampaignSpec& spec,
                              const CampaignOptions& options);
 
-// Deterministic stats JSON (schema satin-campaign-stats/1), written
-// crash-safe via temp file + rename. Exposed for tests.
+// Deterministic stats JSON (schema satin-campaign-stats/1), which
+// run_campaign writes crash-safe and fsync'd (obs::replace_file). Exposed
+// for tests.
 std::string format_campaign_stats(const CampaignSpec& spec,
                                   const CampaignOutcome& outcome,
                                   const std::map<std::uint64_t, TrialResult>&
                                       completed);
-bool write_campaign_stats(const std::string& path, const std::string& body,
-                          std::string* error);
 
 }  // namespace satin::campaign

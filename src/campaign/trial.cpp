@@ -1,9 +1,9 @@
 #include "campaign/trial.h"
 
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "fault/plan.h"
 #include "sim/fnv1a.h"
@@ -13,140 +13,63 @@ namespace satin::campaign {
 
 namespace {
 
-std::uint64_t double_bits(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
+// Each value travels as visit_trial_fields says its type does.
+void append_value(std::string& out, std::uint64_t value) {
+  out += std::to_string(value);
 }
 
-double bits_double(std::uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
+void append_value(std::string& out, int value) { out += std::to_string(value); }
 
-void append_field(std::string& out, const char* key, std::uint64_t value) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), " %s=%" PRIu64, key, value);
+void append_value(std::string& out, HexField field) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, field.value);
   out += buf;
 }
 
-void append_hex_field(std::string& out, const char* key, std::uint64_t value) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), " %s=%016" PRIx64, key, value);
-  out += buf;
+void append_value(std::string& out, double value) {
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
+  append_value(out, HexField{bits});
 }
 
-void append_int_field(std::string& out, const char* key, std::int64_t value) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), " %s=%" PRId64, key, value);
-  out += buf;
+// The inverses: false unless the whole of `text` is one number.
+bool parse_value(const std::string& text, std::uint64_t& value,
+                 int base = 10) {
+  char* end = nullptr;
+  value = std::strtoull(text.c_str(), &end, base);
+  return end != text.c_str() && *end == '\0';
 }
 
-// Field-order-driven decoder: consumes " key=value" tokens strictly in
-// the order the encoder wrote them, so any reordering, duplication or
-// omission — not just value corruption — fails the decode.
-class FieldReader {
- public:
-  explicit FieldReader(const std::string& body) : body_(body) {}
+bool parse_value(const std::string& text, int& value) {
+  char* end = nullptr;
+  value = static_cast<int>(std::strtoll(text.c_str(), &end, 10));
+  return end != text.c_str() && *end == '\0';
+}
 
-  bool take_u64(const char* key, std::uint64_t& out) {
-    std::string value;
-    if (!take(key, value)) return false;
-    char* end = nullptr;
-    out = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0') {
-      return fail(std::string("malformed value for '") + key + "'");
-    }
-    return true;
-  }
+bool parse_value(const std::string& text, HexField field) {
+  return parse_value(text, field.value, 16);
+}
 
-  bool take_i64(const char* key, std::int64_t& out) {
-    std::string value;
-    if (!take(key, value)) return false;
-    char* end = nullptr;
-    out = std::strtoll(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0') {
-      return fail(std::string("malformed value for '") + key + "'");
-    }
-    return true;
-  }
-
-  bool take_hex64(const char* key, std::uint64_t& out) {
-    std::string value;
-    if (!take(key, value)) return false;
-    char* end = nullptr;
-    out = std::strtoull(value.c_str(), &end, 16);
-    if (end == value.c_str() || *end != '\0') {
-      return fail(std::string("malformed value for '") + key + "'");
-    }
-    return true;
-  }
-
-  bool at_end() const { return pos_ == body_.size(); }
-  const std::string& error() const { return error_; }
-
- private:
-  bool take(const char* key, std::string& value) {
-    if (!error_.empty()) return false;
-    if (pos_ >= body_.size() || body_[pos_] != ' ') {
-      return fail(std::string("expected field '") + key + "'");
-    }
-    ++pos_;
-    const std::size_t keylen = std::strlen(key);
-    if (body_.compare(pos_, keylen, key) != 0 ||
-        pos_ + keylen >= body_.size() || body_[pos_ + keylen] != '=') {
-      return fail(std::string("expected field '") + key + "'");
-    }
-    pos_ += keylen + 1;
-    const std::size_t end = body_.find(' ', pos_);
-    const std::size_t stop = end == std::string::npos ? body_.size() : end;
-    value = body_.substr(pos_, stop - pos_);
-    pos_ = stop;
-    if (value.empty()) {
-      return fail(std::string("empty value for '") + key + "'");
-    }
-    return true;
-  }
-
-  bool fail(const std::string& message) {
-    if (error_.empty()) error_ = message;
-    return false;
-  }
-
-  const std::string& body_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
+bool parse_value(const std::string& text, double& value) {
+  std::uint64_t bits = 0;
+  const bool ok = parse_value(text, bits, 16);
+  value = std::bit_cast<double>(bits);
+  return ok;
+}
 
 }  // namespace
 
-std::string encode_trial_record(const TrialResult& r) {
+std::string encode_trial_record(const TrialResult& result) {
+  TrialResult r = result;
   std::string body = "R";
-  append_field(body, "i", r.index);
-  append_hex_field(body, "seed", r.seed);
-  const scenario::DuelReport& d = r.report;
-  append_field(body, "rounds", d.rounds);
-  append_field(body, "alarms", d.alarms);
-  append_field(body, "cycles", d.full_cycles);
-  append_int_field(body, "area", d.target_area);
-  append_field(body, "tar", d.target_area_rounds);
-  append_field(body, "taa", d.target_area_alarms);
-  append_hex_field(body, "gap", double_bits(d.avg_target_gap_s));
-  append_field(body, "stays", d.secure_stays);
-  append_field(body, "det", d.prober_detections);
-  append_field(body, "fp", d.false_positives);
-  append_field(body, "fn", d.false_negatives);
-  append_field(body, "ev", d.evasions_started);
-  append_field(body, "rearms", d.rearms);
-  append_hex_field(body, "sims", double_bits(d.sim_seconds));
-  append_field(body, "conf", d.confirmed_alarms);
-  append_field(body, "trans", d.transient_alarms);
-  append_field(body, "benign", d.benign_confirmed_alarms);
-  append_field(body, "wdog", d.watchdog_fires);
-  append_field(body, "sretry", d.scan_retries);
-  append_field(body, "inj", r.faults_injected);
-  append_hex_field(body, "crc", sim::fnv1a(body.data(), body.size()));
+  visit_trial_fields(r, [&body](const char* key, const char*, auto&& value) {
+    body += ' ';
+    body += key;
+    body += '=';
+    append_value(body, value);
+  });
+  std::uint64_t crc = sim::fnv1a(body.data(), body.size());
+  body += " crc=";
+  append_value(body, HexField{crc});
   return body;
 }
 
@@ -159,48 +82,39 @@ bool decode_trial_record(const std::string& line, TrialResult& out,
   if (line.compare(0, 2, "R ") != 0) return fail("not a trial record");
   const std::size_t crc_at = line.rfind(" crc=");
   if (crc_at == std::string::npos) return fail("missing checksum");
-  char* end = nullptr;
-  const std::string crc_text = line.substr(crc_at + 5);
-  const std::uint64_t stored = std::strtoull(crc_text.c_str(), &end, 16);
-  if (end == crc_text.c_str() || *end != '\0') {
+  std::uint64_t stored = 0;
+  if (!parse_value(line.substr(crc_at + 5), stored, 16)) {
     return fail("malformed checksum");
   }
   if (stored != sim::fnv1a(line.data(), crc_at)) {
     return fail("checksum mismatch");
   }
 
+  // Fields are read strictly in the order the encoder wrote them, so any
+  // reordering, duplication or omission — not just value corruption —
+  // fails the decode. The first failure sticks.
   TrialResult r;
-  std::uint64_t gap_bits = 0, sims_bits = 0;
-  std::int64_t area = 0;
-  const std::string body = line.substr(1, crc_at - 1);
-  FieldReader fr(body);
-  const bool ok =
-      fr.take_u64("i", r.index) && fr.take_hex64("seed", r.seed) &&
-      fr.take_u64("rounds", r.report.rounds) &&
-      fr.take_u64("alarms", r.report.alarms) &&
-      fr.take_u64("cycles", r.report.full_cycles) &&
-      fr.take_i64("area", area) &&
-      fr.take_u64("tar", r.report.target_area_rounds) &&
-      fr.take_u64("taa", r.report.target_area_alarms) &&
-      fr.take_hex64("gap", gap_bits) &&
-      fr.take_u64("stays", r.report.secure_stays) &&
-      fr.take_u64("det", r.report.prober_detections) &&
-      fr.take_u64("fp", r.report.false_positives) &&
-      fr.take_u64("fn", r.report.false_negatives) &&
-      fr.take_u64("ev", r.report.evasions_started) &&
-      fr.take_u64("rearms", r.report.rearms) &&
-      fr.take_hex64("sims", sims_bits) &&
-      fr.take_u64("conf", r.report.confirmed_alarms) &&
-      fr.take_u64("trans", r.report.transient_alarms) &&
-      fr.take_u64("benign", r.report.benign_confirmed_alarms) &&
-      fr.take_u64("wdog", r.report.watchdog_fires) &&
-      fr.take_u64("sretry", r.report.scan_retries) &&
-      fr.take_u64("inj", r.faults_injected);
-  if (!ok) return fail(fr.error());
-  if (!fr.at_end()) return fail("trailing content");
-  r.report.target_area = static_cast<int>(area);
-  r.report.avg_target_gap_s = bits_double(gap_bits);
-  r.report.sim_seconds = bits_double(sims_bits);
+  std::string why;
+  std::size_t pos = 1;  // after the "R"
+  visit_trial_fields(r, [&](const char* key, const char*, auto&& value) {
+    if (!why.empty()) return;
+    const std::string token = std::string(" ") + key + "=";
+    if (line.compare(pos, token.size(), token) != 0) {
+      why = std::string("expected field '") + key + "'";
+      return;
+    }
+    pos += token.size();
+    const std::size_t stop = line.find(' ', pos);  // at crc_at at the latest
+    const std::string text = line.substr(pos, stop - pos);
+    pos = stop;
+    if (text.empty()) {
+      why = std::string("empty value for '") + key + "'";
+    } else if (!parse_value(text, value)) {
+      why = std::string("malformed value for '") + key + "'";
+    }
+  });
+  if (!why.empty()) return fail(why);
+  if (pos != crc_at) return fail("trailing content");
   out = r;
   return true;
 }

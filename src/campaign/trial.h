@@ -30,8 +30,49 @@ struct TrialResult {
   std::uint64_t faults_injected = 0;
 };
 
-// "R i=<n> seed=<hex> ... crc=<hex>", newline excluded. Field order is
-// fixed; the checksum covers everything before " crc=".
+// The trial seed, the one integer the record writes in hex.
+struct HexField {
+  std::uint64_t& value;
+};
+
+// Names every persisted field of `r` once, in record order, as
+// visit(record_key, stats_name, value). `value` is a std::uint64_t&
+// (decimal), an int& (signed decimal), a double& (its raw bits in hex) or
+// a HexField. `stats_name` is the field's key in the stats file's
+// `aggregate`, which sums it over the completed trials, or nullptr when
+// the aggregate does not sum it. The record encoder and decoder and the
+// aggregate all loop over this list, so a new DuelReport field is one
+// line here.
+template <typename Visit>
+void visit_trial_fields(TrialResult& r, Visit&& visit) {
+  scenario::DuelReport& d = r.report;
+  visit("i", nullptr, r.index);
+  visit("seed", nullptr, HexField{r.seed});
+  visit("rounds", "rounds", d.rounds);
+  visit("alarms", "alarms", d.alarms);
+  visit("cycles", "full_cycles", d.full_cycles);
+  visit("area", nullptr, d.target_area);
+  visit("tar", "target_area_rounds", d.target_area_rounds);
+  visit("taa", "target_area_alarms", d.target_area_alarms);
+  visit("gap", nullptr, d.avg_target_gap_s);
+  visit("stays", "secure_stays", d.secure_stays);
+  visit("det", "prober_detections", d.prober_detections);
+  visit("fp", "false_positives", d.false_positives);
+  visit("fn", "false_negatives", d.false_negatives);
+  visit("ev", "evasions_started", d.evasions_started);
+  visit("rearms", "rearms", d.rearms);
+  visit("sims", "sim_seconds_total", d.sim_seconds);
+  visit("conf", "confirmed_alarms", d.confirmed_alarms);
+  visit("trans", "transient_alarms", d.transient_alarms);
+  visit("benign", "benign_confirmed_alarms", d.benign_confirmed_alarms);
+  visit("wdog", "watchdog_fires", d.watchdog_fires);
+  visit("sretry", "scan_retries", d.scan_retries);
+  visit("inj", "faults_injected", r.faults_injected);
+}
+
+// "R i=<n> seed=<hex> ... crc=<hex>", newline excluded: the fields of
+// visit_trial_fields in its order; the checksum covers everything before
+// " crc=".
 std::string encode_trial_record(const TrialResult& result);
 
 // Strict decode: returns false (with a one-line reason in *error when

@@ -57,6 +57,14 @@ class LineReader {
   std::string buf_;
 };
 
+// A trial whose artifacts cannot be written is given up: the supervisor
+// sees the exit as a crash and retries it.
+[[noreturn]] void artifact_failed(std::uint64_t index, const std::string& why) {
+  std::fprintf(stderr, "campaign worker: trial %llu: %s\n",
+               static_cast<unsigned long long>(index), why.c_str());
+  _exit(4);
+}
+
 }  // namespace
 
 std::string trial_metrics_path(const std::string& dir, std::uint64_t index) {
@@ -99,6 +107,8 @@ void worker_main(const WorkerContext& ctx) {
       obs::FlightRecorder::Options fopts;
       fopts.path = trial_flight_path(ctx.artifacts_dir, index);
       flight = std::make_unique<obs::FlightRecorder>(fopts);
+      // A recorder without its file would keep the whole stream in memory.
+      if (flight->failed()) artifact_failed(index, "cannot open " + fopts.path);
     }
 
     TrialResult result;
@@ -116,13 +126,13 @@ void worker_main(const WorkerContext& ctx) {
     // Artifacts first, result record second: after a process crash, "in
     // the journal" implies "artifacts written" (not after a power cut:
     // neither artifact is fsync'd; see worker.h).
-    if (flight != nullptr && !flight->close()) _exit(4);
+    if (flight != nullptr && !flight->close()) {
+      artifact_failed(index, "cannot write " + flight->path());
+    }
     std::string error;
     if (!metrics.save_binary(trial_metrics_path(ctx.artifacts_dir, index),
                              &error)) {
-      std::fprintf(stderr, "campaign worker: trial %llu: %s\n",
-                   static_cast<unsigned long long>(index), error.c_str());
-      _exit(4);
+      artifact_failed(index, error);
     }
 
     write_line_or_die(ctx.res_fd, encode_trial_record(result) + "\n");

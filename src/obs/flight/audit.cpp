@@ -128,6 +128,20 @@ FlightStats compute_flight_stats(FlightReader& reader) {
   return stats;
 }
 
+bool append_trial_file(FlightRecorder& sink, std::size_t index,
+                       std::uint64_t seed, const std::string& path,
+                       std::string& error) {
+  FlightReader reader;
+  if (!reader.open(path) || !reader.has_footer()) {
+    error = reader.error().empty() ? path + ": no footer" : reader.error();
+    return false;
+  }
+  sink.append_trial(index, seed, reader.totals(),
+                    [&reader](FlightRecord& rec) { return reader.next(rec); });
+  error = reader.error();
+  return error.empty();
+}
+
 std::string format_flight_record(const FlightRecord& record) {
   char buf[128];
   std::snprintf(buf, sizeof(buf),

@@ -18,7 +18,7 @@
 // in process and writes both recordings for diff when they disagree.
 // Merges (sim::TrialRunner under a spilling parent, the campaign
 // supervisor) stream per-trial files through the same reader into
-// FlightRecorder::append_trial.
+// FlightRecorder::append_trial, by append_trial_file.
 #pragma once
 
 #include <array>
@@ -83,6 +83,14 @@ struct FlightStats {
 
 // Reads the rest of `reader`; check reader.error() afterwards.
 FlightStats compute_flight_stats(FlightReader& reader);
+
+// Streams the recording at `path` into `sink` as trial `index` with
+// `seed` (FlightRecorder::append_trial). A file that cannot be opened or
+// lacks its footer appends nothing; it, and a read error mid-stream,
+// return false with the cause in `error`.
+bool append_trial_file(FlightRecorder& sink, std::size_t index,
+                       std::uint64_t seed, const std::string& path,
+                       std::string& error);
 
 // One human-readable line per record: "t=<ps> kind seq=<n> actor=<a>
 // payload=<hex>".

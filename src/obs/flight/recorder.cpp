@@ -77,14 +77,13 @@ FlightRecord decode_flight_record(const unsigned char* in) {
 
 FlightRecorder::FlightRecorder(Options options)
     : options_(std::move(options)) {
-  if (options_.spill_chunk == 0) options_.spill_chunk = 1;
   if (options_.ring > 0) {
     retained_.reserve(options_.ring);
   } else if (!options_.path.empty()) {
-    retained_.reserve(options_.spill_chunk);
+    retained_.reserve(kFlightSpillChunk);
   }
   if (!options_.path.empty()) {
-    io_buf_.resize(options_.spill_chunk * kFlightRecordBytes);
+    io_buf_.resize(kFlightSpillChunk * kFlightRecordBytes);
     file_ = std::fopen(options_.path.c_str(), "wb");
     if (file_ == nullptr) {
       failed_ = true;
@@ -129,7 +128,7 @@ void FlightRecorder::record(FlightKind kind, sim::Time t, std::uint64_t seq,
     return;
   }
   retained_.push_back(rec);
-  if (spilling() && retained_.size() >= options_.spill_chunk) spill_buffer();
+  if (spilling() && retained_.size() >= kFlightSpillChunk) spill_buffer();
 }
 
 void FlightRecorder::append_trial(
@@ -186,7 +185,7 @@ bool FlightRecorder::close() {
     std::size_t i = 0;
     while (i < records.size()) {
       const std::size_t n =
-          std::min(options_.spill_chunk, records.size() - i);
+          std::min(kFlightSpillChunk, records.size() - i);
       for (std::size_t k = 0; k < n; ++k) {
         encode_flight_record(records[i + k],
                              io_buf_.data() + k * kFlightRecordBytes);

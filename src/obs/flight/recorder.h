@@ -15,8 +15,8 @@
 //
 // Memory model: zero steady-state allocations on the record path.
 //  * Spill mode (a path, ring == 0): records accumulate in a buffer
-//    preallocated for `spill_chunk` records and are fwrite()n to the file
-//    in encoded chunks when it fills — bounded memory, full stream.
+//    preallocated for kFlightSpillChunk records and are fwrite()n to the
+//    file in encoded chunks when it fills — bounded memory, full stream.
 //  * Ring mode (ring == N): a preallocated N-record ring keeps the newest
 //    records (capture-on-alarm: the tail window is the one a post-mortem
 //    needs); the file is written on close(). Dropped-record counts are
@@ -130,6 +130,8 @@ inline constexpr char kFlightMagic[8] = {'S', 'A', 'T', 'N',
                                          'F', 'L', 'T', '1'};
 inline constexpr std::uint32_t kFlightVersion = 1;
 inline constexpr std::size_t kFlightHeaderBytes = 32;
+// Records buffered between fwrite()s in spill mode.
+inline constexpr std::size_t kFlightSpillChunk = std::size_t{1} << 16;
 
 // A recording's footer triple: records committed (spilled and
 // overwritten ones included), ring overwrites, and the chain hash.
@@ -146,8 +148,6 @@ struct FlightRecorderOptions {
   // written at close(). 0 with a path: chunked spill (full stream).
   // 0 without a path: unbounded in-memory retention.
   std::size_t ring = 0;
-  // Records buffered between fwrite()s in spill mode.
-  std::size_t spill_chunk = 1u << 16;
 };
 
 class FlightRecorder {

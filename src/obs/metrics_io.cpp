@@ -10,13 +10,13 @@
 // magic and version so a foreign or truncated file is rejected whole
 // instead of half-applied.
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "obs/file_io.h"
 #include "obs/metrics.h"
 
 namespace satin::obs {
@@ -190,38 +190,15 @@ bool MetricsRegistry::save_binary(const std::string& path,
     body.f64(s.sum);
   }
 
-  // Crash-safe: a reader either sees the complete previous file or the
-  // complete new one, never a torn write.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return set_error(error, tmp + ": cannot open for write");
-  const std::string& bytes = body.bytes();
-  const bool write_ok = std::fwrite(bytes.data(), 1, bytes.size(), f) ==
-                        bytes.size();
-  const bool flush_ok = std::fflush(f) == 0;
-  const bool close_ok = std::fclose(f) == 0;
-  if (!write_ok || !flush_ok || !close_ok) {
-    std::remove(tmp.c_str());
-    return set_error(error, tmp + ": write failed");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return set_error(error, path + ": rename failed");
-  }
-  return true;
+  // Crash-safe but not fsync'd: the campaign writes one per trial, and
+  // only its journal append is durable across a power cut (worker.h).
+  return replace_file(path, body.bytes(), /*sync=*/false, error);
 }
 
 bool MetricsRegistry::load_merge_binary(const std::string& path,
                                         std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return set_error(error, path + ": cannot open");
   std::string bytes;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return set_error(error, path + ": read error");
+  if (!read_file(path, bytes, error)) return false;
 
   std::string detail;
   Reader r(bytes, &detail);

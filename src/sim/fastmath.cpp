@@ -5,27 +5,10 @@
 namespace satin::sim::fm_detail {
 
 double fm_exp_tail(double x) {
-  // Same reduction and polynomial as fm_exp_core; only the final scaling
-  // differs. Exclusive domains (the dispatcher routes |x| into exactly
-  // one path), so the two paths never need to agree bit for bit.
-  const double t = x * kInvLn2;
-  const double kd = (t + 0x1.8p52) - 0x1.8p52;
-  const int k = static_cast<int>(kd);
-  const double r = (x - kd * kLn2Hi) - kd * kLn2Lo;
-  const double r2 = r * r;
-  double p = 1.0 / 6227020800.0;
-  p = p * r + 1.0 / 479001600.0;
-  p = p * r + 1.0 / 39916800.0;
-  p = p * r + 1.0 / 3628800.0;
-  p = p * r + 1.0 / 362880.0;
-  p = p * r + 1.0 / 40320.0;
-  p = p * r + 1.0 / 5040.0;
-  p = p * r + 1.0 / 720.0;
-  p = p * r + 1.0 / 120.0;
-  p = p * r + 1.0 / 24.0;
-  p = p * r + 1.0 / 6.0;
-  p = p * r + 0.5;
-  const double er = (r + r2 * p) + 1.0;
+  // Exclusive domains (the dispatcher routes |x| into exactly one path),
+  // so this and fm_exp_core never need to agree bit for bit.
+  int k = 0;
+  const double er = fm_exp_reduced(x, k);
   // Power-of-two scaling is exact except into the subnormal range, where
   // ldexp rounds correctly — deterministic either way.
   return std::ldexp(er, k);

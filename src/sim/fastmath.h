@@ -52,6 +52,41 @@ inline constexpr double kSqrt2 =
 // on exactly that relation.
 inline constexpr std::uint64_t kHalfSqrt2Bits = 0x3FE6A09E667F3BCDull;
 
+// exp(x) = er * 2^k with er in [0.70, 1.42]: the range reduction and
+// polynomial fm_exp_core and fm_exp_tail share. They differ only in how
+// they scale er by 2^k.
+SATIN_FM_INLINE double fm_exp_reduced(double x, int& k) {
+  // Nearest integer multiple of ln 2 via the shift trick (|t| << 2^51,
+  // so adding/subtracting 1.5 * 2^52 rounds t to an exact integer).
+  const double t = x * kInvLn2;
+  const double kd = (t + 0x1.8p52) - 0x1.8p52;
+  // int32, not int64: |k| <= 1024, and AVX2 has no 64-bit-int <-> double
+  // conversion, so a long long here would keep callers' loops scalar.
+  k = static_cast<int>(kd);
+  // Reduced argument r = x - k ln2, |r| <= ln2/2 + eps. kd * kLn2Hi is
+  // exact (27 spare mantissa bits against |k| <= 1024).
+  const double r = (x - kd * kLn2Hi) - kd * kLn2Lo;
+  // Taylor through r^13/13!: < 0.1 ulp truncation at |r| <= 0.347.
+  const double r2 = r * r;
+  double p = 1.0 / 6227020800.0;
+  p = p * r + 1.0 / 479001600.0;
+  p = p * r + 1.0 / 39916800.0;
+  p = p * r + 1.0 / 3628800.0;
+  p = p * r + 1.0 / 362880.0;
+  p = p * r + 1.0 / 40320.0;
+  p = p * r + 1.0 / 5040.0;
+  p = p * r + 1.0 / 720.0;
+  p = p * r + 1.0 / 120.0;
+  p = p * r + 1.0 / 24.0;
+  p = p * r + 1.0 / 6.0;
+  p = p * r + 0.5;
+  return (r + r2 * p) + 1.0;
+}
+
+// Tail scaling for |x| outside the single-add window: fm_exp_reduced,
+// scaled by ldexp (exact, including gradual underflow).
+double fm_exp_tail(double x);
+
 }  // namespace fm_detail
 
 // log(x) for positive finite x (normal or denormal). Genuinely
@@ -118,45 +153,13 @@ SATIN_FM_INLINE double fm_log(double x) {
 // single exponent-field add. Branch-free; the full-domain fm_exp below
 // routes the extreme tails elsewhere.
 SATIN_FM_INLINE double fm_exp_core(double x) {
-  using namespace fm_detail;
-  // Nearest integer multiple of ln 2 via the shift trick (|t| << 2^51,
-  // so adding/subtracting 1.5 * 2^52 rounds t to an exact integer).
-  const double t = x * kInvLn2;
-  const double kd = (t + 0x1.8p52) - 0x1.8p52;
-  // int32, not int64: |k| <= 1024, and AVX2 has no 64-bit-int <-> double
-  // conversion, so a long long here would keep callers' loops scalar.
-  const int k = static_cast<int>(kd);
-  // Reduced argument r = x - k ln2, |r| <= ln2/2 + eps. kd * kLn2Hi is
-  // exact (27 spare mantissa bits against |k| <= 1024).
-  const double r = (x - kd * kLn2Hi) - kd * kLn2Lo;
-  // Taylor through r^13/13!: < 0.1 ulp truncation at |r| <= 0.347.
-  const double r2 = r * r;
-  double p = 1.0 / 6227020800.0;
-  p = p * r + 1.0 / 479001600.0;
-  p = p * r + 1.0 / 39916800.0;
-  p = p * r + 1.0 / 3628800.0;
-  p = p * r + 1.0 / 362880.0;
-  p = p * r + 1.0 / 40320.0;
-  p = p * r + 1.0 / 5040.0;
-  p = p * r + 1.0 / 720.0;
-  p = p * r + 1.0 / 120.0;
-  p = p * r + 1.0 / 24.0;
-  p = p * r + 1.0 / 6.0;
-  p = p * r + 0.5;
-  const double er = (r + r2 * p) + 1.0;
-  // er in [0.70, 1.42]: scaling by 2^k is one exponent-field add.
+  int k = 0;
+  const double er = fm_detail::fm_exp_reduced(x, k);
+  // Scaling er by 2^k is one exponent-field add.
   return std::bit_cast<double>(
       std::bit_cast<std::uint64_t>(er) +
       (static_cast<std::uint64_t>(static_cast<std::int64_t>(k)) << 52));
 }
-
-namespace fm_detail {
-
-// Tail scaling for |x| outside the single-add window: same reduction,
-// two-step power-of-two scale (exact, including gradual underflow).
-double fm_exp_tail(double x);
-
-}  // namespace fm_detail
 
 // Full-domain exp: matches libm's special-value contract (sans errno).
 SATIN_FM_INLINE double fm_exp(double x) {

@@ -144,15 +144,12 @@ struct PerTrialSinks {
       }
       if (spilled[i] == 0) continue;  // its trial already failed the run
       const std::string path = spill_path(i);
-      obs::FlightReader reader;
-      if (reader.open(path)) {
-        parent_flight->append_trial(
-            i, seeds.seed_for(i), reader.totals(),
-            [&reader](obs::FlightRecord& rec) { return reader.next(rec); });
-      }
-      if (!reader.error().empty() && !errors[i]) {
+      std::string error;
+      if (!obs::append_trial_file(*parent_flight, i, seeds.seed_for(i), path,
+                                  error) &&
+          !errors[i]) {
         errors[i] = std::make_exception_ptr(
-            std::runtime_error("flight: " + reader.error()));
+            std::runtime_error("flight: " + error));
       }
       std::remove(path.c_str());
     }

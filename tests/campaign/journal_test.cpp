@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 
 #include <unistd.h>
 
 #include "campaign/spec.h"
+#include "campaign/supervisor.h"
 #include "campaign/trial.h"
 
 namespace satin::campaign {
@@ -72,6 +74,108 @@ TEST(TrialRecord, DecodeRejectsDamage) {
   EXPECT_FALSE(decode_trial_record("", out));
   // The intact line still decodes after all that.
   EXPECT_TRUE(decode_trial_record(line, out));
+}
+
+// Two fixed trials whose fields all differ from their neighbours', so a
+// swapped, dropped or re-formatted field changes the golden bytes below:
+// sample_result(3), and a trial with a negative target area, a zero gap
+// (left out of the gap mean) and nonzero false positives, false negatives
+// and benign alarms.
+std::map<std::uint64_t, TrialResult> golden_results() {
+  TrialResult b;
+  b.index = 5;
+  b.seed = 0x9e3779b97f4a7c15ull;
+  b.report.rounds = 101;
+  b.report.alarms = 29;
+  b.report.full_cycles = 6;
+  b.report.target_area = -1;
+  b.report.target_area_rounds = 11;
+  b.report.target_area_alarms = 10;
+  b.report.secure_stays = 31;
+  b.report.prober_detections = 33;
+  b.report.false_positives = 2;
+  b.report.false_negatives = 3;
+  b.report.evasions_started = 23;
+  b.report.rearms = 19;
+  b.report.sim_seconds = 12.5;
+  b.report.confirmed_alarms = 8;
+  b.report.transient_alarms = 5;
+  b.report.benign_confirmed_alarms = 1;
+  b.report.watchdog_fires = 4;
+  b.report.scan_retries = 17;
+  b.faults_injected = 41;
+  return {{3, sample_result(3)}, {5, b}};
+}
+
+// The journal's record bytes, pinned: a resume reads records an older
+// build wrote, so the layout is a persisted format, not an implementation
+// detail. Each golden line also decodes to a trial that encodes back to
+// it, so the decoder reads every field the encoder writes.
+TEST(TrialRecord, EncodesTheGoldenLines) {
+  const std::map<std::uint64_t, TrialResult> results = golden_results();
+  const std::map<std::uint64_t, std::string> golden = {
+      {3, "R i=3 seed=2bb4fdf6c4a3ec8a rounds=17 alarms=3 cycles=0 area=7 "
+          "tar=2 taa=2 gap=4061a80000000000 stays=14 det=15 fp=0 fn=0 "
+          "ev=13 rearms=12 sims=3fd3333333333334 conf=1 trans=2 benign=0 "
+          "wdog=1 sretry=4 inj=9 crc=3db723fec6e5524a"},
+      {5, "R i=5 seed=9e3779b97f4a7c15 rounds=101 alarms=29 cycles=6 "
+          "area=-1 tar=11 taa=10 gap=0000000000000000 stays=31 det=33 "
+          "fp=2 fn=3 ev=23 rearms=19 sims=4029000000000000 conf=8 trans=5 "
+          "benign=1 wdog=4 sretry=17 inj=41 crc=3234a7b6f5d2b0c5"}};
+  for (const auto& [index, line] : golden) {
+    EXPECT_EQ(encode_trial_record(results.at(index)), line);
+    TrialResult decoded;
+    ASSERT_TRUE(decode_trial_record(line, decoded)) << line;
+    EXPECT_EQ(encode_trial_record(decoded), line);
+  }
+}
+
+// The stats file's bytes, pinned: CI's crash audit compares them across
+// schedules, and tools read them as JSON.
+TEST(CampaignStats, FormatsTheGoldenBody) {
+  const CampaignSpec spec = parse_campaign_spec(
+      R"({"name": "golden", "trials": 8, "root_seed": 42})", "golden");
+  CampaignOutcome outcome;
+  outcome.degraded = true;
+  outcome.failed_trials = {1, 6};
+  EXPECT_EQ(format_campaign_stats(spec, outcome, golden_results()),
+            R"json({
+  "schema": "satin-campaign-stats/1",
+  "name": "golden",
+  "spec_hash": "8cb220680a708ffa",
+  "trials": 8,
+  "root_seed": 42,
+  "completed": 2,
+  "degraded": true,
+  "failed_trials": [1, 6],
+  "aggregate": {
+    "rounds": 118,
+    "alarms": 32,
+    "full_cycles": 6,
+    "target_area_rounds": 13,
+    "target_area_alarms": 12,
+    "secure_stays": 45,
+    "prober_detections": 48,
+    "false_positives": 2,
+    "false_negatives": 3,
+    "evasions_started": 36,
+    "rearms": 31,
+    "confirmed_alarms": 9,
+    "transient_alarms": 7,
+    "benign_confirmed_alarms": 1,
+    "watchdog_fires": 5,
+    "scan_retries": 21,
+    "faults_injected": 50,
+    "always_caught_trials": 1,
+    "sim_seconds_total": 12.800000000000001,
+    "avg_target_gap_s_mean": 141.25
+  },
+  "per_trial": [
+    {"i": 3, "seed": "2bb4fdf6c4a3ec8a", "rounds": 17, "taa": 2, "tar": 2, "conf": 1, "trans": 2, "inj": 9, "sim_s": 0.30000000000000004},
+    {"i": 5, "seed": "9e3779b97f4a7c15", "rounds": 101, "taa": 10, "tar": 11, "conf": 8, "trans": 5, "inj": 41, "sim_s": 12.5}
+  ]
+}
+)json");
 }
 
 class JournalTest : public ::testing::Test {

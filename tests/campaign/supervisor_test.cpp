@@ -7,11 +7,16 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "campaign/journal.h"
+#include "campaign/json.h"
 #include "campaign/spec.h"
+#include "obs/file_io.h"
+#include "obs/flight/recorder.h"
 
 namespace satin::campaign {
 namespace {
@@ -167,16 +172,70 @@ TEST_F(SupervisorTest, ResumeRefusesWithoutAJournal) {
   EXPECT_NE(outcome.error.find("no journal"), std::string::npos);
 }
 
+// --out=/dev/null is refused before the journal exists, not after every
+// trial has run and been journalled.
+TEST_F(SupervisorTest, NonRegularStatsPathFailsBeforeTheJournalOpens) {
+  CampaignOptions o = options();
+  o.stats_path = "/dev/null";
+  const CampaignOutcome outcome = run_campaign(spec_, o);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_NE(outcome.error.find("non-regular"), std::string::npos)
+      << outcome.error;
+  EXPECT_EQ(outcome.workers_spawned, 0u);
+  EXPECT_NE(::access(o.journal_path.c_str(), F_OK), 0);
+}
+
+// A worker that cannot open a trial's flight artifact names the path and
+// gives the trial up before running it: a spill recorder without its file
+// would keep the whole stream in memory.
+TEST_F(SupervisorTest, UnopenableFlightArtifactIsNamedBeforeTheTrialRuns) {
+  spec_ = parse_campaign_spec(kQuickSpec, "quick");
+  spec_.trials = 1;
+  CampaignOptions o = options();
+  o.jobs = 1;
+  o.max_retries = 0;
+  const std::string squatter = o.journal_path + ".d/trial_0.flt";
+  ASSERT_EQ(::mkdir((o.journal_path + ".d").c_str(), 0777), 0);
+  ASSERT_EQ(::mkdir(squatter.c_str(), 0777), 0);
+
+  obs::FlightRecorder session;  // in memory: the campaign records flight
+  obs::install_flight(&session);
+  testing::internal::CaptureStderr();
+  const CampaignOutcome outcome = run_campaign(spec_, o);
+  const std::string err = testing::internal::GetCapturedStderr();
+  obs::install_flight(nullptr);
+
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.failed_trials, std::vector<std::uint64_t>{0});
+  EXPECT_NE(err.find(squatter), std::string::npos) << err;
+}
+
+// The spec's name is user text: a quote or a backslash in it must still
+// leave the stats file valid JSON that reads the name back.
+TEST(CampaignStats, NameIsEscapedIntoValidJson) {
+  CampaignSpec spec =
+      parse_campaign_spec(R"({"name": "a\"b\\c", "trials": 1})", "named");
+  ASSERT_EQ(spec.name, "a\"b\\c");
+  const std::string body =
+      format_campaign_stats(spec, CampaignOutcome{}, {});
+  JsonValue root;
+  ASSERT_NO_THROW(root = parse_json(body, "stats")) << body;
+  const JsonValue* name = root.find("name");
+  ASSERT_NE(name, nullptr);
+  EXPECT_EQ(name->as_string("name"), spec.name);
+}
+
 TEST(CampaignStats, WriterRefusesNonRegularFiles) {
   std::string error;
-  EXPECT_FALSE(write_campaign_stats("/dev/null", "{}\n", &error));
+  EXPECT_FALSE(obs::replace_file("/dev/null", "{}\n", /*sync=*/true, &error));
   EXPECT_NE(error.find("non-regular"), std::string::npos);
 }
 
 TEST(CampaignStats, WriterRoundTripsThroughRename) {
   const std::string path = testing::TempDir() + "/campaign_stats_rt.json";
   std::string error;
-  ASSERT_TRUE(write_campaign_stats(path, "{\"x\": 1}\n", &error)) << error;
+  ASSERT_TRUE(obs::replace_file(path, "{\"x\": 1}\n", /*sync=*/true, &error))
+      << error;
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   char buf[32] = {};

@@ -185,23 +185,25 @@ TEST(FlightRecorderTest, AppendFromPreservesOrderAndDrops) {
 
 TEST(FlightRecorderTest, SpillFileRoundTripsThroughReader) {
   const std::string path = temp_path("flight_spill.bin");
+  constexpr std::size_t kRecords = 2 * kFlightSpillChunk + 100;  // 3 spills
   {
     FlightRecorder::Options opts;
     opts.path = path;
-    opts.spill_chunk = 8;  // force multiple spills
     FlightRecorder rec(opts);
     ASSERT_FALSE(rec.failed());
-    record_n(rec, 100);
+    record_n(rec, kRecords);
     EXPECT_TRUE(rec.close());
   }
   const ReadBack log = read_back(path);
   ASSERT_TRUE(log.ok) << log.error;
   EXPECT_TRUE(log.has_footer);
   EXPECT_FALSE(log.ring);
-  EXPECT_EQ(log.totals.commits, 100u);
+  EXPECT_EQ(log.totals.commits, kRecords);
   EXPECT_EQ(log.totals.dropped, 0u);
-  ASSERT_EQ(log.records.size(), 100u);
-  for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(log.records[i].seq, i);
+  ASSERT_EQ(log.records.size(), kRecords);
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    ASSERT_EQ(log.records[i].seq, i);
+  }
   std::remove(path.c_str());
 }
 
